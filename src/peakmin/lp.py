@@ -5,6 +5,18 @@ deterministic lowest-index tie-breaking; a degeneracy streak switches the rule
 to Bland's, which guarantees termination. Problems in this package are tiny
 (at most a few hundred variables), so no sparsity or factorization is kept.
 
+Basis re-pricing: every optimal LpResult carries its final basis, and
+solve_lp accepts one back. A given basis is re-priced before any pivoting:
+one dense solve for its basic values and one for its duals, on the same
+standard-form matrix the tableau is built from. It is accepted only if it is
+primal feasible (basic values >= -1e-7, no basic artificial above 1e-7) and
+dual feasible (no enterable reduced cost above 1e-9); its vertex is then the
+optimum and no tableau is built. Anything else (a wrong length, an index out
+of range or repeated, a singular matrix, a stale basis) falls through to the
+cold two-phase solve, which does not depend on the hint. Callers that
+re-solve one LP under a slowly moving objective and right-hand side, as the
+anytime bisection does, skip both phases most of the time.
+
 Tolerances: pivot 1e-9, feasibility 1e-7.
 """
 
@@ -68,6 +80,9 @@ class LpResult:
     value: float
     x: np.ndarray | None
     residual: float = 0.0
+    # column indices of the final basis, row by row, in the standard form
+    # solve_lp builds; a hint for re-solving the same rows and variables
+    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -229,29 +244,14 @@ def _standard_form(lp: LinearProgram):
     return rows, rels, rhs, lb
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Two-phase dense simplex. Status is one of optimal/infeasible/unbounded."""
-    n = lp.num_vars
-    if n == 0:
-        return LpResult(OPTIMAL, lp.objective_constant, np.zeros(0), 0.0)
-    sf = _standard_form(lp)
-    if sf is None:
-        return LpResult(INFEASIBLE, np.nan, None)
-    rows, rels, rhs, lb = sf
-    m = len(rhs)
-    obj = lp.objective if lp.maximize else -lp.objective
+def _augment(rows: np.ndarray, rels: list[str], n: int):
+    """[rows | slacks | artificials] and the all-slack/artificial start basis.
 
-    if m == 0:
-        # box-only problem: optimum sits at a bound of each variable
-        x = lb.copy()
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if obj[j] > 0:
-                if hi is None:
-                    return LpResult(UNBOUNDED, np.nan, None)
-                x[j] = hi
-        val = float(lp.objective @ x) + lp.objective_constant
-        return LpResult(OPTIMAL, val, x, 0.0)
-
+    Returns (matrix, start basis, artificial columns, enterable), where the
+    first enterable columns (structural and slack) are the ones that may
+    enter a basis; artificials sit past them.
+    """
+    m = len(rels)
     n_slack = sum(1 for r in rels if r == LE) + sum(1 for r in rels if r == GE)
     n_art = sum(1 for r in rels if r != LE)
     cols = n + n_slack + n_art
@@ -277,40 +277,53 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             basis[i] = ja
             art_cols.append(ja)
             ja += 1
+    return a, basis, art_cols, n + n_slack
 
-    tab = _Tableau(a, rhs, basis)
-    max_iter = 5000 + 60 * (m + cols)
-    # artificials may leave the basis but never come back
-    enterable = n + n_slack
 
-    if art_cols:
-        phase1 = np.zeros(cols)
-        phase1[art_cols] = -1.0
-        tab.set_objective(phase1)
-        status = tab.run(max_iter, enter_limit=enterable)
-        # the objective row's rhs holds minus the phase-1 value = sum of artificials
-        if status != OPTIMAL or tab.t[tab.m, tab.n] > FEAS_TOL:
-            return LpResult(INFEASIBLE, np.nan, None)
-        art_set = set(art_cols)
-        for p in range(tab.m):
-            if tab.basis[p] in art_set:
-                row = tab.t[p, :cols]
-                pivots = np.nonzero(np.abs(row[: n + n_slack]) > PIVOT_TOL)[0]
-                if len(pivots):
-                    tab._pivot(p, int(pivots[0]))
-        # neutralize any artificial column still around (redundant rows stay basic at 0)
-        tab.t[:, art_cols] = 0.0
+def _reprice(
+    a: np.ndarray, rhs: np.ndarray, obj: np.ndarray, basis, enterable: int
+) -> np.ndarray | None:
+    """Basic values of basis if it is optimal for max obj.x, a x = rhs, x >= 0.
 
-    full_obj = np.zeros(cols)
-    full_obj[:n] = obj
-    tab.set_objective(full_obj)
-    status = tab.run(max_iter, enter_limit=enterable)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, np.nan, None)
+    None when the basis is malformed, singular, primal infeasible (a basic
+    value below -FEAS_TOL or a basic artificial above FEAS_TOL) or dual
+    infeasible (an enterable reduced cost above PIVOT_TOL).
+    """
+    m, cols = a.shape
+    basis = np.asarray(basis)
+    if (
+        basis.shape != (m,)
+        or basis.dtype.kind not in "iu"
+        or basis.min() < 0
+        or basis.max() >= cols
+        or len(np.unique(basis)) != m
+    ):
+        return None
+    b_mat = a[:, basis]
+    try:
+        x_basic = np.linalg.solve(b_mat, rhs)
+        duals = np.linalg.solve(b_mat.T, obj[basis])
+    except np.linalg.LinAlgError:
+        return None
+    # comparisons are written so that a NaN rejects the basis
+    if not (x_basic >= -FEAS_TOL).all():
+        return None
+    if not (x_basic[basis >= enterable] <= FEAS_TOL).all():
+        return None
+    reduced = obj[:enterable] - duals @ a[:, :enterable]
+    reduced[basis[basis < enterable]] = 0.0
+    if not (reduced <= PIVOT_TOL).all():
+        return None
+    return x_basic
 
+
+def _optimal_result(
+    lp: LinearProgram, basis: np.ndarray, x_basic: np.ndarray, lb: np.ndarray, cols: int
+) -> LpResult:
+    """Map basic values back to the original variables and certify them."""
     x_shift = np.zeros(cols)
-    x_shift[tab.basis] = tab.t[: tab.m, tab.n]
-    x = x_shift[:n] + lb
+    x_shift[basis] = x_basic
+    x = x_shift[: lp.num_vars] + lb
     value = float(lp.objective @ x) + lp.objective_constant
 
     residual = 0.0
@@ -327,7 +340,75 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         residual = max(residual, lo - x[j])
         if hi is not None:
             residual = max(residual, x[j] - hi)
-    return LpResult(OPTIMAL, value, x, float(residual))
+    return LpResult(OPTIMAL, value, x, float(residual), basis)
+
+
+def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
+    """Two-phase dense simplex. Status is one of optimal/infeasible/unbounded.
+
+    basis is an optional hint, normally the basis of an earlier result for
+    an LP with the same rows, relations and bounded variables. It is
+    re-priced first and its vertex returned if it is still optimal;
+    otherwise the cold two-phase solve runs as if no hint were given.
+    """
+    n = lp.num_vars
+    if n == 0:
+        return LpResult(OPTIMAL, lp.objective_constant, np.zeros(0), 0.0)
+    sf = _standard_form(lp)
+    if sf is None:
+        return LpResult(INFEASIBLE, np.nan, None)
+    rows, rels, rhs, lb = sf
+    m = len(rhs)
+    obj = lp.objective if lp.maximize else -lp.objective
+
+    if m == 0:
+        # box-only problem: optimum sits at a bound of each variable
+        x = lb.copy()
+        for j, (lo, hi) in enumerate(lp.bounds):
+            if obj[j] > 0:
+                if hi is None:
+                    return LpResult(UNBOUNDED, np.nan, None)
+                x[j] = hi
+        val = float(lp.objective @ x) + lp.objective_constant
+        return LpResult(OPTIMAL, val, x, 0.0)
+
+    a, start, art_cols, enterable = _augment(rows, rels, n)
+    cols = a.shape[1]
+    full_obj = np.zeros(cols)
+    full_obj[:n] = obj
+
+    if basis is not None:
+        x_basic = _reprice(a, rhs, full_obj, basis, enterable)
+        if x_basic is not None:
+            return _optimal_result(lp, np.asarray(basis), x_basic, lb, cols)
+
+    tab = _Tableau(a, rhs, start)
+    max_iter = 5000 + 60 * (m + cols)
+
+    if art_cols:
+        phase1 = np.zeros(cols)
+        phase1[art_cols] = -1.0
+        tab.set_objective(phase1)
+        # artificials may leave the basis but never come back
+        status = tab.run(max_iter, enter_limit=enterable)
+        # the objective row's rhs holds minus the phase-1 value = sum of artificials
+        if status != OPTIMAL or tab.t[tab.m, tab.n] > FEAS_TOL:
+            return LpResult(INFEASIBLE, np.nan, None)
+        art_set = set(art_cols)
+        for p in range(tab.m):
+            if tab.basis[p] in art_set:
+                row = tab.t[p, :cols]
+                pivots = np.nonzero(np.abs(row[:enterable]) > PIVOT_TOL)[0]
+                if len(pivots):
+                    tab._pivot(p, int(pivots[0]))
+        # neutralize any artificial column still around (redundant rows stay basic at 0)
+        tab.t[:, art_cols] = 0.0
+
+    tab.set_objective(full_obj)
+    status = tab.run(max_iter, enter_limit=enterable)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED, np.nan, None)
+    return _optimal_result(lp, tab.basis, tab.t[: tab.m, tab.n], lb, cols)
 
 
 def solve_lfp(problem: LfpProblem, check_denominator: bool = True) -> LfpResult:

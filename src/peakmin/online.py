@@ -12,7 +12,7 @@ provably redundant inventory eagerly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,9 @@ MODE_FIXED = "fixed"
 MODE_ANYTIME = "anytime"
 MODE_ANYTIME_DEPLETING = "anytime_depleting"
 _MODES = (MODE_FIXED, MODE_ANYTIME, MODE_ANYTIME_DEPLETING)
+
+# largest LpResult.residual a future-requirement answer may carry
+_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -257,28 +260,58 @@ def _reduced_future_lp(view: _SlotView, pi: float, kmax: int) -> LinearProgram:
     return LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
 
 
-def _future_requirement(view: _SlotView, pi: float, kmax: int) -> float:
+@dataclass
+class _WarmStart:
+    """What one slot's bisection remembers between its steps.
+
+    Between steps only the -pi objective terms and the floor/pi bound on u
+    move, so the last optimal basis of each cutoff's LP usually stays
+    optimal and solve_lp re-prices it instead of pivoting; and the cutoff
+    that exceeded the budget last usually exceeds it again.
+    """
+
+    bases: dict[int, np.ndarray] = field(default_factory=dict)
+    binding: int | None = None
+
+
+def _future_requirement(
+    view: _SlotView, pi: float, kmax: int, warm: _WarmStart | None = None
+) -> float:
     """AOCR requirement beyond the constant term for one scenario cutoff."""
     if kmax <= view.t:
         return 0.0
-    res = solve_lp(_reduced_future_lp(view, pi, kmax))
+    basis = None if warm is None else warm.bases.get(kmax)
+    res = solve_lp(_reduced_future_lp(view, pi, kmax), basis=basis)
     if res.status == INFEASIBLE:
         # the scenario cannot spend the full inventory (c > T * rate); no
         # admissible benchmark exists, so it imposes no requirement
         return -math.inf
     if res.status != OPTIMAL:
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
+    if res.residual > _RESIDUAL_TOL:
+        raise NumericalFailure(
+            f"future-requirement LP at slot {view.t}, cutoff {kmax}: "
+            f"residual {res.residual:.3g}"
+        )
+    if warm is not None:
+        warm.bases[kmax] = res.basis
     return res.value
 
 
-def _requirement_exceeds(view: _SlotView, pi: float, budget: float) -> bool:
+def _requirement_exceeds(
+    view: _SlotView, pi: float, budget: float, warm: _WarmStart
+) -> bool:
     """True when the worst cutoff's requirement is strictly above budget."""
     const = _constant_term(view, pi)
     if const > budget:
         return True
-    T = view.instance.horizon_T
-    for kmax in range(view.t + 1, T + 1):
-        if const + _future_requirement(view, pi, kmax) > budget:
+    cutoffs = list(range(view.t + 1, view.instance.horizon_T + 1))
+    if warm.binding is not None:
+        cutoffs.remove(warm.binding)
+        cutoffs.insert(0, warm.binding)
+    for kmax in cutoffs:
+        if const + _future_requirement(view, pi, kmax, warm) > budget:
+            warm.binding = kmax
             return True
     return False
 
@@ -309,15 +342,16 @@ def _certified_ratio(
     or below the demand ceiling, so demand_ub / v is certifiable and serves
     as the upper endpoint whenever prev_ratio sits below the floor.
     """
+    warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
-    if not _requirement_exceeds(view, pi_lb, view.remaining):
+    if not _requirement_exceeds(view, pi_lb, view.remaining, warm):
         return pi_lb, True
     pi_ub = prev_ratio
     if pi_ub <= pi_lb:
         pi_ub = max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref)
     while pi_ub - pi_lb >= epsilon:
         mid = 0.5 * (pi_lb + pi_ub)
-        if _requirement_exceeds(view, mid, view.remaining):
+        if _requirement_exceeds(view, mid, view.remaining, warm):
             pi_lb = mid
         else:
             pi_ub = mid

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import peakmin.lp as lp_mod
 from peakmin.errors import DenominatorNotPositive
 from peakmin.lp import (
     EQ,
@@ -205,3 +206,169 @@ def test_dump_lp_is_readable():
     text = dump_lp(lp)
     assert "maximize" in text
     assert "a" in text and "b" in text
+
+
+def _random_feasible_lps(seed: int, count: int):
+    """Seeded random LPs over a box, the ones solve_lp finds optimal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 6))
+        lp = LinearProgram(
+            objective=rng.normal(size=n),
+            maximize=bool(rng.integers(0, 2)),
+            constraints=[
+                (rng.normal(size=n), rng.choice([LE, GE, EQ]), float(rng.normal()))
+                for _ in range(m)
+            ],
+            bounds=[(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)],
+        )
+        res = solve_lp(lp)
+        if res.status == OPTIMAL:
+            out.append((lp, res))
+    return out
+
+
+def _assert_same_result(a, b):
+    assert a.status == b.status
+    assert a.value == b.value
+    assert np.array_equal(a.x, b.x)
+    assert a.residual == b.residual
+    assert np.array_equal(a.basis, b.basis)
+
+
+def test_lp_basis_reuse_matches_cold_under_perturbed_objective(monkeypatch):
+    """A re-solve handed the previous optimal basis returns the cold optimum of
+    the perturbed problem. Most hints are re-priced without a tableau; the
+    perturbation is large enough that a few are not."""
+    tableaus = []
+    real_tableau = lp_mod._Tableau
+
+    def counting_tableau(*args):
+        tableaus.append(1)
+        return real_tableau(*args)
+
+    monkeypatch.setattr(lp_mod, "_Tableau", counting_tableau)
+    rng = np.random.default_rng(7)
+    cases = _random_feasible_lps(41, 200)
+    assert len(cases) >= 60
+    repriced = 0
+    for lp, first in cases:
+        moved = LinearProgram(
+            objective=lp.objective + 3e-2 * rng.normal(size=lp.num_vars),
+            maximize=lp.maximize,
+            constraints=lp.constraints,
+            bounds=lp.bounds,
+        )
+        cold = solve_lp(moved)
+        before = len(tableaus)
+        warm = solve_lp(moved, basis=first.basis)
+        repriced += len(tableaus) == before
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.residual <= 1e-7
+        for (lo, hi), val in zip(lp.bounds, warm.x):
+            assert lo - 1e-8 <= val <= hi + 1e-8
+    assert len(cases) // 2 <= repriced < len(cases)
+
+
+def test_lp_basis_reuse_moved_bound_still_certified():
+    """Moving a lower bound shifts the right-hand side, as the anytime
+    bisection's floor/pi bound does. Some old bases turn primal infeasible
+    and must fall through; the answer always matches the cold solve."""
+    for lp, first in _random_feasible_lps(43, 120):
+        moved = LinearProgram(
+            objective=lp.objective,
+            maximize=lp.maximize,
+            constraints=lp.constraints,
+            bounds=[(lo + 0.05, hi) for lo, hi in lp.bounds],
+        )
+        cold = solve_lp(moved)
+        warm = solve_lp(moved, basis=first.basis)
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            assert warm.residual <= 1e-7
+
+
+def _textbook_lp():
+    # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6; standard-form columns are
+    # x, y, s1, s2, and the optimal basis is {x, s2}
+    return LinearProgram(
+        objective=np.array([3.0, 2.0]),
+        maximize=True,
+        constraints=[(np.array([1.0, 1.0]), LE, 4.0), (np.array([1.0, 3.0]), LE, 6.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        np.array([0, 3, 2]),  # wrong length
+        np.array([0]),  # wrong length
+        np.array([0, 0]),  # duplicate index
+        np.array([0, 9]),  # index past the last column
+        np.array([-1, 0]),  # negative index
+        np.array([0.0, 3.0]),  # not integers
+        np.array([0, 2]),  # basic values x = 6, s1 = -2: primal infeasible
+        np.array([2, 3]),  # slack basis: feasible but not optimal
+    ],
+    ids=["long", "short", "duplicate", "out-of-range", "negative", "float",
+         "infeasible", "not-optimal"],
+)
+def test_lp_garbage_basis_gives_cold_result(basis):
+    lp = _textbook_lp()
+    cold = solve_lp(lp)
+    assert np.array_equal(np.sort(cold.basis), [0, 3])
+    _assert_same_result(solve_lp(lp, basis=basis), cold)
+
+
+@pytest.mark.parametrize(
+    "lp, basis",
+    [
+        # x and y have identical columns, so a basis holding both is singular
+        (
+            LinearProgram(
+                objective=np.array([1.0, 2.0, 0.5]),
+                maximize=True,
+                constraints=[
+                    (np.array([1.0, 1.0, 1.0]), LE, 5.0),
+                    (np.array([1.0, 1.0, 0.0]), GE, 1.0),
+                ],
+            ),
+            np.array([0, 1]),
+        ),
+        # min x s.t. x == 1: the artificial-only basis is dual feasible, but
+        # its artificial sits at 1 and leaves the equality unmet
+        (
+            LinearProgram(
+                objective=np.array([1.0]),
+                maximize=False,
+                constraints=[(np.array([1.0]), EQ, 1.0)],
+            ),
+            np.array([1]),
+        ),
+    ],
+    ids=["singular", "basic-artificial"],
+)
+def test_lp_unusable_basis_gives_cold_result(lp, basis):
+    cold = solve_lp(lp)
+    assert cold.status == OPTIMAL
+    _assert_same_result(solve_lp(lp, basis=basis), cold)
+
+
+def test_lp_random_basis_gives_cold_result_unless_optimal():
+    """Random bases, basic artificials included, on problems with >= and ==
+    rows: any accepted basis must be optimal, any other gives the cold result."""
+    rng = np.random.default_rng(47)
+    for lp, cold in _random_feasible_lps(45, 60):
+        m = len(cold.basis)
+        for _ in range(3):
+            basis = rng.permutation(np.arange(lp.num_vars + 2 * m))[:m]
+            res = solve_lp(lp, basis=basis)
+            if np.array_equal(res.basis, basis):
+                assert res.value == pytest.approx(cold.value, abs=1e-9)
+            else:
+                _assert_same_result(res, cold)
+

@@ -4,9 +4,13 @@ variant, and monthly threading."""
 import numpy as np
 import pytest
 
+import peakmin.lp as lp_mod
+import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
 from peakmin.cr import optimal_cr, phi_bruteforce_witness
-from peakmin.errors import DemandOutOfBounds
+from peakmin.errors import DemandOutOfBounds, NumericalFailure
+from peakmin.harness import synthetic_volatile_profiles
+from peakmin.lp import INFEASIBLE, OPTIMAL, LpResult
 from peakmin.offline import offline_peak, solve_offline_pmd
 from peakmin.online import (
     MODE_ANYTIME,
@@ -14,6 +18,7 @@ from peakmin.online import (
     MODE_FIXED,
     PolicyOptions,
     anytime_ratio,
+    build_aocr_thr,
     pcr_step,
     run_anytime,
     run_pcr_pmd,
@@ -198,3 +203,100 @@ def test_anytime_on_dhat_matches_final_ratio():
     assert off == pytest.approx(474.0)
     assert run.final_peak <= (run.ratio_trajectory[-1] + 1e-4) * off + 1e-6
     assert (np.diff(run.ratio_trajectory) <= 1e-9).all()
+
+
+def _volatile_day(rate_limit, capacity_rate, day):
+    days = synthetic_volatile_profiles(4, 10, 100.0, 400.0, seed=13)
+    inst = Instance(capacity_rate * days.avg_daily_energy, rate_limit, 10, 100.0, 400.0)
+    return inst, DemandProfile(inst, days.day_values[day])
+
+
+@pytest.mark.parametrize(
+    "rate_limit, capacity_rate, day, mode, monthly_peak",
+    [
+        (None, 0.3, 1, MODE_ANYTIME, 0.0),
+        (70.0, 0.3, 2, MODE_ANYTIME, 0.0),
+        (None, 0.2, 1, MODE_ANYTIME, 125.0),
+        (None, 0.4, 2, MODE_ANYTIME_DEPLETING, 0.0),
+    ],
+    ids=["volatile", "rate-limited", "monthly", "depleting"],
+)
+def test_basis_reuse_keeps_trajectories_bit_identical(
+    monkeypatch, rate_limit, capacity_rate, day, mode, monthly_peak
+):
+    """Re-pricing the previous basis changes how each LP is solved, never the
+    certified ratios or the discharges: both must match a run whose LPs are
+    all solved cold."""
+    inst, demand = _volatile_day(rate_limit, capacity_rate, day)
+    options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                            initial_ratio=optimal_cr(inst).pi_star)
+    hints = []
+
+    def hinted_solve_lp(lp, basis=None):
+        hints.append(basis is not None)
+        return lp_mod.solve_lp(lp, basis=basis)
+
+    monkeypatch.setattr(online, "solve_lp", hinted_solve_lp)
+    reused = run_anytime(inst, demand, options)
+    # the day must bisect, so that cutoffs are re-solved with a basis hint
+    assert sum(hints) >= 50
+    monkeypatch.setattr(online, "solve_lp", lambda lp, basis=None: lp_mod.solve_lp(lp))
+    cold = run_anytime(inst, demand, options)
+    assert np.array_equal(reused.ratio_trajectory, cold.ratio_trajectory)
+    assert np.array_equal(reused.schedule.values, cold.schedule.values)
+
+
+def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
+    def sloppy_solve_lp(lp, basis=None):
+        return LpResult(OPTIMAL, 0.0, np.zeros(lp.num_vars), residual=1e-3)
+
+    monkeypatch.setattr(online, "solve_lp", sloppy_solve_lp)
+    with pytest.raises(NumericalFailure, match="residual"):
+        run_anytime(tiny_instance, DemandProfile(tiny_instance, [2.0, 1.0]),
+                    PolicyOptions(initial_ratio=4.0 / 3.0))
+
+
+def _mid_slot_states(inst, count, seed, monthly_peak=0.0):
+    """States after t-1 slots of the fixed policy at pi*, with d_t observed."""
+    pi_star = optimal_cr(inst).pi_star
+    for row in random_profiles(inst, count, seed):
+        for t in range(1, inst.horizon_T + 1):
+            state = OnlineState(inst, monthly_peak=monthly_peak)
+            for d in row[: t - 1]:
+                delta = pcr_step(inst, state, pi_star, float(d))
+                state.observe(float(d))
+                state.commit(delta)
+            state.observe(float(row[t - 1]))
+            yield state
+
+
+@pytest.mark.parametrize(
+    "inst, monthly_peak",
+    [
+        (Instance(2.0, None, 6, 1.0, 2.0), 0.0),
+        (Instance(2.0, 0.55, 6, 1.0, 2.0), 0.0),
+        (Instance(2.0, None, 6, 1.0, 2.0), 1.7),
+    ],
+    ids=["rate-free", "rate-limited", "monthly"],
+)
+def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
+    """The tail-aggregated LP the bisection solves, plus the constant term,
+    equals the optimum of the full printed form for every cutoff."""
+    T = inst.horizon_T
+    checked = 0
+    for state in _mid_slot_states(inst, 2, seed=71, monthly_peak=monthly_peak):
+        view = online._slot_view_mid(inst, state)
+        for pi in (1.0, 1.12, 1.3, 1.6):
+            for k in range(view.t, T + 1):
+                full = lp_mod.solve_lp(
+                    build_aocr_thr(inst, state, pi, range(view.t + 1, k + 1))
+                )
+                reduced = online._future_requirement(view, pi, k)
+                if full.status == INFEASIBLE:
+                    assert reduced == -np.inf
+                    continue
+                assert full.status == OPTIMAL
+                expected = online._constant_term(view, pi) + reduced
+                assert full.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                checked += 1
+    assert checked == 2 * 4 * sum(T - t + 1 for t in range(1, T + 1))
