@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DemandProfile, DischargeSchedule, Instance
-from .offline import water_fill_threshold
+from .offline import rate_corrected_cut, water_fill_threshold
 from .online import PolicyRun
 
 FUTURE_UPPER = "upper_bound"
@@ -121,10 +121,7 @@ def _window_first_action(instance: Instance, window: np.ndarray, budget: float) 
     caps = window if instance.rate_limit is None else np.minimum(window, instance.rate_limit)
     spendable = min(budget, float(caps.sum()))
     v = water_fill_threshold(window, spendable)
-    m = 0.0
-    if instance.rate_limit is not None:
-        m = max(0.0, float((window - instance.rate_limit - v).max()))
-    first = max(0.0, float(window[0]) - m - v)
+    first = float(rate_corrected_cut(window, v, instance.rate_limit)[0])
     return min(first, instance.slot_cap(float(window[0])), budget)
 
 

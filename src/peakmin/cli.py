@@ -20,21 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    FUTURE_LOWER,
-    FUTURE_MIDPOINT,
-    FUTURE_UPPER,
-    RhcConfig,
-    run_equal_discharge,
-    run_equal_ratio,
-    run_rhc,
-    run_threshold,
-)
 from .core import DemandProfile, Instance, validate_instance
 from .cr import _floor_quotient, optimal_cr
 from .errors import MalformedRecord, PeakMinError
 from .harness import (
+    _RATIO_ALGOS,
+    ALGO_EQUAL_RATIO,
+    ALGO_THR,
+    POLICY_RUNNERS,
     ExperimentConfig,
+    RunSettings,
     SlottingConfig,
     ingest_trace,
     load_profile_set,
@@ -43,33 +38,14 @@ from .harness import (
     save_profile_set,
 )
 from .offline import solve_offline_pmd
-from .online import (
-    MODE_ANYTIME,
-    MODE_ANYTIME_DEPLETING,
-    PolicyOptions,
-    run_anytime,
-    run_pcr_pmd,
-)
+# not called here (simulate runs through POLICY_RUNNERS); the benchmark's
+# tracer wraps these cli attributes by name
+from .online import run_anytime, run_pcr_pmd  # noqa: F401
 
 _FMT = "{:.6f}"
 
-_SIM_ALGOS = (
-    "fixed",
-    "anytime",
-    "anytime-deplete",
-    "thr",
-    "eql-dis",
-    "eql-per",
-    "rhc-upper",
-    "rhc-lower",
-    "rhc-mid",
-)
-
-_RHC_VIEWS = {
-    "rhc-upper": FUTURE_UPPER,
-    "rhc-lower": FUTURE_LOWER,
-    "rhc-mid": FUTURE_MIDPOINT,
-}
+# the flag each algorithm cannot run without
+_REQUIRED_FLAGS = {ALGO_THR: "threshold", ALGO_EQUAL_RATIO: "ratio"}
 
 
 def _f(x: float) -> str:
@@ -154,32 +130,17 @@ def _resolve_pi(args) -> float | None:
 
 
 def _simulate_run(args, instance: Instance, profile: DemandProfile):
-    algo = args.algo
-    if algo == "fixed":
-        pi = _resolve_pi(args)
-        if pi is None:
-            pi = optimal_cr(instance).pi_star
-        return run_pcr_pmd(instance, pi, profile)
-    if algo in ("anytime", "anytime-deplete"):
-        mode = MODE_ANYTIME if algo == "anytime" else MODE_ANYTIME_DEPLETING
-        options = PolicyOptions(
-            mode=mode,
-            initial_ratio=_resolve_pi(args),
-            bisection_epsilon=args.epsilon,
-        )
-        return run_anytime(instance, profile, options)
-    if algo == "thr":
-        if args.threshold is None:
-            raise MalformedRecord("--threshold is required for --algo thr")
-        return run_threshold(instance, profile, args.threshold)
-    if algo == "eql-dis":
-        return run_equal_discharge(instance, profile)
-    if algo == "eql-per":
-        if args.ratio is None:
-            raise MalformedRecord("--ratio is required for --algo eql-per")
-        return run_equal_ratio(instance, profile, args.ratio)
-    config = RhcConfig(window=args.window, future_view=_RHC_VIEWS[algo])
-    return run_rhc(instance, profile, config)
+    flag = _REQUIRED_FLAGS.get(args.algo)
+    if flag is not None and getattr(args, flag) is None:
+        raise MalformedRecord(f"--{flag} is required for --algo {args.algo}")
+    settings = RunSettings(
+        pi=_resolve_pi(args) if args.algo in _RATIO_ALGOS else None,
+        epsilon=args.epsilon,
+        threshold=args.threshold,
+        ratio=args.ratio,
+        window=args.window,
+    )
+    return POLICY_RUNNERS[args.algo](instance, profile, settings)
 
 
 def _cmd_simulate(args) -> int:
@@ -278,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_sim, with_horizon=False)
     p_sim.add_argument("--demands", required=True,
                        help="demand file: one kWh value per line, # comments allowed")
-    p_sim.add_argument("--algo", required=True, choices=_SIM_ALGOS)
+    p_sim.add_argument("--algo", required=True, choices=tuple(POLICY_RUNNERS))
     p_sim.add_argument("--pi", default=None,
                        help="target ratio for fixed (or initial ratio for anytime); "
                        "'auto' computes the optimal competitive ratio")

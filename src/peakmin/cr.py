@@ -20,7 +20,7 @@ import numpy as np
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
 from .lp import INFEASIBLE, OPTIMAL, LfpProblem, LfpResult, solve_lfp
-from .offline import offline_peak_values, water_fill_threshold_rows
+from .offline import offline_peak_values
 
 _GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
 
@@ -73,11 +73,6 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     def dij(i, j):
         return nx + nu + (i - 1) * T + (j - 1)
 
-    names = (
-        tuple(f"x{j}" for j in range(1, T + 1))
-        + tuple(f"u{i}" for i in range(1, T + 1))
-        + tuple(f"delta_{i}_{j}" for i in range(1, T + 1) for j in range(1, T + 1))
-    )
     cons = []
     for i in range(1, T + 1):
         row = np.zeros(n)
@@ -112,7 +107,6 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
         denominator_constant=0.0,
         constraints=cons,
         bounds=bounds,
-        variable_names=names,
     )
 
 
@@ -190,22 +184,20 @@ def _build_cr_compute_reduced(instance: Instance, index_set) -> tuple[LfpProblem
         denominator_constant=0.0,
         constraints=cons,
         bounds=bounds,
-        variable_names=tuple(names),
     )
     return lfp, jmax
 
 
-def solve_cr_compute(instance: Instance, index_set, reduced: bool = True) -> LfpResult:
+def solve_cr_compute(instance: Instance, index_set) -> LfpResult:
     """Solve the worst-case-ratio program for one index set.
 
-    The denominator is skipped from the auxiliary positivity check here: any
-    feasible point has u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T, which is
-    positive whenever c < T*d_lb (the caller's precondition).
+    The reduced encoding is solved; tests check it against the printed form
+    of build_cr_compute. The denominator is skipped from the auxiliary
+    positivity check here: any feasible point has u_i >= (sum_j p_j - c)/T
+    >= (T*d_lb - c)/T, which is positive whenever c < T*d_lb (the caller's
+    precondition).
     """
-    if reduced:
-        lfp, _ = _build_cr_compute_reduced(instance, index_set)
-    else:
-        lfp = build_cr_compute(instance, index_set)
+    lfp, _ = _build_cr_compute_reduced(instance, index_set)
     return solve_lfp(lfp, check_denominator=False)
 
 
@@ -309,13 +301,7 @@ def _phi_table(instance: Instance, grid_resolution: float):
     for t in range(1, T + 1):
         ref = np.full((n, T), lo)
         ref[:, :t] = profiles[:, :t]
-        v = water_fill_threshold_rows(ref, instance.capacity_c)
-        if instance.rate_limit is None:
-            peaks[:, t - 1] = v
-        else:
-            m = np.clip((ref - instance.rate_limit - v[:, None]).max(axis=1), 0.0, None)
-            cut = np.clip(ref - m[:, None] - v[:, None], 0.0, None)
-            peaks[:, t - 1] = (ref - cut).max(axis=1)
+        peaks[:, t - 1] = offline_peak_values(instance, ref)
     profiles.flags.writeable = False
     peaks.flags.writeable = False
     return profiles, peaks
@@ -328,13 +314,7 @@ def phi_bruteforce(instance: Instance, pi: float, grid_resolution: float) -> flo
     per-slot rule sum_t [d_t - pi * v(d^t)]^+ on every profile. Horizons above
     6 slots are rejected.
     """
-    if instance.horizon_T > 6:
-        raise HorizonTooLarge("phi_bruteforce is capped at T <= 6")
-    if pi < 1.0 - 1e-12:
-        raise ValueError(f"pi must be >= 1, got {pi}")
-    profiles, peaks = _phi_table(instance, float(grid_resolution))
-    totals = np.clip(profiles - pi * peaks, 0.0, None).sum(axis=1)
-    return float(totals.max())
+    return phi_bruteforce_witness(instance, pi, grid_resolution)[0]
 
 
 def phi_bruteforce_witness(
@@ -343,6 +323,8 @@ def phi_bruteforce_witness(
     """phi_bruteforce plus one profile attaining the maximum."""
     if instance.horizon_T > 6:
         raise HorizonTooLarge("phi_bruteforce is capped at T <= 6")
+    if pi < 1.0 - 1e-12:
+        raise ValueError(f"pi must be >= 1, got {pi}")
     profiles, peaks = _phi_table(instance, float(grid_resolution))
     totals = np.clip(profiles - pi * peaks, 0.0, None).sum(axis=1)
     k = int(totals.argmax())

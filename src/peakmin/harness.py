@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,13 @@ from .baselines import (
 )
 from .core import DemandProfile, Instance, validate_instance
 from .cr import optimal_cr
-from .errors import EmptyTrace, MalformedRecord, MismatchedLengths, UnknownAlgorithm
+from .errors import (
+    EmptyTrace,
+    InfeasibleSchedule,
+    MalformedRecord,
+    MismatchedLengths,
+    UnknownAlgorithm,
+)
 from .offline import solve_offline_pmd
 from .online import (
     MODE_ANYTIME,
@@ -70,6 +77,67 @@ ALL_ALGORITHMS = (
 )
 
 _RATIO_ALGOS = frozenset({ALGO_FIXED, ALGO_ANYTIME, ALGO_ANYTIME_DEPLETE})
+
+# a purchase threshold given by the caller; experiments run it as
+# thr-offline-mean and thr-mid, with the threshold set per capacity rate
+ALGO_THR = "thr"
+
+
+class RunSettings(NamedTuple):
+    """What a policy runner may read besides the instance and the day.
+
+    pi is the target ratio of the fixed policy and the initial ratio of the
+    anytime ones (None computes the optimal competitive ratio); threshold,
+    ratio and window feed thr, eql-per and the rhc policies.
+    """
+
+    pi: float | None = None
+    epsilon: float = 1e-4
+    threshold: float | None = None
+    ratio: float | None = None
+    window: int | None = None
+
+
+def _run_fixed(instance: Instance, profile: DemandProfile, settings: RunSettings):
+    pi = optimal_cr(instance).pi_star if settings.pi is None else settings.pi
+    return run_pcr_pmd(instance, pi, profile)
+
+
+def _anytime_runner(mode: str):
+    return lambda instance, profile, settings: run_anytime(
+        instance, profile,
+        PolicyOptions(mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon),
+    )
+
+
+def _rhc_runner(future_view: str):
+    return lambda instance, profile, settings: run_rhc(
+        instance, profile, RhcConfig(settings.window, future_view)
+    )
+
+
+# Policy name -> runner(instance, profile, settings) -> PolicyRun, shared by
+# the experiment driver and `peakmin simulate` (whose --algo choices are
+# these names, in this order). Runners look the policy functions up in this
+# module when called, never at import, so patching or wrapping a module
+# attribute reaches every run.
+POLICY_RUNNERS = {
+    ALGO_FIXED: _run_fixed,
+    ALGO_ANYTIME: _anytime_runner(MODE_ANYTIME),
+    ALGO_ANYTIME_DEPLETE: _anytime_runner(MODE_ANYTIME_DEPLETING),
+    ALGO_THR: lambda instance, profile, settings: run_threshold(
+        instance, profile, settings.threshold
+    ),
+    ALGO_EQUAL_DISCHARGE: lambda instance, profile, settings: run_equal_discharge(
+        instance, profile
+    ),
+    ALGO_EQUAL_RATIO: lambda instance, profile, settings: run_equal_ratio(
+        instance, profile, settings.ratio
+    ),
+    ALGO_RHC_UPPER: _rhc_runner(FUTURE_UPPER),
+    ALGO_RHC_LOWER: _rhc_runner(FUTURE_LOWER),
+    ALGO_RHC_MID: _rhc_runner(FUTURE_MIDPOINT),
+}
 
 
 def _clock_minutes(text: str) -> int:
@@ -676,46 +744,19 @@ class ExperimentConfig:
 
 
 def _day_runs(
-    algorithm: str, instance: Instance, profiles, offline_peaks,
-    pi_star: float | None, thr_calibration: float, config: ExperimentConfig,
+    algorithm: str, instance: Instance, profiles, offline_peaks, settings: RunSettings,
 ) -> list[float]:
     """Final (after-discharge) peak of the given policy on every day."""
     if algorithm == ALGO_OFFLINE:
         return list(offline_peaks)
-    finals = []
-    mid = 0.5 * (instance.demand_lb + instance.demand_ub)
-    rate = instance.capacity_c / config.profiles.avg_daily_energy
-    for prof in profiles:
-        if algorithm == ALGO_FIXED:
-            run = run_pcr_pmd(instance, pi_star, prof)
-        elif algorithm == ALGO_ANYTIME:
-            run = run_anytime(instance, prof, PolicyOptions(
-                mode=MODE_ANYTIME, initial_ratio=pi_star,
-                bisection_epsilon=config.epsilon,
-            ))
-        elif algorithm == ALGO_ANYTIME_DEPLETE:
-            run = run_anytime(instance, prof, PolicyOptions(
-                mode=MODE_ANYTIME_DEPLETING, initial_ratio=pi_star,
-                bisection_epsilon=config.epsilon,
-            ))
-        elif algorithm == ALGO_THR_OFFLINE_MEAN:
-            run = run_threshold(instance, prof, thr_calibration)
-        elif algorithm == ALGO_THR_MID:
-            run = run_threshold(instance, prof, mid)
-        elif algorithm == ALGO_EQUAL_DISCHARGE:
-            run = run_equal_discharge(instance, prof)
-        elif algorithm == ALGO_EQUAL_RATIO:
-            run = run_equal_ratio(instance, prof, min(1.0, rate))
-        elif algorithm == ALGO_RHC_UPPER:
-            run = run_rhc(instance, prof, RhcConfig(config.rhc_window, FUTURE_UPPER))
-        elif algorithm == ALGO_RHC_LOWER:
-            run = run_rhc(instance, prof, RhcConfig(config.rhc_window, FUTURE_LOWER))
-        elif algorithm == ALGO_RHC_MID:
-            run = run_rhc(instance, prof, RhcConfig(config.rhc_window, FUTURE_MIDPOINT))
-        else:
-            raise UnknownAlgorithm(algorithm)
-        finals.append(run.final_peak)
-    return finals
+    if algorithm == ALGO_THR_OFFLINE_MEAN:
+        algorithm = ALGO_THR
+        settings = settings._replace(threshold=float(np.mean(offline_peaks)))
+    elif algorithm == ALGO_THR_MID:
+        algorithm = ALGO_THR
+        settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
+    runner = POLICY_RUNNERS[algorithm]
+    return [runner(instance, prof, settings).final_peak for prof in profiles]
 
 
 def _threaded_month_peak(
@@ -737,10 +778,11 @@ def _threaded_month_peak(
         net = prof.values - run.schedule.values
         for k in range(len(net)):
             # a discharging slot must never land below the standing peak
-            assert run.schedule.values[k] <= 1e-9 or net[k] >= d_op - 1e-6, (
-                f"slot {k + 1} discharged below the monthly peak "
-                f"{d_op}: net {net[k]}"
-            )
+            if run.schedule.values[k] > 1e-9 and net[k] < d_op - 1e-6:
+                raise InfeasibleSchedule(
+                    f"slot {k + 1} discharged below the monthly peak "
+                    f"{d_op}: net {net[k]}"
+                )
         d_op = max(d_op, run.final_peak)
     return d_op
 
@@ -753,7 +795,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if any ratio-pursuit policy needs it, then collect each policy's peaks
     into one SweepCell. With monthly=True the anytime policy additionally
     runs once per month with the standing peak threaded through, paired
-    against the independent per-day runs of the same policy.
+    against the independent per-day runs of the same policy (the roster's
+    own when it holds anytime).
     """
     ps = config.profiles
     raw = ps.values()
@@ -770,25 +813,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
         profiles = [DemandProfile(instance, row) for row in raw]
         offline_peaks = [solve_offline_pmd(instance, p).peak for p in profiles]
-        thr_calibration = float(np.mean(offline_peaks))
-        pi_star = optimal_cr(instance).pi_star if needs_pi else None
+        settings = RunSettings(
+            pi=optimal_cr(instance).pi_star if needs_pi else None,
+            epsilon=config.epsilon,
+            ratio=min(1.0, instance.capacity_c / ps.avg_daily_energy),
+            window=config.rhc_window,
+        )
+        finals: dict[str, list[float]] = {}
         for algorithm in config.algorithms:
-            finals = _day_runs(
-                algorithm, instance, profiles, offline_peaks,
-                pi_star, thr_calibration, config,
+            finals[algorithm] = _day_runs(
+                algorithm, instance, profiles, offline_peaks, settings
             )
             cells.append(SweepCell(
                 axis="capacity_rate", value=rate, algorithm=algorithm,
-                metrics=compute_metrics(finals, offline_peaks, original_peaks),
+                metrics=compute_metrics(finals[algorithm], offline_peaks, original_peaks),
             ))
         if config.monthly:
-            independent = _day_runs(
-                ALGO_ANYTIME, instance, profiles, offline_peaks,
-                pi_star, thr_calibration, config,
-            )
+            if ALGO_ANYTIME not in finals:
+                finals[ALGO_ANYTIME] = _day_runs(
+                    ALGO_ANYTIME, instance, profiles, offline_peaks, settings
+                )
+            independent = finals[ALGO_ANYTIME]
             for month, idxs in ps.monthly_groups().items():
                 threaded = _threaded_month_peak(
-                    instance, [profiles[i] for i in idxs], pi_star, config.epsilon
+                    instance, [profiles[i] for i in idxs], settings.pi, config.epsilon
                 )
                 monthly_rows.append(MonthlyComparison(
                     month=month, capacity_rate=rate,

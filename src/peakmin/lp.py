@@ -48,7 +48,6 @@ class LinearProgram:
     constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     bounds: list[tuple[float, float | None]] = field(default_factory=list)
     objective_constant: float = 0.0
-    variable_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -99,7 +98,6 @@ class LfpProblem:
     denominator_constant: float
     constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     bounds: list[tuple[float, float | None]] = field(default_factory=list)
-    variable_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.numerator = np.asarray(self.numerator, dtype=float)
@@ -471,24 +469,3 @@ def solve_lfp(problem: LfpProblem, check_denominator: bool = True) -> LfpResult:
         # bound of a nonpositive ratio, and no witness point exists
         return LfpResult(OPTIMAL, float(res.value), None, s)
     return LfpResult(OPTIMAL, float(res.value), res.x[:n] / s, s)
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text rendering, one constraint per line, for external cross-checks."""
-    names = lp.variable_names or tuple(f"x{j+1}" for j in range(lp.num_vars))
-
-    def term(c, j):
-        return f"{c:+.12g}*{names[j]}"
-
-    lines = []
-    sense = "maximize" if lp.maximize else "minimize"
-    obj = " ".join(term(c, j) for j, c in enumerate(lp.objective) if c != 0) or "0"
-    const = f" {lp.objective_constant:+.12g}" if lp.objective_constant else ""
-    lines.append(f"{sense} {obj}{const}")
-    for coeffs, rel, b in lp.constraints:
-        body = " ".join(term(c, j) for j, c in enumerate(coeffs) if c != 0) or "0"
-        lines.append(f"  {body} {rel} {b:.12g}")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        hi_s = "inf" if hi is None else f"{hi:.12g}"
-        lines.append(f"  {lo:.12g} <= {names[j]} <= {hi_s}")
-    return "\n".join(lines)

@@ -16,31 +16,40 @@ from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance
 from .errors import BudgetExceedsTotalDemand, InfeasibleSchedule, InvalidCmdWeights
 
 
-def water_fill_threshold(demands, budget: float) -> float:
+def water_fill_threshold(demands, budget: float):
     """Level v such that the total demand above v equals the budget.
 
     Exact sort-and-breakpoint evaluation (no bisection): over demands sorted
     descending with prefix sums S_k, v = max_k (S_k - budget)/k. A zero budget
-    returns max(demands).
+    returns max(demands). Works along the last axis: a vector gives a float,
+    an (N, T) matrix one level per row.
     """
     d = np.asarray(demands, dtype=float)
     if budget < 0:
         raise BudgetExceedsTotalDemand(f"budget must be >= 0, got {budget}")
-    total = d.sum()
+    prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
+    # the last prefix sum is the total; a matrix is checked against its smallest
+    total = prefix[-1] if d.ndim == 1 else prefix[:, -1].min()
     if budget > 0 and budget > total + EPS_KWH:
         raise BudgetExceedsTotalDemand(f"budget {budget} > total demand {total}")
-    s = np.sort(d)[::-1]
-    prefix = np.cumsum(s)
-    k = np.arange(1, len(d) + 1, dtype=float)
-    return float(((prefix - budget) / k).max())
+    k = np.arange(1, d.shape[-1] + 1, dtype=float)
+    v = ((prefix - budget) / k).max(axis=-1)
+    return float(v) if d.ndim == 1 else v
 
 
-def water_fill_threshold_rows(demand_rows: np.ndarray, budget: float) -> np.ndarray:
-    """Row-wise water_fill_threshold for an (N, T) matrix (oracle bulk path)."""
-    s = -np.sort(-demand_rows, axis=1)
-    prefix = np.cumsum(s, axis=1)
-    k = np.arange(1, demand_rows.shape[1] + 1, dtype=float)
-    return ((prefix - budget) / k).max(axis=1)
+def rate_corrected_cut(demands: np.ndarray, v, rate_limit: float | None) -> np.ndarray:
+    """Optimal discharge [d - M - v]^+ at water level v.
+
+    M = max_t [d_t - rate_limit - v]^+ is the rate correction (0 without a
+    rate limit). Works along the last axis like water_fill_threshold: v is a
+    float for a vector, one level per row for an (N, T) matrix.
+    """
+    if demands.ndim > 1:
+        v = v[:, None]
+    if rate_limit is None:
+        return np.maximum(demands - v, 0.0)
+    m = np.maximum((demands - rate_limit - v).max(axis=-1, keepdims=True), 0.0)
+    return np.maximum(demands - m - v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,7 @@ def solve_offline_pmd(instance: Instance, demand: DemandProfile) -> OfflineSolut
     """Closed-form offline optimum; peak is computed from the schedule, not from v."""
     d = demand.values
     v = water_fill_threshold(d, instance.capacity_c)
-    if instance.rate_limit is None:
-        m = 0.0
-    else:
-        m = float(max(0.0, (d - instance.rate_limit - v).max()))
-    raw = np.clip(d - m - v, 0.0, None)
-    schedule = DischargeSchedule(instance, demand, raw)
+    schedule = DischargeSchedule(instance, demand, rate_corrected_cut(d, v, instance.rate_limit))
     peak = float((d - schedule.values).max())
     return OfflineSolution(schedule=schedule, threshold_v=v, peak=peak)
 
@@ -70,13 +74,14 @@ def offline_peak(instance: Instance, demand: DemandProfile) -> float:
     return solve_offline_pmd(instance, demand).peak
 
 
-def offline_peak_values(instance: Instance, values: np.ndarray) -> float:
-    """offline_peak on a raw vector; fast path for policy inner loops."""
+def offline_peak_values(instance: Instance, values: np.ndarray):
+    """offline_peak on a raw vector, or row by row on an (N, T) matrix; fast
+    path for policy inner loops and oracle tables."""
     v = water_fill_threshold(values, instance.capacity_c)
     if instance.rate_limit is None:
         return v
-    m = max(0.0, float((values - instance.rate_limit - v).max()))
-    return float((values - np.clip(values - m - v, 0.0, None)).max())
+    peaks = (values - rate_corrected_cut(values, v, instance.rate_limit)).max(axis=-1)
+    return float(peaks) if values.ndim == 1 else peaks
 
 
 @dataclass(frozen=True)

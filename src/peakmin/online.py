@@ -35,10 +35,9 @@ from .errors import (
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .offline import offline_peak_values
 
-MODE_FIXED = "fixed"
 MODE_ANYTIME = "anytime"
 MODE_ANYTIME_DEPLETING = "anytime_depleting"
-_MODES = (MODE_FIXED, MODE_ANYTIME, MODE_ANYTIME_DEPLETING)
+_MODES = (MODE_ANYTIME, MODE_ANYTIME_DEPLETING)
 
 # largest LpResult.residual a future-requirement answer may carry
 _RESIDUAL_TOL = 1e-6
@@ -71,14 +70,14 @@ class PolicyRun:
 class PolicyOptions:
     """Configuration for run_anytime.
 
-    mode: "fixed" (pursue fixed_pi forever), "anytime", or "anytime_depleting".
+    mode: "anytime" or "anytime_depleting"; the fixed-ratio policy is
+    run_pcr_pmd.
     monthly_peak: standing peak of the billing month; 0 disables monthly mode.
     initial_ratio: seed for the slot-1 certification; None computes the
     optimal competitive ratio from the instance.
     """
 
     mode: str = MODE_ANYTIME
-    fixed_pi: float | None = None
     monthly_peak: float = 0.0
     bisection_epsilon: float = 1e-4
     initial_ratio: float | None = None
@@ -86,11 +85,6 @@ class PolicyOptions:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
-        if self.mode == MODE_FIXED:
-            if self.fixed_pi is None:
-                raise ValueError("fixed mode requires fixed_pi")
-            if self.fixed_pi < 1.0:
-                raise ValueError(f"fixed_pi must be >= 1, got {self.fixed_pi}")
         if self.bisection_epsilon <= 0:
             raise ValueError("bisection_epsilon must be positive")
         if self.monthly_peak < 0:
@@ -107,12 +101,16 @@ def _check_step_inputs(instance: Instance, state: OnlineState, d_t: float) -> No
         raise DemandOutOfBounds(f"demand {d_t} outside [{lo}, {hi}]")
 
 
+def _reference_peak(instance: Instance, demands) -> float:
+    """Offline peak of the demands observed so far padded with the demand floor."""
+    return offline_peak_values(instance, reference_values(instance, demands))
+
+
 def _pcr_amounts(
-    instance: Instance, state: OnlineState, pi: float, d_t: float
+    instance: Instance, state: OnlineState, pi: float, d_t: float, v_ref: float
 ) -> tuple[float, float]:
-    """Raw ratio-pursuit discharge and its feasibility-clamped counterpart."""
-    prefix = np.array(state.observed + [d_t], dtype=float)
-    v_ref = offline_peak_values(instance, reference_values(instance, prefix))
+    """Raw ratio-pursuit discharge [d_t - pi * v_ref]^+ and its counterpart
+    clamped to the rate limit, the demand, and the remaining inventory."""
     raw = max(0.0, d_t - pi * v_ref)
     clamped = min(raw, instance.slot_cap(d_t), max(0.0, state.remaining))
     return raw, clamped
@@ -127,7 +125,8 @@ def pcr_step(instance: Instance, state: OnlineState, pi: float, d_t: float) -> f
     ratio the clamp provably never binds; it exists as defense in depth.
     """
     _check_step_inputs(instance, state, d_t)
-    _raw, clamped = _pcr_amounts(instance, state, pi, d_t)
+    v_ref = _reference_peak(instance, state.observed + [d_t])
+    _raw, clamped = _pcr_amounts(instance, state, pi, d_t, v_ref)
     return clamped
 
 
@@ -140,10 +139,12 @@ def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyR
     state = OnlineState(instance)
     clamp_engaged = False
     for d_t in demand.values:
-        raw, delta = _pcr_amounts(instance, state, pi, float(d_t))
+        d_t = float(d_t)
+        v_ref = _reference_peak(instance, state.observed + [d_t])
+        raw, delta = _pcr_amounts(instance, state, pi, d_t, v_ref)
         if delta < raw - 1e-9:
             clamp_engaged = True
-        state.observe(float(d_t))
+        state.observe(d_t)
         state.commit(delta)
     actions = np.array(state.actions, dtype=float)
     schedule = DischargeSchedule(instance, demand, actions)
@@ -173,10 +174,13 @@ class _SlotView:
 
 
 def _slot_view(
-    instance: Instance, state: OnlineState, d_t: float, monthly_peak: float
+    instance: Instance, state: OnlineState, d_t: float | None = None
 ) -> _SlotView:
-    prefix = np.array(state.observed + [d_t], dtype=float)
-    v_ref = offline_peak_values(instance, reference_values(instance, prefix))
+    """Slot view for the demand d_t about to be observed, or, with d_t None,
+    for a mid-slot state that has observed it already."""
+    observed = state.observed if d_t is None else state.observed + [d_t]
+    prefix = np.array(observed, dtype=float)
+    v_ref = _reference_peak(instance, prefix)
     if v_ref <= EPS_KWH:
         # only reachable when the inventory matches the whole lower-bound
         # demand, which instance validation rejects; kept as a hard stop
@@ -186,7 +190,7 @@ def _slot_view(
         demands=prefix,
         running_peak=state.running_peak,
         remaining=max(0.0, state.remaining),
-        monthly_peak=monthly_peak,
+        monthly_peak=state.monthly_peak,
         v_ref=v_ref,
     )
 
@@ -377,13 +381,9 @@ def build_aocr_thr(
         raise InvalidIndexSet(
             f"index set {scen} is not a consecutive block t+1..k with k <= {T}"
         )
-    view = _slot_view_mid(instance, state)
+    view = _slot_view(instance, state)
     const = _constant_term(view, pi)
     ns = len(scen)
-    names: list[str] = []
-    names += [f"u{i}" for i in scen]
-    names += [f"x{i}" for i in scen]
-    names += [f"delta_{i}_{j}" for i in scen for j in range(1, T + 1)]
     n = 2 * ns + ns * T
 
     def d_col(si: int, j: int) -> int:
@@ -430,23 +430,6 @@ def build_aocr_thr(
         constraints=rows,
         bounds=bounds,
         objective_constant=const,
-        variable_names=names,
-    )
-
-
-def _slot_view_mid(instance: Instance, state: OnlineState) -> _SlotView:
-    """Slot view from a mid-slot state (d_t already observed)."""
-    prefix = np.array(state.observed, dtype=float)
-    v_ref = offline_peak_values(instance, reference_values(instance, prefix))
-    if v_ref <= EPS_KWH:
-        raise DegenerateOfflinePeak(f"reference offline peak {v_ref} at slot {len(prefix)}")
-    return _SlotView(
-        instance=instance,
-        demands=prefix,
-        running_peak=state.running_peak,
-        remaining=max(0.0, state.remaining),
-        monthly_peak=state.monthly_peak,
-        v_ref=v_ref,
     )
 
 
@@ -467,7 +450,7 @@ def anytime_ratio(
     prev = state.prev_ratio
     if not math.isfinite(prev):
         prev = optimal_cr(instance).pi_star
-    view = _slot_view(instance, state, float(d_t), state.monthly_peak)
+    view = _slot_view(instance, state, float(d_t))
     pi_t, _early = _certified_ratio(view, prev, epsilon)
     return pi_t
 
@@ -485,7 +468,7 @@ def depleting_amount(
     """
     if len(state.observed) != len(state.actions) + 1:
         raise ValueError("state must be mid-slot: observe d_t before depleting")
-    view = _slot_view_mid(instance, state)
+    view = _slot_view(instance, state)
     slack = view.remaining - _exact_requirement(view, pi_t)
     if slack < -1e-6:
         raise NegativeSlack(
@@ -508,9 +491,6 @@ def run_anytime(
     by construction of the bisection bracket.
     """
     options = options or PolicyOptions()
-    if options.mode == MODE_FIXED:
-        return run_pcr_pmd(instance, float(options.fixed_pi), demand)
-
     pi_prev = (
         float(options.initial_ratio)
         if options.initial_ratio is not None
@@ -521,10 +501,9 @@ def run_anytime(
     clamp_engaged = False
     for d_t in demand.values:
         d_t = float(d_t)
-        view = _slot_view(instance, state, d_t, options.monthly_peak)
+        view = _slot_view(instance, state, d_t)
         pi_t, _early = _certified_ratio(view, state.prev_ratio, options.bisection_epsilon)
-        raw = max(0.0, d_t - pi_t * view.v_ref)
-        delta = min(raw, instance.slot_cap(d_t), view.remaining)
+        raw, delta = _pcr_amounts(instance, state, pi_t, d_t, view.v_ref)
         if delta < raw - 1e-9:
             clamp_engaged = True
         state.observe(d_t)

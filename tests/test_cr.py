@@ -7,6 +7,7 @@ import pytest
 from peakmin.core import DemandProfile, Instance
 from peakmin.cr import (
     CrResult,
+    build_cr_compute,
     optimal_cr,
     phi_bruteforce,
     phi_bruteforce_witness,
@@ -14,7 +15,7 @@ from peakmin.cr import (
     solve_cr_compute,
 )
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
-from peakmin.lp import OPTIMAL
+from peakmin.lp import OPTIMAL, solve_lfp
 
 from oracles import cr_ratio_oracle
 
@@ -60,8 +61,8 @@ def test_reduced_and_full_encodings_agree():
     ):
         for t in range(1, inst.horizon_T + 1):
             idx = list(range(1, t + 1))
-            full = solve_cr_compute(inst, idx, reduced=False)
-            red = solve_cr_compute(inst, idx, reduced=True)
+            full = solve_lfp(build_cr_compute(inst, idx), check_denominator=False)
+            red = solve_cr_compute(inst, idx)
             assert full.status == red.status
             if full.status == OPTIMAL:
                 assert red.value == pytest.approx(full.value, abs=1e-7), (inst, t)
@@ -158,6 +159,7 @@ def test_phi_strictly_decreasing_before_zero(tiny_instance):
 
 def test_phi_witness_replays_to_total(tiny_instance):
     phi, witness = phi_bruteforce_witness(tiny_instance, 1.1, 0.05)
+    assert phi == phi_bruteforce(tiny_instance, 1.1, 0.05)
     from oracles import total_discharge_forced
 
     assert total_discharge_forced(tiny_instance, 1.1, witness) == pytest.approx(
@@ -169,6 +171,15 @@ def test_phi_rejects_large_horizons():
     inst = Instance(2.0, None, 7, 1.0, 2.0)
     with pytest.raises(HorizonTooLarge):
         phi_bruteforce(inst, 1.2, 0.5)
+    with pytest.raises(HorizonTooLarge):
+        phi_bruteforce_witness(inst, 1.2, 0.5)
+
+
+def test_phi_witness_rejects_ratio_below_one(tiny_instance):
+    with pytest.raises(ValueError):
+        phi_bruteforce(tiny_instance, 0.5, 0.05)
+    with pytest.raises(ValueError):
+        phi_bruteforce_witness(tiny_instance, 0.5, 0.05)
 
 
 def test_cr_result_shape(tiny_instance):

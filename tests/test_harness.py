@@ -7,10 +7,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+import peakmin.harness as harness
+from peakmin.baselines import run_threshold
 from peakmin.errors import (
     EmptyTrace,
     MalformedRecord,
     MismatchedLengths,
+    PeakMinError,
     UnknownAlgorithm,
 )
 from peakmin.harness import (
@@ -320,6 +323,52 @@ def test_experiment_monthly_direction_small():
     for row in report.monthly:
         assert row.threaded_peak <= row.independent_peak + 1e-9
         assert row.extra_reduction_pct >= -1e-7
+
+
+def test_monthly_floor_violation_is_a_domain_error(monkeypatch):
+    """A threaded day that discharges below the month's standing peak raises
+    a PeakMinError (exit code 2 from the CLI), not a bare assertion."""
+    ps = synthetic_uniform_profiles(3, 4, 2.0, 6.0, seed=3, start_date="2024-03-01")
+    # greedy discharge from the first slot: day 2 lands below day 1's peak
+    monkeypatch.setattr(
+        harness, "run_anytime",
+        lambda instance, demand, options=None: run_threshold(instance, demand, 0.0),
+    )
+    config = ExperimentConfig(
+        profiles=ps, algorithms=(ALGO_OFFLINE,), capacity_rates=(0.2,), monthly=True,
+    )
+    with pytest.raises(PeakMinError, match="below the monthly peak"):
+        run_experiment(config)
+
+
+def test_monthly_experiment_reuses_the_roster_anytime_runs(monkeypatch):
+    """With anytime in the roster, the monthly table's independent peaks are
+    that cell's peaks: anytime runs twice per day (roster and threaded), not
+    three times, and the monthly rows match a roster without anytime."""
+    ps = synthetic_volatile_profiles(5, 4, 2.0, 6.0, seed=5, start_date="2024-03-29")
+    real = harness.run_anytime
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_anytime", counting)
+    with_anytime = run_experiment(ExperimentConfig(
+        profiles=ps, algorithms=(ALGO_OFFLINE, ALGO_ANYTIME), capacity_rates=(0.1, 0.3),
+        monthly=True, epsilon=1e-3,
+    ))
+    assert len(calls) == 2 * 2 * ps.num_days
+    calls.clear()
+    without = run_experiment(ExperimentConfig(
+        profiles=ps, algorithms=(ALGO_OFFLINE,), capacity_rates=(0.1, 0.3),
+        monthly=True, epsilon=1e-3,
+    ))
+    assert len(calls) == 2 * 2 * ps.num_days
+    assert with_anytime.monthly == without.monthly
+    assert with_anytime.render_text().split("\nmonth,")[1] == (
+        without.render_text().split("\nmonth,")[1]
+    )
 
 
 def test_experiment_rate_limit_fraction_feeds_instance():

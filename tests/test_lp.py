@@ -14,7 +14,6 @@ from peakmin.lp import (
     UNBOUNDED,
     LfpProblem,
     LinearProgram,
-    dump_lp,
     solve_lfp,
     solve_lp,
 )
@@ -194,18 +193,6 @@ def test_lfp_rejects_sign_changing_denominator():
     )
     with pytest.raises(DenominatorNotPositive):
         solve_lfp(lfp)
-
-
-def test_dump_lp_is_readable():
-    lp = LinearProgram(
-        objective=np.array([1.0, -1.0]),
-        maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 2.0)],
-        variable_names=("a", "b"),
-    )
-    text = dump_lp(lp)
-    assert "maximize" in text
-    assert "a" in text and "b" in text
 
 
 def _random_feasible_lps(seed: int, count: int):

@@ -9,9 +9,9 @@ from peakmin.offline import (
     CmdWeights,
     evaluate_cmd_cost,
     offline_peak,
+    offline_peak_values,
     solve_offline_pmd,
     water_fill_threshold,
-    water_fill_threshold_rows,
 )
 
 from conftest import DHAT, random_profiles
@@ -48,11 +48,28 @@ def test_water_fill_matches_bisection_oracle():
 
 
 def test_water_fill_rows_matches_scalar():
+    """An (N, T) matrix gives each row's level, bit for bit."""
     rng = np.random.default_rng(3)
     rows = rng.uniform(1.0, 4.0, (50, 6))
-    got = water_fill_threshold_rows(rows, 2.0)
+    got = water_fill_threshold(rows, 2.0)
     want = [water_fill_threshold(r, 2.0) for r in rows]
-    assert np.allclose(got, want)
+    assert got.shape == (50,)
+    assert got.tolist() == want
+    with pytest.raises(BudgetExceedsTotalDemand):
+        water_fill_threshold(np.array([[3.0, 3.0], [1.0, 0.5]]), 2.0)
+
+
+def test_offline_peak_values_rows_match_scalar():
+    """offline_peak_values row by row equals the per-profile offline peak."""
+    rng = np.random.default_rng(5)
+    for rate in (None, 0.7):
+        inst = Instance(2.0, rate, 5, 1.0, 3.0)
+        rows = rng.uniform(1.0, 3.0, (40, 5))
+        got = offline_peak_values(inst, rows)
+        want = [offline_peak_values(inst, r) for r in rows]
+        assert got.tolist() == want
+        assert np.allclose(want, [offline_peak(inst, DemandProfile(inst, r)) for r in rows],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_offline_dhat_golden():

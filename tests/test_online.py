@@ -15,7 +15,6 @@ from peakmin.offline import offline_peak, solve_offline_pmd
 from peakmin.online import (
     MODE_ANYTIME,
     MODE_ANYTIME_DEPLETING,
-    MODE_FIXED,
     PolicyOptions,
     anytime_ratio,
     build_aocr_thr,
@@ -120,15 +119,6 @@ def test_anytime_seeds_pi_star_automatically(tiny_instance):
     auto = run_anytime(tiny_instance, demand, PolicyOptions())
     assert np.allclose(explicit.ratio_trajectory, auto.ratio_trajectory)
     assert np.allclose(explicit.schedule.values, auto.schedule.values)
-
-
-def test_fixed_mode_dispatch(tiny_instance):
-    demand = DemandProfile(tiny_instance, [2.0, 2.0])
-    via_options = run_anytime(
-        tiny_instance, demand, PolicyOptions(mode=MODE_FIXED, fixed_pi=4.0 / 3.0)
-    )
-    direct = run_pcr_pmd(tiny_instance, 4.0 / 3.0, demand)
-    assert np.allclose(via_options.schedule.values, direct.schedule.values)
 
 
 def test_depleting_identical_trajectories_spends_everything(tiny_instance):
@@ -285,7 +275,7 @@ def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
     T = inst.horizon_T
     checked = 0
     for state in _mid_slot_states(inst, 2, seed=71, monthly_peak=monthly_peak):
-        view = online._slot_view_mid(inst, state)
+        view = online._slot_view(inst, state)
         for pi in (1.0, 1.12, 1.3, 1.6):
             for k in range(view.t, T + 1):
                 full = lp_mod.solve_lp(
