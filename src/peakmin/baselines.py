@@ -70,7 +70,7 @@ def _finish(instance: Instance, demand: DemandProfile, actions: list[float]) -> 
 
 def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -> PolicyRun:
     """Discharge each slot down to the threshold until the storage runs out."""
-    if threshold < 0:
+    if not threshold >= 0:  # written so that NaN is rejected too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     remaining = instance.capacity_c
     actions = []

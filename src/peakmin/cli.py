@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,13 +120,15 @@ def _cmd_cr(args) -> int:
 
 
 def _resolve_pi(args) -> float | None:
-    """--pi auto means the optimal competitive ratio; otherwise parse a float."""
+    """--pi auto means the optimal competitive ratio; otherwise a number >= 1."""
     if args.pi is None or args.pi == "auto":
         return None
     try:
         pi = float(args.pi)
     except ValueError:
-        raise MalformedRecord(f"--pi expects a number or 'auto', got {args.pi!r}")
+        pi = math.nan
+    if not pi >= 1.0:  # NaN fails this too
+        raise MalformedRecord(f"--pi expects a number >= 1 or 'auto', got {args.pi!r}")
     return pi
 
 
@@ -133,8 +136,12 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
     flag = _REQUIRED_FLAGS.get(args.algo)
     if flag is not None and getattr(args, flag) is None:
         raise MalformedRecord(f"--{flag} is required for --algo {args.algo}")
+    # checked for every --algo, whether or not it reads them
+    pi = _resolve_pi(args)
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise MalformedRecord(f"--epsilon must be positive and finite, got {args.epsilon}")
     settings = RunSettings(
-        pi=_resolve_pi(args) if args.algo in _RATIO_ALGOS else None,
+        pi=pi if args.algo in _RATIO_ALGOS else None,
         epsilon=args.epsilon,
         threshold=args.threshold,
         ratio=args.ratio,

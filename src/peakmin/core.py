@@ -7,6 +7,7 @@ as EPS_KWH so every module agrees on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,14 @@ class Instance:
     demand_ub: float
 
     def __post_init__(self):
-        if int(self.horizon_T) != self.horizon_T or self.horizon_T < 1:
+        # NaN slips past every comparison below and an infinite bound makes
+        # no instance, so non-finite values are turned away first
+        for name in ("capacity_c", "rate_limit", "demand_lb", "demand_ub"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise NonPositiveBound(f"{name} must be finite, got {value}")
+        T = self.horizon_T
+        if not math.isfinite(T) or int(T) != T or T < 1:
             raise ZeroHorizon(f"horizon_T must be a positive integer, got {self.horizon_T}")
         if self.demand_lb <= 0:
             raise NonPositiveBound(f"demand_lb must be > 0, got {self.demand_lb}")

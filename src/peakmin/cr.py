@@ -110,7 +110,7 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     )
 
 
-def _build_cr_compute_reduced(instance: Instance, index_set) -> tuple[LfpProblem, int]:
+def _build_cr_compute_reduced(instance: Instance, index_set) -> LfpProblem:
     """Equivalent LFP with the inert blocks removed.
 
     Scenario blocks for i outside the index set never touch the objective and
@@ -121,63 +121,49 @@ def _build_cr_compute_reduced(instance: Instance, index_set) -> tuple[LfpProblem
     Demand variables x_j with j beyond max(index set) only ever see their box
     bounds and are dropped as well. Equality of optima is covered by tests
     against build_cr_compute.
+
+    Columns: x_1..x_jmax, then per scenario i in the index set the block
+    u_i, delta_i1..delta_ii, D_i (no D_T). The dense Charnes-Cooper solve is
+    sensitive to this order, so it is kept as is.
     """
     idx = _check_index_set(instance, index_set)
     T = instance.horizon_T
     c = instance.capacity_c
     lo, hi = instance.demand_lb, instance.demand_ub
-    jmax = idx[-1]
+    rate = instance.rate_limit
 
-    names: list[str] = [f"x{j}" for j in range(1, jmax + 1)]
-    col: dict[str, int] = {nm: k for k, nm in enumerate(names)}
+    bounds: list[tuple[float, float | None]] = [(lo, hi)] * idx[-1]
+    blocks = []  # first column (u_i) of each scenario block
     for i in idx:
-        for nm in [f"u{i}"] + [f"delta_{i}_{j}" for j in range(1, i + 1)] + (
-            [f"D{i}"] if i < T else []
-        ):
-            col[nm] = len(names)
-            names.append(nm)
-    n = len(names)
+        blocks.append(len(bounds))
+        bounds += [(0.0, None)] + [(0.0, rate)] * i
+        if i < T:  # aggregate D_i spans T-i tail slots
+            bounds.append((0.0, None if rate is None else (T - i) * rate))
+    n = len(bounds)
 
     cons = []
-    for i in idx:
-        row = np.zeros(n)
-        for j in range(1, i + 1):
-            row[col[f"delta_{i}_{j}"]] = 1.0
-        if i < T:
-            row[col[f"D{i}"]] = 1.0
-        cons.append((row, "==", c))
-        for j in range(1, i + 1):
-            row = np.zeros(n)
-            row[col[f"x{j}"]] = 1.0
-            row[col[f"delta_{i}_{j}"]] = -1.0
-            row[col[f"u{i}"]] = -1.0
-            cons.append((row, "<=", 0.0))
-        if i < T:
-            tail = T - i
-            row = np.zeros(n)
-            row[col[f"D{i}"]] = -1.0
-            row[col[f"u{i}"]] = -tail
-            cons.append((row, "<=", -tail * lo))
-
-    bounds: list[tuple[float, float | None]] = []
-    for nm in names:
-        if nm.startswith("x"):
-            bounds.append((lo, hi))
-        elif nm.startswith("u"):
-            bounds.append((0.0, None))
-        elif nm.startswith("delta"):
-            bounds.append((0.0, instance.rate_limit))
-        else:  # aggregate D_i spans T-i tail slots
-            i = int(nm[1:])
-            cap = None if instance.rate_limit is None else (T - i) * instance.rate_limit
-            bounds.append((0.0, cap))
-
     num = np.zeros(n)
     den = np.zeros(n)
-    for i in idx:
-        num[col[f"x{i}"]] = 1.0
-        den[col[f"u{i}"]] = 1.0
-    lfp = LfpProblem(
+    for i, ofs in zip(idx, blocks):
+        width = i + (1 if i < T else 0)
+        budget = np.zeros(n)
+        budget[ofs + 1 : ofs + 1 + width] = 1.0
+        cons.append((budget, "==", c))
+        for j in range(1, i + 1):  # x_j - delta_ij <= u_i
+            row = np.zeros(n)
+            row[j - 1] = 1.0
+            row[ofs + j] = -1.0
+            row[ofs] = -1.0
+            cons.append((row, "<=", 0.0))
+        if i < T:  # aggregated tail: (T-i)*lb - D_i <= (T-i)*u_i
+            tail = T - i
+            row = np.zeros(n)
+            row[ofs + 1 + i] = -1.0
+            row[ofs] = -tail
+            cons.append((row, "<=", -tail * lo))
+        num[i - 1] = 1.0
+        den[ofs] = 1.0
+    return LfpProblem(
         numerator=num,
         numerator_constant=-c,
         denominator=den,
@@ -185,7 +171,6 @@ def _build_cr_compute_reduced(instance: Instance, index_set) -> tuple[LfpProblem
         constraints=cons,
         bounds=bounds,
     )
-    return lfp, jmax
 
 
 def solve_cr_compute(instance: Instance, index_set) -> LfpResult:
@@ -197,8 +182,7 @@ def solve_cr_compute(instance: Instance, index_set) -> LfpResult:
     >= (T*d_lb - c)/T, which is positive whenever c < T*d_lb (the caller's
     precondition).
     """
-    lfp, _ = _build_cr_compute_reduced(instance, index_set)
-    return solve_lfp(lfp, check_denominator=False)
+    return solve_lfp(_build_cr_compute_reduced(instance, index_set), check_denominator=False)
 
 
 def _floor_quotient(c: float, d_ub: float) -> int:
@@ -256,8 +240,7 @@ def optimal_cr(instance: Instance) -> CrResult:
     best_val = -math.inf
     best_x: np.ndarray | None = None
     for t in candidates:
-        lfp, jmax = _build_cr_compute_reduced(instance, range(1, t + 1))
-        res = solve_lfp(lfp, check_denominator=False)
+        res = solve_cr_compute(instance, range(1, t + 1))
         if res.status == INFEASIBLE:
             continue
         if res.status != OPTIMAL:
@@ -266,7 +249,7 @@ def optimal_cr(instance: Instance) -> CrResult:
         if res.value > best_val + 1e-12 and res.x is not None:
             best_val = res.value
             best_t = t
-            best_x = res.x[:jmax]
+            best_x = res.x[:t]  # the demand block x_1..x_t
     if best_t is None:
         raise DegenerateInstance("no scenario program admitted a witness")
     witness = DemandProfile(instance, reference_values(instance, best_x))

@@ -690,9 +690,11 @@ class ExperimentReport:
                 "month,capacity_rate,independent_peak,threaded_peak,extra_reduction_pct"
             )
             for row in self.monthly:
+                # equal peaks can differ by float noise; print no "-0.000000"
+                pct = f"{row.extra_reduction_pct:.6f}".replace("-0.000000", "0.000000")
                 lines.append(
                     f"{row.month},{row.capacity_rate:.6f},{row.independent_peak:.6f},"
-                    f"{row.threaded_peak:.6f},{row.extra_reduction_pct:.6f}"
+                    f"{row.threaded_peak:.6f},{pct}"
                 )
         return "\n".join(lines) + "\n"
 

@@ -17,6 +17,10 @@ cold two-phase solve, which does not depend on the hint. Callers that
 re-solve one LP under a slowly moving objective and right-hand side, as the
 anytime bisection does, skip both phases most of the time.
 
+One exit: a cold solve's final basis is re-priced the same way, so pivoting
+only picks the basis and the rounding it accumulates does not reach x. The
+tableau's right-hand column is used only when the re-price rejects the basis.
+
 Tolerances: pivot 1e-9, feasibility 1e-7.
 """
 
@@ -292,8 +296,8 @@ def _reprice(
     if (
         basis.shape != (m,)
         or basis.dtype.kind not in "iu"
-        or basis.min() < 0
-        or basis.max() >= cols
+        or (basis < 0).any()
+        or (basis >= cols).any()
         or len(np.unique(basis)) != m
     ):
         return None
@@ -347,7 +351,8 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     basis is an optional hint, normally the basis of an earlier result for
     an LP with the same rows, relations and bounded variables. It is
     re-priced first and its vertex returned if it is still optimal;
-    otherwise the cold two-phase solve runs as if no hint were given.
+    otherwise the cold two-phase solve runs as if no hint were given, and
+    its final basis is re-priced in turn for the values it reports.
     """
     n = lp.num_vars
     if n == 0:
@@ -358,17 +363,6 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     rows, rels, rhs, lb = sf
     m = len(rhs)
     obj = lp.objective if lp.maximize else -lp.objective
-
-    if m == 0:
-        # box-only problem: optimum sits at a bound of each variable
-        x = lb.copy()
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if obj[j] > 0:
-                if hi is None:
-                    return LpResult(UNBOUNDED, np.nan, None)
-                x[j] = hi
-        val = float(lp.objective @ x) + lp.objective_constant
-        return LpResult(OPTIMAL, val, x, 0.0)
 
     a, start, art_cols, enterable = _augment(rows, rels, n)
     cols = a.shape[1]
@@ -406,7 +400,10 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     status = tab.run(max_iter, enter_limit=enterable)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    return _optimal_result(lp, tab.basis, tab.t[: tab.m, tab.n], lb, cols)
+    x_basic = _reprice(a, rhs, full_obj, tab.basis, enterable)
+    if x_basic is None:
+        x_basic = tab.t[: tab.m, tab.n]
+    return _optimal_result(lp, tab.basis, x_basic, lb, cols)
 
 
 def solve_lfp(problem: LfpProblem, check_denominator: bool = True) -> LfpResult:

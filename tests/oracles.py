@@ -91,3 +91,47 @@ def cr_ratio_oracle(instance, index_set, grid_step: float) -> float:
         if den > 1e-12:
             best = max(best, num / den)
     return best
+
+
+def highs_lfp_max(lfp):
+    """max of an LfpProblem by HiGHS on its Charnes-Cooper LP.
+
+    Variables (y, s) with x = y/s: every row a.x (rel) b becomes a.y - b*s
+    (rel) 0, every bound lo <= x_j <= hi becomes lo*s <= y_j <= hi*s, and
+    the denominator is pinned to 1. Returns (value, s), or None when the
+    program is infeasible. Needs scipy, a test-only dependency.
+    """
+    from scipy.optimize import linprog
+
+    n = len(lfp.numerator)
+    ub_rows, eq_rows = [], []
+    for coeffs, rel, rhs in lfp.constraints:
+        row = np.append(coeffs, -rhs)
+        if rel == "<=":
+            ub_rows.append(row)
+        elif rel == ">=":
+            ub_rows.append(-row)
+        else:
+            eq_rows.append(row)
+    for j, (lo, hi) in enumerate(lfp.bounds):
+        if lo > 0:
+            row = np.zeros(n + 1)
+            row[j], row[n] = -1.0, lo
+            ub_rows.append(row)
+        if hi is not None:
+            row = np.zeros(n + 1)
+            row[j], row[n] = 1.0, -hi
+            ub_rows.append(row)
+    eq_rows.append(np.append(lfp.denominator, lfp.denominator_constant))
+    eq_rhs = np.zeros(len(eq_rows))
+    eq_rhs[-1] = 1.0
+    res = linprog(
+        -np.append(lfp.numerator, lfp.numerator_constant),
+        A_ub=np.array(ub_rows), b_ub=np.zeros(len(ub_rows)),
+        A_eq=np.array(eq_rows), b_eq=eq_rhs,
+        bounds=(0, None), method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun, float(res.x[n])

@@ -66,6 +66,11 @@ def test_threshold_rejects_negative(two_one_instance, two_one_profile):
         run_threshold(two_one_instance, two_one_profile, threshold=-0.1)
 
 
+def test_threshold_rejects_nan(two_one_instance, two_one_profile):
+    with pytest.raises(ValueError, match="nan"):
+        run_threshold(two_one_instance, two_one_profile, threshold=float("nan"))
+
+
 def test_equal_discharge_uniform_demand():
     instance = Instance(capacity_c=8.0, rate_limit=None, horizon_T=4, demand_lb=2.0, demand_ub=4.0)
     run = run_equal_discharge(instance, DemandProfile(instance, [3.0, 3.0, 3.0, 3.0]))

@@ -121,6 +121,42 @@ def test_simulate_flag_requirements(capsys, dhat_file):
     assert code == 2 and "MalformedRecord" in err
 
 
+def test_simulate_checks_pi_and_epsilon_for_every_algo(capsys, dhat_file):
+    base = ["simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
+            "--demands", dhat_file, "--threshold", "450", "--ratio", "0.2"]
+    for algo in ("fixed", "anytime", "thr", "eql-dis", "eql-per", "rhc-mid"):
+        for flags in (["--pi", "garbage"], ["--pi", "0.5"], ["--pi", "nan"],
+                      ["--epsilon", "-5"], ["--epsilon", "0"], ["--epsilon", "nan"]):
+            code, out, err = run_cli(capsys, [*base, "--algo", algo, *flags])
+            assert code == 2 and out == "", (algo, flags)
+            assert err.startswith("MalformedRecord") and flags[0] in err, (algo, flags)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["-c", "nan", "--d-lb", "300", "--d-ub", "600"], "capacity_c"),
+        (["-c", "630", "--d-lb", "nan", "--d-ub", "600"], "demand_lb"),
+        (["-c", "630", "--d-lb", "300", "--d-ub", "inf"], "demand_ub"),
+        (["-c", "630", "--d-lb", "300", "--d-ub", "600", "--rate-limit", "nan"], "rate_limit"),
+    ],
+    ids=["capacity-nan", "d-lb-nan", "d-ub-inf", "rate-limit-nan"],
+)
+def test_cr_rejects_non_finite_instance_flags(capsys, flags, field):
+    code, out, err = run_cli(capsys, ["cr", "-T", "10", *flags])
+    assert code == 2 and out == ""
+    assert err.startswith("NonPositiveBound") and field in err
+
+
+def test_simulate_thr_rejects_nan_threshold(capsys, dhat_file):
+    code, out, err = run_cli(capsys, [
+        "simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
+        "--demands", dhat_file, "--algo", "thr", "--threshold", "nan",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("ValueError") and "threshold" in err
+
+
 def test_domain_errors_surface_verbatim(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["cr", "-c", "3000", "-T", "10",
                                     "--d-lb", "300", "--d-ub", "600"])

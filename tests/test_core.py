@@ -52,6 +52,21 @@ def test_instance_rejections():
         Instance(-0.5, None, 2, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["capacity_c", "rate_limit", "demand_lb", "demand_ub"])
+def test_instance_rejects_non_finite_fields(field, bad):
+    fields = dict(capacity_c=1.0, rate_limit=0.5, horizon_T=2, demand_lb=1.0, demand_ub=2.0)
+    fields[field] = bad
+    with pytest.raises(NonPositiveBound, match=field):
+        Instance(**fields)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_instance_rejects_non_finite_horizon(bad):
+    with pytest.raises(ZeroHorizon):
+        Instance(1.0, None, bad, 1.0, 2.0)
+
+
 def test_capacity_cannot_exceed_min_total_demand():
     Instance(2.0, None, 2, 1.0, 2.0)
     with pytest.raises(CapacityExceedsMinDemand):

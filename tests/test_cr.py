@@ -1,6 +1,8 @@
 """Optimal competitive ratio: scenario programs, reductions, and the
 worst-case-discharge characterization."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from peakmin.cr import (
     solve_cr_compute,
 )
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
+from peakmin.harness import synthetic_volatile_profiles
 from peakmin.lp import OPTIMAL, solve_lfp
 
-from oracles import cr_ratio_oracle
+from oracles import cr_ratio_oracle, highs_lfp_max
 
 
 def test_tiny_instance_analytic_value(tiny_instance):
@@ -59,13 +62,30 @@ def test_reduced_and_full_encodings_agree():
         Instance(1.0, 0.6, 3, 1.0, 2.0),
         Instance(2.0, None, 4, 1.0, 3.0),
     ):
-        for t in range(1, inst.horizon_T + 1):
-            idx = list(range(1, t + 1))
-            full = solve_lfp(build_cr_compute(inst, idx), check_denominator=False)
-            red = solve_cr_compute(inst, idx)
-            assert full.status == red.status
-            if full.status == OPTIMAL:
-                assert red.value == pytest.approx(full.value, abs=1e-7), (inst, t)
+        T = inst.horizon_T
+        for size in range(1, T + 1):
+            for idx in combinations(range(1, T + 1), size):
+                full = solve_lfp(build_cr_compute(inst, idx), check_denominator=False)
+                red = solve_cr_compute(inst, idx)
+                assert full.status == red.status
+                if full.status == OPTIMAL:
+                    assert red.value == pytest.approx(full.value, abs=1e-7), (inst, idx)
+
+
+def test_optimal_cr_rate_limited_t20_matches_highs():
+    """vol-rl@0.3: ten volatile T=20 days, a 100 kWh rate limit and c at 0.3
+    of the mean daily energy. Its final basis was right, but the values
+    accumulated in the tableau put pi* at 1.555041; HiGHS gives 1.557084596."""
+    pytest.importorskip("scipy")
+    days = synthetic_volatile_profiles(10, 20, 100.0, 400.0, seed=7)
+    inst = days.instance(0.3 * days.avg_daily_energy, 100.0)
+    expected = 1.0
+    for t in range(1, inst.horizon_T + 1):
+        found = highs_lfp_max(build_cr_compute(inst, range(1, t + 1)))
+        if found is not None and found[1] > 1e-11:  # a witness point exists
+            expected = max(expected, found[0])
+    assert expected == pytest.approx(1.557084596, abs=1e-8)
+    assert optimal_cr(inst).pi_star == pytest.approx(expected, abs=1e-6)
 
 
 def test_ratio_lower_bound_from_witness(tiny_instance):

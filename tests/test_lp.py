@@ -58,6 +58,32 @@ def test_lp_unbounded_detected():
     assert solve_lp(lp).status == UNBOUNDED
 
 
+@pytest.mark.parametrize(
+    "maximize, objective, upper, x3, value",
+    [
+        (True, [-2.0, 0.0, 3.0], 4.0, 4.0, 16.5),
+        (False, [2.0, 0.0, -3.0], 4.0, 4.0, -11.5),
+        (True, [-2.0, 0.0, -3.0], None, 1.0, 1.5),
+        (False, [2.0, 0.0, 3.0], None, 1.0, 3.5),
+    ],
+    ids=["max-capped", "min-capped", "max-no-rows", "min-no-rows"],
+)
+def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
+    """No constraint rows: each variable sits at the bound its objective term
+    favours. Without an upper bound the problem has no rows at all."""
+    lp = LinearProgram(
+        objective=np.array(objective),
+        maximize=maximize,
+        bounds=[(-1.0, None), (0.5, None), (1.0, upper)],
+        objective_constant=2.5,
+    )
+    res = solve_lp(lp)
+    assert res.status == OPTIMAL
+    assert np.array_equal(res.x, [-1.0, 0.5, x3])
+    assert res.value == value
+    assert res.residual == 0.0
+
+
 def test_lp_variable_upper_bounds():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
