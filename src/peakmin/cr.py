@@ -3,6 +3,8 @@
 The worst-case ratio over demand profiles that force a given future index set
 is a linear-fractional program; the optimal ratio is the maximum of that
 program over the prefix index sets {1..t} for t from floor(c/d_ub)+1 to T.
+scenario_program builds that program once, for an empty prefix here and,
+with the observed prefix held fixed, for the anytime certificate in online.
 A brute-force enumerator of the forced-discharge function Phi doubles as the
 validation oracle on tiny horizons.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
-from .lp import INFEASIBLE, OPTIMAL, LfpProblem, LfpResult, solve_lfp
+from .lp import INFEASIBLE, OPTIMAL, LfpProblem, solve_lfp
 from .offline import offline_peak_values
 
 _GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
@@ -33,7 +35,6 @@ class CrResult:
     argmax_set: tuple[int, ...]
     witness_profile: DemandProfile | None
     candidate_values: dict[int, float]
-    from_defensive_candidate: bool = False
 
 
 def _check_index_set(instance: Instance, index_set) -> tuple[int, ...]:
@@ -60,46 +61,29 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     T = instance.horizon_T
     c = instance.capacity_c
     lo, hi = instance.demand_lb, instance.demand_ub
-    nx, nu = T, T
-    nd = T * T
-    n = nx + nu + nd
-
-    def xj(j):  # 1-based
-        return j - 1
-
-    def ui(i):
-        return nx + i - 1
-
-    def dij(i, j):
-        return nx + nu + (i - 1) * T + (j - 1)
+    n = 2 * T + T * T  # x block, u block, then delta_i1..delta_iT per i
 
     cons = []
     for i in range(1, T + 1):
+        d0 = 2 * T + (i - 1) * T  # column of delta_i1
         row = np.zeros(n)
-        for j in range(1, T + 1):
-            row[dij(i, j)] = 1.0
+        row[d0 : d0 + T] = 1.0
         cons.append((row, "==", c))
-        for j in range(1, i + 1):
+        for j in range(1, T + 1):  # x_j (j <= i) or d_lb (j > i) - delta_ij <= u_i
             row = np.zeros(n)
-            row[xj(j)] = 1.0
-            row[dij(i, j)] = -1.0
-            row[ui(i)] = -1.0
-            cons.append((row, "<=", 0.0))
-        for j in range(i + 1, T + 1):
-            row = np.zeros(n)
-            row[dij(i, j)] = -1.0
-            row[ui(i)] = -1.0
-            cons.append((row, "<=", -lo))
-    bounds = (
-        [(lo, hi)] * nx
-        + [(0.0, None)] * nu
-        + [(0.0, instance.rate_limit)] * nd
-    )
+            row[d0 + j - 1] = -1.0
+            row[T + i - 1] = -1.0
+            if j <= i:
+                row[j - 1] = 1.0
+                cons.append((row, "<=", 0.0))
+            else:
+                cons.append((row, "<=", -lo))
+    bounds = [(lo, hi)] * T + [(0.0, None)] * T + [(0.0, instance.rate_limit)] * (T * T)
     num = np.zeros(n)
     den = np.zeros(n)
     for i in idx:
-        num[xj(i)] = 1.0
-        den[ui(i)] = 1.0
+        num[i - 1] = 1.0
+        den[T + i - 1] = 1.0
     return LfpProblem(
         numerator=num,
         numerator_constant=-c,
@@ -110,79 +94,86 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     )
 
 
-def _build_cr_compute_reduced(instance: Instance, index_set) -> LfpProblem:
-    """Equivalent LFP with the inert blocks removed.
+def scenario_program(
+    instance: Instance, prefix, k: int, x_lb: float, u_lb: float
+) -> tuple[list, list, np.ndarray]:
+    """Worst-case scenario program over the scenarios after a fixed prefix.
 
-    Scenario blocks for i outside the index set never touch the objective and
-    are feasible on their own (they only pin their private u_i), so they are
-    dropped. Within a block, the tail discharges delta_ij for j > i all face
-    the identical constraint d_lb - delta_ij <= u_i; an equal split is optimal,
-    so they collapse into one aggregate D_i with (T-i)*d_lb - D_i <= (T-i)*u_i.
-    Demand variables x_j with j beyond max(index set) only ever see their box
-    bounds and are dropped as well. Equality of optima is covered by tests
-    against build_cr_compute.
+    The demands d_1..d_t of prefix are fixed (t = len(prefix), empty for
+    optimal_cr) and the adversary picks x_{t+1}..x_k in [x_lb, d_ub].
+    Scenario i in t+1..k stops worsening at slot i, so its offline benchmark
+    u_i >= u_lb sees [d_1..d_t, x_{t+1}..x_i, lb, ..., lb] with the inventory
+    spent by delta_ij. This is the printed program with the inert parts
+    removed: demand slots past k only see their box and are dropped, and the
+    identical tail rows d_lb - delta_ij <= u_i of a scenario collapse into
+    one aggregate D_i with (T-i)*d_lb - D_i <= (T-i)*u_i, which is exact
+    because an equal split of the tail is optimal. Tests check it against
+    build_cr_compute and the full future-requirement form.
 
-    Columns: x_1..x_jmax, then per scenario i in the index set the block
-    u_i, delta_i1..delta_ii, D_i (no D_T). The dense Charnes-Cooper solve is
-    sensitive to this order, so it is kept as is.
+    Columns: x_{t+1}..x_k, then per scenario the block u_i, delta_i1..
+    delta_ii, D_i (no D_T); rows per scenario: the budget, one row per slot
+    j <= i, the tail. The dense Charnes-Cooper solve is sensitive to this
+    order, so it is kept as is. Returns (constraints, bounds, u columns);
+    the caller writes the objective.
     """
-    idx = _check_index_set(instance, index_set)
     T = instance.horizon_T
     c = instance.capacity_c
     lo, hi = instance.demand_lb, instance.demand_ub
     rate = instance.rate_limit
+    t = len(prefix)
 
-    bounds: list[tuple[float, float | None]] = [(lo, hi)] * idx[-1]
-    blocks = []  # first column (u_i) of each scenario block
-    for i in idx:
-        blocks.append(len(bounds))
-        bounds += [(0.0, None)] + [(0.0, rate)] * i
+    bounds: list[tuple[float, float | None]] = [(x_lb, hi)] * (k - t)
+    u_cols = []  # first column (u_i) of each scenario block
+    for i in range(t + 1, k + 1):
+        u_cols.append(len(bounds))
+        bounds += [(u_lb, None)] + [(0.0, rate)] * i
         if i < T:  # aggregate D_i spans T-i tail slots
             bounds.append((0.0, None if rate is None else (T - i) * rate))
     n = len(bounds)
 
     cons = []
-    num = np.zeros(n)
-    den = np.zeros(n)
-    for i, ofs in zip(idx, blocks):
+    for i, ofs in zip(range(t + 1, k + 1), u_cols):
         width = i + (1 if i < T else 0)
         budget = np.zeros(n)
         budget[ofs + 1 : ofs + 1 + width] = 1.0
         cons.append((budget, "==", c))
-        for j in range(1, i + 1):  # x_j - delta_ij <= u_i
+        for j in range(1, i + 1):  # d_j - delta_ij <= u_i, d_j = x_j past t
             row = np.zeros(n)
-            row[j - 1] = 1.0
             row[ofs + j] = -1.0
             row[ofs] = -1.0
-            cons.append((row, "<=", 0.0))
+            if j <= t:
+                cons.append((row, "<=", -float(prefix[j - 1])))
+            else:
+                row[j - t - 1] = 1.0
+                cons.append((row, "<=", 0.0))
         if i < T:  # aggregated tail: (T-i)*lb - D_i <= (T-i)*u_i
             tail = T - i
             row = np.zeros(n)
             row[ofs + 1 + i] = -1.0
             row[ofs] = -tail
             cons.append((row, "<=", -tail * lo))
-        num[i - 1] = 1.0
-        den[ofs] = 1.0
+    return cons, bounds, np.array(u_cols, dtype=int)
+
+
+def _prefix_program(instance: Instance, t: int) -> LfpProblem:
+    """Worst-case-ratio program of the prefix index set {1..t}, reduced.
+
+    maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over the scenario
+    program with no observed prefix and cutoff t.
+    """
+    cons, bounds, u_cols = scenario_program(instance, (), t, instance.demand_lb, 0.0)
+    num = np.zeros(len(bounds))
+    num[:t] = 1.0
+    den = np.zeros(len(bounds))
+    den[u_cols] = 1.0
     return LfpProblem(
         numerator=num,
-        numerator_constant=-c,
+        numerator_constant=-instance.capacity_c,
         denominator=den,
         denominator_constant=0.0,
         constraints=cons,
         bounds=bounds,
     )
-
-
-def solve_cr_compute(instance: Instance, index_set) -> LfpResult:
-    """Solve the worst-case-ratio program for one index set.
-
-    The reduced encoding is solved; tests check it against the printed form
-    of build_cr_compute. The denominator is skipped from the auxiliary
-    positivity check here: any feasible point has u_i >= (sum_j p_j - c)/T
-    >= (T*d_lb - c)/T, which is positive whenever c < T*d_lb (the caller's
-    precondition).
-    """
-    return solve_lfp(_build_cr_compute_reduced(instance, index_set), check_denominator=False)
 
 
 def _floor_quotient(c: float, d_ub: float) -> int:
@@ -210,9 +201,12 @@ def ratio_lower_bound(instance: Instance, index_set, demand: DemandProfile) -> f
 def optimal_cr(instance: Instance) -> CrResult:
     """Maximum of the worst-case-ratio program over prefix candidate sets.
 
-    Candidates are t = tau+1..T with tau = floor(c/d_ub), plus max(tau, 1) as a
-    defensive extra: prefixes at or below tau can never attain the maximum, so
-    tests assert the extra never wins. Ties break toward smaller t.
+    Candidates are t = tau+1..T with tau = floor(c/d_ub): at t <= tau the
+    numerator is at most t*d_ub - c <= 0, so those prefixes cannot beat the
+    ratio 1 the all-d_lb profile forces. Ties break toward smaller t. The
+    denominator is not checked by an auxiliary solve: any feasible point has
+    u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
+    precondition below.
     """
     T = instance.horizon_T
     c = instance.capacity_c
@@ -225,22 +219,20 @@ def optimal_cr(instance: Instance) -> CrResult:
         # no storage: every policy is optimal, ratio 1; scenario {1} at the
         # all-d_ub profile attains (d_ub - 0)/v(d^1) = 1 exactly
         witness = DemandProfile(instance, np.full(T, instance.demand_ub))
-        return CrResult(1.0, (1,), witness, {}, False)
+        return CrResult(1.0, (1,), witness, {})
     if instance.rate_limit is not None and c > T * instance.rate_limit + EPS_KWH:
         # the rate cap alone keeps total discharge below c, so the inventory
         # never binds and ratio 1 is achievable; the scenario programs are
         # infeasible (they pin sum_j delta_ij = c) and prove nothing here
-        return CrResult(1.0, (), None, {}, False)
+        return CrResult(1.0, (), None, {})
 
-    tau = _floor_quotient(c, instance.demand_ub)
-    tau = max(0, min(tau, T - 1))
-    candidates = sorted({max(tau, 1)} | set(range(tau + 1, T + 1)))
+    tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
     values: dict[int, float] = {}
     best_t = None
     best_val = -math.inf
     best_x: np.ndarray | None = None
-    for t in candidates:
-        res = solve_cr_compute(instance, range(1, t + 1))
+    for t in range(tau + 1, T + 1):
+        res = solve_lfp(_prefix_program(instance, t), check_denominator=False)
         if res.status == INFEASIBLE:
             continue
         if res.status != OPTIMAL:
@@ -254,14 +246,11 @@ def optimal_cr(instance: Instance) -> CrResult:
         raise DegenerateInstance("no scenario program admitted a witness")
     witness = DemandProfile(instance, reference_values(instance, best_x))
     # ratios below 1 are LP noise: the all-d_lb profile already forces 1
-    pi_star = max(best_val, 1.0)
-    defensive = tau >= 1 and best_t == tau
     return CrResult(
-        pi_star=pi_star,
+        pi_star=max(best_val, 1.0),
         argmax_set=tuple(range(1, best_t + 1)),
         witness_profile=witness,
         candidate_values=values,
-        from_defensive_candidate=defensive,
     )
 
 

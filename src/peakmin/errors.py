@@ -69,10 +69,6 @@ class EmptyIndexSet(PeakMinError):
     pass
 
 
-class InvalidIndexSet(PeakMinError):
-    pass
-
-
 class DegenerateInstance(PeakMinError):
     """Ratio computations are undefined (c = T*d_lb makes the offline peak 0)."""
 

@@ -148,6 +148,8 @@ class _Tableau:
         """
         t, m, n = self.t, self.m, self.n
         ne = n if enter_limit is None else enter_limit
+        if ne == 0:  # nothing may enter: the start basis is final
+            return OPTIMAL
         obj = t[m]
         stall = 0
         bland = False
@@ -355,8 +357,6 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     its final basis is re-priced in turn for the values it reports.
     """
     n = lp.num_vars
-    if n == 0:
-        return LpResult(OPTIMAL, lp.objective_constant, np.zeros(0), 0.0)
     sf = _standard_form(lp)
     if sf is None:
         return LpResult(INFEASIBLE, np.nan, None)

@@ -24,11 +24,10 @@ from .core import (
     OnlineState,
     reference_values,
 )
-from .cr import optimal_cr
+from .cr import optimal_cr, scenario_program
 from .errors import (
     DegenerateOfflinePeak,
     DemandOutOfBounds,
-    InvalidIndexSet,
     NegativeSlack,
     NumericalFailure,
 )
@@ -89,8 +88,14 @@ class PolicyOptions:
             raise ValueError("bisection_epsilon must be positive")
         if self.monthly_peak < 0:
             raise ValueError("monthly_peak must be >= 0")
-        if self.initial_ratio is not None and self.initial_ratio < 1.0:
+        if self.initial_ratio is not None and not self.initial_ratio >= 1.0:
             raise ValueError("initial_ratio must be >= 1")
+
+
+def _check_ratio(pi: float) -> None:
+    # written so that NaN is rejected too
+    if not pi >= 1.0:
+        raise ValueError(f"pi must be >= 1, got {pi}")
 
 
 def _check_step_inputs(instance: Instance, state: OnlineState, d_t: float) -> None:
@@ -123,7 +128,9 @@ def pcr_step(instance: Instance, state: OnlineState, pi: float, d_t: float) -> f
     profile through this slot, clamped to the rate limit, the demand itself,
     and the remaining inventory. At any pi at or above the optimal competitive
     ratio the clamp provably never binds; it exists as defense in depth.
+    pi below 1 (or NaN) raises ValueError.
     """
+    _check_ratio(pi)
     _check_step_inputs(instance, state, d_t)
     v_ref = _reference_peak(instance, state.observed + [d_t])
     _raw, clamped = _pcr_amounts(instance, state, pi, d_t, v_ref)
@@ -134,8 +141,10 @@ def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyR
     """Run the fixed-ratio policy causally over a full profile.
 
     pi below the optimal competitive ratio is allowed; infeasibility then
-    shows up as clamp_engaged=True rather than an exception.
+    shows up as clamp_engaged=True rather than an exception. pi below 1 (or
+    NaN) raises ValueError.
     """
+    _check_ratio(pi)
     state = OnlineState(instance)
     clamp_engaged = False
     for d_t in demand.values:
@@ -200,70 +209,6 @@ def _constant_term(view: _SlotView, pi: float) -> float:
     return max(0.0, d_t - max(pi * view.v_ref, view.running_peak))
 
 
-def _reduced_future_lp(view: _SlotView, pi: float, kmax: int) -> LinearProgram:
-    """Worst-case future requirement over scenarios t+1..kmax, tail-aggregated.
-
-    One scenario per slot i: the adversary stops worsening at i, so its
-    offline benchmark sees [d_1..d_t, x_{t+1}..x_i, lb, ..., lb]. Identical
-    tail slots share one aggregate discharge variable D_i; the per-slot tail
-    rows lb - delta_ij <= u_i collapse to their equal-split optimum, which is
-    exact because only the smallest tail discharge can bind.
-    """
-    inst = view.instance
-    T, t = inst.horizon_T, view.t
-    scen = list(range(t + 1, kmax + 1))
-    ns = len(scen)
-    rate = inst.rate_limit
-    floor = max(view.running_peak, view.monthly_peak)
-    # pi = 0 can only be evaluated when no peak floor exists yet
-    lb_u = 0.0 if floor <= 0.0 else floor / pi
-
-    n = 2 * ns  # u block then x block
-    blocks = []
-    for i in scen:
-        blocks.append(n)
-        n += i + (1 if i < T else 0)
-
-    bounds: list[tuple[float, float | None]] = []
-    bounds += [(lb_u, None)] * ns
-    bounds += [(max(inst.demand_lb, view.running_peak), inst.demand_ub)] * ns
-    for i in scen:
-        bounds += [(0.0, rate)] * i
-        if i < T:
-            tail_cap = None if rate is None else (T - i) * rate
-            bounds.append((0.0, tail_cap))
-
-    rows = []
-    for si, i in enumerate(scen):
-        ofs = blocks[si]
-        u_col = si
-        width = i + (1 if i < T else 0)
-        budget = np.zeros(n)
-        budget[ofs : ofs + width] = 1.0
-        rows.append((budget, "==", inst.capacity_c))
-        for j in range(1, t + 1):  # past slots: d_j - delta_ij <= u_i
-            row = np.zeros(n)
-            row[u_col] = -1.0
-            row[ofs + j - 1] = -1.0
-            rows.append((row, "<=", -float(view.demands[j - 1])))
-        for j in range(t + 1, i + 1):  # scenario slots: x_j - delta_ij <= u_i
-            row = np.zeros(n)
-            row[ns + (j - t - 1)] = 1.0
-            row[u_col] = -1.0
-            row[ofs + j - 1] = -1.0
-            rows.append((row, "<=", 0.0))
-        if i < T:  # aggregated tail: (T-i)*lb - D_i <= (T-i)*u_i
-            row = np.zeros(n)
-            row[u_col] = -(T - i)
-            row[ofs + i] = -1.0
-            rows.append((row, "<=", -(T - i) * inst.demand_lb))
-
-    obj = np.zeros(n)
-    obj[:ns] = -pi
-    obj[ns : 2 * ns] = 1.0
-    return LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
-
-
 @dataclass
 class _WarmStart:
     """What one slot's bisection remembers between its steps.
@@ -284,8 +229,20 @@ def _future_requirement(
     """AOCR requirement beyond the constant term for one scenario cutoff."""
     if kmax <= view.t:
         return 0.0
+    inst, t = view.instance, view.t
+    floor = max(view.running_peak, view.monthly_peak)
+    # pi = 0 can only be evaluated when no peak floor exists yet
+    lb_u = 0.0 if floor <= 0.0 else floor / pi
+    rows, bounds, u_cols = scenario_program(
+        inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
+    )
+    # worst future demand x_{t+1..kmax} beyond pi times the scenario benchmarks
+    obj = np.zeros(len(bounds))
+    obj[: kmax - t] = 1.0
+    obj[u_cols] = -pi
+    lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
     basis = None if warm is None else warm.bases.get(kmax)
-    res = solve_lp(_reduced_future_lp(view, pi, kmax), basis=basis)
+    res = solve_lp(lp, basis=basis)
     if res.status == INFEASIBLE:
         # the scenario cannot spend the full inventory (c > T * rate); no
         # admissible benchmark exists, so it imposes no requirement
@@ -360,77 +317,6 @@ def _certified_ratio(
         else:
             pi_ub = mid
     return pi_ub, False
-
-
-def build_aocr_thr(
-    instance: Instance, state: OnlineState, pi: float, index_set
-) -> LinearProgram:
-    """Worst-case future-requirement LP in its full printed form.
-
-    state must be mid-slot (d_t observed, delta_t not yet committed). The
-    index set must be a scenario cutoff {t+1..k} for some k in [t, T]; the
-    empty set yields the constant-term-only program. Variables are u_i, x_i,
-    and delta_ij over all j in [T], with no aggregation; the bisection engine
-    uses an equivalent reduced encoding internally.
-    """
-    if len(state.observed) != len(state.actions) + 1:
-        raise ValueError("state must be mid-slot: observe d_t before building")
-    T, t = instance.horizon_T, len(state.observed)
-    scen = sorted(int(i) for i in index_set)
-    if scen != list(range(t + 1, t + 1 + len(scen))) or (scen and scen[-1] > T):
-        raise InvalidIndexSet(
-            f"index set {scen} is not a consecutive block t+1..k with k <= {T}"
-        )
-    view = _slot_view(instance, state)
-    const = _constant_term(view, pi)
-    ns = len(scen)
-    n = 2 * ns + ns * T
-
-    def d_col(si: int, j: int) -> int:
-        return 2 * ns + si * T + (j - 1)
-
-    bounds: list[tuple[float, float | None]] = []
-    bounds += [(0.0, None)] * ns
-    bounds += [(max(instance.demand_lb, view.running_peak), instance.demand_ub)] * ns
-    bounds += [(0.0, instance.rate_limit)] * (ns * T)
-
-    rows = []
-    for si, i in enumerate(scen):
-        budget = np.zeros(n)
-        budget[d_col(si, 1) : d_col(si, T) + 1] = 1.0
-        rows.append((budget, "==", instance.capacity_c))
-        for j in range(1, i + 1):
-            row = np.zeros(n)
-            row[si] = -1.0
-            row[d_col(si, j)] = -1.0
-            if j <= t:
-                rows.append((row, "<=", -float(view.demands[j - 1])))
-            else:
-                row[ns + (j - t - 1)] = 1.0
-                rows.append((row, "<=", 0.0))
-        for j in range(i + 1, T + 1):
-            row = np.zeros(n)
-            row[si] = -1.0
-            row[d_col(si, j)] = -1.0
-            rows.append((row, "<=", -instance.demand_lb))
-        floor_row = np.zeros(n)
-        floor_row[si] = -pi
-        rows.append((floor_row, "<=", -view.running_peak))
-        if view.monthly_peak > 0:
-            monthly = np.zeros(n)
-            monthly[si] = -pi
-            rows.append((monthly, "<=", -view.monthly_peak))
-
-    obj = np.zeros(n)
-    obj[:ns] = -pi
-    obj[ns : 2 * ns] = 1.0
-    return LinearProgram(
-        objective=obj,
-        maximize=True,
-        constraints=rows,
-        bounds=bounds,
-        objective_constant=const,
-    )
 
 
 def anytime_ratio(

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
-internals beyond the public dataclasses.
+internals beyond the public dataclasses, the offline optimum and the LP
+solver that solves the printed programs.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from peakmin.core import reference_profile
+from peakmin.lp import LinearProgram
+from peakmin.offline import offline_peak
 
 
 def waterfill_oracle(demands, budget: float) -> float:
@@ -135,3 +140,73 @@ def highs_lfp_max(lfp):
         return None
     assert res.status == 0, res.message
     return -res.fun, float(res.x[n])
+
+
+def build_aocr_thr(instance, state, pi: float, index_set):
+    """Worst-case future-requirement LP in its full printed form.
+
+    state must be mid-slot (d_t observed, delta_t not yet committed). The
+    index set must be a scenario cutoff {t+1..k} for some k in [t, T]; the
+    empty set yields the constant-term-only program. Variables are u_i, x_i,
+    and delta_ij over all j in [T], with no aggregation; the bisection engine
+    solves an equivalent reduced encoding.
+    """
+    if len(state.observed) != len(state.actions) + 1:
+        raise ValueError("state must be mid-slot: observe d_t before building")
+    T, t = instance.horizon_T, len(state.observed)
+    scen = sorted(int(i) for i in index_set)
+    if scen != list(range(t + 1, t + 1 + len(scen))) or (scen and scen[-1] > T):
+        raise ValueError(
+            f"index set {scen} is not a consecutive block t+1..k with k <= {T}"
+        )
+    demands = [float(d) for d in state.observed]
+    v_ref = offline_peak(instance, reference_profile(instance, demands))
+    const = max(0.0, demands[-1] - max(pi * v_ref, state.running_peak))
+    ns = len(scen)
+    n = 2 * ns + ns * T
+
+    def d_col(si: int, j: int) -> int:
+        return 2 * ns + si * T + (j - 1)
+
+    bounds = []
+    bounds += [(0.0, None)] * ns
+    bounds += [(max(instance.demand_lb, state.running_peak), instance.demand_ub)] * ns
+    bounds += [(0.0, instance.rate_limit)] * (ns * T)
+
+    rows = []
+    for si, i in enumerate(scen):
+        budget = np.zeros(n)
+        budget[d_col(si, 1) : d_col(si, T) + 1] = 1.0
+        rows.append((budget, "==", instance.capacity_c))
+        for j in range(1, i + 1):
+            row = np.zeros(n)
+            row[si] = -1.0
+            row[d_col(si, j)] = -1.0
+            if j <= t:
+                rows.append((row, "<=", -demands[j - 1]))
+            else:
+                row[ns + (j - t - 1)] = 1.0
+                rows.append((row, "<=", 0.0))
+        for j in range(i + 1, T + 1):
+            row = np.zeros(n)
+            row[si] = -1.0
+            row[d_col(si, j)] = -1.0
+            rows.append((row, "<=", -instance.demand_lb))
+        floor_row = np.zeros(n)
+        floor_row[si] = -pi
+        rows.append((floor_row, "<=", -state.running_peak))
+        if state.monthly_peak > 0:
+            monthly = np.zeros(n)
+            monthly[si] = -pi
+            rows.append((monthly, "<=", -state.monthly_peak))
+
+    obj = np.zeros(n)
+    obj[:ns] = -pi
+    obj[ns : 2 * ns] = 1.0
+    return LinearProgram(
+        objective=obj,
+        maximize=True,
+        constraints=rows,
+        bounds=bounds,
+        objective_constant=const,
+    )

@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI goldens: simulate for every --algo on the DHAT day, and
-the report and series files of an experiment over every algorithm.
+"""Byte-for-byte CLI goldens: simulate for every --algo on the DHAT day, the
+report and series files of an experiment over every algorithm, and cr on a
+plain, a rate-limited and a rate-capped instance.
 
 The expected files live in tests/golden/. They pin the printed output of
 the command line, so a refactor behind it must leave every byte alone.
@@ -35,6 +36,16 @@ SIM_ALGOS = (
 # (golden name, rate_limit_fraction); both sets span a month boundary so the
 # monthly table has two rows per capacity rate
 EXPERIMENTS = (("plain", None), ("rate_limited", 0.25))
+
+# (golden name, cr flags): the README instance, a rate limit that binds, and
+# c > T * rate, where no scenario program is feasible and no witness exists
+CR_CASES = (
+    ("readme", ["-c", "630", "-T", "10", "--d-lb", "300", "--d-ub", "600"]),
+    ("rate_limited", ["-c", "630", "-T", "10", "--rate-limit", "150",
+                      "--d-lb", "300", "--d-ub", "600"]),
+    ("rate_capped", ["-c", "630", "-T", "6", "--rate-limit", "100",
+                     "--d-lb", "300", "--d-ub", "600"]),
+)
 
 
 def _golden(name: str) -> str:
@@ -94,6 +105,14 @@ def test_experiment_golden(capsys, tmp_path, name, rate_limit_fraction):
     series = (out_dir / "series.csv").read_text(encoding="utf-8")
     assert report == _golden(f"experiment_{name}_report.txt")
     assert series == _golden(f"experiment_{name}_series.csv")
+
+
+@pytest.mark.parametrize("name, flags", CR_CASES, ids=[c[0] for c in CR_CASES])
+def test_cr_golden(capsys, name, flags):
+    code = main(["cr", *flags])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == _golden(f"cr_{name}.txt")
 
 
 def test_benchmark_tracer_names_exist():

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import peakmin.cr as cr
 from peakmin.core import DemandProfile, Instance
 from peakmin.cr import (
     CrResult,
@@ -14,7 +15,6 @@ from peakmin.cr import (
     phi_bruteforce,
     phi_bruteforce_witness,
     ratio_lower_bound,
-    solve_cr_compute,
 )
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
 from peakmin.harness import synthetic_volatile_profiles
@@ -29,7 +29,6 @@ def test_tiny_instance_analytic_value(tiny_instance):
     res = optimal_cr(tiny_instance)
     assert res.pi_star == pytest.approx(4.0 / 3.0, abs=1e-6)
     assert res.argmax_set == (1, 2)
-    assert not res.from_defensive_candidate
 
 
 def test_tiny_instance_matches_grid_oracle(tiny_instance):
@@ -43,12 +42,10 @@ def test_tiny_instance_matches_grid_oracle(tiny_instance):
 def test_scenario_program_exhaustive_subsets_small():
     """Prefix sets dominate all nonempty subsets (checked exhaustively, T=3)."""
     inst = Instance(1.2, None, 3, 1.0, 2.0)
-    import itertools
-
     best_any = -np.inf
     for r in range(1, 4):
-        for combo in itertools.combinations(range(1, 4), r):
-            res = solve_cr_compute(inst, combo)
+        for combo in combinations(range(1, 4), r):
+            res = solve_lfp(build_cr_compute(inst, combo), check_denominator=False)
             if res.status == OPTIMAL:
                 best_any = max(best_any, res.value)
     prefix_best = optimal_cr(inst).pi_star
@@ -56,20 +53,25 @@ def test_scenario_program_exhaustive_subsets_small():
 
 
 def test_reduced_and_full_encodings_agree():
+    """The reduced prefix program optimal_cr solves equals the printed form
+    at every prefix {1..t}, the ones at or below tau included."""
+    checked = 0
     for inst in (
         Instance(1.0, None, 2, 1.0, 2.0),
         Instance(1.2, None, 3, 1.0, 2.0),
         Instance(1.0, 0.6, 3, 1.0, 2.0),
         Instance(2.0, None, 4, 1.0, 3.0),
+        Instance(2.0, 0.8, 4, 1.0, 3.0),
     ):
-        T = inst.horizon_T
-        for size in range(1, T + 1):
-            for idx in combinations(range(1, T + 1), size):
-                full = solve_lfp(build_cr_compute(inst, idx), check_denominator=False)
-                red = solve_cr_compute(inst, idx)
-                assert full.status == red.status
-                if full.status == OPTIMAL:
-                    assert red.value == pytest.approx(full.value, abs=1e-7), (inst, idx)
+        for t in range(1, inst.horizon_T + 1):
+            idx = range(1, t + 1)
+            full = solve_lfp(build_cr_compute(inst, idx), check_denominator=False)
+            red = solve_lfp(cr._prefix_program(inst, t), check_denominator=False)
+            assert full.status == red.status
+            if full.status == OPTIMAL:
+                assert red.value == pytest.approx(full.value, abs=1e-7), (inst, t)
+            checked += 1
+    assert checked == 2 + 3 + 3 + 4 + 4
 
 
 def test_optimal_cr_rate_limited_t20_matches_highs():
@@ -107,11 +109,11 @@ def test_ratio_lower_bound_fuzz_never_exceeds_pi_star():
 
 def test_index_set_validation(tiny_instance):
     with pytest.raises(EmptyIndexSet):
-        solve_cr_compute(tiny_instance, [])
+        build_cr_compute(tiny_instance, [])
     with pytest.raises(EmptyIndexSet):
-        solve_cr_compute(tiny_instance, [0, 1])
+        build_cr_compute(tiny_instance, [0, 1])
     with pytest.raises(EmptyIndexSet):
-        solve_cr_compute(tiny_instance, [3])
+        build_cr_compute(tiny_instance, [3])
 
 
 def test_zero_capacity_gives_ratio_one():
@@ -148,16 +150,28 @@ def test_pi_star_monotone_in_bound_width():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_defensive_candidate_never_wins():
+def test_prefixes_up_to_tau_cannot_win():
+    """optimal_cr skips the prefixes t <= tau = floor(c/d_ub): their numerator
+    is at most t*d_ub - c <= 0, so their full-form value cannot reach the
+    ratio 1 every instance forces."""
     rng = np.random.default_rng(53)
+    skipped = 0
     for _ in range(40):
         T = int(rng.integers(2, 5))
         lo = float(rng.uniform(0.5, 1.5))
         hi = lo * float(rng.uniform(1.2, 3.0))
         c = float(rng.uniform(0.1, 0.9) * T * lo)
-        res = optimal_cr(Instance(c, None, T, lo, hi))
-        assert not res.from_defensive_candidate
+        inst = Instance(c, None, T, lo, hi)
+        tau = int(np.floor(c / hi))
+        for t in range(1, min(tau, T) + 1):
+            res = solve_lfp(build_cr_compute(inst, range(1, t + 1)), check_denominator=False)
+            assert res.status == OPTIMAL
+            assert res.value <= 1e-9, (inst, t)
+            skipped += 1
+        res = optimal_cr(inst)
         assert res.pi_star >= 1.0
+        assert min(res.candidate_values) == tau + 1
+    assert skipped > 0
 
 
 def test_phi_bruteforce_tiny_values(tiny_instance):

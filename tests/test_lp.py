@@ -84,6 +84,34 @@ def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
     assert res.residual == 0.0
 
 
+@pytest.mark.parametrize(
+    "rows, status",
+    [
+        ([(GE, 1.0)], INFEASIBLE),
+        ([(EQ, 2.0)], INFEASIBLE),
+        ([(LE, -1.0)], INFEASIBLE),
+        ([(LE, 1.0)], OPTIMAL),
+        ([(EQ, 0.0)], OPTIMAL),
+        ([], OPTIMAL),
+    ],
+    ids=["ge-1", "eq-2", "le-minus-1", "le-1", "eq-0", "no-rows"],
+)
+@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+def test_lp_without_variables_honours_its_rows(rows, status, maximize):
+    """An LP with no variables reads each row as 0 (rel) rhs."""
+    lp = LinearProgram(
+        objective=np.zeros(0),
+        maximize=maximize,
+        constraints=[(np.zeros(0), rel, rhs) for rel, rhs in rows],
+        objective_constant=2.5,
+    )
+    res = solve_lp(lp)
+    assert res.status == status
+    if status == OPTIMAL:
+        assert res.value == 2.5
+        assert res.x.shape == (0,)
+
+
 def test_lp_variable_upper_bounds():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),

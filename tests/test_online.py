@@ -17,13 +17,13 @@ from peakmin.online import (
     MODE_ANYTIME_DEPLETING,
     PolicyOptions,
     anytime_ratio,
-    build_aocr_thr,
     pcr_step,
     run_anytime,
     run_pcr_pmd,
 )
 
 from conftest import DHAT, random_profiles
+from oracles import build_aocr_thr
 
 
 def test_fixed_policy_hand_trace(tiny_instance):
@@ -66,6 +66,17 @@ def test_fixed_policy_below_pi_star_clamps_on_witness(tiny_instance):
     run = run_pcr_pmd(tiny_instance, pi_bad, DemandProfile(tiny_instance, witness))
     assert run.clamp_engaged
     assert run.inventory_spent <= tiny_instance.capacity_c + 1e-9
+
+
+@pytest.mark.parametrize("pi", [float("nan"), 0.5, 0.999])
+def test_fixed_policy_rejects_ratio_below_one(tiny_instance, pi):
+    demand = DemandProfile(tiny_instance, [2.0, 2.0])
+    with pytest.raises(ValueError, match="pi must be >= 1"):
+        run_pcr_pmd(tiny_instance, pi, demand)
+    with pytest.raises(ValueError, match="pi must be >= 1"):
+        pcr_step(tiny_instance, OnlineState(tiny_instance), pi, 2.0)
+    with pytest.raises(ValueError, match="initial_ratio"):
+        PolicyOptions(initial_ratio=pi)
 
 
 def test_fixed_policy_rejects_out_of_bounds_demand(tiny_instance):
