@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
-from .lp import INFEASIBLE, OPTIMAL, LfpProblem, solve_lfp
+from .lp import LfpProblem, solve_lfp
 from .offline import offline_peak_values
 
 _GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
@@ -34,7 +34,6 @@ class CrResult:
     pi_star: float
     argmax_set: tuple[int, ...]
     witness_profile: DemandProfile | None
-    candidate_values: dict[int, float]
 
 
 def _check_index_set(instance: Instance, index_set) -> tuple[int, ...]:
@@ -96,7 +95,7 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
 
 def scenario_program(
     instance: Instance, prefix, k: int, x_lb: float, u_lb: float
-) -> tuple[list, list, np.ndarray]:
+) -> tuple[list, list, np.ndarray, float]:
     """Worst-case scenario program over the scenarios after a fixed prefix.
 
     The demands d_1..d_t of prefix are fixed (t = len(prefix), empty for
@@ -110,49 +109,65 @@ def scenario_program(
     because an equal split of the tail is optimal. Tests check it against
     build_cr_compute and the full future-requirement form.
 
-    Columns: x_{t+1}..x_k, then per scenario the block u_i, delta_i1..
+    Two rewrites make every row <= with a right-hand side >= 0 once lower
+    bounds are shifted to zero, so the all-slack basis is feasible and no
+    solve runs phase 1. The budget sum_j delta_ij = c becomes <= c: exact
+    while c <= T * rate (see inventory_unbounded), because raising a delta
+    only loosens the other rows. The benchmark is u_i = U - w_i with
+    0 <= w_i <= U - u_lb and U = max(d_ub, u_lb, prefix): exact because a
+    minimized u_i never exceeds U.
+
+    Columns: x_{t+1}..x_k, then per scenario the block w_i, delta_i1..
     delta_ii, D_i (no D_T); rows per scenario: the budget, one row per slot
-    j <= i, the tail. The dense Charnes-Cooper solve is sensitive to this
-    order, so it is kept as is. Returns (constraints, bounds, u columns);
-    the caller writes the objective.
+    j <= i, the tail. Returns (constraints, bounds, w columns, U); the
+    caller writes the objective.
     """
     T = instance.horizon_T
     c = instance.capacity_c
     lo, hi = instance.demand_lb, instance.demand_ub
     rate = instance.rate_limit
     t = len(prefix)
+    top = float(max(hi, u_lb, *prefix))
 
     bounds: list[tuple[float, float | None]] = [(x_lb, hi)] * (k - t)
-    u_cols = []  # first column (u_i) of each scenario block
+    w_cols = []  # first column (w_i) of each scenario block
     for i in range(t + 1, k + 1):
-        u_cols.append(len(bounds))
-        bounds += [(u_lb, None)] + [(0.0, rate)] * i
+        w_cols.append(len(bounds))
+        bounds += [(0.0, top - u_lb)] + [(0.0, rate)] * i
         if i < T:  # aggregate D_i spans T-i tail slots
             bounds.append((0.0, None if rate is None else (T - i) * rate))
     n = len(bounds)
 
     cons = []
-    for i, ofs in zip(range(t + 1, k + 1), u_cols):
+    for i, ofs in zip(range(t + 1, k + 1), w_cols):
         width = i + (1 if i < T else 0)
         budget = np.zeros(n)
         budget[ofs + 1 : ofs + 1 + width] = 1.0
-        cons.append((budget, "==", c))
-        for j in range(1, i + 1):  # d_j - delta_ij <= u_i, d_j = x_j past t
+        cons.append((budget, "<=", c))
+        for j in range(1, i + 1):  # d_j - delta_ij + w_i <= U, d_j = x_j past t
             row = np.zeros(n)
             row[ofs + j] = -1.0
-            row[ofs] = -1.0
+            row[ofs] = 1.0
             if j <= t:
-                cons.append((row, "<=", -float(prefix[j - 1])))
+                cons.append((row, "<=", top - float(prefix[j - 1])))
             else:
                 row[j - t - 1] = 1.0
-                cons.append((row, "<=", 0.0))
-        if i < T:  # aggregated tail: (T-i)*lb - D_i <= (T-i)*u_i
+                cons.append((row, "<=", top))
+        if i < T:  # aggregated tail: (T-i)*w_i - D_i <= (T-i)*(U - lb)
             tail = T - i
             row = np.zeros(n)
             row[ofs + 1 + i] = -1.0
-            row[ofs] = -tail
-            cons.append((row, "<=", -tail * lo))
-    return cons, bounds, np.array(u_cols, dtype=int)
+            row[ofs] = tail
+            cons.append((row, "<=", tail * (top - lo)))
+    return cons, bounds, np.array(w_cols, dtype=int), top
+
+
+def inventory_unbounded(instance: Instance) -> bool:
+    """True when the rate cap alone keeps total discharge below c: the
+    inventory never binds, ratio 1 is achievable, no scenario imposes a
+    requirement, and scenario_program does not apply."""
+    rate = instance.rate_limit
+    return rate is not None and instance.capacity_c > instance.horizon_T * rate + EPS_KWH
 
 
 def _prefix_program(instance: Instance, t: int) -> LfpProblem:
@@ -161,16 +176,16 @@ def _prefix_program(instance: Instance, t: int) -> LfpProblem:
     maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over the scenario
     program with no observed prefix and cutoff t.
     """
-    cons, bounds, u_cols = scenario_program(instance, (), t, instance.demand_lb, 0.0)
+    cons, bounds, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
     num = np.zeros(len(bounds))
     num[:t] = 1.0
     den = np.zeros(len(bounds))
-    den[u_cols] = 1.0
+    den[w_cols] = -1.0
     return LfpProblem(
         numerator=num,
         numerator_constant=-instance.capacity_c,
         denominator=den,
-        denominator_constant=0.0,
+        denominator_constant=t * top,
         constraints=cons,
         bounds=bounds,
     )
@@ -203,7 +218,9 @@ def optimal_cr(instance: Instance) -> CrResult:
 
     Candidates are t = tau+1..T with tau = floor(c/d_ub): at t <= tau the
     numerator is at most t*d_ub - c <= 0, so those prefixes cannot beat the
-    ratio 1 the all-d_lb profile forces. Ties break toward smaller t. The
+    ratio 1 the all-d_lb profile forces. The best ratio so far is carried
+    into the next prefix's Dinkelbach solve, which returns at once when the
+    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. The
     denominator is not checked by an auxiliary solve: any feasible point has
     u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
     precondition below.
@@ -219,38 +236,23 @@ def optimal_cr(instance: Instance) -> CrResult:
         # no storage: every policy is optimal, ratio 1; scenario {1} at the
         # all-d_ub profile attains (d_ub - 0)/v(d^1) = 1 exactly
         witness = DemandProfile(instance, np.full(T, instance.demand_ub))
-        return CrResult(1.0, (1,), witness, {})
-    if instance.rate_limit is not None and c > T * instance.rate_limit + EPS_KWH:
-        # the rate cap alone keeps total discharge below c, so the inventory
-        # never binds and ratio 1 is achievable; the scenario programs are
-        # infeasible (they pin sum_j delta_ij = c) and prove nothing here
-        return CrResult(1.0, (), None, {})
+        return CrResult(1.0, (1,), witness)
+    if inventory_unbounded(instance):
+        return CrResult(1.0, (), None)
 
     tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
-    values: dict[int, float] = {}
-    best_t = None
-    best_val = -math.inf
-    best_x: np.ndarray | None = None
+    best_val, best_t, best_x = -math.inf, None, None
     for t in range(tau + 1, T + 1):
-        res = solve_lfp(_prefix_program(instance, t), check_denominator=False)
-        if res.status == INFEASIBLE:
-            continue
-        if res.status != OPTIMAL:
-            raise DegenerateInstance(f"scenario program for t={t} returned {res.status}")
-        values[t] = res.value
-        if res.value > best_val + 1e-12 and res.x is not None:
-            best_val = res.value
-            best_t = t
-            best_x = res.x[:t]  # the demand block x_1..x_t
-    if best_t is None:
-        raise DegenerateInstance("no scenario program admitted a witness")
+        res = solve_lfp(_prefix_program(instance, t), check_denominator=False,
+                        at_least=best_val)
+        if res.x is not None:
+            best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
     witness = DemandProfile(instance, reference_values(instance, best_x))
     # ratios below 1 are LP noise: the all-d_lb profile already forces 1
     return CrResult(
         pi_star=max(best_val, 1.0),
         argmax_set=tuple(range(1, best_t + 1)),
         witness_profile=witness,
-        candidate_values=values,
     )
 
 

@@ -1,31 +1,34 @@
-"""Self-contained dense linear-program solver and linear-fractional reduction.
+"""Self-contained dense LP solver and a linear-fractional solver built on it.
 
 Two-phase primal simplex on a dense tableau. Pivoting is Dantzig's rule with
 deterministic lowest-index tie-breaking; a degeneracy streak switches the rule
 to Bland's, which guarantees termination. Problems in this package are tiny
 (at most a few hundred variables), so no sparsity or factorization is kept.
 
-Basis re-pricing: every optimal LpResult carries its final basis, and
-solve_lp accepts one back. A given basis is re-priced before any pivoting:
-one dense solve for its basic values and one for its duals, on the same
-standard-form matrix the tableau is built from. It is accepted only if it is
-primal feasible (basic values >= -1e-7, no basic artificial above 1e-7) and
-dual feasible (no enterable reduced cost above 1e-9); its vertex is then the
-optimum and no tableau is built. Anything else (a wrong length, an index out
-of range or repeated, a singular matrix, a stale basis) falls through to the
-cold two-phase solve, which does not depend on the hint. Callers that
-re-solve one LP under a slowly moving objective and right-hand side, as the
-anytime bisection does, skip both phases most of the time.
+Basis hints: every optimal LpResult carries its final basis, and solve_lp
+accepts one back. A hint is re-priced first: one dense solve for its basic
+values and one for its duals, on the standard-form matrix the tableau is
+built from. If it is primal feasible (basic values >= -1e-7, no basic
+artificial above 1e-7) and dual feasible (no enterable reduced cost above
+1e-9), its vertex is the optimum and no tableau is built; if it is only
+primal feasible and holds no artificial, phase 2 starts from its tableau
+B^-1 [A | b]. Any other hint is ignored by the cold two-phase solve.
 
-One exit: a cold solve's final basis is re-priced the same way, so pivoting
-only picks the basis and the rounding it accumulates does not reach x. The
-tableau's right-hand column is used only when the re-price rejects the basis.
+One exit and one gate: every solve's final basis is re-priced the same way,
+so the rounding pivoting accumulates does not reach x (the tableau's
+right-hand column is used only when the re-price rejects the basis), and an
+answer that violates a row or bound by more than 1e-6 raises
+NumericalFailure instead of being returned.
 
-Tolerances: pivot 1e-9, feasibility 1e-7.
+solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
+LPs over the same rows, each hinted with the basis of the one before.
+
+Tolerances: pivot 1e-9, feasibility 1e-7, residual 1e-6, ratio 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,8 @@ from .errors import DenominatorNotPositive, NumericalFailure
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
+RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -90,10 +95,10 @@ class LpResult:
 
 @dataclass
 class LfpProblem:
-    """Linear-fractional program: optimize (n.x + n0)/(d.x + d0) over LP rows/bounds.
+    """Linear-fractional program: maximize (n.x + n0)/(d.x + d0) over LP rows/bounds.
 
-    The denominator must be positive everywhere on the feasible region; this is
-    verified by an auxiliary minimization before the main solve.
+    The denominator must be positive everywhere on the feasible region;
+    solve_lfp verifies this by an auxiliary minimization unless told not to.
     """
 
     numerator: np.ndarray
@@ -115,7 +120,6 @@ class LfpResult:
     status: str
     value: float
     x: np.ndarray | None
-    scale: float = 0.0
 
 
 class _Tableau:
@@ -286,12 +290,12 @@ def _augment(rows: np.ndarray, rels: list[str], n: int):
 
 def _reprice(
     a: np.ndarray, rhs: np.ndarray, obj: np.ndarray, basis, enterable: int
-) -> np.ndarray | None:
-    """Basic values of basis if it is optimal for max obj.x, a x = rhs, x >= 0.
+) -> tuple[np.ndarray, bool] | None:
+    """Basic values of basis for a x = rhs, x >= 0, and whether it is optimal
+    for max obj.x (no enterable reduced cost above PIVOT_TOL).
 
-    None when the basis is malformed, singular, primal infeasible (a basic
-    value below -FEAS_TOL or a basic artificial above FEAS_TOL) or dual
-    infeasible (an enterable reduced cost above PIVOT_TOL).
+    None when the basis is malformed, singular or primal infeasible (a basic
+    value below -FEAS_TOL or a basic artificial above FEAS_TOL).
     """
     m, cols = a.shape
     basis = np.asarray(basis)
@@ -316,15 +320,14 @@ def _reprice(
         return None
     reduced = obj[:enterable] - duals @ a[:, :enterable]
     reduced[basis[basis < enterable]] = 0.0
-    if not (reduced <= PIVOT_TOL).all():
-        return None
-    return x_basic
+    return x_basic, bool((reduced <= PIVOT_TOL).all())
 
 
 def _optimal_result(
     lp: LinearProgram, basis: np.ndarray, x_basic: np.ndarray, lb: np.ndarray, cols: int
 ) -> LpResult:
-    """Map basic values back to the original variables and certify them."""
+    """Map basic values back to the original variables and certify them: a
+    worst row or bound violation above RESIDUAL_TOL, or NaN, raises."""
     x_shift = np.zeros(cols)
     x_shift[basis] = x_basic
     x = x_shift[: lp.num_vars] + lb
@@ -344,6 +347,8 @@ def _optimal_result(
         residual = max(residual, lo - x[j])
         if hi is not None:
             residual = max(residual, x[j] - hi)
+    if not residual <= RESIDUAL_TOL:
+        raise NumericalFailure(f"LP answer residual {residual:.3g} above {RESIDUAL_TOL:g}")
     return LpResult(OPTIMAL, value, x, float(residual), basis)
 
 
@@ -351,10 +356,10 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     """Two-phase dense simplex. Status is one of optimal/infeasible/unbounded.
 
     basis is an optional hint, normally the basis of an earlier result for
-    an LP with the same rows, relations and bounded variables. It is
-    re-priced first and its vertex returned if it is still optimal;
-    otherwise the cold two-phase solve runs as if no hint were given, and
-    its final basis is re-priced in turn for the values it reports.
+    an LP with the same rows, relations and bounded variables: its vertex is
+    returned if still optimal, phase 2 starts from it if it is only primal
+    feasible, and otherwise it is ignored. An answer whose residual exceeds
+    RESIDUAL_TOL raises NumericalFailure.
     """
     n = lp.num_vars
     sf = _standard_form(lp)
@@ -368,55 +373,64 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     cols = a.shape[1]
     full_obj = np.zeros(cols)
     full_obj[:n] = obj
-
-    if basis is not None:
-        x_basic = _reprice(a, rhs, full_obj, basis, enterable)
-        if x_basic is not None:
-            return _optimal_result(lp, np.asarray(basis), x_basic, lb, cols)
-
-    tab = _Tableau(a, rhs, start)
     max_iter = 5000 + 60 * (m + cols)
 
-    if art_cols:
-        phase1 = np.zeros(cols)
-        phase1[art_cols] = -1.0
-        tab.set_objective(phase1)
-        # artificials may leave the basis but never come back
-        status = tab.run(max_iter, enter_limit=enterable)
-        # the objective row's rhs holds minus the phase-1 value = sum of artificials
-        if status != OPTIMAL or tab.t[tab.m, tab.n] > FEAS_TOL:
-            return LpResult(INFEASIBLE, np.nan, None)
-        art_set = set(art_cols)
-        for p in range(tab.m):
-            if tab.basis[p] in art_set:
-                row = tab.t[p, :cols]
-                pivots = np.nonzero(np.abs(row[:enterable]) > PIVOT_TOL)[0]
-                if len(pivots):
-                    tab._pivot(p, int(pivots[0]))
-        # neutralize any artificial column still around (redundant rows stay basic at 0)
-        tab.t[:, art_cols] = 0.0
+    hinted = None if basis is None else _reprice(a, rhs, full_obj, basis, enterable)
+    if hinted is not None:
+        basis = np.asarray(basis)
+        x_basic, optimal = hinted
+        if optimal:
+            return _optimal_result(lp, basis, x_basic, lb, cols)
+    # a basic artificial could turn positive in phase 2, so such hints go cold
+    if hinted is not None and (basis < enterable).all():
+        warm = np.linalg.solve(a[:, basis], a)  # the tableau B^-1 [A | b]
+        warm[:, basis] = np.eye(m)
+        tab = _Tableau(warm, np.maximum(x_basic, 0.0), basis)
+    else:
+        tab = _Tableau(a, rhs, start)
+        if art_cols:
+            phase1 = np.zeros(cols)
+            phase1[art_cols] = -1.0
+            tab.set_objective(phase1)
+            # artificials may leave the basis but never come back
+            status = tab.run(max_iter, enter_limit=enterable)
+            # the objective row's rhs holds minus the phase-1 value = sum of artificials
+            if status != OPTIMAL or tab.t[tab.m, tab.n] > FEAS_TOL:
+                return LpResult(INFEASIBLE, np.nan, None)
+            art_set = set(art_cols)
+            for p in range(tab.m):
+                if tab.basis[p] in art_set:
+                    row = tab.t[p, :cols]
+                    pivots = np.nonzero(np.abs(row[:enterable]) > PIVOT_TOL)[0]
+                    if len(pivots):
+                        tab._pivot(p, int(pivots[0]))
+            # neutralize any artificial column still around (redundant rows stay basic at 0)
+            tab.t[:, art_cols] = 0.0
 
     tab.set_objective(full_obj)
     status = tab.run(max_iter, enter_limit=enterable)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    x_basic = _reprice(a, rhs, full_obj, tab.basis, enterable)
-    if x_basic is None:
-        x_basic = tab.t[: tab.m, tab.n]
+    final = _reprice(a, rhs, full_obj, tab.basis, enterable)
+    x_basic = tab.t[: tab.m, tab.n] if final is None else final[0]
     return _optimal_result(lp, tab.basis, x_basic, lb, cols)
 
 
-def solve_lfp(problem: LfpProblem, check_denominator: bool = True) -> LfpResult:
-    """Charnes-Cooper reduction: maximize (n.x + n0)/(d.x + d0).
+def solve_lfp(
+    problem: LfpProblem, check_denominator: bool = True, at_least: float = -math.inf
+) -> LfpResult:
+    """Dinkelbach's method: maximize (n.x + n0)/(d.x + d0).
 
-    Introduces a scale s >= 0, homogenizes rows and bounds, pins the
-    denominator to 1, solves the LP, and maps the solution back as x = y/s.
+    Each step solves the LP max n.x + n0 - lam (d.x + d0) over the problem's
+    rows and bounds, hinted with the previous step's basis, and moves lam
+    to the ratio at its optimum. It stops once the LP optimum is <= 0 (the
+    ratio no longer rises by more than RATIO_TOL): lam is then the maximum
+    and x attains it. The first step is at lam = at_least, and if it cannot
+    beat at_least by RATIO_TOL the result carries x = None and value
+    at_least. With at_least = -inf the first step is at lam = 0, and if no
+    point has a positive ratio that step's point is returned; its ratio is
+    then a lower bound only.
     """
-    n = len(problem.numerator)
-    for lo, _hi in problem.bounds:
-        if lo < 0:
-            raise ValueError("solve_lfp requires nonnegative lower bounds")
-
     if check_denominator:
         aux = LinearProgram(
             objective=problem.denominator,
@@ -434,35 +448,21 @@ def solve_lfp(problem: LfpProblem, check_denominator: bool = True) -> LfpResult:
                 f"{aux_res.value if aux_res.status == OPTIMAL else '-inf'}"
             )
 
-    rows = []
-    for coeffs, rel, b in problem.constraints:
-        rows.append((np.concatenate([coeffs, [-b]]), rel, 0.0))
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if lo > 0:
-            e = np.zeros(n + 1)
-            e[j] = -1.0
-            e[n] = lo
-            rows.append((e, LE, 0.0))
-        if hi is not None:
-            e = np.zeros(n + 1)
-            e[j] = 1.0
-            e[n] = -hi
-            rows.append((e, LE, 0.0))
-    rows.append(
-        (np.concatenate([problem.denominator, [problem.denominator_constant]]), EQ, 1.0)
-    )
-    cc = LinearProgram(
-        objective=np.concatenate([problem.numerator, [problem.numerator_constant]]),
-        maximize=True,
-        constraints=rows,
-        bounds=[(0.0, None)] * (n + 1),
-    )
-    res = solve_lp(cc)
-    if res.status != OPTIMAL:
-        return LfpResult(res.status, np.nan, None)
-    s = float(res.x[n])
-    if s <= 1e-11:
-        # optimum pinned at the homogenization ray; the value is only an upper
-        # bound of a nonpositive ratio, and no witness point exists
-        return LfpResult(OPTIMAL, float(res.value), None, s)
-    return LfpResult(OPTIMAL, float(res.value), res.x[:n] / s, s)
+    num, den = problem.numerator, problem.denominator
+    n0, d0 = problem.numerator_constant, problem.denominator_constant
+    # built once: only the objective moves between steps
+    lp = LinearProgram(num, True, problem.constraints, problem.bounds)
+    lam, x, basis = at_least, None, None
+    while True:
+        step = lam if lam > -math.inf else 0.0
+        lp.objective = num - step * den
+        lp.objective_constant = n0 - step * d0
+        res = solve_lp(lp, basis=basis)
+        if res.status != OPTIMAL:
+            return LfpResult(res.status, np.nan, None)
+        ratio = float((num @ res.x + n0) / (den @ res.x + d0))
+        rose = ratio > lam + RATIO_TOL
+        if rose:
+            lam, x, basis = ratio, res.x, res.basis
+        if not rose or res.value <= 0.0:
+            return LfpResult(OPTIMAL, lam, x)

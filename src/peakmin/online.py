@@ -24,22 +24,19 @@ from .core import (
     OnlineState,
     reference_values,
 )
-from .cr import optimal_cr, scenario_program
+from .cr import inventory_unbounded, optimal_cr, scenario_program
 from .errors import (
     DegenerateOfflinePeak,
     DemandOutOfBounds,
     NegativeSlack,
     NumericalFailure,
 )
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 from .offline import offline_peak_values
 
 MODE_ANYTIME = "anytime"
 MODE_ANYTIME_DEPLETING = "anytime_depleting"
 _MODES = (MODE_ANYTIME, MODE_ANYTIME_DEPLETING)
-
-# largest LpResult.residual a future-requirement answer may carry
-_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -230,30 +227,28 @@ def _future_requirement(
     if kmax <= view.t:
         return 0.0
     inst, t = view.instance, view.t
+    if inventory_unbounded(inst):
+        # no admissible benchmark spends the full inventory, so no scenario
+        # imposes a requirement
+        return -math.inf
     floor = max(view.running_peak, view.monthly_peak)
     # pi = 0 can only be evaluated when no peak floor exists yet
     lb_u = 0.0 if floor <= 0.0 else floor / pi
-    rows, bounds, u_cols = scenario_program(
+    rows, bounds, w_cols, top = scenario_program(
         inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
     )
-    # worst future demand x_{t+1..kmax} beyond pi times the scenario benchmarks
+    # worst future demand x_{t+1..kmax} beyond pi times the scenario
+    # benchmarks u_i = top - w_i
     obj = np.zeros(len(bounds))
     obj[: kmax - t] = 1.0
-    obj[u_cols] = -pi
-    lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
+    obj[w_cols] = pi
+    lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds,
+                       objective_constant=-pi * top * len(w_cols))
     basis = None if warm is None else warm.bases.get(kmax)
     res = solve_lp(lp, basis=basis)
-    if res.status == INFEASIBLE:
-        # the scenario cannot spend the full inventory (c > T * rate); no
-        # admissible benchmark exists, so it imposes no requirement
-        return -math.inf
     if res.status != OPTIMAL:
+        # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
-    if res.residual > _RESIDUAL_TOL:
-        raise NumericalFailure(
-            f"future-requirement LP at slot {view.t}, cutoff {kmax}: "
-            f"residual {res.residual:.3g}"
-        )
     if warm is not None:
         warm.bases[kmax] = res.basis
     return res.value

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import peakmin.cr as cr
+import peakmin.lp as lp_mod
 from peakmin.core import DemandProfile, Instance
 from peakmin.cr import (
     CrResult,
@@ -18,7 +19,7 @@ from peakmin.cr import (
 )
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import OPTIMAL, solve_lfp
+from peakmin.lp import LE, OPTIMAL, LinearProgram, solve_lfp
 
 from oracles import cr_ratio_oracle, highs_lfp_max
 
@@ -74,19 +75,75 @@ def test_reduced_and_full_encodings_agree():
     assert checked == 2 + 3 + 3 + 4 + 4
 
 
-def test_optimal_cr_rate_limited_t20_matches_highs():
-    """vol-rl@0.3: ten volatile T=20 days, a 100 kWh rate limit and c at 0.3
-    of the mean daily energy. Its final basis was right, but the values
-    accumulated in the tableau put pi* at 1.555041; HiGHS gives 1.557084596."""
-    pytest.importorskip("scipy")
-    days = synthetic_volatile_profiles(10, 20, 100.0, 400.0, seed=7)
-    inst = days.instance(0.3 * days.avg_daily_energy, 100.0)
-    expected = 1.0
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+@pytest.mark.parametrize("observed", [False, True], ids=["empty-prefix", "observed"])
+@pytest.mark.parametrize("u_lb_above", [False, True], ids=["u_lb-below", "u_lb-above"])
+def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above):
+    """Every row scenario_program emits is <= with a right-hand side >= 0
+    once the lower bounds are shifted to zero, so its all-slack basis is
+    feasible and no solve of it runs phase 1; random instances at T <= 8."""
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        T = int(rng.integers(2 if observed else 1, 9))
+        lo = float(rng.uniform(0.5, 1.5))
+        hi = lo * float(rng.uniform(1.2, 3.0))
+        c = float(rng.uniform(0.1, 0.9) * T * lo)
+        rate = c / T * float(rng.uniform(1.0, 2.0)) if rate_limited else None
+        inst = Instance(c, rate, T, lo, hi)
+        t = int(rng.integers(1, T)) if observed else 0
+        prefix = rng.uniform(lo, hi, t)
+        k = int(rng.integers(t + 1, T + 1))
+        x_lb = float(rng.uniform(lo, hi))
+        u_lb = float(rng.uniform(hi, 2 * hi) if u_lb_above else rng.uniform(0.0, hi))
+        cons, bounds, _w_cols, _top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
+        lb = np.array([low for low, _high in bounds])
+        for coeffs, rel, rhs in cons:
+            assert rel == LE
+            assert rhs - coeffs @ lb >= 0.0
+        assert all(high is None or high >= low for low, high in bounds)
+        lp = LinearProgram(rng.normal(size=len(bounds)), True, cons, bounds)
+        _rows, rels, _rhs, _lb = lp_mod._standard_form(lp)
+        assert set(rels) == {LE}
+
+
+def _highs_pi_star(inst):
+    """pi* by HiGHS on the printed program of every prefix {1..t}, counting
+    only optima with a witness point (scale s > 1e-11), floored at 1."""
+    best = 1.0
     for t in range(1, inst.horizon_T + 1):
         found = highs_lfp_max(build_cr_compute(inst, range(1, t + 1)))
-        if found is not None and found[1] > 1e-11:  # a witness point exists
-            expected = max(expected, found[0])
-    assert expected == pytest.approx(1.557084596, abs=1e-8)
+        if found is not None and found[1] > 1e-11:
+            best = max(best, found[0])
+    return best
+
+
+@pytest.mark.parametrize(
+    "n_days, horizon, rate, rate_limit",
+    [
+        (10, 20, 0.2, None),
+        (10, 20, 0.3, None),
+        (10, 20, 0.1, 100.0),
+        (10, 20, 0.2, 100.0),
+        (10, 20, 0.3, 100.0),
+        (4, 20, 0.4, 100.0),
+        (10, 24, 0.3, None),
+    ],
+    ids=["vol@0.2", "vol@0.3", "vol-rl@0.1", "vol-rl@0.2", "vol-rl@0.3",
+         "vol4-rl@0.4", "vol-t24@0.3"],
+)
+def test_optimal_cr_matches_highs(n_days, horizon, rate, rate_limit):
+    """Volatile seed-7 days, c at `rate` of the mean daily energy, with and
+    without a 100 kWh rate limit: pi* equals HiGHS on the printed programs.
+    The Charnes-Cooper solve raised DemandOutOfBounds on vol@0.2, vol@0.3
+    and vol-t24@0.3, put pi* above HiGHS on vol-rl@0.1 and vol-rl@0.2 and
+    hit the simplex iteration cap on vol4-rl@0.4; vol-rl@0.3 pins the HiGHS
+    value, which reading x from the tableau once missed (1.555041)."""
+    pytest.importorskip("scipy")
+    days = synthetic_volatile_profiles(n_days, horizon, 100.0, 400.0, seed=7)
+    inst = days.instance(rate * days.avg_daily_energy, rate_limit)
+    expected = _highs_pi_star(inst)
+    if (n_days, horizon, rate, rate_limit) == (10, 20, 0.3, 100.0):
+        assert expected == pytest.approx(1.557084596, abs=1e-8)
     assert optimal_cr(inst).pi_star == pytest.approx(expected, abs=1e-6)
 
 
@@ -150,10 +207,18 @@ def test_pi_star_monotone_in_bound_width():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_prefixes_up_to_tau_cannot_win():
+def test_prefixes_up_to_tau_cannot_win(monkeypatch):
     """optimal_cr skips the prefixes t <= tau = floor(c/d_ub): their numerator
     is at most t*d_ub - c <= 0, so their full-form value cannot reach the
-    ratio 1 every instance forces."""
+    ratio 1 every instance forces; optimal_cr starts at tau+1."""
+    real_solve_lfp = cr.solve_lfp
+    solved = []
+
+    def recording_solve_lfp(lfp, **kwargs):
+        solved.append(int(lfp.numerator.sum()))  # the demand block x_1..x_t
+        return real_solve_lfp(lfp, **kwargs)
+
+    monkeypatch.setattr(cr, "solve_lfp", recording_solve_lfp)
     rng = np.random.default_rng(53)
     skipped = 0
     for _ in range(40):
@@ -168,9 +233,9 @@ def test_prefixes_up_to_tau_cannot_win():
             assert res.status == OPTIMAL
             assert res.value <= 1e-9, (inst, t)
             skipped += 1
-        res = optimal_cr(inst)
-        assert res.pi_star >= 1.0
-        assert min(res.candidate_values) == tau + 1
+        solved.clear()
+        assert optimal_cr(inst).pi_star >= 1.0
+        assert solved == list(range(tau + 1, T + 1)), (inst, tau)
     assert skipped > 0
 
 
@@ -219,6 +284,6 @@ def test_phi_witness_rejects_ratio_below_one(tiny_instance):
 def test_cr_result_shape(tiny_instance):
     res = optimal_cr(tiny_instance)
     assert isinstance(res, CrResult)
-    assert set(res.candidate_values) <= {1, 2}
+    assert res.argmax_set in ((1,), (1, 2))
     assert res.witness_profile is not None
     assert len(res.witness_profile.values) == 2

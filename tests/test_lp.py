@@ -399,17 +399,40 @@ def test_lp_unusable_basis_gives_cold_result(lp, basis):
     _assert_same_result(solve_lp(lp, basis=basis), cold)
 
 
-def test_lp_random_basis_gives_cold_result_unless_optimal():
+def _primal_feasible_hint(lp, basis) -> bool:
+    """The basis is in range, nonsingular and primal feasible on the standard
+    form (basic values >= -1e-7, no basic artificial above 1e-7)."""
+    rows, rels, rhs, _lb = lp_mod._standard_form(lp)
+    a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
+    if basis.max() >= a.shape[1]:
+        return False
+    try:
+        values = np.linalg.solve(a[:, basis], rhs)
+    except np.linalg.LinAlgError:
+        return False
+    return bool((values >= -1e-7).all() and (values[basis >= enterable] <= 1e-7).all())
+
+
+def test_lp_random_basis_gives_cold_result_unless_feasible():
     """Random bases, basic artificials included, on problems with >= and ==
-    rows: any accepted basis must be optimal, any other gives the cold result."""
+    rows: a malformed or primal infeasible one gives exactly the cold
+    result. From a primal feasible one, such as the optimal basis under
+    another objective, the solve reaches the cold optimum."""
     rng = np.random.default_rng(47)
+    feasible = 0
     for lp, cold in _random_feasible_lps(45, 60):
         m = len(cold.basis)
-        for _ in range(3):
-            basis = rng.permutation(np.arange(lp.num_vars + 2 * m))[:m]
+        hints = [rng.permutation(np.arange(lp.num_vars + 2 * m))[:m] for _ in range(3)]
+        other = solve_lp(LinearProgram(rng.normal(size=lp.num_vars), lp.maximize,
+                                       lp.constraints, lp.bounds))
+        hints.append(other.basis)
+        for basis in hints:
             res = solve_lp(lp, basis=basis)
-            if np.array_equal(res.basis, basis):
+            if _primal_feasible_hint(lp, basis):
+                feasible += 1
+                assert res.status == OPTIMAL
                 assert res.value == pytest.approx(cold.value, abs=1e-9)
+                assert res.residual <= 1e-7
             else:
                 _assert_same_result(res, cold)
-
+    assert feasible >= 20

@@ -7,10 +7,10 @@ import pytest
 import peakmin.lp as lp_mod
 import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
-from peakmin.cr import optimal_cr, phi_bruteforce_witness
+from peakmin.cr import inventory_unbounded, optimal_cr, phi_bruteforce_witness
 from peakmin.errors import DemandOutOfBounds, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import INFEASIBLE, OPTIMAL, LpResult
+from peakmin.lp import INFEASIBLE, OPTIMAL, LinearProgram
 from peakmin.offline import offline_peak, solve_offline_pmd
 from peakmin.online import (
     MODE_ANYTIME,
@@ -248,13 +248,58 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
 
 
 def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
-    def sloppy_solve_lp(lp, basis=None):
-        return LpResult(OPTIMAL, 0.0, np.zeros(lp.num_vars), residual=1e-3)
+    """An answer whose residual exceeds 1e-6 raises inside solve_lp, for any
+    LP and for the certificate LPs of run_anytime alike."""
+    real_reprice = lp_mod._reprice
 
-    monkeypatch.setattr(online, "solve_lp", sloppy_solve_lp)
+    def sloppy_reprice(*args):
+        found = real_reprice(*args)
+        return None if found is None else (found[0] + 1e-2, found[1])
+
+    monkeypatch.setattr(lp_mod, "_reprice", sloppy_reprice)
+    textbook = LinearProgram(
+        objective=np.array([3.0, 2.0]),
+        maximize=True,
+        constraints=[(np.array([1.0, 1.0]), "<=", 4.0), (np.array([1.0, 3.0]), "<=", 6.0)],
+    )
+    with pytest.raises(NumericalFailure, match="residual"):
+        lp_mod.solve_lp(textbook)
     with pytest.raises(NumericalFailure, match="residual"):
         run_anytime(tiny_instance, DemandProfile(tiny_instance, [2.0, 1.0]),
                     PolicyOptions(initial_ratio=4.0 / 3.0))
+
+
+def test_anytime_t20_slot2_certifies():
+    """Day 0 of a seed-7 volatile T=20 set at c = 0.1 of the mean daily
+    energy: run_anytime certifies slot 1 at the ratio below and spends
+    nothing. Slot 2 used to raise NumericalFailure (cutoff 19, residual
+    0.0243) from a phase-1 solve. Only slot 2 is certified here."""
+    days = synthetic_volatile_profiles(2, 20, 100.0, 400.0, seed=7)
+    inst = days.instance(0.1 * days.avg_daily_energy, None)
+    d = days.day_values[0]
+    slot1_ratio = 1.6074808609187756
+    state = OnlineState(inst, prev_ratio=slot1_ratio)
+    state.observe(float(d[0]))
+    state.commit(0.0)
+    pi_2 = anytime_ratio(inst, state, float(d[1]))
+    assert 1.0 <= pi_2 <= slot1_ratio
+
+
+def test_future_requirement_without_binding_inventory():
+    """c > T * rate: the scenario programs cannot spend the inventory, so the
+    printed form is infeasible, every cutoff imposes no requirement, and
+    optimal_cr answers 1, all by the one inventory_unbounded test."""
+    inst = Instance(1.5, 0.4, 3, 1.0, 2.0)
+    assert inventory_unbounded(inst)
+    assert optimal_cr(inst).pi_star == 1.0
+    state = OnlineState(inst)
+    state.observe(1.5)
+    view = online._slot_view(inst, state)
+    for k in (2, 3):
+        full = lp_mod.solve_lp(build_aocr_thr(inst, state, 1.2, range(2, k + 1)))
+        assert full.status == INFEASIBLE
+        assert online._future_requirement(view, 1.2, k) == -np.inf
+    assert not inventory_unbounded(Instance(1.2, 0.4, 3, 1.0, 2.0))
 
 
 def _mid_slot_states(inst, count, seed, monthly_peak=0.0):
