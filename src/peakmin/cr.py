@@ -213,6 +213,38 @@ def ratio_lower_bound(instance: Instance, index_set, demand: DemandProfile) -> f
     return num / den
 
 
+def _carry_basis(basis: np.ndarray, old: LfpProblem, new: LfpProblem, t: int) -> np.ndarray:
+    """Prefix t's final basis as a basis of prefix t+1's standard form.
+
+    Prefix t+1's program is prefix t's with x_{t+1} inserted at column t,
+    one scenario block appended after the last column and that block's rows
+    appended after the last constraint; no old row touches a new column.
+    The standard form (lp._standard_form, lp._augment) of these all-<=
+    programs is the structural columns, then one slack per row: the
+    constraints in order, then one upper-bound row per bounded column in
+    column order. Old columns and slacks are moved to their new index and
+    the slack of every new row is made basic. At the old vertex with the new
+    columns at their lower bounds every new row holds: after the lower-bound
+    shift its right-hand side is >= 0, and its one old column, if any, is
+    an x_j at most d_ub - d_lb against a right-hand side of U - d_lb. So the
+    hint is primal feasible and solve_lp starts phase 2 from it.
+    """
+    def bounded(program):  # columns with an upper-bound row, in column order
+        return [j for j, (_lo, hi) in enumerate(program.bounds) if hi is not None]
+
+    n_new, m_new = len(new.bounds), len(new.constraints)
+    col = np.arange(len(old.bounds))
+    col[t:] += 1  # x_{t+1} is inserted at column t
+    # each old row's index in the new standard form: constraints keep
+    # theirs, upper-bound rows follow their column's rank
+    new_rank = {j: r for r, j in enumerate(bounded(new))}
+    row = np.concatenate([np.arange(len(old.constraints)),
+                          m_new + np.array([new_rank[col[j]] for j in bounded(old)], dtype=int)])
+    carried = np.concatenate([col, n_new + row])[basis]
+    added = np.setdiff1d(np.arange(m_new + len(new_rank)), row)
+    return np.concatenate([carried, n_new + added])
+
+
 def optimal_cr(instance: Instance) -> CrResult:
     """Maximum of the worst-case-ratio program over prefix candidate sets.
 
@@ -220,7 +252,9 @@ def optimal_cr(instance: Instance) -> CrResult:
     numerator is at most t*d_ub - c <= 0, so those prefixes cannot beat the
     ratio 1 the all-d_lb profile forces. The best ratio so far is carried
     into the next prefix's Dinkelbach solve, which returns at once when the
-    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. The
+    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. So
+    is the basis of each prefix's last LP, mapped onto the next prefix's
+    program by _carry_basis: only the first prefix starts cold. The
     denominator is not checked by an auxiliary solve: any feasible point has
     u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
     precondition below.
@@ -242,11 +276,15 @@ def optimal_cr(instance: Instance) -> CrResult:
 
     tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
     best_val, best_t, best_x = -math.inf, None, None
+    prev, basis = None, None
     for t in range(tau + 1, T + 1):
-        res = solve_lfp(_prefix_program(instance, t), check_denominator=False,
-                        at_least=best_val)
+        program = _prefix_program(instance, t)
+        if basis is not None:
+            basis = _carry_basis(basis, prev, program, t - 1)
+        res = solve_lfp(program, check_denominator=False, at_least=best_val, basis=basis)
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
+        prev, basis = program, res.basis
     witness = DemandProfile(instance, reference_values(instance, best_x))
     # ratios below 1 are LP noise: the all-d_lb profile already forces 1
     return CrResult(

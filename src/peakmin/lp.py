@@ -17,11 +17,15 @@ B^-1 [A | b]. Any other hint is ignored by the cold two-phase solve.
 One exit and one gate: every solve's final basis is re-priced the same way,
 so the rounding pivoting accumulates does not reach x (the tableau's
 right-hand column is used only when the re-price rejects the basis), and an
-answer that violates a row or bound by more than 1e-6 raises
-NumericalFailure instead of being returned.
+answer that violates a row (scaled by max(1, |b|)) or a bound by more than
+1e-6, or is NaN, raises NumericalFailure instead of being returned. The
+check is one matrix-vector product on the rows as given.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
-LPs over the same rows, each hinted with the basis of the one before.
+LPs over the same rows, each hinted with the basis of the one before. It
+takes a hint for its first LP too (basis=) and returns the last LP's basis
+as LfpResult.basis, so a caller solving a sequence of related programs
+(optimal_cr, prefix by prefix) can carry a basis from one to the next.
 
 Tolerances: pivot 1e-9, feasibility 1e-7, residual 1e-6, ratio 1e-12.
 """
@@ -41,6 +45,7 @@ RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 
 LE, EQ, GE = "<=", "==", ">="
+_SENSE = {LE: 1.0, GE: -1.0, EQ: 0.0}  # sign of lhs - b in a row's violation
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -120,6 +125,9 @@ class LfpResult:
     status: str
     value: float
     x: np.ndarray | None
+    # final basis of the last LP solved (standard form of the problem's rows
+    # and bounds), also when x is None; a hint for a later solve_lfp
+    basis: np.ndarray | None = None
 
 
 class _Tableau:
@@ -211,18 +219,24 @@ class _Tableau:
 def _standard_form(lp: LinearProgram):
     """Shift lower bounds to zero, append upper-bound rows, orient rhs >= 0.
 
-    Returns (rows, rels, rhs, lb, shifted objective constant offset) where every
-    variable is >= 0 and every rhs is >= 0.
+    Returns (rows, rels, rhs, lb, gate) where every variable is >= 0 and
+    every rhs is >= 0. gate is what an answer is checked against: the
+    constraint rows as given (the first rows of the stack, before
+    equilibration), their right-hand sides, their senses (+1 for <=, -1 for
+    >=, 0 for ==) and the upper bounds (inf where there is none).
     """
     n = lp.num_vars
     lb = np.array([b[0] for b in lp.bounds], dtype=float)
     if not np.isfinite(lb).all():
         raise ValueError("all variable lower bounds must be finite")
-    rows, rels, rhs = [], [], []
+    ub = np.array([np.inf if b[1] is None else b[1] for b in lp.bounds], dtype=float)
+    rows, rels, rhs, given = [], [], [], []
     for coeffs, rel, b in lp.constraints:
         rows.append(coeffs)
         rels.append(rel)
         rhs.append(b - coeffs @ lb)
+        given.append(b)
+    sense = np.array([_SENSE[r] for r in rels], dtype=float)
     for j, (lo, hi) in enumerate(lp.bounds):
         if hi is not None:
             if hi < lo - FEAS_TOL:
@@ -233,14 +247,15 @@ def _standard_form(lp: LinearProgram):
             rels.append(LE)
             rhs.append(hi - lo)
     if rows:
-        rows = np.vstack(rows)
+        stack = np.vstack(rows)
         rhs = np.asarray(rhs, dtype=float)
     else:
-        rows = np.zeros((0, n))
+        stack = np.zeros((0, n))
         rhs = np.zeros(0)
+    gate = (stack[: len(given)], np.array(given, dtype=float), sense, ub)
     # row equilibration keeps pivot tolerances meaningful across magnitudes
-    scale = np.maximum(np.abs(rows).max(axis=1, initial=0.0), 1e-12)
-    rows = rows / scale[:, None]
+    scale = np.maximum(np.abs(stack).max(axis=1, initial=0.0), 1e-12)
+    rows = stack / scale[:, None]
     rhs = rhs / scale
     flip = rhs < 0
     rows[flip] *= -1.0
@@ -249,7 +264,7 @@ def _standard_form(lp: LinearProgram):
         (LE if r == GE else GE if r == LE else EQ) if f else r
         for r, f in zip(rels, flip)
     ]
-    return rows, rels, rhs, lb
+    return rows, rels, rhs, lb, gate
 
 
 def _augment(rows: np.ndarray, rels: list[str], n: int):
@@ -324,32 +339,25 @@ def _reprice(
 
 
 def _optimal_result(
-    lp: LinearProgram, basis: np.ndarray, x_basic: np.ndarray, lb: np.ndarray, cols: int
+    lp: LinearProgram, basis: np.ndarray, x_basic: np.ndarray, lb: np.ndarray, cols: int,
+    gate,
 ) -> LpResult:
-    """Map basic values back to the original variables and certify them: a
-    worst row or bound violation above RESIDUAL_TOL, or NaN, raises."""
+    """Map basic values back to the original variables and certify them
+    against the standard form's gate: a worst row violation (scaled by
+    max(1, |b|)) or bound violation above RESIDUAL_TOL, or NaN, raises."""
     x_shift = np.zeros(cols)
     x_shift[basis] = x_basic
     x = x_shift[: lp.num_vars] + lb
     value = float(lp.objective @ x) + lp.objective_constant
 
-    residual = 0.0
-    for coeffs, rel, b in lp.constraints:
-        lhs = float(coeffs @ x)
-        scale = max(1.0, abs(b))
-        if rel == LE:
-            residual = max(residual, (lhs - b) / scale)
-        elif rel == GE:
-            residual = max(residual, (b - lhs) / scale)
-        else:
-            residual = max(residual, abs(lhs - b) / scale)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        residual = max(residual, lo - x[j])
-        if hi is not None:
-            residual = max(residual, x[j] - hi)
+    a, b, sense, ub = gate
+    gap = a @ x - b
+    by_row = np.where(sense == 0.0, np.abs(gap), sense * gap) / np.maximum(1.0, np.abs(b))
+    # one max over everything, so that a NaN anywhere propagates and raises
+    residual = float(np.concatenate([by_row, lb - x, x - ub]).max(initial=0.0))
     if not residual <= RESIDUAL_TOL:
         raise NumericalFailure(f"LP answer residual {residual:.3g} above {RESIDUAL_TOL:g}")
-    return LpResult(OPTIMAL, value, x, float(residual), basis)
+    return LpResult(OPTIMAL, value, x, residual, basis)
 
 
 def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
@@ -365,7 +373,7 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     sf = _standard_form(lp)
     if sf is None:
         return LpResult(INFEASIBLE, np.nan, None)
-    rows, rels, rhs, lb = sf
+    rows, rels, rhs, lb, gate = sf
     m = len(rhs)
     obj = lp.objective if lp.maximize else -lp.objective
 
@@ -380,7 +388,7 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
         basis = np.asarray(basis)
         x_basic, optimal = hinted
         if optimal:
-            return _optimal_result(lp, basis, x_basic, lb, cols)
+            return _optimal_result(lp, basis, x_basic, lb, cols, gate)
     # a basic artificial could turn positive in phase 2, so such hints go cold
     if hinted is not None and (basis < enterable).all():
         warm = np.linalg.solve(a[:, basis], a)  # the tableau B^-1 [A | b]
@@ -413,11 +421,14 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
         return LpResult(UNBOUNDED, np.nan, None)
     final = _reprice(a, rhs, full_obj, tab.basis, enterable)
     x_basic = tab.t[: tab.m, tab.n] if final is None else final[0]
-    return _optimal_result(lp, tab.basis, x_basic, lb, cols)
+    return _optimal_result(lp, tab.basis, x_basic, lb, cols, gate)
 
 
 def solve_lfp(
-    problem: LfpProblem, check_denominator: bool = True, at_least: float = -math.inf
+    problem: LfpProblem,
+    check_denominator: bool = True,
+    at_least: float = -math.inf,
+    basis: np.ndarray | None = None,
 ) -> LfpResult:
     """Dinkelbach's method: maximize (n.x + n0)/(d.x + d0).
 
@@ -425,11 +436,13 @@ def solve_lfp(
     rows and bounds, hinted with the previous step's basis, and moves lam
     to the ratio at its optimum. It stops once the LP optimum is <= 0 (the
     ratio no longer rises by more than RATIO_TOL): lam is then the maximum
-    and x attains it. The first step is at lam = at_least, and if it cannot
-    beat at_least by RATIO_TOL the result carries x = None and value
-    at_least. With at_least = -inf the first step is at lam = 0, and if no
-    point has a positive ratio that step's point is returned; its ratio is
-    then a lower bound only.
+    and x attains it. The first step is at lam = at_least, hinted with
+    basis (a basis of this problem's standard form, as solve_lp takes), and
+    if it cannot beat at_least by RATIO_TOL the result carries x = None and
+    value at_least. With at_least = -inf the first step is at lam = 0, and
+    if no point has a positive ratio that step's point is returned; its
+    ratio is then a lower bound only. The result's basis is the last LP's,
+    whether or not x is None.
     """
     if check_denominator:
         aux = LinearProgram(
@@ -452,7 +465,7 @@ def solve_lfp(
     n0, d0 = problem.numerator_constant, problem.denominator_constant
     # built once: only the objective moves between steps
     lp = LinearProgram(num, True, problem.constraints, problem.bounds)
-    lam, x, basis = at_least, None, None
+    lam, x = at_least, None
     while True:
         step = lam if lam > -math.inf else 0.0
         lp.objective = num - step * den
@@ -465,4 +478,4 @@ def solve_lfp(
         if rose:
             lam, x, basis = ratio, res.x, res.basis
         if not rose or res.value <= 0.0:
-            return LfpResult(OPTIMAL, lam, x)
+            return LfpResult(OPTIMAL, lam, x, res.basis)

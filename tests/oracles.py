@@ -3,7 +3,9 @@
 Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
 internals beyond the public dataclasses, the offline optimum and the LP
-solver that solves the printed programs.
+solver that solves the printed programs. The one exception,
+cold_prefix_optimal_cr, reuses optimal_cr's prefix programs on purpose: it
+is the same search without the basis carried from prefix to prefix.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import itertools
 
 import numpy as np
 
+from peakmin import cr
 from peakmin.core import reference_profile
-from peakmin.lp import LinearProgram
+from peakmin.lp import LinearProgram, solve_lfp
 from peakmin.offline import offline_peak
 
 
@@ -140,6 +143,21 @@ def highs_lfp_max(lfp):
         return None
     assert res.status == 0, res.message
     return -res.fun, float(res.x[n])
+
+
+def cold_prefix_optimal_cr(instance):
+    """(pi*, argmax_set) by optimal_cr's loop over the prefixes t = tau+1..T
+    with every prefix's first Dinkelbach step solved cold. For instances
+    that reach the loop (0 < c < T*d_lb, inventory bounded)."""
+    T = instance.horizon_T
+    tau = max(0, min(cr._floor_quotient(instance.capacity_c, instance.demand_ub), T - 1))
+    best_val, best_t = -np.inf, None
+    for t in range(tau + 1, T + 1):
+        res = solve_lfp(cr._prefix_program(instance, t), check_denominator=False,
+                        at_least=best_val)
+        if res.x is not None:
+            best_val, best_t = res.value, t
+    return max(best_val, 1.0), tuple(range(1, best_t + 1))
 
 
 def build_aocr_thr(instance, state, pi: float, index_set):

@@ -21,7 +21,7 @@ from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
 from peakmin.harness import synthetic_volatile_profiles
 from peakmin.lp import LE, OPTIMAL, LinearProgram, solve_lfp
 
-from oracles import cr_ratio_oracle, highs_lfp_max
+from oracles import cold_prefix_optimal_cr, cr_ratio_oracle, highs_lfp_max
 
 
 def test_tiny_instance_analytic_value(tiny_instance):
@@ -102,7 +102,7 @@ def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above)
             assert rhs - coeffs @ lb >= 0.0
         assert all(high is None or high >= low for low, high in bounds)
         lp = LinearProgram(rng.normal(size=len(bounds)), True, cons, bounds)
-        _rows, rels, _rhs, _lb = lp_mod._standard_form(lp)
+        _rows, rels, _rhs, _lb, _gate = lp_mod._standard_form(lp)
         assert set(rels) == {LE}
 
 
@@ -237,6 +237,111 @@ def test_prefixes_up_to_tau_cannot_win(monkeypatch):
         assert optimal_cr(inst).pi_star >= 1.0
         assert solved == list(range(tau + 1, T + 1)), (inst, tau)
     assert skipped > 0
+
+
+def _carry_instances(seed, rate_limited, tau_positive, count=10):
+    """Random instances that reach optimal_cr's prefix loop, T <= 8, with
+    tau = floor(c/d_ub) zero or positive."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        T = int(rng.integers(4, 9))
+        lo = float(rng.uniform(0.5, 1.5))
+        hi = lo * float(rng.uniform(1.2, 2.0))
+        if tau_positive:
+            c = float(rng.uniform(hi, 0.95 * T * lo))
+        else:
+            c = float(rng.uniform(0.1, 0.95) * hi)
+        rate = c / T * float(rng.uniform(1.0, 2.0)) if rate_limited else None
+        inst = Instance(c, rate, T, lo, hi)
+        assert (int(np.floor(c / hi)) > 0) == tau_positive
+        yield inst
+
+
+def _recording_solve_lp(monkeypatch):
+    """Patch the solve_lp that solve_lfp calls; returns the list of the
+    (LinearProgram, basis hint) pairs it receives."""
+    real_solve_lp = lp_mod.solve_lp
+    calls = []
+
+    def recording(lp, basis=None):
+        calls.append((lp, basis))
+        return real_solve_lp(lp, basis=basis)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", recording)
+    return calls
+
+
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+@pytest.mark.parametrize("tau_positive", [False, True], ids=["tau0", "tau-pos"])
+def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positive):
+    """Every hint optimal_cr's solves get, the bases carried from prefix to
+    prefix included, passes lp._reprice as primal feasible on its LP's
+    standard form; only the first prefix's first LP is solved cold."""
+    calls = _recording_solve_lp(monkeypatch)
+    hinted = 0
+    for inst in _carry_instances(71, rate_limited, tau_positive):
+        calls.clear()
+        optimal_cr(inst)
+        assert [basis is None for _lp, basis in calls].count(True) == 1
+        assert calls[0][1] is None
+        for lp, basis in calls[1:]:
+            rows, rels, rhs, _lb, _gate = lp_mod._standard_form(lp)
+            a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
+            obj = np.zeros(a.shape[1])
+            obj[: lp.num_vars] = lp.objective
+            assert lp_mod._reprice(a, rhs, obj, basis, enterable) is not None, inst
+            hinted += 1
+    assert hinted > 40
+
+
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+def test_carry_basis_keeps_the_vertex(rate_limited):
+    """The carried basis of prefix t+1 is prefix t's optimal vertex with
+    x_{t+1} and the new scenario block at their lower bounds."""
+    for inst in _carry_instances(73, rate_limited, False, count=4):
+        for t in range(1, inst.horizon_T):
+            old, new = cr._prefix_program(inst, t), cr._prefix_program(inst, t + 1)
+            res = solve_lfp(old, check_denominator=False)
+            basis = cr._carry_basis(res.basis, old, new, t)
+            lp = LinearProgram(new.numerator, True, new.constraints, new.bounds)
+            rows, rels, rhs, lb, _gate = lp_mod._standard_form(lp)
+            a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
+            found = lp_mod._reprice(a, rhs, np.zeros(a.shape[1]), basis, enterable)
+            assert found is not None, (inst, t)
+            shifted = np.zeros(a.shape[1])
+            shifted[basis] = found[0]
+            x = shifted[: lp.num_vars] + lb
+            kept = np.delete(np.arange(lp.num_vars), t)[: len(old.bounds)]
+            assert np.allclose(x[kept], res.x, rtol=0.0, atol=1e-9), (inst, t)
+            assert np.array_equal(x[t], lb[t])
+            assert np.array_equal(x[len(old.bounds) + 1 :], lb[len(old.bounds) + 1 :])
+
+
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+@pytest.mark.parametrize("tau_positive", [False, True], ids=["tau0", "tau-pos"])
+def test_optimal_cr_matches_cold_prefix_loop(rate_limited, tau_positive):
+    """Carrying the basis from prefix to prefix moves neither pi* nor the
+    argmax set against the same loop with every prefix started cold."""
+    for inst in _carry_instances(79, rate_limited, tau_positive):
+        pi_star, argmax_set = cold_prefix_optimal_cr(inst)
+        res = optimal_cr(inst)
+        assert res.pi_star == pytest.approx(pi_star, rel=0.0, abs=1e-12), inst
+        assert res.argmax_set == argmax_set, inst
+
+
+def test_optimal_cr_t20_solves_one_lp_cold(monkeypatch):
+    """On the T=20 volatile day set (seed 7, c at 0.2 of the mean daily
+    energy), one optimal_cr call solves exactly one LP without a hint, and
+    pi* and the argmax set equal the cold per-prefix loop's."""
+    days = synthetic_volatile_profiles(10, 20, 100.0, 400.0, seed=7)
+    inst = days.instance(0.2 * days.avg_daily_energy, None)
+    pi_star, argmax_set = cold_prefix_optimal_cr(inst)
+    calls = _recording_solve_lp(monkeypatch)
+    res = optimal_cr(inst)
+    assert [basis is None for _lp, basis in calls].count(True) == 1
+    assert len(calls) > 20
+    assert res.pi_star == pytest.approx(pi_star, rel=0.0, abs=1e-12)
+    assert res.argmax_set == argmax_set
 
 
 def test_phi_bruteforce_tiny_values(tiny_instance):

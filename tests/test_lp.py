@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import peakmin.lp as lp_mod
-from peakmin.errors import DenominatorNotPositive
+from peakmin.errors import DenominatorNotPositive, NumericalFailure
 from peakmin.lp import (
     EQ,
     GE,
@@ -170,6 +170,76 @@ def test_lp_residual_certificate_on_random_problems():
             assert val >= lo - 1e-8
             assert hi is None or val <= hi + 1e-8
     assert solved >= 40
+
+
+def _row_by_row_residual(lp, x):
+    """The gate's residual, one row and one bound at a time: the worst row
+    violation scaled by max(1, |b|), or bound violation, floored at 0."""
+    worst = [0.0]
+    for coeffs, rel, b in lp.constraints:
+        gap = float(coeffs @ x) - b
+        worst.append((gap if rel == LE else -gap if rel == GE else abs(gap)) / max(1.0, abs(b)))
+    for (lo, hi), val in zip(lp.bounds, x):
+        worst.append(lo - val)
+        if hi is not None:
+            worst.append(val - hi)
+    return max(worst)
+
+
+def test_lp_gate_residual_matches_row_by_row(monkeypatch):
+    """The gate's one matrix-vector residual equals the row-by-row one on
+    answers pushed off their vertex (mixed rows, negative lower bounds,
+    some variables without an upper bound)."""
+    rng = np.random.default_rng(83)
+    real_reprice = lp_mod._reprice
+
+    def nudged_reprice(*args):
+        found = real_reprice(*args)
+        if found is None:
+            return None
+        return found[0] + rng.uniform(-1e-8, 1e-8, len(found[0])), found[1]
+
+    monkeypatch.setattr(lp_mod, "_reprice", nudged_reprice)
+    checked = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 6))
+        lp = LinearProgram(
+            objective=rng.normal(size=n),
+            maximize=bool(rng.integers(0, 2)),
+            constraints=[
+                (rng.normal(size=n), rng.choice([LE, GE, EQ]), float(rng.normal(scale=5.0)))
+                for _ in range(m)
+            ],
+            bounds=[(float(rng.uniform(-2.0, 0.0)),
+                     None if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
+                    for _ in range(n)],
+        )
+        res = solve_lp(lp)
+        if res.status != OPTIMAL:
+            continue
+        checked += 1
+        assert res.residual == pytest.approx(_row_by_row_residual(lp, res.x), rel=1e-9, abs=1e-15)
+    assert checked >= 30
+
+
+def test_lp_gate_rejects_nan_answer(monkeypatch):
+    """An answer holding a NaN raises. The row-by-row maximum the gate once
+    took skipped NaN (max(0.0, nan) is 0.0) and returned such an answer."""
+    real_reprice = lp_mod._reprice
+
+    def nan_reprice(*args):
+        found = real_reprice(*args)
+        return None if found is None else (np.where(found[0] > 0, np.nan, found[0]), found[1])
+
+    monkeypatch.setattr(lp_mod, "_reprice", nan_reprice)
+    textbook = LinearProgram(
+        objective=np.array([3.0, 2.0]),
+        maximize=True,
+        constraints=[(np.array([1.0, 1.0]), LE, 4.0), (np.array([1.0, 3.0]), LE, 6.0)],
+    )
+    with pytest.raises(NumericalFailure, match="residual nan"):
+        solve_lp(textbook)
 
 
 def test_lp_deterministic_resolve():
@@ -402,7 +472,7 @@ def test_lp_unusable_basis_gives_cold_result(lp, basis):
 def _primal_feasible_hint(lp, basis) -> bool:
     """The basis is in range, nonsingular and primal feasible on the standard
     form (basic values >= -1e-7, no basic artificial above 1e-7)."""
-    rows, rels, rhs, _lb = lp_mod._standard_form(lp)
+    rows, rels, rhs, _lb, _gate = lp_mod._standard_form(lp)
     a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
     if basis.max() >= a.shape[1]:
         return False
