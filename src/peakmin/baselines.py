@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DemandProfile, DischargeSchedule, Instance
+from .core import DemandProfile, Instance
 from .offline import rate_corrected_cut, water_fill_threshold
 from .online import PolicyRun
 
@@ -57,17 +57,6 @@ class RhcConfig:
         return 0.5 * (instance.demand_lb + instance.demand_ub)
 
 
-def _finish(instance: Instance, demand: DemandProfile, actions: list[float]) -> PolicyRun:
-    arr = np.array(actions, dtype=float)
-    schedule = DischargeSchedule(instance, demand, arr)
-    return PolicyRun(
-        schedule=schedule,
-        ratio_trajectory=np.empty(0),
-        final_peak=float((demand.values - arr).max()),
-        inventory_spent=float(arr.sum()),
-    )
-
-
 def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -> PolicyRun:
     """Discharge each slot down to the threshold until the storage runs out."""
     if not threshold >= 0:  # written so that NaN is rejected too
@@ -78,7 +67,7 @@ def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -
         delta = min(max(0.0, float(d_t) - threshold), instance.slot_cap(d_t), remaining)
         actions.append(delta)
         remaining -= delta
-    return _finish(instance, demand, actions)
+    return PolicyRun.from_actions(instance, demand, actions)
 
 
 def run_equal_discharge(instance: Instance, demand: DemandProfile) -> PolicyRun:
@@ -90,7 +79,7 @@ def run_equal_discharge(instance: Instance, demand: DemandProfile) -> PolicyRun:
         delta = min(quota, instance.slot_cap(d_t), remaining)
         actions.append(delta)
         remaining -= delta
-    return _finish(instance, demand, actions)
+    return PolicyRun.from_actions(instance, demand, actions)
 
 
 def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: float) -> PolicyRun:
@@ -108,7 +97,7 @@ def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: fl
         delta = min(capacity_rate * float(d_t), instance.slot_cap(d_t), remaining)
         actions.append(delta)
         remaining -= delta
-    return _finish(instance, demand, actions)
+    return PolicyRun.from_actions(instance, demand, actions)
 
 
 def _window_first_action(instance: Instance, window: np.ndarray, budget: float) -> float:
@@ -155,4 +144,4 @@ def run_rhc(
         delta = _window_first_action(instance, win, remaining)
         actions.append(delta)
         remaining -= delta
-    return _finish(instance, demand, actions)
+    return PolicyRun.from_actions(instance, demand, actions)

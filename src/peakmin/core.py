@@ -111,10 +111,9 @@ class DemandProfile:
                 f"profile length {len(arr)} != horizon_T {instance.horizon_T}"
             )
         lo, hi = instance.demand_lb, instance.demand_ub
-        if (arr < lo - EPS_KWH).any() or (arr > hi + EPS_KWH).any():
-            raise DemandOutOfBounds(
-                f"demand entries outside [{lo}, {hi}]: {arr[(arr < lo - EPS_KWH) | (arr > hi + EPS_KWH)]}"
-            )
+        inside = (lo - EPS_KWH <= arr) & (arr <= hi + EPS_KWH)  # False at NaN
+        if not inside.all():
+            raise DemandOutOfBounds(f"demand entries outside [{lo}, {hi}]: {arr[~inside]}")
         arr = np.clip(arr, lo, hi)
         arr.flags.writeable = False
         self.values = arr
@@ -140,12 +139,13 @@ class DischargeSchedule:
             raise InfeasibleSchedule(
                 f"schedule length {len(arr)} != horizon_T {instance.horizon_T}"
             )
-        if (arr < -EPS_KWH).any():
-            raise InfeasibleSchedule(f"negative discharge: {arr.min()}")
+        # every check is written so that a NaN fails it
+        if not (arr >= -EPS_KWH).all():
+            raise InfeasibleSchedule(f"negative or NaN discharge: {arr.min()}")
         caps = np.minimum(demand.values, instance.rate_limit) if instance.rate_limit is not None else demand.values
-        if (arr > caps + EPS_KWH).any():
+        if not (arr <= caps + EPS_KWH).all():
             raise InfeasibleSchedule("discharge exceeds min(rate_limit, d_t) in some slot")
-        if arr.sum() > instance.capacity_c + EPS_KWH:
+        if not arr.sum() <= instance.capacity_c + EPS_KWH:
             raise InfeasibleSchedule(
                 f"total discharge {arr.sum()} exceeds capacity {instance.capacity_c}"
             )
@@ -167,7 +167,7 @@ def reference_profile(instance: Instance, prefix) -> DemandProfile:
     if not 1 <= t <= instance.horizon_T:
         raise PrefixOutOfBounds(f"prefix length {t} outside 1..{instance.horizon_T}")
     lo, hi = instance.demand_lb, instance.demand_ub
-    if (pre < lo - EPS_KWH).any() or (pre > hi + EPS_KWH).any():
+    if not ((lo - EPS_KWH <= pre) & (pre <= hi + EPS_KWH)).all():
         raise PrefixOutOfBounds(f"prefix entries outside [{lo}, {hi}]")
     full = np.full(instance.horizon_T, lo, dtype=float)
     full[:t] = pre
@@ -199,9 +199,10 @@ class OnlineState:
     running_peak: float = 0.0  # max over committed slots of (d_k - delta_k); 0 before slot 1
 
     def __post_init__(self):
-        if self.monthly_peak < 0:
-            raise NonPositiveBound(f"monthly_peak must be >= 0, got {self.monthly_peak}")
-        if self.prev_ratio < 1.0 - 1e-6:
+        # written so that NaN fails both; prev_ratio = inf means not seeded
+        if not 0.0 <= self.monthly_peak < math.inf:
+            raise NonPositiveBound(f"monthly_peak must be finite and >= 0, got {self.monthly_peak}")
+        if not self.prev_ratio >= 1.0 - 1e-6:
             raise ValueError(f"prev_ratio must be >= 1, got {self.prev_ratio}")
 
     @property
@@ -225,7 +226,7 @@ class OnlineState:
         if len(self.observed) != len(self.actions) + 1:
             raise ValueError("commit() requires a preceding observe()")
         d_t = self.observed[-1]
-        if delta_t < -EPS_KWH or delta_t > self.instance.slot_cap(d_t) + EPS_KWH:
+        if not -EPS_KWH <= delta_t <= self.instance.slot_cap(d_t) + EPS_KWH:
             raise InfeasibleSchedule(
                 f"slot {self.slot_index}: discharge {delta_t} violates [0, min(rate, {d_t})]"
             )

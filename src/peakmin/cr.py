@@ -5,8 +5,6 @@ is a linear-fractional program; the optimal ratio is the maximum of that
 program over the prefix index sets {1..t} for t from floor(c/d_ub)+1 to T.
 scenario_program builds that program once, for an empty prefix here and,
 with the observed prefix held fixed, for the anytime certificate in online.
-A brute-force enumerator of the forced-discharge function Phi doubles as the
-validation oracle on tiny horizons.
 """
 
 from __future__ import annotations
@@ -14,17 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
-from .errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
+from .errors import DegenerateInstance, EmptyIndexSet
 from .lp import LfpProblem, solve_lfp
-from .offline import offline_peak_values
-
-_GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
+# not called here; the benchmark's tracer wraps this cr attribute by name
+from .offline import offline_peak_values  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -199,20 +194,6 @@ def _floor_quotient(c: float, d_ub: float) -> int:
         return int(math.floor(c / d_ub - 1e-12))
 
 
-def ratio_lower_bound(instance: Instance, index_set, demand: DemandProfile) -> float:
-    """(sum_{i in I} d_i - c) / (sum_{i in I} v(d^i)): a bound any feasible
-    target ratio must respect; the optimizer's witness attains it at pi_star."""
-    idx = _check_index_set(instance, index_set)
-    d = demand.values
-    num = float(sum(d[i - 1] for i in idx)) - instance.capacity_c
-    den = 0.0
-    for i in idx:
-        den += offline_peak_values(instance, reference_values(instance, d[:i]))
-    if den <= EPS_KWH:
-        raise DegenerateInstance("offline peaks sum to zero in ratio denominator")
-    return num / den
-
-
 def _carry_basis(basis: np.ndarray, old: LfpProblem, new: LfpProblem, t: int) -> np.ndarray:
     """Prefix t's final basis as a basis of prefix t+1's standard form.
 
@@ -292,52 +273,3 @@ def optimal_cr(instance: Instance) -> CrResult:
         argmax_set=tuple(range(1, best_t + 1)),
         witness_profile=witness,
     )
-
-
-@lru_cache(maxsize=8)
-def _phi_table(instance: Instance, grid_resolution: float):
-    """All grid profiles and their per-prefix offline peaks (oracle precompute)."""
-    T = instance.horizon_T
-    lo, hi = instance.demand_lb, instance.demand_ub
-    steps = int(math.floor((hi - lo) / grid_resolution + 1e-9))
-    pts = lo + grid_resolution * np.arange(steps + 1)
-    if pts[-1] < hi - 1e-9:
-        pts = np.append(pts, hi)
-    if len(pts) ** T > _GRID_CAP:
-        raise HorizonTooLarge(
-            f"{len(pts)}^{T} grid profiles exceed the enumeration cap"
-        )
-    profiles = np.array(list(product(pts, repeat=T)), dtype=float)
-    n = len(profiles)
-    peaks = np.empty((n, T))
-    for t in range(1, T + 1):
-        ref = np.full((n, T), lo)
-        ref[:, :t] = profiles[:, :t]
-        peaks[:, t - 1] = offline_peak_values(instance, ref)
-    profiles.flags.writeable = False
-    peaks.flags.writeable = False
-    return profiles, peaks
-
-
-def phi_bruteforce(instance: Instance, pi: float, grid_resolution: float) -> float:
-    """Worst-case total discharge of the fixed-ratio policy over grid profiles.
-
-    Exhaustive oracle: enumerates {d_lb, d_lb+h, ..., d_ub}^T and simulates the
-    per-slot rule sum_t [d_t - pi * v(d^t)]^+ on every profile. Horizons above
-    6 slots are rejected.
-    """
-    return phi_bruteforce_witness(instance, pi, grid_resolution)[0]
-
-
-def phi_bruteforce_witness(
-    instance: Instance, pi: float, grid_resolution: float
-) -> tuple[float, np.ndarray]:
-    """phi_bruteforce plus one profile attaining the maximum."""
-    if instance.horizon_T > 6:
-        raise HorizonTooLarge("phi_bruteforce is capped at T <= 6")
-    if pi < 1.0 - 1e-12:
-        raise ValueError(f"pi must be >= 1, got {pi}")
-    profiles, peaks = _phi_table(instance, float(grid_resolution))
-    totals = np.clip(profiles - pi * peaks, 0.0, None).sum(axis=1)
-    k = int(totals.argmax())
-    return float(totals[k]), profiles[k].copy()

@@ -73,10 +73,6 @@ class DegenerateInstance(PeakMinError):
     """Ratio computations are undefined (c = T*d_lb makes the offline peak 0)."""
 
 
-class HorizonTooLarge(PeakMinError):
-    pass
-
-
 class DegenerateOfflinePeak(PeakMinError):
     pass
 

@@ -294,15 +294,16 @@ class DayProfileSet:
             raise ValueError(f"bounds must satisfy 0 < lb <= ub, got ({self.demand_lb}, {self.demand_ub})")
         values = np.asarray(rows, dtype=float)
         tol = 1e-9 * max(1.0, self.demand_ub)
-        if values.min() < self.demand_lb - tol or values.max() > self.demand_ub + tol:
+        # written so that a NaN value fails it (min and max propagate NaN)
+        if not self.demand_lb - tol <= values.min() <= values.max() <= self.demand_ub + tol:
             raise ValueError(
                 f"profile values [{values.min()}, {values.max()}] escape the bounds "
                 f"[{self.demand_lb}, {self.demand_ub}]"
             )
         mean_energy = float(values.sum(axis=1).mean())
-        if self.avg_daily_energy <= 0:
+        if not self.avg_daily_energy > 0:
             raise ValueError(f"avg_daily_energy must be > 0, got {self.avg_daily_energy}")
-        if abs(mean_energy - self.avg_daily_energy) > 1e-6 * max(1.0, mean_energy):
+        if not abs(mean_energy - self.avg_daily_energy) <= 1e-6 * max(1.0, mean_energy):
             raise ValueError(
                 f"avg_daily_energy {self.avg_daily_energy} disagrees with the "
                 f"profile mean {mean_energy}"
@@ -741,8 +742,8 @@ class ExperimentConfig:
             raise ValueError("capacity_rates must be positive")
         if self.rate_limit_fraction is not None and self.rate_limit_fraction <= 0:
             raise ValueError("rate_limit_fraction must be > 0 when present")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # NaN fails this too
+            raise ValueError("epsilon must be positive and finite")
 
 
 def _day_runs(

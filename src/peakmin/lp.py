@@ -14,9 +14,9 @@ artificial above 1e-7) and dual feasible (no enterable reduced cost above
 primal feasible and holds no artificial, phase 2 starts from its tableau
 B^-1 [A | b]. Any other hint is ignored by the cold two-phase solve.
 
-One exit and one gate: every solve's final basis is re-priced the same way,
-so the rounding pivoting accumulates does not reach x (the tableau's
-right-hand column is used only when the re-price rejects the basis), and an
+One exit and one gate: the basic values of every answer are solved from
+the standard form's own columns at its final basis, so the rounding
+pivoting accumulates does not reach x, and a singular final basis, or an
 answer that violates a row (scaled by max(1, |b|)) or a bound by more than
 1e-6, or is NaN, raises NumericalFailure instead of being returned. The
 check is one matrix-vector product on the rows as given.
@@ -303,6 +303,15 @@ def _augment(rows: np.ndarray, rels: list[str], n: int):
     return a, basis, art_cols, n + n_slack
 
 
+def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Values of the basic columns, solved from the standard form's own
+    columns (B x_B = rhs with B = a[:, basis]); None when B is singular."""
+    try:
+        return np.linalg.solve(a[:, basis], rhs)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _reprice(
     a: np.ndarray, rhs: np.ndarray, obj: np.ndarray, basis, enterable: int
 ) -> tuple[np.ndarray, bool] | None:
@@ -322,16 +331,15 @@ def _reprice(
         or len(np.unique(basis)) != m
     ):
         return None
-    b_mat = a[:, basis]
-    try:
-        x_basic = np.linalg.solve(b_mat, rhs)
-        duals = np.linalg.solve(b_mat.T, obj[basis])
-    except np.linalg.LinAlgError:
-        return None
+    x_basic = _basic_values(a, rhs, basis)
     # comparisons are written so that a NaN rejects the basis
-    if not (x_basic >= -FEAS_TOL).all():
+    if x_basic is None or not (x_basic >= -FEAS_TOL).all():
         return None
     if not (x_basic[basis >= enterable] <= FEAS_TOL).all():
+        return None
+    try:
+        duals = np.linalg.solve(a[:, basis].T, obj[basis])
+    except np.linalg.LinAlgError:
         return None
     reduced = obj[:enterable] - duals @ a[:, :enterable]
     reduced[basis[basis < enterable]] = 0.0
@@ -419,8 +427,9 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     status = tab.run(max_iter, enter_limit=enterable)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    final = _reprice(a, rhs, full_obj, tab.basis, enterable)
-    x_basic = tab.t[: tab.m, tab.n] if final is None else final[0]
+    x_basic = _basic_values(a, rhs, tab.basis)
+    if x_basic is None:
+        raise NumericalFailure("final simplex basis is singular")
     return _optimal_result(lp, tab.basis, x_basic, lb, cols, gate)
 
 

@@ -25,7 +25,7 @@ def water_fill_threshold(demands, budget: float):
     an (N, T) matrix one level per row.
     """
     d = np.asarray(demands, dtype=float)
-    if budget < 0:
+    if not budget >= 0:  # written so that NaN is rejected too
         raise BudgetExceedsTotalDemand(f"budget must be >= 0, got {budget}")
     prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
     # the last prefix sum is the total; a matrix is checked against its smallest

@@ -61,6 +61,20 @@ class PolicyRun:
         if traj.size and np.any(np.diff(traj) > 1e-9):
             raise ValueError("ratio_trajectory must be nonincreasing")
 
+    @classmethod
+    def from_actions(cls, instance: Instance, demand: DemandProfile, actions,
+                     ratio_trajectory=(), clamp_engaged: bool = False) -> PolicyRun:
+        """The run that committed actions on demand; its peak and spend come
+        from the actions as given, not from the schedule's clipped copy."""
+        actions = np.array(actions, dtype=float)
+        return cls(
+            schedule=DischargeSchedule(instance, demand, actions),
+            ratio_trajectory=ratio_trajectory,
+            final_peak=float(np.max(demand.values - actions)),
+            inventory_spent=float(actions.sum()),
+            clamp_engaged=clamp_engaged,
+        )
+
 
 @dataclass(frozen=True)
 class PolicyOptions:
@@ -81,10 +95,11 @@ class PolicyOptions:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
-        if self.bisection_epsilon <= 0:
-            raise ValueError("bisection_epsilon must be positive")
-        if self.monthly_peak < 0:
-            raise ValueError("monthly_peak must be >= 0")
+        # written so that NaN and infinity are rejected too
+        if not 0.0 < self.bisection_epsilon < math.inf:
+            raise ValueError("bisection_epsilon must be positive and finite")
+        if not 0.0 <= self.monthly_peak < math.inf:
+            raise ValueError("monthly_peak must be finite and >= 0")
         if self.initial_ratio is not None and not self.initial_ratio >= 1.0:
             raise ValueError("initial_ratio must be >= 1")
 
@@ -152,14 +167,8 @@ def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyR
             clamp_engaged = True
         state.observe(d_t)
         state.commit(delta)
-    actions = np.array(state.actions, dtype=float)
-    schedule = DischargeSchedule(instance, demand, actions)
-    return PolicyRun(
-        schedule=schedule,
-        ratio_trajectory=np.full(instance.horizon_T, float(pi)),
-        final_peak=float(np.max(demand.values - actions)),
-        inventory_spent=float(actions.sum()),
-        clamp_engaged=clamp_engaged,
+    return PolicyRun.from_actions(
+        instance, demand, state.actions, np.full(instance.horizon_T, float(pi)), clamp_engaged
     )
 
 
@@ -220,9 +229,7 @@ class _WarmStart:
     binding: int | None = None
 
 
-def _future_requirement(
-    view: _SlotView, pi: float, kmax: int, warm: _WarmStart | None = None
-) -> float:
+def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart) -> float:
     """AOCR requirement beyond the constant term for one scenario cutoff."""
     if kmax <= view.t:
         return 0.0
@@ -244,39 +251,35 @@ def _future_requirement(
     obj[w_cols] = pi
     lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds,
                        objective_constant=-pi * top * len(w_cols))
-    basis = None if warm is None else warm.bases.get(kmax)
-    res = solve_lp(lp, basis=basis)
+    res = solve_lp(lp, basis=warm.bases.get(kmax))
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
-    if warm is not None:
-        warm.bases[kmax] = res.basis
+    warm.bases[kmax] = res.basis
     return res.value
 
 
-def _requirement_exceeds(
-    view: _SlotView, pi: float, budget: float, warm: _WarmStart
-) -> bool:
-    """True when the worst cutoff's requirement is strictly above budget."""
+def _requirement(view: _SlotView, pi: float, budget: float, warm: _WarmStart) -> float:
+    """Inventory needed to keep pi guaranteeable: the constant term plus the
+    worst cutoff's requirement, floored at 0.
+
+    Exact when it is at most budget. The search stops at the first cutoff
+    that pushes it above budget, trying first the cutoff that did so last,
+    so a value above budget only shows that budget falls short.
+    """
     const = _constant_term(view, pi)
     if const > budget:
-        return True
+        return const
     cutoffs = list(range(view.t + 1, view.instance.horizon_T + 1))
     if warm.binding is not None:
         cutoffs.remove(warm.binding)
         cutoffs.insert(0, warm.binding)
-    for kmax in cutoffs:
-        if const + _future_requirement(view, pi, kmax, warm) > budget:
-            warm.binding = kmax
-            return True
-    return False
-
-
-def _exact_requirement(view: _SlotView, pi: float) -> float:
-    const = _constant_term(view, pi)
     worst = 0.0
-    for kmax in range(view.t + 1, view.instance.horizon_T + 1):
-        worst = max(worst, _future_requirement(view, pi, kmax))
+    for kmax in cutoffs:
+        worst = max(worst, _future_requirement(view, pi, kmax, warm))
+        if const + worst > budget:
+            warm.binding = kmax
+            break
     return const + worst
 
 
@@ -300,14 +303,14 @@ def _certified_ratio(
     """
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
-    if not _requirement_exceeds(view, pi_lb, view.remaining, warm):
+    if not _requirement(view, pi_lb, view.remaining, warm) > view.remaining:
         return pi_lb, True
     pi_ub = prev_ratio
     if pi_ub <= pi_lb:
         pi_ub = max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref)
     while pi_ub - pi_lb >= epsilon:
         mid = 0.5 * (pi_lb + pi_ub)
-        if _requirement_exceeds(view, mid, view.remaining, warm):
+        if _requirement(view, mid, view.remaining, warm) > view.remaining:
             pi_lb = mid
         else:
             pi_ub = mid
@@ -326,8 +329,8 @@ def anytime_ratio(
     state.monthly_peak.
     """
     _check_step_inputs(instance, state, d_t)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:  # NaN fails this too
+        raise ValueError("epsilon must be positive and finite")
     prev = state.prev_ratio
     if not math.isfinite(prev):
         prev = optimal_cr(instance).pi_star
@@ -350,7 +353,7 @@ def depleting_amount(
     if len(state.observed) != len(state.actions) + 1:
         raise ValueError("state must be mid-slot: observe d_t before depleting")
     view = _slot_view(instance, state)
-    slack = view.remaining - _exact_requirement(view, pi_t)
+    slack = view.remaining - _requirement(view, pi_t, math.inf, _WarmStart())
     if slack < -1e-6:
         raise NegativeSlack(
             f"slot {view.t}: requirement exceeds remaining inventory by {-slack}"
@@ -402,12 +405,4 @@ def run_anytime(
         state.commit(delta)
         state.prev_ratio = pi_t
         trajectory.append(pi_t)
-    actions = np.array(state.actions, dtype=float)
-    schedule = DischargeSchedule(instance, demand, actions)
-    return PolicyRun(
-        schedule=schedule,
-        ratio_trajectory=np.array(trajectory),
-        final_peak=float(np.max(demand.values - actions)),
-        inventory_spent=float(actions.sum()),
-        clamp_engaged=clamp_engaged,
-    )
+    return PolicyRun.from_actions(instance, demand, state.actions, trajectory, clamp_engaged)

@@ -11,13 +11,22 @@ is the same search without the basis carried from prefix to prefix.
 from __future__ import annotations
 
 import itertools
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from peakmin import cr
-from peakmin.core import reference_profile
+from peakmin.core import EPS_KWH, reference_profile, reference_values
+from peakmin.errors import DegenerateInstance, PeakMinError
 from peakmin.lp import LinearProgram, solve_lfp
-from peakmin.offline import offline_peak
+from peakmin.offline import offline_peak, offline_peak_values
+
+_GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
+
+
+class HorizonTooLarge(PeakMinError):
+    """The brute-force grid would enumerate too many profiles."""
 
 
 def waterfill_oracle(demands, budget: float) -> float:
@@ -145,6 +154,33 @@ def highs_lfp_max(lfp):
     return -res.fun, float(res.x[n])
 
 
+def highs_lp(lp):
+    """Optimum of a LinearProgram by HiGHS, objective constant included, or
+    None when it is infeasible. Needs scipy, a test-only dependency."""
+    from scipy.optimize import linprog
+
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for coeffs, rel, rhs in lp.constraints:
+        if rel == "==":
+            eq_rows.append(coeffs)
+            eq_rhs.append(rhs)
+        else:
+            sign = 1.0 if rel == "<=" else -1.0
+            ub_rows.append(sign * coeffs)
+            ub_rhs.append(sign * rhs)
+    sign = -1.0 if lp.maximize else 1.0
+    res = linprog(
+        sign * lp.objective,
+        A_ub=np.array(ub_rows) if ub_rows else None, b_ub=ub_rhs or None,
+        A_eq=np.array(eq_rows) if eq_rows else None, b_eq=eq_rhs or None,
+        bounds=lp.bounds, method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return sign * res.fun + lp.objective_constant
+
+
 def cold_prefix_optimal_cr(instance):
     """(pi*, argmax_set) by optimal_cr's loop over the prefixes t = tau+1..T
     with every prefix's first Dinkelbach step solved cold. For instances
@@ -228,3 +264,66 @@ def build_aocr_thr(instance, state, pi: float, index_set):
         bounds=bounds,
         objective_constant=const,
     )
+
+
+def ratio_lower_bound(instance, index_set, demand) -> float:
+    """(sum_{i in I} d_i - c) / (sum_{i in I} v(d^i)): a bound any feasible
+    target ratio must respect; the optimizer's witness attains it at pi_star."""
+    idx = cr._check_index_set(instance, index_set)
+    d = demand.values
+    num = float(sum(d[i - 1] for i in idx)) - instance.capacity_c
+    den = 0.0
+    for i in idx:
+        den += offline_peak_values(instance, reference_values(instance, d[:i]))
+    if den <= EPS_KWH:
+        raise DegenerateInstance("offline peaks sum to zero in ratio denominator")
+    return num / den
+
+
+@lru_cache(maxsize=8)
+def _phi_table(instance, grid_resolution: float):
+    """All grid profiles and their per-prefix offline peaks (oracle precompute)."""
+    T = instance.horizon_T
+    lo, hi = instance.demand_lb, instance.demand_ub
+    steps = int(math.floor((hi - lo) / grid_resolution + 1e-9))
+    pts = lo + grid_resolution * np.arange(steps + 1)
+    if pts[-1] < hi - 1e-9:
+        pts = np.append(pts, hi)
+    if len(pts) ** T > _GRID_CAP:
+        raise HorizonTooLarge(
+            f"{len(pts)}^{T} grid profiles exceed the enumeration cap"
+        )
+    profiles = np.array(list(itertools.product(pts, repeat=T)), dtype=float)
+    n = len(profiles)
+    peaks = np.empty((n, T))
+    for t in range(1, T + 1):
+        ref = np.full((n, T), lo)
+        ref[:, :t] = profiles[:, :t]
+        peaks[:, t - 1] = offline_peak_values(instance, ref)
+    profiles.flags.writeable = False
+    peaks.flags.writeable = False
+    return profiles, peaks
+
+
+def phi_bruteforce(instance, pi: float, grid_resolution: float) -> float:
+    """Worst-case total discharge of the fixed-ratio policy over grid profiles.
+
+    Exhaustive oracle: enumerates {d_lb, d_lb+h, ..., d_ub}^T and simulates the
+    per-slot rule sum_t [d_t - pi * v(d^t)]^+ on every profile. Horizons above
+    6 slots are rejected.
+    """
+    return phi_bruteforce_witness(instance, pi, grid_resolution)[0]
+
+
+def phi_bruteforce_witness(
+    instance, pi: float, grid_resolution: float
+) -> tuple[float, np.ndarray]:
+    """phi_bruteforce plus one profile attaining the maximum."""
+    if instance.horizon_T > 6:
+        raise HorizonTooLarge("phi_bruteforce is capped at T <= 6")
+    if pi < 1.0 - 1e-12:
+        raise ValueError(f"pi must be >= 1, got {pi}")
+    profiles, peaks = _phi_table(instance, float(grid_resolution))
+    totals = np.clip(profiles - pi * peaks, 0.0, None).sum(axis=1)
+    k = int(totals.argmax())
+    return float(totals[k]), profiles[k].copy()

@@ -17,7 +17,7 @@ import pytest
 
 from peakmin.baselines import RhcConfig, run_rhc
 from peakmin.core import DemandProfile, validate_instance
-from peakmin.cr import optimal_cr, phi_bruteforce
+from peakmin.cr import optimal_cr
 from peakmin.harness import (
     ALGO_ANYTIME,
     ALGO_EQUAL_DISCHARGE,
@@ -43,6 +43,7 @@ from peakmin.online import (
 )
 
 from conftest import DHAT, random_profiles
+from oracles import phi_bruteforce
 
 BULK_PROFILES = 10_000
 BULK_EPSILON = 1e-3

@@ -177,6 +177,15 @@ def test_domain_errors_surface_verbatim(capsys, tmp_path):
     assert code == 2
 
 
+def test_solve_rejects_nan_demand(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("12\nnan\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["solve", "-c", "1", "--d-lb", "1",
+                                      "--d-ub", "20", "--demands", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("DemandOutOfBounds")
+
+
 def test_read_demand_file_rules(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("# header\n2.5\n 3.0 # inline\n\n4\n", encoding="utf-8")

@@ -9,6 +9,9 @@ the command line, so a refactor behind it must leave every byte alone.
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,23 @@ def test_benchmark_tracer_names_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracing.check_wrapped_names()
+
+
+def test_package_never_imports_scipy():
+    """Importing scipy.optimize roughly triples the resident memory of a
+    run, so HiGHS stays a test and benchmark oracle: optimal_cr and
+    run_anytime on a T=4 instance leave scipy unimported."""
+    script = (
+        "import sys\n"
+        "from peakmin import DemandProfile, Instance, optimal_cr, run_anytime\n"
+        "inst = Instance(2.0, None, 4, 1.0, 3.0)\n"
+        "optimal_cr(inst)\n"
+        "run_anytime(inst, DemandProfile(inst, [2.5, 1.5, 3.0, 2.0]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

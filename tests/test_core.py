@@ -139,3 +139,44 @@ def test_fuzz_profiles_always_validate():
         profile = DemandProfile(inst, row)
         assert profile.values.min() >= inst.demand_lb - 1e-9
         assert profile.values.max() <= inst.demand_ub + 1e-9
+
+
+NAN = float("nan")
+
+
+def test_demand_profile_rejects_nan():
+    inst = Instance(2.0, None, 3, 1.0, 3.0)
+    with pytest.raises(DemandOutOfBounds):
+        DemandProfile(inst, [2.0, NAN, 1.5])
+
+
+def test_discharge_schedule_rejects_nan():
+    inst = Instance(2.0, 1.0, 3, 1.0, 3.0)
+    demand = DemandProfile(inst, [2.0, 2.0, 2.0])
+    with pytest.raises(InfeasibleSchedule):
+        DischargeSchedule(inst, demand, [0.5, NAN, 0.0])
+
+
+def test_reference_profile_rejects_nan_prefix():
+    inst = Instance(2.0, None, 4, 1.0, 3.0)
+    with pytest.raises(PrefixOutOfBounds):
+        reference_profile(inst, [2.5, NAN])
+
+
+def test_online_state_commit_rejects_nan():
+    state = OnlineState(Instance(1.0, None, 2, 1.0, 2.0))
+    state.observe(2.0)
+    with pytest.raises(InfeasibleSchedule):
+        state.commit(NAN)
+    assert state.inventory_used == 0.0 and state.actions == []
+
+
+def test_online_state_rejects_nan_and_infinite_settings():
+    inst = Instance(1.0, None, 2, 1.0, 2.0)
+    for bad in (NAN, float("inf")):
+        with pytest.raises(NonPositiveBound):
+            OnlineState(inst, monthly_peak=bad)
+    with pytest.raises(ValueError):
+        OnlineState(inst, prev_ratio=NAN)
+    # an infinite prev_ratio means the state is not seeded yet
+    assert OnlineState(inst, prev_ratio=float("inf")).prev_ratio == float("inf")

@@ -9,19 +9,20 @@ import pytest
 import peakmin.cr as cr
 import peakmin.lp as lp_mod
 from peakmin.core import DemandProfile, Instance
-from peakmin.cr import (
-    CrResult,
-    build_cr_compute,
-    optimal_cr,
+from peakmin.cr import CrResult, build_cr_compute, optimal_cr
+from peakmin.errors import DegenerateInstance, EmptyIndexSet
+from peakmin.harness import synthetic_volatile_profiles
+from peakmin.lp import LE, OPTIMAL, LinearProgram, solve_lfp
+
+from oracles import (
+    HorizonTooLarge,
+    cold_prefix_optimal_cr,
+    cr_ratio_oracle,
+    highs_lfp_max,
     phi_bruteforce,
     phi_bruteforce_witness,
     ratio_lower_bound,
 )
-from peakmin.errors import DegenerateInstance, EmptyIndexSet, HorizonTooLarge
-from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import LE, OPTIMAL, LinearProgram, solve_lfp
-
-from oracles import cold_prefix_optimal_cr, cr_ratio_oracle, highs_lfp_max
 
 
 def test_tiny_instance_analytic_value(tiny_instance):

@@ -1,6 +1,7 @@
 """Trace ingestion, synthetic day generators, metrics, and the experiment
 driver."""
 
+import json
 import logging
 from datetime import datetime
 
@@ -210,6 +211,24 @@ def test_profile_set_validation():
                       **{**base, "avg_daily_energy": 4.0})
 
 
+def test_profile_set_rejects_nan():
+    base = dict(
+        day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
+        on_peak_end="12:30", scale_factor=1.0, demand_lb=1.0, demand_ub=2.0,
+    )
+    with pytest.raises(ValueError, match="escape the bounds"):
+        DayProfileSet(day_values=((1.0, float("nan")),), avg_daily_energy=3.0, **base)
+    with pytest.raises(ValueError, match="avg_daily_energy"):
+        DayProfileSet(day_values=((1.0, 2.0),), avg_daily_energy=float("nan"), **base)
+    # Python's json reads NaN
+    good = json.loads(profile_set_to_json(DayProfileSet(
+        day_values=((1.0, 2.0),), avg_daily_energy=3.0, **base)))
+    for payload in ({**good, "day_values": [[1.0, float("nan")]]},
+                    {**good, "avg_daily_energy": float("nan")}):
+        with pytest.raises(MalformedRecord):
+            profile_set_from_json(json.dumps(payload))
+
+
 def test_monthly_groups_split_on_calendar_month():
     ps = synthetic_uniform_profiles(4, 2, 1.0, 2.0, seed=3, start_date="2024-03-30")
     assert ps.monthly_groups() == {"2024-03": (0, 1), "2024-04": (2, 3)}
@@ -394,6 +413,13 @@ def test_experiment_config_validation():
         ExperimentConfig(profiles=ps, capacity_rates=())
     with pytest.raises(ValueError):
         ExperimentConfig(profiles=ps, epsilon=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_experiment_config_rejects_non_finite_epsilon(bad):
+    ps = synthetic_uniform_profiles(2, 2, 1.0, 2.0, seed=1)
+    with pytest.raises(ValueError, match="epsilon"):
+        ExperimentConfig(profiles=ps, epsilon=bad)
 
 
 def test_report_rendering_shapes():

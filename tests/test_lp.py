@@ -191,15 +191,15 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
     answers pushed off their vertex (mixed rows, negative lower bounds,
     some variables without an upper bound)."""
     rng = np.random.default_rng(83)
-    real_reprice = lp_mod._reprice
+    real_values = lp_mod._basic_values
 
-    def nudged_reprice(*args):
-        found = real_reprice(*args)
+    def nudged_values(*args):
+        found = real_values(*args)
         if found is None:
             return None
-        return found[0] + rng.uniform(-1e-8, 1e-8, len(found[0])), found[1]
+        return found + rng.uniform(-1e-8, 1e-8, len(found))
 
-    monkeypatch.setattr(lp_mod, "_reprice", nudged_reprice)
+    monkeypatch.setattr(lp_mod, "_basic_values", nudged_values)
     checked = 0
     for _ in range(80):
         n = int(rng.integers(2, 7))
@@ -226,13 +226,13 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
 def test_lp_gate_rejects_nan_answer(monkeypatch):
     """An answer holding a NaN raises. The row-by-row maximum the gate once
     took skipped NaN (max(0.0, nan) is 0.0) and returned such an answer."""
-    real_reprice = lp_mod._reprice
+    real_values = lp_mod._basic_values
 
-    def nan_reprice(*args):
-        found = real_reprice(*args)
-        return None if found is None else (np.where(found[0] > 0, np.nan, found[0]), found[1])
+    def nan_values(*args):
+        found = real_values(*args)
+        return None if found is None else np.where(found > 0, np.nan, found)
 
-    monkeypatch.setattr(lp_mod, "_reprice", nan_reprice)
+    monkeypatch.setattr(lp_mod, "_basic_values", nan_values)
     textbook = LinearProgram(
         objective=np.array([3.0, 2.0]),
         maximize=True,

@@ -36,6 +36,11 @@ def test_water_fill_rejects_budget_above_total():
         water_fill_threshold([1.0, 1.0], -0.1)
 
 
+def test_water_fill_rejects_nan_budget():
+    with pytest.raises(BudgetExceedsTotalDemand):
+        water_fill_threshold([1.0, 2.0], float("nan"))
+
+
 def test_water_fill_matches_bisection_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):

@@ -7,7 +7,7 @@ import pytest
 import peakmin.lp as lp_mod
 import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
-from peakmin.cr import inventory_unbounded, optimal_cr, phi_bruteforce_witness
+from peakmin.cr import inventory_unbounded, optimal_cr
 from peakmin.errors import DemandOutOfBounds, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
 from peakmin.lp import INFEASIBLE, OPTIMAL, LinearProgram
@@ -23,7 +23,7 @@ from peakmin.online import (
 )
 
 from conftest import DHAT, random_profiles
-from oracles import build_aocr_thr
+from oracles import build_aocr_thr, highs_lp, phi_bruteforce_witness
 
 
 def test_fixed_policy_hand_trace(tiny_instance):
@@ -77,6 +77,20 @@ def test_fixed_policy_rejects_ratio_below_one(tiny_instance, pi):
         pcr_step(tiny_instance, OnlineState(tiny_instance), pi, 2.0)
     with pytest.raises(ValueError, match="initial_ratio"):
         PolicyOptions(initial_ratio=pi)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_policy_settings_reject_nan_and_infinity(bad):
+    """A NaN epsilon used to skip the bisection: on this instance
+    anytime_ratio certified 1.8 (the seed ratio) instead of 1.333398."""
+    inst = Instance(2.0, None, 3, 1.0, 3.0)
+    with pytest.raises(ValueError, match="bisection_epsilon"):
+        PolicyOptions(bisection_epsilon=bad)
+    with pytest.raises(ValueError, match="monthly_peak"):
+        PolicyOptions(monthly_peak=bad)
+    with pytest.raises(ValueError, match="epsilon"):
+        anytime_ratio(inst, OnlineState(inst), 3.0, epsilon=bad)
+    assert anytime_ratio(inst, OnlineState(inst), 3.0) == pytest.approx(1.333398, abs=1e-6)
 
 
 def test_fixed_policy_rejects_out_of_bounds_demand(tiny_instance):
@@ -250,13 +264,13 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
 def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
     """An answer whose residual exceeds 1e-6 raises inside solve_lp, for any
     LP and for the certificate LPs of run_anytime alike."""
-    real_reprice = lp_mod._reprice
+    real_values = lp_mod._basic_values
 
-    def sloppy_reprice(*args):
-        found = real_reprice(*args)
-        return None if found is None else (found[0] + 1e-2, found[1])
+    def sloppy_values(*args):
+        found = real_values(*args)
+        return None if found is None else found + 1e-2
 
-    monkeypatch.setattr(lp_mod, "_reprice", sloppy_reprice)
+    monkeypatch.setattr(lp_mod, "_basic_values", sloppy_values)
     textbook = LinearProgram(
         objective=np.array([3.0, 2.0]),
         maximize=True,
@@ -298,7 +312,7 @@ def test_future_requirement_without_binding_inventory():
     for k in (2, 3):
         full = lp_mod.solve_lp(build_aocr_thr(inst, state, 1.2, range(2, k + 1)))
         assert full.status == INFEASIBLE
-        assert online._future_requirement(view, 1.2, k) == -np.inf
+        assert online._future_requirement(view, 1.2, k, online._WarmStart()) == -np.inf
     assert not inventory_unbounded(Instance(1.2, 0.4, 3, 1.0, 2.0))
 
 
@@ -337,7 +351,7 @@ def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
                 full = lp_mod.solve_lp(
                     build_aocr_thr(inst, state, pi, range(view.t + 1, k + 1))
                 )
-                reduced = online._future_requirement(view, pi, k)
+                reduced = online._future_requirement(view, pi, k, online._WarmStart())
                 if full.status == INFEASIBLE:
                     assert reduced == -np.inf
                     continue
@@ -346,3 +360,38 @@ def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
                 assert full.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
                 checked += 1
     assert checked == 2 * 4 * sum(T - t + 1 for t in range(1, T + 1))
+
+
+@pytest.mark.parametrize(
+    "horizon, rate_limit",
+    [(16, None), (16, 100.0), (20, None), (20, 100.0), (24, None), (24, 100.0), (30, None)],
+    ids=["t16", "t16-rl", "t20", "t20-rl", "t24", "t24-rl", "t30"],
+)
+def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
+    """Slot 3 of day 0 of a seed-7 volatile set, c = 0.3 of the mean daily
+    energy, slots 1-2 committed at 0, pi = 1.6, cutoff T: the certificate
+    LP's optimum equals HiGHS on the same LP, and with the constant term
+    added, HiGHS on the full printed form. (T = 30 with a rate limit is left
+    out: its one cold solve takes seconds.)"""
+    pytest.importorskip("scipy")
+    days = synthetic_volatile_profiles(2, horizon, 100.0, 400.0, seed=7)
+    inst = days.instance(0.3 * days.avg_daily_energy, rate_limit)
+    d = days.day_values[0]
+    state = OnlineState(inst)
+    for slot in range(2):
+        state.observe(float(d[slot]))
+        state.commit(0.0)
+    state.observe(float(d[2]))
+    view = online._slot_view(inst, state)
+    solved = []
+
+    def recording_solve_lp(lp, basis=None):
+        solved.append(lp)
+        return lp_mod.solve_lp(lp, basis=basis)
+
+    monkeypatch.setattr(online, "solve_lp", recording_solve_lp)
+    got = online._future_requirement(view, 1.6, horizon, online._WarmStart())
+    assert len(solved) == 1
+    assert got == pytest.approx(highs_lp(solved[0]), rel=1e-9)
+    full = highs_lp(build_aocr_thr(inst, state, 1.6, range(4, horizon + 1)))
+    assert online._constant_term(view, 1.6) + got == pytest.approx(full, rel=1e-9)
