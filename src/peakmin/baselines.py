@@ -36,8 +36,9 @@ class RhcConfig:
     future_view: str = FUTURE_MIDPOINT
 
     def __post_init__(self):
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        # written so that NaN and infinity are rejected too
+        if self.window is not None and not 1 <= self.window < math.inf:
+            raise ValueError(f"window must be >= 1 and finite, got {self.window}")
         if self.future_view not in _FUTURE_VIEWS:
             raise ValueError(
                 f"future_view must be one of {_FUTURE_VIEWS}, got {self.future_view!r}"

@@ -122,7 +122,7 @@ def scenario_program(
     lo, hi = instance.demand_lb, instance.demand_ub
     rate = instance.rate_limit
     t = len(prefix)
-    top = float(max(hi, u_lb, *prefix))
+    top = scenario_top(instance, prefix, u_lb)
 
     bounds: list[tuple[float, float | None]] = [(x_lb, hi)] * (k - t)
     w_cols = []  # first column (w_i) of each scenario block
@@ -155,6 +155,11 @@ def scenario_program(
             row[ofs] = tail
             cons.append((row, "<=", tail * (top - lo)))
     return cons, bounds, np.array(w_cols, dtype=int), top
+
+
+def scenario_top(instance: Instance, prefix, u_lb: float) -> float:
+    """scenario_program's U = max(d_ub, u_lb, prefix)."""
+    return float(max(instance.demand_ub, u_lb, *prefix))
 
 
 def inventory_unbounded(instance: Instance) -> bool:
@@ -194,28 +199,33 @@ def _floor_quotient(c: float, d_ub: float) -> int:
         return int(math.floor(c / d_ub - 1e-12))
 
 
-def _carry_basis(basis: np.ndarray, old: LfpProblem, new: LfpProblem, t: int) -> np.ndarray:
-    """Prefix t's final basis as a basis of prefix t+1's standard form.
+def _carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
+    """A final basis of old's standard form as a basis of new's.
 
-    Prefix t+1's program is prefix t's with x_{t+1} inserted at column t,
-    one scenario block appended after the last column and that block's rows
-    appended after the last constraint; no old row touches a new column.
-    The standard form (lp._standard_form, lp._augment) of these all-<=
-    programs is the structural columns, then one slack per row: the
-    constraints in order, then one upper-bound row per bounded column in
-    column order. Old columns and slacks are moved to their new index and
-    the slack of every new row is made basic. At the old vertex with the new
-    columns at their lower bounds every new row holds: after the lower-bound
-    shift its right-hand side is >= 0, and its one old column, if any, is
-    an x_j at most d_ub - d_lb against a right-hand side of U - d_lb. So the
-    hint is primal feasible and solve_lp starts phase 2 from it.
+    old and new are scenario programs (LfpProblem or LinearProgram) where
+    new is old with one demand column inserted at column at, one scenario
+    block appended after the last column and that block's rows appended
+    after the last constraint; no old row touches a new column. optimal_cr
+    steps so from prefix t to t+1 (x_{t+1} inserted at column t), and the
+    anytime certificate from cutoff k-1 to k after t observed slots (x_k
+    inserted at column k-1-t). The standard form (lp._standard_form,
+    lp._augment) of these all-<= programs is the structural columns, then
+    one slack per row: the constraints in order, then one upper-bound row
+    per bounded column in column order. Old columns and slacks are moved to
+    their new index and the slack of every new row is made basic. At the old
+    vertex with the new columns at their lower bounds every new row holds:
+    after the lower-bound shift its right-hand side is >= 0, and its one old
+    column, if any, is an x_j at most d_ub - x_lb against a right-hand side
+    of U - x_lb. So when new keeps the rows and bounds old was solved with,
+    the hint is primal feasible and solve_lp starts phase 2 from it;
+    otherwise solve_lp's re-price may reject it.
     """
     def bounded(program):  # columns with an upper-bound row, in column order
         return [j for j, (_lo, hi) in enumerate(program.bounds) if hi is not None]
 
     n_new, m_new = len(new.bounds), len(new.constraints)
     col = np.arange(len(old.bounds))
-    col[t:] += 1  # x_{t+1} is inserted at column t
+    col[at:] += 1  # the new demand column
     # each old row's index in the new standard form: constraints keep
     # theirs, upper-bound rows follow their column's rank
     new_rank = {j: r for r, j in enumerate(bounded(new))}

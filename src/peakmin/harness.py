@@ -738,10 +738,11 @@ class ExperimentConfig:
             )
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
-        if not self.capacity_rates or min(self.capacity_rates) <= 0:
-            raise ValueError("capacity_rates must be positive")
-        if self.rate_limit_fraction is not None and self.rate_limit_fraction <= 0:
-            raise ValueError("rate_limit_fraction must be > 0 when present")
+        # written so that NaN and infinity are rejected too
+        if not self.capacity_rates or not all(0.0 < r < math.inf for r in self.capacity_rates):
+            raise ValueError("capacity_rates must be positive and finite")
+        if self.rate_limit_fraction is not None and not 0.0 < self.rate_limit_fraction < math.inf:
+            raise ValueError("rate_limit_fraction must be positive and finite when present")
         if not 0.0 < self.epsilon < math.inf:  # NaN fails this too
             raise ValueError("epsilon must be positive and finite")
 

@@ -27,6 +27,13 @@ takes a hint for its first LP too (basis=) and returns the last LP's basis
 as LfpResult.basis, so a caller solving a sequence of related programs
 (optimal_cr, prefix by prefix) can carry a basis from one to the next.
 
+Built once: the first solve_lp on a LinearProgram builds its standard form
+(scaled rows, right-hand sides, lower-bound shift, gate, augmented matrix,
+start basis) and keeps it on that object, and later solves reuse it. Between
+solves only the objective, its constant and upper bounds may change; upper
+bounds move through LinearProgram.set_upper, which updates the form's bound
+rows and gate with them.
+
 Tolerances: pivot 1e-9, feasibility 1e-7, residual 1e-6, ratio 1e-12.
 """
 
@@ -55,13 +62,19 @@ UNBOUNDED = "unbounded"
 @dataclass
 class LinearProgram:
     """Dense LP: optimize objective . x (+ objective_constant) over
-    linear rows and per-variable bounds (finite lower, optional upper)."""
+    linear rows and per-variable bounds (finite lower, optional upper).
+
+    solve_lp keeps the standard form it builds on the object; after a solve
+    change only the objective, objective_constant and, through set_upper,
+    upper bounds."""
 
     objective: np.ndarray
     maximize: bool
     constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     bounds: list[tuple[float, float | None]] = field(default_factory=list)
     objective_constant: float = 0.0
+    # the standard form the first solve_lp builds; later solves reuse it
+    _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -85,6 +98,29 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return len(self.objective)
+
+    def set_upper(self, cols, hi: float) -> None:
+        """Move the upper bound of every column in cols to hi.
+
+        A built standard form moves with the bounds: its bound rows' right-
+        hand sides and its gate. Where a column has no upper bound, or its
+        box is or becomes inverted (hi < lo), the form is dropped instead and
+        the next solve builds it afresh, as it would for a new LinearProgram.
+        """
+        bounds = list(self.bounds)
+        in_step = self._form is not None
+        for j in cols:
+            lo, old = bounds[j]
+            in_step = in_step and old is not None and old >= lo and hi >= lo
+            bounds[j] = (lo, hi)
+        self.bounds = bounds
+        form = self._form
+        if not in_step:
+            self._form = None
+        else:
+            # bound rows are unit rows, so equilibration left them unscaled
+            form.rhs[form.bound_row[cols]] = hi - form.lb[cols]
+            form.gate[3][cols] = hi
 
 
 @dataclass
@@ -303,6 +339,36 @@ def _augment(rows: np.ndarray, rels: list[str], n: int):
     return a, basis, art_cols, n + n_slack
 
 
+@dataclass
+class _Form:
+    """Standard form of one LinearProgram as solve_lp uses it: the augmented
+    matrix and right-hand side, the lower-bound shift, the gate, the start
+    basis, the artificial columns, the enterable count, and the row of each
+    column's upper bound (-1 where it has none)."""
+
+    a: np.ndarray
+    rhs: np.ndarray
+    lb: np.ndarray
+    gate: tuple
+    start: np.ndarray
+    art_cols: list[int]
+    enterable: int
+    bound_row: np.ndarray
+
+
+def _build_form(lp: LinearProgram) -> _Form | None:
+    """lp's standard form, or None when a box is empty."""
+    sf = _standard_form(lp)
+    if sf is None:
+        return None
+    rows, rels, rhs, lb, gate = sf
+    a, start, art_cols, enterable = _augment(rows, rels, lp.num_vars)
+    bounded = [j for j, (_lo, hi) in enumerate(lp.bounds) if hi is not None]
+    bound_row = np.full(lp.num_vars, -1)
+    bound_row[bounded] = len(lp.constraints) + np.arange(len(bounded))
+    return _Form(a, rhs, lb, gate, start, art_cols, enterable, bound_row)
+
+
 def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     """Values of the basic columns, solved from the standard form's own
     columns (B x_B = rhs with B = a[:, basis]); None when B is singular."""
@@ -378,15 +444,14 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     RESIDUAL_TOL raises NumericalFailure.
     """
     n = lp.num_vars
-    sf = _standard_form(lp)
-    if sf is None:
+    form = lp._form if lp._form is not None else _build_form(lp)
+    if form is None:
         return LpResult(INFEASIBLE, np.nan, None)
-    rows, rels, rhs, lb, gate = sf
-    m = len(rhs)
+    lp._form = form
+    a, rhs, lb, gate = form.a, form.rhs, form.lb, form.gate
+    start, art_cols, enterable = form.start, form.art_cols, form.enterable
+    m, cols = a.shape
     obj = lp.objective if lp.maximize else -lp.objective
-
-    a, start, art_cols, enterable = _augment(rows, rels, n)
-    cols = a.shape[1]
     full_obj = np.zeros(cols)
     full_obj[:n] = obj
     max_iter = 5000 + 60 * (m + cols)

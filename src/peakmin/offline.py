@@ -8,6 +8,7 @@ correction, the unique optimal schedule is delta_t = [d_t - M - v]^+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,18 @@ def water_fill_threshold(demands, budget: float):
     Exact sort-and-breakpoint evaluation (no bisection): over demands sorted
     descending with prefix sums S_k, v = max_k (S_k - budget)/k. A zero budget
     returns max(demands). Works along the last axis: a vector gives a float,
-    an (N, T) matrix one level per row.
+    an (N, T) matrix one level per row. A NaN or infinite demand raises
+    ValueError.
     """
     d = np.asarray(demands, dtype=float)
     if not budget >= 0:  # written so that NaN is rejected too
         raise BudgetExceedsTotalDemand(f"budget must be >= 0, got {budget}")
     prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
-    # the last prefix sum is the total; a matrix is checked against its smallest
+    # the last prefix sums are the totals, and a NaN or infinite demand
+    # makes them, and their sum, NaN or infinite
+    if not math.isfinite(prefix[-1] if d.ndim == 1 else prefix[:, -1].sum()):
+        raise ValueError("demands must be finite")
+    # a matrix is checked against its smallest total
     total = prefix[-1] if d.ndim == 1 else prefix[:, -1].min()
     if budget > 0 and budget > total + EPS_KWH:
         raise BudgetExceedsTotalDemand(f"budget {budget} > total demand {total}")

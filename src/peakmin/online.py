@@ -24,7 +24,7 @@ from .core import (
     OnlineState,
     reference_values,
 )
-from .cr import inventory_unbounded, optimal_cr, scenario_program
+from .cr import _carry_basis, inventory_unbounded, optimal_cr, scenario_program, scenario_top
 from .errors import (
     DegenerateOfflinePeak,
     DemandOutOfBounds,
@@ -216,16 +216,33 @@ def _constant_term(view: _SlotView, pi: float) -> float:
 
 
 @dataclass
+class _Cutoff:
+    """One cutoff's certificate LP as a slot keeps it: the LP, its w
+    columns, the U it was built with and its last optimal basis."""
+
+    lp: LinearProgram
+    w_cols: np.ndarray
+    top: float
+    basis: np.ndarray | None
+
+
+@dataclass
 class _WarmStart:
     """What one slot's bisection remembers between its steps.
 
-    Between steps only the -pi objective terms and the floor/pi bound on u
-    move, so the last optimal basis of each cutoff's LP usually stays
-    optimal and solve_lp re-prices it instead of pivoting; and the cutoff
-    that exceeded the budget last usually exceeds it again.
+    Each cutoff's LP is built once: between steps only the -pi objective
+    terms, their constant and the w upper bounds U - floor/pi move, and
+    they are written into the kept LP, whose standard form solve_lp reuses.
+    scenario_program runs again only if U = max(d_ub, floor/pi, prefix)
+    moves, which needs a pi below floor/v_ref (v_ref <= U), and the
+    bisection never evaluates one. The last optimal basis of each cutoff's
+    LP usually stays optimal, so solve_lp re-prices it instead of pivoting;
+    a cutoff's first solve starts from the basis of the cutoff before it,
+    mapped by cr._carry_basis. The cutoff that exceeded the budget last
+    usually exceeds it again.
     """
 
-    bases: dict[int, np.ndarray] = field(default_factory=dict)
+    cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
     binding: int | None = None
 
 
@@ -241,21 +258,32 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     floor = max(view.running_peak, view.monthly_peak)
     # pi = 0 can only be evaluated when no peak floor exists yet
     lb_u = 0.0 if floor <= 0.0 else floor / pi
-    rows, bounds, w_cols, top = scenario_program(
-        inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
-    )
+    top = scenario_top(inst, view.demands, lb_u)
+    cut = warm.cutoffs.get(kmax)
+    if cut is None or cut.top != top:
+        rows, bounds, w_cols, top = scenario_program(
+            inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
+        )
+        obj = np.zeros(len(bounds))
+        obj[: kmax - t] = 1.0
+        lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
+        cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top, None if cut is None else cut.basis)
+    else:
+        cut.lp.set_upper(cut.w_cols, top - lb_u)
     # worst future demand x_{t+1..kmax} beyond pi times the scenario
     # benchmarks u_i = top - w_i
-    obj = np.zeros(len(bounds))
-    obj[: kmax - t] = 1.0
-    obj[w_cols] = pi
-    lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds,
-                       objective_constant=-pi * top * len(w_cols))
-    res = solve_lp(lp, basis=warm.bases.get(kmax))
+    lp = cut.lp
+    lp.objective[cut.w_cols] = pi
+    lp.objective_constant = -pi * top * len(cut.w_cols)
+    basis, prev = cut.basis, warm.cutoffs.get(kmax - 1)
+    if basis is None and prev is not None and prev.basis is not None:
+        # x_kmax is inserted after x_{t+1..kmax-1}
+        basis = _carry_basis(prev.basis, prev.lp, lp, kmax - 1 - t)
+    res = solve_lp(lp, basis=basis)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
-    warm.bases[kmax] = res.basis
+    cut.basis = res.basis
     return res.value
 
 

@@ -117,6 +117,14 @@ def test_equal_ratio_rejects_rate_outside_unit_interval(two_one_instance, two_on
             run_equal_ratio(two_one_instance, two_one_profile, capacity_rate=rate)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_rhc_config_rejects_non_finite_window(bad):
+    """A NaN window used to pass (nan < 1 is False) and fail later inside
+    numpy; it now fails at construction, as infinity does."""
+    with pytest.raises(ValueError, match="window"):
+        RhcConfig(window=bad)
+
+
 def test_rhc_config_validation():
     with pytest.raises(ValueError):
         RhcConfig(window=0)

@@ -422,6 +422,22 @@ def test_experiment_config_rejects_non_finite_epsilon(bad):
         ExperimentConfig(profiles=ps, epsilon=bad)
 
 
+@pytest.mark.parametrize("rates", [(0.1, float("nan")), (float("inf"),)], ids=["nan", "inf"])
+def test_experiment_config_rejects_non_finite_capacity_rates(rates):
+    """A NaN rate used to slip past the min(...) <= 0 test and infinity
+    past every test; both now fail at construction."""
+    ps = synthetic_uniform_profiles(2, 2, 1.0, 2.0, seed=1)
+    with pytest.raises(ValueError, match="capacity_rates"):
+        ExperimentConfig(profiles=ps, capacity_rates=rates)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_experiment_config_rejects_non_finite_rate_limit_fraction(bad):
+    ps = synthetic_uniform_profiles(2, 2, 1.0, 2.0, seed=1)
+    with pytest.raises(ValueError, match="rate_limit_fraction"):
+        ExperimentConfig(profiles=ps, rate_limit_fraction=bad)
+
+
 def test_report_rendering_shapes():
     ps = synthetic_uniform_profiles(2, 2, 2.0, 4.0, seed=4)
     report = run_experiment(ExperimentConfig(

@@ -506,3 +506,47 @@ def test_lp_random_basis_gives_cold_result_unless_feasible():
             else:
                 _assert_same_result(res, cold)
     assert feasible >= 20
+
+
+def _fresh(lp):
+    """A new LinearProgram with lp's current data, so nothing is kept."""
+    return LinearProgram(lp.objective.copy(), lp.maximize, lp.constraints, list(lp.bounds),
+                         lp.objective_constant)
+
+
+def test_lp_set_upper_resolve_matches_fresh_build():
+    """Upper bounds moved through set_upper after a solve, then re-solved on
+    the kept standard form (cold, and hinted with the earlier basis): the
+    answer equals that of a new LinearProgram built with those bounds, bit
+    for bit. Inverting a box gives INFEASIBLE, as a new LP does, and so
+    does giving a column without an upper bound one."""
+    rng = np.random.default_rng(53)
+    cases = _random_feasible_lps(57, 120)
+    assert len(cases) >= 40
+    inverted = 0
+    for lp, first in cases:
+        n = lp.num_vars
+        for _move in range(3):
+            cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            if rng.random() < 0.15:
+                hi = -float(rng.uniform(0.01, 1.0))  # below every lower bound (0)
+                inverted += 1
+            else:
+                hi = float(rng.uniform(0.0, 3.0))
+            lp.set_upper(cols, hi)
+            assert [lp.bounds[j][1] for j in cols] == [hi] * len(cols)
+            for basis in (None, first.basis):
+                moved, fresh = solve_lp(lp, basis=basis), solve_lp(_fresh(lp), basis=basis)
+                assert moved.status == fresh.status
+                if hi < 0.0:
+                    assert moved.status == INFEASIBLE
+                if fresh.status == OPTIMAL:
+                    _assert_same_result(moved, fresh)
+    assert inverted >= 10
+    # a column that had no upper bound gains one
+    lp = LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 2.0]), LE, 4.0)],
+                       [(0.0, None), (0.0, 3.0)])
+    assert solve_lp(lp).value == pytest.approx(4.0)
+    lp.set_upper([0], 1.5)
+    _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
+    assert solve_lp(lp).value == pytest.approx(2.75)

@@ -41,6 +41,18 @@ def test_water_fill_rejects_nan_budget():
         water_fill_threshold([1.0, 2.0], float("nan"))
 
 
+@pytest.mark.parametrize(
+    "demands",
+    [[1.0, float("nan")], [float("inf"), 1.0], [[1.0, 2.0], [1.0, float("-inf")]]],
+    ids=["nan", "inf", "matrix-row"],
+)
+def test_water_fill_rejects_non_finite_demands(demands):
+    """[1, nan] used to give the level nan; a non-finite demand in any row
+    now raises."""
+    with pytest.raises(ValueError, match="finite"):
+        water_fill_threshold(demands, 0.5)
+
+
 def test_water_fill_matches_bisection_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):

@@ -1,9 +1,12 @@
 """Online policies: fixed ratio pursuit, anytime certification, depleting
 variant, and monthly threading."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import peakmin.cr as cr
 import peakmin.lp as lp_mod
 import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
@@ -395,3 +398,111 @@ def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
     assert got == pytest.approx(highs_lp(solved[0]), rel=1e-9)
     full = highs_lp(build_aocr_thr(inst, state, 1.6, range(4, horizon + 1)))
     assert online._constant_term(view, 1.6) + got == pytest.approx(full, rel=1e-9)
+
+
+def _fresh_requirement(view, pi, kmax):
+    """The cutoff's certificate LP built anew by scenario_program and solved
+    cold, the way each bisection step once built it."""
+    inst, t = view.instance, view.t
+    floor = max(view.running_peak, view.monthly_peak)
+    lb_u = 0.0 if floor <= 0.0 else floor / pi
+    rows, bounds, w_cols, top = cr.scenario_program(
+        inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
+    )
+    obj = np.zeros(len(bounds))
+    obj[: kmax - t] = 1.0
+    obj[w_cols] = pi
+    return lp_mod.solve_lp(LinearProgram(obj, True, rows, bounds, -pi * top * len(w_cols)))
+
+
+@pytest.mark.parametrize(
+    "rate_limit, monthly_peak",
+    [(None, 0.0), (60.0, 0.0), (None, 450.0)],
+    ids=["plain", "rate-limited", "monthly-above-ub"],
+)
+def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_peak):
+    """Slots 1-4 of a T=10 day, each bisected on [1, 2] with one _WarmStart
+    over every cutoff: at every step the kept cutoff LP, its objective and
+    w bounds moved in place, gives the status and value of a freshly built
+    scenario_program solved cold. scenario_program runs once per (slot,
+    cutoff) unless U moves; with the monthly peak 450 above d_ub = 400, U
+    moves for pi below 1.125, a bracket run_anytime never bisects (it
+    starts at 450/v_ref), and the cutoff LPs are rebuilt."""
+    inst, demand = _volatile_day(rate_limit, 0.3, 1)
+    pi_star = optimal_cr(inst).pi_star
+    builds = []
+    real_program = online.scenario_program
+
+    def counting_program(instance, prefix, k, x_lb, u_lb):
+        builds.append((len(prefix), k))
+        return real_program(instance, prefix, k, x_lb, u_lb)
+
+    monkeypatch.setattr(online, "scenario_program", counting_program)
+    state = OnlineState(inst, monthly_peak=monthly_peak)
+    steps = 0
+    for d in demand.values[:4]:
+        view = online._slot_view(inst, state, float(d))
+        warm = online._WarmStart()
+        lo, hi = 1.0, 2.0
+        for _step in range(6):
+            pi = 0.5 * (lo + hi)
+            total = 0.0
+            for kmax in range(view.t + 1, inst.horizon_T + 1):
+                reused = online._future_requirement(view, pi, kmax, warm)
+                fresh = _fresh_requirement(view, pi, kmax)
+                assert fresh.status == OPTIMAL
+                assert reused == pytest.approx(fresh.value, rel=1e-9, abs=1e-9)
+                total = max(total, reused)
+                steps += 1
+            if online._constant_term(view, pi) + total > view.remaining:
+                lo = pi
+            else:
+                hi = pi
+        delta = pcr_step(inst, state, pi_star, float(d))
+        state.observe(float(d))
+        state.commit(delta)
+    assert steps == 6 * (9 + 8 + 7 + 6)
+    kept = Counter(builds)  # the fresh builds call cr.scenario_program directly
+    assert len(kept) == 9 + 8 + 7 + 6
+    if monthly_peak > inst.demand_ub:
+        assert max(kept.values()) > 1
+    else:
+        assert set(kept.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "rate_limit, monthly_peak",
+    [(None, 0.0), (60.0, 0.0), (None, 380.0)],
+    ids=["plain", "rate-limited", "monthly"],
+)
+@pytest.mark.parametrize("mode", [MODE_ANYTIME, MODE_ANYTIME_DEPLETING])
+def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthly_peak, mode):
+    """Every basis run_anytime carries from cutoff k-1 to cutoff k, in the
+    bisection and in depleting_amount, passes lp._reprice as primal feasible
+    on cutoff k's standard form as it is solved; and each cutoff's LP is
+    built once per certification."""
+    inst, demand = _volatile_day(rate_limit, 0.3, 2)
+    real_carry, real_program = online._carry_basis, online.scenario_program
+    carried, builds = [], []
+
+    def checked_carry(basis, old, new, at):
+        hint = real_carry(basis, old, new, at)
+        rows, rels, rhs, _lb, _gate = lp_mod._standard_form(new)
+        a, _start, _art, enterable = lp_mod._augment(rows, rels, new.num_vars)
+        obj = np.zeros(a.shape[1])
+        obj[: new.num_vars] = new.objective
+        carried.append(lp_mod._reprice(a, rhs, obj, hint, enterable) is not None)
+        return hint
+
+    def counting_program(instance, prefix, k, x_lb, u_lb):
+        builds.append((len(prefix), k))
+        return real_program(instance, prefix, k, x_lb, u_lb)
+
+    monkeypatch.setattr(online, "_carry_basis", checked_carry)
+    monkeypatch.setattr(online, "scenario_program", counting_program)
+    run_anytime(inst, demand, PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                                            initial_ratio=optimal_cr(inst).pi_star))
+    assert len(carried) >= 20
+    assert all(carried)
+    # a depleting slot certifies and then sizes its slack: two builds
+    assert max(Counter(builds).values()) <= (2 if mode == MODE_ANYTIME_DEPLETING else 1)
