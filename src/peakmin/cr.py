@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet
-from .lp import LfpProblem, solve_lfp
+from .lp import LfpProblem, carry_basis, solve_lfp
 # not called here; the benchmark's tracer wraps this cr attribute by name
 from .offline import offline_peak_values  # noqa: F401
 
@@ -199,43 +199,6 @@ def _floor_quotient(c: float, d_ub: float) -> int:
         return int(math.floor(c / d_ub - 1e-12))
 
 
-def _carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
-    """A final basis of old's standard form as a basis of new's.
-
-    old and new are scenario programs (LfpProblem or LinearProgram) where
-    new is old with one demand column inserted at column at, one scenario
-    block appended after the last column and that block's rows appended
-    after the last constraint; no old row touches a new column. optimal_cr
-    steps so from prefix t to t+1 (x_{t+1} inserted at column t), and the
-    anytime certificate from cutoff k-1 to k after t observed slots (x_k
-    inserted at column k-1-t). The standard form (lp._standard_form,
-    lp._augment) of these all-<= programs is the structural columns, then
-    one slack per row: the constraints in order, then one upper-bound row
-    per bounded column in column order. Old columns and slacks are moved to
-    their new index and the slack of every new row is made basic. At the old
-    vertex with the new columns at their lower bounds every new row holds:
-    after the lower-bound shift its right-hand side is >= 0, and its one old
-    column, if any, is an x_j at most d_ub - x_lb against a right-hand side
-    of U - x_lb. So when new keeps the rows and bounds old was solved with,
-    the hint is primal feasible and solve_lp starts phase 2 from it;
-    otherwise solve_lp's re-price may reject it.
-    """
-    def bounded(program):  # columns with an upper-bound row, in column order
-        return [j for j, (_lo, hi) in enumerate(program.bounds) if hi is not None]
-
-    n_new, m_new = len(new.bounds), len(new.constraints)
-    col = np.arange(len(old.bounds))
-    col[at:] += 1  # the new demand column
-    # each old row's index in the new standard form: constraints keep
-    # theirs, upper-bound rows follow their column's rank
-    new_rank = {j: r for r, j in enumerate(bounded(new))}
-    row = np.concatenate([np.arange(len(old.constraints)),
-                          m_new + np.array([new_rank[col[j]] for j in bounded(old)], dtype=int)])
-    carried = np.concatenate([col, n_new + row])[basis]
-    added = np.setdiff1d(np.arange(m_new + len(new_rank)), row)
-    return np.concatenate([carried, n_new + added])
-
-
 def optimal_cr(instance: Instance) -> CrResult:
     """Maximum of the worst-case-ratio program over prefix candidate sets.
 
@@ -245,7 +208,8 @@ def optimal_cr(instance: Instance) -> CrResult:
     into the next prefix's Dinkelbach solve, which returns at once when the
     prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. So
     is the basis of each prefix's last LP, mapped onto the next prefix's
-    program by _carry_basis: only the first prefix starts cold. The
+    program by lp.carry_basis together with its tableau: only the first
+    prefix starts cold, and no prefix refactorizes its basis. The
     denominator is not checked by an auxiliary solve: any feasible point has
     u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
     precondition below.
@@ -271,7 +235,7 @@ def optimal_cr(instance: Instance) -> CrResult:
     for t in range(tau + 1, T + 1):
         program = _prefix_program(instance, t)
         if basis is not None:
-            basis = _carry_basis(basis, prev, program, t - 1)
+            basis = carry_basis(basis, prev, program, t - 1)
         res = solve_lfp(program, check_denominator=False, at_least=best_val, basis=basis)
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block

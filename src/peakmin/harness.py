@@ -201,8 +201,11 @@ class SlottingConfig:
             raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
         if self.demand_bounds is not None:
             lb, ub = self.demand_bounds
-            if not (0 < lb <= ub):
-                raise ValueError(f"demand_bounds must satisfy 0 < lb <= ub, got {self.demand_bounds}")
+            # written so that NaN and infinity are rejected too
+            if not 0 < lb <= ub < math.inf:
+                raise ValueError(
+                    f"demand_bounds must satisfy 0 < lb <= ub < inf, got {self.demand_bounds}"
+                )
 
     @property
     def horizon(self) -> int:
@@ -290,8 +293,10 @@ class DayProfileSet:
         width = len(rows[0])
         if width < 1 or any(len(r) != width for r in rows):
             raise ValueError("day rows must share one positive horizon")
-        if not (0 < self.demand_lb <= self.demand_ub):
-            raise ValueError(f"bounds must satisfy 0 < lb <= ub, got ({self.demand_lb}, {self.demand_ub})")
+        if not 0 < self.demand_lb <= self.demand_ub < math.inf:
+            raise ValueError(
+                f"bounds must satisfy 0 < lb <= ub < inf, got ({self.demand_lb}, {self.demand_ub})"
+            )
         values = np.asarray(rows, dtype=float)
         tol = 1e-9 * max(1.0, self.demand_ub)
         # written so that a NaN value fails it (min and max propagate NaN)
@@ -492,8 +497,8 @@ def synthetic_uniform_profiles(
     """Days of independent uniform draws over [demand_lb, demand_ub]."""
     if num_days < 1 or horizon < 1:
         raise ValueError("num_days and horizon must be positive")
-    if not (0 < demand_lb <= demand_ub):
-        raise ValueError(f"bounds must satisfy 0 < lb <= ub, got ({demand_lb}, {demand_ub})")
+    if not 0 < demand_lb <= demand_ub < math.inf:
+        raise ValueError(f"bounds must satisfy 0 < lb <= ub < inf, got ({demand_lb}, {demand_ub})")
     rng = np.random.default_rng(seed)
     values = rng.uniform(demand_lb, demand_ub, size=(num_days, horizon))
     return _wrap_synthetic(values, demand_lb, demand_ub, start_date, slot_minutes)
@@ -519,8 +524,8 @@ def synthetic_volatile_profiles(
     """
     if num_days < 1 or horizon < 1:
         raise ValueError("num_days and horizon must be positive")
-    if not (0 < demand_lb <= demand_ub):
-        raise ValueError(f"bounds must satisfy 0 < lb <= ub, got ({demand_lb}, {demand_ub})")
+    if not 0 < demand_lb <= demand_ub < math.inf:
+        raise ValueError(f"bounds must satisfy 0 < lb <= ub < inf, got ({demand_lb}, {demand_ub})")
     if not (0 <= calm_share <= 1 and 0 <= surge_share and calm_share + surge_share <= 1):
         raise ValueError(
             f"shares must be nonnegative with calm_share + surge_share <= 1, "

@@ -2,24 +2,46 @@
 
 Two-phase primal simplex on a dense tableau. Pivoting is Dantzig's rule with
 deterministic lowest-index tie-breaking; a degeneracy streak switches the rule
-to Bland's, which guarantees termination. Problems in this package are tiny
-(at most a few hundred variables), so no sparsity or factorization is kept.
+to Bland's, which guarantees termination. Problems in this package are small
+(at most a few hundred variables), so nothing is sparse; what is kept is the
+tableau itself.
+
+Built once, kept with its tableau: the first solve_lp on a LinearProgram
+builds its standard form (scaled rows, right-hand sides, lower-bound shift,
+gate, augmented matrix, start basis) and keeps it on that object, and later
+solves reuse it. The form also keeps the final tableau of its last solve,
+B^-1 [A | b] at that solve's basis. Between solves only the objective, its
+constant and upper bounds may change (upper bounds through
+LinearProgram.set_upper, which moves the form's bound rows and gate with
+them); none of them moves B^-1 A, so the kept tableau stays exact but for
+its right-hand column, which every warm start rewrites.
 
 Basis hints: every optimal LpResult carries its final basis, and solve_lp
-accepts one back. A hint is re-priced first: one dense solve for its basic
-values and one for its duals, on the standard-form matrix the tableau is
-built from. If it is primal feasible (basic values >= -1e-7, no basic
-artificial above 1e-7) and dual feasible (no enterable reduced cost above
-1e-9), its vertex is the optimum and no tableau is built; if it is only
-primal feasible and holds no artificial, phase 2 starts from its tableau
-B^-1 [A | b]. Any other hint is ignored by the cold two-phase solve.
+accepts one back. A hint is validated (shape, integer dtype, range,
+uniqueness) before anything is read, then re-priced on a tableau at that
+basis: the kept one when the hint is its basis, otherwise one dense solve
+B^-1 [A | b]. The tableau's start-basis columns hold B^-1; the basic values
+and the duals come from it and are refined once against the form's own
+columns. A kept tableau whose refinement residual exceeds 1e-9 (relative)
+has drifted and is replaced by the dense solve. If the hint is primal
+feasible (basic values >= -1e-7, no basic artificial above 1e-7) and dual
+feasible (no enterable reduced cost above 1e-9), its vertex is the optimum;
+if it is only primal feasible and holds no artificial, phase 2 starts from
+its tableau. Any other hint is ignored by the cold two-phase solve.
+
+Carried tableaus: carry_basis maps the final basis of one scenario program
+onto the next, larger one (optimal_cr's prefix t to t+1, the anytime
+certificate's cutoff k-1 to k) and seeds the new form with the tableau at
+the carried basis, derived from the old one without a solve. So along
+these chains no warm start or re-price factorizes B.
 
 One exit and one gate: the basic values of every answer are solved from
-the standard form's own columns at its final basis, so the rounding
-pivoting accumulates does not reach x, and a singular final basis, or an
-answer that violates a row (scaled by max(1, |b|)) or a bound by more than
-1e-6, or is NaN, raises NumericalFailure instead of being returned. The
-check is one matrix-vector product on the rows as given.
+the standard form's own columns at its final basis, so the rounding the
+kept tableau accumulates does not reach x, and a singular final basis, or
+an answer that violates a row (scaled by max(1, |b|)) or a bound by more
+than 1e-6, or is NaN, raises NumericalFailure instead of being returned.
+The check is one matrix-vector product on the rows as given. That solve is
+the one dense solve of an answer reached on a kept or carried tableau.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
 LPs over the same rows, each hinted with the basis of the one before. It
@@ -27,14 +49,8 @@ takes a hint for its first LP too (basis=) and returns the last LP's basis
 as LfpResult.basis, so a caller solving a sequence of related programs
 (optimal_cr, prefix by prefix) can carry a basis from one to the next.
 
-Built once: the first solve_lp on a LinearProgram builds its standard form
-(scaled rows, right-hand sides, lower-bound shift, gate, augmented matrix,
-start basis) and keeps it on that object, and later solves reuse it. Between
-solves only the objective, its constant and upper bounds may change; upper
-bounds move through LinearProgram.set_upper, which updates the form's bound
-rows and gate with them.
-
-Tolerances: pivot 1e-9, feasibility 1e-7, residual 1e-6, ratio 1e-12.
+Tolerances: pivot 1e-9, feasibility 1e-7, drift 1e-9, residual 1e-6,
+ratio 1e-12.
 """
 
 from __future__ import annotations
@@ -48,6 +64,7 @@ from .errors import DenominatorNotPositive, NumericalFailure
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+DRIFT_TOL = 1e-9  # largest relative refinement residual a kept tableau may show
 RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 
@@ -79,10 +96,15 @@ class LinearProgram:
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         n = len(self.objective)
+        if not np.isfinite(self.objective).all() or not math.isfinite(self.objective_constant):
+            raise ValueError("non-finite objective")
         if not self.bounds:
             self.bounds = [(0.0, None)] * n
         if len(self.bounds) != n:
             raise ValueError("bounds length mismatch")
+        box = np.array([(lo, 0.0 if hi is None else hi) for lo, hi in self.bounds], dtype=float)
+        if not np.isfinite(box).all():
+            raise ValueError("non-finite bound")
         checked = []
         for coeffs, rel, rhs in self.constraints:
             coeffs = np.asarray(coeffs, dtype=float)
@@ -106,7 +128,10 @@ class LinearProgram:
         hand sides and its gate. Where a column has no upper bound, or its
         box is or becomes inverted (hi < lo), the form is dropped instead and
         the next solve builds it afresh, as it would for a new LinearProgram.
+        A non-finite hi raises ValueError.
         """
+        if not math.isfinite(hi):
+            raise ValueError(f"non-finite upper bound {hi}")
         bounds = list(self.bounds)
         in_step = self._form is not None
         for j in cols:
@@ -140,6 +165,9 @@ class LfpProblem:
 
     The denominator must be positive everywhere on the feasible region;
     solve_lfp verifies this by an auxiliary minimization unless told not to.
+    The first solve_lfp keeps the LinearProgram it solves (rows, bounds and
+    standard form) on the problem; later calls reuse it, so the rows and
+    bounds are not to change after a solve.
     """
 
     numerator: np.ndarray
@@ -148,6 +176,8 @@ class LfpProblem:
     denominator_constant: float
     constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     bounds: list[tuple[float, float | None]] = field(default_factory=list)
+    # the LinearProgram solve_lfp solves, built on first use and kept
+    _lp: LinearProgram | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.numerator = np.asarray(self.numerator, dtype=float)
@@ -167,16 +197,13 @@ class LfpResult:
 
 
 class _Tableau:
-    """Simplex working state: rows of [A | b] plus a reduced-cost row."""
+    """Simplex working state at a basis: the rows B^-1 [A | b] over a
+    reduced-cost row, in t ((m+1) x (n+1), owned, not copied)."""
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
-        m, n = rows.shape
-        self.t = np.empty((m + 1, n + 1), dtype=float)
-        self.t[:m, :n] = rows
-        self.t[:m, n] = rhs
-        self.t[m] = 0.0
-        self.m, self.n = m, n
-        self.basis = basis.copy()
+    def __init__(self, t: np.ndarray, basis: np.ndarray):
+        self.t = t
+        self.m, self.n = t.shape[0] - 1, t.shape[1] - 1
+        self.basis = np.array(basis)
 
     def set_objective(self, coeffs: np.ndarray) -> None:
         """Install reduced costs for maximize(coeffs . x) given the current basis."""
@@ -252,6 +279,15 @@ class _Tableau:
         self.basis[p] = q
 
 
+def _framed(rows: np.ndarray, rhs) -> np.ndarray:
+    """A copy of [rows | rhs] over a zero cost row, as _Tableau holds it."""
+    m, n = rows.shape
+    t = np.zeros((m + 1, n + 1))
+    t[:m, :n] = rows
+    t[:m, n] = rhs
+    return t
+
+
 def _standard_form(lp: LinearProgram):
     """Shift lower bounds to zero, append upper-bound rows, orient rhs >= 0.
 
@@ -263,8 +299,6 @@ def _standard_form(lp: LinearProgram):
     """
     n = lp.num_vars
     lb = np.array([b[0] for b in lp.bounds], dtype=float)
-    if not np.isfinite(lb).all():
-        raise ValueError("all variable lower bounds must be finite")
     ub = np.array([np.inf if b[1] is None else b[1] for b in lp.bounds], dtype=float)
     rows, rels, rhs, given = [], [], [], []
     for coeffs, rel, b in lp.constraints:
@@ -343,8 +377,11 @@ def _augment(rows: np.ndarray, rels: list[str], n: int):
 class _Form:
     """Standard form of one LinearProgram as solve_lp uses it: the augmented
     matrix and right-hand side, the lower-bound shift, the gate, the start
-    basis, the artificial columns, the enterable count, and the row of each
-    column's upper bound (-1 where it has none)."""
+    basis, the artificial columns, the enterable count, the row of each
+    column's upper bound (-1 where it has none), and the tableau of the last
+    solve (or of a carry) at its basis. Moving the objective or the upper
+    bounds leaves that tableau's rows B^-1 A exact; only its right-hand
+    column goes stale, and every warm start rewrites it."""
 
     a: np.ndarray
     rhs: np.ndarray
@@ -354,6 +391,16 @@ class _Form:
     art_cols: list[int]
     enterable: int
     bound_row: np.ndarray
+    tab: _Tableau | None = None
+
+
+def _bound_rows(lp: LinearProgram) -> np.ndarray:
+    """Standard-form row of each column's upper bound, -1 where it has none:
+    the bound rows follow the constraints, in column order."""
+    bounded = np.array([hi is not None for _lo, hi in lp.bounds], dtype=bool)
+    rows = np.full(lp.num_vars, -1)
+    rows[bounded] = len(lp.constraints) + np.arange(bounded.sum())
+    return rows
 
 
 def _build_form(lp: LinearProgram) -> _Form | None:
@@ -363,10 +410,7 @@ def _build_form(lp: LinearProgram) -> _Form | None:
         return None
     rows, rels, rhs, lb, gate = sf
     a, start, art_cols, enterable = _augment(rows, rels, lp.num_vars)
-    bounded = [j for j, (_lo, hi) in enumerate(lp.bounds) if hi is not None]
-    bound_row = np.full(lp.num_vars, -1)
-    bound_row[bounded] = len(lp.constraints) + np.arange(len(bounded))
-    return _Form(a, rhs, lb, gate, start, art_cols, enterable, bound_row)
+    return _Form(a, rhs, lb, gate, start, art_cols, enterable, _bound_rows(lp))
 
 
 def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
@@ -378,60 +422,99 @@ def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarr
         return None
 
 
-def _reprice(
-    a: np.ndarray, rhs: np.ndarray, obj: np.ndarray, basis, enterable: int
-) -> tuple[np.ndarray, bool] | None:
-    """Basic values of basis for a x = rhs, x >= 0, and whether it is optimal
-    for max obj.x (no enterable reduced cost above PIVOT_TOL).
-
-    None when the basis is malformed, singular or primal infeasible (a basic
-    value below -FEAS_TOL or a basic artificial above FEAS_TOL).
-    """
-    m, cols = a.shape
-    basis = np.asarray(basis)
-    if (
-        basis.shape != (m,)
-        or basis.dtype.kind not in "iu"
-        or (basis < 0).any()
-        or (basis >= cols).any()
-        or len(np.unique(basis)) != m
-    ):
-        return None
-    x_basic = _basic_values(a, rhs, basis)
-    # comparisons are written so that a NaN rejects the basis
-    if x_basic is None or not (x_basic >= -FEAS_TOL).all():
-        return None
-    if not (x_basic[basis >= enterable] <= FEAS_TOL).all():
-        return None
+def _factorized(form: _Form, basis: np.ndarray) -> _Tableau | None:
+    """The tableau B^-1 [A | b] at basis from one dense solve on the form's
+    columns; None when B is singular. Its right-hand column is left to the
+    caller."""
     try:
-        duals = np.linalg.solve(a[:, basis].T, obj[basis])
+        rows = np.linalg.solve(form.a[:, basis], form.a)
     except np.linalg.LinAlgError:
         return None
-    reduced = obj[:enterable] - duals @ a[:, :enterable]
-    reduced[basis[basis < enterable]] = 0.0
-    return x_basic, bool((reduced <= PIVOT_TOL).all())
+    rows[:, basis] = np.eye(len(basis))
+    return _Tableau(_framed(rows, 0.0), basis)
 
 
-def _optimal_result(
-    lp: LinearProgram, basis: np.ndarray, x_basic: np.ndarray, lb: np.ndarray, cols: int,
-    gate,
-) -> LpResult:
-    """Map basic values back to the original variables and certify them
-    against the standard form's gate: a worst row violation (scaled by
-    max(1, |b|)) or bound violation above RESIDUAL_TOL, or NaN, raises."""
-    x_shift = np.zeros(cols)
+def _refined(form: _Form, tab: _Tableau, basis: np.ndarray, cb: np.ndarray):
+    """Basic values B^-1 rhs and duals cb B^-1 from the tableau's B^-1 (its
+    start-basis columns), each refined once against the form's own columns
+    B = a[:, basis], and the larger relative residual before refinement."""
+    inv, b_cols, rhs = tab.t[: tab.m, form.start], form.a[:, basis], form.rhs
+    x_basic, duals = inv @ rhs, cb @ inv
+    gap, dual_gap = rhs - b_cols @ x_basic, cb - duals @ b_cols
+    drift = max(np.abs(gap).max(initial=0.0) / max(1.0, np.abs(rhs).max(initial=0.0)),
+                np.abs(dual_gap).max(initial=0.0) / max(1.0, np.abs(cb).max(initial=0.0)))
+    return x_basic + inv @ gap, duals + dual_gap @ inv, drift
+
+
+def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, bool] | None:
+    """The hint basis re-priced: its tableau, its basic values for
+    a x = rhs, and whether it is optimal for max obj.x (no enterable reduced
+    cost above PIVOT_TOL).
+
+    The tableau is the form's kept one when its basis equals the hint, and
+    otherwise one dense solve. Its start-basis columns hold B^-1 (the start
+    columns of a are the identity), which gives the basic values and the
+    duals; each is refined once against the form's own columns. A kept
+    tableau whose refinement residual exceeds DRIFT_TOL has drifted and is
+    replaced by the dense solve. None when the basis is malformed, singular
+    or primal infeasible (a basic value below -FEAS_TOL or a basic
+    artificial above FEAS_TOL).
+    """
+    a, e = form.a, form.enterable
+    m, cols = a.shape
+    basis = np.asarray(basis)
+    # checked before any index is taken, so a malformed hint reuses nothing
+    if basis.shape != (m,) or basis.dtype.kind not in "iu" or not (
+        (basis >= 0).all() and (basis < cols).all()
+    ):
+        return None
+    seen = np.zeros(cols, dtype=bool)
+    seen[basis] = True
+    if seen.sum() != m:  # a column listed twice
+        return None
+    cb = obj[basis]
+    tab = form.tab
+    if tab is not None and np.array_equal(tab.basis, basis):
+        x_basic, duals, drift = _refined(form, tab, basis, cb)
+        # written so that a NaN counts as drift
+        if not drift <= DRIFT_TOL:
+            tab = None
+    else:
+        tab = None
+    if tab is None:
+        tab = _factorized(form, basis)
+        if tab is None:
+            return None
+        x_basic, duals, _drift = _refined(form, tab, basis, cb)
+    # comparisons are written so that a NaN rejects the basis
+    if not (x_basic >= -FEAS_TOL).all() or not (x_basic[basis >= e] <= FEAS_TOL).all():
+        return None
+    reduced = obj[:e] - duals @ a[:, :e]
+    reduced[basis[basis < e]] = 0.0
+    return tab, x_basic, bool((reduced <= PIVOT_TOL).all())
+
+
+def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResult:
+    """The answer at basis: its basic values solved fresh from the form's
+    own columns, mapped back to the original variables and certified against
+    the gate; a singular basis, a worst row violation (scaled by max(1, |b|))
+    or bound violation above RESIDUAL_TOL, or NaN, raises."""
+    x_basic = _basic_values(form.a, form.rhs, basis)
+    if x_basic is None:
+        raise NumericalFailure("final simplex basis is singular")
+    x_shift = np.zeros(form.a.shape[1])
     x_shift[basis] = x_basic
-    x = x_shift[: lp.num_vars] + lb
+    x = x_shift[: lp.num_vars] + form.lb
     value = float(lp.objective @ x) + lp.objective_constant
 
-    a, b, sense, ub = gate
+    a, b, sense, ub = form.gate
     gap = a @ x - b
     by_row = np.where(sense == 0.0, np.abs(gap), sense * gap) / np.maximum(1.0, np.abs(b))
     # one max over everything, so that a NaN anywhere propagates and raises
-    residual = float(np.concatenate([by_row, lb - x, x - ub]).max(initial=0.0))
+    residual = float(np.concatenate([by_row, form.lb - x, x - ub]).max(initial=0.0))
     if not residual <= RESIDUAL_TOL:
         raise NumericalFailure(f"LP answer residual {residual:.3g} above {RESIDUAL_TOL:g}")
-    return LpResult(OPTIMAL, value, x, residual, basis)
+    return LpResult(OPTIMAL, value, x, residual, basis.copy())
 
 
 def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
@@ -448,27 +531,26 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     if form is None:
         return LpResult(INFEASIBLE, np.nan, None)
     lp._form = form
-    a, rhs, lb, gate = form.a, form.rhs, form.lb, form.gate
-    start, art_cols, enterable = form.start, form.art_cols, form.enterable
+    a, rhs, enterable, art_cols = form.a, form.rhs, form.enterable, form.art_cols
     m, cols = a.shape
-    obj = lp.objective if lp.maximize else -lp.objective
     full_obj = np.zeros(cols)
-    full_obj[:n] = obj
+    full_obj[:n] = lp.objective if lp.maximize else -lp.objective
     max_iter = 5000 + 60 * (m + cols)
 
-    hinted = None if basis is None else _reprice(a, rhs, full_obj, basis, enterable)
-    if hinted is not None:
-        basis = np.asarray(basis)
-        x_basic, optimal = hinted
+    priced = None if basis is None else _priced(form, basis, full_obj)
+    tab = None
+    if priced is not None:
+        tab, x_basic, optimal = priced
+        form.tab = tab
         if optimal:
-            return _optimal_result(lp, basis, x_basic, lb, cols, gate)
-    # a basic artificial could turn positive in phase 2, so such hints go cold
-    if hinted is not None and (basis < enterable).all():
-        warm = np.linalg.solve(a[:, basis], a)  # the tableau B^-1 [A | b]
-        warm[:, basis] = np.eye(m)
-        tab = _Tableau(warm, np.maximum(x_basic, 0.0), basis)
-    else:
-        tab = _Tableau(a, rhs, start)
+            return _optimal_result(lp, form, tab.basis)
+        # a basic artificial could turn positive in phase 2, so such hints go cold
+        if (tab.basis < enterable).all():
+            tab.t[:m, cols] = np.maximum(x_basic, 0.0)
+        else:
+            tab = None
+    if tab is None:
+        tab = form.tab = _Tableau(_framed(a, rhs), form.start)
         if art_cols:
             phase1 = np.zeros(cols)
             phase1[art_cols] = -1.0
@@ -485,17 +567,85 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
                     pivots = np.nonzero(np.abs(row[:enterable]) > PIVOT_TOL)[0]
                     if len(pivots):
                         tab._pivot(p, int(pivots[0]))
-            # neutralize any artificial column still around (redundant rows stay basic at 0)
-            tab.t[:, art_cols] = 0.0
+            # artificial columns stay in the tableau: they never enter again,
+            # and with the slacks they hold B^-1 for later re-prices
 
     tab.set_objective(full_obj)
     status = tab.run(max_iter, enter_limit=enterable)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    x_basic = _basic_values(a, rhs, tab.basis)
-    if x_basic is None:
-        raise NumericalFailure("final simplex basis is singular")
-    return _optimal_result(lp, tab.basis, x_basic, lb, cols, gate)
+    return _optimal_result(lp, form, tab.basis)
+
+
+def carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
+    """A final basis of old's standard form as a basis of new's.
+
+    old and new are scenario programs (LinearProgram, or LfpProblem for the
+    LinearProgram solve_lfp solves for it) where new is old with one demand
+    column inserted at column at, one scenario block appended after the
+    last column and that block's rows appended after the last constraint;
+    no old row touches a new column, and old's rows are new's first rows,
+    unchanged. optimal_cr steps so from prefix t to t+1 (x_{t+1} inserted
+    at column t), and the anytime certificate from cutoff k-1 to k after t
+    observed slots (x_k inserted at column k-1-t). The standard form of
+    these all-<= programs is the structural columns, then one slack per
+    row: the constraints in order, then one upper-bound row per bounded
+    column in column order. Old columns and slacks move to their new index
+    and the slack of every new row is made basic. At the old vertex with
+    the new columns at their lower bounds every new row holds: after the
+    lower-bound shift its right-hand side is >= 0, and its one old column,
+    if any, is an x_j at most d_ub - x_lb against a right-hand side of
+    U - x_lb. So when new keeps the bounds old was solved with, the hint is
+    primal feasible and solve_lp starts phase 2 from it.
+
+    When old's form keeps the tableau at basis, new's form is built here
+    and seeded with the tableau at the carried basis: the old rows move
+    through the column map, and each appended row is the form's row less
+    its basic columns' multiples of the old rows (R - R_B T_old), with no
+    solve. solve_lp then re-prices the hint on that tableau.
+    """
+    old, new = _solved_lp(old), _solved_lp(new)
+    n_new, m_new = new.num_vars, len(new.constraints)
+    old_rows, new_rows = _bound_rows(old), _bound_rows(new)
+    col = np.arange(old.num_vars)
+    col[at:] += 1  # the new demand column
+    # each old row's index in the new standard form: constraints keep
+    # theirs, upper-bound rows follow their column
+    row = np.concatenate([np.arange(len(old.constraints)), new_rows[col[old_rows >= 0]]])
+    moved = np.concatenate([col, n_new + row])  # every old column's new index
+    carried = moved[basis]
+    fresh = np.ones(m_new + (new_rows >= 0).sum(), dtype=bool)
+    fresh[row] = False
+    added = np.flatnonzero(fresh)  # the appended rows, in order
+    hint = np.concatenate([carried, n_new + added])
+
+    kept = None if old._form is None else old._form.tab
+    if kept is None or kept.n != len(moved) or not np.array_equal(kept.basis, basis):
+        return hint
+    form = new._form if new._form is not None else _build_form(new)
+    if form is None:
+        return hint
+    new._form = form
+    m_old, m, cols = len(basis), len(hint), form.a.shape[1]
+    t = np.zeros((m + 1, cols + 1))
+    t[:m_old, moved] = kept.t[:m_old, : len(moved)]
+    appended = form.a[added]
+    # an appended row meets few old columns (demand columns), so R_B is thin
+    touch = np.nonzero(appended[:, carried].any(axis=0))[0]
+    t[m_old:m, :cols] = appended - appended[:, carried[touch]] @ t[touch, :cols]
+    form.tab = _Tableau(t, hint)
+    return hint
+
+
+def _solved_lp(program) -> LinearProgram:
+    """program itself, or the LinearProgram solve_lfp solves for an
+    LfpProblem (built once and kept on it)."""
+    if isinstance(program, LinearProgram):
+        return program
+    if program._lp is None:
+        program._lp = LinearProgram(program.numerator, True, program.constraints,
+                                    program.bounds)
+    return program._lp
 
 
 def solve_lfp(
@@ -537,8 +687,8 @@ def solve_lfp(
 
     num, den = problem.numerator, problem.denominator
     n0, d0 = problem.numerator_constant, problem.denominator_constant
-    # built once: only the objective moves between steps
-    lp = LinearProgram(num, True, problem.constraints, problem.bounds)
+    # built once and kept on problem: only the objective moves between steps
+    lp = _solved_lp(problem)
     lam, x = at_least, None
     while True:
         step = lam if lam > -math.inf else 0.0

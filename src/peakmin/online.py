@@ -24,14 +24,14 @@ from .core import (
     OnlineState,
     reference_values,
 )
-from .cr import _carry_basis, inventory_unbounded, optimal_cr, scenario_program, scenario_top
+from .cr import inventory_unbounded, optimal_cr, scenario_program, scenario_top
 from .errors import (
     DegenerateOfflinePeak,
     DemandOutOfBounds,
     NegativeSlack,
     NumericalFailure,
 )
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, carry_basis, solve_lp
 from .offline import offline_peak_values
 
 MODE_ANYTIME = "anytime"
@@ -236,10 +236,12 @@ class _WarmStart:
     scenario_program runs again only if U = max(d_ub, floor/pi, prefix)
     moves, which needs a pi below floor/v_ref (v_ref <= U), and the
     bisection never evaluates one. The last optimal basis of each cutoff's
-    LP usually stays optimal, so solve_lp re-prices it instead of pivoting;
-    a cutoff's first solve starts from the basis of the cutoff before it,
-    mapped by cr._carry_basis. The cutoff that exceeded the budget last
-    usually exceeds it again.
+    LP usually stays optimal, so solve_lp re-prices it on the tableau the
+    LP keeps instead of pivoting; a cutoff's first solve starts from the
+    basis of the cutoff before it, mapped by lp.carry_basis, which also
+    seeds the new LP with its tableau, so no step refactorizes a basis.
+    Each kept LP holds its standard form and tableau until the slot ends.
+    The cutoff that exceeded the budget last usually exceeds it again.
     """
 
     cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
@@ -278,7 +280,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     basis, prev = cut.basis, warm.cutoffs.get(kmax - 1)
     if basis is None and prev is not None and prev.basis is not None:
         # x_kmax is inserted after x_{t+1..kmax-1}
-        basis = _carry_basis(prev.basis, prev.lp, lp, kmax - 1 - t)
+        basis = carry_basis(prev.basis, prev.lp, lp, kmax - 1 - t)
     res = solve_lp(lp, basis=basis)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded

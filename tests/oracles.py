@@ -327,3 +327,55 @@ def phi_bruteforce_witness(
     totals = np.clip(profiles - pi * peaks, 0.0, None).sum(axis=1)
     k = int(totals.argmax())
     return float(totals[k]), profiles[k].copy()
+
+
+def slack_standard_form(lp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, lb) of an all-<= LinearProgram whose right-hand sides stay >= 0
+    once lower bounds are shifted to zero, as scenario_program's are: the
+    columns are the structural ones, then one slack per constraint and per
+    upper bound (in column order), so a = [A | I] and b = rhs - A lb. Rows
+    are not equilibrated; that scales B and b alike and leaves x_B as is."""
+    n = lp.num_vars
+    lb = np.array([lo for lo, _hi in lp.bounds], dtype=float)
+    rows, rhs = [], []
+    for coeffs, rel, b in lp.constraints:
+        assert rel == "<=", rel
+        rows.append(coeffs)
+        rhs.append(b - coeffs @ lb)
+    for j, (lo, hi) in enumerate(lp.bounds):
+        if hi is not None:
+            rows.append(np.zeros(n))
+            rows[-1][j] = 1.0
+            rhs.append(hi - lo)
+    structural = np.array(rows, dtype=float).reshape(len(rows), n)
+    return np.hstack([structural, np.eye(len(rows))]), np.array(rhs, dtype=float), lb
+
+
+def primal_feasible_values(lp, basis, tol: float = 1e-7) -> np.ndarray | None:
+    """Basic values x_B of basis on slack_standard_form(lp), solved from
+    B x_B = b with np.linalg.solve; None when the basis is malformed or
+    singular or a basic value is below -tol."""
+    a, b, _lb = slack_standard_form(lp)
+    basis = np.asarray(basis)
+    m, cols = a.shape
+    if basis.shape != (m,) or not (0 <= basis.min() and basis.max() < cols) or (
+        len(set(basis.tolist())) != m
+    ):
+        return None
+    try:
+        values = np.linalg.solve(a[:, basis], b)
+    except np.linalg.LinAlgError:
+        return None
+    return values if (values >= -tol).all() else None
+
+
+def kept_tableau_gap(lp) -> float:
+    """Largest entry gap between the tableau lp's standard form keeps (its
+    rows, and the B^-1 b its start-basis columns imply) and B^-1 [A | b] at
+    the same basis from one fresh dense solve on the form's own columns."""
+    form = lp._form
+    tab = form.tab
+    m = tab.m
+    kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, form.start] @ form.rhs])
+    fresh = np.linalg.solve(form.a[:, tab.basis], np.column_stack([form.a, form.rhs]))
+    return float(np.abs(kept - fresh).max(initial=0.0))

@@ -265,3 +265,21 @@ def test_experiment_config_errors(capsys, tmp_path):
         "experiment", "--config", str(invalid), "--output-dir", str(tmp_path / "o"),
     ])
     assert code == 2 and err.startswith("MalformedRecord")
+
+
+@pytest.mark.parametrize("d_ub", ["inf", "nan"])
+def test_ingest_rejects_non_finite_demand_bound(capsys, tmp_path, d_ub):
+    """peakmin ingest --d-ub inf used to exit 0 and write "demand_ub":
+    Infinity, which is not JSON; it now exits 2 and writes nothing."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("start_iso8601,duration_min,energy_kwh\n2024-05-06 12:00,60,6.0\n",
+                     encoding="utf-8")
+    out_path = tmp_path / "days.json"
+    code, _out, err = run_cli(capsys, [
+        "ingest", "--input", str(trace), "--output", str(out_path),
+        "--slot-minutes", "30", "--window-start", "12:00", "--window-end", "14:00",
+        "--d-lb", "1", "--d-ub", d_ub,
+    ])
+    assert code == 2
+    assert "demand_bounds" in err
+    assert not out_path.exists()

@@ -12,16 +12,19 @@ from peakmin.core import DemandProfile, Instance
 from peakmin.cr import CrResult, build_cr_compute, optimal_cr
 from peakmin.errors import DegenerateInstance, EmptyIndexSet
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import LE, OPTIMAL, LinearProgram, solve_lfp
+from peakmin.lp import LE, OPTIMAL, LinearProgram, carry_basis, solve_lfp
 
 from oracles import (
     HorizonTooLarge,
     cold_prefix_optimal_cr,
     cr_ratio_oracle,
     highs_lfp_max,
+    kept_tableau_gap,
     phi_bruteforce,
     phi_bruteforce_witness,
+    primal_feasible_values,
     ratio_lower_bound,
+    slack_standard_form,
 )
 
 
@@ -276,8 +279,9 @@ def _recording_solve_lp(monkeypatch):
 @pytest.mark.parametrize("tau_positive", [False, True], ids=["tau0", "tau-pos"])
 def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positive):
     """Every hint optimal_cr's solves get, the bases carried from prefix to
-    prefix included, passes lp._reprice as primal feasible on its LP's
-    standard form; only the first prefix's first LP is solved cold."""
+    prefix included, is primal feasible on its LP's standard form (by the
+    independent dense solve of oracles.primal_feasible_values); only the
+    first prefix's first LP is solved cold."""
     calls = _recording_solve_lp(monkeypatch)
     hinted = 0
     for inst in _carry_instances(71, rate_limited, tau_positive):
@@ -286,11 +290,7 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
         assert [basis is None for _lp, basis in calls].count(True) == 1
         assert calls[0][1] is None
         for lp, basis in calls[1:]:
-            rows, rels, rhs, _lb, _gate = lp_mod._standard_form(lp)
-            a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
-            obj = np.zeros(a.shape[1])
-            obj[: lp.num_vars] = lp.objective
-            assert lp_mod._reprice(a, rhs, obj, basis, enterable) is not None, inst
+            assert primal_feasible_values(lp, basis) is not None, inst
             hinted += 1
     assert hinted > 40
 
@@ -303,14 +303,13 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
         for t in range(1, inst.horizon_T):
             old, new = cr._prefix_program(inst, t), cr._prefix_program(inst, t + 1)
             res = solve_lfp(old, check_denominator=False)
-            basis = cr._carry_basis(res.basis, old, new, t)
+            basis = carry_basis(res.basis, old, new, t)
             lp = LinearProgram(new.numerator, True, new.constraints, new.bounds)
-            rows, rels, rhs, lb, _gate = lp_mod._standard_form(lp)
-            a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
-            found = lp_mod._reprice(a, rhs, np.zeros(a.shape[1]), basis, enterable)
+            a, _b, lb = slack_standard_form(lp)
+            found = primal_feasible_values(lp, basis)
             assert found is not None, (inst, t)
             shifted = np.zeros(a.shape[1])
-            shifted[basis] = found[0]
+            shifted[basis] = found
             x = shifted[: lp.num_vars] + lb
             kept = np.delete(np.arange(lp.num_vars), t)[: len(old.bounds)]
             assert np.allclose(x[kept], res.x, rtol=0.0, atol=1e-9), (inst, t)
@@ -393,3 +392,36 @@ def test_cr_result_shape(tiny_instance):
     assert res.argmax_set in ((1,), (1, 2))
     assert res.witness_profile is not None
     assert len(res.witness_profile.values) == 2
+
+
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
+    """After every solve of optimal_cr (T <= 12) the tableau its LP keeps,
+    and after every prefix-to-prefix carry the tableau seeded on the next
+    prefix's LP, equal B^-1 [A | b] from a fresh dense solve within 1e-9."""
+    real_solve_lp, real_carry = lp_mod.solve_lp, cr.carry_basis
+    gaps = {"kept": [], "carried": []}
+
+    def checked_solve_lp(lp, basis=None):
+        res = real_solve_lp(lp, basis=basis)
+        gaps["kept"].append(kept_tableau_gap(lp))
+        return res
+
+    def checked_carry(basis, old, new, at):
+        hint = real_carry(basis, old, new, at)
+        assert np.array_equal(new._lp._form.tab.basis, hint)
+        gaps["carried"].append(kept_tableau_gap(new._lp))
+        return hint
+
+    monkeypatch.setattr(lp_mod, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(cr, "carry_basis", checked_carry)
+    rng = np.random.default_rng(89)
+    for T in (6, 9, 12):
+        for _ in range(3):
+            lo = float(rng.uniform(50.0, 150.0))
+            hi = lo * float(rng.uniform(1.5, 4.0))
+            c = float(rng.uniform(0.1, 0.6) * T * lo)
+            optimal_cr(Instance(c, c / T * 1.5 if rate_limited else None, T, lo, hi))
+    assert len(gaps["carried"]) >= 30
+    assert len(gaps["kept"]) >= 60
+    assert max(gaps["kept"] + gaps["carried"]) <= 1e-9

@@ -465,3 +465,27 @@ def test_all_algorithms_execute():
     offline_mean = report.cell(ALGO_OFFLINE, 0.1).metrics.mean_final_peak
     for cell in report.cells:
         assert cell.metrics.mean_final_peak >= offline_mean - 1e-9
+
+
+@pytest.mark.parametrize("ub", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_demand_bounds_reject_non_finite(ub):
+    """An infinite or NaN demand ceiling is rejected where it is given: by
+    SlottingConfig, DayProfileSet and both synthetic generators (which used
+    to raise numpy's OverflowError on inf), not later by instance()."""
+    with pytest.raises(ValueError, match="demand_bounds"):
+        SlottingConfig(demand_bounds=(1.0, ub))
+    with pytest.raises(ValueError, match="lb <= ub < inf"):
+        DayProfileSet(day_keys=("2024-05-06",), day_values=((1.0, 2.0),), slot_minutes=15,
+                      on_peak_start="12:00", on_peak_end="12:30", scale_factor=1.0,
+                      demand_lb=1.0, demand_ub=ub, avg_daily_energy=3.0)
+    for generate in (synthetic_uniform_profiles, synthetic_volatile_profiles):
+        with pytest.raises(ValueError, match="lb <= ub < inf"):
+            generate(2, 4, 1.0, ub, seed=1)
+
+
+def test_profile_set_json_rejects_infinite_bound():
+    """A profile set whose JSON carries "demand_ub": Infinity (which Python's
+    json reads) is rejected on load."""
+    good = json.loads(profile_set_to_json(synthetic_uniform_profiles(1, 2, 1.0, 2.0, seed=1)))
+    with pytest.raises((ValueError, MalformedRecord)):
+        profile_set_from_json(json.dumps({**good, "demand_ub": float("inf")}))

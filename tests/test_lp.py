@@ -18,6 +18,8 @@ from peakmin.lp import (
     solve_lp,
 )
 
+from oracles import kept_tableau_gap
+
 
 def test_lp_textbook_maximize():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 -> (4, 0), value 12
@@ -550,3 +552,114 @@ def test_lp_set_upper_resolve_matches_fresh_build():
     lp.set_upper([0], 1.5)
     _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
     assert solve_lp(lp).value == pytest.approx(2.75)
+
+
+@pytest.mark.parametrize(
+    "objective, constant",
+    [([np.nan, 1.0], 0.0), ([np.inf, 1.0], 0.0), ([1.0, 1.0], np.nan)],
+    ids=["nan-objective", "inf-objective", "nan-constant"],
+)
+def test_lp_rejects_non_finite_objective(objective, constant):
+    """A NaN objective used to pivot to the iteration cap, an infinite one to
+    return OPTIMAL with value inf, and a NaN constant OPTIMAL with value nan."""
+    with pytest.raises(ValueError, match="non-finite objective"):
+        LinearProgram(np.array(objective), True, [(np.array([1.0, 1.0]), LE, 4.0)],
+                      objective_constant=constant)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [[(0.0, np.nan), (0.0, 1.0)], [(0.0, np.inf), (0.0, 1.0)], [(np.nan, 1.0), (0.0, 1.0)]],
+    ids=["nan-upper", "inf-upper", "nan-lower"],
+)
+def test_lp_rejects_non_finite_bound(bounds):
+    """A NaN upper bound used to fail inside numpy at solve time and an
+    infinite one to raise NumericalFailure with residual nan."""
+    with pytest.raises(ValueError, match="non-finite bound"):
+        LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 1.0]), LE, 4.0)], bounds)
+
+
+@pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
+def test_lp_set_upper_rejects_non_finite(hi):
+    """set_upper checks hi before it moves anything, on a solved LP."""
+    lp = LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 2.0]), LE, 4.0)],
+                       [(0.0, 2.0), (0.0, 3.0)])
+    before = solve_lp(lp)
+    with pytest.raises(ValueError, match="non-finite upper bound"):
+        lp.set_upper([0], hi)
+    assert lp.bounds == [(0.0, 2.0), (0.0, 3.0)]
+    _assert_same_result(solve_lp(lp, basis=before.basis), before)
+
+
+def _counting(monkeypatch, name):
+    """Patch lp_mod.<name> to record each call; returns the call list."""
+    real, calls = getattr(lp_mod, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp_mod, name, counted)
+    return calls
+
+
+def test_lp_drifted_tableau_is_refactorized(monkeypatch):
+    """Noise written into a kept tableau shows in the refinement residual:
+    the next hinted solve drops that tableau, refactorizes B by one dense
+    solve, and answers as a cold solve does, bit for bit when the hint is
+    still optimal and to 1e-9 after phase 2 under a moved objective."""
+    factorized = _counting(monkeypatch, "_factorized")
+    rng = np.random.default_rng(61)
+    cases = _random_feasible_lps(67, 80)
+    assert len(cases) >= 30
+    for lp, first in cases:
+        for moved in (False, True):
+            tab = lp._form.tab
+            tab.t[: tab.m, : tab.n] += rng.normal(scale=1e-6, size=(tab.m, tab.n))
+            if moved:
+                lp.objective = lp.objective + 3e-2 * rng.normal(size=lp.num_vars)
+            before = len(factorized)
+            res = solve_lp(lp, basis=lp._form.tab.basis)
+            assert len(factorized) == before + 1
+            assert kept_tableau_gap(lp) <= 1e-9
+            cold = solve_lp(_fresh(lp))
+            if moved:
+                assert res.status == cold.status == OPTIMAL
+                assert res.value == pytest.approx(cold.value, abs=1e-9)
+            else:
+                _assert_same_result(res, first)
+                _assert_same_result(res, cold)
+            first = res
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda b: b.astype(float),
+        lambda b: b[:-1],
+        lambda b: np.append(b, b[0]),
+        lambda b: np.where(np.arange(len(b)) == 0, -1, b),
+        lambda b: np.where(np.arange(len(b)) == 0, 99, b),
+        lambda b: np.where(np.arange(len(b)) == 0, b[-1], b),
+    ],
+    ids=["float", "short", "long", "negative", "out-of-range", "duplicate"],
+)
+def test_lp_malformed_hint_never_reuses_the_tableau(monkeypatch, malform):
+    """A hint that is the kept basis malformed (float dtype, wrong length, an
+    index out of range, a repeated index) is rejected before any tableau is
+    read: the solve neither refactorizes nor re-prices the kept tableau, but
+    starts cold on a new one, and answers as a new LinearProgram does."""
+    tableaus = _counting(monkeypatch, "_Tableau")
+    factorized = _counting(monkeypatch, "_factorized")
+    lp = LinearProgram(
+        objective=np.array([1.0, 2.0, -1.0]),
+        maximize=True,
+        constraints=[(np.array([1.0, 1.0, 1.0]), LE, 5.0), (np.array([2.0, -1.0, 0.0]), GE, -1.0)],
+        bounds=[(0.0, 4.0)] * 3,
+    )
+    kept = solve_lp(lp).basis
+    before = len(tableaus)
+    res = solve_lp(lp, basis=malform(kept))
+    assert len(tableaus) == before + 1
+    assert not factorized
+    _assert_same_result(res, solve_lp(_fresh(lp)))

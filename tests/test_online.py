@@ -1,6 +1,7 @@
 """Online policies: fixed ratio pursuit, anytime certification, depleting
 variant, and monthly threading."""
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,13 @@ from peakmin.online import (
 )
 
 from conftest import DHAT, random_profiles
-from oracles import build_aocr_thr, highs_lp, phi_bruteforce_witness
+from oracles import (
+    build_aocr_thr,
+    highs_lp,
+    kept_tableau_gap,
+    phi_bruteforce_witness,
+    primal_feasible_values,
+)
 
 
 def test_fixed_policy_hand_trace(tiny_instance):
@@ -478,27 +485,24 @@ def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_p
 @pytest.mark.parametrize("mode", [MODE_ANYTIME, MODE_ANYTIME_DEPLETING])
 def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthly_peak, mode):
     """Every basis run_anytime carries from cutoff k-1 to cutoff k, in the
-    bisection and in depleting_amount, passes lp._reprice as primal feasible
-    on cutoff k's standard form as it is solved; and each cutoff's LP is
-    built once per certification."""
+    bisection and in depleting_amount, is primal feasible on cutoff k's
+    standard form as it is solved (by the independent dense solve of
+    oracles.primal_feasible_values); and each cutoff's LP is built once per
+    certification."""
     inst, demand = _volatile_day(rate_limit, 0.3, 2)
-    real_carry, real_program = online._carry_basis, online.scenario_program
+    real_carry, real_program = online.carry_basis, online.scenario_program
     carried, builds = [], []
 
     def checked_carry(basis, old, new, at):
         hint = real_carry(basis, old, new, at)
-        rows, rels, rhs, _lb, _gate = lp_mod._standard_form(new)
-        a, _start, _art, enterable = lp_mod._augment(rows, rels, new.num_vars)
-        obj = np.zeros(a.shape[1])
-        obj[: new.num_vars] = new.objective
-        carried.append(lp_mod._reprice(a, rhs, obj, hint, enterable) is not None)
+        carried.append(primal_feasible_values(new, hint) is not None)
         return hint
 
     def counting_program(instance, prefix, k, x_lb, u_lb):
         builds.append((len(prefix), k))
         return real_program(instance, prefix, k, x_lb, u_lb)
 
-    monkeypatch.setattr(online, "_carry_basis", checked_carry)
+    monkeypatch.setattr(online, "carry_basis", checked_carry)
     monkeypatch.setattr(online, "scenario_program", counting_program)
     run_anytime(inst, demand, PolicyOptions(mode=mode, monthly_peak=monthly_peak,
                                             initial_ratio=optimal_cr(inst).pi_star))
@@ -506,3 +510,64 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
     assert all(carried)
     # a depleting slot certifies and then sizes its slack: two builds
     assert max(Counter(builds).values()) <= (2 if mode == MODE_ANYTIME_DEPLETING else 1)
+
+
+@pytest.mark.parametrize("rate_limit", [None, 60.0], ids=["rate-free", "rate-limited"])
+def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
+    """After every certificate solve of a T=10 day, in both modes, the
+    tableau the cutoff's LP keeps, and after every cutoff-to-cutoff carry
+    the tableau seeded on cutoff k's LP, equal B^-1 [A | b] from a fresh
+    dense solve within 1e-9."""
+    inst, demand = _volatile_day(rate_limit, 0.3, 2)
+    pi = optimal_cr(inst).pi_star
+    real_solve_lp, real_carry = online.solve_lp, online.carry_basis
+    gaps = {"kept": [], "carried": []}
+
+    def checked_solve_lp(lp, basis=None):
+        res = real_solve_lp(lp, basis=basis)
+        gaps["kept"].append(kept_tableau_gap(lp))
+        return res
+
+    def checked_carry(basis, old, new, at):
+        hint = real_carry(basis, old, new, at)
+        assert np.array_equal(new._form.tab.basis, hint)
+        gaps["carried"].append(kept_tableau_gap(new))
+        return hint
+
+    monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(online, "carry_basis", checked_carry)
+    for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
+        run_anytime(inst, demand, PolicyOptions(mode=mode, initial_ratio=pi))
+    assert len(gaps["carried"]) >= 20
+    assert len(gaps["kept"]) >= 100
+    assert max(gaps["kept"] + gaps["carried"]) <= 1e-9
+
+
+def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
+    """Counted work, not time: on a fixed T=10 run_anytime day (its
+    optimal_cr included) and a T=12 optimal_cr call, peakmin.lp never calls
+    np.linalg.solve with a matrix right-hand side (no warm start or re-price
+    refactorizes B) and makes at most one vector solve per LP answer."""
+    real_solve, real_solve_lp = np.linalg.solve, lp_mod.solve_lp
+    work = Counter()
+
+    def counting_solve(a, b):
+        if sys._getframe(1).f_globals.get("__name__") == "peakmin.lp":
+            work["matrix" if np.ndim(b) == 2 else "vector"] += 1
+        return real_solve(a, b)
+
+    def counting_solve_lp(lp, basis=None):
+        res = real_solve_lp(lp, basis=basis)
+        work["answers"] += res.status == OPTIMAL
+        return res
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(lp_mod, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(online, "solve_lp", counting_solve_lp)
+    inst, demand = _volatile_day(None, 0.3, 1)
+    run_anytime(inst, demand)
+    days = synthetic_volatile_profiles(1, 12, 100.0, 400.0, seed=5)
+    optimal_cr(Instance(0.3 * days.avg_daily_energy, None, 12, 100.0, 400.0))
+    assert work["answers"] >= 300
+    assert work["matrix"] == 0
+    assert 0 < work["vector"] <= work["answers"]
