@@ -43,6 +43,10 @@ def _check_index_set(instance: Instance, index_set) -> tuple[int, ...]:
 def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     """Worst-case-ratio LFP over scenarios in the given index set, as printed.
 
+    This form is for independent solvers (the tests' and the benchmark's
+    HiGHS references) only: solve_lfp rejects its == rows with ValueError.
+    optimal_cr solves the equivalent all-<= scenario_program instead.
+
     Variables: x_1..x_T (demand profile), u_1..u_T (offline values of the
     truncated scenarios), delta_ij (offline discharge of scenario i in slot j).
     maximize (sum_{i in I} x_i - c) / (sum_{i in I} u_i)
@@ -105,8 +109,8 @@ def scenario_program(
     build_cr_compute and the full future-requirement form.
 
     Two rewrites make every row <= with a right-hand side >= 0 once lower
-    bounds are shifted to zero, so the all-slack basis is feasible and no
-    solve runs phase 1. The budget sum_j delta_ij = c becomes <= c: exact
+    bounds are shifted to zero, the one form solve_lp takes, so the
+    all-slack basis is feasible. The budget sum_j delta_ij = c becomes <= c: exact
     while c <= T * rate (see inventory_unbounded), because raising a delta
     only loosens the other rows. The benchmark is u_i = U - w_i with
     0 <= w_i <= U - u_lb and U = max(d_ub, u_lb, prefix): exact because a
@@ -210,7 +214,7 @@ def optimal_cr(instance: Instance) -> CrResult:
     is the basis of each prefix's last LP, mapped onto the next prefix's
     program by lp.carry_basis together with its tableau: only the first
     prefix starts cold, and no prefix refactorizes its basis. The
-    denominator is not checked by an auxiliary solve: any feasible point has
+    denominator is positive, as solve_lfp requires: any feasible point has
     u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
     precondition below.
     """
@@ -236,7 +240,7 @@ def optimal_cr(instance: Instance) -> CrResult:
         program = _prefix_program(instance, t)
         if basis is not None:
             basis = carry_basis(basis, prev, program, t - 1)
-        res = solve_lfp(program, check_denominator=False, at_least=best_val, basis=basis)
+        res = solve_lfp(program, at_least=best_val, basis=basis)
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
         prev, basis = program, res.basis

@@ -1,14 +1,19 @@
 """Self-contained dense LP solver and a linear-fractional solver built on it.
 
-Two-phase primal simplex on a dense tableau. Pivoting is Dantzig's rule with
-deterministic lowest-index tie-breaking; a degeneracy streak switches the rule
-to Bland's, which guarantees termination. Problems in this package are small
-(at most a few hundred variables), so nothing is sparse; what is kept is the
-tableau itself.
+Primal simplex on a dense tableau, for the one form of LP this package
+builds: every row is a.x <= b with b - a.lb >= 0, so once the lower bounds
+are shifted to zero the all-slack basis is feasible, and every cold solve
+starts from it. LinearProgram rejects any other relation, and building the
+form rejects a row with b - a.lb < 0, each with ValueError; an LP is
+infeasible only when a box is empty (hi < lo). Pivoting is Dantzig's rule
+with deterministic lowest-index tie-breaking; a degeneracy streak switches
+the rule to Bland's, which guarantees termination. Problems in this package
+are small (at most a few hundred variables), so nothing is sparse; what is
+kept is the tableau itself.
 
 Built once, kept with its tableau: the first solve_lp on a LinearProgram
-builds its standard form (scaled rows, right-hand sides, lower-bound shift,
-gate, augmented matrix, start basis) and keeps it on that object, and later
+builds its standard form (scaled rows with one slack each, right-hand
+sides, lower-bound shift, gate) and keeps it on that object, and later
 solves reuse it. The form also keeps the final tableau of its last solve,
 B^-1 [A | b] at that solve's basis. Between solves only the objective, its
 constant and upper bounds may change (upper bounds through
@@ -24,10 +29,10 @@ B^-1 [A | b]. The tableau's start-basis columns hold B^-1; the basic values
 and the duals come from it and are refined once against the form's own
 columns. A kept tableau whose refinement residual exceeds 1e-9 (relative)
 has drifted and is replaced by the dense solve. If the hint is primal
-feasible (basic values >= -1e-7, no basic artificial above 1e-7) and dual
-feasible (no enterable reduced cost above 1e-9), its vertex is the optimum;
-if it is only primal feasible and holds no artificial, phase 2 starts from
-its tableau. Any other hint is ignored by the cold two-phase solve.
+feasible (basic values >= -1e-7) and dual feasible (no reduced cost above
+1e-9), its vertex is the optimum; if it is only primal feasible, the simplex
+starts from its tableau. Any other hint is ignored and the solve starts
+from the slack basis.
 
 Carried tableaus: carry_basis maps the final basis of one scenario program
 onto the next, larger one (optimal_cr's prefix t to t+1, the anytime
@@ -68,8 +73,7 @@ DRIFT_TOL = 1e-9  # largest relative refinement residual a kept tableau may show
 RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 
-LE, EQ, GE = "<=", "==", ">="
-_SENSE = {LE: 1.0, GE: -1.0, EQ: 0.0}  # sign of lhs - b in a row's violation
+LE = "<="  # the one relation a row may have
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -79,7 +83,8 @@ UNBOUNDED = "unbounded"
 @dataclass
 class LinearProgram:
     """Dense LP: optimize objective . x (+ objective_constant) over
-    linear rows and per-variable bounds (finite lower, optional upper).
+    rows a.x <= b and per-variable bounds (finite lower, optional upper).
+    Any other relation raises ValueError.
 
     solve_lp keeps the standard form it builds on the object; after a solve
     change only the objective, objective_constant and, through set_upper,
@@ -112,8 +117,8 @@ class LinearProgram:
                 raise ValueError("constraint arity mismatch")
             if not np.isfinite(coeffs).all() or not np.isfinite(rhs):
                 raise ValueError("non-finite constraint data")
-            if rel not in (LE, EQ, GE):
-                raise ValueError(f"unknown relation {rel!r}")
+            if rel != LE:
+                raise ValueError(f"relation {rel!r}: only {LE} rows are solved")
             checked.append((coeffs, rel, float(rhs)))
         self.constraints = checked
 
@@ -126,9 +131,9 @@ class LinearProgram:
 
         A built standard form moves with the bounds: its bound rows' right-
         hand sides and its gate. Where a column has no upper bound, or its
-        box is or becomes inverted (hi < lo), the form is dropped instead and
-        the next solve builds it afresh, as it would for a new LinearProgram.
-        A non-finite hi raises ValueError.
+        box becomes inverted (hi < lo), the form is dropped instead and the
+        next solve builds it afresh, as it would for a new LinearProgram
+        (INFEASIBLE for an inverted box). A non-finite hi raises ValueError.
         """
         if not math.isfinite(hi):
             raise ValueError(f"non-finite upper bound {hi}")
@@ -136,7 +141,7 @@ class LinearProgram:
         in_step = self._form is not None
         for j in cols:
             lo, old = bounds[j]
-            in_step = in_step and old is not None and old >= lo and hi >= lo
+            in_step = in_step and old is not None and hi >= lo
             bounds[j] = (lo, hi)
         self.bounds = bounds
         form = self._form
@@ -145,7 +150,7 @@ class LinearProgram:
         else:
             # bound rows are unit rows, so equilibration left them unscaled
             form.rhs[form.bound_row[cols]] = hi - form.lb[cols]
-            form.gate[3][cols] = hi
+            form.gate[2][cols] = hi
 
 
 @dataclass
@@ -163,11 +168,16 @@ class LpResult:
 class LfpProblem:
     """Linear-fractional program: maximize (n.x + n0)/(d.x + d0) over LP rows/bounds.
 
-    The denominator must be positive everywhere on the feasible region;
-    solve_lfp verifies this by an auxiliary minimization unless told not to.
-    The first solve_lfp keeps the LinearProgram it solves (rows, bounds and
-    standard form) on the problem; later calls reuse it, so the rows and
-    bounds are not to change after a solve.
+    The denominator must be positive everywhere on the feasible region; that
+    is the caller's precondition (optimal_cr proves it for its programs).
+    solve_lfp checks it at each point it evaluates and raises
+    DenominatorNotPositive where it is at most FEAS_TOL. A non-finite
+    numerator, denominator or constant raises ValueError. The rows are not
+    checked here, so a printed form with == rows can be built for an
+    independent solver; solve_lfp rejects them when it builds its
+    LinearProgram. The first solve_lfp keeps that LinearProgram (rows,
+    bounds and standard form) on the problem; later calls reuse it, so the
+    rows and bounds are not to change after a solve.
     """
 
     numerator: np.ndarray
@@ -182,6 +192,10 @@ class LfpProblem:
     def __post_init__(self):
         self.numerator = np.asarray(self.numerator, dtype=float)
         self.denominator = np.asarray(self.denominator, dtype=float)
+        if not (np.isfinite(self.numerator).all() and np.isfinite(self.denominator).all()
+                and math.isfinite(self.numerator_constant)
+                and math.isfinite(self.denominator_constant)):
+            raise ValueError("non-finite numerator or denominator")
         if not self.bounds:
             self.bounds = [(0.0, None)] * len(self.numerator)
 
@@ -215,21 +229,16 @@ class _Tableau:
         for p in nz:
             t[m] -= cb[p] * t[p]
 
-    def run(self, max_iter: int, enter_limit: int | None = None) -> str:
-        """Pivot until optimal/unbounded. Returns a status string.
-
-        Only the first enter_limit columns may enter the basis; artificials
-        sit past that cutoff and are never allowed back in once they leave.
-        """
+    def run(self, max_iter: int) -> str:
+        """Pivot until optimal/unbounded. Returns a status string."""
         t, m, n = self.t, self.m, self.n
-        ne = n if enter_limit is None else enter_limit
-        if ne == 0:  # nothing may enter: the start basis is final
+        if n == 0:  # no column may enter: the start basis is final
             return OPTIMAL
         obj = t[m]
         stall = 0
         bland = False
         for _ in range(max_iter):
-            costs = obj[:ne]
+            costs = obj[:n]
             if bland:
                 pos = np.nonzero(costs > PIVOT_TOL)[0]
                 if len(pos) == 0:
@@ -288,108 +297,22 @@ def _framed(rows: np.ndarray, rhs) -> np.ndarray:
     return t
 
 
-def _standard_form(lp: LinearProgram):
-    """Shift lower bounds to zero, append upper-bound rows, orient rhs >= 0.
-
-    Returns (rows, rels, rhs, lb, gate) where every variable is >= 0 and
-    every rhs is >= 0. gate is what an answer is checked against: the
-    constraint rows as given (the first rows of the stack, before
-    equilibration), their right-hand sides, their senses (+1 for <=, -1 for
-    >=, 0 for ==) and the upper bounds (inf where there is none).
-    """
-    n = lp.num_vars
-    lb = np.array([b[0] for b in lp.bounds], dtype=float)
-    ub = np.array([np.inf if b[1] is None else b[1] for b in lp.bounds], dtype=float)
-    rows, rels, rhs, given = [], [], [], []
-    for coeffs, rel, b in lp.constraints:
-        rows.append(coeffs)
-        rels.append(rel)
-        rhs.append(b - coeffs @ lb)
-        given.append(b)
-    sense = np.array([_SENSE[r] for r in rels], dtype=float)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if hi is not None:
-            if hi < lo - FEAS_TOL:
-                return None  # empty box
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append(LE)
-            rhs.append(hi - lo)
-    if rows:
-        stack = np.vstack(rows)
-        rhs = np.asarray(rhs, dtype=float)
-    else:
-        stack = np.zeros((0, n))
-        rhs = np.zeros(0)
-    gate = (stack[: len(given)], np.array(given, dtype=float), sense, ub)
-    # row equilibration keeps pivot tolerances meaningful across magnitudes
-    scale = np.maximum(np.abs(stack).max(axis=1, initial=0.0), 1e-12)
-    rows = stack / scale[:, None]
-    rhs = rhs / scale
-    flip = rhs < 0
-    rows[flip] *= -1.0
-    rhs[flip] *= -1.0
-    rels = [
-        (LE if r == GE else GE if r == LE else EQ) if f else r
-        for r, f in zip(rels, flip)
-    ]
-    return rows, rels, rhs, lb, gate
-
-
-def _augment(rows: np.ndarray, rels: list[str], n: int):
-    """[rows | slacks | artificials] and the all-slack/artificial start basis.
-
-    Returns (matrix, start basis, artificial columns, enterable), where the
-    first enterable columns (structural and slack) are the ones that may
-    enter a basis; artificials sit past them.
-    """
-    m = len(rels)
-    n_slack = sum(1 for r in rels if r == LE) + sum(1 for r in rels if r == GE)
-    n_art = sum(1 for r in rels if r != LE)
-    cols = n + n_slack + n_art
-    a = np.zeros((m, cols))
-    a[:, :n] = rows
-    basis = np.zeros(m, dtype=int)
-    js, ja = n, n + n_slack
-    art_cols = []
-    for i, r in enumerate(rels):
-        if r == LE:
-            a[i, js] = 1.0
-            basis[i] = js
-            js += 1
-        elif r == GE:
-            a[i, js] = -1.0
-            js += 1
-            a[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-        else:
-            a[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-    return a, basis, art_cols, n + n_slack
-
-
 @dataclass
 class _Form:
-    """Standard form of one LinearProgram as solve_lp uses it: the augmented
-    matrix and right-hand side, the lower-bound shift, the gate, the start
-    basis, the artificial columns, the enterable count, the row of each
-    column's upper bound (-1 where it has none), and the tableau of the last
-    solve (or of a carry) at its basis. Moving the objective or the upper
-    bounds leaves that tableau's rows B^-1 A exact; only its right-hand
-    column goes stale, and every warm start rewrites it."""
+    """Standard form of one LinearProgram as solve_lp uses it: the matrix
+    [rows | I] (one slack per row) and right-hand side, the lower-bound
+    shift, the gate (constraint rows and right-hand sides as given, upper
+    bounds), the slack start basis, the row of each column's upper bound
+    (-1 where it has none), and the tableau of the last solve (or of a
+    carry) at its basis. Moving the objective or the upper bounds leaves
+    that tableau's rows B^-1 A exact; only its right-hand column goes
+    stale, and every warm start rewrites it."""
 
     a: np.ndarray
     rhs: np.ndarray
     lb: np.ndarray
     gate: tuple
     start: np.ndarray
-    art_cols: list[int]
-    enterable: int
     bound_row: np.ndarray
     tab: _Tableau | None = None
 
@@ -404,13 +327,39 @@ def _bound_rows(lp: LinearProgram) -> np.ndarray:
 
 
 def _build_form(lp: LinearProgram) -> _Form | None:
-    """lp's standard form, or None when a box is empty."""
-    sf = _standard_form(lp)
-    if sf is None:
+    """lp's standard form, or None when a box is empty (hi < lo).
+
+    Lower bounds are shifted to zero, each upper bound becomes a unit row
+    x_j <= hi - lo after the constraints, the rows are equilibrated (which
+    keeps pivot tolerances meaningful across magnitudes) and each gets a
+    slack; the slacks are the start basis. A constraint whose shifted
+    right-hand side b - a.lb is negative raises ValueError, as the slack
+    basis would not be feasible. The gate is what an answer is checked
+    against: the constraint rows and right-hand sides as given and the
+    upper bounds (inf where there is none).
+    """
+    n, m = lp.num_vars, len(lp.constraints)
+    lb = np.array([b[0] for b in lp.bounds], dtype=float)
+    ub = np.array([np.inf if b[1] is None else b[1] for b in lp.bounds], dtype=float)
+    given = np.array([b for _coeffs, _rel, b in lp.constraints], dtype=float)
+    shifted = np.array([b - coeffs @ lb for coeffs, _rel, b in lp.constraints], dtype=float)
+    if (shifted < 0.0).any():
+        i = int(np.argmax(shifted < 0.0))
+        raise ValueError(f"row {i}: b - a.lb = {shifted[i]:.6g} < 0 at the slack basis")
+    if (ub < lb).any():
         return None
-    rows, rels, rhs, lb, gate = sf
-    a, start, art_cols, enterable = _augment(rows, rels, lp.num_vars)
-    return _Form(a, rhs, lb, gate, start, art_cols, enterable, _bound_rows(lp))
+    bounded = np.flatnonzero(ub < np.inf)
+    rhs = np.concatenate([shifted, ub[bounded] - lb[bounded]])
+    k = len(rhs)
+    stack = np.zeros((k, n))
+    for i, (coeffs, _rel, _b) in enumerate(lp.constraints):
+        stack[i] = coeffs
+    stack[np.arange(m, k), bounded] = 1.0
+    scale = np.maximum(np.abs(stack).max(axis=1, initial=0.0), 1e-12)
+    a = np.zeros((k, n + k))
+    a[:, :n] = stack / scale[:, None]
+    a[np.arange(k), n + np.arange(k)] = 1.0
+    return _Form(a, rhs / scale, lb, (stack[:m], given, ub), n + np.arange(k), _bound_rows(lp))
 
 
 def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
@@ -448,8 +397,8 @@ def _refined(form: _Form, tab: _Tableau, basis: np.ndarray, cb: np.ndarray):
 
 def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, bool] | None:
     """The hint basis re-priced: its tableau, its basic values for
-    a x = rhs, and whether it is optimal for max obj.x (no enterable reduced
-    cost above PIVOT_TOL).
+    a x = rhs, and whether it is optimal for max obj.x (no reduced cost
+    above PIVOT_TOL).
 
     The tableau is the form's kept one when its basis equals the hint, and
     otherwise one dense solve. Its start-basis columns hold B^-1 (the start
@@ -457,10 +406,9 @@ def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, 
     duals; each is refined once against the form's own columns. A kept
     tableau whose refinement residual exceeds DRIFT_TOL has drifted and is
     replaced by the dense solve. None when the basis is malformed, singular
-    or primal infeasible (a basic value below -FEAS_TOL or a basic
-    artificial above FEAS_TOL).
+    or primal infeasible (a basic value below -FEAS_TOL).
     """
-    a, e = form.a, form.enterable
+    a = form.a
     m, cols = a.shape
     basis = np.asarray(basis)
     # checked before any index is taken, so a malformed hint reuses nothing
@@ -487,10 +435,10 @@ def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, 
             return None
         x_basic, duals, _drift = _refined(form, tab, basis, cb)
     # comparisons are written so that a NaN rejects the basis
-    if not (x_basic >= -FEAS_TOL).all() or not (x_basic[basis >= e] <= FEAS_TOL).all():
+    if not (x_basic >= -FEAS_TOL).all():
         return None
-    reduced = obj[:e] - duals @ a[:, :e]
-    reduced[basis[basis < e]] = 0.0
+    reduced = obj - duals @ a
+    reduced[basis] = 0.0
     return tab, x_basic, bool((reduced <= PIVOT_TOL).all())
 
 
@@ -507,9 +455,8 @@ def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResu
     x = x_shift[: lp.num_vars] + form.lb
     value = float(lp.objective @ x) + lp.objective_constant
 
-    a, b, sense, ub = form.gate
-    gap = a @ x - b
-    by_row = np.where(sense == 0.0, np.abs(gap), sense * gap) / np.maximum(1.0, np.abs(b))
+    a, b, ub = form.gate
+    by_row = (a @ x - b) / np.maximum(1.0, np.abs(b))
     # one max over everything, so that a NaN anywhere propagates and raises
     residual = float(np.concatenate([by_row, form.lb - x, x - ub]).max(initial=0.0))
     if not residual <= RESIDUAL_TOL:
@@ -518,61 +465,35 @@ def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResu
 
 
 def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
-    """Two-phase dense simplex. Status is one of optimal/infeasible/unbounded.
+    """Dense primal simplex. Status is one of optimal/infeasible/unbounded;
+    infeasible only when a box is empty.
 
     basis is an optional hint, normally the basis of an earlier result for
-    an LP with the same rows, relations and bounded variables: its vertex is
-    returned if still optimal, phase 2 starts from it if it is only primal
-    feasible, and otherwise it is ignored. An answer whose residual exceeds
-    RESIDUAL_TOL raises NumericalFailure.
+    an LP with the same rows and bounded variables: its vertex is returned
+    if still optimal, the simplex starts from it if it is only primal
+    feasible, and otherwise the simplex starts from the slack basis. An
+    answer whose residual exceeds RESIDUAL_TOL raises NumericalFailure.
     """
-    n = lp.num_vars
     form = lp._form if lp._form is not None else _build_form(lp)
     if form is None:
         return LpResult(INFEASIBLE, np.nan, None)
     lp._form = form
-    a, rhs, enterable, art_cols = form.a, form.rhs, form.enterable, form.art_cols
-    m, cols = a.shape
+    m, cols = form.a.shape
     full_obj = np.zeros(cols)
-    full_obj[:n] = lp.objective if lp.maximize else -lp.objective
-    max_iter = 5000 + 60 * (m + cols)
+    full_obj[: lp.num_vars] = lp.objective if lp.maximize else -lp.objective
 
     priced = None if basis is None else _priced(form, basis, full_obj)
-    tab = None
-    if priced is not None:
+    if priced is None:
+        tab = _Tableau(_framed(form.a, form.rhs), form.start)
+    else:
         tab, x_basic, optimal = priced
-        form.tab = tab
         if optimal:
+            form.tab = tab
             return _optimal_result(lp, form, tab.basis)
-        # a basic artificial could turn positive in phase 2, so such hints go cold
-        if (tab.basis < enterable).all():
-            tab.t[:m, cols] = np.maximum(x_basic, 0.0)
-        else:
-            tab = None
-    if tab is None:
-        tab = form.tab = _Tableau(_framed(a, rhs), form.start)
-        if art_cols:
-            phase1 = np.zeros(cols)
-            phase1[art_cols] = -1.0
-            tab.set_objective(phase1)
-            # artificials may leave the basis but never come back
-            status = tab.run(max_iter, enter_limit=enterable)
-            # the objective row's rhs holds minus the phase-1 value = sum of artificials
-            if status != OPTIMAL or tab.t[tab.m, tab.n] > FEAS_TOL:
-                return LpResult(INFEASIBLE, np.nan, None)
-            art_set = set(art_cols)
-            for p in range(tab.m):
-                if tab.basis[p] in art_set:
-                    row = tab.t[p, :cols]
-                    pivots = np.nonzero(np.abs(row[:enterable]) > PIVOT_TOL)[0]
-                    if len(pivots):
-                        tab._pivot(p, int(pivots[0]))
-            # artificial columns stay in the tableau: they never enter again,
-            # and with the slacks they hold B^-1 for later re-prices
-
+        tab.t[:m, cols] = np.maximum(x_basic, 0.0)
+    form.tab = tab
     tab.set_objective(full_obj)
-    status = tab.run(max_iter, enter_limit=enterable)
-    if status == UNBOUNDED:
+    if tab.run(5000 + 60 * (m + cols)) == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
     return _optimal_result(lp, form, tab.basis)
 
@@ -596,7 +517,7 @@ def carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
     lower-bound shift its right-hand side is >= 0, and its one old column,
     if any, is an x_j at most d_ub - x_lb against a right-hand side of
     U - x_lb. So when new keeps the bounds old was solved with, the hint is
-    primal feasible and solve_lp starts phase 2 from it.
+    primal feasible and solve_lp starts the simplex from it.
 
     When old's form keeps the tableau at basis, new's form is built here
     and seeded with the tableau at the carried basis: the old rows move
@@ -650,7 +571,6 @@ def _solved_lp(program) -> LinearProgram:
 
 def solve_lfp(
     problem: LfpProblem,
-    check_denominator: bool = True,
     at_least: float = -math.inf,
     basis: np.ndarray | None = None,
 ) -> LfpResult:
@@ -666,25 +586,9 @@ def solve_lfp(
     value at_least. With at_least = -inf the first step is at lam = 0, and
     if no point has a positive ratio that step's point is returned; its
     ratio is then a lower bound only. The result's basis is the last LP's,
-    whether or not x is None.
+    whether or not x is None. A step whose point has d.x + d0 <= FEAS_TOL
+    raises DenominatorNotPositive before the ratio is taken.
     """
-    if check_denominator:
-        aux = LinearProgram(
-            objective=problem.denominator,
-            maximize=False,
-            constraints=list(problem.constraints),
-            bounds=list(problem.bounds),
-            objective_constant=problem.denominator_constant,
-        )
-        aux_res = solve_lp(aux)
-        if aux_res.status == INFEASIBLE:
-            return LfpResult(INFEASIBLE, np.nan, None)
-        if aux_res.status == UNBOUNDED or aux_res.value <= FEAS_TOL:
-            raise DenominatorNotPositive(
-                f"min denominator over feasible set = "
-                f"{aux_res.value if aux_res.status == OPTIMAL else '-inf'}"
-            )
-
     num, den = problem.numerator, problem.denominator
     n0, d0 = problem.numerator_constant, problem.denominator_constant
     # built once and kept on problem: only the objective moves between steps
@@ -697,7 +601,11 @@ def solve_lfp(
         res = solve_lp(lp, basis=basis)
         if res.status != OPTIMAL:
             return LfpResult(res.status, np.nan, None)
-        ratio = float((num @ res.x + n0) / (den @ res.x + d0))
+        denominator = den @ res.x + d0
+        # written so that a NaN raises too
+        if not denominator > FEAS_TOL:
+            raise DenominatorNotPositive(f"denominator {denominator:.6g} at an LP optimum")
+        ratio = float((num @ res.x + n0) / denominator)
         rose = ratio > lam + RATIO_TOL
         if rose:
             lam, x, basis = ratio, res.x, res.basis

@@ -2,8 +2,9 @@
 
 Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
-internals beyond the public dataclasses, the offline optimum and the LP
-solver that solves the printed programs. The one exception,
+internals beyond the public dataclasses and the offline optimum; the
+printed programs are solved by HiGHS (scipy, a test-only dependency), since
+solve_lp takes only the all-<= form the package builds. The one exception,
 cold_prefix_optimal_cr, reuses optimal_cr's prefix programs on purpose: it
 is the same search without the basis carried from prefix to prefix.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from peakmin import cr
 from peakmin.core import EPS_KWH, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, PeakMinError
-from peakmin.lp import LinearProgram, solve_lfp
+from peakmin.lp import solve_lfp
 from peakmin.offline import offline_peak, offline_peak_values
 
 _GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
@@ -155,10 +157,13 @@ def highs_lfp_max(lfp):
 
 
 def highs_lp(lp):
-    """Optimum of a LinearProgram by HiGHS, objective constant included, or
-    None when it is infeasible. Needs scipy, a test-only dependency."""
+    """Optimum of a LinearProgram or PrintedLp by HiGHS, objective constant
+    included, or None when it is infeasible. Needs scipy, a test-only
+    dependency."""
     from scipy.optimize import linprog
 
+    if len(lp.objective) == 0 and not lp.constraints:  # linprog needs a variable
+        return lp.objective_constant
     ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
         if rel == "==":
@@ -189,14 +194,25 @@ def cold_prefix_optimal_cr(instance):
     tau = max(0, min(cr._floor_quotient(instance.capacity_c, instance.demand_ub), T - 1))
     best_val, best_t = -np.inf, None
     for t in range(tau + 1, T + 1):
-        res = solve_lfp(cr._prefix_program(instance, t), check_denominator=False,
-                        at_least=best_val)
+        res = solve_lfp(cr._prefix_program(instance, t), at_least=best_val)
         if res.x is not None:
             best_val, best_t = res.value, t
     return max(best_val, 1.0), tuple(range(1, best_t + 1))
 
 
-def build_aocr_thr(instance, state, pi: float, index_set):
+@dataclass
+class PrintedLp:
+    """An LP as printed, for highs_lp: rows of any relation (<=, >=, ==)
+    and right-hand sides of any sign, which solve_lp does not take."""
+
+    objective: np.ndarray
+    maximize: bool
+    constraints: list
+    bounds: list
+    objective_constant: float = 0.0
+
+
+def build_aocr_thr(instance, state, pi: float, index_set) -> PrintedLp:
     """Worst-case future-requirement LP in its full printed form.
 
     state must be mid-slot (d_t observed, delta_t not yet committed). The
@@ -257,7 +273,7 @@ def build_aocr_thr(instance, state, pi: float, index_set):
     obj = np.zeros(n)
     obj[:ns] = -pi
     obj[ns : 2 * ns] = 1.0
-    return LinearProgram(
+    return PrintedLp(
         objective=obj,
         maximize=True,
         constraints=rows,

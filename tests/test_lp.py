@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import peakmin.lp as lp_mod
+from peakmin.core import Instance
+from peakmin.cr import build_cr_compute
 from peakmin.errors import DenominatorNotPositive, NumericalFailure
 from peakmin.lp import (
-    EQ,
-    GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
@@ -18,7 +18,7 @@ from peakmin.lp import (
     solve_lp,
 )
 
-from oracles import kept_tableau_gap
+from oracles import kept_tableau_gap, primal_feasible_values
 
 
 def test_lp_textbook_maximize():
@@ -35,22 +35,28 @@ def test_lp_textbook_maximize():
 
 
 def test_lp_minimize_with_equality_and_ge():
-    # min x + y s.t. x + 2y == 3, x >= 0.5 -> (0.5, 1.25), value 1.75
+    # min x - y + 2.5 s.t. x + 2y <= 3, x >= 0.5 (a bound) -> (0.5, 1.25),
+    # value 1.75: the row holds with equality and x sits on its bound
     lp = LinearProgram(
-        objective=np.array([1.0, 1.0]),
+        objective=np.array([1.0, -1.0]),
         maximize=False,
-        constraints=[(np.array([1.0, 2.0]), EQ, 3.0), (np.array([1.0, 0.0]), GE, 0.5)],
+        constraints=[(np.array([1.0, 2.0]), LE, 3.0)],
+        bounds=[(0.5, None), (0.0, None)],
+        objective_constant=2.5,
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(1.75)
+    assert np.allclose(res.x, [0.5, 1.25])
 
 
 def test_lp_infeasible_detected():
+    # 2 <= x <= 1: the only infeasible LP solve_lp takes is an empty box
     lp = LinearProgram(
         objective=np.array([1.0]),
         maximize=True,
-        constraints=[(np.array([1.0]), GE, 2.0), (np.array([1.0]), LE, 1.0)],
+        constraints=[(np.array([1.0]), LE, 3.0)],
+        bounds=[(2.0, 1.0)],
     )
     assert solve_lp(lp).status == INFEASIBLE
 
@@ -89,25 +95,34 @@ def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
 @pytest.mark.parametrize(
     "rows, status",
     [
-        ([(GE, 1.0)], INFEASIBLE),
-        ([(EQ, 2.0)], INFEASIBLE),
-        ([(LE, -1.0)], INFEASIBLE),
+        ([(">=", 1.0)], ValueError),
+        ([("==", 2.0)], ValueError),
+        ([(LE, -1.0)], ValueError),
         ([(LE, 1.0)], OPTIMAL),
-        ([(EQ, 0.0)], OPTIMAL),
+        ([("==", 0.0)], ValueError),
         ([], OPTIMAL),
     ],
     ids=["ge-1", "eq-2", "le-minus-1", "le-1", "eq-0", "no-rows"],
 )
 @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
 def test_lp_without_variables_honours_its_rows(rows, status, maximize):
-    """An LP with no variables reads each row as 0 (rel) rhs."""
-    lp = LinearProgram(
-        objective=np.zeros(0),
-        maximize=maximize,
-        constraints=[(np.zeros(0), rel, rhs) for rel, rhs in rows],
-        objective_constant=2.5,
-    )
-    res = solve_lp(lp)
+    """An LP with no variables reads each row as 0 <= rhs. A >= or == row,
+    or a negative rhs (0 <= rhs fails at the slack basis), is not the form
+    solve_lp takes and raises ValueError."""
+
+    def build():
+        return LinearProgram(
+            objective=np.zeros(0),
+            maximize=maximize,
+            constraints=[(np.zeros(0), rel, rhs) for rel, rhs in rows],
+            objective_constant=2.5,
+        )
+
+    if status is ValueError:
+        with pytest.raises(ValueError):
+            solve_lp(build())
+        return
+    res = solve_lp(build())
     assert res.status == status
     if status == OPTIMAL:
         assert res.value == 2.5
@@ -128,16 +143,28 @@ def test_lp_variable_upper_bounds():
 
 
 def test_lp_negative_lower_bounds():
-    # min x with x >= -2 and x + y >= 0, y <= 1
+    # max x with x >= -2, 1 <= y <= 2 and x + y <= 0 -> x = -1
     lp = LinearProgram(
         objective=np.array([1.0, 0.0]),
-        maximize=False,
-        constraints=[(np.array([1.0, 1.0]), GE, 0.0)],
-        bounds=[(-2.0, None), (0.0, 1.0)],
+        maximize=True,
+        constraints=[(np.array([1.0, 1.0]), LE, 0.0)],
+        bounds=[(-2.0, None), (1.0, 2.0)],
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-1.0)
+
+
+def _random_rows(rng, n: int, m: int, lb: np.ndarray, scale: float = 1.0, margin=0.0):
+    """m random rows a.x <= b over n variables with b - a.lb >= 0: b is
+    a.lb plus margin * sum|a| plus |noise|, so the rows still hold at lb
+    after every lower bound rises by up to margin."""
+    rows = []
+    for _ in range(m):
+        coeffs = rng.normal(size=n)
+        slack = margin * np.abs(coeffs).sum() + abs(float(rng.normal(scale=scale)))
+        rows.append((coeffs, LE, float(coeffs @ lb) + slack))
+    return rows
 
 
 def test_lp_residual_certificate_on_random_problems():
@@ -149,10 +176,7 @@ def test_lp_residual_certificate_on_random_problems():
         lp = LinearProgram(
             objective=rng.normal(size=n),
             maximize=bool(rng.integers(0, 2)),
-            constraints=[
-                (rng.normal(size=n), rng.choice([LE, GE, EQ]), float(rng.normal()))
-                for _ in range(m)
-            ],
+            constraints=_random_rows(rng, n, m, np.zeros(n)),
             bounds=[(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)],
         )
         res = solve_lp(lp)
@@ -160,14 +184,8 @@ def test_lp_residual_certificate_on_random_problems():
             continue
         solved += 1
         assert res.residual <= 1e-7
-        for coeffs, rel, rhs in lp.constraints:
-            lhs = float(coeffs @ res.x)
-            if rel == LE:
-                assert lhs <= rhs + 1e-6
-            elif rel == GE:
-                assert lhs >= rhs - 1e-6
-            else:
-                assert lhs == pytest.approx(rhs, abs=1e-6)
+        for coeffs, _rel, rhs in lp.constraints:
+            assert float(coeffs @ res.x) <= rhs + 1e-6
         for (lo, hi), val in zip(lp.bounds, res.x):
             assert val >= lo - 1e-8
             assert hi is None or val <= hi + 1e-8
@@ -178,9 +196,8 @@ def _row_by_row_residual(lp, x):
     """The gate's residual, one row and one bound at a time: the worst row
     violation scaled by max(1, |b|), or bound violation, floored at 0."""
     worst = [0.0]
-    for coeffs, rel, b in lp.constraints:
-        gap = float(coeffs @ x) - b
-        worst.append((gap if rel == LE else -gap if rel == GE else abs(gap)) / max(1.0, abs(b)))
+    for coeffs, _rel, b in lp.constraints:
+        worst.append((float(coeffs @ x) - b) / max(1.0, abs(b)))
     for (lo, hi), val in zip(lp.bounds, x):
         worst.append(lo - val)
         if hi is not None:
@@ -190,8 +207,8 @@ def _row_by_row_residual(lp, x):
 
 def test_lp_gate_residual_matches_row_by_row(monkeypatch):
     """The gate's one matrix-vector residual equals the row-by-row one on
-    answers pushed off their vertex (mixed rows, negative lower bounds,
-    some variables without an upper bound)."""
+    answers pushed off their vertex (right-hand sides of both signs,
+    negative lower bounds, some variables without an upper bound)."""
     rng = np.random.default_rng(83)
     real_values = lp_mod._basic_values
 
@@ -206,16 +223,15 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
     for _ in range(80):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
+        bounds = [(float(rng.uniform(-2.0, 0.0)),
+                   None if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
+                  for _ in range(n)]
+        lb = np.array([lo for lo, _hi in bounds])
         lp = LinearProgram(
             objective=rng.normal(size=n),
             maximize=bool(rng.integers(0, 2)),
-            constraints=[
-                (rng.normal(size=n), rng.choice([LE, GE, EQ]), float(rng.normal(scale=5.0)))
-                for _ in range(m)
-            ],
-            bounds=[(float(rng.uniform(-2.0, 0.0)),
-                     None if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
-                    for _ in range(n)],
+            constraints=_random_rows(rng, n, m, lb, scale=5.0),
+            bounds=bounds,
         )
         res = solve_lp(lp)
         if res.status != OPTIMAL:
@@ -250,7 +266,7 @@ def test_lp_deterministic_resolve():
         maximize=True,
         constraints=[
             (np.array([1.0, 1.0, 1.0]), LE, 5.0),
-            (np.array([2.0, -1.0, 0.0]), GE, -1.0),
+            (np.array([-2.0, 1.0, 0.0]), LE, 1.0),
         ],
         bounds=[(0.0, 4.0)] * 3,
     )
@@ -321,8 +337,58 @@ def test_lfp_rejects_sign_changing_denominator():
         solve_lfp(lfp)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("denominator_constant", np.nan), ("numerator_constant", np.inf),
+     ("denominator", np.array([np.nan])), ("numerator", np.array([-np.inf]))],
+    ids=["nan-denominator-constant", "inf-numerator-constant", "nan-denominator",
+         "inf-numerator"],
+)
+def test_lfp_rejects_non_finite_data(field, value):
+    """A NaN denominator constant used to return OPTIMAL with value -inf
+    and no x, and an infinite numerator constant or a NaN denominator
+    entry to pivot to the iteration cap."""
+    data = dict(numerator=np.array([1.0]), numerator_constant=0.0,
+                denominator=np.array([0.0]), denominator_constant=1.0,
+                constraints=[], bounds=[(0.0, 1.0)])
+    data[field] = value
+    with pytest.raises(ValueError, match="non-finite numerator or denominator"):
+        LfpProblem(**data)
+
+
+@pytest.mark.parametrize(
+    "solve, outcome",
+    [
+        (lambda: solve_lp(LinearProgram(np.ones(2), True, [(np.ones(2), ">=", 1.0)],
+                                        [(0.0, 3.0)] * 2)), ValueError),
+        (lambda: solve_lp(LinearProgram(np.ones(2), True, [(np.ones(2), "==", 1.0)],
+                                        [(0.0, 3.0)] * 2)), ValueError),
+        # rhs 1 >= 0, but 1 - a.lb = -0.25
+        (lambda: solve_lp(LinearProgram(np.ones(2), False, [(np.ones(2), LE, 1.0)],
+                                        [(0.5, None), (0.75, None)])), ValueError),
+        (lambda: solve_lfp(build_cr_compute(Instance(1.2, None, 3, 1.0, 2.0), {1, 2, 3})),
+         ValueError),
+        (lambda: solve_lp(LinearProgram(np.ones(1), True, [],
+                                        [(1.0, 1.0 - 1e-9)])).status, INFEASIBLE),
+    ],
+    ids=["ge-row", "eq-row", "negative-shifted-rhs", "printed-cr-form", "inverted-box"],
+)
+def test_lp_takes_only_the_all_le_form(solve, outcome):
+    """solve_lp takes rows a.x <= b with b - a.lb >= 0 and nothing else:
+    a >= row, an == row, a row that fails at the lower bounds and
+    build_cr_compute's printed form (== budgets) raise ValueError instead
+    of being answered through a phase 1, and a box inverted by 1e-9 is
+    INFEASIBLE instead of being read as a point."""
+    if outcome is ValueError:
+        with pytest.raises(ValueError):
+            solve()
+    else:
+        assert solve() == outcome
+
+
 def _random_feasible_lps(seed: int, count: int):
-    """Seeded random LPs over a box, the ones solve_lp finds optimal."""
+    """Seeded random LPs over a box, the ones solve_lp finds optimal. Their
+    rows hold at lb, also after each lower bound rises by 0.05."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -331,10 +397,7 @@ def _random_feasible_lps(seed: int, count: int):
         lp = LinearProgram(
             objective=rng.normal(size=n),
             maximize=bool(rng.integers(0, 2)),
-            constraints=[
-                (rng.normal(size=n), rng.choice([LE, GE, EQ]), float(rng.normal()))
-                for _ in range(m)
-            ],
+            constraints=_random_rows(rng, n, m, np.zeros(n), margin=0.05),
             bounds=[(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)],
         )
         res = solve_lp(lp)
@@ -447,23 +510,13 @@ def test_lp_garbage_basis_gives_cold_result(basis):
                 maximize=True,
                 constraints=[
                     (np.array([1.0, 1.0, 1.0]), LE, 5.0),
-                    (np.array([1.0, 1.0, 0.0]), GE, 1.0),
+                    (np.array([1.0, 1.0, 0.0]), LE, 1.0),
                 ],
             ),
             np.array([0, 1]),
         ),
-        # min x s.t. x == 1: the artificial-only basis is dual feasible, but
-        # its artificial sits at 1 and leaves the equality unmet
-        (
-            LinearProgram(
-                objective=np.array([1.0]),
-                maximize=False,
-                constraints=[(np.array([1.0]), EQ, 1.0)],
-            ),
-            np.array([1]),
-        ),
     ],
-    ids=["singular", "basic-artificial"],
+    ids=["singular"],
 )
 def test_lp_unusable_basis_gives_cold_result(lp, basis):
     cold = solve_lp(lp)
@@ -473,23 +526,15 @@ def test_lp_unusable_basis_gives_cold_result(lp, basis):
 
 def _primal_feasible_hint(lp, basis) -> bool:
     """The basis is in range, nonsingular and primal feasible on the standard
-    form (basic values >= -1e-7, no basic artificial above 1e-7)."""
-    rows, rels, rhs, _lb, _gate = lp_mod._standard_form(lp)
-    a, _start, _art, enterable = lp_mod._augment(rows, rels, lp.num_vars)
-    if basis.max() >= a.shape[1]:
-        return False
-    try:
-        values = np.linalg.solve(a[:, basis], rhs)
-    except np.linalg.LinAlgError:
-        return False
-    return bool((values >= -1e-7).all() and (values[basis >= enterable] <= 1e-7).all())
+    form (basic values >= -1e-7), by the oracle's own dense solve."""
+    return primal_feasible_values(lp, basis) is not None
 
 
 def test_lp_random_basis_gives_cold_result_unless_feasible():
-    """Random bases, basic artificials included, on problems with >= and ==
-    rows: a malformed or primal infeasible one gives exactly the cold
-    result. From a primal feasible one, such as the optimal basis under
-    another objective, the solve reaches the cold optimum."""
+    """Random bases, some reaching past the last column: a malformed or
+    primal infeasible one gives exactly the cold result. From a primal
+    feasible one, such as the optimal basis under another objective, the
+    solve reaches the cold optimum."""
     rng = np.random.default_rng(47)
     feasible = 0
     for lp, cold in _random_feasible_lps(45, 60):
@@ -552,6 +597,9 @@ def test_lp_set_upper_resolve_matches_fresh_build():
     lp.set_upper([0], 1.5)
     _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
     assert solve_lp(lp).value == pytest.approx(2.75)
+    # a box inverted by less than the feasibility tolerance is empty too
+    lp.set_upper([1], -1e-9)
+    assert solve_lp(lp).status == solve_lp(_fresh(lp)).status == INFEASIBLE
 
 
 @pytest.mark.parametrize(
@@ -607,7 +655,7 @@ def test_lp_drifted_tableau_is_refactorized(monkeypatch):
     """Noise written into a kept tableau shows in the refinement residual:
     the next hinted solve drops that tableau, refactorizes B by one dense
     solve, and answers as a cold solve does, bit for bit when the hint is
-    still optimal and to 1e-9 after phase 2 under a moved objective."""
+    still optimal and to 1e-9 after pivoting under a moved objective."""
     factorized = _counting(monkeypatch, "_factorized")
     rng = np.random.default_rng(61)
     cases = _random_feasible_lps(67, 80)
@@ -654,7 +702,7 @@ def test_lp_malformed_hint_never_reuses_the_tableau(monkeypatch, malform):
     lp = LinearProgram(
         objective=np.array([1.0, 2.0, -1.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0, 1.0]), LE, 5.0), (np.array([2.0, -1.0, 0.0]), GE, -1.0)],
+        constraints=[(np.array([1.0, 1.0, 1.0]), LE, 5.0), (np.array([-2.0, 1.0, 0.0]), LE, 1.0)],
         bounds=[(0.0, 4.0)] * 3,
     )
     kept = solve_lp(lp).basis

@@ -14,7 +14,7 @@ from peakmin.core import DemandProfile, Instance, OnlineState
 from peakmin.cr import inventory_unbounded, optimal_cr
 from peakmin.errors import DemandOutOfBounds, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import INFEASIBLE, OPTIMAL, LinearProgram
+from peakmin.lp import OPTIMAL, LinearProgram
 from peakmin.offline import offline_peak, solve_offline_pmd
 from peakmin.online import (
     MODE_ANYTIME,
@@ -311,8 +311,10 @@ def test_anytime_t20_slot2_certifies():
 
 def test_future_requirement_without_binding_inventory():
     """c > T * rate: the scenario programs cannot spend the inventory, so the
-    printed form is infeasible, every cutoff imposes no requirement, and
-    optimal_cr answers 1, all by the one inventory_unbounded test."""
+    printed form is infeasible (by HiGHS), every cutoff imposes no
+    requirement, and optimal_cr answers 1, all by the one
+    inventory_unbounded test."""
+    pytest.importorskip("scipy")
     inst = Instance(1.5, 0.4, 3, 1.0, 2.0)
     assert inventory_unbounded(inst)
     assert optimal_cr(inst).pi_star == 1.0
@@ -320,8 +322,7 @@ def test_future_requirement_without_binding_inventory():
     state.observe(1.5)
     view = online._slot_view(inst, state)
     for k in (2, 3):
-        full = lp_mod.solve_lp(build_aocr_thr(inst, state, 1.2, range(2, k + 1)))
-        assert full.status == INFEASIBLE
+        assert highs_lp(build_aocr_thr(inst, state, 1.2, range(2, k + 1))) is None
         assert online._future_requirement(view, 1.2, k, online._WarmStart()) == -np.inf
     assert not inventory_unbounded(Instance(1.2, 0.4, 3, 1.0, 2.0))
 
@@ -351,23 +352,22 @@ def _mid_slot_states(inst, count, seed, monthly_peak=0.0):
 )
 def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
     """The tail-aggregated LP the bisection solves, plus the constant term,
-    equals the optimum of the full printed form for every cutoff."""
+    equals the optimum of the full printed form (by HiGHS) for every
+    cutoff."""
+    pytest.importorskip("scipy")
     T = inst.horizon_T
     checked = 0
     for state in _mid_slot_states(inst, 2, seed=71, monthly_peak=monthly_peak):
         view = online._slot_view(inst, state)
         for pi in (1.0, 1.12, 1.3, 1.6):
             for k in range(view.t, T + 1):
-                full = lp_mod.solve_lp(
-                    build_aocr_thr(inst, state, pi, range(view.t + 1, k + 1))
-                )
+                full = highs_lp(build_aocr_thr(inst, state, pi, range(view.t + 1, k + 1)))
                 reduced = online._future_requirement(view, pi, k, online._WarmStart())
-                if full.status == INFEASIBLE:
+                if full is None:
                     assert reduced == -np.inf
                     continue
-                assert full.status == OPTIMAL
                 expected = online._constant_term(view, pi) + reduced
-                assert full.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                assert full == pytest.approx(expected, rel=1e-9, abs=1e-9)
                 checked += 1
     assert checked == 2 * 4 * sum(T - t + 1 for t in range(1, T + 1))
 
