@@ -263,9 +263,10 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     top = scenario_top(inst, view.demands, lb_u)
     cut = warm.cutoffs.get(kmax)
     if cut is None or cut.top != top:
-        rows, bounds, w_cols, top = scenario_program(
-            inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
-        )
+        # OnlineState.observe admits demands up to EPS_KWH above d_ub, so the
+        # running peak can pass d_ub; x's box must not be inverted by that
+        x_lb = min(max(inst.demand_lb, view.running_peak), inst.demand_ub)
+        rows, bounds, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
         obj = np.zeros(len(bounds))
         obj[: kmax - t] = 1.0
         lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)

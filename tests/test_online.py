@@ -109,6 +109,25 @@ def test_fixed_policy_rejects_out_of_bounds_demand(tiny_instance):
         pcr_step(tiny_instance, state, 4.0 / 3.0, 2.7)
 
 
+def test_demand_just_above_the_box_still_certifies():
+    """observe() admits a demand up to EPS_KWH above d_ub, so an undischarged
+    slot can leave the running peak above d_ub. The next slot's certificate
+    (and its depleting slack) must answer as on d_ub itself: the future
+    demands' box [max(d_lb, running peak), d_ub] was inverted and its LP
+    ended infeasible."""
+    inst = Instance(capacity_c=1.0, rate_limit=None, horizon_T=4, demand_lb=1.0, demand_ub=3.0)
+    ratios, slacks = [], []
+    for d1 in (inst.demand_ub, inst.demand_ub + 5e-10):
+        state = OnlineState(inst)
+        state.observe(d1)
+        state.commit(0.0)
+        ratios.append(anytime_ratio(inst, state, 2.0))
+        state.observe(2.0)
+        slacks.append(online.depleting_amount(inst, state, ratios[-1], 0.0))
+    assert ratios[1] == pytest.approx(ratios[0], abs=1e-6)
+    assert slacks[1] == pytest.approx(slacks[0], abs=1e-6)
+
+
 def test_anytime_slot1_hand_values(tiny_instance):
     """After observing d_1 the smallest guaranteeable ratio is known in closed
     form on the tiny instance: 1.2 at d_1 = 2 and 4/3 at d_1 = 1."""
