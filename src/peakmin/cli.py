@@ -120,15 +120,16 @@ def _cmd_cr(args) -> int:
 
 
 def _resolve_pi(args) -> float | None:
-    """--pi auto means the optimal competitive ratio; otherwise a number >= 1."""
+    """--pi auto means the optimal competitive ratio; otherwise a finite
+    number >= 1."""
     if args.pi is None or args.pi == "auto":
         return None
     try:
         pi = float(args.pi)
     except ValueError:
         pi = math.nan
-    if not pi >= 1.0:  # NaN fails this too
-        raise MalformedRecord(f"--pi expects a number >= 1 or 'auto', got {args.pi!r}")
+    if not 1.0 <= pi < math.inf:  # NaN fails this too
+        raise MalformedRecord(f"--pi expects a finite number >= 1 or 'auto', got {args.pi!r}")
     return pi
 
 

@@ -54,8 +54,17 @@ takes a hint for its first LP too (basis=) and returns the last LP's basis
 as LfpResult.basis, so a caller solving a sequence of related programs
 (optimal_cr, prefix by prefix) can carry a basis from one to the next.
 
+Ranging: the anytime certificate solves one LP family over a parameter
+pi, in which only the objective's pi terms and the upper bounds top -
+floor/pi of some columns move. parametric_range reads, from the tableau a
+form keeps at an optimal basis and with no solve, that basis's optimum as
+A + B pi + C/pi and the pi range on which the basis stays primal and dual
+feasible (basic values affine in 1/pi, reduced costs affine in pi). A
+caller holding it can answer the LP anywhere in that range without solving
+it.
+
 Tolerances: pivot 1e-9, feasibility 1e-7, drift 1e-9, residual 1e-6,
-ratio 1e-12.
+ratio 1e-12, range 1e-12.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ FEAS_TOL = 1e-7
 DRIFT_TOL = 1e-9  # largest relative refinement residual a kept tableau may show
 RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
+RANGE_TOL = 1e-12  # rounding a closed form's range forgives, in values and reduced costs
 
 LE = "<="  # the one relation a row may have
 
@@ -556,6 +566,80 @@ def carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
     t[m_old:m, :cols] = appended - appended[:, carried[touch]] @ t[touch, :cols]
     form.tab = _Tableau(t, hint)
     return hint
+
+
+def parametric_range(lp: LinearProgram, basis: np.ndarray, cols, top: float, floor: float):
+    """lp's optimum at basis as a closed form in a parameter pi, and the pi
+    range on which basis stays optimal, read from the tableau lp's form
+    keeps at basis, with no solve.
+
+    lp maximizes a member of the family the anytime certificate bisects
+    on: the objective c.x + pi (sum_{j in cols} x_j - top |cols|), where c
+    is lp.objective off cols, with each column of cols in [0, top -
+    floor/pi] and nothing else moving. With s = 1/pi only the bound rows of
+    cols move, so the basic values are p + s q: p = B^-1 b with those rows
+    at top, q = -floor B^-1 e with e one on those rows (both from the kept
+    B^-1, refined once against the form's own columns). The reduced costs
+    are r0 + pi r1, from the tableau rows of the basic columns. So the
+    optimum is A + B pi + C/pi on [lo, hi], the pi > 0 where p + s q >= 0
+    and r0 + pi r1 <= 0, each up to RANGE_TOL, which forgives rounding
+    only: solve_lp's own optimality tolerances would let the form run past
+    a breakpoint, off the optimum by about 1e-9 relative (parametric
+    ranging; Gass & Saaty 1955, Chvatal 1983 ch. 10). Returns (A, B, C,
+    lo, hi), or None when the form keeps no tableau at basis, its B^-1 has
+    drifted (refinement residual above DRIFT_TOL), or the range is empty.
+    """
+    form = lp._form
+    tab = None if form is None else form.tab
+    if tab is None or not np.array_equal(tab.basis, basis):
+        return None
+    m, width = form.a.shape
+    rows = form.bound_row[cols]
+    rhs = np.zeros((m, 2))
+    rhs[:, 0] = form.rhs
+    rhs[rows, 0] = top - form.lb[cols]
+    rhs[rows, 1] = -floor
+    inv = tab.t[:m, width - m : width]  # the slack columns, form.start: B^-1
+    pq = inv @ rhs
+    gap = rhs - form.a[:, basis] @ pq
+    # written so that a NaN counts as drift
+    if not np.abs(gap).max(initial=0.0) <= DRIFT_TOL * max(1.0, np.abs(rhs).max(initial=0.0)):
+        return None
+    pq += inv @ gap
+    p, q = pq[:, 0], pq[:, 1]
+
+    n = lp.num_vars
+    c = np.zeros((2, width))  # the objective is c[0] + pi c[1]
+    c[0, :n] = lp.objective
+    c[0, cols] = 0.0
+    c[1, cols] = 1.0
+    cb = c[:, basis]
+    on = np.flatnonzero(cb.any(axis=0))
+    r0, r1 = c - cb[:, on] @ tab.t[on, :width]
+    r0[basis] = r1[basis] = 0.0
+    (c0p, c0q), (c1p, c1q) = cb @ pq
+    at_lb = c[:, :n] @ form.lb
+    closed = (float(at_lb[0] + c0p + c1q), float(at_lb[1] + c1p - top * len(cols)), float(c0q))
+
+    s_lo, s_hi = _where_nonnegative(p + RANGE_TOL, q)  # in s = 1/pi
+    lo, hi = _where_nonnegative(RANGE_TOL - r0, -r1)
+    # s in [s_lo, s_hi] is pi in [1/s_hi, 1/s_lo]
+    lo = max(lo, 1.0 / s_hi if s_hi > 0.0 else math.inf)
+    hi = min(hi, 1.0 / s_lo if s_lo > 0.0 else math.inf)
+    # written so that a NaN empties the range
+    if not lo <= hi:
+        return None
+    return (*closed, lo, hi)
+
+
+def _where_nonnegative(level: np.ndarray, slope: np.ndarray) -> tuple[float, float]:
+    """The interval of z >= 0 where level + z slope >= 0 holds in every
+    entry; empty (lo > hi, or NaN) when it holds nowhere."""
+    if not (level[slope == 0.0] >= 0.0).all():
+        return math.inf, 0.0
+    up, down = slope > 0.0, slope < 0.0
+    return (float((-level[up] / slope[up]).max(initial=0.0)),
+            float((level[down] / -slope[down]).min(initial=math.inf)))
 
 
 def _solved_lp(program) -> LinearProgram:

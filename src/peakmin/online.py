@@ -31,7 +31,7 @@ from .errors import (
     NegativeSlack,
     NumericalFailure,
 )
-from .lp import OPTIMAL, LinearProgram, carry_basis, solve_lp
+from .lp import OPTIMAL, LinearProgram, carry_basis, parametric_range, solve_lp
 from .offline import offline_peak_values
 
 MODE_ANYTIME = "anytime"
@@ -83,8 +83,8 @@ class PolicyOptions:
     mode: "anytime" or "anytime_depleting"; the fixed-ratio policy is
     run_pcr_pmd.
     monthly_peak: standing peak of the billing month; 0 disables monthly mode.
-    initial_ratio: seed for the slot-1 certification; None computes the
-    optimal competitive ratio from the instance.
+    initial_ratio: seed for the slot-1 certification, finite and >= 1;
+    None computes the optimal competitive ratio from the instance.
     """
 
     mode: str = MODE_ANYTIME
@@ -100,8 +100,8 @@ class PolicyOptions:
             raise ValueError("bisection_epsilon must be positive and finite")
         if not 0.0 <= self.monthly_peak < math.inf:
             raise ValueError("monthly_peak must be finite and >= 0")
-        if self.initial_ratio is not None and not self.initial_ratio >= 1.0:
-            raise ValueError("initial_ratio must be >= 1")
+        if self.initial_ratio is not None and not 1.0 <= self.initial_ratio < math.inf:
+            raise ValueError("initial_ratio must be finite and >= 1")
 
 
 def _check_ratio(pi: float) -> None:
@@ -218,30 +218,37 @@ def _constant_term(view: _SlotView, pi: float) -> float:
 @dataclass
 class _Cutoff:
     """One cutoff's certificate LP as a slot keeps it: the LP, its w
-    columns, the U it was built with and its last optimal basis."""
+    columns, the U it was built with, its last optimal basis and that
+    basis's closed form (A, B, C, lo, hi). The cutoff's requirement is
+    A + B pi + C/pi for pi in [lo, hi] (lp.parametric_range, with lo raised
+    so that U stays put); closed is None where no form was read, and is
+    replaced whenever an LP answer returns a new basis."""
 
     lp: LinearProgram
     w_cols: np.ndarray
     top: float
     basis: np.ndarray | None
+    closed: tuple | None = None
 
 
 @dataclass
 class _WarmStart:
     """What one slot's bisection remembers between its steps.
 
-    Each cutoff's LP is built once: between steps only the -pi objective
-    terms, their constant and the w upper bounds U - floor/pi move, and
-    they are written into the kept LP, whose standard form solve_lp reuses.
-    scenario_program runs again only if U = max(d_ub, floor/pi, prefix)
-    moves, which needs a pi below floor/v_ref (v_ref <= U), and the
-    bisection never evaluates one. The last optimal basis of each cutoff's
-    LP usually stays optimal, so solve_lp re-prices it on the tableau the
-    LP keeps instead of pivoting; a cutoff's first solve starts from the
-    basis of the cutoff before it, mapped by lp.carry_basis, which also
-    seeds the new LP with its tableau, so no step refactorizes a basis.
-    Each kept LP holds its standard form and tableau until the slot ends.
-    The cutoff that exceeded the budget last usually exceeds it again.
+    Each cutoff's LP is built once: between LP answers only the -pi
+    objective terms, their constant and the w upper bounds U - floor/pi
+    move, and they are written into the kept LP, whose standard form
+    solve_lp reuses. scenario_program runs again only if U = max(d_ub,
+    floor/pi, prefix) moves, which needs a pi below floor/v_ref (v_ref <=
+    U), and the bisection never evaluates one. A step whose pi lies in a
+    cutoff's closed-form range takes the cutoff's value from that form,
+    with no LP; a step outside it solves the LP from the last optimal
+    basis, which solve_lp re-prices on the tableau the LP keeps (or pivots
+    from); a cutoff's first solve starts from the basis of the cutoff
+    before it, mapped by lp.carry_basis, which also seeds the new LP with
+    its tableau, so no step refactorizes a basis. Each kept LP holds its
+    standard form and tableau until the slot ends. The cutoff that
+    exceeded the budget last usually exceeds it again.
     """
 
     cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
@@ -249,7 +256,8 @@ class _WarmStart:
 
 
 def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart) -> float:
-    """AOCR requirement beyond the constant term for one scenario cutoff."""
+    """AOCR requirement beyond the constant term for one scenario cutoff,
+    from its certificate LP."""
     if kmax <= view.t:
         return 0.0
     inst, t = view.instance, view.t
@@ -286,17 +294,45 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
+    if cut.closed is None or not np.array_equal(res.basis, cut.basis):
+        # U stays put while floor/pi <= U; a basis that solve_lp's tolerances
+        # take as optimal at pi, but that is not optimal there, gets no form
+        ranged = None
+        if top == scenario_top(inst, view.demands, 0.0):
+            ranged = parametric_range(lp, res.basis, cut.w_cols, top, floor)
+        cut.closed = None
+        if ranged is not None and ranged[3] <= pi <= ranged[4]:
+            a, b, c, lo, hi = ranged
+            cut.closed = (a, b, c, max(lo, floor / top), hi)
     cut.basis = res.basis
     return res.value
 
 
-def _requirement(view: _SlotView, pi: float, budget: float, warm: _WarmStart) -> float:
+def _closed_form(cut: _Cutoff | None, pi: float) -> float | None:
+    """The cutoff's requirement at pi from its closed form, or None where
+    pi lies outside that form's range (or there is none)."""
+    if cut is None or cut.closed is None:
+        return None
+    a, b, c, lo, hi = cut.closed
+    return a + b * pi + c / pi if lo <= pi <= hi else None
+
+
+def _requirement(
+    view: _SlotView, pi: float, budget: float, warm: _WarmStart,
+    guessed: list[int] | None = None,
+) -> float:
     """Inventory needed to keep pi guaranteeable: the constant term plus the
     worst cutoff's requirement, floored at 0.
 
     Exact when it is at most budget. The search stops at the first cutoff
     that pushes it above budget, trying first the cutoff that did so last,
-    so a value above budget only shows that budget falls short.
+    so a value above budget only shows that budget falls short. A cutoff's
+    value comes from its closed form where pi lies in that form's range,
+    unless the constant term plus that value lies within 1e-8 max(1,
+    budget) of budget: there, as everywhere else, the LP answers, so every
+    comparison with budget that is close enough for rounding to matter is
+    made on an LP answer. The cutoffs answered by closed form are appended
+    to guessed, when it is given.
     """
     const = _constant_term(view, pi)
     if const > budget:
@@ -305,13 +341,34 @@ def _requirement(view: _SlotView, pi: float, budget: float, warm: _WarmStart) ->
     if warm.binding is not None:
         cutoffs.remove(warm.binding)
         cutoffs.insert(0, warm.binding)
+    band = 1e-8 * max(1.0, budget)
     worst = 0.0
     for kmax in cutoffs:
-        worst = max(worst, _future_requirement(view, pi, kmax, warm))
+        value = _closed_form(warm.cutoffs.get(kmax), pi)
+        # written so that a NaN, and an infinite budget, go to the LP
+        if value is not None and abs(const + value - budget) > band:
+            if guessed is not None:
+                guessed.append(kmax)
+        else:
+            value = _future_requirement(view, pi, kmax, warm)
+        worst = max(worst, value)
         if const + worst > budget:
             warm.binding = kmax
             break
     return const + worst
+
+
+def _confirm(view: _SlotView, pi: float, cutoffs: list[int], warm: _WarmStart) -> None:
+    """Re-solve at pi, through solve_lp and its residual gate, each cutoff
+    whose value there came from a closed form; raise NumericalFailure if any
+    LP answer puts the requirement above the remaining inventory."""
+    const = _constant_term(view, pi)
+    for kmax in cutoffs:
+        if const + _future_requirement(view, pi, kmax, warm) > view.remaining:
+            raise NumericalFailure(
+                f"slot {view.t}: cutoff {kmax}'s closed form understated its requirement "
+                f"at pi = {pi!r}"
+            )
 
 
 def _certified_ratio(
@@ -330,21 +387,27 @@ def _certified_ratio(
     the loop keeps the invariant that the upper endpoint is certified
     feasible and returns it. A never-discharging policy keeps every peak at
     or below the demand ceiling, so demand_ub / v is certifiable and serves
-    as the upper endpoint whenever prev_ratio sits below the floor.
+    as the upper endpoint whenever prev_ratio sits below the floor. An upper
+    endpoint a step lowered is confirmed before it is returned: every
+    cutoff whose value there came from a closed form is re-solved by LP.
     """
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
+    # the first step of a slot has no closed form yet: every value is an LP's
     if not _requirement(view, pi_lb, view.remaining, warm) > view.remaining:
         return pi_lb, True
     pi_ub = prev_ratio
     if pi_ub <= pi_lb:
         pi_ub = max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref)
+    guessed = []
     while pi_ub - pi_lb >= epsilon:
         mid = 0.5 * (pi_lb + pi_ub)
-        if _requirement(view, mid, view.remaining, warm) > view.remaining:
+        step: list[int] = []
+        if _requirement(view, mid, view.remaining, warm, step) > view.remaining:
             pi_lb = mid
         else:
-            pi_ub = mid
+            pi_ub, guessed = mid, step
+    _confirm(view, pi_ub, guessed, warm)
     return pi_ub, False
 
 

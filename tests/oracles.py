@@ -4,9 +4,11 @@ Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
 internals beyond the public dataclasses and the offline optimum; the
 printed programs are solved by HiGHS (scipy, a test-only dependency), since
-solve_lp takes only the all-<= form the package builds. The one exception,
-cold_prefix_optimal_cr, reuses optimal_cr's prefix programs on purpose: it
-is the same search without the basis carried from prefix to prefix.
+solve_lp takes only the all-<= form the package builds. Two exceptions
+reuse package internals on purpose. cold_prefix_optimal_cr is optimal_cr's
+search without the basis carried from prefix to prefix, and
+certified_ratio_lp_only is the anytime certificate's bisection with an LP
+answer for every cutoff at every step, no closed form read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from peakmin import cr
+from peakmin import cr, online
 from peakmin.core import EPS_KWH, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, PeakMinError
 from peakmin.lp import solve_lfp
@@ -198,6 +200,44 @@ def cold_prefix_optimal_cr(instance):
         if res.x is not None:
             best_val, best_t = res.value, t
     return max(best_val, 1.0), tuple(range(1, best_t + 1))
+
+
+def certified_ratio_lp_only(view, prev_ratio: float, epsilon: float) -> tuple[float, bool]:
+    """online._certified_ratio with every cutoff answered by its certificate
+    LP (online._future_requirement) at every step: the same bracket, the
+    same midpoints and the same binding-cutoff-first order, and no closed
+    form read or confirmed."""
+    warm = online._WarmStart()
+
+    def requirement(pi):
+        const = online._constant_term(view, pi)
+        if const > view.remaining:
+            return const
+        cutoffs = list(range(view.t + 1, view.instance.horizon_T + 1))
+        if warm.binding is not None:
+            cutoffs.remove(warm.binding)
+            cutoffs.insert(0, warm.binding)
+        worst = 0.0
+        for kmax in cutoffs:
+            worst = max(worst, online._future_requirement(view, pi, kmax, warm))
+            if const + worst > view.remaining:
+                warm.binding = kmax
+                break
+        return const + worst
+
+    pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
+    if not requirement(pi_lb) > view.remaining:
+        return pi_lb, True
+    pi_ub = prev_ratio
+    if pi_ub <= pi_lb:
+        pi_ub = max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref)
+    while pi_ub - pi_lb >= epsilon:
+        mid = 0.5 * (pi_lb + pi_ub)
+        if requirement(mid) > view.remaining:
+            pi_lb = mid
+        else:
+            pi_ub = mid
+    return pi_ub, False
 
 
 @dataclass

@@ -132,6 +132,18 @@ def test_simulate_checks_pi_and_epsilon_for_every_algo(capsys, dhat_file):
             assert err.startswith("MalformedRecord") and flags[0] in err, (algo, flags)
 
 
+@pytest.mark.parametrize("algo", ["fixed", "anytime", "anytime-deplete"])
+def test_simulate_rejects_infinite_pi(capsys, dhat_file, algo):
+    """--pi inf used to end anytime runs in a misleading simplex iteration
+    cap failure, and to print a never-discharging fixed run; it is now a
+    malformed flag for every ratio policy."""
+    base = ["simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
+            "--demands", dhat_file]
+    code, out, err = run_cli(capsys, [*base, "--algo", algo, "--pi", "inf"])
+    assert code == 2 and out == ""
+    assert err.startswith("MalformedRecord") and "--pi" in err and "finite" in err
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [

@@ -1,6 +1,7 @@
 """Online policies: fixed ratio pursuit, anytime certification, depleting
 variant, and monthly threading."""
 
+import math
 import sys
 from collections import Counter
 
@@ -29,6 +30,7 @@ from peakmin.online import (
 from conftest import DHAT, random_profiles
 from oracles import (
     build_aocr_thr,
+    certified_ratio_lp_only,
     highs_lp,
     kept_tableau_gap,
     phi_bruteforce_witness,
@@ -87,6 +89,18 @@ def test_fixed_policy_rejects_ratio_below_one(tiny_instance, pi):
         pcr_step(tiny_instance, OnlineState(tiny_instance), pi, 2.0)
     with pytest.raises(ValueError, match="initial_ratio"):
         PolicyOptions(initial_ratio=pi)
+
+
+def test_policy_options_reject_infinite_initial_ratio():
+    """An infinite initial ratio used to reach the bisection, which wrote
+    inf into the kept LP's objective and ended at the simplex iteration
+    cap; it is rejected where it is set, and a large finite one runs."""
+    with pytest.raises(ValueError, match="initial_ratio must be finite"):
+        PolicyOptions(initial_ratio=float("inf"))
+    inst = Instance(2.0, None, 3, 1.0, 3.0)
+    run = run_anytime(inst, DemandProfile(inst, [3.0, 1.0, 2.0]),
+                      PolicyOptions(initial_ratio=1e6))
+    assert run.ratio_trajectory[0] < 1e6
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -563,11 +577,14 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
 
 
 def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
-    """Counted work, not time: on a fixed T=10 run_anytime day (its
-    optimal_cr included) and a T=12 optimal_cr call, peakmin.lp never calls
-    np.linalg.solve with a matrix right-hand side (no warm start or re-price
-    refactorizes B) and makes at most one vector solve per LP answer."""
+    """Counted work, not time: on four fixed T=10 run_anytime runs (two
+    days, plain and rate-limited, their optimal_cr included) and a T=12
+    optimal_cr call, peakmin.lp never calls np.linalg.solve with a matrix
+    right-hand side (no warm start or re-price refactorizes B) and makes at
+    most one vector solve per LP answer; a bisection step whose every
+    cutoff came from a closed form calls np.linalg.solve not at all."""
     real_solve, real_solve_lp = np.linalg.solve, lp_mod.solve_lp
+    real_requirement = online._requirement
     work = Counter()
 
     def counting_solve(a, b):
@@ -580,13 +597,159 @@ def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
         work["answers"] += res.status == OPTIMAL
         return res
 
+    def counting_requirement(view, pi, budget, warm, guessed=None):
+        before = work.copy()
+        value = real_requirement(view, pi, budget, warm, guessed)
+        if work["answers"] == before["answers"]:
+            work["closed_steps"] += 1
+            work["closed_step_solves"] += work["vector"] + work["matrix"] - (
+                before["vector"] + before["matrix"])
+        return value
+
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(lp_mod, "solve_lp", counting_solve_lp)
     monkeypatch.setattr(online, "solve_lp", counting_solve_lp)
-    inst, demand = _volatile_day(None, 0.3, 1)
-    run_anytime(inst, demand)
+    monkeypatch.setattr(online, "_requirement", counting_requirement)
+    for rate_limit in (None, 60.0):
+        for day in (1, 2):
+            inst, demand = _volatile_day(rate_limit, 0.3, day)
+            run_anytime(inst, demand)
     days = synthetic_volatile_profiles(1, 12, 100.0, 400.0, seed=5)
     optimal_cr(Instance(0.3 * days.avg_daily_energy, None, 12, 100.0, 400.0))
     assert work["answers"] >= 300
     assert work["matrix"] == 0
     assert 0 < work["vector"] <= work["answers"]
+    assert work["closed_steps"] >= 20
+    assert work["closed_step_solves"] == 0
+
+
+def _t20_day(rate_limit):
+    """Day 0 of a seed-7 volatile T=20 set at c = 0.1 of the mean daily energy."""
+    days = synthetic_volatile_profiles(2, 20, 100.0, 400.0, seed=7)
+    inst = days.instance(0.1 * days.avg_daily_energy, rate_limit)
+    return inst, DemandProfile(inst, days.day_values[0])
+
+
+@pytest.mark.parametrize(
+    "day",
+    [lambda: _t20_day(None), lambda: _t20_day(100.0), lambda: _volatile_day(60.0, 0.3, 2)],
+    ids=["t20", "t20-rl", "t10-rl"],
+)
+def test_closed_form_matches_cold_lp_in_range(monkeypatch, day):
+    """Every closed form run_anytime reads, one per (slot, cutoff, basis),
+    holds across its pi range: its range contains the pi it was ranged at,
+    and at 5 interior points of the range (cut to [1, 4]) A + B pi + C/pi
+    equals a freshly built certificate LP solved cold within 1e-9
+    relative."""
+    inst, demand = day()
+    real = online._future_requirement
+    ranged = {}
+
+    def recording(view, pi, kmax, warm):
+        before = warm.cutoffs.get(kmax)
+        before = None if before is None else before.closed
+        value = real(view, pi, kmax, warm)
+        cut = warm.cutoffs[kmax]
+        if cut.closed is not None and cut.closed is not before:
+            ranged.setdefault((view.t, kmax, cut.basis.tobytes()), (view, pi, cut.closed))
+        return value
+
+    monkeypatch.setattr(online, "_future_requirement", recording)
+    run_anytime(inst, demand)
+    assert len(ranged) >= 30
+    for (_t, kmax, _basis), (view, pi, (a, b, c, lo, hi)) in ranged.items():
+        assert lo <= pi <= hi
+        for x in np.linspace(max(lo, 1.0), min(hi, 4.0), 7)[1:-1]:
+            fresh = _fresh_requirement(view, x, kmax)
+            assert fresh.status == OPTIMAL
+            assert a + b * x + c / x == pytest.approx(fresh.value, rel=1e-9, abs=1e-9)
+
+
+def _certificate_runs():
+    """8 T=10 runs: plain, rate-limited, monthly and depleting, on two days."""
+    for day in (1, 2):
+        for rate_limit, mode, monthly_peak in (
+            (None, MODE_ANYTIME, 0.0),
+            (60.0, MODE_ANYTIME, 0.0),
+            (None, MODE_ANYTIME, 380.0),
+            (None, MODE_ANYTIME_DEPLETING, 0.0),
+        ):
+            inst, demand = _volatile_day(rate_limit, 0.3, day)
+            yield inst, demand, PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                                              initial_ratio=optimal_cr(inst).pi_star)
+
+
+def test_closed_forms_keep_certified_ratios_bit_identical(monkeypatch):
+    """Slot by slot on 8 runs, _certified_ratio returns the (ratio, early)
+    of the bisection that answers every cutoff by LP at every step, bit for
+    bit, although most of its values come from closed forms."""
+    real_certified, real_confirm = online._certified_ratio, online._confirm
+    slots, confirmed = [], []
+
+    def compared(view, prev_ratio, epsilon):
+        got = real_certified(view, prev_ratio, epsilon)
+        assert got == certified_ratio_lp_only(view, prev_ratio, epsilon)
+        slots.append(got)
+        return got
+
+    def counting_confirm(view, pi, cutoffs, warm):
+        confirmed.extend(cutoffs)
+        return real_confirm(view, pi, cutoffs, warm)
+
+    monkeypatch.setattr(online, "_certified_ratio", compared)
+    monkeypatch.setattr(online, "_confirm", counting_confirm)
+    for inst, demand, options in _certificate_runs():
+        run_anytime(inst, demand, options)
+    assert len(slots) == 80
+    assert len(confirmed) >= 100
+
+
+def test_understated_closed_form_raises(monkeypatch):
+    """A closed form shifted to understate its cutoff's requirement by 1%
+    (at the pi it was ranged at) lowers the bisection's upper endpoint past
+    what the LPs certify; the confirmation at that ratio finds it, and
+    NumericalFailure is raised instead of an unconfirmed ratio."""
+    real = online.parametric_range
+
+    def understated(lp, basis, cols, top, floor):
+        ranged = real(lp, basis, cols, top, floor)
+        if ranged is None:
+            return None
+        a, b, c, lo, hi = ranged
+        pi = float(lp.objective[cols[0]])
+        return a - 0.01 * abs(a + b * pi + c / pi), b, c, lo, hi
+
+    monkeypatch.setattr(online, "parametric_range", understated)
+    inst, demand = _volatile_day(None, 0.3, 1)
+    with pytest.raises(NumericalFailure, match="closed form"):
+        run_anytime(inst, demand, PolicyOptions(initial_ratio=optimal_cr(inst).pi_star))
+
+
+def test_closed_form_at_the_budget_goes_to_the_lp(monkeypatch):
+    """When a cutoff's closed form puts the requirement within 1e-8 of the
+    budget, the LP answers that cutoff, and its answer decides the step;
+    the cutoffs away from the budget keep their closed forms."""
+    inst, demand = _volatile_day(None, 0.3, 1)
+    state = OnlineState(inst)
+    view = online._slot_view(inst, state, float(demand.values[0]))
+    warm = online._WarmStart()
+    pi = 1.3
+    online._requirement(view, pi, math.inf, warm)  # every cutoff by LP
+    values = {k: online._closed_form(cut, pi) for k, cut in warm.cutoffs.items()}
+    assert None not in values.values()
+    binding = max(values, key=values.get)
+    solved = []
+
+    def recording_solve_lp(lp, basis=None):
+        res = lp_mod.solve_lp(lp, basis=basis)
+        solved.append((lp, res.value))
+        return res
+
+    monkeypatch.setattr(online, "solve_lp", recording_solve_lp)
+    const = online._constant_term(view, pi)
+    guessed = []
+    got = online._requirement(view, pi, const + values[binding], warm, guessed)
+    assert [lp for lp, _value in solved] == [warm.cutoffs[binding].lp]
+    assert binding not in guessed
+    assert sorted(guessed) == sorted(k for k in values if k != binding)
+    assert got == const + solved[0][1]
