@@ -190,6 +190,25 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# each experiment config key: the check its JSON value must pass, and what it expects
+_CONFIG_KEYS = {
+    "profiles": (lambda v: isinstance(v, str), "a path"),
+    "algorithms": (lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+                   "a list of algorithm names"),
+    "capacity_rates": (lambda v: isinstance(v, list) and all(map(_number, v)),
+                       "a list of numbers"),
+    "rate_limit_fraction": (lambda v: v is None or _number(v), "a number or null"),
+    "monthly": (lambda v: isinstance(v, bool), "true or false"),
+    "epsilon": (_number, "a number"),
+    "rhc_window": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
+                   "an integer or null"),
+}
+
+
 def _cmd_experiment(args) -> int:
     config_path = Path(args.config)
     try:
@@ -198,6 +217,13 @@ def _cmd_experiment(args) -> int:
         raise MalformedRecord(f"{config_path}: invalid JSON: {exc}")
     if not isinstance(raw, dict) or "profiles" not in raw:
         raise MalformedRecord(f"{config_path}: expected an object with a 'profiles' key")
+    for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise MalformedRecord(f"{config_path}: unknown key {key!r} "
+                                  f"(expected one of {', '.join(_CONFIG_KEYS)})")
+        check, expected = _CONFIG_KEYS[key]
+        if not check(value):
+            raise MalformedRecord(f"{config_path}: {key!r} must be {expected}, got {value!r}")
     profiles_path = Path(raw["profiles"])
     if not profiles_path.is_absolute():
         profiles_path = config_path.parent / profiles_path
@@ -207,7 +233,7 @@ def _cmd_experiment(args) -> int:
         algorithms=tuple(raw.get("algorithms", ("fixed", "anytime", "anytime-deplete"))),
         capacity_rates=tuple(raw.get("capacity_rates", (0.1, 0.2, 0.3, 0.4, 0.5))),
         rate_limit_fraction=raw.get("rate_limit_fraction"),
-        monthly=bool(raw.get("monthly", False)),
+        monthly=raw.get("monthly", False),
         epsilon=float(raw.get("epsilon", 1e-4)),
         rhc_window=raw.get("rhc_window"),
     )

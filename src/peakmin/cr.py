@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet
-from .lp import LfpProblem, carry_basis, solve_lfp
+from .lp import LfpProblem, LinearProgram, carry_basis, solve_lfp
 # not called here; the benchmark's tracer wraps this cr attribute by name
 from .offline import offline_peak_values  # noqa: F401
 
@@ -40,12 +40,26 @@ def _check_index_set(instance: Instance, index_set) -> tuple[int, ...]:
     return idx
 
 
-def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
+@dataclass(frozen=True)
+class PrintedLfp:
+    """A linear-fractional program as printed: rows (coeffs, rel, rhs) with
+    rel "<=" or "==", and bounds (lo, hi), hi None where there is none.
+    Nothing in peakmin solves it."""
+
+    numerator: np.ndarray
+    numerator_constant: float
+    denominator: np.ndarray
+    denominator_constant: float
+    constraints: list
+    bounds: list
+
+
+def build_cr_compute(instance: Instance, index_set) -> PrintedLfp:
     """Worst-case-ratio LFP over scenarios in the given index set, as printed.
 
-    This form is for independent solvers (the tests' and the benchmark's
-    HiGHS references) only: solve_lfp rejects its == rows with ValueError.
-    optimal_cr solves the equivalent all-<= scenario_program instead.
+    This record is for independent solvers (the tests' and the benchmark's
+    HiGHS references) only. optimal_cr solves the equivalent
+    scenario_program instead.
 
     Variables: x_1..x_T (demand profile), u_1..u_T (offline values of the
     truncated scenarios), delta_ij (offline discharge of scenario i in slot j).
@@ -82,19 +96,12 @@ def build_cr_compute(instance: Instance, index_set) -> LfpProblem:
     for i in idx:
         num[i - 1] = 1.0
         den[T + i - 1] = 1.0
-    return LfpProblem(
-        numerator=num,
-        numerator_constant=-c,
-        denominator=den,
-        denominator_constant=0.0,
-        constraints=cons,
-        bounds=bounds,
-    )
+    return PrintedLfp(num, -c, den, 0.0, cons, bounds)
 
 
 def scenario_program(
     instance: Instance, prefix, k: int, x_lb: float, u_lb: float
-) -> tuple[list, list, np.ndarray, float]:
+) -> tuple[LinearProgram, np.ndarray, float]:
     """Worst-case scenario program over the scenarios after a fixed prefix.
 
     The demands d_1..d_t of prefix are fixed (t = len(prefix), empty for
@@ -108,57 +115,50 @@ def scenario_program(
     because an equal split of the tail is optimal. Tests check it against
     build_cr_compute and the full future-requirement form.
 
-    Two rewrites make every row <= with a right-hand side >= 0 once lower
-    bounds are shifted to zero, the one form solve_lp takes, so the
-    all-slack basis is feasible. The budget sum_j delta_ij = c becomes <= c: exact
-    while c <= T * rate (see inventory_unbounded), because raising a delta
-    only loosens the other rows. The benchmark is u_i = U - w_i with
-    0 <= w_i <= U - u_lb and U = max(d_ub, u_lb, prefix): exact because a
-    minimized u_i never exceeds U.
+    Two rewrites put it in the one form LinearProgram takes, rows a x <= b
+    with b - a lb >= 0, so the all-slack basis is feasible. The budget
+    sum_j delta_ij = c becomes <= c: exact while c <= T * rate (see
+    inventory_unbounded), because raising a delta only loosens the other
+    rows. The benchmark is u_i = U - w_i with 0 <= w_i <= U - u_lb and
+    U = max(d_ub, u_lb, prefix): exact because a minimized u_i never
+    exceeds U.
 
     Columns: x_{t+1}..x_k, then per scenario the block w_i, delta_i1..
     delta_ii, D_i (no D_T); rows per scenario: the budget, one row per slot
-    j <= i, the tail. Returns (constraints, bounds, w columns, U); the
-    caller writes the objective.
+    j <= i, the tail. A block has as many rows as columns, so the arrays are
+    sized up front and filled block by block. Returns (the program with a
+    zero objective to maximize, for the caller to write; the w columns; U).
     """
     T = instance.horizon_T
-    c = instance.capacity_c
-    lo, hi = instance.demand_lb, instance.demand_ub
-    rate = instance.rate_limit
+    rate = math.inf if instance.rate_limit is None else instance.rate_limit
+    prefix = np.asarray(prefix, dtype=float)
     t = len(prefix)
     top = scenario_top(instance, prefix, u_lb)
-
-    bounds: list[tuple[float, float | None]] = [(x_lb, hi)] * (k - t)
-    w_cols = []  # first column (w_i) of each scenario block
-    for i in range(t + 1, k + 1):
-        w_cols.append(len(bounds))
-        bounds += [(0.0, top - u_lb)] + [(0.0, rate)] * i
-        if i < T:  # aggregate D_i spans T-i tail slots
-            bounds.append((0.0, None if rate is None else (T - i) * rate))
-    n = len(bounds)
-
-    cons = []
-    for i, ofs in zip(range(t + 1, k + 1), w_cols):
-        width = i + (1 if i < T else 0)
-        budget = np.zeros(n)
-        budget[ofs + 1 : ofs + 1 + width] = 1.0
-        cons.append((budget, "<=", c))
-        for j in range(1, i + 1):  # d_j - delta_ij + w_i <= U, d_j = x_j past t
-            row = np.zeros(n)
-            row[ofs + j] = -1.0
-            row[ofs] = 1.0
-            if j <= t:
-                cons.append((row, "<=", top - float(prefix[j - 1])))
-            else:
-                row[j - t - 1] = 1.0
-                cons.append((row, "<=", top))
+    sizes = [i + 1 + (i < T) for i in range(t + 1, k + 1)]
+    m = sum(sizes)
+    n = k - t + m
+    a, b = np.zeros((m, n)), np.empty(m)
+    lb, ub = np.zeros(n), np.full(n, rate)
+    lb[: k - t], ub[: k - t] = x_lb, instance.demand_ub
+    w_cols = k - t + np.cumsum([0] + sizes, dtype=int)[:-1]
+    for i, size, ofs in zip(range(t + 1, k + 1), sizes, w_cols):
+        r = ofs - (k - t)  # the block's first row: its budget
+        a[r, ofs + 1 : ofs + size] = 1.0
+        b[r] = instance.capacity_c
+        # slot j: d_j - delta_ij + w_i <= U, with d_j = x_j past t
+        slots = r + 1 + np.arange(i)
+        a[slots, ofs] = 1.0
+        a[slots, ofs + 1 + np.arange(i)] = -1.0
+        a[slots[t:], np.arange(i - t)] = 1.0
+        b[slots[:t]] = top - prefix
+        b[slots[t:]] = top
+        ub[ofs] = top - u_lb
         if i < T:  # aggregated tail: (T-i)*w_i - D_i <= (T-i)*(U - lb)
-            tail = T - i
-            row = np.zeros(n)
-            row[ofs + 1 + i] = -1.0
-            row[ofs] = tail
-            cons.append((row, "<=", tail * (top - lo)))
-    return cons, bounds, np.array(w_cols, dtype=int), top
+            a[r + size - 1, ofs] = T - i
+            a[r + size - 1, ofs + size - 1] = -1.0
+            b[r + size - 1] = (T - i) * (top - instance.demand_lb)
+            ub[ofs + size - 1] = (T - i) * rate
+    return LinearProgram(np.zeros(n), True, a, b, lb, ub), w_cols, top
 
 
 def scenario_top(instance: Instance, prefix, u_lb: float) -> float:
@@ -180,19 +180,12 @@ def _prefix_program(instance: Instance, t: int) -> LfpProblem:
     maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over the scenario
     program with no observed prefix and cutoff t.
     """
-    cons, bounds, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
-    num = np.zeros(len(bounds))
+    lp, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
+    num = np.zeros(lp.num_vars)
     num[:t] = 1.0
-    den = np.zeros(len(bounds))
+    den = np.zeros(lp.num_vars)
     den[w_cols] = -1.0
-    return LfpProblem(
-        numerator=num,
-        numerator_constant=-instance.capacity_c,
-        denominator=den,
-        denominator_constant=t * top,
-        constraints=cons,
-        bounds=bounds,
-    )
+    return LfpProblem(num, -instance.capacity_c, den, t * top, lp)
 
 
 def _floor_quotient(c: float, d_ub: float) -> int:
@@ -239,7 +232,7 @@ def optimal_cr(instance: Instance) -> CrResult:
     for t in range(tau + 1, T + 1):
         program = _prefix_program(instance, t)
         if basis is not None:
-            basis = carry_basis(basis, prev, program, t - 1)
+            basis = carry_basis(basis, prev.lp, program.lp, t - 1)
         res = solve_lfp(program, at_least=best_val, basis=basis)
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block

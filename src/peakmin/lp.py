@@ -1,25 +1,26 @@
 """Self-contained dense LP solver and a linear-fractional solver built on it.
 
 Primal simplex on a dense tableau, for the one form of LP this package
-builds: every row is a.x <= b with b - a.lb >= 0, so once the lower bounds
-are shifted to zero the all-slack basis is feasible, and every cold solve
-starts from it. LinearProgram rejects any other relation, and building the
-form rejects a row with b - a.lb < 0, each with ValueError; an LP is
-infeasible only when a box is empty (hi < lo). Pivoting is Dantzig's rule
+builds. A LinearProgram is arrays: rows a x <= b (a is m x n) and a box
+lb <= x <= ub, with lb finite, ub inf on a column with no upper bound and
+b - a lb >= 0, so once the lower bounds are shifted to zero the all-slack
+basis is feasible, and every cold solve starts from it. LinearProgram
+checks this on whole arrays and raises ValueError otherwise; an LP is
+infeasible only when a box is empty (ub < lb). Pivoting is Dantzig's rule
 with deterministic lowest-index tie-breaking; a degeneracy streak switches
 the rule to Bland's, which guarantees termination. Problems in this package
 are small (at most a few hundred variables), so nothing is sparse; what is
 kept is the tableau itself.
 
 Built once, kept with its tableau: the first solve_lp on a LinearProgram
-builds its standard form (scaled rows with one slack each, right-hand
-sides, lower-bound shift, gate) and keeps it on that object, and later
-solves reuse it. The form also keeps the final tableau of its last solve,
-B^-1 [A | b] at that solve's basis. Between solves only the objective, its
-constant and upper bounds may change (upper bounds through
-LinearProgram.set_upper, which moves the form's bound rows and gate with
-them); none of them moves B^-1 A, so the kept tableau stays exact but for
-its right-hand column, which every warm start rewrites.
+builds its standard form ([a | unit rows of the bounded columns], scaled,
+with one slack per row, and the right-hand side shifted by lb) and keeps it
+on that object, and later solves reuse it. The form also keeps the final
+tableau of its last solve, B^-1 [A | b] at that solve's basis. Between
+solves only the objective, its constant and ub may change (ub through
+LinearProgram.set_upper, which moves the form's bound rows with it); none of
+them moves B^-1 A, so the kept tableau stays exact but for its right-hand
+column, which every warm start rewrites.
 
 Basis hints: every optimal LpResult carries its final basis, and solve_lp
 accepts one back. A hint is validated (shape, integer dtype, range,
@@ -45,8 +46,9 @@ the standard form's own columns at its final basis, so the rounding the
 kept tableau accumulates does not reach x, and a singular final basis, or
 an answer that violates a row (scaled by max(1, |b|)) or a bound by more
 than 1e-6, or is NaN, raises NumericalFailure instead of being returned.
-The check is one matrix-vector product on the rows as given. That solve is
-the one dense solve of an answer reached on a kept or carried tableau.
+The check is one matrix-vector product on the LP's own a, b and ub. That
+solve is the one dense solve of an answer reached on a kept or carried
+tableau.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
 LPs over the same rows, each hinted with the basis of the one before. It
@@ -83,8 +85,6 @@ RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 RANGE_TOL = 1e-12  # rounding a closed form's range forgives, in values and reduced costs
 
-LE = "<="  # the one relation a row may have
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -92,45 +92,46 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """Dense LP: optimize objective . x (+ objective_constant) over
-    rows a.x <= b and per-variable bounds (finite lower, optional upper).
-    Any other relation raises ValueError.
+    """Dense LP: optimize objective . x (+ objective_constant) over the rows
+    a x <= b and the box lb <= x <= ub (ub inf where a column has no upper
+    bound).
 
-    solve_lp keeps the standard form it builds on the object; after a solve
-    change only the objective, objective_constant and, through set_upper,
-    upper bounds."""
+    Checked on whole arrays, each failure a ValueError: the shapes match
+    (a m x n, b m, objective, lb and ub n), nothing is NaN, only ub may be
+    infinite (+inf), and b - a lb >= 0. ub is copied, since set_upper writes
+    into it. solve_lp keeps the standard form it builds on the object; after
+    a solve change only the objective, objective_constant and, through
+    set_upper, ub."""
 
     objective: np.ndarray
     maximize: bool
-    constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    bounds: list[tuple[float, float | None]] = field(default_factory=list)
+    a: np.ndarray
+    b: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
     objective_constant: float = 0.0
     # the standard form the first solve_lp builds; later solves reuse it
     _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        n = len(self.objective)
+        self.objective, self.a, self.b, self.lb = (
+            np.asarray(v, dtype=float) for v in (self.objective, self.a, self.b, self.lb))
+        self.ub = np.array(self.ub, dtype=float)
+        n, m = self.objective.size, self.b.size
+        shapes = [v.shape for v in (self.objective, self.a, self.b, self.lb, self.ub)]
+        if shapes != [(n,), (m, n), (m,), (n,), (n,)]:
+            raise ValueError(f"shape mismatch: objective, a, b, lb, ub are {shapes}")
         if not np.isfinite(self.objective).all() or not math.isfinite(self.objective_constant):
             raise ValueError("non-finite objective")
-        if not self.bounds:
-            self.bounds = [(0.0, None)] * n
-        if len(self.bounds) != n:
-            raise ValueError("bounds length mismatch")
-        box = np.array([(lo, 0.0 if hi is None else hi) for lo, hi in self.bounds], dtype=float)
-        if not np.isfinite(box).all():
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise ValueError("non-finite constraint data")
+        # written so that a NaN fails too
+        if not (np.isfinite(self.lb).all() and (self.ub > -math.inf).all()):
             raise ValueError("non-finite bound")
-        checked = []
-        for coeffs, rel, rhs in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if len(coeffs) != n:
-                raise ValueError("constraint arity mismatch")
-            if not np.isfinite(coeffs).all() or not np.isfinite(rhs):
-                raise ValueError("non-finite constraint data")
-            if rel != LE:
-                raise ValueError(f"relation {rel!r}: only {LE} rows are solved")
-            checked.append((coeffs, rel, float(rhs)))
-        self.constraints = checked
+        shifted = self.b - self.a @ self.lb
+        if (shifted < 0.0).any():
+            i = int(np.argmax(shifted < 0.0))
+            raise ValueError(f"row {i}: b - a.lb = {shifted[i]:.6g} < 0 at the slack basis")
 
     @property
     def num_vars(self) -> int:
@@ -140,27 +141,20 @@ class LinearProgram:
         """Move the upper bound of every column in cols to hi.
 
         A built standard form moves with the bounds: its bound rows' right-
-        hand sides and its gate. Where a column has no upper bound, or its
-        box becomes inverted (hi < lo), the form is dropped instead and the
-        next solve builds it afresh, as it would for a new LinearProgram
-        (INFEASIBLE for an inverted box). A non-finite hi raises ValueError.
+        hand sides. Where a column has no upper bound, or its box becomes
+        inverted (hi < lo), the form is dropped instead and the next solve
+        builds it afresh, as it would for a new LinearProgram (INFEASIBLE
+        for an inverted box). A non-finite hi raises ValueError.
         """
         if not math.isfinite(hi):
             raise ValueError(f"non-finite upper bound {hi}")
-        bounds = list(self.bounds)
-        in_step = self._form is not None
-        for j in cols:
-            lo, old = bounds[j]
-            in_step = in_step and old is not None and hi >= lo
-            bounds[j] = (lo, hi)
-        self.bounds = bounds
         form = self._form
-        if not in_step:
+        if form is None or not (self.ub[cols] < math.inf).all() or (hi < self.lb[cols]).any():
             self._form = None
         else:
             # bound rows are unit rows, so equilibration left them unscaled
-            form.rhs[form.bound_row[cols]] = hi - form.lb[cols]
-            form.gate[2][cols] = hi
+            form.rhs[form.bound_row[cols]] = hi - self.lb[cols]
+        self.ub[cols] = hi
 
 
 @dataclass
@@ -176,38 +170,33 @@ class LpResult:
 
 @dataclass
 class LfpProblem:
-    """Linear-fractional program: maximize (n.x + n0)/(d.x + d0) over LP rows/bounds.
+    """Linear-fractional program: maximize (n.x + n0)/(d.x + d0) over the
+    rows and box of lp, whose objective solve_lfp writes at each step.
 
     The denominator must be positive everywhere on the feasible region; that
     is the caller's precondition (optimal_cr proves it for its programs).
     solve_lfp checks it at each point it evaluates and raises
-    DenominatorNotPositive where it is at most FEAS_TOL. A non-finite
-    numerator, denominator or constant raises ValueError. The rows are not
-    checked here, so a printed form with == rows can be built for an
-    independent solver; solve_lfp rejects them when it builds its
-    LinearProgram. The first solve_lfp keeps that LinearProgram (rows,
-    bounds and standard form) on the problem; later calls reuse it, so the
-    rows and bounds are not to change after a solve.
+    DenominatorNotPositive where it is at most FEAS_TOL. A numerator or
+    denominator of another length than lp's columns, or a non-finite one or
+    constant, raises ValueError. lp keeps its standard form across
+    solve_lfp calls, so its rows and box are not to change after a solve.
     """
 
     numerator: np.ndarray
     numerator_constant: float
     denominator: np.ndarray
     denominator_constant: float
-    constraints: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    bounds: list[tuple[float, float | None]] = field(default_factory=list)
-    # the LinearProgram solve_lfp solves, built on first use and kept
-    _lp: LinearProgram | None = field(default=None, init=False, repr=False, compare=False)
+    lp: LinearProgram
 
     def __post_init__(self):
         self.numerator = np.asarray(self.numerator, dtype=float)
         self.denominator = np.asarray(self.denominator, dtype=float)
+        if not self.numerator.shape == self.denominator.shape == (self.lp.num_vars,):
+            raise ValueError("shape mismatch: numerator, denominator and lp's columns")
         if not (np.isfinite(self.numerator).all() and np.isfinite(self.denominator).all()
                 and math.isfinite(self.numerator_constant)
                 and math.isfinite(self.denominator_constant)):
             raise ValueError("non-finite numerator or denominator")
-        if not self.bounds:
-            self.bounds = [(0.0, None)] * len(self.numerator)
 
 
 @dataclass
@@ -310,18 +299,15 @@ def _framed(rows: np.ndarray, rhs) -> np.ndarray:
 @dataclass
 class _Form:
     """Standard form of one LinearProgram as solve_lp uses it: the matrix
-    [rows | I] (one slack per row) and right-hand side, the lower-bound
-    shift, the gate (constraint rows and right-hand sides as given, upper
-    bounds), the slack start basis, the row of each column's upper bound
-    (-1 where it has none), and the tableau of the last solve (or of a
-    carry) at its basis. Moving the objective or the upper bounds leaves
-    that tableau's rows B^-1 A exact; only its right-hand column goes
-    stale, and every warm start rewrites it."""
+    [rows | I] (one slack per row) and right-hand side, the slack start
+    basis, the row of each column's upper bound (-1 where it has none), and
+    the tableau of the last solve (or of a carry) at its basis. Moving the
+    objective or the upper bounds leaves that tableau's rows B^-1 A exact;
+    only its right-hand column goes stale, and every warm start rewrites
+    it."""
 
     a: np.ndarray
     rhs: np.ndarray
-    lb: np.ndarray
-    gate: tuple
     start: np.ndarray
     bound_row: np.ndarray
     tab: _Tableau | None = None
@@ -329,47 +315,33 @@ class _Form:
 
 def _bound_rows(lp: LinearProgram) -> np.ndarray:
     """Standard-form row of each column's upper bound, -1 where it has none:
-    the bound rows follow the constraints, in column order."""
-    bounded = np.array([hi is not None for _lo, hi in lp.bounds], dtype=bool)
+    the bound rows follow lp's rows, in column order."""
+    bounded = lp.ub < math.inf
     rows = np.full(lp.num_vars, -1)
-    rows[bounded] = len(lp.constraints) + np.arange(bounded.sum())
+    rows[bounded] = len(lp.b) + np.arange(bounded.sum())
     return rows
 
 
 def _build_form(lp: LinearProgram) -> _Form | None:
-    """lp's standard form, or None when a box is empty (hi < lo).
+    """lp's standard form, or None when a box is empty (ub < lb).
 
-    Lower bounds are shifted to zero, each upper bound becomes a unit row
-    x_j <= hi - lo after the constraints, the rows are equilibrated (which
-    keeps pivot tolerances meaningful across magnitudes) and each gets a
-    slack; the slacks are the start basis. A constraint whose shifted
-    right-hand side b - a.lb is negative raises ValueError, as the slack
-    basis would not be feasible. The gate is what an answer is checked
-    against: the constraint rows and right-hand sides as given and the
-    upper bounds (inf where there is none).
+    Lower bounds are shifted to zero, each finite upper bound becomes a unit
+    row x_j <= ub - lb after lp's rows, lp's rows are equilibrated (which
+    keeps pivot tolerances meaningful across magnitudes; a unit row already
+    is) and each row gets a slack; the slacks are the start basis.
     """
-    n, m = lp.num_vars, len(lp.constraints)
-    lb = np.array([b[0] for b in lp.bounds], dtype=float)
-    ub = np.array([np.inf if b[1] is None else b[1] for b in lp.bounds], dtype=float)
-    given = np.array([b for _coeffs, _rel, b in lp.constraints], dtype=float)
-    shifted = np.array([b - coeffs @ lb for coeffs, _rel, b in lp.constraints], dtype=float)
-    if (shifted < 0.0).any():
-        i = int(np.argmax(shifted < 0.0))
-        raise ValueError(f"row {i}: b - a.lb = {shifted[i]:.6g} < 0 at the slack basis")
-    if (ub < lb).any():
+    if (lp.ub < lp.lb).any():
         return None
-    bounded = np.flatnonzero(ub < np.inf)
-    rhs = np.concatenate([shifted, ub[bounded] - lb[bounded]])
-    k = len(rhs)
-    stack = np.zeros((k, n))
-    for i, (coeffs, _rel, _b) in enumerate(lp.constraints):
-        stack[i] = coeffs
-    stack[np.arange(m, k), bounded] = 1.0
-    scale = np.maximum(np.abs(stack).max(axis=1, initial=0.0), 1e-12)
+    bound_row = _bound_rows(lp)
+    bounded = np.flatnonzero(bound_row >= 0)
+    n, m, k = lp.num_vars, len(lp.b), len(lp.b) + len(bounded)
+    scale = np.maximum(np.abs(lp.a).max(axis=1, initial=0.0), 1e-12)
     a = np.zeros((k, n + k))
-    a[:, :n] = stack / scale[:, None]
+    a[:m, :n] = lp.a / scale[:, None]
+    a[bound_row[bounded], bounded] = 1.0
     a[np.arange(k), n + np.arange(k)] = 1.0
-    return _Form(a, rhs / scale, lb, (stack[:m], given, ub), n + np.arange(k), _bound_rows(lp))
+    rhs = np.concatenate([(lp.b - lp.a @ lp.lb) / scale, lp.ub[bounded] - lp.lb[bounded]])
+    return _Form(a, rhs, n + np.arange(k), bound_row)
 
 
 def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
@@ -455,20 +427,19 @@ def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, 
 def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResult:
     """The answer at basis: its basic values solved fresh from the form's
     own columns, mapped back to the original variables and certified against
-    the gate; a singular basis, a worst row violation (scaled by max(1, |b|))
-    or bound violation above RESIDUAL_TOL, or NaN, raises."""
+    lp's own rows and box; a singular basis, a worst row violation (scaled
+    by max(1, |b|)) or bound violation above RESIDUAL_TOL, or NaN, raises."""
     x_basic = _basic_values(form.a, form.rhs, basis)
     if x_basic is None:
         raise NumericalFailure("final simplex basis is singular")
     x_shift = np.zeros(form.a.shape[1])
     x_shift[basis] = x_basic
-    x = x_shift[: lp.num_vars] + form.lb
+    x = x_shift[: lp.num_vars] + lp.lb
     value = float(lp.objective @ x) + lp.objective_constant
 
-    a, b, ub = form.gate
-    by_row = (a @ x - b) / np.maximum(1.0, np.abs(b))
+    by_row = (lp.a @ x - lp.b) / np.maximum(1.0, np.abs(lp.b))
     # one max over everything, so that a NaN anywhere propagates and raises
-    residual = float(np.concatenate([by_row, form.lb - x, x - ub]).max(initial=0.0))
+    residual = float(np.concatenate([by_row, lp.lb - x, x - lp.ub]).max(initial=0.0))
     if not residual <= RESIDUAL_TOL:
         raise NumericalFailure(f"LP answer residual {residual:.3g} above {RESIDUAL_TOL:g}")
     return LpResult(OPTIMAL, value, x, residual, basis.copy())
@@ -508,19 +479,18 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     return _optimal_result(lp, form, tab.basis)
 
 
-def carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
+def carry_basis(basis: np.ndarray, old: LinearProgram, new: LinearProgram, at: int) -> np.ndarray:
     """A final basis of old's standard form as a basis of new's.
 
-    old and new are scenario programs (LinearProgram, or LfpProblem for the
-    LinearProgram solve_lfp solves for it) where new is old with one demand
-    column inserted at column at, one scenario block appended after the
-    last column and that block's rows appended after the last constraint;
-    no old row touches a new column, and old's rows are new's first rows,
-    unchanged. optimal_cr steps so from prefix t to t+1 (x_{t+1} inserted
-    at column t), and the anytime certificate from cutoff k-1 to k after t
-    observed slots (x_k inserted at column k-1-t). The standard form of
-    these all-<= programs is the structural columns, then one slack per
-    row: the constraints in order, then one upper-bound row per bounded
+    old and new are scenario programs (an LfpProblem's is its lp) where new
+    is old with one demand column inserted at column at, one scenario block
+    appended after the last column and that block's rows appended after the
+    last row; no old row touches a new column, and old's rows are new's
+    first rows, unchanged. optimal_cr steps so from prefix t to t+1
+    (x_{t+1} inserted at column t), and the anytime certificate from cutoff
+    k-1 to k after t observed slots (x_k inserted at column k-1-t). The
+    standard form of these programs is the structural columns, then one
+    slack per row: a's rows in order, then one upper-bound row per bounded
     column in column order. Old columns and slacks move to their new index
     and the slack of every new row is made basic. At the old vertex with
     the new columns at their lower bounds every new row holds: after the
@@ -535,14 +505,13 @@ def carry_basis(basis: np.ndarray, old, new, at: int) -> np.ndarray:
     its basic columns' multiples of the old rows (R - R_B T_old), with no
     solve. solve_lp then re-prices the hint on that tableau.
     """
-    old, new = _solved_lp(old), _solved_lp(new)
-    n_new, m_new = new.num_vars, len(new.constraints)
+    n_new, m_new = new.num_vars, len(new.b)
     old_rows, new_rows = _bound_rows(old), _bound_rows(new)
     col = np.arange(old.num_vars)
     col[at:] += 1  # the new demand column
-    # each old row's index in the new standard form: constraints keep
-    # theirs, upper-bound rows follow their column
-    row = np.concatenate([np.arange(len(old.constraints)), new_rows[col[old_rows >= 0]]])
+    # each old row's index in the new standard form: a's rows keep theirs,
+    # upper-bound rows follow their column
+    row = np.concatenate([np.arange(len(old.b)), new_rows[col[old_rows >= 0]]])
     moved = np.concatenate([col, n_new + row])  # every old column's new index
     carried = moved[basis]
     fresh = np.ones(m_new + (new_rows >= 0).sum(), dtype=bool)
@@ -597,7 +566,7 @@ def parametric_range(lp: LinearProgram, basis: np.ndarray, cols, top: float, flo
     rows = form.bound_row[cols]
     rhs = np.zeros((m, 2))
     rhs[:, 0] = form.rhs
-    rhs[rows, 0] = top - form.lb[cols]
+    rhs[rows, 0] = top - lp.lb[cols]
     rhs[rows, 1] = -floor
     inv = tab.t[:m, width - m : width]  # the slack columns, form.start: B^-1
     pq = inv @ rhs
@@ -618,7 +587,7 @@ def parametric_range(lp: LinearProgram, basis: np.ndarray, cols, top: float, flo
     r0, r1 = c - cb[:, on] @ tab.t[on, :width]
     r0[basis] = r1[basis] = 0.0
     (c0p, c0q), (c1p, c1q) = cb @ pq
-    at_lb = c[:, :n] @ form.lb
+    at_lb = c[:, :n] @ lp.lb
     closed = (float(at_lb[0] + c0p + c1q), float(at_lb[1] + c1p - top * len(cols)), float(c0q))
 
     s_lo, s_hi = _where_nonnegative(p + RANGE_TOL, q)  # in s = 1/pi
@@ -640,17 +609,6 @@ def _where_nonnegative(level: np.ndarray, slope: np.ndarray) -> tuple[float, flo
     up, down = slope > 0.0, slope < 0.0
     return (float((-level[up] / slope[up]).max(initial=0.0)),
             float((level[down] / -slope[down]).min(initial=math.inf)))
-
-
-def _solved_lp(program) -> LinearProgram:
-    """program itself, or the LinearProgram solve_lfp solves for an
-    LfpProblem (built once and kept on it)."""
-    if isinstance(program, LinearProgram):
-        return program
-    if program._lp is None:
-        program._lp = LinearProgram(program.numerator, True, program.constraints,
-                                    program.bounds)
-    return program._lp
 
 
 def solve_lfp(
@@ -675,8 +633,9 @@ def solve_lfp(
     """
     num, den = problem.numerator, problem.denominator
     n0, d0 = problem.numerator_constant, problem.denominator_constant
-    # built once and kept on problem: only the objective moves between steps
-    lp = _solved_lp(problem)
+    # only the objective moves between steps, so lp's form is built once
+    lp = problem.lp
+    lp.maximize = True
     lam, x = at_least, None
     while True:
         step = lam if lam > -math.inf else 0.0

@@ -274,10 +274,8 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # OnlineState.observe admits demands up to EPS_KWH above d_ub, so the
         # running peak can pass d_ub; x's box must not be inverted by that
         x_lb = min(max(inst.demand_lb, view.running_peak), inst.demand_ub)
-        rows, bounds, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
-        obj = np.zeros(len(bounds))
-        obj[: kmax - t] = 1.0
-        lp = LinearProgram(objective=obj, maximize=True, constraints=rows, bounds=bounds)
+        lp, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
+        lp.objective[: kmax - t] = 1.0
         cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top, None if cut is None else cut.basis)
     else:
         cut.lp.set_upper(cut.w_cols, top - lb_u)

@@ -3,10 +3,10 @@
 Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
 internals beyond the public dataclasses and the offline optimum; the
-printed programs are solved by HiGHS (scipy, a test-only dependency), since
-solve_lp takes only the all-<= form the package builds. Two exceptions
-reuse package internals on purpose. cold_prefix_optimal_cr is optimal_cr's
-search without the basis carried from prefix to prefix, and
+printed programs are solved by HiGHS (scipy, a test-only dependency),
+since LinearProgram takes only the one array form the package builds. Two
+exceptions reuse package internals on purpose. cold_prefix_optimal_cr is
+optimal_cr's search without the basis carried from prefix to prefix, and
 certified_ratio_lp_only is the anytime certificate's bisection with an LP
 answer for every cutoff at every step, no closed form read.
 """
@@ -164,28 +164,84 @@ def highs_lp(lp):
     dependency."""
     from scipy.optimize import linprog
 
-    if len(lp.objective) == 0 and not lp.constraints:  # linprog needs a variable
+    a_eq = getattr(lp, "a_eq", np.zeros((0, lp.num_vars)))
+    if lp.num_vars == 0:  # linprog needs a variable
         return lp.objective_constant
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in lp.constraints:
-        if rel == "==":
-            eq_rows.append(coeffs)
-            eq_rhs.append(rhs)
-        else:
-            sign = 1.0 if rel == "<=" else -1.0
-            ub_rows.append(sign * coeffs)
-            ub_rhs.append(sign * rhs)
     sign = -1.0 if lp.maximize else 1.0
     res = linprog(
         sign * lp.objective,
-        A_ub=np.array(ub_rows) if ub_rows else None, b_ub=ub_rhs or None,
-        A_eq=np.array(eq_rows) if eq_rows else None, b_eq=eq_rhs or None,
-        bounds=lp.bounds, method="highs",
+        A_ub=lp.a if len(lp.b) else None, b_ub=lp.b if len(lp.b) else None,
+        A_eq=a_eq if len(a_eq) else None, b_eq=lp.b_eq if len(a_eq) else None,
+        bounds=np.column_stack([lp.lb, lp.ub]), method="highs",
     )
     if res.status == 2:
         return None
     assert res.status == 0, res.message
     return sign * res.fun + lp.objective_constant
+
+
+def le_arrays(constraints, bounds):
+    """(a, b, lb, ub) of printed rows (coeffs, rel, rhs) and bounds
+    (lo, hi | None) in the one LinearProgram form: a >= row negated, an ==
+    row as a <= row and a >= row, and inf where a column has no upper
+    bound."""
+    rows, rhs = [], []
+    for coeffs, rel, b in constraints:
+        if rel in ("<=", "=="):
+            rows.append(coeffs)
+            rhs.append(b)
+        if rel in (">=", "=="):
+            rows.append(-np.asarray(coeffs))
+            rhs.append(-b)
+    lb = np.array([lo for lo, _hi in bounds], dtype=float)
+    ub = np.array([np.inf if hi is None else hi for _lo, hi in bounds], dtype=float)
+    a = np.array(rows, dtype=float).reshape(len(rows), len(bounds))
+    return a, np.array(rhs, dtype=float), lb, ub
+
+
+def scenario_program_rows(instance, prefix, k: int, x_lb: float, u_lb: float):
+    """cr.scenario_program built row by row, as it once was: one np.zeros
+    row per constraint, as (coeffs, "<=", rhs) tuples, and (lo, hi | None)
+    bounds. Returns (constraints, bounds, w columns, U): the reference the
+    array builder is checked against."""
+    T = instance.horizon_T
+    c = instance.capacity_c
+    lo, hi = instance.demand_lb, instance.demand_ub
+    rate = instance.rate_limit
+    t = len(prefix)
+    top = float(max(instance.demand_ub, u_lb, *prefix))
+
+    bounds = [(x_lb, hi)] * (k - t)
+    w_cols = []  # first column (w_i) of each scenario block
+    for i in range(t + 1, k + 1):
+        w_cols.append(len(bounds))
+        bounds += [(0.0, top - u_lb)] + [(0.0, rate)] * i
+        if i < T:  # aggregate D_i spans T-i tail slots
+            bounds.append((0.0, None if rate is None else (T - i) * rate))
+    n = len(bounds)
+
+    cons = []
+    for i, ofs in zip(range(t + 1, k + 1), w_cols):
+        width = i + (1 if i < T else 0)
+        budget = np.zeros(n)
+        budget[ofs + 1 : ofs + 1 + width] = 1.0
+        cons.append((budget, "<=", c))
+        for j in range(1, i + 1):  # d_j - delta_ij + w_i <= U, d_j = x_j past t
+            row = np.zeros(n)
+            row[ofs + j] = -1.0
+            row[ofs] = 1.0
+            if j <= t:
+                cons.append((row, "<=", top - float(prefix[j - 1])))
+            else:
+                row[j - t - 1] = 1.0
+                cons.append((row, "<=", top))
+        if i < T:  # aggregated tail: (T-i)*w_i - D_i <= (T-i)*(U - lb)
+            tail = T - i
+            row = np.zeros(n)
+            row[ofs + 1 + i] = -1.0
+            row[ofs] = tail
+            cons.append((row, "<=", tail * (top - lo)))
+    return cons, bounds, np.array(w_cols, dtype=int), top
 
 
 def cold_prefix_optimal_cr(instance):
@@ -242,14 +298,23 @@ def certified_ratio_lp_only(view, prev_ratio: float, epsilon: float) -> tuple[fl
 
 @dataclass
 class PrintedLp:
-    """An LP as printed, for highs_lp: rows of any relation (<=, >=, ==)
-    and right-hand sides of any sign, which solve_lp does not take."""
+    """An LP as printed, for highs_lp: rows a x <= b and a_eq x == b_eq,
+    right-hand sides of any sign, and the box lb <= x <= ub, which
+    LinearProgram does not take."""
 
     objective: np.ndarray
     maximize: bool
-    constraints: list
-    bounds: list
+    a: np.ndarray
+    b: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
     objective_constant: float = 0.0
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
 
 def build_aocr_thr(instance, state, pi: float, index_set) -> PrintedLp:
@@ -274,52 +339,37 @@ def build_aocr_thr(instance, state, pi: float, index_set) -> PrintedLp:
     const = max(0.0, demands[-1] - max(pi * v_ref, state.running_peak))
     ns = len(scen)
     n = 2 * ns + ns * T
+    rate = np.inf if instance.rate_limit is None else instance.rate_limit
+    lb = np.zeros(n)
+    lb[ns : 2 * ns] = max(instance.demand_lb, state.running_peak)
+    ub = np.full(n, rate)
+    ub[:ns] = np.inf
+    ub[ns : 2 * ns] = instance.demand_ub
 
-    def d_col(si: int, j: int) -> int:
-        return 2 * ns + si * T + (j - 1)
-
-    bounds = []
-    bounds += [(0.0, None)] * ns
-    bounds += [(max(instance.demand_lb, state.running_peak), instance.demand_ub)] * ns
-    bounds += [(0.0, instance.rate_limit)] * (ns * T)
-
-    rows = []
+    # per scenario: the budget sum_j delta_ij == c; then one <= row per slot
+    # j (j <= t: -u_i - delta_ij <= -d_j, t < j <= i: x_j - u_i - delta_ij
+    # <= 0, j > i: -u_i - delta_ij <= -d_lb), the floor -pi u_i <= -running
+    # peak and, in monthly mode, -pi u_i <= -monthly peak
+    per = T + 1 + (state.monthly_peak > 0)
+    a_eq, b_eq = np.zeros((ns, n)), np.full(ns, instance.capacity_c)
+    a, b = np.zeros((ns * per, n)), np.zeros(ns * per)
     for si, i in enumerate(scen):
-        budget = np.zeros(n)
-        budget[d_col(si, 1) : d_col(si, T) + 1] = 1.0
-        rows.append((budget, "==", instance.capacity_c))
-        for j in range(1, i + 1):
-            row = np.zeros(n)
-            row[si] = -1.0
-            row[d_col(si, j)] = -1.0
-            if j <= t:
-                rows.append((row, "<=", -demands[j - 1]))
-            else:
-                row[ns + (j - t - 1)] = 1.0
-                rows.append((row, "<=", 0.0))
-        for j in range(i + 1, T + 1):
-            row = np.zeros(n)
-            row[si] = -1.0
-            row[d_col(si, j)] = -1.0
-            rows.append((row, "<=", -instance.demand_lb))
-        floor_row = np.zeros(n)
-        floor_row[si] = -pi
-        rows.append((floor_row, "<=", -state.running_peak))
-        if state.monthly_peak > 0:
-            monthly = np.zeros(n)
-            monthly[si] = -pi
-            rows.append((monthly, "<=", -state.monthly_peak))
+        deltas = 2 * ns + si * T + np.arange(T)
+        a_eq[si, deltas] = 1.0
+        slots = si * per + np.arange(T)
+        a[slots, si] = -1.0
+        a[slots, deltas] = -1.0
+        a[slots[t:i], ns + np.arange(i - t)] = 1.0
+        b[slots[:t]] = -np.array(demands)
+        b[slots[i:]] = -instance.demand_lb
+        floors = si * per + np.arange(T, per)
+        a[floors, si] = -pi
+        b[floors] = [-state.running_peak, -state.monthly_peak][: per - T]
 
     obj = np.zeros(n)
     obj[:ns] = -pi
     obj[ns : 2 * ns] = 1.0
-    return PrintedLp(
-        objective=obj,
-        maximize=True,
-        constraints=rows,
-        bounds=bounds,
-        objective_constant=const,
-    )
+    return PrintedLp(obj, True, a, b, a_eq, b_eq, lb, ub, objective_constant=const)
 
 
 def ratio_lower_bound(instance, index_set, demand) -> float:
@@ -386,25 +436,16 @@ def phi_bruteforce_witness(
 
 
 def slack_standard_form(lp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, lb) of an all-<= LinearProgram whose right-hand sides stay >= 0
-    once lower bounds are shifted to zero, as scenario_program's are: the
-    columns are the structural ones, then one slack per constraint and per
-    upper bound (in column order), so a = [A | I] and b = rhs - A lb. Rows
-    are not equilibrated; that scales B and b alike and leaves x_B as is."""
-    n = lp.num_vars
-    lb = np.array([lo for lo, _hi in lp.bounds], dtype=float)
-    rows, rhs = [], []
-    for coeffs, rel, b in lp.constraints:
-        assert rel == "<=", rel
-        rows.append(coeffs)
-        rhs.append(b - coeffs @ lb)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if hi is not None:
-            rows.append(np.zeros(n))
-            rows[-1][j] = 1.0
-            rhs.append(hi - lo)
-    structural = np.array(rows, dtype=float).reshape(len(rows), n)
-    return np.hstack([structural, np.eye(len(rows))]), np.array(rhs, dtype=float), lb
+    """(a, b, lb) of a LinearProgram, whose right-hand sides stay >= 0 once
+    lower bounds are shifted to zero: the columns are the structural ones,
+    then one slack per row of lp.a and per finite upper bound (in column
+    order), so a = [A | I] and b = rhs - A lb. Rows are not equilibrated;
+    that scales B and b alike and leaves x_B as is."""
+    bounded = np.flatnonzero(lp.ub < np.inf)
+    unit = np.eye(lp.num_vars)[bounded]
+    structural = np.vstack([lp.a, unit])
+    rhs = np.concatenate([lp.b - lp.a @ lp.lb, lp.ub[bounded] - lp.lb[bounded]])
+    return np.hstack([structural, np.eye(len(rhs))]), rhs, lp.lb
 
 
 def primal_feasible_values(lp, basis, tol: float = 1e-7) -> np.ndarray | None:

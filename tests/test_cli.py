@@ -277,6 +277,21 @@ def test_experiment_config_errors(capsys, tmp_path):
         "experiment", "--config", str(invalid), "--output-dir", str(tmp_path / "o"),
     ])
     assert code == 2 and err.startswith("MalformedRecord")
+    # a wrong-typed value or an unknown key names the key and exits 2; each
+    # wrong type below once ended in a TypeError traceback, "monthly":
+    # "false" turned monthly mode on, and "algorithms": "fixed" was split
+    # into the algorithms f, i, x, e and d
+    for key, value in [("profiles", 5), ("epsilon", [1]), ("capacity_rates", 0.1),
+                       ("algorithms", 7), ("rate_limit_fraction", "0.5"), ("rhc_window", "x"),
+                       ("rhc_window", 2.5), ("monthly", "false"), ("algorithms", "fixed"),
+                       ("capacity_rates", [0.1, "0.2"]), ("rhc_window", True),
+                       ("epsilom", 1e-3)]:
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps({"profiles": "days.json", key: value}), encoding="utf-8")
+        code, _, err = run_cli(capsys, [
+            "experiment", "--config", str(config), "--output-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2 and err.startswith("MalformedRecord") and repr(key) in err, (key, err)
 
 
 @pytest.mark.parametrize("d_ub", ["inf", "nan"])

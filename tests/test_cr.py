@@ -12,7 +12,7 @@ from peakmin.core import DemandProfile, Instance
 from peakmin.cr import CrResult, build_cr_compute, optimal_cr
 from peakmin.errors import DegenerateInstance, EmptyIndexSet
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import LE, OPTIMAL, LinearProgram, carry_basis, solve_lfp
+from peakmin.lp import OPTIMAL, carry_basis, solve_lfp
 
 from oracles import (
     HorizonTooLarge,
@@ -20,10 +20,12 @@ from oracles import (
     cr_ratio_oracle,
     highs_lfp_max,
     kept_tableau_gap,
+    le_arrays,
     phi_bruteforce,
     phi_bruteforce_witness,
     primal_feasible_values,
     ratio_lower_bound,
+    scenario_program_rows,
     slack_standard_form,
 )
 
@@ -86,7 +88,7 @@ def test_reduced_and_full_encodings_agree():
 @pytest.mark.parametrize("observed", [False, True], ids=["empty-prefix", "observed"])
 @pytest.mark.parametrize("u_lb_above", [False, True], ids=["u_lb-below", "u_lb-above"])
 def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above):
-    """Every row scenario_program emits is <= with a right-hand side >= 0
+    """Every row scenario_program emits, a x <= b, has a right-hand side >= 0
     once the lower bounds are shifted to zero, so its all-slack basis is
     feasible and solve_lp builds its form; random instances at T <= 8."""
     rng = np.random.default_rng(61)
@@ -102,14 +104,41 @@ def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above)
         k = int(rng.integers(t + 1, T + 1))
         x_lb = float(rng.uniform(lo, hi))
         u_lb = float(rng.uniform(hi, 2 * hi) if u_lb_above else rng.uniform(0.0, hi))
-        cons, bounds, _w_cols, _top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
-        lb = np.array([low for low, _high in bounds])
-        for coeffs, rel, rhs in cons:
-            assert rel == LE
-            assert rhs - coeffs @ lb >= 0.0
-        assert all(high is None or high >= low for low, high in bounds)
-        lp = LinearProgram(rng.normal(size=len(bounds)), True, cons, bounds)
+        lp, _w_cols, _top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
+        for coeffs, rhs in zip(lp.a, lp.b):
+            assert rhs - coeffs @ lp.lb >= 0.0
+        assert (lp.ub >= lp.lb).all()
+        lp.objective = rng.normal(size=lp.num_vars)
         assert lp_mod._build_form(lp) is not None
+
+
+def test_scenario_arrays_match_row_reference():
+    """scenario_program's arrays equal the rows the row-by-row reference
+    (oracles.scenario_program_rows) builds, stacked: a, b, lb, ub, the w
+    columns and U, bit for bit, on seeded draws of T in 1..24 with and
+    without a rate limit, t in 0..T-1 and k in t..T (k = t is the empty
+    program)."""
+    rng = np.random.default_rng(97)
+    drawn = 0
+    for _ in range(200):
+        T = int(rng.integers(1, 25))
+        lo = float(rng.uniform(50.0, 150.0))
+        hi = lo * float(rng.uniform(1.2, 4.0))
+        c = float(rng.uniform(0.1, 0.9) * T * lo)
+        rate = c / T * float(rng.uniform(1.0, 2.0)) if rng.random() < 0.5 else None
+        inst = Instance(c, rate, T, lo, hi)
+        t = int(rng.integers(0, T))
+        k = int(rng.integers(t, T + 1))
+        prefix = rng.uniform(lo, hi, t)
+        x_lb = float(rng.uniform(lo, hi))
+        u_lb = float(rng.uniform(0.0, 2 * hi))
+        lp, w_cols, top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
+        cons, bounds, ref_w_cols, ref_top = scenario_program_rows(inst, prefix, k, x_lb, u_lb)
+        for got, want in zip((lp.a, lp.b, lp.lb, lp.ub), le_arrays(cons, bounds)):
+            assert got.shape == want.shape and np.array_equal(got, want), (inst, t, k)
+        assert np.array_equal(w_cols, ref_w_cols) and top == ref_top
+        drawn += k == t
+    assert drawn >= 5
 
 
 def _highs_pi_star(inst):
@@ -307,18 +336,18 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
         for t in range(1, inst.horizon_T):
             old, new = cr._prefix_program(inst, t), cr._prefix_program(inst, t + 1)
             res = solve_lfp(old)
-            basis = carry_basis(res.basis, old, new, t)
-            lp = LinearProgram(new.numerator, True, new.constraints, new.bounds)
+            basis = carry_basis(res.basis, old.lp, new.lp, t)
+            lp = new.lp
             a, _b, lb = slack_standard_form(lp)
             found = primal_feasible_values(lp, basis)
             assert found is not None, (inst, t)
             shifted = np.zeros(a.shape[1])
             shifted[basis] = found
             x = shifted[: lp.num_vars] + lb
-            kept = np.delete(np.arange(lp.num_vars), t)[: len(old.bounds)]
+            kept = np.delete(np.arange(lp.num_vars), t)[: old.lp.num_vars]
             assert np.allclose(x[kept], res.x, rtol=0.0, atol=1e-9), (inst, t)
             assert np.array_equal(x[t], lb[t])
-            assert np.array_equal(x[len(old.bounds) + 1 :], lb[len(old.bounds) + 1 :])
+            assert np.array_equal(x[old.lp.num_vars + 1 :], lb[old.lp.num_vars + 1 :])
 
 
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
@@ -413,8 +442,8 @@ def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
 
     def checked_carry(basis, old, new, at):
         hint = real_carry(basis, old, new, at)
-        assert np.array_equal(new._lp._form.tab.basis, hint)
-        gaps["carried"].append(kept_tableau_gap(new._lp))
+        assert np.array_equal(new._form.tab.basis, hint)
+        gaps["carried"].append(kept_tableau_gap(new))
         return hint
 
     monkeypatch.setattr(lp_mod, "solve_lp", checked_solve_lp)

@@ -9,7 +9,6 @@ from peakmin.cr import build_cr_compute
 from peakmin.errors import DenominatorNotPositive, NumericalFailure
 from peakmin.lp import (
     INFEASIBLE,
-    LE,
     OPTIMAL,
     UNBOUNDED,
     LfpProblem,
@@ -18,7 +17,9 @@ from peakmin.lp import (
     solve_lp,
 )
 
-from oracles import kept_tableau_gap, primal_feasible_values
+from oracles import kept_tableau_gap, le_arrays, primal_feasible_values
+
+INF2 = np.full(2, np.inf)  # two columns without an upper bound
 
 
 def test_lp_textbook_maximize():
@@ -26,7 +27,10 @@ def test_lp_textbook_maximize():
     lp = LinearProgram(
         objective=np.array([3.0, 2.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 4.0), (np.array([1.0, 3.0]), LE, 6.0)],
+        a=np.array([[1.0, 1.0], [1.0, 3.0]]),
+        b=np.array([4.0, 6.0]),
+        lb=np.zeros(2),
+        ub=INF2,
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -34,14 +38,16 @@ def test_lp_textbook_maximize():
     assert np.allclose(res.x, [4.0, 0.0])
 
 
-def test_lp_minimize_with_equality_and_ge():
+def test_lp_minimize_with_lower_bound_and_constant():
     # min x - y + 2.5 s.t. x + 2y <= 3, x >= 0.5 (a bound) -> (0.5, 1.25),
     # value 1.75: the row holds with equality and x sits on its bound
     lp = LinearProgram(
         objective=np.array([1.0, -1.0]),
         maximize=False,
-        constraints=[(np.array([1.0, 2.0]), LE, 3.0)],
-        bounds=[(0.5, None), (0.0, None)],
+        a=np.array([[1.0, 2.0]]),
+        b=np.array([3.0]),
+        lb=np.array([0.5, 0.0]),
+        ub=INF2,
         objective_constant=2.5,
     )
     res = solve_lp(lp)
@@ -55,14 +61,17 @@ def test_lp_infeasible_detected():
     lp = LinearProgram(
         objective=np.array([1.0]),
         maximize=True,
-        constraints=[(np.array([1.0]), LE, 3.0)],
-        bounds=[(2.0, 1.0)],
+        a=np.array([[1.0]]),
+        b=np.array([3.0]),
+        lb=np.array([2.0]),
+        ub=np.array([1.0]),
     )
     assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_lp_unbounded_detected():
-    lp = LinearProgram(objective=np.array([1.0]), maximize=True, constraints=[])
+    lp = LinearProgram(objective=np.array([1.0]), maximize=True, a=np.zeros((0, 1)),
+                       b=np.zeros(0), lb=np.zeros(1), ub=np.full(1, np.inf))
     assert solve_lp(lp).status == UNBOUNDED
 
 
@@ -71,8 +80,8 @@ def test_lp_unbounded_detected():
     [
         (True, [-2.0, 0.0, 3.0], 4.0, 4.0, 16.5),
         (False, [2.0, 0.0, -3.0], 4.0, 4.0, -11.5),
-        (True, [-2.0, 0.0, -3.0], None, 1.0, 1.5),
-        (False, [2.0, 0.0, 3.0], None, 1.0, 3.5),
+        (True, [-2.0, 0.0, -3.0], np.inf, 1.0, 1.5),
+        (False, [2.0, 0.0, 3.0], np.inf, 1.0, 3.5),
     ],
     ids=["max-capped", "min-capped", "max-no-rows", "min-no-rows"],
 )
@@ -82,7 +91,10 @@ def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
     lp = LinearProgram(
         objective=np.array(objective),
         maximize=maximize,
-        bounds=[(-1.0, None), (0.5, None), (1.0, upper)],
+        a=np.zeros((0, 3)),
+        b=np.zeros(0),
+        lb=np.array([-1.0, 0.5, 1.0]),
+        ub=np.array([np.inf, np.inf, upper]),
         objective_constant=2.5,
     )
     res = solve_lp(lp)
@@ -93,28 +105,32 @@ def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
 
 
 @pytest.mark.parametrize(
-    "rows, status",
+    "rhs, status",
     [
-        ([(">=", 1.0)], ValueError),
-        ([("==", 2.0)], ValueError),
-        ([(LE, -1.0)], ValueError),
-        ([(LE, 1.0)], OPTIMAL),
-        ([("==", 0.0)], ValueError),
+        ([-1.0], ValueError),  # 0 >= 1, as -0 <= -1
+        ([2.0, -2.0], ValueError),  # 0 == 2, as 0 <= 2 and -0 <= -2
+        ([-1.0], ValueError),
+        ([1.0], OPTIMAL),
+        ([0.0, -0.0], OPTIMAL),  # 0 == 0, as 0 <= 0 and -0 <= -0
         ([], OPTIMAL),
     ],
     ids=["ge-1", "eq-2", "le-minus-1", "le-1", "eq-0", "no-rows"],
 )
 @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
-def test_lp_without_variables_honours_its_rows(rows, status, maximize):
-    """An LP with no variables reads each row as 0 <= rhs. A >= or == row,
-    or a negative rhs (0 <= rhs fails at the slack basis), is not the form
-    solve_lp takes and raises ValueError."""
+def test_lp_without_variables_honours_its_rows(rhs, status, maximize):
+    """An LP with no variables reads each row as 0 <= rhs, a >= row as its
+    negation and an == row as a <= and >= pair. A negative rhs (0 <= rhs
+    fails at the slack basis) is not the form solve_lp takes and raises
+    ValueError; 0 == 0 holds."""
 
     def build():
         return LinearProgram(
             objective=np.zeros(0),
             maximize=maximize,
-            constraints=[(np.zeros(0), rel, rhs) for rel, rhs in rows],
+            a=np.zeros((len(rhs), 0)),
+            b=np.array(rhs),
+            lb=np.zeros(0),
+            ub=np.zeros(0),
             objective_constant=2.5,
         )
 
@@ -133,8 +149,10 @@ def test_lp_variable_upper_bounds():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 10.0)],
-        bounds=[(0.0, 2.0), (1.0, 3.0)],
+        a=np.array([[1.0, 1.0]]),
+        b=np.array([10.0]),
+        lb=np.array([0.0, 1.0]),
+        ub=np.array([2.0, 3.0]),
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -147,8 +165,10 @@ def test_lp_negative_lower_bounds():
     lp = LinearProgram(
         objective=np.array([1.0, 0.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 0.0)],
-        bounds=[(-2.0, None), (1.0, 2.0)],
+        a=np.array([[1.0, 1.0]]),
+        b=np.array([0.0]),
+        lb=np.array([-2.0, 1.0]),
+        ub=np.array([np.inf, 2.0]),
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -156,15 +176,15 @@ def test_lp_negative_lower_bounds():
 
 
 def _random_rows(rng, n: int, m: int, lb: np.ndarray, scale: float = 1.0, margin=0.0):
-    """m random rows a.x <= b over n variables with b - a.lb >= 0: b is
-    a.lb plus margin * sum|a| plus |noise|, so the rows still hold at lb
-    after every lower bound rises by up to margin."""
-    rows = []
-    for _ in range(m):
-        coeffs = rng.normal(size=n)
-        slack = margin * np.abs(coeffs).sum() + abs(float(rng.normal(scale=scale)))
-        rows.append((coeffs, LE, float(coeffs @ lb) + slack))
-    return rows
+    """(a, b): m random rows a x <= b over n variables with b - a lb >= 0.
+    b is a lb plus margin * sum|a| plus |noise|, so the rows still hold at
+    lb after every lower bound rises by up to margin."""
+    a, b = np.zeros((m, n)), np.zeros(m)
+    for i in range(m):
+        a[i] = rng.normal(size=n)
+        slack = margin * np.abs(a[i]).sum() + abs(float(rng.normal(scale=scale)))
+        b[i] = float(a[i] @ lb) + slack
+    return a, b
 
 
 def test_lp_residual_certificate_on_random_problems():
@@ -173,22 +193,20 @@ def test_lp_residual_certificate_on_random_problems():
     for _ in range(120):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 5))
-        lp = LinearProgram(
-            objective=rng.normal(size=n),
-            maximize=bool(rng.integers(0, 2)),
-            constraints=_random_rows(rng, n, m, np.zeros(n)),
-            bounds=[(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)],
-        )
+        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
+        a, b = _random_rows(rng, n, m, np.zeros(n))
+        ub = [float(rng.uniform(0.5, 3.0)) for _ in range(n)]
+        lp = LinearProgram(objective, maximize, a, b, np.zeros(n), ub)
         res = solve_lp(lp)
         if res.status != OPTIMAL:
             continue
         solved += 1
         assert res.residual <= 1e-7
-        for coeffs, _rel, rhs in lp.constraints:
+        for coeffs, rhs in zip(lp.a, lp.b):
             assert float(coeffs @ res.x) <= rhs + 1e-6
-        for (lo, hi), val in zip(lp.bounds, res.x):
+        for lo, hi, val in zip(lp.lb, lp.ub, res.x):
             assert val >= lo - 1e-8
-            assert hi is None or val <= hi + 1e-8
+            assert val <= hi + 1e-8
     assert solved >= 40
 
 
@@ -196,11 +214,11 @@ def _row_by_row_residual(lp, x):
     """The gate's residual, one row and one bound at a time: the worst row
     violation scaled by max(1, |b|), or bound violation, floored at 0."""
     worst = [0.0]
-    for coeffs, _rel, b in lp.constraints:
+    for coeffs, b in zip(lp.a, lp.b):
         worst.append((float(coeffs @ x) - b) / max(1.0, abs(b)))
-    for (lo, hi), val in zip(lp.bounds, x):
+    for lo, hi, val in zip(lp.lb, lp.ub, x):
         worst.append(lo - val)
-        if hi is not None:
+        if hi < np.inf:
             worst.append(val - hi)
     return max(worst)
 
@@ -223,16 +241,11 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
     for _ in range(80):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
-        bounds = [(float(rng.uniform(-2.0, 0.0)),
-                   None if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
-                  for _ in range(n)]
-        lb = np.array([lo for lo, _hi in bounds])
-        lp = LinearProgram(
-            objective=rng.normal(size=n),
-            maximize=bool(rng.integers(0, 2)),
-            constraints=_random_rows(rng, n, m, lb, scale=5.0),
-            bounds=bounds,
-        )
+        lb, ub = np.array([(float(rng.uniform(-2.0, 0.0)),
+                            np.inf if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
+                           for _ in range(n)]).T
+        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
+        lp = LinearProgram(objective, maximize, *_random_rows(rng, n, m, lb, scale=5.0), lb, ub)
         res = solve_lp(lp)
         if res.status != OPTIMAL:
             continue
@@ -251,29 +264,29 @@ def test_lp_gate_rejects_nan_answer(monkeypatch):
         return None if found is None else np.where(found > 0, np.nan, found)
 
     monkeypatch.setattr(lp_mod, "_basic_values", nan_values)
-    textbook = LinearProgram(
-        objective=np.array([3.0, 2.0]),
-        maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 4.0), (np.array([1.0, 3.0]), LE, 6.0)],
-    )
     with pytest.raises(NumericalFailure, match="residual nan"):
-        solve_lp(textbook)
+        solve_lp(_textbook_lp())
 
 
 def test_lp_deterministic_resolve():
     lp_args = dict(
         objective=np.array([1.0, 2.0, -1.0]),
         maximize=True,
-        constraints=[
-            (np.array([1.0, 1.0, 1.0]), LE, 5.0),
-            (np.array([-2.0, 1.0, 0.0]), LE, 1.0),
-        ],
-        bounds=[(0.0, 4.0)] * 3,
+        a=np.array([[1.0, 1.0, 1.0], [-2.0, 1.0, 0.0]]),
+        b=np.array([5.0, 1.0]),
+        lb=np.zeros(3),
+        ub=np.full(3, 4.0),
     )
     a = solve_lp(LinearProgram(**lp_args))
     b = solve_lp(LinearProgram(**lp_args))
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
+
+
+def _unit_box(n: int) -> LinearProgram:
+    """No rows, every column in [0, 1]."""
+    return LinearProgram(np.zeros(n), True, np.zeros((0, n)), np.zeros(0), np.zeros(n),
+                         np.ones(n))
 
 
 def test_lfp_matches_grid_search():
@@ -283,8 +296,7 @@ def test_lfp_matches_grid_search():
         numerator_constant=1.0,
         denominator=np.array([-1.0]),
         denominator_constant=2.0,
-        constraints=[],
-        bounds=[(0.0, 1.0)],
+        lp=_unit_box(1),
     )
     res = solve_lfp(lfp)
     assert res.status == OPTIMAL
@@ -305,8 +317,7 @@ def test_lfp_random_against_dense_grid():
             numerator_constant=float(rng.uniform(-0.5, 0.5)),
             denominator=den,
             denominator_constant=den0,
-            constraints=[(np.ones(n), LE, cap)],
-            bounds=[(0.0, 1.0)] * n,
+            lp=LinearProgram(np.zeros(n), True, np.ones((1, n)), [cap], np.zeros(n), np.ones(n)),
         )
         res = solve_lfp(lfp)
         assert res.status == OPTIMAL
@@ -330,8 +341,7 @@ def test_lfp_rejects_sign_changing_denominator():
         numerator_constant=0.0,
         denominator=np.array([-1.0]),
         denominator_constant=0.5,
-        constraints=[],
-        bounds=[(0.0, 1.0)],
+        lp=_unit_box(1),
     )
     with pytest.raises(DenominatorNotPositive):
         solve_lfp(lfp)
@@ -349,36 +359,54 @@ def test_lfp_rejects_non_finite_data(field, value):
     and no x, and an infinite numerator constant or a NaN denominator
     entry to pivot to the iteration cap."""
     data = dict(numerator=np.array([1.0]), numerator_constant=0.0,
-                denominator=np.array([0.0]), denominator_constant=1.0,
-                constraints=[], bounds=[(0.0, 1.0)])
+                denominator=np.array([0.0]), denominator_constant=1.0, lp=_unit_box(1))
     data[field] = value
     with pytest.raises(ValueError, match="non-finite numerator or denominator"):
         LfpProblem(**data)
 
 
+def _printed_cr_form():
+    """build_cr_compute's printed form as a LinearProgram over its rows (an
+    == budget as a <= and >= pair) and bounds."""
+    printed = build_cr_compute(Instance(1.2, None, 3, 1.0, 2.0), {1, 2, 3})
+    return LinearProgram(printed.numerator, True, *le_arrays(printed.constraints, printed.bounds))
+
+
+BOX3 = (np.zeros(2), np.full(2, 3.0))  # lb and ub of two columns in [0, 3]
+
+
 @pytest.mark.parametrize(
     "solve, outcome",
     [
-        (lambda: solve_lp(LinearProgram(np.ones(2), True, [(np.ones(2), ">=", 1.0)],
-                                        [(0.0, 3.0)] * 2)), ValueError),
-        (lambda: solve_lp(LinearProgram(np.ones(2), True, [(np.ones(2), "==", 1.0)],
-                                        [(0.0, 3.0)] * 2)), ValueError),
-        # rhs 1 >= 0, but 1 - a.lb = -0.25
-        (lambda: solve_lp(LinearProgram(np.ones(2), False, [(np.ones(2), LE, 1.0)],
-                                        [(0.5, None), (0.75, None)])), ValueError),
-        (lambda: solve_lfp(build_cr_compute(Instance(1.2, None, 3, 1.0, 2.0), {1, 2, 3})),
+        # x + y >= 1 as -x - y <= -1
+        (lambda: solve_lp(LinearProgram(np.ones(2), True, -np.ones((1, 2)), [-1.0], *BOX3)),
          ValueError),
-        (lambda: solve_lp(LinearProgram(np.ones(1), True, [],
-                                        [(1.0, 1.0 - 1e-9)])).status, INFEASIBLE),
+        # x + y == 1 as x + y <= 1 and -x - y <= -1
+        (lambda: solve_lp(LinearProgram(np.ones(2), True, [[1.0, 1.0], [-1.0, -1.0]],
+                                        [1.0, -1.0], *BOX3)), ValueError),
+        # rhs 1 >= 0, but 1 - a.lb = -0.25
+        (lambda: solve_lp(LinearProgram(np.ones(2), False, np.ones((1, 2)), [1.0],
+                                        [0.5, 0.75], INF2)), ValueError),
+        (lambda: solve_lp(_printed_cr_form()), ValueError),
+        (lambda: solve_lp(LinearProgram(np.ones(1), True, np.zeros((0, 1)), [],
+                                        [1.0], [1.0 - 1e-9])).status, INFEASIBLE),
+        # a has three columns, the objective two
+        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 3)), [1.0], *BOX3), ValueError),
+        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 2)), [1.0, 1.0], *BOX3),
+         ValueError),
+        (lambda: LinearProgram(np.ones(2), True, [[np.nan, 1.0]], [1.0], *BOX3), ValueError),
+        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 2)), [np.nan], *BOX3), ValueError),
     ],
-    ids=["ge-row", "eq-row", "negative-shifted-rhs", "printed-cr-form", "inverted-box"],
+    ids=["ge-row", "eq-row", "negative-shifted-rhs", "printed-cr-form", "inverted-box",
+         "a-shape", "b-shape", "nan-a", "nan-b"],
 )
 def test_lp_takes_only_the_all_le_form(solve, outcome):
-    """solve_lp takes rows a.x <= b with b - a.lb >= 0 and nothing else:
-    a >= row, an == row, a row that fails at the lower bounds and
-    build_cr_compute's printed form (== budgets) raise ValueError instead
-    of being answered through a phase 1, and a box inverted by 1e-9 is
-    INFEASIBLE instead of being read as a point."""
+    """LinearProgram takes rows a x <= b with b - a lb >= 0 and nothing
+    else: a >= row (negated), an == row (a <= and >= pair), a row that fails
+    at the lower bounds and build_cr_compute's printed form (== budgets)
+    raise ValueError instead of being answered through a phase 1, as do
+    arrays of mismatched shapes and a NaN in a or b; a box inverted by 1e-9
+    is INFEASIBLE instead of being read as a point."""
     if outcome is ValueError:
         with pytest.raises(ValueError):
             solve()
@@ -394,12 +422,10 @@ def _random_feasible_lps(seed: int, count: int):
     for _ in range(count):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
-        lp = LinearProgram(
-            objective=rng.normal(size=n),
-            maximize=bool(rng.integers(0, 2)),
-            constraints=_random_rows(rng, n, m, np.zeros(n), margin=0.05),
-            bounds=[(0.0, float(rng.uniform(0.5, 3.0))) for _ in range(n)],
-        )
+        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
+        a, b = _random_rows(rng, n, m, np.zeros(n), margin=0.05)
+        ub = [float(rng.uniform(0.5, 3.0)) for _ in range(n)]
+        lp = LinearProgram(objective, maximize, a, b, np.zeros(n), ub)
         res = solve_lp(lp)
         if res.status == OPTIMAL:
             out.append((lp, res))
@@ -434,8 +460,10 @@ def test_lp_basis_reuse_matches_cold_under_perturbed_objective(monkeypatch):
         moved = LinearProgram(
             objective=lp.objective + 3e-2 * rng.normal(size=lp.num_vars),
             maximize=lp.maximize,
-            constraints=lp.constraints,
-            bounds=lp.bounds,
+            a=lp.a,
+            b=lp.b,
+            lb=lp.lb,
+            ub=lp.ub,
         )
         cold = solve_lp(moved)
         before = len(tableaus)
@@ -444,7 +472,7 @@ def test_lp_basis_reuse_matches_cold_under_perturbed_objective(monkeypatch):
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         assert warm.residual <= 1e-7
-        for (lo, hi), val in zip(lp.bounds, warm.x):
+        for lo, hi, val in zip(lp.lb, lp.ub, warm.x):
             assert lo - 1e-8 <= val <= hi + 1e-8
     assert len(cases) // 2 <= repriced < len(cases)
 
@@ -457,8 +485,10 @@ def test_lp_basis_reuse_moved_bound_still_certified():
         moved = LinearProgram(
             objective=lp.objective,
             maximize=lp.maximize,
-            constraints=lp.constraints,
-            bounds=[(lo + 0.05, hi) for lo, hi in lp.bounds],
+            a=lp.a,
+            b=lp.b,
+            lb=lp.lb + 0.05,
+            ub=lp.ub,
         )
         cold = solve_lp(moved)
         warm = solve_lp(moved, basis=first.basis)
@@ -474,7 +504,10 @@ def _textbook_lp():
     return LinearProgram(
         objective=np.array([3.0, 2.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0]), LE, 4.0), (np.array([1.0, 3.0]), LE, 6.0)],
+        a=np.array([[1.0, 1.0], [1.0, 3.0]]),
+        b=np.array([4.0, 6.0]),
+        lb=np.zeros(2),
+        ub=INF2,
     )
 
 
@@ -508,10 +541,10 @@ def test_lp_garbage_basis_gives_cold_result(basis):
             LinearProgram(
                 objective=np.array([1.0, 2.0, 0.5]),
                 maximize=True,
-                constraints=[
-                    (np.array([1.0, 1.0, 1.0]), LE, 5.0),
-                    (np.array([1.0, 1.0, 0.0]), LE, 1.0),
-                ],
+                a=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]),
+                b=np.array([5.0, 1.0]),
+                lb=np.zeros(3),
+                ub=np.full(3, np.inf),
             ),
             np.array([0, 1]),
         ),
@@ -541,7 +574,7 @@ def test_lp_random_basis_gives_cold_result_unless_feasible():
         m = len(cold.basis)
         hints = [rng.permutation(np.arange(lp.num_vars + 2 * m))[:m] for _ in range(3)]
         other = solve_lp(LinearProgram(rng.normal(size=lp.num_vars), lp.maximize,
-                                       lp.constraints, lp.bounds))
+                                       lp.a, lp.b, lp.lb, lp.ub))
         hints.append(other.basis)
         for basis in hints:
             res = solve_lp(lp, basis=basis)
@@ -557,7 +590,7 @@ def test_lp_random_basis_gives_cold_result_unless_feasible():
 
 def _fresh(lp):
     """A new LinearProgram with lp's current data, so nothing is kept."""
-    return LinearProgram(lp.objective.copy(), lp.maximize, lp.constraints, list(lp.bounds),
+    return LinearProgram(lp.objective.copy(), lp.maximize, lp.a, lp.b, lp.lb, lp.ub,
                          lp.objective_constant)
 
 
@@ -581,7 +614,7 @@ def test_lp_set_upper_resolve_matches_fresh_build():
             else:
                 hi = float(rng.uniform(0.0, 3.0))
             lp.set_upper(cols, hi)
-            assert [lp.bounds[j][1] for j in cols] == [hi] * len(cols)
+            assert lp.ub[cols].tolist() == [hi] * len(cols)
             for basis in (None, first.basis):
                 moved, fresh = solve_lp(lp, basis=basis), solve_lp(_fresh(lp), basis=basis)
                 assert moved.status == fresh.status
@@ -591,8 +624,8 @@ def test_lp_set_upper_resolve_matches_fresh_build():
                     _assert_same_result(moved, fresh)
     assert inverted >= 10
     # a column that had no upper bound gains one
-    lp = LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 2.0]), LE, 4.0)],
-                       [(0.0, None), (0.0, 3.0)])
+    lp = LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 2.0]], [4.0], np.zeros(2),
+                       [np.inf, 3.0])
     assert solve_lp(lp).value == pytest.approx(4.0)
     lp.set_upper([0], 1.5)
     _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
@@ -611,31 +644,33 @@ def test_lp_rejects_non_finite_objective(objective, constant):
     """A NaN objective used to pivot to the iteration cap, an infinite one to
     return OPTIMAL with value inf, and a NaN constant OPTIMAL with value nan."""
     with pytest.raises(ValueError, match="non-finite objective"):
-        LinearProgram(np.array(objective), True, [(np.array([1.0, 1.0]), LE, 4.0)],
+        LinearProgram(np.array(objective), True, [[1.0, 1.0]], [4.0], np.zeros(2), INF2,
                       objective_constant=constant)
 
 
 @pytest.mark.parametrize(
-    "bounds",
-    [[(0.0, np.nan), (0.0, 1.0)], [(0.0, np.inf), (0.0, 1.0)], [(np.nan, 1.0), (0.0, 1.0)]],
-    ids=["nan-upper", "inf-upper", "nan-lower"],
+    "lb, ub",
+    [([0.0, 0.0], [np.nan, 1.0]), ([0.0, 0.0], [-np.inf, 1.0]), ([np.nan, 0.0], [1.0, 1.0]),
+     ([-np.inf, 0.0], [1.0, 1.0])],
+    ids=["nan-upper", "minus-inf-upper", "nan-lower", "minus-inf-lower"],
 )
-def test_lp_rejects_non_finite_bound(bounds):
-    """A NaN upper bound used to fail inside numpy at solve time and an
-    infinite one to raise NumericalFailure with residual nan."""
+def test_lp_rejects_non_finite_bound(lb, ub):
+    """A NaN upper bound used to fail inside numpy at solve time. An upper
+    bound of +inf marks a column with no upper bound; -inf, and any
+    non-finite lower bound, is rejected."""
     with pytest.raises(ValueError, match="non-finite bound"):
-        LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 1.0]), LE, 4.0)], bounds)
+        LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 1.0]], [4.0], lb, ub)
 
 
 @pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
 def test_lp_set_upper_rejects_non_finite(hi):
     """set_upper checks hi before it moves anything, on a solved LP."""
-    lp = LinearProgram(np.array([1.0, 1.0]), True, [(np.array([1.0, 2.0]), LE, 4.0)],
-                       [(0.0, 2.0), (0.0, 3.0)])
+    lp = LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 2.0]], [4.0], np.zeros(2),
+                       [2.0, 3.0])
     before = solve_lp(lp)
     with pytest.raises(ValueError, match="non-finite upper bound"):
         lp.set_upper([0], hi)
-    assert lp.bounds == [(0.0, 2.0), (0.0, 3.0)]
+    assert lp.lb.tolist() == [0.0, 0.0] and lp.ub.tolist() == [2.0, 3.0]
     _assert_same_result(solve_lp(lp, basis=before.basis), before)
 
 
@@ -702,8 +737,10 @@ def test_lp_malformed_hint_never_reuses_the_tableau(monkeypatch, malform):
     lp = LinearProgram(
         objective=np.array([1.0, 2.0, -1.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0, 1.0]), LE, 5.0), (np.array([-2.0, 1.0, 0.0]), LE, 1.0)],
-        bounds=[(0.0, 4.0)] * 3,
+        a=np.array([[1.0, 1.0, 1.0], [-2.0, 1.0, 0.0]]),
+        b=np.array([5.0, 1.0]),
+        lb=np.zeros(3),
+        ub=np.full(3, 4.0),
     )
     kept = solve_lp(lp).basis
     before = len(tableaus)

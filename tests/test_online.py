@@ -317,7 +317,10 @@ def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
     textbook = LinearProgram(
         objective=np.array([3.0, 2.0]),
         maximize=True,
-        constraints=[(np.array([1.0, 1.0]), "<=", 4.0), (np.array([1.0, 3.0]), "<=", 6.0)],
+        a=np.array([[1.0, 1.0], [1.0, 3.0]]),
+        b=np.array([4.0, 6.0]),
+        lb=np.zeros(2),
+        ub=np.full(2, np.inf),
     )
     with pytest.raises(NumericalFailure, match="residual"):
         lp_mod.solve_lp(textbook)
@@ -446,13 +449,13 @@ def _fresh_requirement(view, pi, kmax):
     inst, t = view.instance, view.t
     floor = max(view.running_peak, view.monthly_peak)
     lb_u = 0.0 if floor <= 0.0 else floor / pi
-    rows, bounds, w_cols, top = cr.scenario_program(
+    lp, w_cols, top = cr.scenario_program(
         inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
     )
-    obj = np.zeros(len(bounds))
-    obj[: kmax - t] = 1.0
-    obj[w_cols] = pi
-    return lp_mod.solve_lp(LinearProgram(obj, True, rows, bounds, -pi * top * len(w_cols)))
+    lp.objective[: kmax - t] = 1.0
+    lp.objective[w_cols] = pi
+    lp.objective_constant = -pi * top * len(w_cols)
+    return lp_mod.solve_lp(lp)
 
 
 @pytest.mark.parametrize(

@@ -97,9 +97,16 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch-dir", default=None,
                         help="where the parent is exported (default: the system temp dir)")
     args = parser.parse_args(argv)
-    plan = [(w, int(n)) for w, n in (p.split("=", 1) for p in args.pairs)]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    names = [w["name"] for w in bench["workloads"]]
+    plan = []
+    for pair in args.pairs:
+        workload, _, n = pair.partition("=")
+        if workload not in names or not n.isdecimal() or int(n) < 1:
+            parser.error(f"--pairs {pair!r}: expected WORKLOAD=N, WORKLOAD one of "
+                         f"{', '.join(names)} and N an integer >= 1")
+        plan.append((workload, int(n)))
     if subprocess.run(["git", "diff", "--quiet", args.parent], cwd=ROOT).returncode == 0:
         parser.error(f"the working tree does not differ from {args.parent}")
     out = ROOT / f"BENCH_{args.number}.json"
