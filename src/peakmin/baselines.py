@@ -9,6 +9,7 @@ an empty ratio trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,9 @@ class RhcConfig:
     future_view: str = FUTURE_MIDPOINT
 
     def __post_init__(self):
-        # written so that NaN and infinity are rejected too
-        if self.window is not None and not 1 <= self.window < math.inf:
-            raise ValueError(f"window must be >= 1 and finite, got {self.window}")
+        if self.window is not None and (isinstance(self.window, bool) or not isinstance(
+                self.window, numbers.Integral) or self.window < 1):
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
         if self.future_view not in _FUTURE_VIEWS:
             raise ValueError(
                 f"future_view must be one of {_FUTURE_VIEWS}, got {self.future_view!r}"

@@ -158,7 +158,7 @@ def scenario_program(
             a[r + size - 1, ofs + size - 1] = -1.0
             b[r + size - 1] = (T - i) * (top - instance.demand_lb)
             ub[ofs + size - 1] = (T - i) * rate
-    return LinearProgram(np.zeros(n), True, a, b, lb, ub), w_cols, top
+    return LinearProgram(np.zeros(n), a, b, lb, ub), w_cols, top
 
 
 def scenario_top(instance: Instance, prefix, u_lb: float) -> float:
@@ -204,12 +204,11 @@ def optimal_cr(instance: Instance) -> CrResult:
     ratio 1 the all-d_lb profile forces. The best ratio so far is carried
     into the next prefix's Dinkelbach solve, which returns at once when the
     prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. So
-    is the basis of each prefix's last LP, mapped onto the next prefix's
-    program by lp.carry_basis together with its tableau: only the first
-    prefix starts cold, and no prefix refactorizes its basis. The
-    denominator is positive, as solve_lfp requires: any feasible point has
-    u_i >= (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
-    precondition below.
+    is the tableau each prefix's last LP keeps, mapped onto the next
+    prefix's program by lp.carry_basis: only the first prefix starts cold,
+    and no prefix refactorizes its basis. The denominator is positive, as
+    solve_lfp requires: any feasible point has u_i >= (sum_j p_j - c)/T >=
+    (T*d_lb - c)/T > 0 under the c < T*d_lb precondition below.
     """
     T = instance.horizon_T
     c = instance.capacity_c
@@ -228,15 +227,15 @@ def optimal_cr(instance: Instance) -> CrResult:
 
     tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
     best_val, best_t, best_x = -math.inf, None, None
-    prev, basis = None, None
+    prev = None
     for t in range(tau + 1, T + 1):
         program = _prefix_program(instance, t)
-        if basis is not None:
-            basis = carry_basis(basis, prev.lp, program.lp, t - 1)
-        res = solve_lfp(program, at_least=best_val, basis=basis)
+        if prev is not None:
+            carry_basis(prev.lp, program.lp, t - 1)
+        res = solve_lfp(program, at_least=best_val)
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
-        prev, basis = program, res.basis
+        prev = program
     witness = DemandProfile(instance, reference_values(instance, best_x))
     # ratios below 1 are LP noise: the all-d_lb profile already forces 1
     return CrResult(

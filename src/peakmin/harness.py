@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from typing import NamedTuple
@@ -167,6 +168,13 @@ class TraceTransaction:
             raise MalformedRecord(f"duration_min must be > 0, got {self.duration_min}")
         if not (math.isfinite(self.energy_kwh) and self.energy_kwh >= 0):
             raise MalformedRecord(f"energy_kwh must be >= 0, got {self.energy_kwh}")
+        # slot boundaries are naive local times, which an aware start cannot meet
+        if self.start.utcoffset() is not None:
+            raise MalformedRecord(f"start must carry no UTC offset, got {self.start.isoformat()}")
+        try:
+            self.start + timedelta(minutes=self.duration_min)
+        except OverflowError:
+            raise MalformedRecord(f"a {self.duration_min} min session ends past year 9999") from None
 
 
 @dataclass(frozen=True)
@@ -244,9 +252,7 @@ def parse_transactions(lines) -> tuple[TraceTransaction, ...]:
                 duration_min=float(cells[1]),
                 energy_kwh=float(cells[2]),
             )
-        except MalformedRecord as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from None
-        except ValueError as exc:
+        except (MalformedRecord, ValueError) as exc:
             raise MalformedRecord(f"line {lineno}: {exc}") from None
         rows.append(txn)
     if not saw_header:
@@ -715,6 +721,11 @@ class ExperimentReport:
         return lines
 
 
+def _positive(value) -> bool:
+    """A real number (not a bool) in (0, inf); NaN fails."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment grid: a policy roster crossed with capacity rates.
@@ -734,22 +745,25 @@ class ExperimentConfig:
     rhc_window: int | None = None
 
     def __post_init__(self):
+        for name, ok, what in (("algorithms", lambda a: isinstance(a, str), "names"),
+                               ("capacity_rates", _positive, "positive finite numbers")):
+            items = getattr(self, name)
+            if not (isinstance(items, (tuple, list)) and items and all(map(ok, items))):
+                raise ValueError(f"{name} must be a non-empty tuple of {what}, got {items!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "capacity_rates", tuple(float(r) for r in self.capacity_rates))
+        object.__setattr__(self, "capacity_rates", tuple(map(float, self.capacity_rates)))
         unknown = [a for a in self.algorithms if a not in ALL_ALGORITHMS]
         if unknown:
             raise UnknownAlgorithm(
                 f"{', '.join(unknown)} (choose from {', '.join(ALL_ALGORITHMS)})"
             )
-        if not self.algorithms:
-            raise ValueError("at least one algorithm is required")
-        # written so that NaN and infinity are rejected too
-        if not self.capacity_rates or not all(0.0 < r < math.inf for r in self.capacity_rates):
-            raise ValueError("capacity_rates must be positive and finite")
-        if self.rate_limit_fraction is not None and not 0.0 < self.rate_limit_fraction < math.inf:
+        if self.rate_limit_fraction is not None and not _positive(self.rate_limit_fraction):
             raise ValueError("rate_limit_fraction must be positive and finite when present")
-        if not 0.0 < self.epsilon < math.inf:  # NaN fails this too
+        if not _positive(self.epsilon):
             raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.monthly, bool):
+            raise ValueError(f"monthly must be True or False, got {self.monthly!r}")
+        RhcConfig(self.rhc_window)  # raises unless the window is None or an integer >= 1
 
 
 def _day_runs(

@@ -15,27 +15,22 @@ kept is the tableau itself.
 Built once, kept with its tableau: the first solve_lp on a LinearProgram
 builds its standard form ([a | unit rows of the bounded columns], scaled,
 with one slack per row, and the right-hand side shifted by lb) and keeps it
-on that object, and later solves reuse it. The form also keeps the final
-tableau of its last solve, B^-1 [A | b] at that solve's basis. Between
-solves only the objective, its constant and ub may change (ub through
-LinearProgram.set_upper, which moves the form's bound rows with it); none of
-them moves B^-1 A, so the kept tableau stays exact but for its right-hand
-column, which every warm start rewrites.
+on that object, with the final tableau of each solve, B^-1 [A | b] at that
+solve's basis. Between solves only the objective, its constant and ub may
+change (ub through LinearProgram.set_upper, which moves the form's bound
+rows with it); none of them moves B^-1 A, so the kept tableau stays exact
+but for its right-hand column.
 
-Basis hints: every optimal LpResult carries its final basis, and solve_lp
-accepts one back. A hint is validated (shape, integer dtype, range,
-uniqueness) before anything is read, then re-priced on a tableau at that
-basis: the kept one when the hint is its basis, otherwise one dense solve
-B^-1 [A | b]. The tableau's start-basis columns hold B^-1; the basic values
-and the duals come from it and are refined once against the form's own
-columns. A kept tableau whose refinement residual exceeds 1e-9 (relative)
-has drifted and is replaced by the dense solve. If the hint is primal
-feasible (basic values >= -1e-7) and dual feasible (no reduced cost above
-1e-9), its vertex is the optimum; if it is only primal feasible, the simplex
-starts from its tableau. Any other hint is ignored and the solve starts
-from the slack basis.
+One warm start: every later solve re-prices the kept basis (Chvatal 1983
+ch. 10). The tableau's start-basis columns hold B^-1, which gives the basic
+values and the duals, each refined once against the form's own columns; a
+refinement residual above 1e-9 (relative) means the tableau has drifted,
+and one dense solve B^-1 [A | b] at its basis replaces it. A basis that is
+primal feasible (basic values >= -1e-7) and dual feasible (no reduced cost
+above 1e-9) is optimal, with no pivot; from one only primal feasible the
+simplex starts; from any other the solve starts at the slack basis.
 
-Carried tableaus: carry_basis maps the final basis of one scenario program
+Carried tableaus: carry_basis maps the kept basis of one scenario program
 onto the next, larger one (optimal_cr's prefix t to t+1, the anytime
 certificate's cutoff k-1 to k) and seeds the new form with the tableau at
 the carried basis, derived from the old one without a solve. So along
@@ -51,10 +46,9 @@ solve is the one dense solve of an answer reached on a kept or carried
 tableau.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
-LPs over the same rows, each hinted with the basis of the one before. It
-takes a hint for its first LP too (basis=) and returns the last LP's basis
-as LfpResult.basis, so a caller solving a sequence of related programs
-(optimal_cr, prefix by prefix) can carry a basis from one to the next.
+LPs over the same rows, each starting from the tableau the one before
+kept, so a caller solving a sequence of related programs (optimal_cr,
+prefix by prefix) carries that tableau from one to the next by carry_basis.
 
 Ranging: the anytime certificate solves one LP family over a parameter
 pi, in which only the objective's pi terms and the upper bounds top -
@@ -92,7 +86,7 @@ UNBOUNDED = "unbounded"
 
 @dataclass
 class LinearProgram:
-    """Dense LP: optimize objective . x (+ objective_constant) over the rows
+    """Dense LP: maximize objective . x (+ objective_constant) over the rows
     a x <= b and the box lb <= x <= ub (ub inf where a column has no upper
     bound).
 
@@ -104,7 +98,6 @@ class LinearProgram:
     set_upper, ub."""
 
     objective: np.ndarray
-    maximize: bool
     a: np.ndarray
     b: np.ndarray
     lb: np.ndarray
@@ -164,7 +157,7 @@ class LpResult:
     x: np.ndarray | None
     residual: float = 0.0
     # column indices of the final basis, row by row, in the standard form
-    # solve_lp builds; a hint for re-solving the same rows and variables
+    # solve_lp builds: the basis of the tableau that form keeps
     basis: np.ndarray | None = None
 
 
@@ -204,9 +197,6 @@ class LfpResult:
     status: str
     value: float
     x: np.ndarray | None
-    # final basis of the last LP solved (standard form of the problem's rows
-    # and bounds), also when x is None; a hint for a later solve_lfp
-    basis: np.ndarray | None = None
 
 
 class _Tableau:
@@ -377,41 +367,19 @@ def _refined(form: _Form, tab: _Tableau, basis: np.ndarray, cb: np.ndarray):
     return x_basic + inv @ gap, duals + dual_gap @ inv, drift
 
 
-def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, bool] | None:
-    """The hint basis re-priced: its tableau, its basic values for
-    a x = rhs, and whether it is optimal for max obj.x (no reduced cost
-    above PIVOT_TOL).
-
-    The tableau is the form's kept one when its basis equals the hint, and
-    otherwise one dense solve. Its start-basis columns hold B^-1 (the start
-    columns of a are the identity), which gives the basic values and the
-    duals; each is refined once against the form's own columns. A kept
-    tableau whose refinement residual exceeds DRIFT_TOL has drifted and is
-    replaced by the dense solve. None when the basis is malformed, singular
-    or primal infeasible (a basic value below -FEAS_TOL).
+def _priced(form: _Form, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, bool] | None:
+    """The kept tableau re-priced (see the module docstring): the tableau,
+    refactorized if it drifted past DRIFT_TOL, its basic values for
+    a x = rhs, and whether its basis is optimal for max obj.x (no reduced
+    cost above PIVOT_TOL). None when that basis is singular or primal
+    infeasible (a basic value below -FEAS_TOL).
     """
-    a = form.a
-    m, cols = a.shape
-    basis = np.asarray(basis)
-    # checked before any index is taken, so a malformed hint reuses nothing
-    if basis.shape != (m,) or basis.dtype.kind not in "iu" or not (
-        (basis >= 0).all() and (basis < cols).all()
-    ):
-        return None
-    seen = np.zeros(cols, dtype=bool)
-    seen[basis] = True
-    if seen.sum() != m:  # a column listed twice
-        return None
-    cb = obj[basis]
     tab = form.tab
-    if tab is not None and np.array_equal(tab.basis, basis):
-        x_basic, duals, drift = _refined(form, tab, basis, cb)
-        # written so that a NaN counts as drift
-        if not drift <= DRIFT_TOL:
-            tab = None
-    else:
-        tab = None
-    if tab is None:
+    basis = tab.basis
+    cb = obj[basis]
+    x_basic, duals, drift = _refined(form, tab, basis, cb)
+    # written so that a NaN counts as drift
+    if not drift <= DRIFT_TOL:
         tab = _factorized(form, basis)
         if tab is None:
             return None
@@ -419,7 +387,7 @@ def _priced(form: _Form, basis, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, 
     # comparisons are written so that a NaN rejects the basis
     if not (x_basic >= -FEAS_TOL).all():
         return None
-    reduced = obj - duals @ a
+    reduced = obj - duals @ form.a
     reduced[basis] = 0.0
     return tab, x_basic, bool((reduced <= PIVOT_TOL).all())
 
@@ -445,15 +413,15 @@ def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResu
     return LpResult(OPTIMAL, value, x, residual, basis.copy())
 
 
-def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
+def solve_lp(lp: LinearProgram) -> LpResult:
     """Dense primal simplex. Status is one of optimal/infeasible/unbounded;
     infeasible only when a box is empty.
 
-    basis is an optional hint, normally the basis of an earlier result for
-    an LP with the same rows and bounded variables: its vertex is returned
-    if still optimal, the simplex starts from it if it is only primal
-    feasible, and otherwise the simplex starts from the slack basis. An
-    answer whose residual exceeds RESIDUAL_TOL raises NumericalFailure.
+    The first solve starts from the slack basis. A later one, or one after
+    carry_basis, re-prices the tableau lp's form keeps: its vertex is
+    returned if still optimal, the simplex starts from it if it is only
+    primal feasible, and otherwise from the slack basis. An answer whose
+    residual exceeds RESIDUAL_TOL raises NumericalFailure.
     """
     form = lp._form if lp._form is not None else _build_form(lp)
     if form is None:
@@ -461,9 +429,9 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     lp._form = form
     m, cols = form.a.shape
     full_obj = np.zeros(cols)
-    full_obj[: lp.num_vars] = lp.objective if lp.maximize else -lp.objective
+    full_obj[: lp.num_vars] = lp.objective
 
-    priced = None if basis is None else _priced(form, basis, full_obj)
+    priced = None if form.tab is None else _priced(form, full_obj)
     if priced is None:
         tab = _Tableau(_framed(form.a, form.rhs), form.start)
     else:
@@ -479,8 +447,8 @@ def solve_lp(lp: LinearProgram, basis: np.ndarray | None = None) -> LpResult:
     return _optimal_result(lp, form, tab.basis)
 
 
-def carry_basis(basis: np.ndarray, old: LinearProgram, new: LinearProgram, at: int) -> np.ndarray:
-    """A final basis of old's standard form as a basis of new's.
+def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
+    """Seed new's standard form with old's kept tableau, mapped onto new.
 
     old and new are scenario programs (an LfpProblem's is its lp) where new
     is old with one demand column inserted at column at, one scenario block
@@ -496,15 +464,22 @@ def carry_basis(basis: np.ndarray, old: LinearProgram, new: LinearProgram, at: i
     the new columns at their lower bounds every new row holds: after the
     lower-bound shift its right-hand side is >= 0, and its one old column,
     if any, is an x_j at most d_ub - x_lb against a right-hand side of
-    U - x_lb. So when new keeps the bounds old was solved with, the hint is
-    primal feasible and solve_lp starts the simplex from it.
+    U - x_lb. So when new keeps the bounds old was solved with, the carried
+    basis is primal feasible and solve_lp starts the simplex from it.
 
-    When old's form keeps the tableau at basis, new's form is built here
-    and seeded with the tableau at the carried basis: the old rows move
-    through the column map, and each appended row is the form's row less
-    its basic columns' multiples of the old rows (R - R_B T_old), with no
-    solve. solve_lp then re-prices the hint on that tableau.
+    The tableau at the carried basis is derived from old's without a solve:
+    the old rows move through the column map, and each appended row is the
+    form's row less its basic columns' multiples of the old rows
+    (R - R_B T_old). solve_lp then re-prices it. Nothing is seeded when old
+    keeps no tableau or new's box is empty.
     """
+    kept = None if old._form is None else old._form.tab
+    if kept is None:
+        return
+    form = new._form if new._form is not None else _build_form(new)
+    if form is None:
+        return
+    new._form = form
     n_new, m_new = new.num_vars, len(new.b)
     old_rows, new_rows = _bound_rows(old), _bound_rows(new)
     col = np.arange(old.num_vars)
@@ -513,34 +488,24 @@ def carry_basis(basis: np.ndarray, old: LinearProgram, new: LinearProgram, at: i
     # upper-bound rows follow their column
     row = np.concatenate([np.arange(len(old.b)), new_rows[col[old_rows >= 0]]])
     moved = np.concatenate([col, n_new + row])  # every old column's new index
-    carried = moved[basis]
+    carried = moved[kept.basis]
     fresh = np.ones(m_new + (new_rows >= 0).sum(), dtype=bool)
     fresh[row] = False
     added = np.flatnonzero(fresh)  # the appended rows, in order
-    hint = np.concatenate([carried, n_new + added])
-
-    kept = None if old._form is None else old._form.tab
-    if kept is None or kept.n != len(moved) or not np.array_equal(kept.basis, basis):
-        return hint
-    form = new._form if new._form is not None else _build_form(new)
-    if form is None:
-        return hint
-    new._form = form
-    m_old, m, cols = len(basis), len(hint), form.a.shape[1]
+    m_old, m, cols = kept.m, len(fresh), form.a.shape[1]
     t = np.zeros((m + 1, cols + 1))
     t[:m_old, moved] = kept.t[:m_old, : len(moved)]
     appended = form.a[added]
     # an appended row meets few old columns (demand columns), so R_B is thin
     touch = np.nonzero(appended[:, carried].any(axis=0))[0]
     t[m_old:m, :cols] = appended - appended[:, carried[touch]] @ t[touch, :cols]
-    form.tab = _Tableau(t, hint)
-    return hint
+    form.tab = _Tableau(t, np.concatenate([carried, n_new + added]))
 
 
-def parametric_range(lp: LinearProgram, basis: np.ndarray, cols, top: float, floor: float):
-    """lp's optimum at basis as a closed form in a parameter pi, and the pi
-    range on which basis stays optimal, read from the tableau lp's form
-    keeps at basis, with no solve.
+def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
+    """lp's optimum at the basis of the tableau its form keeps, as a closed
+    form in a parameter pi, and the pi range on which that basis stays
+    optimal, read from that tableau with no solve.
 
     lp maximizes a member of the family the anytime certificate bisects
     on: the objective c.x + pi (sum_{j in cols} x_j - top |cols|), where c
@@ -555,13 +520,14 @@ def parametric_range(lp: LinearProgram, basis: np.ndarray, cols, top: float, flo
     only: solve_lp's own optimality tolerances would let the form run past
     a breakpoint, off the optimum by about 1e-9 relative (parametric
     ranging; Gass & Saaty 1955, Chvatal 1983 ch. 10). Returns (A, B, C,
-    lo, hi), or None when the form keeps no tableau at basis, its B^-1 has
+    lo, hi), or None when the form keeps no tableau, its B^-1 has
     drifted (refinement residual above DRIFT_TOL), or the range is empty.
     """
     form = lp._form
     tab = None if form is None else form.tab
-    if tab is None or not np.array_equal(tab.basis, basis):
+    if tab is None:
         return None
+    basis = tab.basis
     m, width = form.a.shape
     rows = form.bound_row[cols]
     rhs = np.zeros((m, 2))
@@ -611,37 +577,31 @@ def _where_nonnegative(level: np.ndarray, slope: np.ndarray) -> tuple[float, flo
             float((level[down] / -slope[down]).min(initial=math.inf)))
 
 
-def solve_lfp(
-    problem: LfpProblem,
-    at_least: float = -math.inf,
-    basis: np.ndarray | None = None,
-) -> LfpResult:
+def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LfpResult:
     """Dinkelbach's method: maximize (n.x + n0)/(d.x + d0).
 
     Each step solves the LP max n.x + n0 - lam (d.x + d0) over the problem's
-    rows and bounds, hinted with the previous step's basis, and moves lam
+    rows and bounds, from the tableau the previous step kept, and moves lam
     to the ratio at its optimum. It stops once the LP optimum is <= 0 (the
     ratio no longer rises by more than RATIO_TOL): lam is then the maximum
-    and x attains it. The first step is at lam = at_least, hinted with
-    basis (a basis of this problem's standard form, as solve_lp takes), and
-    if it cannot beat at_least by RATIO_TOL the result carries x = None and
-    value at_least. With at_least = -inf the first step is at lam = 0, and
-    if no point has a positive ratio that step's point is returned; its
-    ratio is then a lower bound only. The result's basis is the last LP's,
-    whether or not x is None. A step whose point has d.x + d0 <= FEAS_TOL
+    and x attains it. The first step is at lam = at_least, from whatever
+    tableau lp keeps (one carry_basis seeded, or none), and if it cannot
+    beat at_least by RATIO_TOL the result carries x = None and value
+    at_least. With at_least = -inf the first step is at lam = 0, and if no
+    point has a positive ratio that step's point is returned; its ratio is
+    then a lower bound only. A step whose point has d.x + d0 <= FEAS_TOL
     raises DenominatorNotPositive before the ratio is taken.
     """
     num, den = problem.numerator, problem.denominator
     n0, d0 = problem.numerator_constant, problem.denominator_constant
     # only the objective moves between steps, so lp's form is built once
     lp = problem.lp
-    lp.maximize = True
     lam, x = at_least, None
     while True:
         step = lam if lam > -math.inf else 0.0
         lp.objective = num - step * den
         lp.objective_constant = n0 - step * d0
-        res = solve_lp(lp, basis=basis)
+        res = solve_lp(lp)
         if res.status != OPTIMAL:
             return LfpResult(res.status, np.nan, None)
         denominator = den @ res.x + d0
@@ -651,6 +611,6 @@ def solve_lfp(
         ratio = float((num @ res.x + n0) / denominator)
         rose = ratio > lam + RATIO_TOL
         if rose:
-            lam, x, basis = ratio, res.x, res.basis
+            lam, x = ratio, res.x
         if not rose or res.value <= 0.0:
-            return LfpResult(OPTIMAL, lam, x, res.basis)
+            return LfpResult(OPTIMAL, lam, x)

@@ -227,7 +227,7 @@ class _Cutoff:
     lp: LinearProgram
     w_cols: np.ndarray
     top: float
-    basis: np.ndarray | None
+    basis: np.ndarray | None = None  # None until the LP is first solved
     closed: tuple | None = None
 
 
@@ -242,13 +242,11 @@ class _WarmStart:
     floor/pi, prefix) moves, which needs a pi below floor/v_ref (v_ref <=
     U), and the bisection never evaluates one. A step whose pi lies in a
     cutoff's closed-form range takes the cutoff's value from that form,
-    with no LP; a step outside it solves the LP from the last optimal
-    basis, which solve_lp re-prices on the tableau the LP keeps (or pivots
-    from); a cutoff's first solve starts from the basis of the cutoff
-    before it, mapped by lp.carry_basis, which also seeds the new LP with
-    its tableau, so no step refactorizes a basis. Each kept LP holds its
-    standard form and tableau until the slot ends. The cutoff that
-    exceeded the budget last usually exceeds it again.
+    with no LP; a step outside it solves the LP from the tableau it keeps,
+    and a cutoff's first solve from the tableau of the cutoff before it,
+    mapped by lp.carry_basis, so no step refactorizes a basis. Each kept LP
+    holds its standard form and tableau until the slot ends. The cutoff
+    that exceeded the budget last usually exceeds it again.
     """
 
     cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
@@ -276,7 +274,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         x_lb = min(max(inst.demand_lb, view.running_peak), inst.demand_ub)
         lp, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
         lp.objective[: kmax - t] = 1.0
-        cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top, None if cut is None else cut.basis)
+        cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top)
     else:
         cut.lp.set_upper(cut.w_cols, top - lb_u)
     # worst future demand x_{t+1..kmax} beyond pi times the scenario
@@ -284,11 +282,11 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     lp = cut.lp
     lp.objective[cut.w_cols] = pi
     lp.objective_constant = -pi * top * len(cut.w_cols)
-    basis, prev = cut.basis, warm.cutoffs.get(kmax - 1)
-    if basis is None and prev is not None and prev.basis is not None:
+    prev = warm.cutoffs.get(kmax - 1)
+    if cut.basis is None and prev is not None:
         # x_kmax is inserted after x_{t+1..kmax-1}
-        basis = carry_basis(prev.basis, prev.lp, lp, kmax - 1 - t)
-    res = solve_lp(lp, basis=basis)
+        carry_basis(prev.lp, lp, kmax - 1 - t)
+    res = solve_lp(lp)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
@@ -297,7 +295,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # take as optimal at pi, but that is not optimal there, gets no form
         ranged = None
         if top == scenario_top(inst, view.demands, 0.0):
-            ranged = parametric_range(lp, res.basis, cut.w_cols, top, floor)
+            ranged = parametric_range(lp, cut.w_cols, top, floor)
         cut.closed = None
         if ranged is not None and ranged[3] <= pi <= ranged[4]:
             a, b, c, lo, hi = ranged

@@ -6,7 +6,7 @@ internals beyond the public dataclasses and the offline optimum; the
 printed programs are solved by HiGHS (scipy, a test-only dependency),
 since LinearProgram takes only the one array form the package builds. Two
 exceptions reuse package internals on purpose. cold_prefix_optimal_cr is
-optimal_cr's search without the basis carried from prefix to prefix, and
+optimal_cr's search without the tableau carried from prefix to prefix, and
 certified_ratio_lp_only is the anytime certificate's bisection with an LP
 answer for every cutoff at every step, no closed form read.
 """
@@ -159,7 +159,7 @@ def highs_lfp_max(lfp):
 
 
 def highs_lp(lp):
-    """Optimum of a LinearProgram or PrintedLp by HiGHS, objective constant
+    """Maximum of a LinearProgram or PrintedLp by HiGHS, objective constant
     included, or None when it is infeasible. Needs scipy, a test-only
     dependency."""
     from scipy.optimize import linprog
@@ -167,9 +167,8 @@ def highs_lp(lp):
     a_eq = getattr(lp, "a_eq", np.zeros((0, lp.num_vars)))
     if lp.num_vars == 0:  # linprog needs a variable
         return lp.objective_constant
-    sign = -1.0 if lp.maximize else 1.0
     res = linprog(
-        sign * lp.objective,
+        -lp.objective,
         A_ub=lp.a if len(lp.b) else None, b_ub=lp.b if len(lp.b) else None,
         A_eq=a_eq if len(a_eq) else None, b_eq=lp.b_eq if len(a_eq) else None,
         bounds=np.column_stack([lp.lb, lp.ub]), method="highs",
@@ -177,7 +176,7 @@ def highs_lp(lp):
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    return sign * res.fun + lp.objective_constant
+    return -res.fun + lp.objective_constant
 
 
 def le_arrays(constraints, bounds):
@@ -298,12 +297,11 @@ def certified_ratio_lp_only(view, prev_ratio: float, epsilon: float) -> tuple[fl
 
 @dataclass
 class PrintedLp:
-    """An LP as printed, for highs_lp: rows a x <= b and a_eq x == b_eq,
+    """A maximization as printed, for highs_lp: rows a x <= b and a_eq x == b_eq,
     right-hand sides of any sign, and the box lb <= x <= ub, which
     LinearProgram does not take."""
 
     objective: np.ndarray
-    maximize: bool
     a: np.ndarray
     b: np.ndarray
     a_eq: np.ndarray
@@ -369,7 +367,7 @@ def build_aocr_thr(instance, state, pi: float, index_set) -> PrintedLp:
     obj = np.zeros(n)
     obj[:ns] = -pi
     obj[ns : 2 * ns] = 1.0
-    return PrintedLp(obj, True, a, b, a_eq, b_eq, lb, ub, objective_constant=const)
+    return PrintedLp(obj, a, b, a_eq, b_eq, lb, ub, objective_constant=const)
 
 
 def ratio_lower_bound(instance, index_set, demand) -> float:

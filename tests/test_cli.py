@@ -294,6 +294,25 @@ def test_experiment_config_errors(capsys, tmp_path):
         assert code == 2 and err.startswith("MalformedRecord") and repr(key) in err, (key, err)
 
 
+@pytest.mark.parametrize(
+    "row", ["2024-05-06T12:00:00+02:00,60,6.0", "2024-05-06 12:00,1e13,6.0"],
+    ids=["utc-offset", "end-overflows"],
+)
+def test_ingest_rejects_unslottable_transaction(capsys, tmp_path, row):
+    """A start with a UTC offset, or a session ending past year 9999, used
+    to end peakmin ingest in a TypeError or OverflowError traceback; it now
+    exits 2, names the line and writes nothing."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"start_iso8601,duration_min,energy_kwh\n{row}\n", encoding="utf-8")
+    out_path = tmp_path / "days.json"
+    code, _out, err = run_cli(capsys, [
+        "ingest", "--input", str(trace), "--output", str(out_path),
+    ])
+    assert code == 2
+    assert err.startswith("MalformedRecord") and "line 2" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("d_ub", ["inf", "nan"])
 def test_ingest_rejects_non_finite_demand_bound(capsys, tmp_path, d_ub):
     """peakmin ingest --d-ub inf used to exit 0 and write "demand_ub":

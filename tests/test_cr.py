@@ -296,13 +296,15 @@ def _carry_instances(seed, rate_limited, tau_positive, count=10):
 
 def _recording_solve_lp(monkeypatch):
     """Patch the solve_lp that solve_lfp calls; returns the list of the
-    (LinearProgram, basis hint) pairs it receives."""
+    (LinearProgram, basis of the tableau it keeps, or None) pairs it
+    receives, the basis taken as the call begins."""
     real_solve_lp = lp_mod.solve_lp
     calls = []
 
-    def recording(lp, basis=None):
-        calls.append((lp, basis))
-        return real_solve_lp(lp, basis=basis)
+    def recording(lp):
+        tab = None if lp._form is None else lp._form.tab
+        calls.append((lp, None if tab is None else tab.basis.copy()))
+        return real_solve_lp(lp)
 
     monkeypatch.setattr(lp_mod, "solve_lp", recording)
     return calls
@@ -311,12 +313,13 @@ def _recording_solve_lp(monkeypatch):
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
 @pytest.mark.parametrize("tau_positive", [False, True], ids=["tau0", "tau-pos"])
 def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positive):
-    """Every hint optimal_cr's solves get, the bases carried from prefix to
-    prefix included, is primal feasible on its LP's standard form (by the
-    independent dense solve of oracles.primal_feasible_values); only the
-    first prefix's first LP is solved cold."""
+    """Every kept basis optimal_cr's solves start from, the bases carried
+    from prefix to prefix included, is primal feasible on its LP's standard
+    form (by the independent dense solve of
+    oracles.primal_feasible_values); only the first prefix's first LP is
+    solved cold."""
     calls = _recording_solve_lp(monkeypatch)
-    hinted = 0
+    warm = 0
     for inst in _carry_instances(71, rate_limited, tau_positive):
         calls.clear()
         optimal_cr(inst)
@@ -324,8 +327,8 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
         assert calls[0][1] is None
         for lp, basis in calls[1:]:
             assert primal_feasible_values(lp, basis) is not None, inst
-            hinted += 1
-    assert hinted > 40
+            warm += 1
+    assert warm > 40
 
 
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
@@ -336,8 +339,9 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
         for t in range(1, inst.horizon_T):
             old, new = cr._prefix_program(inst, t), cr._prefix_program(inst, t + 1)
             res = solve_lfp(old)
-            basis = carry_basis(res.basis, old.lp, new.lp, t)
+            carry_basis(old.lp, new.lp, t)
             lp = new.lp
+            basis = lp._form.tab.basis
             a, _b, lb = slack_standard_form(lp)
             found = primal_feasible_values(lp, basis)
             assert found is not None, (inst, t)
@@ -364,7 +368,7 @@ def test_optimal_cr_matches_cold_prefix_loop(rate_limited, tau_positive):
 
 def test_optimal_cr_t20_solves_one_lp_cold(monkeypatch):
     """On the T=20 volatile day set (seed 7, c at 0.2 of the mean daily
-    energy), one optimal_cr call solves exactly one LP without a hint, and
+    energy), one optimal_cr call solves exactly one LP cold, and
     pi* and the argmax set equal the cold per-prefix loop's."""
     days = synthetic_volatile_profiles(10, 20, 100.0, 400.0, seed=7)
     inst = days.instance(0.2 * days.avg_daily_energy, None)
@@ -435,16 +439,14 @@ def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
     real_solve_lp, real_carry = lp_mod.solve_lp, cr.carry_basis
     gaps = {"kept": [], "carried": []}
 
-    def checked_solve_lp(lp, basis=None):
-        res = real_solve_lp(lp, basis=basis)
+    def checked_solve_lp(lp):
+        res = real_solve_lp(lp)
         gaps["kept"].append(kept_tableau_gap(lp))
         return res
 
-    def checked_carry(basis, old, new, at):
-        hint = real_carry(basis, old, new, at)
-        assert np.array_equal(new._form.tab.basis, hint)
+    def checked_carry(old, new, at):
+        real_carry(old, new, at)
         gaps["carried"].append(kept_tableau_gap(new))
-        return hint
 
     monkeypatch.setattr(lp_mod, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(cr, "carry_basis", checked_carry)

@@ -162,6 +162,20 @@ def test_transaction_field_validation():
         txn("2024-05-06 12:00", 30, -1.0)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("2024-05-06T12:00:00+02:00,30,10", "UTC offset"), ("2024-05-06 12:00,1e13,10", "9999")],
+    ids=["utc-offset", "end-overflows"],
+)
+def test_parse_transactions_rejects_unslottable_start_or_end(row, message):
+    """A start with a UTC offset cannot be compared with the naive slot
+    boundaries, and a session ending past year 9999 has no end: ingest_trace
+    once raised TypeError and OverflowError on them. Both are malformed
+    records, named by their line."""
+    with pytest.raises(MalformedRecord, match=f"line 2: .*{message}"):
+        parse_transactions(f"start_iso8601,duration_min,energy_kwh\n{row}\n")
+
+
 def test_slotting_config_validation():
     with pytest.raises(ValueError):
         SlottingConfig(slot_minutes=0)
@@ -413,6 +427,22 @@ def test_experiment_config_validation():
         ExperimentConfig(profiles=ps, capacity_rates=())
     with pytest.raises(ValueError):
         ExperimentConfig(profiles=ps, epsilon=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("algorithms", "fixed"), ("algorithms", 7), ("monthly", "false"), ("monthly", 1),
+     ("rhc_window", 2.5), ("rhc_window", True), ("rhc_window", "2"), ("epsilon", "1e-3"),
+     ("capacity_rates", 0.1), ("capacity_rates", (0.1, "0.2")), ("rate_limit_fraction", "0.5")],
+)
+def test_experiment_config_rejects_wrong_types(field, value):
+    """A wrong-typed value raises ValueError at construction. "fixed" was
+    once split into the algorithms f, i, x, e and d, "false" ran monthly
+    mode, a float or bool window failed inside numpy, and a string epsilon
+    or a bare rate raised TypeError."""
+    ps = synthetic_uniform_profiles(2, 2, 1.0, 2.0, seed=1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(profiles=ps, **{field: value})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

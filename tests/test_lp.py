@@ -26,7 +26,6 @@ def test_lp_textbook_maximize():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 -> (4, 0), value 12
     lp = LinearProgram(
         objective=np.array([3.0, 2.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0], [1.0, 3.0]]),
         b=np.array([4.0, 6.0]),
         lb=np.zeros(2),
@@ -39,20 +38,20 @@ def test_lp_textbook_maximize():
 
 
 def test_lp_minimize_with_lower_bound_and_constant():
-    # min x - y + 2.5 s.t. x + 2y <= 3, x >= 0.5 (a bound) -> (0.5, 1.25),
-    # value 1.75: the row holds with equality and x sits on its bound
+    # min x - y + 2.5 s.t. x + 2y <= 3, x >= 0.5 (a bound), as max -x + y
+    # - 2.5 -> (0.5, 1.25), value -1.75: the row holds with equality and x
+    # sits on its bound
     lp = LinearProgram(
-        objective=np.array([1.0, -1.0]),
-        maximize=False,
+        objective=np.array([-1.0, 1.0]),
         a=np.array([[1.0, 2.0]]),
         b=np.array([3.0]),
         lb=np.array([0.5, 0.0]),
         ub=INF2,
-        objective_constant=2.5,
+        objective_constant=-2.5,
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
-    assert res.value == pytest.approx(1.75)
+    assert res.value == pytest.approx(-1.75)
     assert np.allclose(res.x, [0.5, 1.25])
 
 
@@ -60,7 +59,6 @@ def test_lp_infeasible_detected():
     # 2 <= x <= 1: the only infeasible LP solve_lp takes is an empty box
     lp = LinearProgram(
         objective=np.array([1.0]),
-        maximize=True,
         a=np.array([[1.0]]),
         b=np.array([3.0]),
         lb=np.array([2.0]),
@@ -70,32 +68,33 @@ def test_lp_infeasible_detected():
 
 
 def test_lp_unbounded_detected():
-    lp = LinearProgram(objective=np.array([1.0]), maximize=True, a=np.zeros((0, 1)),
+    lp = LinearProgram(objective=np.array([1.0]), a=np.zeros((0, 1)),
                        b=np.zeros(0), lb=np.zeros(1), ub=np.full(1, np.inf))
     assert solve_lp(lp).status == UNBOUNDED
 
 
 @pytest.mark.parametrize(
-    "maximize, objective, upper, x3, value",
+    "objective, constant, upper, x3, value",
     [
-        (True, [-2.0, 0.0, 3.0], 4.0, 4.0, 16.5),
-        (False, [2.0, 0.0, -3.0], 4.0, 4.0, -11.5),
-        (True, [-2.0, 0.0, -3.0], np.inf, 1.0, 1.5),
-        (False, [2.0, 0.0, 3.0], np.inf, 1.0, 3.5),
+        ([-2.0, 0.0, 3.0], 2.5, 4.0, 4.0, 16.5),
+        # min 2 x1 - 3 x3 + 2.5, as max -2 x1 + 3 x3 - 2.5
+        ([-2.0, 0.0, 3.0], -2.5, 4.0, 4.0, 11.5),
+        ([-2.0, 0.0, -3.0], 2.5, np.inf, 1.0, 1.5),
+        # min 2 x1 + 3 x3 + 2.5, as max -2 x1 - 3 x3 - 2.5
+        ([-2.0, 0.0, -3.0], -2.5, np.inf, 1.0, -3.5),
     ],
     ids=["max-capped", "min-capped", "max-no-rows", "min-no-rows"],
 )
-def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
+def test_lp_box_only_bounded_optimum(objective, constant, upper, x3, value):
     """No constraint rows: each variable sits at the bound its objective term
     favours. Without an upper bound the problem has no rows at all."""
     lp = LinearProgram(
         objective=np.array(objective),
-        maximize=maximize,
         a=np.zeros((0, 3)),
         b=np.zeros(0),
         lb=np.array([-1.0, 0.5, 1.0]),
         ub=np.array([np.inf, np.inf, upper]),
-        objective_constant=2.5,
+        objective_constant=constant,
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
@@ -116,8 +115,9 @@ def test_lp_box_only_bounded_optimum(maximize, objective, upper, x3, value):
     ],
     ids=["ge-1", "eq-2", "le-minus-1", "le-1", "eq-0", "no-rows"],
 )
-@pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
-def test_lp_without_variables_honours_its_rows(rhs, status, maximize):
+# a minimized constant 2.5 is the maximized constant -2.5, negated
+@pytest.mark.parametrize("constant", [2.5, -2.5], ids=["max", "min"])
+def test_lp_without_variables_honours_its_rows(rhs, status, constant):
     """An LP with no variables reads each row as 0 <= rhs, a >= row as its
     negation and an == row as a <= and >= pair. A negative rhs (0 <= rhs
     fails at the slack basis) is not the form solve_lp takes and raises
@@ -126,12 +126,11 @@ def test_lp_without_variables_honours_its_rows(rhs, status, maximize):
     def build():
         return LinearProgram(
             objective=np.zeros(0),
-            maximize=maximize,
             a=np.zeros((len(rhs), 0)),
             b=np.array(rhs),
             lb=np.zeros(0),
             ub=np.zeros(0),
-            objective_constant=2.5,
+            objective_constant=constant,
         )
 
     if status is ValueError:
@@ -141,14 +140,13 @@ def test_lp_without_variables_honours_its_rows(rhs, status, maximize):
     res = solve_lp(build())
     assert res.status == status
     if status == OPTIMAL:
-        assert res.value == 2.5
+        assert res.value == constant
         assert res.x.shape == (0,)
 
 
 def test_lp_variable_upper_bounds():
     lp = LinearProgram(
         objective=np.array([1.0, 1.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0]]),
         b=np.array([10.0]),
         lb=np.array([0.0, 1.0]),
@@ -164,7 +162,6 @@ def test_lp_negative_lower_bounds():
     # max x with x >= -2, 1 <= y <= 2 and x + y <= 0 -> x = -1
     lp = LinearProgram(
         objective=np.array([1.0, 0.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0]]),
         b=np.array([0.0]),
         lb=np.array([-2.0, 1.0]),
@@ -187,16 +184,23 @@ def _random_rows(rng, n: int, m: int, lb: np.ndarray, scale: float = 1.0, margin
     return a, b
 
 
+def _either_sense(rng, n: int) -> np.ndarray:
+    """A random objective, negated in half the draws: a minimization
+    written as the maximization of its negation."""
+    objective = rng.normal(size=n)
+    return objective if rng.integers(0, 2) else -objective
+
+
 def test_lp_residual_certificate_on_random_problems():
     rng = np.random.default_rng(19)
     solved = 0
     for _ in range(120):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(1, 5))
-        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
+        objective = _either_sense(rng, n)
         a, b = _random_rows(rng, n, m, np.zeros(n))
         ub = [float(rng.uniform(0.5, 3.0)) for _ in range(n)]
-        lp = LinearProgram(objective, maximize, a, b, np.zeros(n), ub)
+        lp = LinearProgram(objective, a, b, np.zeros(n), ub)
         res = solve_lp(lp)
         if res.status != OPTIMAL:
             continue
@@ -244,8 +248,8 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
         lb, ub = np.array([(float(rng.uniform(-2.0, 0.0)),
                             np.inf if rng.random() < 0.3 else float(rng.uniform(0.5, 3.0)))
                            for _ in range(n)]).T
-        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
-        lp = LinearProgram(objective, maximize, *_random_rows(rng, n, m, lb, scale=5.0), lb, ub)
+        objective = _either_sense(rng, n)
+        lp = LinearProgram(objective, *_random_rows(rng, n, m, lb, scale=5.0), lb, ub)
         res = solve_lp(lp)
         if res.status != OPTIMAL:
             continue
@@ -271,7 +275,6 @@ def test_lp_gate_rejects_nan_answer(monkeypatch):
 def test_lp_deterministic_resolve():
     lp_args = dict(
         objective=np.array([1.0, 2.0, -1.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0, 1.0], [-2.0, 1.0, 0.0]]),
         b=np.array([5.0, 1.0]),
         lb=np.zeros(3),
@@ -285,8 +288,7 @@ def test_lp_deterministic_resolve():
 
 def _unit_box(n: int) -> LinearProgram:
     """No rows, every column in [0, 1]."""
-    return LinearProgram(np.zeros(n), True, np.zeros((0, n)), np.zeros(0), np.zeros(n),
-                         np.ones(n))
+    return LinearProgram(np.zeros(n), np.zeros((0, n)), np.zeros(0), np.zeros(n), np.ones(n))
 
 
 def test_lfp_matches_grid_search():
@@ -317,7 +319,7 @@ def test_lfp_random_against_dense_grid():
             numerator_constant=float(rng.uniform(-0.5, 0.5)),
             denominator=den,
             denominator_constant=den0,
-            lp=LinearProgram(np.zeros(n), True, np.ones((1, n)), [cap], np.zeros(n), np.ones(n)),
+            lp=LinearProgram(np.zeros(n), np.ones((1, n)), [cap], np.zeros(n), np.ones(n)),
         )
         res = solve_lfp(lfp)
         assert res.status == OPTIMAL
@@ -369,7 +371,7 @@ def _printed_cr_form():
     """build_cr_compute's printed form as a LinearProgram over its rows (an
     == budget as a <= and >= pair) and bounds."""
     printed = build_cr_compute(Instance(1.2, None, 3, 1.0, 2.0), {1, 2, 3})
-    return LinearProgram(printed.numerator, True, *le_arrays(printed.constraints, printed.bounds))
+    return LinearProgram(printed.numerator, *le_arrays(printed.constraints, printed.bounds))
 
 
 BOX3 = (np.zeros(2), np.full(2, 3.0))  # lb and ub of two columns in [0, 3]
@@ -379,23 +381,23 @@ BOX3 = (np.zeros(2), np.full(2, 3.0))  # lb and ub of two columns in [0, 3]
     "solve, outcome",
     [
         # x + y >= 1 as -x - y <= -1
-        (lambda: solve_lp(LinearProgram(np.ones(2), True, -np.ones((1, 2)), [-1.0], *BOX3)),
+        (lambda: solve_lp(LinearProgram(np.ones(2), -np.ones((1, 2)), [-1.0], *BOX3)),
          ValueError),
         # x + y == 1 as x + y <= 1 and -x - y <= -1
-        (lambda: solve_lp(LinearProgram(np.ones(2), True, [[1.0, 1.0], [-1.0, -1.0]],
+        (lambda: solve_lp(LinearProgram(np.ones(2), [[1.0, 1.0], [-1.0, -1.0]],
                                         [1.0, -1.0], *BOX3)), ValueError),
         # rhs 1 >= 0, but 1 - a.lb = -0.25
-        (lambda: solve_lp(LinearProgram(np.ones(2), False, np.ones((1, 2)), [1.0],
+        (lambda: solve_lp(LinearProgram(-np.ones(2), np.ones((1, 2)), [1.0],
                                         [0.5, 0.75], INF2)), ValueError),
         (lambda: solve_lp(_printed_cr_form()), ValueError),
-        (lambda: solve_lp(LinearProgram(np.ones(1), True, np.zeros((0, 1)), [],
+        (lambda: solve_lp(LinearProgram(np.ones(1), np.zeros((0, 1)), [],
                                         [1.0], [1.0 - 1e-9])).status, INFEASIBLE),
         # a has three columns, the objective two
-        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 3)), [1.0], *BOX3), ValueError),
-        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 2)), [1.0, 1.0], *BOX3),
+        (lambda: LinearProgram(np.ones(2), np.ones((1, 3)), [1.0], *BOX3), ValueError),
+        (lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [1.0, 1.0], *BOX3),
          ValueError),
-        (lambda: LinearProgram(np.ones(2), True, [[np.nan, 1.0]], [1.0], *BOX3), ValueError),
-        (lambda: LinearProgram(np.ones(2), True, np.ones((1, 2)), [np.nan], *BOX3), ValueError),
+        (lambda: LinearProgram(np.ones(2), [[np.nan, 1.0]], [1.0], *BOX3), ValueError),
+        (lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [np.nan], *BOX3), ValueError),
     ],
     ids=["ge-row", "eq-row", "negative-shifted-rhs", "printed-cr-form", "inverted-box",
          "a-shape", "b-shape", "nan-a", "nan-b"],
@@ -422,10 +424,10 @@ def _random_feasible_lps(seed: int, count: int):
     for _ in range(count):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
-        objective, maximize = rng.normal(size=n), bool(rng.integers(0, 2))
+        objective = _either_sense(rng, n)
         a, b = _random_rows(rng, n, m, np.zeros(n), margin=0.05)
         ub = [float(rng.uniform(0.5, 3.0)) for _ in range(n)]
-        lp = LinearProgram(objective, maximize, a, b, np.zeros(n), ub)
+        lp = LinearProgram(objective, a, b, np.zeros(n), ub)
         res = solve_lp(lp)
         if res.status == OPTIMAL:
             out.append((lp, res))
@@ -440,35 +442,39 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.basis, b.basis)
 
 
+def _fresh(lp):
+    """A new LinearProgram with lp's current data, so nothing is kept."""
+    return LinearProgram(lp.objective.copy(), lp.a, lp.b, lp.lb, lp.ub, lp.objective_constant)
+
+
+def _counting_pivots(monkeypatch):
+    """Patch _Tableau._pivot to record each pivot; returns the pivot list."""
+    real_pivot, pivots = lp_mod._Tableau._pivot, []
+
+    def counted(self, p, q):
+        pivots.append((p, q))
+        return real_pivot(self, p, q)
+
+    monkeypatch.setattr(lp_mod._Tableau, "_pivot", counted)
+    return pivots
+
+
 def test_lp_basis_reuse_matches_cold_under_perturbed_objective(monkeypatch):
-    """A re-solve handed the previous optimal basis returns the cold optimum of
-    the perturbed problem. Most hints are re-priced without a tableau; the
+    """A re-solve after the objective moved starts from the kept optimal
+    tableau and returns the cold optimum of the perturbed problem. Most
+    kept bases stay optimal and are re-priced with no pivot; the
     perturbation is large enough that a few are not."""
-    tableaus = []
-    real_tableau = lp_mod._Tableau
-
-    def counting_tableau(*args):
-        tableaus.append(1)
-        return real_tableau(*args)
-
-    monkeypatch.setattr(lp_mod, "_Tableau", counting_tableau)
+    pivots = _counting_pivots(monkeypatch)
     rng = np.random.default_rng(7)
     cases = _random_feasible_lps(41, 200)
     assert len(cases) >= 60
     repriced = 0
-    for lp, first in cases:
-        moved = LinearProgram(
-            objective=lp.objective + 3e-2 * rng.normal(size=lp.num_vars),
-            maximize=lp.maximize,
-            a=lp.a,
-            b=lp.b,
-            lb=lp.lb,
-            ub=lp.ub,
-        )
-        cold = solve_lp(moved)
-        before = len(tableaus)
-        warm = solve_lp(moved, basis=first.basis)
-        repriced += len(tableaus) == before
+    for lp, _first in cases:
+        lp.objective = lp.objective + 3e-2 * rng.normal(size=lp.num_vars)
+        cold = solve_lp(_fresh(lp))
+        before = len(pivots)
+        warm = solve_lp(lp)
+        repriced += len(pivots) == before
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
         assert warm.residual <= 1e-7
@@ -478,24 +484,23 @@ def test_lp_basis_reuse_matches_cold_under_perturbed_objective(monkeypatch):
 
 
 def test_lp_basis_reuse_moved_bound_still_certified():
-    """Moving a lower bound shifts the right-hand side, as the anytime
-    bisection's floor/pi bound does. Some old bases turn primal infeasible
-    and must fall through; the answer always matches the cold solve."""
+    """Lowering upper bounds through set_upper moves the right-hand side,
+    as the anytime bisection's U - floor/pi bound does. Some kept bases turn
+    primal infeasible and must fall through to the slack basis; the answer
+    always matches the cold solve."""
+    rng = np.random.default_rng(43)
+    fell_through = 0
     for lp, first in _random_feasible_lps(43, 120):
-        moved = LinearProgram(
-            objective=lp.objective,
-            maximize=lp.maximize,
-            a=lp.a,
-            b=lp.b,
-            lb=lp.lb + 0.05,
-            ub=lp.ub,
-        )
-        cold = solve_lp(moved)
-        warm = solve_lp(moved, basis=first.basis)
+        lp.set_upper(np.arange(lp.num_vars), float(rng.uniform(0.0, 0.5)))
+        primal = primal_feasible_values(lp, first.basis) is not None
+        cold = solve_lp(_fresh(lp))
+        warm = solve_lp(lp)
+        fell_through += not primal
         assert warm.status == cold.status
         if cold.status == OPTIMAL:
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             assert warm.residual <= 1e-7
+    assert fell_through >= 30
 
 
 def _textbook_lp():
@@ -503,7 +508,6 @@ def _textbook_lp():
     # x, y, s1, s2, and the optimal basis is {x, s2}
     return LinearProgram(
         objective=np.array([3.0, 2.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0], [1.0, 3.0]]),
         b=np.array([4.0, 6.0]),
         lb=np.zeros(2),
@@ -511,26 +515,12 @@ def _textbook_lp():
     )
 
 
-@pytest.mark.parametrize(
-    "basis",
-    [
-        np.array([0, 3, 2]),  # wrong length
-        np.array([0]),  # wrong length
-        np.array([0, 0]),  # duplicate index
-        np.array([0, 9]),  # index past the last column
-        np.array([-1, 0]),  # negative index
-        np.array([0.0, 3.0]),  # not integers
-        np.array([0, 2]),  # basic values x = 6, s1 = -2: primal infeasible
-        np.array([2, 3]),  # slack basis: feasible but not optimal
-    ],
-    ids=["long", "short", "duplicate", "out-of-range", "negative", "float",
-         "infeasible", "not-optimal"],
-)
-def test_lp_garbage_basis_gives_cold_result(basis):
-    lp = _textbook_lp()
-    cold = solve_lp(lp)
-    assert np.array_equal(np.sort(cold.basis), [0, 3])
-    _assert_same_result(solve_lp(lp, basis=basis), cold)
+def _assert_same_result(a, b):
+    assert a.status == b.status
+    assert a.value == b.value
+    assert np.array_equal(a.x, b.x)
+    assert a.residual == b.residual
+    assert np.array_equal(a.basis, b.basis)
 
 
 @pytest.mark.parametrize(
@@ -540,7 +530,6 @@ def test_lp_garbage_basis_gives_cold_result(basis):
         (
             LinearProgram(
                 objective=np.array([1.0, 2.0, 0.5]),
-                maximize=True,
                 a=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]),
                 b=np.array([5.0, 1.0]),
                 lb=np.zeros(3),
@@ -552,59 +541,49 @@ def test_lp_garbage_basis_gives_cold_result(basis):
     ids=["singular"],
 )
 def test_lp_unusable_basis_gives_cold_result(lp, basis):
-    cold = solve_lp(lp)
+    """A kept tableau labelled with a singular basis shows as drift (its
+    B^-1 is not that basis's), its dense re-solve finds no inverse, and the
+    solve starts from the slack basis: the answer is the cold one."""
+    cold = solve_lp(_fresh(lp))
     assert cold.status == OPTIMAL
-    _assert_same_result(solve_lp(lp, basis=basis), cold)
+    solve_lp(lp)
+    lp._form.tab.basis[:] = basis
+    _assert_same_result(solve_lp(lp), cold)
 
 
-def _primal_feasible_hint(lp, basis) -> bool:
-    """The basis is in range, nonsingular and primal feasible on the standard
-    form (basic values >= -1e-7), by the oracle's own dense solve."""
-    return primal_feasible_values(lp, basis) is not None
+def test_lp_resolve_of_unchanged_lp_pivots_zero_times(monkeypatch):
+    """Re-solving an LP whose data did not move re-prices the kept optimal
+    tableau: no pivot, no new tableau, and the first answer bit for bit."""
+    pivots = _counting_pivots(monkeypatch)
+    tableaus = _counting(monkeypatch, "_Tableau")
+    cases = _random_feasible_lps(49, 60)
+    assert pivots and len(cases) >= 20
+    pivots.clear()
+    tableaus.clear()
+    for lp, first in cases:
+        _assert_same_result(solve_lp(lp), first)
+    assert not pivots and not tableaus
 
 
-def test_lp_random_basis_gives_cold_result_unless_feasible():
-    """Random bases, some reaching past the last column: a malformed or
-    primal infeasible one gives exactly the cold result. From a primal
-    feasible one, such as the optimal basis under another objective, the
-    solve reaches the cold optimum."""
-    rng = np.random.default_rng(47)
-    feasible = 0
-    for lp, cold in _random_feasible_lps(45, 60):
-        m = len(cold.basis)
-        hints = [rng.permutation(np.arange(lp.num_vars + 2 * m))[:m] for _ in range(3)]
-        other = solve_lp(LinearProgram(rng.normal(size=lp.num_vars), lp.maximize,
-                                       lp.a, lp.b, lp.lb, lp.ub))
-        hints.append(other.basis)
-        for basis in hints:
-            res = solve_lp(lp, basis=basis)
-            if _primal_feasible_hint(lp, basis):
-                feasible += 1
-                assert res.status == OPTIMAL
-                assert res.value == pytest.approx(cold.value, abs=1e-9)
-                assert res.residual <= 1e-7
-            else:
-                _assert_same_result(res, cold)
-    assert feasible >= 20
-
-
-def _fresh(lp):
-    """A new LinearProgram with lp's current data, so nothing is kept."""
-    return LinearProgram(lp.objective.copy(), lp.maximize, lp.a, lp.b, lp.lb, lp.ub,
-                         lp.objective_constant)
+def _cold(lp):
+    """lp with the tableau its form keeps dropped, so that its next solve
+    starts from the slack basis on that form."""
+    lp._form.tab = None
+    return lp
 
 
 def test_lp_set_upper_resolve_matches_fresh_build():
     """Upper bounds moved through set_upper after a solve, then re-solved on
-    the kept standard form (cold, and hinted with the earlier basis): the
-    answer equals that of a new LinearProgram built with those bounds, bit
-    for bit. Inverting a box gives INFEASIBLE, as a new LP does, and so
-    does giving a column without an upper bound one."""
+    the kept standard form: from the slack basis, the answer equals that of
+    a new LinearProgram built with those bounds, bit for bit, and from the
+    kept tableau it matches it within 1e-9. Inverting a box gives
+    INFEASIBLE, as a new LP does, and so does giving a column without an
+    upper bound one."""
     rng = np.random.default_rng(53)
     cases = _random_feasible_lps(57, 120)
     assert len(cases) >= 40
     inverted = 0
-    for lp, first in cases:
+    for lp, _first in cases:
         n = lp.num_vars
         for _move in range(3):
             cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
@@ -615,17 +594,17 @@ def test_lp_set_upper_resolve_matches_fresh_build():
                 hi = float(rng.uniform(0.0, 3.0))
             lp.set_upper(cols, hi)
             assert lp.ub[cols].tolist() == [hi] * len(cols)
-            for basis in (None, first.basis):
-                moved, fresh = solve_lp(lp, basis=basis), solve_lp(_fresh(lp), basis=basis)
-                assert moved.status == fresh.status
-                if hi < 0.0:
-                    assert moved.status == INFEASIBLE
-                if fresh.status == OPTIMAL:
-                    _assert_same_result(moved, fresh)
+            fresh = solve_lp(_fresh(lp))
+            moved = solve_lp(lp)
+            assert moved.status == fresh.status
+            if hi < 0.0:
+                assert moved.status == INFEASIBLE
+            if fresh.status == OPTIMAL:
+                assert moved.value == pytest.approx(fresh.value, abs=1e-9)
+                _assert_same_result(solve_lp(_cold(lp)), fresh)
     assert inverted >= 10
     # a column that had no upper bound gains one
-    lp = LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 2.0]], [4.0], np.zeros(2),
-                       [np.inf, 3.0])
+    lp = LinearProgram(np.array([1.0, 1.0]), [[1.0, 2.0]], [4.0], np.zeros(2), [np.inf, 3.0])
     assert solve_lp(lp).value == pytest.approx(4.0)
     lp.set_upper([0], 1.5)
     _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
@@ -644,7 +623,7 @@ def test_lp_rejects_non_finite_objective(objective, constant):
     """A NaN objective used to pivot to the iteration cap, an infinite one to
     return OPTIMAL with value inf, and a NaN constant OPTIMAL with value nan."""
     with pytest.raises(ValueError, match="non-finite objective"):
-        LinearProgram(np.array(objective), True, [[1.0, 1.0]], [4.0], np.zeros(2), INF2,
+        LinearProgram(np.array(objective), [[1.0, 1.0]], [4.0], np.zeros(2), INF2,
                       objective_constant=constant)
 
 
@@ -659,19 +638,19 @@ def test_lp_rejects_non_finite_bound(lb, ub):
     bound of +inf marks a column with no upper bound; -inf, and any
     non-finite lower bound, is rejected."""
     with pytest.raises(ValueError, match="non-finite bound"):
-        LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 1.0]], [4.0], lb, ub)
+        LinearProgram(np.array([1.0, 1.0]), [[1.0, 1.0]], [4.0], lb, ub)
 
 
 @pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
 def test_lp_set_upper_rejects_non_finite(hi):
     """set_upper checks hi before it moves anything, on a solved LP."""
-    lp = LinearProgram(np.array([1.0, 1.0]), True, [[1.0, 2.0]], [4.0], np.zeros(2),
+    lp = LinearProgram(np.array([1.0, 1.0]), [[1.0, 2.0]], [4.0], np.zeros(2),
                        [2.0, 3.0])
     before = solve_lp(lp)
     with pytest.raises(ValueError, match="non-finite upper bound"):
         lp.set_upper([0], hi)
     assert lp.lb.tolist() == [0.0, 0.0] and lp.ub.tolist() == [2.0, 3.0]
-    _assert_same_result(solve_lp(lp, basis=before.basis), before)
+    _assert_same_result(solve_lp(lp), before)
 
 
 def _counting(monkeypatch, name):
@@ -688,8 +667,8 @@ def _counting(monkeypatch, name):
 
 def test_lp_drifted_tableau_is_refactorized(monkeypatch):
     """Noise written into a kept tableau shows in the refinement residual:
-    the next hinted solve drops that tableau, refactorizes B by one dense
-    solve, and answers as a cold solve does, bit for bit when the hint is
+    the next solve drops that tableau, refactorizes B by one dense solve,
+    and answers as a cold solve does, bit for bit when the kept basis is
     still optimal and to 1e-9 after pivoting under a moved objective."""
     factorized = _counting(monkeypatch, "_factorized")
     rng = np.random.default_rng(61)
@@ -702,7 +681,7 @@ def test_lp_drifted_tableau_is_refactorized(monkeypatch):
             if moved:
                 lp.objective = lp.objective + 3e-2 * rng.normal(size=lp.num_vars)
             before = len(factorized)
-            res = solve_lp(lp, basis=lp._form.tab.basis)
+            res = solve_lp(lp)
             assert len(factorized) == before + 1
             assert kept_tableau_gap(lp) <= 1e-9
             cold = solve_lp(_fresh(lp))
@@ -713,38 +692,3 @@ def test_lp_drifted_tableau_is_refactorized(monkeypatch):
                 _assert_same_result(res, first)
                 _assert_same_result(res, cold)
             first = res
-
-
-@pytest.mark.parametrize(
-    "malform",
-    [
-        lambda b: b.astype(float),
-        lambda b: b[:-1],
-        lambda b: np.append(b, b[0]),
-        lambda b: np.where(np.arange(len(b)) == 0, -1, b),
-        lambda b: np.where(np.arange(len(b)) == 0, 99, b),
-        lambda b: np.where(np.arange(len(b)) == 0, b[-1], b),
-    ],
-    ids=["float", "short", "long", "negative", "out-of-range", "duplicate"],
-)
-def test_lp_malformed_hint_never_reuses_the_tableau(monkeypatch, malform):
-    """A hint that is the kept basis malformed (float dtype, wrong length, an
-    index out of range, a repeated index) is rejected before any tableau is
-    read: the solve neither refactorizes nor re-prices the kept tableau, but
-    starts cold on a new one, and answers as a new LinearProgram does."""
-    tableaus = _counting(monkeypatch, "_Tableau")
-    factorized = _counting(monkeypatch, "_factorized")
-    lp = LinearProgram(
-        objective=np.array([1.0, 2.0, -1.0]),
-        maximize=True,
-        a=np.array([[1.0, 1.0, 1.0], [-2.0, 1.0, 0.0]]),
-        b=np.array([5.0, 1.0]),
-        lb=np.zeros(3),
-        ub=np.full(3, 4.0),
-    )
-    kept = solve_lp(lp).basis
-    before = len(tableaus)
-    res = solve_lp(lp, basis=malform(kept))
-    assert len(tableaus) == before + 1
-    assert not factorized
-    _assert_same_result(res, solve_lp(_fresh(lp)))

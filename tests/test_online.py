@@ -282,23 +282,28 @@ def _volatile_day(rate_limit, capacity_rate, day):
 def test_basis_reuse_keeps_trajectories_bit_identical(
     monkeypatch, rate_limit, capacity_rate, day, mode, monthly_peak
 ):
-    """Re-pricing the previous basis changes how each LP is solved, never the
-    certified ratios or the discharges: both must match a run whose LPs are
-    all solved cold."""
+    """Re-pricing the kept tableau changes how each LP is solved, never the
+    certified ratios or the discharges: both must match a run whose
+    solve_lp drops the LP's standard form before every solve, so that
+    every LP is solved cold."""
     inst, demand = _volatile_day(rate_limit, capacity_rate, day)
     options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
                             initial_ratio=optimal_cr(inst).pi_star)
-    hints = []
+    warm = []
 
-    def hinted_solve_lp(lp, basis=None):
-        hints.append(basis is not None)
-        return lp_mod.solve_lp(lp, basis=basis)
+    def warm_solve_lp(lp):
+        warm.append(lp._form is not None and lp._form.tab is not None)
+        return lp_mod.solve_lp(lp)
 
-    monkeypatch.setattr(online, "solve_lp", hinted_solve_lp)
+    def cold_solve_lp(lp):
+        lp._form = None
+        return lp_mod.solve_lp(lp)
+
+    monkeypatch.setattr(online, "solve_lp", warm_solve_lp)
     reused = run_anytime(inst, demand, options)
-    # the day must bisect, so that cutoffs are re-solved with a basis hint
-    assert sum(hints) >= 50
-    monkeypatch.setattr(online, "solve_lp", lambda lp, basis=None: lp_mod.solve_lp(lp))
+    # the day must bisect, so that cutoffs are re-solved from a kept tableau
+    assert sum(warm) >= 50
+    monkeypatch.setattr(online, "solve_lp", cold_solve_lp)
     cold = run_anytime(inst, demand, options)
     assert np.array_equal(reused.ratio_trajectory, cold.ratio_trajectory)
     assert np.array_equal(reused.schedule.values, cold.schedule.values)
@@ -316,7 +321,6 @@ def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
     monkeypatch.setattr(lp_mod, "_basic_values", sloppy_values)
     textbook = LinearProgram(
         objective=np.array([3.0, 2.0]),
-        maximize=True,
         a=np.array([[1.0, 1.0], [1.0, 3.0]]),
         b=np.array([4.0, 6.0]),
         lb=np.zeros(2),
@@ -431,9 +435,9 @@ def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
     view = online._slot_view(inst, state)
     solved = []
 
-    def recording_solve_lp(lp, basis=None):
+    def recording_solve_lp(lp):
         solved.append(lp)
-        return lp_mod.solve_lp(lp, basis=basis)
+        return lp_mod.solve_lp(lp)
 
     monkeypatch.setattr(online, "solve_lp", recording_solve_lp)
     got = online._future_requirement(view, 1.6, horizon, online._WarmStart())
@@ -529,10 +533,9 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
     real_carry, real_program = online.carry_basis, online.scenario_program
     carried, builds = [], []
 
-    def checked_carry(basis, old, new, at):
-        hint = real_carry(basis, old, new, at)
-        carried.append(primal_feasible_values(new, hint) is not None)
-        return hint
+    def checked_carry(old, new, at):
+        real_carry(old, new, at)
+        carried.append(primal_feasible_values(new, new._form.tab.basis) is not None)
 
     def counting_program(instance, prefix, k, x_lb, u_lb):
         builds.append((len(prefix), k))
@@ -559,16 +562,14 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
     real_solve_lp, real_carry = online.solve_lp, online.carry_basis
     gaps = {"kept": [], "carried": []}
 
-    def checked_solve_lp(lp, basis=None):
-        res = real_solve_lp(lp, basis=basis)
+    def checked_solve_lp(lp):
+        res = real_solve_lp(lp)
         gaps["kept"].append(kept_tableau_gap(lp))
         return res
 
-    def checked_carry(basis, old, new, at):
-        hint = real_carry(basis, old, new, at)
-        assert np.array_equal(new._form.tab.basis, hint)
+    def checked_carry(old, new, at):
+        real_carry(old, new, at)
         gaps["carried"].append(kept_tableau_gap(new))
-        return hint
 
     monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(online, "carry_basis", checked_carry)
@@ -595,8 +596,8 @@ def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
             work["matrix" if np.ndim(b) == 2 else "vector"] += 1
         return real_solve(a, b)
 
-    def counting_solve_lp(lp, basis=None):
-        res = real_solve_lp(lp, basis=basis)
+    def counting_solve_lp(lp):
+        res = real_solve_lp(lp)
         work["answers"] += res.status == OPTIMAL
         return res
 
@@ -714,8 +715,8 @@ def test_understated_closed_form_raises(monkeypatch):
     NumericalFailure is raised instead of an unconfirmed ratio."""
     real = online.parametric_range
 
-    def understated(lp, basis, cols, top, floor):
-        ranged = real(lp, basis, cols, top, floor)
+    def understated(lp, cols, top, floor):
+        ranged = real(lp, cols, top, floor)
         if ranged is None:
             return None
         a, b, c, lo, hi = ranged
@@ -743,8 +744,8 @@ def test_closed_form_at_the_budget_goes_to_the_lp(monkeypatch):
     binding = max(values, key=values.get)
     solved = []
 
-    def recording_solve_lp(lp, basis=None):
-        res = lp_mod.solve_lp(lp, basis=basis)
+    def recording_solve_lp(lp):
+        res = lp_mod.solve_lp(lp)
         solved.append((lp, res.value))
         return res
 
