@@ -2,8 +2,13 @@
 
 None of these carry a performance certificate; they exist to benchmark the
 ratio-pursuit policies on recorded and synthetic traces. All of them run
-causally and emit the same PolicyRun record as the certified policies, with
-an empty ratio trajectory.
+causally. Each policy is one kernel over an (N, T) matrix of days
+(threshold_actions, equal_discharge_actions, equal_ratio_actions,
+rhc_actions): it loops over the slots and decides slot t for every day at
+once, returning the (N, T) actions. baseline_runs turns a kernel's actions
+into one checked PolicyRun per day, the same record the certified
+policies emit, with an empty ratio trajectory; the per-day run_* functions
+are baseline_runs on one day.
 """
 
 from __future__ import annotations
@@ -59,33 +64,37 @@ class RhcConfig:
         return 0.5 * (instance.demand_lb + instance.demand_ub)
 
 
-def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -> PolicyRun:
-    """Discharge each slot down to the threshold until the storage runs out."""
+def _greedy_actions(instance: Instance, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Each slot discharges min(wanted, slot cap, remaining inventory), in
+    slot order; one row per day of the (N, T) matrices."""
+    limit = wanted if instance.rate_limit is None else np.minimum(wanted, instance.rate_limit)
+    limit = np.minimum(limit, values)
+    remaining = np.full(len(values), instance.capacity_c)
+    actions = np.empty_like(limit)
+    for t in range(values.shape[1]):
+        actions[:, t] = np.minimum(limit[:, t], remaining)
+        remaining -= actions[:, t]
+    return actions
+
+
+def threshold_actions(instance: Instance, values: np.ndarray, threshold: float) -> np.ndarray:
+    """Threshold policy on an (N, T) day matrix: each day discharges each slot
+    down to the threshold until its storage runs out."""
     if not threshold >= 0:  # written so that NaN is rejected too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    remaining = instance.capacity_c
-    actions = []
-    for d_t in demand.values:
-        delta = min(max(0.0, float(d_t) - threshold), instance.slot_cap(d_t), remaining)
-        actions.append(delta)
-        remaining -= delta
-    return PolicyRun.from_actions(instance, demand, actions)
+    return _greedy_actions(instance, values, np.maximum(0.0, values - threshold))
 
 
-def run_equal_discharge(instance: Instance, demand: DemandProfile) -> PolicyRun:
-    """Discharge the even split c/T each slot; unspent quota is not carried."""
+def equal_discharge_actions(instance: Instance, values: np.ndarray) -> np.ndarray:
+    """Equal-discharge policy on an (N, T) day matrix: the even split c/T each
+    slot; unspent quota is not carried."""
     quota = instance.capacity_c / instance.horizon_T
-    remaining = instance.capacity_c
-    actions = []
-    for d_t in demand.values:
-        delta = min(quota, instance.slot_cap(d_t), remaining)
-        actions.append(delta)
-        remaining -= delta
-    return PolicyRun.from_actions(instance, demand, actions)
+    return _greedy_actions(instance, values, np.full(values.shape, quota))
 
 
-def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: float) -> PolicyRun:
-    """Discharge a fixed fraction of each slot's demand.
+def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate: float) -> np.ndarray:
+    """Equal-ratio policy on an (N, T) day matrix: a fixed fraction of each
+    slot's demand.
 
     The fraction is the storage capacity rate: capacity over average total
     consumption, supplied by the caller (the experiment harness derives it
@@ -93,27 +102,70 @@ def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: fl
     """
     if not 0.0 <= capacity_rate <= 1.0:
         raise ValueError(f"capacity_rate must be within [0, 1], got {capacity_rate}")
-    remaining = instance.capacity_c
-    actions = []
-    for d_t in demand.values:
-        delta = min(capacity_rate * float(d_t), instance.slot_cap(d_t), remaining)
-        actions.append(delta)
-        remaining -= delta
-    return PolicyRun.from_actions(instance, demand, actions)
+    return _greedy_actions(instance, values, capacity_rate * values)
 
 
-def _window_first_action(instance: Instance, window: np.ndarray, budget: float) -> float:
-    """First slot of the exact offline solution on a window profile.
+def rhc_actions(
+    instance: Instance,
+    values: np.ndarray,
+    config: RhcConfig | None = None,
+    clairvoyant: bool = False,
+) -> np.ndarray:
+    """Receding horizon on an (N, T) day matrix: each slot solves its window
+    offline and commits the first action.
 
-    The window is granted the whole budget, capped at what its slots can
-    physically absorb so the water-fill stays defined; a cap of zero or a
-    nonpositive level simply discharges the first slot as far as allowed.
+    Slot t of every day sees the window [d_t, f, ..., f], where f is the
+    configured future view, truncated at the end of the horizon, and
+    optimizes it against that day's remaining inventory. The window is
+    granted the whole remaining inventory, capped at what its slots can
+    physically absorb so the water-fill stays defined. clairvoyant=True
+    replaces f with the true upcoming demands (a test mode: with window=T it
+    reproduces the offline optimum).
     """
-    caps = window if instance.rate_limit is None else np.minimum(window, instance.rate_limit)
-    spendable = min(budget, float(caps.sum()))
-    v = water_fill_threshold(window, spendable)
-    first = float(rate_corrected_cut(window, v, instance.rate_limit)[0])
-    return min(first, instance.slot_cap(float(window[0])), budget)
+    config = config or RhcConfig()
+    horizon = instance.horizon_T
+    window = config.resolve_window(horizon)
+    fill = config.future_value(instance)
+    rate = instance.rate_limit
+    remaining = np.full(len(values), instance.capacity_c)
+    actions = np.empty(values.shape)
+    for t in range(horizon):
+        length = min(window, horizon - t)
+        if clairvoyant:
+            win = values[:, t : t + length]
+        else:
+            win = np.full((len(values), length), fill)
+            win[:, 0] = values[:, t]
+        caps = win if rate is None else np.minimum(win, rate)
+        spendable = np.minimum(remaining, caps.sum(axis=1))
+        v = water_fill_threshold(win, spendable)
+        first = rate_corrected_cut(win, v, rate)[:, 0]
+        actions[:, t] = np.minimum(np.minimum(first, caps[:, 0]), remaining)
+        remaining -= actions[:, t]
+    return actions
+
+
+def baseline_runs(kernel, instance: Instance, demands, *args) -> list[PolicyRun]:
+    """One PolicyRun per day, in order: kernel(instance, values, *args) on the
+    matrix of the days' values, then each day's run (and the check of its
+    schedule) through PolicyRun.from_actions."""
+    actions = kernel(instance, np.array([d.values for d in demands]), *args)
+    return [PolicyRun.from_actions(instance, d, a) for d, a in zip(demands, actions)]
+
+
+def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -> PolicyRun:
+    """Discharge each slot down to the threshold until the storage runs out."""
+    return baseline_runs(threshold_actions, instance, [demand], threshold)[0]
+
+
+def run_equal_discharge(instance: Instance, demand: DemandProfile) -> PolicyRun:
+    """Discharge the even split c/T each slot; unspent quota is not carried."""
+    return baseline_runs(equal_discharge_actions, instance, [demand])[0]
+
+
+def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: float) -> PolicyRun:
+    """Discharge a fixed fraction (the storage capacity rate) of each slot's demand."""
+    return baseline_runs(equal_ratio_actions, instance, [demand], capacity_rate)[0]
 
 
 def run_rhc(
@@ -122,28 +174,5 @@ def run_rhc(
     config: RhcConfig | None = None,
     clairvoyant: bool = False,
 ) -> PolicyRun:
-    """Receding horizon: solve the window offline, commit the first action.
-
-    Each slot sees [d_t, f, ..., f] where f is the configured future view,
-    truncated at the end of the horizon, and optimizes it against the full
-    remaining inventory. clairvoyant=True replaces f with the true upcoming
-    demands (a test mode: with window=T it reproduces the offline optimum).
-    """
-    config = config or RhcConfig()
-    horizon = instance.horizon_T
-    window = config.resolve_window(horizon)
-    fill = config.future_value(instance)
-    values = demand.values
-    remaining = instance.capacity_c
-    actions = []
-    for t in range(horizon):
-        length = min(window, horizon - t)
-        if clairvoyant:
-            win = values[t : t + length].astype(float)
-        else:
-            win = np.full(length, fill)
-            win[0] = values[t]
-        delta = _window_first_action(instance, win, remaining)
-        actions.append(delta)
-        remaining -= delta
-    return PolicyRun.from_actions(instance, demand, actions)
+    """Receding horizon on one day: solve the window offline, commit the first action."""
+    return baseline_runs(rhc_actions, instance, [demand], config, clairvoyant)[0]

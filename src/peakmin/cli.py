@@ -148,7 +148,7 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
         ratio=args.ratio,
         window=args.window,
     )
-    return POLICY_RUNNERS[args.algo](instance, profile, settings)
+    return POLICY_RUNNERS[args.algo](instance, [profile], settings)[0]
 
 
 def _cmd_simulate(args) -> int:

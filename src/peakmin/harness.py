@@ -2,9 +2,13 @@
 
 Raw charging traces arrive as transactions (start time, duration, energy).
 ingest_trace slots them into per-day on-peak demand profiles at constant
-power. run_experiment replays a roster of policies over those days while
-sweeping the storage capacity, and folds the resulting peaks into report
-tables that render as plain text or plot-ready series rows.
+power, with every (transaction, calendar day) pair handled at once in
+integer-microsecond arrays. run_experiment replays a roster of policies
+over those days while sweeping the storage capacity, and folds the
+resulting peaks into report tables that render as plain text or
+plot-ready series rows. Each policy runs through POLICY_RUNNERS on the
+whole day set: a baseline makes one kernel call over the day matrix per
+capacity rate, a certified policy runs day by day.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, timedelta
 from typing import NamedTuple
 
 import numpy as np
@@ -24,11 +28,16 @@ from .baselines import (
     FUTURE_MIDPOINT,
     FUTURE_UPPER,
     RhcConfig,
-    run_equal_discharge,
-    run_equal_ratio,
-    run_rhc,
-    run_threshold,
+    baseline_runs,
+    equal_discharge_actions,
+    equal_ratio_actions,
+    rhc_actions,
+    threshold_actions,
 )
+
+# not called here (the baseline runners call the day-matrix kernels through
+# baseline_runs); the benchmark's tracer wraps these harness attributes by name
+from .baselines import run_equal_discharge, run_equal_ratio, run_rhc, run_threshold  # noqa: F401
 from .core import DemandProfile, Instance, validate_instance
 from .cr import optimal_cr
 from .errors import (
@@ -78,6 +87,7 @@ ALL_ALGORITHMS = (
 )
 
 _RATIO_ALGOS = frozenset({ALGO_FIXED, ALGO_ANYTIME, ALGO_ANYTIME_DEPLETE})
+_RHC_ALGOS = frozenset({ALGO_RHC_UPPER, ALGO_RHC_LOWER, ALGO_RHC_MID})
 
 # a purchase threshold given by the caller; experiments run it as
 # thr-offline-mean and thr-mid, with the threshold set per capacity rate
@@ -85,7 +95,7 @@ ALGO_THR = "thr"
 
 
 class RunSettings(NamedTuple):
-    """What a policy runner may read besides the instance and the day.
+    """What a policy runner may read besides the instance and the days.
 
     pi is the target ratio of the fixed policy and the initial ratio of the
     anytime ones (None computes the optimal competitive ratio); threshold,
@@ -99,41 +109,45 @@ class RunSettings(NamedTuple):
     window: int | None = None
 
 
-def _run_fixed(instance: Instance, profile: DemandProfile, settings: RunSettings):
+def _run_fixed(instance: Instance, profiles, settings: RunSettings):
     pi = optimal_cr(instance).pi_star if settings.pi is None else settings.pi
-    return run_pcr_pmd(instance, pi, profile)
+    return [run_pcr_pmd(instance, pi, profile) for profile in profiles]
 
 
 def _anytime_runner(mode: str):
-    return lambda instance, profile, settings: run_anytime(
-        instance, profile,
-        PolicyOptions(mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon),
-    )
+    return lambda instance, profiles, settings: [
+        run_anytime(instance, profile, PolicyOptions(
+            mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon,
+        ))
+        for profile in profiles
+    ]
 
 
 def _rhc_runner(future_view: str):
-    return lambda instance, profile, settings: run_rhc(
-        instance, profile, RhcConfig(settings.window, future_view)
+    return lambda instance, profiles, settings: baseline_runs(
+        rhc_actions, instance, profiles, RhcConfig(settings.window, future_view)
     )
 
 
-# Policy name -> runner(instance, profile, settings) -> PolicyRun, shared by
-# the experiment driver and `peakmin simulate` (whose --algo choices are
-# these names, in this order). Runners look the policy functions up in this
-# module when called, never at import, so patching or wrapping a module
-# attribute reaches every run.
+# Policy name -> runner(instance, profiles, settings) -> one PolicyRun per
+# profile, in order. The experiment driver passes every day of the set, and
+# `peakmin simulate` (whose --algo choices are these names, in this order)
+# its one profile. The certified policies run day by day; each baseline
+# calls its kernel once on the whole day matrix. Runners look the policy
+# functions up in this module when called, never at import, so patching or
+# wrapping a module attribute reaches every run.
 POLICY_RUNNERS = {
     ALGO_FIXED: _run_fixed,
     ALGO_ANYTIME: _anytime_runner(MODE_ANYTIME),
     ALGO_ANYTIME_DEPLETE: _anytime_runner(MODE_ANYTIME_DEPLETING),
-    ALGO_THR: lambda instance, profile, settings: run_threshold(
-        instance, profile, settings.threshold
+    ALGO_THR: lambda instance, profiles, settings: baseline_runs(
+        threshold_actions, instance, profiles, settings.threshold
     ),
-    ALGO_EQUAL_DISCHARGE: lambda instance, profile, settings: run_equal_discharge(
-        instance, profile
+    ALGO_EQUAL_DISCHARGE: lambda instance, profiles, settings: baseline_runs(
+        equal_discharge_actions, instance, profiles
     ),
-    ALGO_EQUAL_RATIO: lambda instance, profile, settings: run_equal_ratio(
-        instance, profile, settings.ratio
+    ALGO_EQUAL_RATIO: lambda instance, profiles, settings: baseline_runs(
+        equal_ratio_actions, instance, profiles, settings.ratio
     ),
     ALGO_RHC_UPPER: _rhc_runner(FUTURE_UPPER),
     ALGO_RHC_LOWER: _rhc_runner(FUTURE_LOWER),
@@ -402,6 +416,12 @@ def load_profile_set(path) -> DayProfileSet:
         return profile_set_from_json(fh.read())
 
 
+_MINUTE_US = 60_000_000
+_DAY_US = 24 * 60 * _MINUTE_US
+_US = timedelta(microseconds=1)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
 def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfileSet:
     """Slot transactions into per-day on-peak profiles at constant power.
 
@@ -410,6 +430,10 @@ def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfi
     the windows is conserved exactly. Days where some on-peak slot never
     receives energy are incomplete; they are dropped and logged rather than
     passed on as artificial zero demand.
+
+    Times are integer microseconds since 1970, as datetime arithmetic keeps
+    them, and every (transaction, calendar day it spans) pair is slotted at
+    once, one slot at a time. A slot's energy is summed in transaction order.
     """
     if config is None:
         config = SlottingConfig()
@@ -417,52 +441,51 @@ def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfi
     if not transactions:
         raise EmptyTrace("no transactions to ingest")
     horizon = config.horizon
-    open_min = _clock_minutes(config.on_peak_start)
-    window_open_time = time(hour=open_min // 60, minute=open_min % 60)
-    slot = timedelta(minutes=config.slot_minutes)
+    slot_us = config.slot_minutes * _MINUTE_US
+    start = np.array([t.start for t in transactions], dtype="datetime64[us]").astype(np.int64)
+    end = start + np.array([timedelta(minutes=t.duration_min) // _US for t in transactions])
+    # one pair per transaction and calendar day, from its start's date to its end's
+    first_day = start // _DAY_US
+    spans = end // _DAY_US - first_day + 1
+    txn = np.repeat(np.arange(len(transactions)), spans)
+    pair_day = first_day[txn] + np.arange(len(txn)) - (np.cumsum(spans) - spans)[txn]
+    days, day_of = np.unique(pair_day, return_inverse=True)
+    t0, t1 = start[txn], end[txn]
+    energy = np.array([t.energy_kwh for t in transactions])[txn]
+    duration = np.array([t.duration_min for t in transactions])[txn]
+    window_open = pair_day * _DAY_US + _clock_minutes(config.on_peak_start) * _MINUTE_US
 
-    buckets: dict[date, np.ndarray] = {}
-    for txn in transactions:
-        t0 = txn.start
-        t1 = t0 + timedelta(minutes=txn.duration_min)
-        day = t0.date()
-        while day <= t1.date():
-            window_open = datetime.combine(day, window_open_time)
-            for k in range(horizon):
-                s0 = window_open + k * slot
-                s1 = s0 + slot
-                overlap = (min(t1, s1) - max(t0, s0)).total_seconds() / 60.0
-                if overlap > 0:
-                    row = buckets.setdefault(day, np.zeros(horizon))
-                    row[k] += txn.energy_kwh * overlap / txn.duration_min
-            day = day + timedelta(days=1)
+    sums = np.zeros((horizon, len(days)))
+    touched = np.zeros(len(days), dtype=bool)  # a day some slot overlaps
+    for k in range(horizon):
+        s0 = window_open + k * slot_us
+        overlap = np.minimum(t1, s0 + slot_us) - np.maximum(t0, s0)
+        hit = overlap > 0
+        touched[day_of[hit]] = True
+        # seconds, then minutes, rounded as timedelta.total_seconds() / 60.0 rounds them
+        minutes = overlap[hit] / 1e6 / 60.0
+        np.add.at(sums[k], day_of[hit], energy[hit] * minutes / duration[hit])
 
-    kept_keys: list[str] = []
-    kept_rows: list[np.ndarray] = []
-    dropped: list[str] = []
-    for day in sorted(buckets):
-        row = buckets[day] * config.scale_factor
-        if (row <= 0).any():
-            dropped.append(day.isoformat())
-            continue
-        kept_keys.append(day.isoformat())
-        kept_rows.append(row)
-    if dropped:
+    keys = [date.fromordinal(_EPOCH_ORDINAL + int(d)).isoformat() for d in days[touched]]
+    rows = sums.T[touched] * config.scale_factor
+    incomplete = (rows <= 0).any(axis=1)
+    if incomplete.any():
+        dropped = [key for key, bad in zip(keys, incomplete) if bad]
         logger.info(
             "dropped %d day(s) with incomplete on-peak coverage: %s",
             len(dropped), ", ".join(dropped),
         )
-    if not kept_rows:
+    values = rows[~incomplete]
+    if not len(values):
         raise EmptyTrace("no day fully covers the on-peak window")
 
-    values = np.asarray(kept_rows)
     if config.demand_bounds is None:
         lb, ub = float(values.min()), float(values.max())
     else:
         lb, ub = config.demand_bounds
     return DayProfileSet(
-        day_keys=tuple(kept_keys),
-        day_values=tuple(tuple(float(x) for x in row) for row in kept_rows),
+        day_keys=tuple(key for key, bad in zip(keys, incomplete) if not bad),
+        day_values=values.tolist(),
         slot_minutes=config.slot_minutes,
         on_peak_start=config.on_peak_start,
         on_peak_end=config.on_peak_end,
@@ -733,7 +756,9 @@ class ExperimentConfig:
     Capacity rates are fractions of the day set's average daily energy.
     rate_limit_fraction, when given, caps the per-slot discharge at that
     fraction of demand_ub. monthly=True additionally threads the standing
-    monthly peak through the anytime policy, month by month.
+    monthly peak through the anytime policy, month by month. rhc_window is
+    the rhc policies' look-ahead (None for ceil(T/4)); with an rhc policy in
+    the roster it must not exceed the days' horizon.
     """
 
     profiles: DayProfileSet
@@ -763,7 +788,9 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive and finite")
         if not isinstance(self.monthly, bool):
             raise ValueError(f"monthly must be True or False, got {self.monthly!r}")
-        RhcConfig(self.rhc_window)  # raises unless the window is None or an integer >= 1
+        rhc = RhcConfig(self.rhc_window)  # raises unless the window is None or an integer >= 1
+        if _RHC_ALGOS.intersection(self.algorithms):
+            rhc.resolve_window(self.profiles.horizon)  # raises if it exceeds the horizon
 
 
 def _day_runs(
@@ -778,8 +805,7 @@ def _day_runs(
     elif algorithm == ALGO_THR_MID:
         algorithm = ALGO_THR
         settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
-    runner = POLICY_RUNNERS[algorithm]
-    return [runner(instance, prof, settings).final_peak for prof in profiles]
+    return [run.final_peak for run in POLICY_RUNNERS[algorithm](instance, profiles, settings)]
 
 
 def _threaded_month_peak(

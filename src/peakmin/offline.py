@@ -17,29 +17,38 @@ from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance
 from .errors import BudgetExceedsTotalDemand, InfeasibleSchedule, InvalidCmdWeights
 
 
-def water_fill_threshold(demands, budget: float):
+def water_fill_threshold(demands, budget):
     """Level v such that the total demand above v equals the budget.
 
     Exact sort-and-breakpoint evaluation (no bisection): over demands sorted
     descending with prefix sums S_k, v = max_k (S_k - budget)/k. A zero budget
     returns max(demands). Works along the last axis: a vector gives a float,
-    an (N, T) matrix one level per row. A NaN or infinite demand raises
-    ValueError.
+    an (N, T) matrix one level per row, against one budget for every row or
+    an array of N budgets, one per row. A NaN or infinite demand raises ValueError.
     """
     d = np.asarray(demands, dtype=float)
-    if not budget >= 0:  # written so that NaN is rejected too
+    per_row = isinstance(budget, np.ndarray)
+    # min propagates NaN, so this rejects a NaN budget too
+    if not (budget.min() if per_row else budget) >= 0:
         raise BudgetExceedsTotalDemand(f"budget must be >= 0, got {budget}")
     prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
     # the last prefix sums are the totals, and a NaN or infinite demand
     # makes them, and their sum, NaN or infinite
-    if not math.isfinite(prefix[-1] if d.ndim == 1 else prefix[:, -1].sum()):
-        raise ValueError("demands must be finite")
-    # a matrix is checked against its smallest total
-    total = prefix[-1] if d.ndim == 1 else prefix[:, -1].min()
-    if budget > 0 and budget > total + EPS_KWH:
-        raise BudgetExceedsTotalDemand(f"budget {budget} > total demand {total}")
+    if d.ndim == 1:
+        b, total = budget, prefix[-1]
+        if not math.isfinite(total):
+            raise ValueError("demands must be finite")
+    else:
+        totals = prefix[:, -1]
+        if not math.isfinite(totals.sum()):
+            raise ValueError("demands must be finite")
+        # checked at the row whose budget most exceeds its total
+        row = np.argmax(budget - totals) if per_row else np.argmin(totals)
+        b, total = (budget[row] if per_row else budget), totals[row]
+    if b > 0 and b > total + EPS_KWH:
+        raise BudgetExceedsTotalDemand(f"budget {b} > total demand {total}")
     k = np.arange(1, d.shape[-1] + 1, dtype=float)
-    v = ((prefix - budget) / k).max(axis=-1)
+    v = ((prefix - (budget[:, None] if per_row else budget)) / k).max(axis=-1)
     return float(v) if d.ndim == 1 else v
 
 

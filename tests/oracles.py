@@ -9,6 +9,12 @@ exceptions reuse package internals on purpose. cold_prefix_optimal_cr is
 optimal_cr's search without the tableau carried from prefix to prefix, and
 certified_ratio_lp_only is the anytime certificate's bisection with an LP
 answer for every cutoff at every step, no closed form read.
+
+The per-day references at the end are the loops the array code replaced:
+ingest_trace_loop slots one transaction, one calendar day and one slot at
+a time in datetime arithmetic, and the *_actions_loop functions run each
+baseline on one day, slot by slot, in Python floats (the receding horizon
+one window at a time through window_first_action).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 from functools import lru_cache
 
 import numpy as np
@@ -23,8 +30,14 @@ import numpy as np
 from peakmin import cr, online
 from peakmin.core import EPS_KWH, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, PeakMinError
+from peakmin.harness import DayProfileSet
 from peakmin.lp import solve_lfp
-from peakmin.offline import offline_peak, offline_peak_values
+from peakmin.offline import (
+    offline_peak,
+    offline_peak_values,
+    rate_corrected_cut,
+    water_fill_threshold,
+)
 
 _GRID_CAP = 2_000_000  # max enumerated profiles in phi_bruteforce
 
@@ -474,3 +487,94 @@ def kept_tableau_gap(lp) -> float:
     kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, form.start] @ form.rhs])
     fresh = np.linalg.solve(form.a[:, tab.basis], np.column_stack([form.a, form.rhs]))
     return float(np.abs(kept - fresh).max(initial=0.0))
+
+
+def ingest_trace_loop(transactions, config) -> DayProfileSet:
+    """ingest_trace one transaction, calendar day and slot at a time, in
+    datetime arithmetic; days where some slot gets nothing are dropped."""
+    horizon = config.horizon
+    window_open_time = datetime.strptime(config.on_peak_start, "%H:%M").time()
+    slot = timedelta(minutes=config.slot_minutes)
+    buckets = {}
+    for txn in transactions:
+        t0 = txn.start
+        t1 = t0 + timedelta(minutes=txn.duration_min)
+        day = t0.date()
+        while day <= t1.date():
+            window_open = datetime.combine(day, window_open_time)
+            for k in range(horizon):
+                s0 = window_open + k * slot
+                s1 = s0 + slot
+                overlap = (min(t1, s1) - max(t0, s0)).total_seconds() / 60.0
+                if overlap > 0:
+                    row = buckets.setdefault(day, np.zeros(horizon))
+                    row[k] += txn.energy_kwh * overlap / txn.duration_min
+            day = day + timedelta(days=1)
+    kept = {day: row * config.scale_factor for day, row in sorted(buckets.items())}
+    kept = {day: row for day, row in kept.items() if not (row <= 0).any()}
+    values = np.asarray(list(kept.values()))
+    lb, ub = config.demand_bounds or (float(values.min()), float(values.max()))
+    return DayProfileSet(
+        day_keys=tuple(day.isoformat() for day in kept),
+        day_values=tuple(tuple(float(x) for x in row) for row in values),
+        slot_minutes=config.slot_minutes,
+        on_peak_start=config.on_peak_start,
+        on_peak_end=config.on_peak_end,
+        scale_factor=config.scale_factor,
+        demand_lb=lb,
+        demand_ub=ub,
+        avg_daily_energy=float(values.sum(axis=1).mean()),
+    )
+
+
+def _greedy_actions_loop(instance, values, wanted) -> list:
+    remaining = instance.capacity_c
+    actions = []
+    for d_t, w_t in zip(values, wanted):
+        delta = min(w_t, instance.slot_cap(float(d_t)), remaining)
+        actions.append(delta)
+        remaining -= delta
+    return actions
+
+
+def threshold_actions_loop(instance, values, threshold: float) -> list:
+    return _greedy_actions_loop(instance, values, [max(0.0, float(d) - threshold) for d in values])
+
+
+def equal_discharge_actions_loop(instance, values) -> list:
+    return _greedy_actions_loop(instance, values, [instance.capacity_c / instance.horizon_T] * len(values))
+
+
+def equal_ratio_actions_loop(instance, values, capacity_rate: float) -> list:
+    return _greedy_actions_loop(instance, values, [capacity_rate * float(d) for d in values])
+
+
+def window_first_action(instance, window: np.ndarray, budget: float) -> float:
+    """First slot of the exact offline solution on a window profile, granted
+    the whole budget capped at what its slots can absorb."""
+    caps = window if instance.rate_limit is None else np.minimum(window, instance.rate_limit)
+    spendable = min(budget, float(caps.sum()))
+    v = water_fill_threshold(window, spendable)
+    first = float(rate_corrected_cut(window, v, instance.rate_limit)[0])
+    return min(first, instance.slot_cap(float(window[0])), budget)
+
+
+def rhc_actions_loop(instance, values, config, clairvoyant: bool = False) -> list:
+    """Receding horizon on one day: slot t solves [d_t, f, ..., f] (or the
+    true demands when clairvoyant) and commits the first action."""
+    horizon = instance.horizon_T
+    window = config.resolve_window(horizon)
+    fill = config.future_value(instance)
+    remaining = instance.capacity_c
+    actions = []
+    for t in range(horizon):
+        length = min(window, horizon - t)
+        if clairvoyant:
+            win = values[t : t + length].astype(float)
+        else:
+            win = np.full(length, fill)
+            win[0] = values[t]
+        delta = window_first_action(instance, win, remaining)
+        actions.append(delta)
+        remaining -= delta
+    return actions

@@ -10,15 +10,34 @@ from peakmin.baselines import (
     FUTURE_MIDPOINT,
     FUTURE_UPPER,
     RhcConfig,
+    equal_discharge_actions,
+    equal_ratio_actions,
+    rhc_actions,
     run_equal_discharge,
     run_equal_ratio,
     run_rhc,
     run_threshold,
+    threshold_actions,
 )
 from peakmin.core import DemandProfile, Instance
 from peakmin.offline import solve_offline_pmd
 
 from conftest import random_profiles
+from oracles import (
+    equal_discharge_actions_loop,
+    equal_ratio_actions_loop,
+    rhc_actions_loop,
+    threshold_actions_loop,
+)
+
+# (capacity, T, d_lb, d_ub) with and without a rate limit; T = 24 takes
+# windows longer than eight slots, where numpy sums a row pairwise
+_KERNEL_INSTANCES = [
+    Instance(capacity_c=cap, rate_limit=rate, horizon_T=T, demand_lb=lb, demand_ub=ub)
+    for cap, T, lb, ub in ((1.0, 2, 1.0, 2.0), (4.5, 6, 1.0, 2.5), (600.0, 20, 100.0, 400.0),
+                           (900.0, 24, 50.0, 300.0))
+    for rate in (None, 0.35 * ub)
+]
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +245,37 @@ def test_all_baselines_emit_feasible_schedules():
                 assert run.final_peak == pytest.approx(
                     float((demand.values - run.schedule.values).max())
                 )
+
+
+@pytest.mark.parametrize("instance", _KERNEL_INSTANCES,
+                         ids=lambda i: f"T{i.horizon_T}-rate{i.rate_limit}")
+def test_kernels_match_per_day_loops_bit_for_bit(instance):
+    """Each day-matrix kernel gives every day exactly the actions of the
+    per-day slot loop it replaced, for every future view, window length and
+    the clairvoyant mode."""
+    values = random_profiles(instance, 40, seed=instance.horizon_T)
+    mid = 0.5 * (instance.demand_lb + instance.demand_ub)
+    T = instance.horizon_T
+    cases = [
+        (threshold_actions(instance, values, mid),
+         lambda row: threshold_actions_loop(instance, row, mid)),
+        (threshold_actions(instance, values, 0.0),
+         lambda row: threshold_actions_loop(instance, row, 0.0)),
+        (equal_discharge_actions(instance, values),
+         lambda row: equal_discharge_actions_loop(instance, row)),
+        (equal_ratio_actions(instance, values, 0.3),
+         lambda row: equal_ratio_actions_loop(instance, row, 0.3)),
+    ]
+    for view in (FUTURE_UPPER, FUTURE_LOWER, FUTURE_MIDPOINT):
+        for window in dict.fromkeys((None, 1, 2, T)):
+            config = RhcConfig(window, view)
+            for clairvoyant in (False, True):
+                cases.append((
+                    rhc_actions(instance, values, config, clairvoyant),
+                    lambda row, c=config, k=clairvoyant: rhc_actions_loop(instance, row, c, k),
+                ))
+    for got, loop in cases:
+        assert got.shape == values.shape
+        for row, actions in zip(values, got):
+            assert actions.tolist() == loop(row)
+

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import peakmin.cli as cli
 from peakmin.cli import main, read_demand_file
 from peakmin.errors import MalformedRecord
+from peakmin.harness import save_profile_set, synthetic_uniform_profiles
 
 from conftest import DHAT
 
@@ -292,6 +294,29 @@ def test_experiment_config_errors(capsys, tmp_path):
             "experiment", "--config", str(config), "--output-dir", str(tmp_path / "o"),
         ])
         assert code == 2 and err.startswith("MalformedRecord") and repr(key) in err, (key, err)
+
+
+def test_experiment_rejects_rhc_window_past_horizon(capsys, monkeypatch, tmp_path):
+    """An rhc_window longer than the days exits 2 before the experiment
+    starts (it used to run fixed and anytime first), and writes no output."""
+
+    def no_run(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    save_profile_set(synthetic_uniform_profiles(3, 8, 1.0, 2.0, seed=1), tmp_path / "days.json")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "profiles": "days.json", "algorithms": ["fixed", "anytime", "rhc-mid"],
+        "capacity_rates": [0.1], "rhc_window": 9,
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, [
+        "experiment", "--config", str(config), "--output-dir", str(out_dir),
+    ])
+    assert code == 2 and out == ""
+    assert err == "ValueError: window 9 exceeds horizon 8\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ driver."""
 
 import json
 import logging
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -38,6 +38,8 @@ from peakmin.harness import (
     synthetic_uniform_profiles,
     synthetic_volatile_profiles,
 )
+
+from oracles import ingest_trace_loop
 
 
 def txn(start: str, duration_min: float, energy_kwh: float) -> TraceTransaction:
@@ -121,6 +123,56 @@ def test_ingest_scale_factor_and_bounds_override():
     ps = ingest_trace([txn("2024-05-06 12:00", 60, 6.0)], config)
     assert ps.day_values[0] == pytest.approx([6.0, 6.0])
     assert (ps.demand_lb, ps.demand_ub) == (1.0, 20.0)
+
+
+def _awkward_trace(seed: int) -> list[TraceTransaction]:
+    """Five days of sessions: a fleet that covers every window below (from
+    11:00 to 05:00 the next morning), plus sessions that cross midnight,
+    span several days, end exactly on a slot edge or at midnight, carry
+    zero energy, or start on a fractional second."""
+    rng = np.random.default_rng(seed)
+    first = datetime(2024, 2, 27)  # the set crosses the end of February
+    rows = [TraceTransaction(first + timedelta(days=d, hours=11), 1080.0, 30.0 + d)
+            for d in range(5) for _ in range(2)]
+    for _ in range(120):
+        day = first + timedelta(days=int(rng.integers(0, 5)))
+        kind = int(rng.integers(0, 6))
+        if kind == 0:  # crosses midnight
+            start = day + timedelta(hours=22, minutes=float(rng.uniform(0, 110)))
+            minutes = float(rng.uniform(30, 900))
+        elif kind == 1:  # spans several days
+            start = day + timedelta(minutes=float(rng.uniform(0, 1440)))
+            minutes = float(rng.uniform(1440, 4500))
+        elif kind == 2:  # starts and ends on a 15-minute edge
+            start = day + timedelta(hours=int(rng.integers(10, 17)),
+                                    minutes=15 * int(rng.integers(0, 4)))
+            minutes = 15.0 * int(rng.integers(1, 40))
+        elif kind == 3:  # ends exactly at midnight
+            start = day + timedelta(hours=int(rng.integers(12, 23)))
+            minutes = (day + timedelta(days=1) - start).total_seconds() / 60
+        else:  # any start (to the microsecond) and a fractional length
+            start = day + timedelta(seconds=float(rng.uniform(8, 20) * 3600))
+            minutes = round(float(rng.uniform(0.5, 300)), int(rng.integers(0, 4)))
+        energy = 0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 60)), 4)
+        rows.append(TraceTransaction(start, minutes, energy))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("config", [
+    SlottingConfig(),
+    SlottingConfig(slot_minutes=7, on_peak_start="22:00", on_peak_end="23:45"),
+    SlottingConfig(slot_minutes=30, on_peak_start="00:00", on_peak_end="04:00"),
+    SlottingConfig(slot_minutes=1, on_peak_start="16:50", on_peak_end="17:05",
+                   scale_factor=0.25, demand_bounds=(1e-6, 500.0)),
+], ids=["default", "late-7min", "midnight-30min", "minute-scaled"])
+def test_array_ingest_matches_slot_loop_byte_for_byte(seed, config):
+    """ingest_trace writes the same JSON, byte for byte, as slotting one
+    transaction, calendar day and slot at a time in datetime arithmetic."""
+    rows = _awkward_trace(seed)
+    got = ingest_trace(rows, config)
+    assert got.num_days >= 4
+    assert profile_set_to_json(got) == profile_set_to_json(ingest_trace_loop(rows, config))
 
 
 def test_parse_transactions_reports_line_numbers():
@@ -427,6 +479,18 @@ def test_experiment_config_validation():
         ExperimentConfig(profiles=ps, capacity_rates=())
     with pytest.raises(ValueError):
         ExperimentConfig(profiles=ps, epsilon=0.0)
+
+
+def test_experiment_config_rejects_rhc_window_past_horizon():
+    """A window longer than the days is refused at construction when the
+    roster holds an rhc policy; run_experiment used to run every policy
+    ahead of rhc-mid first and only then raise."""
+    ps = synthetic_uniform_profiles(3, 8, 1.0, 2.0, seed=1)
+    roster = (ALGO_FIXED, ALGO_ANYTIME, "rhc-mid")
+    with pytest.raises(ValueError, match="window 9 exceeds horizon 8"):
+        ExperimentConfig(profiles=ps, algorithms=roster, rhc_window=9)
+    ExperimentConfig(profiles=ps, algorithms=roster, rhc_window=8)
+    ExperimentConfig(profiles=ps, algorithms=(ALGO_FIXED,), rhc_window=9)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Offline optimum: water-fill closed form against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,8 @@ def test_water_fill_matches_bisection_oracle():
 
 
 def test_water_fill_rows_matches_scalar():
-    """An (N, T) matrix gives each row's level, bit for bit."""
+    """An (N, T) matrix gives each row's level, bit for bit, against one
+    budget for all rows or one budget per row."""
     rng = np.random.default_rng(3)
     rows = rng.uniform(1.0, 4.0, (50, 6))
     got = water_fill_threshold(rows, 2.0)
@@ -74,6 +77,20 @@ def test_water_fill_rows_matches_scalar():
     assert got.tolist() == want
     with pytest.raises(BudgetExceedsTotalDemand):
         water_fill_threshold(np.array([[3.0, 3.0], [1.0, 0.5]]), 2.0)
+    # one budget per row, zero and whole-row totals included
+    budgets = rng.uniform(0.0, 6.0, 50)
+    budgets[:2] = 0.0, rows[1].sum()
+    got = water_fill_threshold(rows, budgets)
+    assert got.tolist() == [water_fill_threshold(r, b) for r, b in zip(rows, budgets)]
+    # a NaN or negative entry, or a row budget above that row's total, raises
+    # as the one-row form does, even when every other row is fine
+    pair = np.array([[3.0, 3.0], [1.0, 0.5]])
+    for budgets, row in (([1.0, math.nan], 1), ([-0.1, 1.0], 0), ([2.0, 2.0], 1)):
+        with pytest.raises(BudgetExceedsTotalDemand):
+            water_fill_threshold(pair[row], budgets[row])
+        with pytest.raises(BudgetExceedsTotalDemand):
+            water_fill_threshold(pair, np.array(budgets))
+    assert water_fill_threshold(pair, np.array([6.0, 1.5])).tolist() == [0.0, 0.0]
 
 
 def test_offline_peak_values_rows_match_scalar():

@@ -13,9 +13,14 @@ from the parent, since both sides would then run the same code. Every run is
 reported. The result is written, after each pair, to BENCH_<number>.json at
 the root of the working tree: per workload and end-to-end metric (as
 BENCHMARK.json lists them) the parent's median and quartiles, the change's
-median, their ratio, and the pairs the change wins and ties, over the
-non-held-out seeds; the held-out seed's values on each side; and every
-run's result line.
+median, their ratio, the pairs the change wins and ties, and whether the
+gain rule is met, over the non-held-out seeds; the held-out seed's values
+on each side; and every run's result line. After each pair it prints the
+change/parent ratio of every end-to-end metric.
+
+The gain rule: the change wins at least 9 in 10 of the pairs, and its
+median is better than the parent's by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 1001
 HELD_OUT_SEED = 9001
+GAIN_WIN_SHARE = 0.9
 
 
 def export_commit(rev: str, into: Path) -> str:
@@ -68,22 +74,34 @@ def summarize(runs: list, held_out: int, metrics: list) -> tuple[dict, dict]:
                     for side in ("parent", "change"))
             if p:
                 q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0],) * 3
+                p_med, c_med = statistics.median(p), statistics.median(c)
+                wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+                gap = p_med - c_med if lower else c_med - p_med
                 summary[workload][name] = {
                     "pairs": len(p),
-                    "parent_median": statistics.median(p),
+                    "parent_median": p_med,
                     "parent_q1": q1,
                     "parent_q3": q3,
-                    "change_median": statistics.median(c),
-                    "change_over_parent": (statistics.median(c) / statistics.median(p)
-                                           if statistics.median(p) else None),
-                    "change_wins": sum((b < a) if lower else (b > a) for a, b in zip(p, c)),
+                    "change_median": c_med,
+                    "change_over_parent": c_med / p_med if p_med else None,
+                    "change_wins": wins,
                     "ties": sum(a == b for a, b in zip(p, c)),
+                    "gain_rule_met": wins >= GAIN_WIN_SHARE * len(p) and gap > q3 - q1,
                 }
             for r in mine:
                 if r["seed"] == held_out:
                     held[workload][name] = {side: r[side]["metrics"][name]["value"]
                                             for side in ("parent", "change")}
     return summary, held
+
+
+def pair_ratios(run: dict, metrics: list) -> str:
+    """Each end-to-end metric's change/parent ratio in one pair, as text."""
+    parts = []
+    for spec in metrics:
+        p, c = (run[side]["metrics"][spec["name"]]["value"] for side in ("parent", "change"))
+        parts.append(f"{spec['name']} {c / p:.4g}" if p else f"{spec['name']} -")
+    return ", ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -141,9 +159,8 @@ def main(argv=None) -> int:
                 report["summary_excluding_held_out"], report["held_out"] = summarize(
                     report["runs"], HELD_OUT_SEED, metrics)
                 out.write_text(json.dumps(report, indent=1) + "\n")
-                print(f"{workload} seed {seed}: item_s parent "
-                      f"{run['parent']['metrics']['item_s']['value']:.4g}, change "
-                      f"{run['change']['metrics']['item_s']['value']:.4g}", flush=True)
+                print(f"{workload} seed {seed} change/parent: {pair_ratios(run, metrics)}",
+                      flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
