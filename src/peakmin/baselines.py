@@ -5,10 +5,11 @@ ratio-pursuit policies on recorded and synthetic traces. All of them run
 causally. Each policy is one kernel over an (N, T) matrix of days
 (threshold_actions, equal_discharge_actions, equal_ratio_actions,
 rhc_actions): it loops over the slots and decides slot t for every day at
-once, returning the (N, T) actions. baseline_runs turns a kernel's actions
-into one checked PolicyRun per day, the same record the certified
-policies emit, with an empty ratio trajectory; the per-day run_* functions
-are baseline_runs on one day.
+once, returning the (N, T) actions. baseline_peaks checks a kernel's
+action matrix in one call (core.check_schedules, the check DischargeSchedule
+makes on one row) and returns each day's final peak. The per-day run_*
+functions run a kernel on one day and return its PolicyRun, the same record
+the certified policies emit, with an empty ratio trajectory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DemandProfile, Instance
+from .core import DemandProfile, Instance, check_schedules
 from .offline import rate_corrected_cut, water_fill_threshold
 from .online import PolicyRun
 
@@ -27,6 +28,12 @@ FUTURE_UPPER = "upper_bound"
 FUTURE_LOWER = "lower_bound"
 FUTURE_MIDPOINT = "midpoint"
 _FUTURE_VIEWS = (FUTURE_UPPER, FUTURE_LOWER, FUTURE_MIDPOINT)
+
+
+def is_window(value) -> bool:
+    """A look-ahead RhcConfig takes: None, or an integer >= 1 that is no bool."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return value is None or (integral and value >= 1)
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,7 @@ class RhcConfig:
     future_view: str = FUTURE_MIDPOINT
 
     def __post_init__(self):
-        if self.window is not None and (isinstance(self.window, bool) or not isinstance(
-                self.window, numbers.Integral) or self.window < 1):
+        if not is_window(self.window):
             raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
         if self.future_view not in _FUTURE_VIEWS:
             raise ValueError(
@@ -145,27 +151,32 @@ def rhc_actions(
     return actions
 
 
-def baseline_runs(kernel, instance: Instance, demands, *args) -> list[PolicyRun]:
-    """One PolicyRun per day, in order: kernel(instance, values, *args) on the
-    matrix of the days' values, then each day's run (and the check of its
-    schedule) through PolicyRun.from_actions."""
-    actions = kernel(instance, np.array([d.values for d in demands]), *args)
-    return [PolicyRun.from_actions(instance, d, a) for d, a in zip(demands, actions)]
+def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args):
+    """kernel(instance, values, *args) on an (N, T) day matrix: its (N, T)
+    actions, checked in one call, and each day's final peak max_t(d_t - delta_t),
+    as PolicyRun.from_actions takes it from the actions as given."""
+    actions = kernel(instance, values, *args)
+    check_schedules(instance, values, actions)
+    return actions, (values - actions).max(axis=1)
+
+
+def _day_run(kernel, instance: Instance, demand: DemandProfile, *args) -> PolicyRun:
+    return PolicyRun.from_actions(instance, demand, kernel(instance, demand.values[None], *args)[0])
 
 
 def run_threshold(instance: Instance, demand: DemandProfile, threshold: float) -> PolicyRun:
     """Discharge each slot down to the threshold until the storage runs out."""
-    return baseline_runs(threshold_actions, instance, [demand], threshold)[0]
+    return _day_run(threshold_actions, instance, demand, threshold)
 
 
 def run_equal_discharge(instance: Instance, demand: DemandProfile) -> PolicyRun:
     """Discharge the even split c/T each slot; unspent quota is not carried."""
-    return baseline_runs(equal_discharge_actions, instance, [demand])[0]
+    return _day_run(equal_discharge_actions, instance, demand)
 
 
 def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: float) -> PolicyRun:
     """Discharge a fixed fraction (the storage capacity rate) of each slot's demand."""
-    return baseline_runs(equal_ratio_actions, instance, [demand], capacity_rate)[0]
+    return _day_run(equal_ratio_actions, instance, demand, capacity_rate)
 
 
 def run_rhc(
@@ -175,4 +186,4 @@ def run_rhc(
     clairvoyant: bool = False,
 ) -> PolicyRun:
     """Receding horizon on one day: solve the window offline, commit the first action."""
-    return baseline_runs(rhc_actions, instance, [demand], config, clairvoyant)[0]
+    return _day_run(rhc_actions, instance, demand, config, clairvoyant)

@@ -28,6 +28,7 @@ from .harness import (
     _RATIO_ALGOS,
     ALGO_EQUAL_RATIO,
     ALGO_THR,
+    EXPERIMENT_FIELDS,
     POLICY_RUNNERS,
     ExperimentConfig,
     RunSettings,
@@ -148,7 +149,7 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
         ratio=args.ratio,
         window=args.window,
     )
-    return POLICY_RUNNERS[args.algo](instance, [profile], settings)[0]
+    return POLICY_RUNNERS[args.algo](instance, [profile], settings).run(0)
 
 
 def _cmd_simulate(args) -> int:
@@ -190,23 +191,8 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # each experiment config key: the check its JSON value must pass, and what it expects
-_CONFIG_KEYS = {
-    "profiles": (lambda v: isinstance(v, str), "a path"),
-    "algorithms": (lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
-                   "a list of algorithm names"),
-    "capacity_rates": (lambda v: isinstance(v, list) and all(map(_number, v)),
-                       "a list of numbers"),
-    "rate_limit_fraction": (lambda v: v is None or _number(v), "a number or null"),
-    "monthly": (lambda v: isinstance(v, bool), "true or false"),
-    "epsilon": (_number, "a number"),
-    "rhc_window": (lambda v: v is None or (isinstance(v, int) and not isinstance(v, bool)),
-                   "an integer or null"),
-}
+_CONFIG_KEYS = {"profiles": (lambda v: isinstance(v, str), "a path"), **EXPERIMENT_FIELDS}
 
 
 def _cmd_experiment(args) -> int:
@@ -228,15 +214,8 @@ def _cmd_experiment(args) -> int:
     if not profiles_path.is_absolute():
         profiles_path = config_path.parent / profiles_path
     profiles = load_profile_set(profiles_path)
-    config = ExperimentConfig(
-        profiles=profiles,
-        algorithms=tuple(raw.get("algorithms", ("fixed", "anytime", "anytime-deplete"))),
-        capacity_rates=tuple(raw.get("capacity_rates", (0.1, 0.2, 0.3, 0.4, 0.5))),
-        rate_limit_fraction=raw.get("rate_limit_fraction"),
-        monthly=raw.get("monthly", False),
-        epsilon=float(raw.get("epsilon", 1e-4)),
-        rhc_window=raw.get("rhc_window"),
-    )
+    # every key but "profiles" is an ExperimentConfig field, checked above
+    config = ExperimentConfig(profiles=profiles, **{k: v for k, v in raw.items() if k != "profiles"})
     report = run_experiment(config)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -128,28 +128,42 @@ class DemandProfile:
         return f"DemandProfile({self.values.tolist()})"
 
 
+def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Raise InfeasibleSchedule unless no discharge is negative or NaN, none
+    exceeds min(rate_limit, d_t) and the total is at most capacity_c; return
+    the actions clipped at 0. On an (N, T) matrix the first bad row is named
+    as DischargeSchedule would name it alone."""
+    if actions.shape[-1] != instance.horizon_T:
+        raise InfeasibleSchedule(
+            f"schedule length {actions.shape[-1]} != horizon_T {instance.horizon_T}"
+        )
+    caps = demands if instance.rate_limit is None else np.minimum(demands, instance.rate_limit)
+    rows = actions.reshape(-1, instance.horizon_T)
+    totals = rows.sum(axis=1)
+    # every check is written so that a NaN fails it
+    negative = ~(rows >= -EPS_KWH).all(axis=1)
+    over_cap = ~(actions <= caps + EPS_KWH).reshape(rows.shape).all(axis=1)
+    overdrawn = ~(totals <= instance.capacity_c + EPS_KWH)
+    bad = negative | over_cap | overdrawn
+    if bad.any():
+        i = int(bad.argmax())
+        if negative[i]:
+            raise InfeasibleSchedule(f"negative or NaN discharge: {rows[i].min()}")
+        if over_cap[i]:
+            raise InfeasibleSchedule("discharge exceeds min(rate_limit, d_t) in some slot")
+        raise InfeasibleSchedule(
+            f"total discharge {totals[i]} exceeds capacity {instance.capacity_c}"
+        )
+    return np.clip(actions, 0.0, None)
+
+
 class DischargeSchedule:
     """Length-T vector of discharge decisions, feasibility-checked on construction."""
 
     __slots__ = ("values",)
 
     def __init__(self, instance: Instance, demand: DemandProfile, values):
-        arr = _as_float_vector(values)
-        if len(arr) != instance.horizon_T:
-            raise InfeasibleSchedule(
-                f"schedule length {len(arr)} != horizon_T {instance.horizon_T}"
-            )
-        # every check is written so that a NaN fails it
-        if not (arr >= -EPS_KWH).all():
-            raise InfeasibleSchedule(f"negative or NaN discharge: {arr.min()}")
-        caps = np.minimum(demand.values, instance.rate_limit) if instance.rate_limit is not None else demand.values
-        if not (arr <= caps + EPS_KWH).all():
-            raise InfeasibleSchedule("discharge exceeds min(rate_limit, d_t) in some slot")
-        if not arr.sum() <= instance.capacity_c + EPS_KWH:
-            raise InfeasibleSchedule(
-                f"total discharge {arr.sum()} exceeds capacity {instance.capacity_c}"
-            )
-        arr = np.clip(arr, 0.0, None)
+        arr = check_schedules(instance, demand.values, _as_float_vector(values))
         arr.flags.writeable = False
         self.values = arr
 

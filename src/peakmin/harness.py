@@ -1,14 +1,17 @@
 """Trace ingestion, synthetic day generators, and the experiment driver.
 
-Raw charging traces arrive as transactions (start time, duration, energy).
-ingest_trace slots them into per-day on-peak demand profiles at constant
-power, with every (transaction, calendar day) pair handled at once in
-integer-microsecond arrays. run_experiment replays a roster of policies
-over those days while sweeping the storage capacity, and folds the
-resulting peaks into report tables that render as plain text or
-plot-ready series rows. Each policy runs through POLICY_RUNNERS on the
-whole day set: a baseline makes one kernel call over the day matrix per
-capacity rate, a certified policy runs day by day.
+Raw charging traces arrive as CSV transactions (start time, duration,
+energy). parse_transactions reads them into TraceColumns, integer
+microsecond starts and lengths beside the two float fields, checking every
+row rule on whole columns. ingest_trace slots the columns into per-day
+on-peak demand profiles at constant power, with every (transaction,
+calendar day) pair handled at once. run_experiment replays a roster of
+policies over those days while sweeping the storage capacity, and folds
+the resulting peaks into report tables that render as plain text or
+plot-ready series rows. The offline peaks of a capacity rate come from one
+matrix call, and each policy runs through POLICY_RUNNERS on the whole day
+set: a baseline makes one kernel call and one schedule check over the day
+matrix, a certified policy runs day by day.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,15 +31,17 @@ from .baselines import (
     FUTURE_MIDPOINT,
     FUTURE_UPPER,
     RhcConfig,
-    baseline_runs,
+    baseline_peaks,
     equal_discharge_actions,
     equal_ratio_actions,
+    is_window,
     rhc_actions,
     threshold_actions,
 )
 
 # not called here (the baseline runners call the day-matrix kernels through
-# baseline_runs); the benchmark's tracer wraps these harness attributes by name
+# baseline_peaks, and the offline peaks come from offline_peaks); the
+# benchmark's tracer wraps these harness attributes by name
 from .baselines import run_equal_discharge, run_equal_ratio, run_rhc, run_threshold  # noqa: F401
 from .core import DemandProfile, Instance, validate_instance
 from .cr import optimal_cr
@@ -47,11 +52,12 @@ from .errors import (
     MismatchedLengths,
     UnknownAlgorithm,
 )
-from .offline import solve_offline_pmd
+from .offline import offline_peaks, solve_offline_pmd  # noqa: F401
 from .online import (
     MODE_ANYTIME,
     MODE_ANYTIME_DEPLETING,
     PolicyOptions,
+    PolicyRun,
     run_anytime,
     run_pcr_pmd,
 )
@@ -109,44 +115,62 @@ class RunSettings(NamedTuple):
     window: int | None = None
 
 
+class PolicyRuns(NamedTuple):
+    """A policy on a day set: each day's final peak, and run(i), day i's run."""
+
+    final_peaks: np.ndarray
+    run: Callable[[int], PolicyRun]
+
+
+def _runs_of(runs: list[PolicyRun]) -> PolicyRuns:
+    return PolicyRuns(np.array([run.final_peak for run in runs]), runs.__getitem__)
+
+
+def _baseline_runs(kernel, instance: Instance, profiles, *args) -> PolicyRuns:
+    # a day's PolicyRun (and a second check of its schedule) only when asked for
+    actions, peaks = baseline_peaks(kernel, instance, np.array([p.values for p in profiles]), *args)
+    return PolicyRuns(peaks, lambda i: PolicyRun.from_actions(instance, profiles[i], actions[i]))
+
+
 def _run_fixed(instance: Instance, profiles, settings: RunSettings):
     pi = optimal_cr(instance).pi_star if settings.pi is None else settings.pi
-    return [run_pcr_pmd(instance, pi, profile) for profile in profiles]
+    return _runs_of([run_pcr_pmd(instance, pi, profile) for profile in profiles])
 
 
 def _anytime_runner(mode: str):
-    return lambda instance, profiles, settings: [
+    return lambda instance, profiles, settings: _runs_of([
         run_anytime(instance, profile, PolicyOptions(
             mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon,
         ))
         for profile in profiles
-    ]
+    ])
 
 
 def _rhc_runner(future_view: str):
-    return lambda instance, profiles, settings: baseline_runs(
+    return lambda instance, profiles, settings: _baseline_runs(
         rhc_actions, instance, profiles, RhcConfig(settings.window, future_view)
     )
 
 
-# Policy name -> runner(instance, profiles, settings) -> one PolicyRun per
-# profile, in order. The experiment driver passes every day of the set, and
-# `peakmin simulate` (whose --algo choices are these names, in this order)
-# its one profile. The certified policies run day by day; each baseline
-# calls its kernel once on the whole day matrix. Runners look the policy
+# Policy name -> runner(instance, profiles, settings) -> PolicyRuns over the
+# profiles, in order. The experiment driver passes every day of the set and
+# reads the final peaks; `peakmin simulate` (whose --algo choices are these
+# names, in this order) passes its one profile and reads run(0). The
+# certified policies run day by day; each baseline calls its kernel once on
+# the whole day matrix and checks the actions once. Runners look the policy
 # functions up in this module when called, never at import, so patching or
 # wrapping a module attribute reaches every run.
 POLICY_RUNNERS = {
     ALGO_FIXED: _run_fixed,
     ALGO_ANYTIME: _anytime_runner(MODE_ANYTIME),
     ALGO_ANYTIME_DEPLETE: _anytime_runner(MODE_ANYTIME_DEPLETING),
-    ALGO_THR: lambda instance, profiles, settings: baseline_runs(
+    ALGO_THR: lambda instance, profiles, settings: _baseline_runs(
         threshold_actions, instance, profiles, settings.threshold
     ),
-    ALGO_EQUAL_DISCHARGE: lambda instance, profiles, settings: baseline_runs(
+    ALGO_EQUAL_DISCHARGE: lambda instance, profiles, settings: _baseline_runs(
         equal_discharge_actions, instance, profiles
     ),
-    ALGO_EQUAL_RATIO: lambda instance, profiles, settings: baseline_runs(
+    ALGO_EQUAL_RATIO: lambda instance, profiles, settings: _baseline_runs(
         equal_ratio_actions, instance, profiles, settings.ratio
     ),
     ALGO_RHC_UPPER: _rhc_runner(FUTURE_UPPER),
@@ -178,17 +202,10 @@ class TraceTransaction:
     energy_kwh: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_min) and self.duration_min > 0):
-            raise MalformedRecord(f"duration_min must be > 0, got {self.duration_min}")
-        if not (math.isfinite(self.energy_kwh) and self.energy_kwh >= 0):
-            raise MalformedRecord(f"energy_kwh must be >= 0, got {self.energy_kwh}")
-        # slot boundaries are naive local times, which an aware start cannot meet
-        if self.start.utcoffset() is not None:
-            raise MalformedRecord(f"start must carry no UTC offset, got {self.start.isoformat()}")
-        try:
-            self.start + timedelta(minutes=self.duration_min)
-        except OverflowError:
-            raise MalformedRecord(f"a {self.duration_min} min session ends past year 9999") from None
+        starts = [self.start]
+        fault = _first_fault(starts, _trace_columns(starts, [self.duration_min], [self.energy_kwh]))
+        if fault is not None:
+            raise MalformedRecord(fault[1])
 
 
 @dataclass(frozen=True)
@@ -235,49 +252,122 @@ class SlottingConfig:
         return span // self.slot_minutes
 
 
-def parse_transactions(lines) -> tuple[TraceTransaction, ...]:
-    """Parse CSV rows "start_iso8601,duration_min,energy_kwh".
+class TraceColumns(NamedTuple):
+    """Transactions as parallel columns: start in integer microseconds since
+    1970 (naive local time), length in microseconds, and the fields as read."""
+
+    start_us: np.ndarray
+    duration_us: np.ndarray
+    duration_min: np.ndarray
+    energy_kwh: np.ndarray
+
+
+_MINUTE_US = 60_000_000
+_DAY_US = 24 * 60 * _MINUTE_US
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _since_1970_us(moment: datetime) -> int:
+    days = moment.toordinal() - _EPOCH_ORDINAL
+    seconds = days * 86_400 + moment.hour * 3_600 + moment.minute * 60 + moment.second
+    return seconds * 1_000_000 + moment.microsecond
+
+
+# A session must end by datetime.max; one longer than the whole datetime
+# range ends past it from any start, and its microseconds could overflow int64.
+_END_MAX_US = _since_1970_us(datetime.max)
+_SPAN_MAX_MIN = (_END_MAX_US - _since_1970_us(datetime.min)) / _MINUTE_US
+
+
+def _trace_columns(starts, duration_min, energy_kwh) -> TraceColumns:
+    """A length converts as timedelta(minutes=x) does: whole minutes exactly,
+    their fraction times 60e6 rounded half to even. One that is not positive,
+    finite and within the datetime range gets 0 (_first_fault rejects it)."""
+    duration_min = np.array(duration_min, dtype=float)
+    fraction, whole = np.modf(np.where(
+        (duration_min > 0) & (duration_min <= _SPAN_MAX_MIN), duration_min, 0.0))
+    duration_us = (whole.astype(np.int64) * _MINUTE_US
+                   + np.rint(fraction * _MINUTE_US).astype(np.int64))
+    start_us = np.array([_since_1970_us(moment) for moment in starts], dtype=np.int64)
+    return TraceColumns(start_us, duration_us, duration_min, np.array(energy_kwh, dtype=float))
+
+
+def _first_fault(starts, columns: TraceColumns) -> tuple[int, str] | None:
+    """(row, message) of the first session breaking a rule, by its first."""
+    start_us, duration_us, minutes, kwh = columns
+    # slot boundaries are naive local times, which an aware start cannot meet
+    rules = (
+        (~(np.isfinite(minutes) & (minutes > 0)),
+         lambda i: f"duration_min must be > 0, got {float(minutes[i])}"),
+        (~(np.isfinite(kwh) & (kwh >= 0)),
+         lambda i: f"energy_kwh must be >= 0, got {float(kwh[i])}"),
+        (np.array([moment.tzinfo is not None for moment in starts], dtype=bool),
+         lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
+        ((minutes > _SPAN_MAX_MIN) | (start_us + duration_us > _END_MAX_US),
+         lambda i: f"a {float(minutes[i])} min session ends past year 9999"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, next(message(row) for mask, message in rules if mask[row])
+
+
+def parse_transactions(lines) -> TraceColumns:
+    """Parse CSV rows "start_iso8601,duration_min,energy_kwh" into columns.
 
     The header row is required. Blank lines and lines starting with "#" are
     skipped. Field-level problems raise MalformedRecord with the offending
     line number; a file with a header but no data rows raises EmptyTrace.
+    The fields parse in one pass, which stops at a line they do not; the
+    rules then run on whole columns, and the first bad line is reported.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
-    rows: list[TraceTransaction] = []
+    starts, minutes, kwh, linenos = [], [], [], []
+    failure = None  # (line number, message) of the line that ended the pass
     saw_header = False
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        cells = [c.strip() for c in text.split(",")]
+        cells = text.split(",")
         if not saw_header:
-            if tuple(c.lower() for c in cells) != TRACE_HEADER:
+            if tuple(c.strip().lower() for c in cells) != TRACE_HEADER:
                 raise MalformedRecord(
                     f"line {lineno}: expected header {','.join(TRACE_HEADER)}, got {text!r}"
                 )
             saw_header = True
             continue
         if len(cells) != 3:
-            raise MalformedRecord(f"line {lineno}: expected 3 fields, got {len(cells)}")
+            failure = (lineno, f"expected 3 fields, got {len(cells)}")
+            break
         try:
-            txn = TraceTransaction(
-                start=datetime.fromisoformat(cells[0]),
-                duration_min=float(cells[1]),
-                energy_kwh=float(cells[2]),
-            )
-        except (MalformedRecord, ValueError) as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from None
-        rows.append(txn)
+            start, duration, energy = (datetime.fromisoformat(cells[0].strip()),
+                                       float(cells[1].strip()), float(cells[2].strip()))
+        except ValueError as exc:
+            failure = (lineno, str(exc))
+            break
+        starts.append(start)
+        minutes.append(duration)
+        kwh.append(energy)
+        linenos.append(lineno)
     if not saw_header:
         raise MalformedRecord("empty input: the header row is required")
-    if not rows:
+    columns = _trace_columns(starts, minutes, kwh)
+    fault = _first_fault(starts, columns)
+    if fault is not None:
+        failure = (linenos[fault[0]], fault[1])
+    if failure is not None:
+        raise MalformedRecord(f"line {failure[0]}: {failure[1]}")
+    if not starts:
         raise EmptyTrace("no transactions after the header")
-    return tuple(rows)
+    return columns
 
 
-def load_transactions(path) -> tuple[TraceTransaction, ...]:
-    with open(path, encoding="utf-8") as fh:
+def load_transactions(path) -> TraceColumns:
+    # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports start with
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_transactions(fh)
 
 
@@ -416,12 +506,6 @@ def load_profile_set(path) -> DayProfileSet:
         return profile_set_from_json(fh.read())
 
 
-_MINUTE_US = 60_000_000
-_DAY_US = 24 * 60 * _MINUTE_US
-_US = timedelta(microseconds=1)
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
 def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfileSet:
     """Slot transactions into per-day on-peak profiles at constant power.
 
@@ -431,28 +515,34 @@ def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfi
     receives energy are incomplete; they are dropped and logged rather than
     passed on as artificial zero demand.
 
-    Times are integer microseconds since 1970, as datetime arithmetic keeps
-    them, and every (transaction, calendar day it spans) pair is slotted at
-    once, one slot at a time. A slot's energy is summed in transaction order.
+    transactions are the columns parse_transactions returns, or
+    TraceTransaction records, which are turned into the same columns. Times
+    are integer microseconds since 1970, as datetime arithmetic keeps them,
+    and every (transaction, calendar day it spans) pair is slotted at once,
+    one slot at a time. A slot's energy is summed in transaction order.
     """
     if config is None:
         config = SlottingConfig()
-    transactions = tuple(transactions)
-    if not transactions:
+    if not isinstance(transactions, TraceColumns):  # records, each checked when built
+        records = tuple(transactions)
+        transactions = _trace_columns([t.start for t in records],
+                                      [t.duration_min for t in records],
+                                      [t.energy_kwh for t in records])
+    start, duration_us, duration_min, energy_kwh = transactions
+    if not len(start):
         raise EmptyTrace("no transactions to ingest")
     horizon = config.horizon
     slot_us = config.slot_minutes * _MINUTE_US
-    start = np.array([t.start for t in transactions], dtype="datetime64[us]").astype(np.int64)
-    end = start + np.array([timedelta(minutes=t.duration_min) // _US for t in transactions])
+    end = start + duration_us
     # one pair per transaction and calendar day, from its start's date to its end's
     first_day = start // _DAY_US
     spans = end // _DAY_US - first_day + 1
-    txn = np.repeat(np.arange(len(transactions)), spans)
+    txn = np.repeat(np.arange(len(start)), spans)
     pair_day = first_day[txn] + np.arange(len(txn)) - (np.cumsum(spans) - spans)[txn]
     days, day_of = np.unique(pair_day, return_inverse=True)
     t0, t1 = start[txn], end[txn]
-    energy = np.array([t.energy_kwh for t in transactions])[txn]
-    duration = np.array([t.duration_min for t in transactions])[txn]
+    energy = energy_kwh[txn]
+    duration = duration_min[txn]
     window_open = pair_day * _DAY_US + _clock_minutes(config.on_peak_start) * _MINUTE_US
 
     sums = np.zeros((horizon, len(days)))
@@ -749,6 +839,25 @@ def _positive(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
+def _non_empty_list_of(ok):
+    return lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(ok, v))
+
+
+# ExperimentConfig's settable fields: the check a value must pass, and what
+# it expects. ExperimentConfig applies it to its fields, and the CLI to an
+# experiment file's values before it loads the profiles.
+EXPERIMENT_FIELDS = {
+    "algorithms": (_non_empty_list_of(lambda a: isinstance(a, str)),
+                   "a non-empty list of algorithm names"),
+    "capacity_rates": (_non_empty_list_of(_positive), "a non-empty list of positive finite numbers"),
+    "rate_limit_fraction": (lambda v: v is None or _positive(v),
+                            "a positive finite number or null"),
+    "monthly": (lambda v: isinstance(v, bool), "true or false"),
+    "epsilon": (_positive, "a positive finite number"),
+    "rhc_window": (is_window, "an integer >= 1 or null"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment grid: a policy roster crossed with capacity rates.
@@ -770,42 +879,36 @@ class ExperimentConfig:
     rhc_window: int | None = None
 
     def __post_init__(self):
-        for name, ok, what in (("algorithms", lambda a: isinstance(a, str), "names"),
-                               ("capacity_rates", _positive, "positive finite numbers")):
-            items = getattr(self, name)
-            if not (isinstance(items, (tuple, list)) and items and all(map(ok, items))):
-                raise ValueError(f"{name} must be a non-empty tuple of {what}, got {items!r}")
+        for name, (ok, expected) in EXPERIMENT_FIELDS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "capacity_rates", tuple(map(float, self.capacity_rates)))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         unknown = [a for a in self.algorithms if a not in ALL_ALGORITHMS]
         if unknown:
             raise UnknownAlgorithm(
                 f"{', '.join(unknown)} (choose from {', '.join(ALL_ALGORITHMS)})"
             )
-        if self.rate_limit_fraction is not None and not _positive(self.rate_limit_fraction):
-            raise ValueError("rate_limit_fraction must be positive and finite when present")
-        if not _positive(self.epsilon):
-            raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.monthly, bool):
-            raise ValueError(f"monthly must be True or False, got {self.monthly!r}")
-        rhc = RhcConfig(self.rhc_window)  # raises unless the window is None or an integer >= 1
         if _RHC_ALGOS.intersection(self.algorithms):
-            rhc.resolve_window(self.profiles.horizon)  # raises if it exceeds the horizon
+            # raises if the window exceeds the horizon
+            RhcConfig(self.rhc_window).resolve_window(self.profiles.horizon)
 
 
-def _day_runs(
-    algorithm: str, instance: Instance, profiles, offline_peaks, settings: RunSettings,
+def _cell_peaks(
+    algorithm: str, instance: Instance, profiles, offline: list[float], settings: RunSettings,
 ) -> list[float]:
     """Final (after-discharge) peak of the given policy on every day."""
     if algorithm == ALGO_OFFLINE:
-        return list(offline_peaks)
+        return offline
     if algorithm == ALGO_THR_OFFLINE_MEAN:
         algorithm = ALGO_THR
-        settings = settings._replace(threshold=float(np.mean(offline_peaks)))
+        settings = settings._replace(threshold=float(np.mean(offline)))
     elif algorithm == ALGO_THR_MID:
         algorithm = ALGO_THR
         settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
-    return [run.final_peak for run in POLICY_RUNNERS[algorithm](instance, profiles, settings)]
+    return POLICY_RUNNERS[algorithm](instance, profiles, settings).final_peaks.tolist()
 
 
 def _threaded_month_peak(
@@ -840,9 +943,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Replay the roster over every day for every capacity rate.
 
     Per rate: build the instance (c = rate * avg daily energy), solve the
-    offline optimum day by day, compute the optimal competitive ratio once
-    if any ratio-pursuit policy needs it, then collect each policy's peaks
-    into one SweepCell. With monthly=True the anytime policy additionally
+    offline optimum of every day in one matrix call, compute the optimal
+    competitive ratio once if any ratio-pursuit policy needs it, then
+    collect each policy's peaks into one SweepCell. With monthly=True the anytime policy additionally
     runs once per month with the standing peak threaded through, paired
     against the independent per-day runs of the same policy (the roster's
     own when it holds anytime).
@@ -861,7 +964,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for rate in config.capacity_rates:
         instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
         profiles = [DemandProfile(instance, row) for row in raw]
-        offline_peaks = [solve_offline_pmd(instance, p).peak for p in profiles]
+        offline = offline_peaks(instance, np.array([p.values for p in profiles])).tolist()
         settings = RunSettings(
             pi=optimal_cr(instance).pi_star if needs_pi else None,
             epsilon=config.epsilon,
@@ -870,17 +973,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         finals: dict[str, list[float]] = {}
         for algorithm in config.algorithms:
-            finals[algorithm] = _day_runs(
-                algorithm, instance, profiles, offline_peaks, settings
-            )
+            finals[algorithm] = _cell_peaks(algorithm, instance, profiles, offline, settings)
             cells.append(SweepCell(
                 axis="capacity_rate", value=rate, algorithm=algorithm,
-                metrics=compute_metrics(finals[algorithm], offline_peaks, original_peaks),
+                metrics=compute_metrics(finals[algorithm], offline, original_peaks),
             ))
         if config.monthly:
             if ALGO_ANYTIME not in finals:
-                finals[ALGO_ANYTIME] = _day_runs(
-                    ALGO_ANYTIME, instance, profiles, offline_peaks, settings
+                finals[ALGO_ANYTIME] = _cell_peaks(
+                    ALGO_ANYTIME, instance, profiles, offline, settings
                 )
             independent = finals[ALGO_ANYTIME]
             for month, idxs in ps.monthly_groups().items():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance
+from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance, check_schedules
 from .errors import BudgetExceedsTotalDemand, InfeasibleSchedule, InvalidCmdWeights
 
 
@@ -83,6 +83,14 @@ def solve_offline_pmd(instance: Instance, demand: DemandProfile) -> OfflineSolut
     schedule = DischargeSchedule(instance, demand, rate_corrected_cut(d, v, instance.rate_limit))
     peak = float((d - schedule.values).max())
     return OfflineSolution(schedule=schedule, threshold_v=v, peak=peak)
+
+
+def offline_peaks(instance: Instance, values: np.ndarray) -> np.ndarray:
+    """solve_offline_pmd's peak of every day of an (N, T) matrix, bit for bit,
+    from one water-fill and one check of the N optimal schedules."""
+    cut = rate_corrected_cut(values, water_fill_threshold(values, instance.capacity_c),
+                             instance.rate_limit)
+    return (values - check_schedules(instance, values, cut)).max(axis=1)
 
 
 def offline_peak(instance: Instance, demand: DemandProfile) -> float:

@@ -10,11 +10,13 @@ optimal_cr's search without the tableau carried from prefix to prefix, and
 certified_ratio_lp_only is the anytime certificate's bisection with an LP
 answer for every cutoff at every step, no closed form read.
 
-The per-day references at the end are the loops the array code replaced:
-ingest_trace_loop slots one transaction, one calendar day and one slot at
-a time in datetime arithmetic, and the *_actions_loop functions run each
-baseline on one day, slot by slot, in Python floats (the receding horizon
-one window at a time through window_first_action).
+The per-row and per-day references at the end are the loops the array
+code replaced: parse_transactions_rows parses a trace one line at a time
+into checked TraceTransaction records, ingest_trace_loop slots one
+transaction, one calendar day and one slot at a time in datetime
+arithmetic, and the *_actions_loop functions run each baseline on one day,
+slot by slot, in Python floats (the receding horizon one window at a time
+through window_first_action).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from peakmin import cr, online
 from peakmin.core import EPS_KWH, reference_profile, reference_values
-from peakmin.errors import DegenerateInstance, PeakMinError
-from peakmin.harness import DayProfileSet
+from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
+from peakmin.harness import TRACE_HEADER, DayProfileSet, TraceTransaction
 from peakmin.lp import solve_lfp
 from peakmin.offline import (
     offline_peak,
@@ -487,6 +489,59 @@ def kept_tableau_gap(lp) -> float:
     kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, form.start] @ form.rhs])
     fresh = np.linalg.solve(form.a[:, tab.basis], np.column_stack([form.a, form.rhs]))
     return float(np.abs(kept - fresh).max(initial=0.0))
+
+
+def _transaction_problem(start: datetime, duration_min: float, energy_kwh: float) -> str | None:
+    """The first transaction rule the session breaks, checked in scalar
+    datetime arithmetic; None if it breaks none."""
+    if not (math.isfinite(duration_min) and duration_min > 0):
+        return f"duration_min must be > 0, got {duration_min}"
+    if not (math.isfinite(energy_kwh) and energy_kwh >= 0):
+        return f"energy_kwh must be >= 0, got {energy_kwh}"
+    if start.utcoffset() is not None:
+        return f"start must carry no UTC offset, got {start.isoformat()}"
+    try:
+        start + timedelta(minutes=duration_min)
+    except OverflowError:
+        return f"a {duration_min} min session ends past year 9999"
+    return None
+
+
+def parse_transactions_rows(lines) -> tuple[TraceTransaction, ...]:
+    """parse_transactions one line at a time: each data row is checked by
+    _transaction_problem and becomes a TraceTransaction, and the first row
+    that fails raises MalformedRecord with its line number."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    rows: list[TraceTransaction] = []
+    saw_header = False
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        cells = [c.strip() for c in text.split(",")]
+        if not saw_header:
+            if tuple(c.lower() for c in cells) != TRACE_HEADER:
+                raise MalformedRecord(
+                    f"line {lineno}: expected header {','.join(TRACE_HEADER)}, got {text!r}"
+                )
+            saw_header = True
+            continue
+        if len(cells) != 3:
+            raise MalformedRecord(f"line {lineno}: expected 3 fields, got {len(cells)}")
+        try:
+            fields = datetime.fromisoformat(cells[0]), float(cells[1]), float(cells[2])
+        except ValueError as exc:
+            raise MalformedRecord(f"line {lineno}: {exc}") from None
+        problem = _transaction_problem(*fields)
+        if problem is not None:
+            raise MalformedRecord(f"line {lineno}: {problem}")
+        rows.append(TraceTransaction(*fields))
+    if not saw_header:
+        raise MalformedRecord("empty input: the header row is required")
+    if not rows:
+        raise EmptyTrace("no transactions after the header")
+    return tuple(rows)
 
 
 def ingest_trace_loop(transactions, config) -> DayProfileSet:

@@ -10,6 +10,7 @@ from peakmin.baselines import (
     FUTURE_MIDPOINT,
     FUTURE_UPPER,
     RhcConfig,
+    baseline_peaks,
     equal_discharge_actions,
     equal_ratio_actions,
     rhc_actions,
@@ -19,8 +20,11 @@ from peakmin.baselines import (
     run_threshold,
     threshold_actions,
 )
-from peakmin.core import DemandProfile, Instance
-from peakmin.offline import solve_offline_pmd
+from peakmin.core import DemandProfile, DischargeSchedule, Instance
+from peakmin.errors import InfeasibleSchedule
+from peakmin.harness import POLICY_RUNNERS, RunSettings
+from peakmin.offline import offline_peaks, solve_offline_pmd
+from peakmin.online import PolicyRun
 
 from conftest import random_profiles
 from oracles import (
@@ -279,3 +283,69 @@ def test_kernels_match_per_day_loops_bit_for_bit(instance):
         for row, actions in zip(values, got):
             assert actions.tolist() == loop(row)
 
+
+
+def _break_row(instance, values, actions, row, kind):
+    """actions with row `row` made infeasible in one way, the others kept."""
+    caps = values[row] if instance.rate_limit is None else np.minimum(values[row],
+                                                                      instance.rate_limit)
+    actions = actions.copy()
+    if kind == "nan":
+        actions[row, -1] = np.nan
+    elif kind == "negative":
+        actions[row, 0] = -1e-6
+    elif kind == "above-cap":
+        actions[row, -1] = caps[-1] + 1e-6
+    else:  # over capacity, each slot within its cap
+        actions[row] = caps * ((instance.capacity_c + 1e-6) / caps.sum())
+    return actions
+
+
+@pytest.mark.parametrize("kind", ["nan", "negative", "above-cap", "over-capacity"])
+@pytest.mark.parametrize("instance", _KERNEL_INSTANCES,
+                         ids=lambda i: f"T{i.horizon_T}-rate{i.rate_limit}")
+def test_cell_check_raises_what_the_day_check_raises(instance, kind):
+    """One infeasible row among many feasible ones: the cell's one check of
+    the action matrix raises the InfeasibleSchedule, message and all, that
+    DischargeSchedule raises on that row alone."""
+    values = random_profiles(instance, 12, seed=instance.horizon_T + 1)
+    feasible = equal_ratio_actions(instance, values, 0.1)
+    for row in (0, 5, 11):
+        actions = _break_row(instance, values, feasible, row, kind)
+        with pytest.raises(InfeasibleSchedule) as cell:
+            baseline_peaks(lambda instance, values: actions, instance, values)
+        with pytest.raises(InfeasibleSchedule) as day:
+            DischargeSchedule(instance, DemandProfile(instance, values[row]), actions[row])
+        assert str(cell.value) == str(day.value)
+
+
+@pytest.mark.parametrize("instance", _KERNEL_INSTANCES,
+                         ids=lambda i: f"T{i.horizon_T}-rate{i.rate_limit}")
+def test_cell_peaks_match_per_day_runs_bit_for_bit(instance):
+    """Each baseline's cell gives every day exactly the final peak of the
+    day's PolicyRun on the per-day slot loop's actions, run(i) is that
+    PolicyRun, and the matrix offline peaks are solve_offline_pmd's."""
+    profiles = [DemandProfile(instance, row)
+                for row in random_profiles(instance, 30, seed=7 * instance.horizon_T)]
+    mid = 0.5 * (instance.demand_lb + instance.demand_ub)
+    settings = RunSettings(threshold=mid, ratio=0.3)
+    window = RhcConfig().resolve_window(instance.horizon_T)
+    loops = {
+        "thr": lambda v: threshold_actions_loop(instance, v, mid),
+        "eql-dis": lambda v: equal_discharge_actions_loop(instance, v),
+        "eql-per": lambda v: equal_ratio_actions_loop(instance, v, 0.3),
+        **{f"rhc-{name}": (lambda v, view=view: rhc_actions_loop(
+            instance, v, RhcConfig(window, view)))
+           for name, view in (("upper", FUTURE_UPPER), ("lower", FUTURE_LOWER),
+                              ("mid", FUTURE_MIDPOINT))},
+    }
+    for algo, loop in loops.items():
+        runs = POLICY_RUNNERS[algo](instance, profiles, settings)
+        days = [PolicyRun.from_actions(instance, p, loop(p.values)) for p in profiles]
+        assert runs.final_peaks.tolist() == [day.final_peak for day in days], algo
+        for i in (0, len(days) - 1):
+            assert runs.run(i).schedule.values.tolist() == days[i].schedule.values.tolist()
+            assert runs.run(i).final_peak == days[i].final_peak
+    values = np.array([p.values for p in profiles])
+    assert offline_peaks(instance, values).tolist() == [
+        solve_offline_pmd(instance, p).peak for p in profiles]

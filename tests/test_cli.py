@@ -338,6 +338,22 @@ def test_ingest_rejects_unslottable_transaction(capsys, tmp_path, row):
     assert not out_path.exists()
 
 
+def test_ingest_reads_a_byte_order_mark(capsys, tmp_path):
+    """A trace saved as Excel's "CSV UTF-8" starts with a byte-order mark;
+    peakmin ingest used to exit 2 on it with "expected header"."""
+    rows = "".join(f"2024-05-06 {hour}:00,60,{energy}\n" for hour, energy in ((12, 6.0), (13, 7.5)))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("start_iso8601,duration_min,energy_kwh\n" + rows, encoding="utf-8")
+    marked.write_text("\ufeffstart_iso8601,duration_min,energy_kwh\n" + rows, encoding="utf-8")
+    for trace in (plain, marked):
+        code, _out, err = run_cli(capsys, [
+            "ingest", "--input", str(trace), "--output", str(tmp_path / f"{trace.stem}.json"),
+            "--slot-minutes", "30", "--window-start", "12:00", "--window-end", "14:00",
+        ])
+        assert code == 0, err
+    assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 @pytest.mark.parametrize("d_ub", ["inf", "nan"])
 def test_ingest_rejects_non_finite_demand_bound(capsys, tmp_path, d_ub):
     """peakmin ingest --d-ub inf used to exit 0 and write "demand_ub":

@@ -1,6 +1,7 @@
 """Trace ingestion, synthetic day generators, metrics, and the experiment
 driver."""
 
+import itertools
 import json
 import logging
 from datetime import datetime, timedelta
@@ -9,7 +10,17 @@ import numpy as np
 import pytest
 
 import peakmin.harness as harness
-from peakmin.baselines import run_threshold
+from peakmin.baselines import (
+    FUTURE_LOWER,
+    FUTURE_MIDPOINT,
+    FUTURE_UPPER,
+    RhcConfig,
+    run_equal_discharge,
+    run_equal_ratio,
+    run_rhc,
+    run_threshold,
+)
+from peakmin.core import DemandProfile
 from peakmin.errors import (
     EmptyTrace,
     MalformedRecord,
@@ -30,6 +41,7 @@ from peakmin.harness import (
     compute_metrics,
     ingest_trace,
     load_profile_set,
+    load_transactions,
     parse_transactions,
     profile_set_from_json,
     profile_set_to_json,
@@ -38,8 +50,9 @@ from peakmin.harness import (
     synthetic_uniform_profiles,
     synthetic_volatile_profiles,
 )
+from peakmin.offline import solve_offline_pmd
 
-from oracles import ingest_trace_loop
+from oracles import ingest_trace_loop, parse_transactions_rows
 
 
 def txn(start: str, duration_min: float, energy_kwh: float) -> TraceTransaction:
@@ -175,6 +188,156 @@ def test_array_ingest_matches_slot_loop_byte_for_byte(seed, config):
     assert profile_set_to_json(got) == profile_set_to_json(ingest_trace_loop(rows, config))
 
 
+HEADER = "start_iso8601,duration_min,energy_kwh"
+
+
+def _seeded_trace_csv(seed: int) -> str:
+    """A month of sessions in the forms a trace export takes: starts to the
+    minute, second or microsecond with a "T" or a space, lengths and
+    energies rounded to a few decimals or written out in full, and
+    whitespace around the fields."""
+    rng = np.random.default_rng(seed)
+    first = datetime(2024, 1, 1)
+    lines = [HEADER]
+    for _ in range(400):
+        start = first + timedelta(seconds=float(rng.uniform(0, 30 * 86_400)))
+        if rng.random() < 0.5:
+            start = start.replace(microsecond=0)
+        text = start.isoformat(sep=" " if rng.random() < 0.3 else "T")
+        minutes = float(rng.uniform(0.01, 2_000))
+        energy = float(rng.uniform(0, 80))
+        if rng.random() < 0.5:
+            minutes, energy = round(minutes, 2), round(energy, 4)
+        pad = " " if rng.random() < 0.2 else ""
+        lines.append(f"{text},{pad}{minutes!r}{pad},{energy!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _csv(rows) -> str:
+    return "\n".join([HEADER] + [f"{t.start.isoformat()},{t.duration_min!r},{t.energy_kwh!r}"
+                                  for t in rows]) + "\n"
+
+
+def _assert_columns_match_rows(text: str) -> None:
+    """parse_transactions' columns equal the row-by-row parse exactly: the
+    start in microseconds since 1970, the length as timedelta rounds it,
+    and both floats as float() reads them."""
+    rows = parse_transactions_rows(text)
+    got = parse_transactions(text)
+    epoch, us = datetime(1970, 1, 1), timedelta(microseconds=1)
+    assert got.start_us.dtype == got.duration_us.dtype == np.int64
+    assert got.start_us.tolist() == [(t.start - epoch) // us for t in rows]
+    assert got.duration_us.tolist() == [timedelta(minutes=t.duration_min) // us for t in rows]
+    assert got.duration_min.tolist() == [t.duration_min for t in rows]
+    assert got.energy_kwh.tolist() == [t.energy_kwh for t in rows]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_parse_matches_row_parse(seed):
+    _assert_columns_match_rows(_seeded_trace_csv(seed))
+    _assert_columns_match_rows(_csv(_awkward_trace(seed)))
+
+
+def test_columnar_parse_matches_row_parse_at_the_edges():
+    """Lengths with a fraction of a microsecond, lengths whose microsecond
+    fraction is an exact half (m/512 min is 117187.5·m us for odd m, which
+    timedelta rounds half to even), sessions ending just inside year 9999
+    or spanning the whole datetime range, and every form float() reads."""
+    rng = np.random.default_rng(11)
+    lines = [HEADER]
+    for minutes in rng.uniform(0.001, 1e6, 300).tolist() + (10 ** rng.uniform(-6, 9, 300)).tolist():
+        lines.append(f"2024-03-01T12:00:00.000001,{minutes!r},1")
+    for m in (1, 3, 5, 511, 1023):
+        lines.append(f"2024-03-01 12:00,{m / 512!r},1")
+        lines.append(f"2024-03-01 12:00,{12345 + m / 512!r},1")
+    whole_range = (datetime.max - datetime.min) // timedelta(minutes=1)
+    lines += [
+        "9999-12-31T23:00:00,59.99999999,1",
+        "9999-12-31T23:00:00,59.999999991666,1",
+        "9999-12-31T23:59:59.999998,0.0000000166,1",
+        f"0001-01-01T00:00:00,{whole_range},1",
+        f"0001-01-01T00:00:00,{float(whole_range) + 0.999},1",
+        "2024-03-01 12:00,1_000,1_0",
+        "2024-03-01 12:00, 7 , 7 ",
+        "2024-03-01 12:00,+5,1e-400",
+        "2024-03-01 12:00,.5,-0",
+        "2024-03-01 12:00,5.,\u0661\u0662",
+        "2024-03-01 12:00,1E2,0",
+    ]
+    _assert_columns_match_rows("\n".join(lines) + "\n")
+
+
+# one malformed data row of each kind the row parse reports
+BAD_ROWS = [
+    "2024-05-06 12:00,30",
+    "2024-05-06 12:00,30,10,4",
+    "2024-13-06 12:00,30,10",
+    "yesterday,30,10",
+    "2024-05-06 12:00,thirty,10",
+    "2024-05-06 12:00,30,ten",
+    "2024-05-06 12:00,1__0,10",
+    "2024-05-06 12:00,,10",
+    "2024-05-06 12:00,0,10",
+    "2024-05-06 12:00,-5,10",
+    "2024-05-06 12:00,1e-400,10",
+    "2024-05-06 12:00,nan,10",
+    "2024-05-06 12:00,inf,10",
+    "2024-05-06 12:00,30,-1",
+    "2024-05-06 12:00,30,nan",
+    "2024-05-06 12:00,30,inf",
+    "2024-05-06T12:00:00+02:00,30,10",
+    "2024-05-06T12:00:00Z,30,10",
+    "9999-12-31T23:00:00,61,10",
+    "0001-01-01T00:00:00,5258964960.01,10",
+    "2024-05-06 12:00,1.5e11,10",
+    "2024-05-06 12:00,1.6e11,10",
+    "2024-05-06 12:00,1e13,10",
+    "2024-05-06 12:00,1e300,10",
+    # a row breaking several rules is named by the first the row parse meets
+    "2024-05-06T12:00:00+02:00,-5,ten",
+    "2024-05-06T12:00:00+02:00,1e13,-1",
+    "2024-05-06T12:00:00+02:00,1e13,10",
+    "2024-13-06 12:00,x,-1",
+]
+GOOD_ROWS = ["2024-05-06 12:00,30,10", "2024-05-06 13:05:07.25,45.5,3.0"]
+
+
+def _raised(parse, text: str) -> str:
+    with pytest.raises(MalformedRecord) as exc:
+        parse(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+def test_columnar_parse_reports_what_the_row_parse_reports(bad):
+    """A malformed row after good ones (and a comment) is reported with the
+    row parse's message and line number."""
+    text = "\n".join([HEADER, *GOOD_ROWS, "# note", bad, GOOD_ROWS[0]]) + "\n"
+    message = _raised(parse_transactions_rows, text)
+    assert message.startswith("line 5: ")
+    assert _raised(parse_transactions, text) == message
+
+
+def test_columnar_parse_reports_the_first_of_two_bad_lines():
+    """Of two malformed lines, the first is reported, whatever kinds they
+    are: a rule the columns check after the pass names an earlier line than
+    a line that ended the pass."""
+    kinds = BAD_ROWS[::3]
+    for first, second in itertools.product(kinds, kinds):
+        text = "\n".join([HEADER, GOOD_ROWS[0], first, GOOD_ROWS[1], second]) + "\n"
+        message = _raised(parse_transactions_rows, text)
+        assert message.startswith("line 3: ")
+        assert _raised(parse_transactions, text) == message, (first, second)
+
+
+def test_load_transactions_reads_a_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+    used to make the header a mismatch."""
+    path = tmp_path / "trace.csv"
+    path.write_text(f"\ufeff{HEADER}\n{GOOD_ROWS[0]}\n", encoding="utf-8")
+    assert load_transactions(path).energy_kwh.tolist() == [10.0]
+
+
 def test_parse_transactions_reports_line_numbers():
     text = "start_iso8601,duration_min,energy_kwh\n2024-05-06 12:00,30,ten\n"
     with pytest.raises(MalformedRecord, match="line 2"):
@@ -203,8 +366,7 @@ def test_parse_transactions_skips_blank_and_comment_lines():
         "2024-05-06 12:00,30,10\n"
         "# trailing note\n"
     )
-    assert len(rows) == 1
-    assert rows[0].energy_kwh == 10.0
+    assert rows.energy_kwh.tolist() == [10.0]
 
 
 def test_transaction_field_validation():
@@ -547,6 +709,38 @@ def test_report_rendering_shapes():
         profiles=ps, algorithms=(ALGO_OFFLINE, ALGO_FIXED), capacity_rates=(0.25,),
     ))
     assert rerun.render_text() == text
+
+
+@pytest.mark.parametrize("fraction", [None, 0.3], ids=["free", "rate-limited"])
+def test_experiment_cells_match_per_day_runs_bit_for_bit(fraction):
+    """Every baseline cell and the offline cell carry, day by day, exactly
+    the final peaks of the per-day runs and offline solutions."""
+    ps = synthetic_volatile_profiles(12, 8, 100.0, 400.0, seed=23)
+    rates = (0.1, 0.3)
+    report = run_experiment(ExperimentConfig(
+        profiles=ps, capacity_rates=rates, rate_limit_fraction=fraction,
+        algorithms=("offline", "thr-offline-mean", "thr-mid", "eql-dis", "eql-per",
+                    "rhc-upper", "rhc-lower", "rhc-mid"),
+    ))
+    for rate in rates:
+        instance = ps.instance(rate * ps.avg_daily_energy,
+                               None if fraction is None else fraction * ps.demand_ub)
+        profiles = [DemandProfile(instance, row) for row in ps.values()]
+        offline = [solve_offline_pmd(instance, p).peak for p in profiles]
+        runs = {
+            "thr-offline-mean": lambda p: run_threshold(instance, p, float(np.mean(offline))),
+            "thr-mid": lambda p: run_threshold(instance, p, 250.0),
+            "eql-dis": lambda p: run_equal_discharge(instance, p),
+            "eql-per": lambda p: run_equal_ratio(instance, p, rate),
+            "rhc-upper": lambda p: run_rhc(instance, p, RhcConfig(None, FUTURE_UPPER)),
+            "rhc-lower": lambda p: run_rhc(instance, p, RhcConfig(None, FUTURE_LOWER)),
+            "rhc-mid": lambda p: run_rhc(instance, p, RhcConfig(None, FUTURE_MIDPOINT)),
+        }
+        assert report.cell("offline", rate).metrics.final_peaks == tuple(offline)
+        for algo, run in runs.items():
+            metrics = report.cell(algo, rate).metrics
+            assert metrics.final_peaks == tuple(run(p).final_peak for p in profiles), algo
+            assert metrics.offline_peaks == tuple(offline)
 
 
 def test_all_algorithms_execute():
