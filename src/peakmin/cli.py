@@ -149,7 +149,7 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
         ratio=args.ratio,
         window=args.window,
     )
-    return POLICY_RUNNERS[args.algo](instance, [profile], settings).run(0)
+    return POLICY_RUNNERS[args.algo](instance, profile.values[None], settings).run(0)
 
 
 def _cmd_simulate(args) -> int:

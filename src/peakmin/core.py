@@ -105,18 +105,7 @@ class DemandProfile:
     __slots__ = ("values",)
 
     def __init__(self, instance: Instance, values):
-        arr = _as_float_vector(values)
-        if len(arr) != instance.horizon_T:
-            raise DemandOutOfBounds(
-                f"profile length {len(arr)} != horizon_T {instance.horizon_T}"
-            )
-        lo, hi = instance.demand_lb, instance.demand_ub
-        inside = (lo - EPS_KWH <= arr) & (arr <= hi + EPS_KWH)  # False at NaN
-        if not inside.all():
-            raise DemandOutOfBounds(f"demand entries outside [{lo}, {hi}]: {arr[~inside]}")
-        arr = np.clip(arr, lo, hi)
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = check_demands(instance, _as_float_vector(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -126,6 +115,25 @@ class DemandProfile:
 
     def __repr__(self) -> str:
         return f"DemandProfile({self.values.tolist()})"
+
+
+def check_demands(instance: Instance, demands: np.ndarray) -> np.ndarray:
+    """Raise DemandOutOfBounds unless each row of demands (a length-T vector
+    or an (N, T) matrix) has horizon_T entries, each within EPS_KWH of the
+    demand bounds; return them clipped to the bounds, read-only. The first
+    bad row is named as DemandProfile names it alone."""
+    T = instance.horizon_T
+    if demands.shape[-1] != T:
+        raise DemandOutOfBounds(f"profile length {demands.shape[-1]} != horizon_T {T}")
+    lo, hi = instance.demand_lb, instance.demand_ub
+    rows = demands.reshape(-1, T)
+    inside = (lo - EPS_KWH <= rows) & (rows <= hi + EPS_KWH)  # False at NaN
+    if not inside.all():
+        i = int(inside.all(axis=1).argmin())
+        raise DemandOutOfBounds(f"demand entries outside [{lo}, {hi}]: {rows[i][~inside[i]]}")
+    clipped = np.clip(demands, lo, hi)
+    clipped.flags.writeable = False
+    return clipped
 
 
 def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ calendar day) pair handled at once. run_experiment replays a roster of
 policies over those days while sweeping the storage capacity, and folds
 the resulting peaks into report tables that render as plain text or
 plot-ready series rows. The offline peaks of a capacity rate come from one
-matrix call, and each policy runs through POLICY_RUNNERS on the whole day
-set: a baseline makes one kernel call and one schedule check over the day
-matrix, a certified policy runs day by day.
+matrix call, and each policy runs through POLICY_RUNNERS on the whole (N, T)
+day matrix: a baseline makes one kernel call and one schedule check over it,
+a certified policy runs row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from typing import Callable, NamedTuple
 
@@ -43,7 +43,7 @@ from .baselines import (
 # baseline_peaks, and the offline peaks come from offline_peaks); the
 # benchmark's tracer wraps these harness attributes by name
 from .baselines import run_equal_discharge, run_equal_ratio, run_rhc, run_threshold  # noqa: F401
-from .core import DemandProfile, Instance, validate_instance
+from .core import DemandProfile, Instance, check_demands, validate_instance
 from .cr import optimal_cr
 from .errors import (
     EmptyTrace,
@@ -116,62 +116,63 @@ class RunSettings(NamedTuple):
 
 
 class PolicyRuns(NamedTuple):
-    """A policy on a day set: each day's final peak, and run(i), day i's run."""
+    """A policy on a day matrix: each day's final peak, and run(i), day i's run."""
 
     final_peaks: np.ndarray
     run: Callable[[int], PolicyRun]
 
 
-def _runs_of(runs: list[PolicyRun]) -> PolicyRuns:
+def _each_day(instance: Instance, values: np.ndarray, run_day) -> PolicyRuns:
+    runs = [run_day(DemandProfile(instance, row)) for row in values]
     return PolicyRuns(np.array([run.final_peak for run in runs]), runs.__getitem__)
 
 
-def _baseline_runs(kernel, instance: Instance, profiles, *args) -> PolicyRuns:
+def _baseline_runs(kernel, instance: Instance, values: np.ndarray, *args) -> PolicyRuns:
     # a day's PolicyRun (and a second check of its schedule) only when asked for
-    actions, peaks = baseline_peaks(kernel, instance, np.array([p.values for p in profiles]), *args)
-    return PolicyRuns(peaks, lambda i: PolicyRun.from_actions(instance, profiles[i], actions[i]))
+    actions, peaks = baseline_peaks(kernel, instance, values, *args)
+    return PolicyRuns(peaks, lambda i: PolicyRun.from_actions(
+        instance, DemandProfile(instance, values[i]), actions[i]))
 
 
-def _run_fixed(instance: Instance, profiles, settings: RunSettings):
+def _run_fixed(instance: Instance, values: np.ndarray, settings: RunSettings):
     pi = optimal_cr(instance).pi_star if settings.pi is None else settings.pi
-    return _runs_of([run_pcr_pmd(instance, pi, profile) for profile in profiles])
+    return _each_day(instance, values, lambda profile: run_pcr_pmd(instance, pi, profile))
 
 
 def _anytime_runner(mode: str):
-    return lambda instance, profiles, settings: _runs_of([
-        run_anytime(instance, profile, PolicyOptions(
+    return lambda instance, values, settings: _each_day(
+        instance, values, lambda profile: run_anytime(instance, profile, PolicyOptions(
             mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon,
         ))
-        for profile in profiles
-    ])
-
-
-def _rhc_runner(future_view: str):
-    return lambda instance, profiles, settings: _baseline_runs(
-        rhc_actions, instance, profiles, RhcConfig(settings.window, future_view)
     )
 
 
-# Policy name -> runner(instance, profiles, settings) -> PolicyRuns over the
-# profiles, in order. The experiment driver passes every day of the set and
-# reads the final peaks; `peakmin simulate` (whose --algo choices are these
-# names, in this order) passes its one profile and reads run(0). The
-# certified policies run day by day; each baseline calls its kernel once on
-# the whole day matrix and checks the actions once. Runners look the policy
-# functions up in this module when called, never at import, so patching or
-# wrapping a module attribute reaches every run.
+def _rhc_runner(future_view: str):
+    return lambda instance, values, settings: _baseline_runs(
+        rhc_actions, instance, values, RhcConfig(settings.window, future_view)
+    )
+
+
+# Policy name -> runner(instance, values, settings) -> PolicyRuns over the rows
+# of values, an (N, T) day matrix checked by core.check_demands. The experiment
+# driver passes every day and reads the final peaks; `peakmin simulate` (whose
+# --algo choices are these names, in this order) passes its one profile as a
+# 1 x T matrix and reads run(0). The certified policies run row by row; each
+# baseline calls its kernel once on the matrix and checks the actions once.
+# Runners look the policy functions up in this module when called, never at
+# import, so patching or wrapping a module attribute reaches every run.
 POLICY_RUNNERS = {
     ALGO_FIXED: _run_fixed,
     ALGO_ANYTIME: _anytime_runner(MODE_ANYTIME),
     ALGO_ANYTIME_DEPLETE: _anytime_runner(MODE_ANYTIME_DEPLETING),
-    ALGO_THR: lambda instance, profiles, settings: _baseline_runs(
-        threshold_actions, instance, profiles, settings.threshold
+    ALGO_THR: lambda instance, values, settings: _baseline_runs(
+        threshold_actions, instance, values, settings.threshold
     ),
-    ALGO_EQUAL_DISCHARGE: lambda instance, profiles, settings: _baseline_runs(
-        equal_discharge_actions, instance, profiles
+    ALGO_EQUAL_DISCHARGE: lambda instance, values, settings: _baseline_runs(
+        equal_discharge_actions, instance, values
     ),
-    ALGO_EQUAL_RATIO: lambda instance, profiles, settings: _baseline_runs(
-        equal_ratio_actions, instance, profiles, settings.ratio
+    ALGO_EQUAL_RATIO: lambda instance, values, settings: _baseline_runs(
+        equal_ratio_actions, instance, values, settings.ratio
     ),
     ALGO_RHC_UPPER: _rhc_runner(FUTURE_UPPER),
     ALGO_RHC_LOWER: _rhc_runner(FUTURE_LOWER),
@@ -180,32 +181,13 @@ POLICY_RUNNERS = {
 
 
 def _clock_minutes(text: str) -> int:
-    parts = text.split(":")
+    parts = str(text).split(":")  # a JSON number is no clock time either
     if len(parts) != 2:
         raise ValueError(f"clock time must look like HH:MM, got {text!r}")
     hours, minutes = int(parts[0]), int(parts[1])
     if not (0 <= hours < 24 and 0 <= minutes < 60):
         raise ValueError(f"clock time out of range: {text!r}")
     return 60 * hours + minutes
-
-
-def _clock_string(total_minutes: int) -> str:
-    return f"{total_minutes // 60:02d}:{total_minutes % 60:02d}"
-
-
-@dataclass(frozen=True)
-class TraceTransaction:
-    """One charging session, assumed to draw constant power for its duration."""
-
-    start: datetime
-    duration_min: float
-    energy_kwh: float
-
-    def __post_init__(self):
-        starts = [self.start]
-        fault = _first_fault(starts, _trace_columns(starts, [self.duration_min], [self.energy_kwh]))
-        if fault is not None:
-            raise MalformedRecord(fault[1])
 
 
 @dataclass(frozen=True)
@@ -227,7 +209,7 @@ class SlottingConfig:
     demand_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if int(self.slot_minutes) != self.slot_minutes or self.slot_minutes < 1:
+        if self.slot_minutes is None or not is_window(self.slot_minutes):
             raise ValueError(f"slot_minutes must be a positive integer, got {self.slot_minutes}")
         span = _clock_minutes(self.on_peak_end) - _clock_minutes(self.on_peak_start)
         if span <= 0:
@@ -282,7 +264,7 @@ _SPAN_MAX_MIN = (_END_MAX_US - _since_1970_us(datetime.min)) / _MINUTE_US
 def _trace_columns(starts, duration_min, energy_kwh) -> TraceColumns:
     """A length converts as timedelta(minutes=x) does: whole minutes exactly,
     their fraction times 60e6 rounded half to even. One that is not positive,
-    finite and within the datetime range gets 0 (_first_fault rejects it)."""
+    finite and within the datetime range gets 0 (parse_transactions rejects it)."""
     duration_min = np.array(duration_min, dtype=float)
     fraction, whole = np.modf(np.where(
         (duration_min > 0) & (duration_min <= _SPAN_MAX_MIN), duration_min, 0.0))
@@ -290,27 +272,6 @@ def _trace_columns(starts, duration_min, energy_kwh) -> TraceColumns:
                    + np.rint(fraction * _MINUTE_US).astype(np.int64))
     start_us = np.array([_since_1970_us(moment) for moment in starts], dtype=np.int64)
     return TraceColumns(start_us, duration_us, duration_min, np.array(energy_kwh, dtype=float))
-
-
-def _first_fault(starts, columns: TraceColumns) -> tuple[int, str] | None:
-    """(row, message) of the first session breaking a rule, by its first."""
-    start_us, duration_us, minutes, kwh = columns
-    # slot boundaries are naive local times, which an aware start cannot meet
-    rules = (
-        (~(np.isfinite(minutes) & (minutes > 0)),
-         lambda i: f"duration_min must be > 0, got {float(minutes[i])}"),
-        (~(np.isfinite(kwh) & (kwh >= 0)),
-         lambda i: f"energy_kwh must be >= 0, got {float(kwh[i])}"),
-        (np.array([moment.tzinfo is not None for moment in starts], dtype=bool),
-         lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
-        ((minutes > _SPAN_MAX_MIN) | (start_us + duration_us > _END_MAX_US),
-         lambda i: f"a {float(minutes[i])} min session ends past year 9999"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in rules])
-    if not bad.any():
-        return None
-    row = int(bad.argmax())
-    return row, next(message(row) for mask, message in rules if mask[row])
 
 
 def parse_transactions(lines) -> TraceColumns:
@@ -355,9 +316,22 @@ def parse_transactions(lines) -> TraceColumns:
     if not saw_header:
         raise MalformedRecord("empty input: the header row is required")
     columns = _trace_columns(starts, minutes, kwh)
-    fault = _first_fault(starts, columns)
-    if fault is not None:
-        failure = (linenos[fault[0]], fault[1])
+    start_us, duration_us, minutes, kwh = columns
+    # slot boundaries are naive local times, which an aware start cannot meet
+    rules = (
+        (~(np.isfinite(minutes) & (minutes > 0)),
+         lambda i: f"duration_min must be > 0, got {float(minutes[i])}"),
+        (~(np.isfinite(kwh) & (kwh >= 0)),
+         lambda i: f"energy_kwh must be >= 0, got {float(kwh[i])}"),
+        (np.array([moment.tzinfo is not None for moment in starts], dtype=bool),
+         lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
+        ((minutes > _SPAN_MAX_MIN) | (start_us + duration_us > _END_MAX_US),
+         lambda i: f"a {float(minutes[i])} min session ends past year 9999"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        row = int(bad.argmax())
+        failure = (linenos[row], next(message(row) for mask, message in rules if mask[row]))
     if failure is not None:
         raise MalformedRecord(f"line {failure[0]}: {failure[1]}")
     if not starts:
@@ -371,18 +345,33 @@ def load_transactions(path) -> TraceColumns:
         return parse_transactions(fh)
 
 
+def _same_fields(a, b):
+    """Value equality of two dataclasses of one type, array fields included."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _is_iso_date(text: str) -> bool:
+    try:
+        return date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class DayProfileSet:
     """Per-day on-peak demand profiles plus the bounds that envelop them.
 
-    day_keys are ISO dates in chronological order; day_values rows all share
-    one horizon. avg_daily_energy is the mean of the per-day totals and is
-    the natural yardstick for storage capacity ("a 30% capacity rate" means
-    c = 0.3 * avg_daily_energy).
+    day_values is a read-only float (N, T) array, one row per day_keys entry
+    (ISO dates, strictly increasing); T is the window's slot count by
+    SlottingConfig's rules. avg_daily_energy is the mean of the per-day
+    totals and is the natural yardstick for storage capacity ("a 30%
+    capacity rate" means c = 0.3 * avg_daily_energy).
     """
 
     day_keys: tuple[str, ...]
-    day_values: tuple[tuple[float, ...], ...]
+    day_values: np.ndarray
     slot_minutes: int
     on_peak_start: str
     on_peak_end: str
@@ -391,23 +380,34 @@ class DayProfileSet:
     demand_ub: float
     avg_daily_energy: float
 
+    __eq__ = _same_fields
+
     def __post_init__(self):
         keys = tuple(str(k) for k in self.day_keys)
-        rows = tuple(tuple(float(x) for x in row) for row in self.day_values)
-        object.__setattr__(self, "day_keys", keys)
-        object.__setattr__(self, "day_values", rows)
-        if not rows:
+        rows = self.day_values
+        if not len(rows):
             raise ValueError("at least one day is required")
         if len(keys) != len(rows):
             raise ValueError(f"{len(keys)} day keys for {len(rows)} day rows")
-        width = len(rows[0])
-        if width < 1 or any(len(r) != width for r in rows):
+        # numpy refuses ragged rows with a message of its own; they fail as no rows do
+        ragged = not isinstance(rows, np.ndarray) and len({np.shape(r) for r in rows}) > 1
+        values = np.array([[]] if ragged else rows, dtype=float)
+        if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError("day rows must share one positive horizon")
+        values.flags.writeable = False
+        object.__setattr__(self, "day_keys", keys)
+        object.__setattr__(self, "day_values", values)
+        bad = [k for prev, k in zip(("",) + keys, keys) if not (_is_iso_date(k) and prev < k)]
+        if bad:
+            raise ValueError(f"day keys must be ISO dates in increasing order, got {bad[0]!r}")
+        horizon = SlottingConfig(self.slot_minutes, self.on_peak_start, self.on_peak_end,
+                                 self.scale_factor).horizon
+        if horizon != values.shape[1]:
+            raise ValueError(f"the window holds {horizon} slots, the day rows {values.shape[1]}")
         if not 0 < self.demand_lb <= self.demand_ub < math.inf:
             raise ValueError(
                 f"bounds must satisfy 0 < lb <= ub < inf, got ({self.demand_lb}, {self.demand_ub})"
             )
-        values = np.asarray(rows, dtype=float)
         tol = 1e-9 * max(1.0, self.demand_ub)
         # written so that a NaN value fails it (min and max propagate NaN)
         if not self.demand_lb - tol <= values.min() <= values.max() <= self.demand_ub + tol:
@@ -426,14 +426,14 @@ class DayProfileSet:
 
     @property
     def horizon(self) -> int:
-        return len(self.day_values[0])
+        return self.day_values.shape[1]
 
     @property
     def num_days(self) -> int:
         return len(self.day_values)
 
     def values(self) -> np.ndarray:
-        return np.asarray(self.day_values, dtype=float)
+        return self.day_values
 
     def instance(self, capacity_c: float, rate_limit: float | None = None) -> Instance:
         return validate_instance(
@@ -442,25 +442,17 @@ class DayProfileSet:
 
     def monthly_groups(self) -> dict[str, tuple[int, ...]]:
         """Map "YYYY-MM" to the row indices of that month, in file order."""
-        groups: dict[str, list[int]] = {}
-        for idx, key in enumerate(self.day_keys):
-            day = date.fromisoformat(key)
-            groups.setdefault(f"{day.year:04d}-{day.month:02d}", []).append(idx)
-        return {month: tuple(ixs) for month, ixs in groups.items()}
+        months = [key[:7] for key in self.day_keys]
+        return {m: tuple(i for i, k in enumerate(months) if k == m) for m in dict.fromkeys(months)}
+
+
+# the JSON keys of a profile set: DayProfileSet's fields
+_PROFILE_SET_KEYS = tuple(f.name for f in fields(DayProfileSet))
 
 
 def profile_set_to_json(profiles: DayProfileSet) -> str:
-    payload = {
-        "day_keys": list(profiles.day_keys),
-        "day_values": [list(row) for row in profiles.day_values],
-        "slot_minutes": profiles.slot_minutes,
-        "on_peak_start": profiles.on_peak_start,
-        "on_peak_end": profiles.on_peak_end,
-        "scale_factor": profiles.scale_factor,
-        "demand_lb": profiles.demand_lb,
-        "demand_ub": profiles.demand_ub,
-        "avg_daily_energy": profiles.avg_daily_energy,
-    }
+    payload = {key: getattr(profiles, key) for key in _PROFILE_SET_KEYS}
+    payload["day_values"] = profiles.day_values.tolist()
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -471,26 +463,11 @@ def profile_set_from_json(text: str) -> DayProfileSet:
         raise MalformedRecord(f"profile set is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise MalformedRecord("profile set JSON must be an object")
-    required = (
-        "day_keys", "day_values", "slot_minutes", "on_peak_start",
-        "on_peak_end", "scale_factor", "demand_lb", "demand_ub",
-        "avg_daily_energy",
-    )
-    missing = [k for k in required if k not in payload]
+    missing = [k for k in _PROFILE_SET_KEYS if k not in payload]
     if missing:
         raise MalformedRecord(f"profile set JSON missing keys: {', '.join(missing)}")
     try:
-        return DayProfileSet(
-            day_keys=tuple(payload["day_keys"]),
-            day_values=tuple(tuple(row) for row in payload["day_values"]),
-            slot_minutes=int(payload["slot_minutes"]),
-            on_peak_start=str(payload["on_peak_start"]),
-            on_peak_end=str(payload["on_peak_end"]),
-            scale_factor=float(payload["scale_factor"]),
-            demand_lb=float(payload["demand_lb"]),
-            demand_ub=float(payload["demand_ub"]),
-            avg_daily_energy=float(payload["avg_daily_energy"]),
-        )
+        return DayProfileSet(**{k: payload[k] for k in _PROFILE_SET_KEYS})
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"profile set JSON rejected: {exc}") from None
 
@@ -506,7 +483,7 @@ def load_profile_set(path) -> DayProfileSet:
         return profile_set_from_json(fh.read())
 
 
-def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfileSet:
+def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> DayProfileSet:
     """Slot transactions into per-day on-peak profiles at constant power.
 
     Each transaction's energy spreads over the slots it overlaps in
@@ -515,19 +492,11 @@ def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfi
     receives energy are incomplete; they are dropped and logged rather than
     passed on as artificial zero demand.
 
-    transactions are the columns parse_transactions returns, or
-    TraceTransaction records, which are turned into the same columns. Times
-    are integer microseconds since 1970, as datetime arithmetic keeps them,
-    and every (transaction, calendar day it spans) pair is slotted at once,
-    one slot at a time. A slot's energy is summed in transaction order.
+    transactions are the columns parse_transactions returns. Times are
+    integer microseconds since 1970, as datetime arithmetic keeps them, and
+    every (transaction, calendar day it spans) pair is slotted at once, one
+    slot at a time. A slot's energy is summed in transaction order.
     """
-    if config is None:
-        config = SlottingConfig()
-    if not isinstance(transactions, TraceColumns):  # records, each checked when built
-        records = tuple(transactions)
-        transactions = _trace_columns([t.start for t in records],
-                                      [t.duration_min for t in records],
-                                      [t.energy_kwh for t in records])
     start, duration_us, duration_min, energy_kwh = transactions
     if not len(start):
         raise EmptyTrace("no transactions to ingest")
@@ -575,7 +544,7 @@ def ingest_trace(transactions, config: SlottingConfig | None = None) -> DayProfi
         lb, ub = config.demand_bounds
     return DayProfileSet(
         day_keys=tuple(key for key, bad in zip(keys, incomplete) if not bad),
-        day_values=values.tolist(),
+        day_values=values,
         slot_minutes=config.slot_minutes,
         on_peak_start=config.on_peak_start,
         on_peak_end=config.on_peak_end,
@@ -591,17 +560,16 @@ def _wrap_synthetic(
     start_date: str, slot_minutes: int,
 ) -> DayProfileSet:
     num_days, horizon = values.shape
-    open_min = _clock_minutes("12:00")
-    if open_min + horizon * slot_minutes > 24 * 60:
-        raise ValueError(f"{horizon} slots of {slot_minutes} min do not fit the day")
     first = date.fromisoformat(start_date)
     keys = tuple((first + timedelta(days=i)).isoformat() for i in range(num_days))
+    # a window past midnight fails DayProfileSet's check of its clock times
+    end = 12 * 60 + horizon * slot_minutes
     return DayProfileSet(
         day_keys=keys,
-        day_values=tuple(tuple(float(x) for x in row) for row in values),
+        day_values=values,
         slot_minutes=slot_minutes,
         on_peak_start="12:00",
-        on_peak_end=_clock_string(open_min + horizon * slot_minutes),
+        on_peak_end=f"{end // 60:02d}:{end % 60:02d}",
         scale_factor=1.0,
         demand_lb=demand_lb,
         demand_ub=demand_ub,
@@ -679,7 +647,8 @@ def synthetic_volatile_profiles(
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Matched per-day peaks for one policy, with the derived aggregates.
+    """Matched per-day peaks for one policy, as read-only float arrays, with
+    the derived aggregates.
 
     usage rates divide the net (after-discharge) peak by the original peak
     demand of the same day; the performance ratio divides the summed net
@@ -688,45 +657,47 @@ class AggregateMetrics:
     schedule beats the offline optimum.
     """
 
-    final_peaks: tuple[float, ...]
-    offline_peaks: tuple[float, ...]
-    original_peaks: tuple[float, ...]
+    final_peaks: np.ndarray
+    offline_peaks: np.ndarray
+    original_peaks: np.ndarray
+
+    __eq__ = _same_fields
 
     def __post_init__(self):
-        finals = tuple(float(x) for x in self.final_peaks)
-        offline = tuple(float(x) for x in self.offline_peaks)
-        original = tuple(float(x) for x in self.original_peaks)
-        object.__setattr__(self, "final_peaks", finals)
-        object.__setattr__(self, "offline_peaks", offline)
-        object.__setattr__(self, "original_peaks", original)
-        if not (len(finals) == len(offline) == len(original)):
+        for f in fields(self):
+            peaks = np.array(getattr(self, f.name), dtype=float)
+            peaks.flags.writeable = False
+            object.__setattr__(self, f.name, peaks)
+        finals, offline, original = self.final_peaks, self.offline_peaks, self.original_peaks
+        if not len(finals) == len(offline) == len(original) > 0:
             raise MismatchedLengths(
                 f"{len(finals)} final peaks, {len(offline)} offline peaks, "
-                f"{len(original)} original peaks"
+                f"{len(original)} original peaks: need equally many, at least one"
             )
-        if not finals:
-            raise MismatchedLengths("at least one day is required")
-        if min(original) <= 0 or min(offline) <= 0:
+        # written so that a NaN peak fails them
+        if not (original.min() > 0 and offline.min() > 0):
             raise ValueError("peaks must be positive")
-        for rate in self.usage_rates:
-            if not (0 < rate <= 1 + 1e-9):
-                raise ValueError(f"peak usage rate {rate} escapes (0, 1]")
+        rates = self.usage_rates
+        bad = ~((rates > 0) & (rates <= 1 + 1e-9))
+        if bad.any():
+            raise ValueError(f"peak usage rate {float(rates[bad.argmax()])} escapes (0, 1]")
         if self.performance_ratio < 1 - 1e-9:
             raise ValueError(
                 f"performance ratio {self.performance_ratio} < 1: online beat offline"
             )
 
     @property
-    def usage_rates(self) -> tuple[float, ...]:
-        return tuple(f / o for f, o in zip(self.final_peaks, self.original_peaks))
+    def usage_rates(self) -> np.ndarray:
+        return self.final_peaks / self.original_peaks
 
     @property
-    def day_ratios(self) -> tuple[float, ...]:
-        return tuple(f / o for f, o in zip(self.final_peaks, self.offline_peaks))
+    def day_ratios(self) -> np.ndarray:
+        return self.final_peaks / self.offline_peaks
 
     @property
     def performance_ratio(self) -> float:
-        return sum(self.final_peaks) / sum(self.offline_peaks)
+        # Python's left-to-right sum: np.sum adds pairwise and can move the last digit
+        return sum(self.final_peaks.tolist()) / sum(self.offline_peaks.tolist())
 
     @property
     def mean_final_peak(self) -> float:
@@ -741,22 +712,8 @@ class AggregateMetrics:
         return float(np.mean(self.usage_rates))
 
 
-def compute_metrics(online_peaks, offline_peaks, original_peaks) -> AggregateMetrics:
-    """Bundle matched per-day peak lists; lengths must agree.
-
-    online_peaks generally come from PolicyRun.final_peak, offline_peaks
-    from OfflineSolution.peak, original_peaks are the raw per-day maxima.
-    """
-    return AggregateMetrics(
-        final_peaks=tuple(online_peaks),
-        offline_peaks=tuple(offline_peaks),
-        original_peaks=tuple(original_peaks),
-    )
-
-
 @dataclass(frozen=True)
 class SweepCell:
-    axis: str
     value: float
     algorithm: str
     metrics: AggregateMetrics
@@ -897,8 +854,9 @@ class ExperimentConfig:
 
 
 def _cell_peaks(
-    algorithm: str, instance: Instance, profiles, offline: list[float], settings: RunSettings,
-) -> list[float]:
+    algorithm: str, instance: Instance, values: np.ndarray, offline: np.ndarray,
+    settings: RunSettings,
+) -> np.ndarray:
     """Final (after-discharge) peak of the given policy on every day."""
     if algorithm == ALGO_OFFLINE:
         return offline
@@ -908,11 +866,11 @@ def _cell_peaks(
     elif algorithm == ALGO_THR_MID:
         algorithm = ALGO_THR
         settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
-    return POLICY_RUNNERS[algorithm](instance, profiles, settings).final_peaks.tolist()
+    return POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks
 
 
 def _threaded_month_peak(
-    instance: Instance, day_profiles, pi_star: float, epsilon: float
+    instance: Instance, values: np.ndarray, pi_star: float, epsilon: float
 ) -> float:
     """Monthly peak when each day's run knows the month's standing peak.
 
@@ -922,19 +880,20 @@ def _threaded_month_peak(
     under monthly billing.
     """
     d_op = 0.0
-    for prof in day_profiles:
-        run = run_anytime(instance, prof, PolicyOptions(
+    for row in values:
+        profile = DemandProfile(instance, row)
+        run = run_anytime(instance, profile, PolicyOptions(
             mode=MODE_ANYTIME, monthly_peak=d_op,
             initial_ratio=pi_star, bisection_epsilon=epsilon,
         ))
-        net = prof.values - run.schedule.values
-        for k in range(len(net)):
-            # a discharging slot must never land below the standing peak
-            if run.schedule.values[k] > 1e-9 and net[k] < d_op - 1e-6:
-                raise InfeasibleSchedule(
-                    f"slot {k + 1} discharged below the monthly peak "
-                    f"{d_op}: net {net[k]}"
-                )
+        net = profile.values - run.schedule.values
+        # a discharging slot must never land below the standing peak
+        below = (run.schedule.values > 1e-9) & (net < d_op - 1e-6)
+        if below.any():
+            k = int(below.argmax())
+            raise InfeasibleSchedule(
+                f"slot {k + 1} discharged below the monthly peak {d_op}: net {net[k]}"
+            )
         d_op = max(d_op, run.final_peak)
     return d_op
 
@@ -942,17 +901,17 @@ def _threaded_month_peak(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Replay the roster over every day for every capacity rate.
 
-    Per rate: build the instance (c = rate * avg daily energy), solve the
-    offline optimum of every day in one matrix call, compute the optimal
-    competitive ratio once if any ratio-pursuit policy needs it, then
-    collect each policy's peaks into one SweepCell. With monthly=True the anytime policy additionally
-    runs once per month with the standing peak threaded through, paired
-    against the independent per-day runs of the same policy (the roster's
-    own when it holds anytime).
+    Per rate: build the instance (c = rate * avg daily energy) and the day
+    matrix checked against it, solve every day's offline optimum in one
+    matrix call, compute the optimal competitive ratio once if any
+    ratio-pursuit policy needs it, then collect each policy's peaks into one
+    SweepCell. With monthly=True the anytime policy additionally runs once per
+    month with the standing peak threaded through, paired against the
+    independent per-day runs of the same policy (the roster's own when it
+    holds anytime).
     """
     ps = config.profiles
-    raw = ps.values()
-    original_peaks = [float(x) for x in raw.max(axis=1)]
+    original_peaks = ps.day_values.max(axis=1)
     rate_limit = (
         None if config.rate_limit_fraction is None
         else config.rate_limit_fraction * ps.demand_ub
@@ -963,35 +922,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     monthly_rows: list[MonthlyComparison] = []
     for rate in config.capacity_rates:
         instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
-        profiles = [DemandProfile(instance, row) for row in raw]
-        offline = offline_peaks(instance, np.array([p.values for p in profiles])).tolist()
+        values = check_demands(instance, ps.day_values)
+        offline = offline_peaks(instance, values)
         settings = RunSettings(
             pi=optimal_cr(instance).pi_star if needs_pi else None,
             epsilon=config.epsilon,
             ratio=min(1.0, instance.capacity_c / ps.avg_daily_energy),
             window=config.rhc_window,
         )
-        finals: dict[str, list[float]] = {}
+        finals: dict[str, np.ndarray] = {}
         for algorithm in config.algorithms:
-            finals[algorithm] = _cell_peaks(algorithm, instance, profiles, offline, settings)
-            cells.append(SweepCell(
-                axis="capacity_rate", value=rate, algorithm=algorithm,
-                metrics=compute_metrics(finals[algorithm], offline, original_peaks),
-            ))
+            finals[algorithm] = _cell_peaks(algorithm, instance, values, offline, settings)
+            cells.append(SweepCell(rate, algorithm, AggregateMetrics(
+                finals[algorithm], offline, original_peaks)))
         if config.monthly:
             if ALGO_ANYTIME not in finals:
                 finals[ALGO_ANYTIME] = _cell_peaks(
-                    ALGO_ANYTIME, instance, profiles, offline, settings
+                    ALGO_ANYTIME, instance, values, offline, settings
                 )
-            independent = finals[ALGO_ANYTIME]
             for month, idxs in ps.monthly_groups().items():
-                threaded = _threaded_month_peak(
-                    instance, [profiles[i] for i in idxs], settings.pi, config.epsilon
-                )
+                days = list(idxs)
                 monthly_rows.append(MonthlyComparison(
                     month=month, capacity_rate=rate,
-                    independent_peak=max(independent[i] for i in idxs),
-                    threaded_peak=threaded,
+                    independent_peak=float(finals[ALGO_ANYTIME][days].max()),
+                    threaded_peak=_threaded_month_peak(
+                        instance, values[days], settings.pi, config.epsilon),
                 ))
     return ExperimentReport(
         horizon=ps.horizon,

@@ -12,7 +12,8 @@ answer for every cutoff at every step, no closed form read.
 
 The per-row and per-day references at the end are the loops the array
 code replaced: parse_transactions_rows parses a trace one line at a time
-into checked TraceTransaction records, ingest_trace_loop slots one
+into Transaction records, each checked by _transaction_problem,
+ingest_trace_loop slots one
 transaction, one calendar day and one slot at a time in datetime
 arithmetic, and the *_actions_loop functions run each baseline on one day,
 slot by slot, in Python floats (the receding horizon one window at a time
@@ -26,13 +27,14 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from peakmin import cr, online
 from peakmin.core import EPS_KWH, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
-from peakmin.harness import TRACE_HEADER, DayProfileSet, TraceTransaction
+from peakmin.harness import TRACE_HEADER, DayProfileSet
 from peakmin.lp import solve_lfp
 from peakmin.offline import (
     offline_peak,
@@ -491,6 +493,14 @@ def kept_tableau_gap(lp) -> float:
     return float(np.abs(kept - fresh).max(initial=0.0))
 
 
+class Transaction(NamedTuple):
+    """One charging session, assumed to draw constant power for its duration."""
+
+    start: datetime
+    duration_min: float
+    energy_kwh: float
+
+
 def _transaction_problem(start: datetime, duration_min: float, energy_kwh: float) -> str | None:
     """The first transaction rule the session breaks, checked in scalar
     datetime arithmetic; None if it breaks none."""
@@ -507,13 +517,13 @@ def _transaction_problem(start: datetime, duration_min: float, energy_kwh: float
     return None
 
 
-def parse_transactions_rows(lines) -> tuple[TraceTransaction, ...]:
+def parse_transactions_rows(lines) -> tuple[Transaction, ...]:
     """parse_transactions one line at a time: each data row is checked by
-    _transaction_problem and becomes a TraceTransaction, and the first row
+    _transaction_problem and becomes a Transaction, and the first row
     that fails raises MalformedRecord with its line number."""
     if isinstance(lines, str):
         lines = lines.splitlines()
-    rows: list[TraceTransaction] = []
+    rows: list[Transaction] = []
     saw_header = False
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
@@ -536,7 +546,7 @@ def parse_transactions_rows(lines) -> tuple[TraceTransaction, ...]:
         problem = _transaction_problem(*fields)
         if problem is not None:
             raise MalformedRecord(f"line {lineno}: {problem}")
-        rows.append(TraceTransaction(*fields))
+        rows.append(Transaction(*fields))
     if not saw_header:
         raise MalformedRecord("empty input: the header row is required")
     if not rows:
@@ -571,7 +581,7 @@ def ingest_trace_loop(transactions, config) -> DayProfileSet:
     lb, ub = config.demand_bounds or (float(values.min()), float(values.max()))
     return DayProfileSet(
         day_keys=tuple(day.isoformat() for day in kept),
-        day_values=tuple(tuple(float(x) for x in row) for row in values),
+        day_values=values,
         slot_minutes=config.slot_minutes,
         on_peak_start=config.on_peak_start,
         on_peak_end=config.on_peak_end,

@@ -327,6 +327,7 @@ def test_cell_peaks_match_per_day_runs_bit_for_bit(instance):
     PolicyRun, and the matrix offline peaks are solve_offline_pmd's."""
     profiles = [DemandProfile(instance, row)
                 for row in random_profiles(instance, 30, seed=7 * instance.horizon_T)]
+    values = np.array([p.values for p in profiles])
     mid = 0.5 * (instance.demand_lb + instance.demand_ub)
     settings = RunSettings(threshold=mid, ratio=0.3)
     window = RhcConfig().resolve_window(instance.horizon_T)
@@ -340,12 +341,11 @@ def test_cell_peaks_match_per_day_runs_bit_for_bit(instance):
                               ("mid", FUTURE_MIDPOINT))},
     }
     for algo, loop in loops.items():
-        runs = POLICY_RUNNERS[algo](instance, profiles, settings)
+        runs = POLICY_RUNNERS[algo](instance, values, settings)
         days = [PolicyRun.from_actions(instance, p, loop(p.values)) for p in profiles]
         assert runs.final_peaks.tolist() == [day.final_peak for day in days], algo
         for i in (0, len(days) - 1):
             assert runs.run(i).schedule.values.tolist() == days[i].schedule.values.tolist()
             assert runs.run(i).final_peak == days[i].final_peak
-    values = np.array([p.values for p in profiles])
     assert offline_peaks(instance, values).tolist() == [
         solve_offline_pmd(instance, p).peak for p in profiles]

@@ -1,6 +1,7 @@
 """Byte-for-byte CLI goldens: simulate for every --algo on the DHAT day, the
-report and series files of an experiment over every algorithm, and cr on a
-plain, a rate-limited and a rate-capped instance.
+report and series files of an experiment over every algorithm, cr on a
+plain, a rate-limited and a rate-capped instance, and ingest of a small
+trace whose sessions include one that crosses midnight.
 
 The expected files live in tests/golden/. They pin the printed output of
 the command line, so a refactor behind it must leave every byte alone.
@@ -108,6 +109,18 @@ def test_experiment_golden(capsys, tmp_path, name, rate_limit_fraction):
     series = (out_dir / "series.csv").read_text(encoding="utf-8")
     assert report == _golden(f"experiment_{name}_report.txt")
     assert series == _golden(f"experiment_{name}_series.csv")
+
+
+def test_ingest_golden(capsys, tmp_path, monkeypatch):
+    """ingest_trace.csv holds five days; one session starts at 23:30 and
+    covers the next day's window, and the last day is dropped uncovered."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["ingest", "--input", str(GOLDEN / "ingest_trace.csv"),
+                 "--output", "days.json", "--window-end", "13:00"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == _golden("ingest_stdout.txt")
+    assert (tmp_path / "days.json").read_text(encoding="utf-8") == _golden("ingest_days.json")
 
 
 @pytest.mark.parametrize("name, flags", CR_CASES, ids=[c[0] for c in CR_CASES])

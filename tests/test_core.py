@@ -8,6 +8,7 @@ from peakmin.core import (
     DischargeSchedule,
     Instance,
     OnlineState,
+    check_demands,
     reference_profile,
     reference_values,
     validate_instance,
@@ -88,6 +89,27 @@ def test_demand_profile_is_immutable():
     profile = DemandProfile(inst, [1.0, 2.0])
     with pytest.raises(ValueError):
         profile.values[0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [3.0 + 2e-9, 1.0 - 2e-9, float("nan")])
+def test_matrix_demand_check_names_the_row_demand_profile_names(bad):
+    """One bad row among many: check_demands on the (N, T) matrix raises
+    the DemandOutOfBounds, message and all, that DemandProfile raises on that
+    row alone, and on a good matrix gives every row DemandProfile's values."""
+    inst = Instance(2.0, None, 4, 1.0, 3.0)
+    values = random_profiles(inst, 9, seed=4)
+    values[:, 0] = [3.0 + 1e-9, 1.0 - 1e-9, 2.0] * 3
+    clipped = check_demands(inst, values)
+    assert not clipped.flags.writeable
+    assert clipped.tolist() == [DemandProfile(inst, row).values.tolist() for row in values]
+    for row in (0, 4, 8):
+        broken = values.copy()
+        broken[row, 1:3] = bad
+        with pytest.raises(DemandOutOfBounds) as matrix:
+            check_demands(inst, broken)
+        with pytest.raises(DemandOutOfBounds) as day:
+            DemandProfile(inst, broken[row])
+        assert str(matrix.value) == str(day.value)
 
 
 def test_schedule_feasibility_checks():

@@ -37,8 +37,7 @@ from peakmin.harness import (
     DayProfileSet,
     ExperimentConfig,
     SlottingConfig,
-    TraceTransaction,
-    compute_metrics,
+    TraceColumns,
     ingest_trace,
     load_profile_set,
     load_transactions,
@@ -52,17 +51,29 @@ from peakmin.harness import (
 )
 from peakmin.offline import solve_offline_pmd
 
-from oracles import ingest_trace_loop, parse_transactions_rows
+from oracles import Transaction, ingest_trace_loop, parse_transactions_rows
+
+HEADER = "start_iso8601,duration_min,energy_kwh"
 
 
-def txn(start: str, duration_min: float, energy_kwh: float) -> TraceTransaction:
-    return TraceTransaction(datetime.fromisoformat(start), duration_min, energy_kwh)
+def txn(start: str, duration_min: float, energy_kwh: float) -> Transaction:
+    return Transaction(datetime.fromisoformat(start), duration_min, energy_kwh)
+
+
+def _csv(rows) -> str:
+    return "\n".join([HEADER] + [f"{t.start.isoformat()},{t.duration_min!r},{t.energy_kwh!r}"
+                                  for t in rows]) + "\n"
+
+
+def _ingest(rows, config):
+    """ingest_trace on the columns parse_transactions reads from the records."""
+    return ingest_trace(parse_transactions(_csv(rows)), config)
 
 
 def test_slotting_boundary_aligned_constant_power():
     """30 minutes and 10 kWh starting on a slot boundary split evenly."""
     config = SlottingConfig(slot_minutes=15, on_peak_start="12:00", on_peak_end="12:30")
-    ps = ingest_trace([txn("2024-05-06 12:00", 30, 10.0)], config)
+    ps = _ingest([txn("2024-05-06 12:00", 30, 10.0)], config)
     assert ps.day_keys == ("2024-05-06",)
     assert ps.day_values[0] == pytest.approx([5.0, 5.0])
 
@@ -70,7 +81,7 @@ def test_slotting_boundary_aligned_constant_power():
 def test_slotting_straddle_proportional_overlap():
     """A session overlapping two slots by 5 and 25 minutes splits 1:5."""
     config = SlottingConfig(slot_minutes=30, on_peak_start="12:00", on_peak_end="13:00")
-    ps = ingest_trace([txn("2024-05-06 12:25", 30, 6.0)], config)
+    ps = _ingest([txn("2024-05-06 12:25", 30, 6.0)], config)
     assert ps.day_values[0] == pytest.approx([1.0, 5.0])
 
 
@@ -79,7 +90,7 @@ def test_slotting_three_transaction_golden():
     8 kWh over the whole hour, 4.5 kWh over 12:10-12:30, 4 kWh over
     12:30-13:00."""
     config = SlottingConfig(slot_minutes=15, on_peak_start="12:00", on_peak_end="13:00")
-    ps = ingest_trace(
+    ps = _ingest(
         [
             txn("2024-05-06 12:00", 60, 8.0),
             txn("2024-05-06 12:10", 20, 4.5),
@@ -96,13 +107,13 @@ def test_ingest_conserves_energy_inside_window():
     """Whatever lands in the window sums to the attributed fractions."""
     config = SlottingConfig(slot_minutes=15, on_peak_start="12:00", on_peak_end="13:00")
     # 60 of the 80 minutes fall inside the window, so 3/4 of the energy does
-    ps = ingest_trace([txn("2024-05-06 11:40", 80, 12.0)], config)
+    ps = _ingest([txn("2024-05-06 11:40", 80, 12.0)], config)
     assert sum(ps.day_values[0]) == pytest.approx(9.0, abs=1e-9)
 
 
 def test_ingest_crossing_midnight_attributes_next_day():
     config = SlottingConfig(slot_minutes=30, on_peak_start="00:00", on_peak_end="01:00")
-    ps = ingest_trace([txn("2024-05-06 23:30", 120, 8.0)], config)
+    ps = _ingest([txn("2024-05-06 23:30", 120, 8.0)], config)
     # the first day's window gets nothing and is dropped as incomplete
     assert ps.day_keys == ("2024-05-07",)
     assert ps.day_values[0] == pytest.approx([2.0, 2.0])
@@ -115,7 +126,7 @@ def test_ingest_drops_incomplete_days_and_logs(caplog):
         txn("2024-05-07 12:00", 20, 2.0),
     ]
     with caplog.at_level(logging.INFO, logger="peakmin.harness"):
-        ps = ingest_trace(rows, config)
+        ps = _ingest(rows, config)
     assert ps.day_keys == ("2024-05-06",)
     assert any("2024-05-07" in rec.message for rec in caplog.records)
 
@@ -123,9 +134,10 @@ def test_ingest_drops_incomplete_days_and_logs(caplog):
 def test_ingest_empty_when_no_day_complete():
     config = SlottingConfig(slot_minutes=30, on_peak_start="12:00", on_peak_end="13:00")
     with pytest.raises(EmptyTrace):
-        ingest_trace([txn("2024-05-06 12:00", 20, 2.0)], config)
+        _ingest([txn("2024-05-06 12:00", 20, 2.0)], config)
+    no_rows = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
     with pytest.raises(EmptyTrace):
-        ingest_trace([], config)
+        ingest_trace(TraceColumns(*no_rows), config)
 
 
 def test_ingest_scale_factor_and_bounds_override():
@@ -133,19 +145,19 @@ def test_ingest_scale_factor_and_bounds_override():
         slot_minutes=30, on_peak_start="12:00", on_peak_end="13:00",
         scale_factor=2.0, demand_bounds=(1.0, 20.0),
     )
-    ps = ingest_trace([txn("2024-05-06 12:00", 60, 6.0)], config)
+    ps = _ingest([txn("2024-05-06 12:00", 60, 6.0)], config)
     assert ps.day_values[0] == pytest.approx([6.0, 6.0])
     assert (ps.demand_lb, ps.demand_ub) == (1.0, 20.0)
 
 
-def _awkward_trace(seed: int) -> list[TraceTransaction]:
+def _awkward_trace(seed: int) -> list[Transaction]:
     """Five days of sessions: a fleet that covers every window below (from
     11:00 to 05:00 the next morning), plus sessions that cross midnight,
     span several days, end exactly on a slot edge or at midnight, carry
     zero energy, or start on a fractional second."""
     rng = np.random.default_rng(seed)
     first = datetime(2024, 2, 27)  # the set crosses the end of February
-    rows = [TraceTransaction(first + timedelta(days=d, hours=11), 1080.0, 30.0 + d)
+    rows = [Transaction(first + timedelta(days=d, hours=11), 1080.0, 30.0 + d)
             for d in range(5) for _ in range(2)]
     for _ in range(120):
         day = first + timedelta(days=int(rng.integers(0, 5)))
@@ -167,7 +179,7 @@ def _awkward_trace(seed: int) -> list[TraceTransaction]:
             start = day + timedelta(seconds=float(rng.uniform(8, 20) * 3600))
             minutes = round(float(rng.uniform(0.5, 300)), int(rng.integers(0, 4)))
         energy = 0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 60)), 4)
-        rows.append(TraceTransaction(start, minutes, energy))
+        rows.append(Transaction(start, minutes, energy))
     return rows
 
 
@@ -183,12 +195,9 @@ def test_array_ingest_matches_slot_loop_byte_for_byte(seed, config):
     """ingest_trace writes the same JSON, byte for byte, as slotting one
     transaction, calendar day and slot at a time in datetime arithmetic."""
     rows = _awkward_trace(seed)
-    got = ingest_trace(rows, config)
+    got = _ingest(rows, config)
     assert got.num_days >= 4
     assert profile_set_to_json(got) == profile_set_to_json(ingest_trace_loop(rows, config))
-
-
-HEADER = "start_iso8601,duration_min,energy_kwh"
 
 
 def _seeded_trace_csv(seed: int) -> str:
@@ -211,11 +220,6 @@ def _seeded_trace_csv(seed: int) -> str:
         pad = " " if rng.random() < 0.2 else ""
         lines.append(f"{text},{pad}{minutes!r}{pad},{energy!r}")
     return "\n".join(lines) + "\n"
-
-
-def _csv(rows) -> str:
-    return "\n".join([HEADER] + [f"{t.start.isoformat()},{t.duration_min!r},{t.energy_kwh!r}"
-                                  for t in rows]) + "\n"
 
 
 def _assert_columns_match_rows(text: str) -> None:
@@ -369,13 +373,6 @@ def test_parse_transactions_skips_blank_and_comment_lines():
     assert rows.energy_kwh.tolist() == [10.0]
 
 
-def test_transaction_field_validation():
-    with pytest.raises(MalformedRecord):
-        txn("2024-05-06 12:00", 0, 1.0)
-    with pytest.raises(MalformedRecord):
-        txn("2024-05-06 12:00", 30, -1.0)
-
-
 @pytest.mark.parametrize(
     "row, message",
     [("2024-05-06T12:00:00+02:00,30,10", "UTC offset"), ("2024-05-06 12:00,1e13,10", "9999")],
@@ -402,6 +399,40 @@ def test_slotting_config_validation():
     with pytest.raises(ValueError):
         SlottingConfig(demand_bounds=(0.0, 1.0))
     assert SlottingConfig().horizon == 20
+
+
+@pytest.mark.parametrize("slot_minutes", [15.0, True], ids=["float", "bool"])
+def test_slotting_config_requires_an_integer_slot(slot_minutes):
+    """A float slot length used to pass and then fail inside numpy in
+    ingest_trace, and True was read as a 1-minute slot (horizon 300)."""
+    with pytest.raises(ValueError, match="slot_minutes must be a positive integer"):
+        SlottingConfig(slot_minutes=slot_minutes)
+
+
+_PROFILE_SET = dict(
+    day_keys=("2024-05-06", "2024-05-07"), day_values=((1.0, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0)),
+    slot_minutes=15, on_peak_start="12:00", on_peak_end="13:00", scale_factor=1.0,
+    demand_lb=1.0, demand_ub=2.0, avg_daily_energy=6.0,
+)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("slot_minutes", 15.7), ("slot_minutes", 0), ("slot_minutes", -5),
+    ("on_peak_end", "23:00"), ("on_peak_start", "garbage"), ("on_peak_start", 12),
+    ("scale_factor", -1.0), ("scale_factor", float("nan")),
+    ("day_keys", ("2024-13-40", "2024-05-07")), ("day_keys", ("2024-05-06", "2024-05-06")),
+    ("day_keys", ("2024-05-07", "2024-05-06")), ("day_keys", ("2024-05-06", "20240507")),
+])
+def test_profile_set_rejects_metadata_that_contradicts_its_days(field, value):
+    """Each of these loaded once: a slot length truncated to 15 or below 1,
+    a window that is not the rows' 4 slots or not a clock time, a scale that
+    is not positive, and day keys that are no ISO dates or out of order."""
+    DayProfileSet(**_PROFILE_SET)
+    with pytest.raises(ValueError):
+        DayProfileSet(**{**_PROFILE_SET, field: value})
+    payload = json.loads(profile_set_to_json(DayProfileSet(**_PROFILE_SET)))
+    with pytest.raises(MalformedRecord):
+        profile_set_from_json(json.dumps({**payload, field: value}))
 
 
 def test_profile_set_json_roundtrip_is_byte_stable(tmp_path):
@@ -437,6 +468,9 @@ def test_profile_set_validation():
     with pytest.raises(ValueError):
         DayProfileSet(day_keys=("2024-05-06",), day_values=((1.0, 2.0),),
                       **{**base, "avg_daily_energy": 4.0})
+    with pytest.raises(ValueError, match="share one positive horizon"):
+        DayProfileSet(day_keys=("2024-05-06", "2024-05-07"),
+                      day_values=((1.0, 2.0), (1.0, 2.0, 1.0)), **base)
 
 
 def test_profile_set_rejects_nan():
@@ -497,7 +531,7 @@ def test_synthetic_volatile_share_knobs():
 
 
 def test_metrics_fixture():
-    m = compute_metrics([6.0, 4.0], [5.0, 3.0], [8.0, 5.0])
+    m = AggregateMetrics([6.0, 4.0], [5.0, 3.0], [8.0, 5.0])
     assert m.performance_ratio == pytest.approx(1.25)
     assert m.usage_rates == pytest.approx((0.75, 0.8))
     assert m.day_ratios == pytest.approx((1.2, 4.0 / 3.0))
@@ -507,23 +541,23 @@ def test_metrics_fixture():
 
 
 def test_metrics_trivial_cases():
-    match = compute_metrics([5.0, 3.0], [5.0, 3.0], [8.0, 5.0])
+    match = AggregateMetrics([5.0, 3.0], [5.0, 3.0], [8.0, 5.0])
     assert match.performance_ratio == pytest.approx(1.0)
-    idle = compute_metrics([8.0, 5.0], [5.0, 3.0], [8.0, 5.0])
+    idle = AggregateMetrics([8.0, 5.0], [5.0, 3.0], [8.0, 5.0])
     assert idle.usage_rates == pytest.approx((1.0, 1.0))
 
 
 def test_metrics_validation():
     with pytest.raises(MismatchedLengths):
-        compute_metrics([6.0], [5.0, 3.0], [8.0, 5.0])
+        AggregateMetrics([6.0], [5.0, 3.0], [8.0, 5.0])
     with pytest.raises(MismatchedLengths):
-        compute_metrics([], [], [])
+        AggregateMetrics([], [], [])
     with pytest.raises(ValueError):
         # summed net peaks below the offline optimum are impossible
-        compute_metrics([4.0, 2.0], [5.0, 3.0], [8.0, 5.0])
+        AggregateMetrics([4.0, 2.0], [5.0, 3.0], [8.0, 5.0])
     with pytest.raises(ValueError):
         # a net peak above the original peak means the policy added demand
-        compute_metrics([9.0, 4.0], [5.0, 3.0], [8.0, 5.0])
+        AggregateMetrics([9.0, 4.0], [5.0, 3.0], [8.0, 5.0])
 
 
 def test_experiment_plumbing_single_day():
@@ -736,11 +770,11 @@ def test_experiment_cells_match_per_day_runs_bit_for_bit(fraction):
             "rhc-lower": lambda p: run_rhc(instance, p, RhcConfig(None, FUTURE_LOWER)),
             "rhc-mid": lambda p: run_rhc(instance, p, RhcConfig(None, FUTURE_MIDPOINT)),
         }
-        assert report.cell("offline", rate).metrics.final_peaks == tuple(offline)
+        assert report.cell("offline", rate).metrics.final_peaks.tolist() == offline
         for algo, run in runs.items():
             metrics = report.cell(algo, rate).metrics
-            assert metrics.final_peaks == tuple(run(p).final_peak for p in profiles), algo
-            assert metrics.offline_peaks == tuple(offline)
+            assert metrics.final_peaks.tolist() == [run(p).final_peak for p in profiles], algo
+            assert metrics.offline_peaks.tolist() == offline
 
 
 def test_all_algorithms_execute():

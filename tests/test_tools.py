@@ -76,6 +76,37 @@ def test_summarize_gain_rule(bench_pairs, better, parent, change, met):
     assert held == {"w": {"m": {"parent": 1e9, "change": -1e9}}}
 
 
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    # 5% worse in the median, inside a 10% bound, parent spread 2% of its median
+    ("lower", [100.0 + k % 3 for k in range(10)], [106.0 + k % 3 for k in range(10)], True),
+    # 15% worse: outside the bound
+    ("lower", [100.0 + k % 3 for k in range(10)], [116.0 + k % 3 for k in range(10)], False),
+    # the same for a metric where higher is better
+    ("higher", [100.0 + k % 3 for k in range(10)], [96.0 + k % 3 for k in range(10)], True),
+    ("higher", [100.0 + k % 3 for k in range(10)], [86.0 + k % 3 for k in range(10)], False),
+    # the parent spreads wider than the bound: no verdict either way
+    ("lower", [80.0 + 5 * k for k in range(10)], [82.0 + 5 * k for k in range(10)], "unresolved"),
+    ("lower", [80.0 + 5 * k for k in range(10)], [200.0] * 10, "unresolved"),
+    # ... unless every change run beats every parent run
+    ("lower", [80.0 + 5 * k for k in range(10)], [50.0 + k for k in range(10)], True),
+    ("higher", [80.0 + 5 * k for k in range(10)], [200.0 + k for k in range(10)], True),
+])
+def test_summarize_within_bound(bench_pairs, better, parent, change, verdict):
+    """within_bound holds when the change's median is worse than the
+    parent's by at most the bound, as a fraction of the parent's median; it
+    is "unresolved" where the parent's interquartile range is wider than
+    that, unless every change run beats every parent run."""
+    summary, _ = bench_pairs.summarize(
+        _runs("w", parent, change), 99, [{"name": "m", "better": better, "bound": 0.1}])
+    assert summary["w"]["m"]["within_bound"] == verdict
+
+
+def test_summarize_within_bound_is_null_without_a_bound(bench_pairs):
+    summary, _ = bench_pairs.summarize(_runs("w", [1.0] * 3, [9.0] * 3), 99,
+                                       [{"name": "m", "better": "lower"}])
+    assert summary["w"]["m"]["within_bound"] is None
+
+
 def test_pair_ratios_prints_every_metric(bench_pairs):
     run = {"parent": {"metrics": {"a": {"value": 2.0}, "b": {"value": 0.0}}},
            "change": {"metrics": {"a": {"value": 1.0}, "b": {"value": 3.0}}}}

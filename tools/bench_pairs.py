@@ -13,14 +13,21 @@ from the parent, since both sides would then run the same code. Every run is
 reported. The result is written, after each pair, to BENCH_<number>.json at
 the root of the working tree: per workload and end-to-end metric (as
 BENCHMARK.json lists them) the parent's median and quartiles, the change's
-median, their ratio, the pairs the change wins and ties, and whether the
-gain rule is met, over the non-held-out seeds; the held-out seed's values
-on each side; and every run's result line. After each pair it prints the
-change/parent ratio of every end-to-end metric.
+median, their ratio, the pairs the change wins and ties, whether the gain
+rule is met and the no-regression verdict, over the non-held-out seeds; the
+held-out seed's values on each side; and every run's result line. After
+each pair it prints the change/parent ratio of every end-to-end metric.
 
 The gain rule: the change wins at least 9 in 10 of the pairs, and its
 median is better than the parent's by more than the parent's
 interquartile range.
+
+The no-regression verdict (within_bound): whether the change's median is
+worse than the parent's by no more than the metric's bound in
+BENCHMARK.json, taken as a fraction of the parent's median. It is
+"unresolved" where the parent's interquartile range is wider than that
+allowance, unless every change run beats every parent run; null for a
+metric with no bound.
 """
 
 from __future__ import annotations
@@ -61,6 +68,21 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(lines[-1]), env
 
 
+def quartiles(values: list) -> tuple:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def within_bound(parent: list, change: list, lower: bool, bound: float) -> bool | str:
+    """The no-regression verdict of one metric's paired values."""
+    q1, _, q3 = quartiles(parent)
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    allowance = bound * abs(p_med)
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > allowance and not beats_all:
+        return "unresolved"
+    return (c_med - p_med if lower else p_med - c_med) <= allowance
+
+
 def summarize(runs: list, held_out: int, metrics: list) -> tuple[dict, dict]:
     """Per workload and metric: the paired summary over the non-held-out
     seeds, and the held-out seed's values."""
@@ -73,7 +95,7 @@ def summarize(runs: list, held_out: int, metrics: list) -> tuple[dict, dict]:
             p, c = ([r[side]["metrics"][name]["value"] for r in mine if r["seed"] != held_out]
                     for side in ("parent", "change"))
             if p:
-                q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0],) * 3
+                q1, _, q3 = quartiles(p)
                 p_med, c_med = statistics.median(p), statistics.median(c)
                 wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
                 gap = p_med - c_med if lower else c_med - p_med
@@ -87,6 +109,8 @@ def summarize(runs: list, held_out: int, metrics: list) -> tuple[dict, dict]:
                     "change_wins": wins,
                     "ties": sum(a == b for a, b in zip(p, c)),
                     "gain_rule_met": wins >= GAIN_WIN_SHARE * len(p) and gap > q3 - q1,
+                    "within_bound": (None if spec.get("bound") is None
+                                     else within_bound(p, c, lower, spec["bound"])),
                 }
             for r in mine:
                 if r["seed"] == held_out:
