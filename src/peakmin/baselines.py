@@ -5,7 +5,10 @@ ratio-pursuit policies on recorded and synthetic traces. All of them run
 causally. Each policy is one kernel over an (N, T) matrix of days
 (threshold_actions, equal_discharge_actions, equal_ratio_actions,
 rhc_actions): it loops over the slots and decides slot t for every day at
-once, returning the (N, T) actions. baseline_peaks checks a kernel's
+once, returning the (N, T) actions. Each takes an optional capacity, one
+per row, in place of the instance's, and its policy argument (threshold,
+ratio or rhc future value) for every row or one per row, so one call can
+sweep every capacity rate of an experiment. baseline_peaks checks a kernel's
 action matrix in one call (core.check_schedules, the check DischargeSchedule
 makes on one row) and returns each day's final peak. The per-day run_*
 functions run a kernel on one day and return its PolicyRun, the same record
@@ -70,12 +73,23 @@ class RhcConfig:
         return 0.5 * (instance.demand_lb + instance.demand_ub)
 
 
-def _greedy_actions(instance: Instance, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+def _column(value) -> np.ndarray:
+    """One value for every row, or one per row, as a column of a day matrix."""
+    return np.reshape(value, (-1, 1))
+
+
+def _inventory(instance: Instance, values: np.ndarray, capacity) -> np.ndarray:
+    """Each row's starting inventory: its capacity, or the instance's."""
+    return np.full(len(values), instance.capacity_c if capacity is None else capacity)
+
+
+def _greedy_actions(instance: Instance, values: np.ndarray, wanted: np.ndarray,
+                    capacity) -> np.ndarray:
     """Each slot discharges min(wanted, slot cap, remaining inventory), in
     slot order; one row per day of the (N, T) matrices."""
     limit = wanted if instance.rate_limit is None else np.minimum(wanted, instance.rate_limit)
     limit = np.minimum(limit, values)
-    remaining = np.full(len(values), instance.capacity_c)
+    remaining = _inventory(instance, values, capacity)
     actions = np.empty_like(limit)
     for t in range(values.shape[1]):
         actions[:, t] = np.minimum(limit[:, t], remaining)
@@ -83,22 +97,25 @@ def _greedy_actions(instance: Instance, values: np.ndarray, wanted: np.ndarray) 
     return actions
 
 
-def threshold_actions(instance: Instance, values: np.ndarray, threshold: float) -> np.ndarray:
+def threshold_actions(instance: Instance, values: np.ndarray, threshold,
+                      capacity=None) -> np.ndarray:
     """Threshold policy on an (N, T) day matrix: each day discharges each slot
     down to the threshold until its storage runs out."""
-    if not threshold >= 0:  # written so that NaN is rejected too
+    if not (np.asarray(threshold) >= 0).all():  # written so that NaN is rejected too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return _greedy_actions(instance, values, np.maximum(0.0, values - threshold))
+    return _greedy_actions(instance, values, np.maximum(0.0, values - _column(threshold)),
+                           capacity)
 
 
-def equal_discharge_actions(instance: Instance, values: np.ndarray) -> np.ndarray:
+def equal_discharge_actions(instance: Instance, values: np.ndarray, capacity=None) -> np.ndarray:
     """Equal-discharge policy on an (N, T) day matrix: the even split c/T each
     slot; unspent quota is not carried."""
-    quota = instance.capacity_c / instance.horizon_T
-    return _greedy_actions(instance, values, np.full(values.shape, quota))
+    quota = _column(_inventory(instance, values, capacity)) / instance.horizon_T
+    return _greedy_actions(instance, values, np.full(values.shape, quota), capacity)
 
 
-def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate: float) -> np.ndarray:
+def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate,
+                        capacity=None) -> np.ndarray:
     """Equal-ratio policy on an (N, T) day matrix: a fixed fraction of each
     slot's demand.
 
@@ -106,9 +123,10 @@ def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate: f
     consumption, supplied by the caller (the experiment harness derives it
     from the recorded days).
     """
-    if not 0.0 <= capacity_rate <= 1.0:
+    fraction = np.asarray(capacity_rate)
+    if not ((0.0 <= fraction) & (fraction <= 1.0)).all():
         raise ValueError(f"capacity_rate must be within [0, 1], got {capacity_rate}")
-    return _greedy_actions(instance, values, capacity_rate * values)
+    return _greedy_actions(instance, values, _column(capacity_rate) * values, capacity)
 
 
 def rhc_actions(
@@ -116,6 +134,8 @@ def rhc_actions(
     values: np.ndarray,
     config: RhcConfig | None = None,
     clairvoyant: bool = False,
+    capacity=None,
+    future=None,
 ) -> np.ndarray:
     """Receding horizon on an (N, T) day matrix: each slot solves its window
     offline and commits the first action.
@@ -126,14 +146,15 @@ def rhc_actions(
     granted the whole remaining inventory, capped at what its slots can
     physically absorb so the water-fill stays defined. clairvoyant=True
     replaces f with the true upcoming demands (a test mode: with window=T it
-    reproduces the offline optimum).
+    reproduces the offline optimum). future, when given, replaces the
+    view's f.
     """
     config = config or RhcConfig()
     horizon = instance.horizon_T
     window = config.resolve_window(horizon)
-    fill = config.future_value(instance)
+    fill = _column(config.future_value(instance) if future is None else future)
     rate = instance.rate_limit
-    remaining = np.full(len(values), instance.capacity_c)
+    remaining = _inventory(instance, values, capacity)
     actions = np.empty(values.shape)
     for t in range(horizon):
         length = min(window, horizon - t)
@@ -151,12 +172,13 @@ def rhc_actions(
     return actions
 
 
-def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args):
-    """kernel(instance, values, *args) on an (N, T) day matrix: its (N, T)
-    actions, checked in one call, and each day's final peak max_t(d_t - delta_t),
-    as PolicyRun.from_actions takes it from the actions as given."""
-    actions = kernel(instance, values, *args)
-    check_schedules(instance, values, actions)
+def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args, **kwargs):
+    """kernel(instance, values, *args, **kwargs) on an (N, T) day matrix: its
+    (N, T) actions, checked in one call (against kwargs' capacity, if any),
+    and each day's final peak max_t(d_t - delta_t), as PolicyRun.from_actions
+    takes it from the actions as given."""
+    actions = kernel(instance, values, *args, **kwargs)
+    check_schedules(instance, values, actions, kwargs.get("capacity"))
     return actions, (values - actions).max(axis=1)
 
 

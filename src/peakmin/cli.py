@@ -14,6 +14,7 @@ produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -228,6 +229,8 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+# built once per process: parse_args fills a fresh Namespace on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peakmin",

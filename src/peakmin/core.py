@@ -136,11 +136,12 @@ def check_demands(instance: Instance, demands: np.ndarray) -> np.ndarray:
     return clipped
 
 
-def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray,
+                    capacity=None) -> np.ndarray:
     """Raise InfeasibleSchedule unless no discharge is negative or NaN, none
-    exceeds min(rate_limit, d_t) and the total is at most capacity_c; return
-    the actions clipped at 0. On an (N, T) matrix the first bad row is named
-    as DischargeSchedule would name it alone."""
+    exceeds min(rate_limit, d_t) and the total is at most capacity_c (or
+    capacity, one per row); return the actions clipped at 0. On an (N, T)
+    matrix the first bad row is named as DischargeSchedule would name it alone."""
     if actions.shape[-1] != instance.horizon_T:
         raise InfeasibleSchedule(
             f"schedule length {actions.shape[-1]} != horizon_T {instance.horizon_T}"
@@ -151,7 +152,8 @@ def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray
     # every check is written so that a NaN fails it
     negative = ~(rows >= -EPS_KWH).all(axis=1)
     over_cap = ~(actions <= caps + EPS_KWH).reshape(rows.shape).all(axis=1)
-    overdrawn = ~(totals <= instance.capacity_c + EPS_KWH)
+    capacity = instance.capacity_c if capacity is None else capacity
+    overdrawn = ~(totals <= capacity + EPS_KWH)
     bad = negative | over_cap | overdrawn
     if bad.any():
         i = int(bad.argmax())
@@ -160,7 +162,8 @@ def check_schedules(instance: Instance, demands: np.ndarray, actions: np.ndarray
         if over_cap[i]:
             raise InfeasibleSchedule("discharge exceeds min(rate_limit, d_t) in some slot")
         raise InfeasibleSchedule(
-            f"total discharge {totals[i]} exceeds capacity {instance.capacity_c}"
+            f"total discharge {totals[i]} exceeds capacity "
+            f"{float(np.broadcast_to(capacity, totals.shape)[i])}"
         )
     return np.clip(actions, 0.0, None)
 

@@ -8,10 +8,9 @@ on-peak demand profiles at constant power, with every (transaction,
 calendar day) pair handled at once. run_experiment replays a roster of
 policies over those days while sweeping the storage capacity, and folds
 the resulting peaks into report tables that render as plain text or
-plot-ready series rows. The offline peaks of a capacity rate come from one
-matrix call, and each policy runs through POLICY_RUNNERS on the whole (N, T)
-day matrix: a baseline makes one kernel call and one schedule check over it,
-a certified policy runs row by row.
+plot-ready series rows. The certified policies run through POLICY_RUNNERS
+rate by rate and row by row; the offline peaks and each baseline kernel take
+one call and one schedule check over the day matrix of every rate, stacked.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .baselines import (
 # baseline_peaks, and the offline peaks come from offline_peaks); the
 # benchmark's tracer wraps these harness attributes by name
 from .baselines import run_equal_discharge, run_equal_ratio, run_rhc, run_threshold  # noqa: F401
-from .core import DemandProfile, Instance, check_demands, validate_instance
+from .core import EPS_KWH, DemandProfile, Instance, check_demands, validate_instance
 from .cr import optimal_cr
 from .errors import (
     EmptyTrace,
@@ -155,10 +154,11 @@ def _rhc_runner(future_view: str):
 
 # Policy name -> runner(instance, values, settings) -> PolicyRuns over the rows
 # of values, an (N, T) day matrix checked by core.check_demands. The experiment
-# driver passes every day and reads the final peaks; `peakmin simulate` (whose
-# --algo choices are these names, in this order) passes its one profile as a
-# 1 x T matrix and reads run(0). The certified policies run row by row; each
-# baseline calls its kernel once on the matrix and checks the actions once.
+# driver passes every day to a certified policy and reads the final peaks (it
+# calls the baseline kernels itself, on every rate at once); `peakmin simulate`
+# (whose --algo choices are these names, in this order) passes its one profile
+# as a 1 x T matrix and reads run(0). The certified policies run row by row;
+# each baseline calls its kernel once on the matrix and checks the actions once.
 # Runners look the policy functions up in this module when called, never at
 # import, so patching or wrapping a module attribute reaches every run.
 POLICY_RUNNERS = {
@@ -211,6 +211,8 @@ class SlottingConfig:
     def __post_init__(self):
         if self.slot_minutes is None or not is_window(self.slot_minutes):
             raise ValueError(f"slot_minutes must be a positive integer, got {self.slot_minutes}")
+        # a numpy integer would pass on to a DayProfileSet that JSON cannot write
+        object.__setattr__(self, "slot_minutes", int(self.slot_minutes))
         span = _clock_minutes(self.on_peak_end) - _clock_minutes(self.on_peak_start)
         if span <= 0:
             raise ValueError("on-peak window must end after it starts")
@@ -400,17 +402,19 @@ class DayProfileSet:
         bad = [k for prev, k in zip(("",) + keys, keys) if not (_is_iso_date(k) and prev < k)]
         if bad:
             raise ValueError(f"day keys must be ISO dates in increasing order, got {bad[0]!r}")
-        horizon = SlottingConfig(self.slot_minutes, self.on_peak_start, self.on_peak_end,
-                                 self.scale_factor).horizon
-        if horizon != values.shape[1]:
-            raise ValueError(f"the window holds {horizon} slots, the day rows {values.shape[1]}")
+        slots = SlottingConfig(self.slot_minutes, self.on_peak_start, self.on_peak_end,
+                               self.scale_factor)
+        object.__setattr__(self, "slot_minutes", slots.slot_minutes)
+        if slots.horizon != values.shape[1]:
+            raise ValueError(f"the window holds {slots.horizon} slots, the day rows {values.shape[1]}")
         if not 0 < self.demand_lb <= self.demand_ub < math.inf:
             raise ValueError(
                 f"bounds must satisfy 0 < lb <= ub < inf, got ({self.demand_lb}, {self.demand_ub})"
             )
-        tol = 1e-9 * max(1.0, self.demand_ub)
+        # core.check_demands' rule, so that every day set that loads runs;
         # written so that a NaN value fails it (min and max propagate NaN)
-        if not self.demand_lb - tol <= values.min() <= values.max() <= self.demand_ub + tol:
+        if not (self.demand_lb - EPS_KWH <= values.min()
+                <= values.max() <= self.demand_ub + EPS_KWH):
             raise ValueError(
                 f"profile values [{values.min()}, {values.max()}] escape the bounds "
                 f"[{self.demand_lb}, {self.demand_ub}]"
@@ -853,22 +857,6 @@ class ExperimentConfig:
             RhcConfig(self.rhc_window).resolve_window(self.profiles.horizon)
 
 
-def _cell_peaks(
-    algorithm: str, instance: Instance, values: np.ndarray, offline: np.ndarray,
-    settings: RunSettings,
-) -> np.ndarray:
-    """Final (after-discharge) peak of the given policy on every day."""
-    if algorithm == ALGO_OFFLINE:
-        return offline
-    if algorithm == ALGO_THR_OFFLINE_MEAN:
-        algorithm = ALGO_THR
-        settings = settings._replace(threshold=float(np.mean(offline)))
-    elif algorithm == ALGO_THR_MID:
-        algorithm = ALGO_THR
-        settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
-    return POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks
-
-
 def _threaded_month_peak(
     instance: Instance, values: np.ndarray, pi_star: float, epsilon: float
 ) -> float:
@@ -898,17 +886,60 @@ def _threaded_month_peak(
     return d_op
 
 
+# Baseline policy -> (kernel, the keyword of its per-row argument, and that
+# argument at one rate from the instance, its offline peaks and the days'
+# mean energy). run_experiment calls each kernel once, on the days of every
+# rate and every roster policy that uses it, stacked.
+_BASELINES = {
+    ALGO_THR_OFFLINE_MEAN: (threshold_actions, "threshold",
+                            lambda instance, offline, energy: float(np.mean(offline))),
+    ALGO_THR_MID: (threshold_actions, "threshold", lambda instance, offline, energy:
+                   0.5 * (instance.demand_lb + instance.demand_ub)),
+    ALGO_EQUAL_DISCHARGE: (equal_discharge_actions, None, None),
+    ALGO_EQUAL_RATIO: (equal_ratio_actions, "capacity_rate", lambda instance, offline, energy:
+                       min(1.0, instance.capacity_c / energy)),
+    **{algorithm: (rhc_actions, "future", lambda instance, offline, energy, view=view:
+                   RhcConfig(None, view).future_value(instance))
+       for algorithm, view in ((ALGO_RHC_UPPER, FUTURE_UPPER), (ALGO_RHC_LOWER, FUTURE_LOWER),
+                               (ALGO_RHC_MID, FUTURE_MIDPOINT))},
+}
+
+
+def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarray,
+                     offline: np.ndarray) -> dict[str, np.ndarray]:
+    """Each roster baseline's final peaks, one row per rate. A kernel's rows
+    are (policy, rate, day), each with its rate's capacity and its policy's
+    argument at that rate; the rates share every other instance field."""
+    roster = [a for a in dict.fromkeys(config.algorithms) if a in _BASELINES]
+    energy = config.profiles.avg_daily_energy
+    finals = {}
+    for kernel in dict.fromkeys(_BASELINES[a][0] for a in roster):
+        algorithms = [a for a in roster if _BASELINES[a][0] is kernel]
+        cells = [(a, instance, peaks) for a in algorithms for instance, peaks in zip(instances, offline)]
+        kwargs = {"capacity": np.repeat([instance.capacity_c for _, instance, _ in cells], len(values))}
+        keyword = _BASELINES[algorithms[0]][1]
+        if keyword is not None:
+            kwargs[keyword] = np.repeat([_BASELINES[a][2](instance, peaks, energy)
+                                         for a, instance, peaks in cells], len(values))
+        if kernel is rhc_actions:
+            kwargs["config"] = RhcConfig(config.rhc_window)
+        _, peaks = baseline_peaks(kernel, instances[0], np.tile(values, (len(cells), 1)), **kwargs)
+        finals.update(zip(algorithms, peaks.reshape(len(algorithms), len(instances), -1)))
+    return finals
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Replay the roster over every day for every capacity rate.
 
-    Per rate: build the instance (c = rate * avg daily energy) and the day
-    matrix checked against it, solve every day's offline optimum in one
-    matrix call, compute the optimal competitive ratio once if any
-    ratio-pursuit policy needs it, then collect each policy's peaks into one
-    SweepCell. With monthly=True the anytime policy additionally runs once per
+    Per rate, in order: build the instance (c = rate * avg daily energy) and
+    the day matrix checked against it, compute the optimal competitive ratio
+    once if any ratio-pursuit policy needs it, and run the certified
+    policies. With monthly=True the anytime policy additionally runs once per
     month with the standing peak threaded through, paired against the
     independent per-day runs of the same policy (the roster's own when it
-    holds anytime).
+    holds anytime). Then, over every rate at once, one matrix call solves
+    every day's offline optimum and each baseline kernel runs once
+    (_baseline_finals). Each (rate, policy) pair is one SweepCell.
     """
     ps = config.profiles
     original_peaks = ps.day_values.max(axis=1)
@@ -917,43 +948,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else config.rate_limit_fraction * ps.demand_ub
     )
     needs_pi = config.monthly or any(a in _RATIO_ALGOS for a in config.algorithms)
-
-    cells: list[SweepCell] = []
+    instances: list[Instance] = []
+    finals: dict[str, list] = {a: [] for a in config.algorithms if a in _RATIO_ALGOS}
     monthly_rows: list[MonthlyComparison] = []
     for rate in config.capacity_rates:
         instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
+        # the same matrix at every rate: the bounds do not depend on it
         values = check_demands(instance, ps.day_values)
-        offline = offline_peaks(instance, values)
-        settings = RunSettings(
-            pi=optimal_cr(instance).pi_star if needs_pi else None,
-            epsilon=config.epsilon,
-            ratio=min(1.0, instance.capacity_c / ps.avg_daily_energy),
-            window=config.rhc_window,
-        )
-        finals: dict[str, np.ndarray] = {}
-        for algorithm in config.algorithms:
-            finals[algorithm] = _cell_peaks(algorithm, instance, values, offline, settings)
-            cells.append(SweepCell(rate, algorithm, AggregateMetrics(
-                finals[algorithm], offline, original_peaks)))
+        instances.append(instance)
+        settings = RunSettings(pi=optimal_cr(instance).pi_star if needs_pi else None,
+                               epsilon=config.epsilon)
+        for algorithm, peaks in finals.items():
+            peaks.append(POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks)
         if config.monthly:
-            if ALGO_ANYTIME not in finals:
-                finals[ALGO_ANYTIME] = _cell_peaks(
-                    ALGO_ANYTIME, instance, values, offline, settings
-                )
+            independent = (finals[ALGO_ANYTIME][-1] if ALGO_ANYTIME in finals else
+                           POLICY_RUNNERS[ALGO_ANYTIME](instance, values, settings).final_peaks)
             for month, idxs in ps.monthly_groups().items():
                 days = list(idxs)
                 monthly_rows.append(MonthlyComparison(
                     month=month, capacity_rate=rate,
-                    independent_peak=float(finals[ALGO_ANYTIME][days].max()),
+                    independent_peak=float(independent[days].max()),
                     threaded_peak=_threaded_month_peak(
                         instance, values[days], settings.pi, config.epsilon),
                 ))
+    capacity = np.repeat([instance.capacity_c for instance in instances], len(values))
+    offline = offline_peaks(instances[0], np.tile(values, (len(instances), 1)), capacity)
+    finals[ALGO_OFFLINE] = offline.reshape(len(instances), -1)
+    finals.update(_baseline_finals(config, instances, values, finals[ALGO_OFFLINE]))
     return ExperimentReport(
         horizon=ps.horizon,
         day_keys=ps.day_keys,
         demand_lb=ps.demand_lb,
         demand_ub=ps.demand_ub,
         avg_daily_energy=ps.avg_daily_energy,
-        cells=tuple(cells),
+        cells=tuple(SweepCell(rate, algorithm, AggregateMetrics(
+            finals[algorithm][r], finals[ALGO_OFFLINE][r], original_peaks))
+            for r, rate in enumerate(config.capacity_rates) for algorithm in config.algorithms),
         monthly=tuple(monthly_rows),
     )

@@ -85,12 +85,13 @@ def solve_offline_pmd(instance: Instance, demand: DemandProfile) -> OfflineSolut
     return OfflineSolution(schedule=schedule, threshold_v=v, peak=peak)
 
 
-def offline_peaks(instance: Instance, values: np.ndarray) -> np.ndarray:
+def offline_peaks(instance: Instance, values: np.ndarray, capacity=None) -> np.ndarray:
     """solve_offline_pmd's peak of every day of an (N, T) matrix, bit for bit,
-    from one water-fill and one check of the N optimal schedules."""
-    cut = rate_corrected_cut(values, water_fill_threshold(values, instance.capacity_c),
-                             instance.rate_limit)
-    return (values - check_schedules(instance, values, cut)).max(axis=1)
+    from one water-fill and one check of the N optimal schedules; capacity is
+    None for the instance's, or one per row."""
+    budget = instance.capacity_c if capacity is None else capacity
+    cut = rate_corrected_cut(values, water_fill_threshold(values, budget), instance.rate_limit)
+    return (values - check_schedules(instance, values, cut, capacity)).max(axis=1)
 
 
 def offline_peak(instance: Instance, demand: DemandProfile) -> float:

@@ -17,7 +17,10 @@ ingest_trace_loop slots one
 transaction, one calendar day and one slot at a time in datetime
 arithmetic, and the *_actions_loop functions run each baseline on one day,
 slot by slot, in Python floats (the receding horizon one window at a time
-through window_first_action).
+through window_first_action). run_experiment_loop is the experiment
+driver as it ran before every rate was swept in one kernel call: one
+instance, offline solve and policy call per (rate, policy) cell, rate by
+rate.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from peakmin import cr, online
-from peakmin.core import EPS_KWH, reference_profile, reference_values
+from peakmin import cr, harness, online
+from peakmin.core import EPS_KWH, check_demands, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
 from peakmin.harness import TRACE_HEADER, DayProfileSet
 from peakmin.lp import solve_lfp
 from peakmin.offline import (
     offline_peak,
     offline_peak_values,
+    offline_peaks,
     rate_corrected_cut,
     water_fill_threshold,
 )
@@ -643,3 +647,53 @@ def rhc_actions_loop(instance, values, config, clairvoyant: bool = False) -> lis
         actions.append(delta)
         remaining -= delta
     return actions
+
+
+def _cell_peaks_loop(algorithm, instance, values, offline, settings) -> np.ndarray:
+    if algorithm == harness.ALGO_OFFLINE:
+        return offline
+    if algorithm == harness.ALGO_THR_OFFLINE_MEAN:
+        algorithm = harness.ALGO_THR
+        settings = settings._replace(threshold=float(np.mean(offline)))
+    elif algorithm == harness.ALGO_THR_MID:
+        algorithm = harness.ALGO_THR
+        settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
+    return harness.POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks
+
+
+def run_experiment_loop(config) -> tuple:
+    """run_experiment's cells and monthly rows, rate by rate and one policy
+    call per (rate, policy) cell: (rate, algorithm, final peaks, offline
+    peaks) per cell, then the MonthlyComparison rows."""
+    ps = config.profiles
+    rate_limit = (None if config.rate_limit_fraction is None
+                  else config.rate_limit_fraction * ps.demand_ub)
+    needs_pi = config.monthly or any(a in harness._RATIO_ALGOS for a in config.algorithms)
+    cells, monthly = [], []
+    for rate in config.capacity_rates:
+        instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
+        values = check_demands(instance, ps.day_values)
+        offline = offline_peaks(instance, values)
+        settings = harness.RunSettings(
+            pi=cr.optimal_cr(instance).pi_star if needs_pi else None,
+            epsilon=config.epsilon,
+            ratio=min(1.0, instance.capacity_c / ps.avg_daily_energy),
+            window=config.rhc_window,
+        )
+        finals = {}
+        for algorithm in config.algorithms:
+            finals[algorithm] = _cell_peaks_loop(algorithm, instance, values, offline, settings)
+            cells.append((rate, algorithm, finals[algorithm], offline))
+        if config.monthly:
+            if harness.ALGO_ANYTIME not in finals:
+                finals[harness.ALGO_ANYTIME] = _cell_peaks_loop(
+                    harness.ALGO_ANYTIME, instance, values, offline, settings)
+            for month, idxs in ps.monthly_groups().items():
+                days = list(idxs)
+                monthly.append(harness.MonthlyComparison(
+                    month=month, capacity_rate=rate,
+                    independent_peak=float(finals[harness.ALGO_ANYTIME][days].max()),
+                    threaded_peak=harness._threaded_month_peak(
+                        instance, values[days], settings.pi, config.epsilon),
+                ))
+    return cells, monthly

@@ -285,6 +285,47 @@ def test_kernels_match_per_day_loops_bit_for_bit(instance):
 
 
 
+@pytest.mark.parametrize("instance", _KERNEL_INSTANCES,
+                         ids=lambda i: f"T{i.horizon_T}-rate{i.rate_limit}")
+def test_per_row_capacity_and_argument_match_one_call_per_instance(instance):
+    """A kernel given one capacity and one argument per row gives every block
+    of rows exactly the actions of a call on that block's own instance and
+    argument, and offline_peaks likewise; an over-capacity row is named with
+    its own capacity."""
+    values = random_profiles(instance, 9, seed=instance.horizon_T + 5)
+    shares = (1.0, 0.5, 0.2)
+    blocks = [(Instance(instance.capacity_c * share, instance.rate_limit, instance.horizon_T,
+                        instance.demand_lb, instance.demand_ub), share) for share in shares]
+    rows = np.tile(values, (len(blocks), 1))
+    capacity = np.repeat([block.capacity_c for block, _ in blocks], len(values))
+    argument = np.repeat([instance.demand_lb + share * (instance.demand_ub - instance.demand_lb)
+                          for share in shares], len(values))
+    window = RhcConfig(2 if instance.horizon_T > 2 else None)
+    stacked = [
+        (threshold_actions(instance, rows, argument, capacity),
+         lambda block, arg: threshold_actions(block, values, arg)),
+        (equal_discharge_actions(instance, rows, capacity),
+         lambda block, arg: equal_discharge_actions(block, values)),
+        (equal_ratio_actions(instance, rows, argument / instance.demand_ub, capacity),
+         lambda block, arg: equal_ratio_actions(block, values, arg / instance.demand_ub)),
+        (rhc_actions(instance, rows, window, capacity=capacity, future=argument),
+         lambda block, arg: rhc_actions(block, values, window, future=arg)),
+        (offline_peaks(instance, rows, capacity),
+         lambda block, arg: offline_peaks(block, values)),
+    ]
+    for got, alone in stacked:
+        for k, (block, _share) in enumerate(blocks):
+            arg = float(argument[k * len(values)])
+            part = got[k * len(values):(k + 1) * len(values)]
+            assert part.tolist() == alone(block, arg).tolist()
+    actions = equal_ratio_actions(instance, rows, 0.1, capacity)
+    actions[-1] = _break_row(blocks[-1][0], values, actions[-len(values):], -1,
+                             "over-capacity")[-1]
+    with pytest.raises(InfeasibleSchedule, match=f"exceeds capacity {blocks[-1][0].capacity_c}$"):
+        baseline_peaks(lambda instance, values, capacity: actions, instance, rows,
+                       capacity=capacity)
+
+
 def _break_row(instance, values, actions, row, kind):
     """actions with row `row` made infeasible in one way, the others kept."""
     caps = values[row] if instance.rate_limit is None else np.minimum(values[row],

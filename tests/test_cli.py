@@ -1,6 +1,10 @@
 """Command-line interface: golden outputs, error surfacing, and round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +374,60 @@ def test_ingest_rejects_non_finite_demand_bound(capsys, tmp_path, d_ub):
     assert code == 2
     assert "demand_bounds" in err
     assert not out_path.exists()
+
+
+# runs each argv list given as JSON through peakmin.cli.main in this one
+# process and prints [exit code, stdout, stderr] per call
+_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from peakmin.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _cli_processes(calls, cwd) -> list:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(calls)],
+                          cwd=cwd, env=env, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def test_one_process_runs_each_command_as_a_fresh_process_does(tmp_path, dhat_file):
+    """The parser is built once per process: ingest, experiment, simulate and
+    two failing cr calls (a domain error and a usage error) in one process
+    print and exit exactly as each does in a process of its own."""
+    trace = tmp_path / "trace.csv"
+    rows = ["start_iso8601,duration_min,energy_kwh"]
+    for day in range(6, 10):
+        for hour, energy in ((12, 6.0), (13, 7.5)):
+            rows.append(f"2024-05-{day:02d} {hour}:00,60,{energy + 0.25 * day}")
+    trace.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "profiles": "days.json", "algorithms": ["offline", "anytime", "eql-dis", "rhc-mid"],
+        "capacity_rates": [0.1, 0.2], "epsilon": 1e-3}), encoding="utf-8")
+    calls = [
+        ["ingest", "--input", "trace.csv", "--output", "days.json", "--slot-minutes", "30",
+         "--window-start", "12:00", "--window-end", "14:00"],
+        ["experiment", "--config", "exp.json", "--output-dir", "out"],
+        ["simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600", "--demands", dhat_file,
+         "--algo", "anytime", "--epsilon", "1e-3"],
+        ["cr", "-c", "5000", "-T", "10", "--d-lb", "300", "--d-ub", "600"],
+        ["cr", "-T", "10", "--d-lb", "300", "--d-ub", "600"],
+    ]
+    together = _cli_processes(calls, tmp_path)
+    alone = [_cli_processes([argv], tmp_path)[0] for argv in calls]
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 2]
+    assert together[3][2].startswith("CapacityExceedsMinDemand")
+    assert "usage: peakmin cr" in together[4][2]

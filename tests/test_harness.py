@@ -22,6 +22,7 @@ from peakmin.baselines import (
 )
 from peakmin.core import DemandProfile
 from peakmin.errors import (
+    CapacityExceedsMinDemand,
     EmptyTrace,
     MalformedRecord,
     MismatchedLengths,
@@ -51,7 +52,12 @@ from peakmin.harness import (
 )
 from peakmin.offline import solve_offline_pmd
 
-from oracles import Transaction, ingest_trace_loop, parse_transactions_rows
+from oracles import (
+    Transaction,
+    ingest_trace_loop,
+    parse_transactions_rows,
+    run_experiment_loop,
+)
 
 HEADER = "start_iso8601,duration_min,energy_kwh"
 
@@ -473,6 +479,34 @@ def test_profile_set_validation():
                       day_values=((1.0, 2.0), (1.0, 2.0, 1.0)), **base)
 
 
+def test_profile_set_takes_the_demand_check_bound_rule():
+    """A day a hair (2e-7) above demand_ub used to load, within the old
+    1e-9 * max(1, demand_ub) allowance, and then fail run_experiment's
+    demand check; it now fails when the set is built. Within EPS_KWH loads."""
+    base = dict(day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
+                on_peak_end="13:00", scale_factor=1.0, demand_lb=100.0, demand_ub=400.0)
+    with pytest.raises(ValueError, match="escape the bounds"):
+        DayProfileSet(day_values=((100.0, 200.0, 400.0 + 2e-7, 300.0),),
+                      avg_daily_energy=1000.0 + 2e-7, **base)
+    ps = DayProfileSet(day_values=((100.0, 200.0, 400.0 + 5e-10, 300.0),),
+                       avg_daily_energy=1000.0, **base)
+    run_experiment(ExperimentConfig(profiles=ps, algorithms=(ALGO_OFFLINE, "eql-dis"),
+                                    capacity_rates=(0.1,)))
+
+
+def test_numpy_integer_slot_minutes_round_trips_through_json():
+    """A numpy integer slot length is stored as a Python int, so the day set
+    it slots writes to JSON (it raised TypeError) and reads back equal."""
+    config = SlottingConfig(slot_minutes=np.int64(15), on_peak_end="13:00")
+    assert type(config.slot_minutes) is int
+    ps = _ingest([txn("2024-05-06 12:00", 60, 4.0)], config)
+    assert type(ps.slot_minutes) is int
+    again = profile_set_from_json(profile_set_to_json(ps))
+    assert again == ps and again.slot_minutes == 15
+    direct = DayProfileSet(**{**_PROFILE_SET, "slot_minutes": np.int64(15)})
+    assert type(direct.slot_minutes) is int
+
+
 def test_profile_set_rejects_nan():
     base = dict(
         day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
@@ -775,6 +809,61 @@ def test_experiment_cells_match_per_day_runs_bit_for_bit(fraction):
             metrics = report.cell(algo, rate).metrics
             assert metrics.final_peaks.tolist() == [run(p).final_peak for p in profiles], algo
             assert metrics.offline_peaks.tolist() == offline
+
+
+def _assert_matches_rate_loop(config):
+    report = run_experiment(config)
+    cells, monthly = run_experiment_loop(config)
+    assert [(c.value, c.algorithm) for c in report.cells] == [c[:2] for c in cells]
+    for cell, (_rate, algorithm, finals, offline) in zip(report.cells, cells):
+        assert cell.metrics.final_peaks.tolist() == finals.tolist(), algorithm
+        assert cell.metrics.offline_peaks.tolist() == offline.tolist(), algorithm
+    assert report.monthly == tuple(monthly)
+
+
+@pytest.mark.parametrize("fraction", [None, 0.3], ids=["free", "rate-limited"])
+def test_stacked_sweep_matches_the_rate_loop_bit_for_bit(fraction):
+    """Every cell of the full roster, baselines swept over all rates in one
+    kernel call each, carries exactly the final and offline peaks of the
+    per-rate, per-cell loop; thr-offline-mean's threshold differs per rate."""
+    ps = synthetic_volatile_profiles(6, 6, 100.0, 400.0, seed=31)
+    config = ExperimentConfig(profiles=ps, algorithms=ALL_ALGORITHMS,
+                              capacity_rates=(0.05, 0.15, 0.3),
+                              rate_limit_fraction=fraction, epsilon=1e-3)
+    offline = [cell[3] for cell in run_experiment_loop(config)[0]
+               if cell[1] == "thr-offline-mean"]
+    assert len({float(np.mean(peaks)) for peaks in offline}) == 3
+    _assert_matches_rate_loop(config)
+
+
+def test_stacked_sweep_matches_the_rate_loop_monthly():
+    ps = synthetic_volatile_profiles(5, 4, 2.0, 6.0, seed=5, start_date="2024-03-29")
+    for roster in (("offline", "anytime", "rhc-mid", "eql-per"), ("thr-mid", "eql-dis")):
+        _assert_matches_rate_loop(ExperimentConfig(
+            profiles=ps, algorithms=roster, capacity_rates=(0.1, 0.3),
+            monthly=True, epsilon=1e-3))
+
+
+@pytest.mark.parametrize("window", [1, 8], ids=["window-1", "window-T"])
+def test_stacked_sweep_matches_the_rate_loop_at_window_edges(window):
+    ps = synthetic_volatile_profiles(10, 8, 100.0, 400.0, seed=7)
+    _assert_matches_rate_loop(ExperimentConfig(
+        profiles=ps, capacity_rates=(0.1, 0.2, 0.3), rhc_window=window,
+        algorithms=("rhc-lower", "offline", "rhc-upper", "thr-offline-mean", "rhc-mid")))
+
+
+def test_stacked_sweep_raises_what_the_rate_loop_raises_at_a_later_rate():
+    """A rate past T * d_lb fails instance validation after the rates before
+    it ran: the same exception and message as the per-rate loop."""
+    ps = synthetic_volatile_profiles(4, 4, 100.0, 400.0, seed=2)
+    config = ExperimentConfig(profiles=ps, algorithms=("offline", "fixed", "rhc-mid", "eql-dis"),
+                              capacity_rates=(0.1, 0.2, 5.0), epsilon=1e-3)
+    with pytest.raises(PeakMinError) as loop:
+        run_experiment_loop(config)
+    with pytest.raises(PeakMinError) as stacked:
+        run_experiment(config)
+    assert type(stacked.value) is type(loop.value) is CapacityExceedsMinDemand
+    assert str(stacked.value) == str(loop.value)
 
 
 def test_all_algorithms_execute():

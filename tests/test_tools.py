@@ -5,15 +5,19 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_pairs")
 
 
 @pytest.mark.parametrize("pair", ["anytime_t10", "anytime_t10=x", "anytime_t10=1.5",
@@ -112,3 +116,27 @@ def test_pair_ratios_prints_every_metric(bench_pairs):
            "change": {"metrics": {"a": {"value": 1.0}, "b": {"value": 3.0}}}}
     text = bench_pairs.pair_ratios(run, [{"name": "a"}, {"name": "b"}])
     assert text == "a 0.5, b -"
+
+
+def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    """Every ingest and experiment of one seed's first chunk and short trace
+    runs, and a tree compared with itself gives the same bytes and codes."""
+    diff_outputs = _load("diff_outputs")
+    root = _TOOLS.parent
+    assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
+    outputs = {p.relative_to(tmp_path / "change").as_posix()
+               for p in (tmp_path / "change").rglob("*.txt")}
+    assert outputs == {f"s1001-{name}/report.txt" for name in
+                       ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
+
+
+def test_diff_outputs_names_each_difference(tmp_path):
+    diff_outputs = _load("diff_outputs")
+    for side, text in (("parent", "a"), ("change", "b")):
+        (tmp_path / side / "x").mkdir(parents=True)
+        (tmp_path / side / "x" / "report.txt").write_text(text)
+    (tmp_path / "change" / "days.json").write_text("{}")
+    found = diff_outputs.differences(tmp_path / "parent", tmp_path / "change",
+                                     {"x": 0, "days.json": 2}, {"x": 0, "days.json": 0})
+    assert found == ["days.json: exit 2 (parent) != 0 (change)", "days.json: only in change",
+                     "x/report.txt: bytes differ"]

@@ -1,0 +1,174 @@
+"""Byte-for-byte comparison of CLI outputs between a parent commit and the working tree.
+
+    python3 tools/diff_outputs.py --parent HEAD~1 --seeds 1001 9001
+
+Exports the committed files of the parent with bench_pairs.export_commit
+into a temporary directory. For each seed it writes the traces the
+sweep_trace workload generates for that seed (perfbench/inputs.py's
+charging_trace_csv, 30-day chunks, the first --chunks of them) and one
+3-day trace across a month end. Both trees then run, each command in a
+subprocess of its own, `peakmin ingest` (the chunks at the default
+12:00-17:00 window, T=20; the short trace at 12:00-14:00, T=8, so that the
+certified policies run in seconds) and `peakmin experiment` on these configs:
+
+  sweep         the baseline roster at every capacity rate that validates
+  rate-limited  the same roster with rate_limit_fraction 0.3
+  certified     fixed, anytime and anytime-deplete (short trace, rate 0.1)
+  monthly       anytime with monthly threading (short trace, rate 0.1)
+
+The ingest JSON, report.txt and series.csv of every run, and each exit
+code, must be the same on both sides. Every difference is printed, and the
+exit status is 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+CHUNK_DAYS = 30  # sweep_trace's chunk length
+SHORT_START = "2024-01-30"  # the 3-day trace spans two months
+WINDOWS = {"chunk": [], "short": ["--window-end", "14:00"]}
+BASELINES = ["offline", "thr-offline-mean", "thr-mid", "eql-dis", "eql-per",
+             "rhc-upper", "rhc-lower", "rhc-mid"]
+CONFIGS = {
+    "sweep": ("chunk", {"algorithms": BASELINES}),
+    "rate-limited": ("chunk", {"algorithms": BASELINES, "rate_limit_fraction": 0.3}),
+    "certified": ("short", {"algorithms": ["fixed", "anytime", "anytime-deplete"],
+                            "capacity_rates": [0.1], "epsilon": 1e-3}),
+    "monthly": ("short", {"algorithms": ["offline", "anytime"], "capacity_rates": [0.1],
+                          "monthly": True, "epsilon": 1e-3}),
+}
+_RUN_CLI = "import sys; from peakmin.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def _inputs():
+    """perfbench/inputs.py, read only: the workloads' trace generator and rates."""
+    return _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+
+
+def write_traces(seeds, chunks: int, into: Path) -> dict:
+    """Trace name -> (CSV path, kind): the sweep_trace chunks of each seed
+    (kind "chunk") and one short trace per seed (kind "short")."""
+    inputs = _inputs()
+    traces = {}
+    for seed in seeds:
+        for k in range(chunks):
+            chunk_seed = int(np.random.default_rng([seed, k]).integers(2**31))
+            traces[f"s{seed}-chunk{k}"] = (inputs.charging_trace_csv(chunk_seed, CHUNK_DAYS),
+                                           "chunk")
+        traces[f"s{seed}-short"] = (inputs.charging_trace_csv(seed, 3, start=SHORT_START),
+                                    "short")
+    paths = {}
+    for name, (text, kind) in traces.items():
+        path = into / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = (path, kind)
+    return paths
+
+
+def run_tree(tree: Path, traces: dict, out: Path) -> dict:
+    """Run every ingest and experiment in tree, writing under out; returns
+    output name -> exit code."""
+    codes = {}
+
+    def cli(name, argv):
+        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], cwd=tree,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                              capture_output=True, text=True)
+        codes[name] = proc.returncode
+
+    for name, (csv_path, kind) in traces.items():
+        days = out / f"{name}.json"
+        cli(days.name, ["ingest", "--input", str(csv_path), "--output", str(days),
+                        *WINDOWS[kind]])
+        if not days.exists():
+            continue
+        payload = json.loads(days.read_text(encoding="utf-8"))
+        limit = len(payload["day_values"][0]) * payload["demand_lb"]
+        rates = [r for r in _inputs().CAPACITY_RATES if r * payload["avg_daily_energy"] <= limit]
+        for label, (trace_kind, settings) in CONFIGS.items():
+            if trace_kind != kind:
+                continue
+            config = out / f"{name}-{label}.json"
+            config.write_text(json.dumps({"profiles": days.name, "capacity_rates": rates,
+                                          **settings}), encoding="utf-8")
+            cli(config.stem, ["experiment", "--config", str(config),
+                              "--output-dir", str(out / config.stem)])
+    return codes
+
+
+def differences(parent_out: Path, change_out: Path, parent_codes: dict,
+                change_codes: dict) -> list[str]:
+    """What differs between the two output trees: exit codes, files present
+    on one side only, and files whose bytes differ."""
+    found = [f"{name}: exit {parent_codes.get(name)} (parent) != {change_codes.get(name)} (change)"
+             for name in sorted(parent_codes.keys() | change_codes.keys())
+             if parent_codes.get(name) != change_codes.get(name)]
+    files = {p.relative_to(root) for root in (parent_out, change_out)
+             for p in root.rglob("*") if p.is_file() and p.suffix in (".json", ".txt", ".csv")}
+    for rel in sorted(files):
+        a, b = parent_out / rel, change_out / rel
+        if not (a.exists() and b.exists()):
+            found.append(f"{rel}: only in {'parent' if a.exists() else 'change'}")
+        elif a.read_bytes() != b.read_bytes():
+            found.append(f"{rel}: bytes differ")
+    return found
+
+
+def compare_trees(parent: Path, change: Path, seeds, chunks: int, scratch: Path) -> list[str]:
+    traces = write_traces(seeds, chunks, scratch)
+    outs = {}
+    for side, tree in (("parent", parent), ("change", change)):
+        out = scratch / side
+        out.mkdir()
+        outs[side] = (out, run_tree(tree, traces, out))
+    return differences(outs["parent"][0], outs["change"][0], outs["parent"][1], outs["change"][1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1001, 9001])
+    parser.add_argument("--chunks", type=int, default=3,
+                        help="sweep_trace chunks per seed (default 3)")
+    parser.add_argument("--scratch-dir", default=None,
+                        help="where the parent and the outputs go (default: the system temp dir)")
+    args = parser.parse_args(argv)
+    bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    scratch = Path(tempfile.mkdtemp(prefix="diff-outputs-", dir=args.scratch_dir))
+    try:
+        tree = scratch / "tree"
+        tree.mkdir()
+        short = bench_pairs.export_commit(args.parent, tree)
+        found = compare_trees(tree, ROOT, args.seeds, args.chunks, scratch)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    for line in found:
+        print(line)
+    print(f"{len(found)} difference(s) against {short}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
