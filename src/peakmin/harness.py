@@ -15,6 +15,7 @@ one call and one schedule check over the day matrix of every rate, stacked.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -698,20 +699,22 @@ class AggregateMetrics:
     def day_ratios(self) -> np.ndarray:
         return self.final_peaks / self.offline_peaks
 
-    @property
+    # the aggregates are computed once per metrics object: __post_init__
+    # checks the ratio, and the report's text and series read the rest
+    @functools.cached_property
     def performance_ratio(self) -> float:
         # Python's left-to-right sum: np.sum adds pairwise and can move the last digit
         return sum(self.final_peaks.tolist()) / sum(self.offline_peaks.tolist())
 
-    @property
+    @functools.cached_property
     def mean_final_peak(self) -> float:
         return float(np.mean(self.final_peaks))
 
-    @property
+    @functools.cached_property
     def std_final_peak(self) -> float:
         return float(np.std(self.final_peaks))
 
-    @property
+    @functools.cached_property
     def mean_usage_rate(self) -> float:
         return float(np.mean(self.usage_rates))
 

@@ -11,7 +11,9 @@ provably redundant inventory eagerly.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,9 +174,16 @@ def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyR
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SlotView:
-    """Frozen snapshot of everything the slot-t certification needs."""
+    """Frozen snapshot of everything the slot-t certification needs.
+
+    Views are equal when they hold the same instance object and the same
+    demands, running peak, remaining inventory and monthly peak, bit for
+    bit; v_ref follows from the instance and the demands. The instance is
+    compared by identity, since Instance equality is by value, under which
+    capacity_c 0.0 and -0.0 are equal.
+    """
 
     instance: Instance
     demands: np.ndarray  # observed demands through slot t, d_t included
@@ -186,6 +195,18 @@ class _SlotView:
     @property
     def t(self) -> int:
         return len(self.demands)
+
+    def _state(self) -> tuple:
+        # both views hold their instance while they are compared, so equal
+        # ids are one object
+        return (id(self.instance), self.demands.tobytes(),
+                struct.pack("3d", self.running_peak, self.remaining, self.monthly_peak))
+
+    def __eq__(self, other):
+        return isinstance(other, _SlotView) and self._state() == other._state()
+
+    def __hash__(self):
+        return hash(self._state())
 
 
 def _slot_view(
@@ -247,6 +268,10 @@ class _WarmStart:
     mapped by lp.carry_basis, so no step refactorizes a basis. Each kept LP
     holds its standard form and tableau until the slot ends. The cutoff
     that exceeded the budget last usually exceeds it again.
+
+    A _WarmStart lives for one certification, and depleting_amount makes its
+    own. What outlives a certification is its (ratio, early_exit), which
+    _certify keeps per slot state; the LPs, tableaus and closed forms go.
     """
 
     cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
@@ -386,6 +411,9 @@ def _certified_ratio(
     as the upper endpoint whenever prev_ratio sits below the floor. An upper
     endpoint a step lowered is confirmed before it is returned: every
     cutoff whose value there came from a closed form is re-solved by LP.
+
+    run_anytime and anytime_ratio call it through _certify, so each slot
+    state is certified once while _certify keeps it.
     """
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
@@ -407,6 +435,28 @@ def _certified_ratio(
     return pi_ub, False
 
 
+MEMO_SIZE = 4096
+"""Slot states _certify keeps, least recently used out first: one rate's
+anytime pass over a 90-day T=20 day set (1,800 states) fits."""
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _certify(view: _SlotView, prev_ratio: float, epsilon: float) -> tuple[float, bool]:
+    """_certified_ratio, memoised on the slot state: the view, as _SlotView
+    compares views, with prev_ratio and epsilon as floats of one type (both
+    positive wherever OnlineState and PolicyOptions admit them, so float
+    equality is bit equality).
+
+    Until the depleting policy first harvests it certifies the states the
+    plain one did, so on one instance and day the second run is served from
+    here. A stored answer passed every gate of _certified_ratio, so a served
+    run is bit-identical to a computed one; a raise is never stored.
+    lru_cache is thread-safe (two threads that miss on one state both
+    compute it) and holds each stored view until it is evicted.
+    """
+    return _certified_ratio(view, prev_ratio, epsilon)
+
+
 def anytime_ratio(
     instance: Instance, state: OnlineState, d_t: float, epsilon: float = 1e-4
 ) -> float:
@@ -425,7 +475,7 @@ def anytime_ratio(
     if not math.isfinite(prev):
         prev = optimal_cr(instance).pi_star
     view = _slot_view(instance, state, float(d_t))
-    pi_t, _early = _certified_ratio(view, prev, epsilon)
+    pi_t, _early = _certify(view, prev, epsilon)
     return pi_t
 
 
@@ -476,7 +526,7 @@ def run_anytime(
     for d_t in demand.values:
         d_t = float(d_t)
         view = _slot_view(instance, state, d_t)
-        pi_t, _early = _certified_ratio(view, state.prev_ratio, options.bisection_epsilon)
+        pi_t, _early = _certify(view, state.prev_ratio, options.bisection_epsilon)
         raw, delta = _pcr_amounts(instance, state, pi_t, d_t, view.v_ref)
         if delta < raw - 1e-9:
             clamp_engaged = True

@@ -6,9 +6,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import peakmin.online as online
 from peakmin.core import DemandProfile, Instance
 
 DHAT = np.array([379.5, 411.0, 411.0, 442.5, 442.5, 600, 600, 600, 600, 600])
+
+
+@pytest.fixture(autouse=True)
+def fresh_certificate_memo():
+    """Every test starts with an empty slot-certification memo: session
+    fixtures such as tiny_instance share one instance object, so without
+    this a test could be answered from certificates another test stored,
+    and a fault a test injects into the certification might never run."""
+    online._certify.cache_clear()
 
 
 @pytest.fixture(scope="session")

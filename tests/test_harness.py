@@ -779,6 +779,33 @@ def test_report_rendering_shapes():
     assert rerun.render_text() == text
 
 
+def test_report_statistics_are_computed_once(monkeypatch):
+    """Rendering a report's text and its series computes each cell's mean,
+    deviation and usage mean once; rendering them again computes none, and
+    gives the same text."""
+    ps = synthetic_volatile_profiles(6, 4, 2.0, 6.0, seed=5)
+    report = run_experiment(ExperimentConfig(
+        profiles=ps, algorithms=(ALGO_OFFLINE, "thr-mid", "eql-dis"), capacity_rates=(0.1, 0.3),
+    ))
+    real_mean, real_std = np.mean, np.std
+    calls = {"mean": 0, "std": 0}
+
+    def counting_mean(*args, **kwargs):
+        calls["mean"] += 1
+        return real_mean(*args, **kwargs)
+
+    def counting_std(*args, **kwargs):
+        calls["std"] += 1
+        return real_std(*args, **kwargs)
+
+    monkeypatch.setattr(np, "mean", counting_mean)
+    monkeypatch.setattr(np, "std", counting_std)
+    text, series = report.render_text(), report.series_lines()
+    assert calls == {"mean": 2 * len(report.cells), "std": len(report.cells)}
+    assert (report.render_text(), report.series_lines()) == (text, series)
+    assert calls == {"mean": 2 * len(report.cells), "std": len(report.cells)}
+
+
 @pytest.mark.parametrize("fraction", [None, 0.3], ids=["free", "rate-limited"])
 def test_experiment_cells_match_per_day_runs_bit_for_bit(fraction):
     """Every baseline cell and the offline cell carry, day by day, exactly

@@ -4,6 +4,7 @@ variant, and monthly threading."""
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,8 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
     # the day must bisect, so that cutoffs are re-solved from a kept tableau
     assert sum(warm) >= 50
     monkeypatch.setattr(online, "solve_lp", cold_solve_lp)
+    # the cold run must certify its slots, not read the warm run's answers
+    online._certify.cache_clear()
     cold = run_anytime(inst, demand, options)
     assert np.array_equal(reused.ratio_trajectory, cold.ratio_trajectory)
     assert np.array_equal(reused.schedule.values, cold.schedule.values)
@@ -574,6 +577,9 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
     monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(online, "carry_basis", checked_carry)
     for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
+        # the depleting run certifies its slots too, rather than reading the
+        # plain run's answers, so both runs' LPs are solved and checked
+        online._certify.cache_clear()
         run_anytime(inst, demand, PolicyOptions(mode=mode, initial_ratio=pi))
     assert len(gaps["carried"]) >= 20
     assert len(gaps["kept"]) >= 100
@@ -757,3 +763,124 @@ def test_closed_form_at_the_budget_goes_to_the_lp(monkeypatch):
     assert binding not in guessed
     assert sorted(guessed) == sorted(k for k in values if k != binding)
     assert got == const + solved[0][1]
+
+
+@pytest.mark.parametrize("rate_limit", [None, 60.0], ids=["rate-free", "rate-limited"])
+def test_depleting_after_anytime_reads_its_certificates(monkeypatch, rate_limit):
+    """On one instance and one T=10 day, anytime-deplete run after anytime
+    solves no certificate LP before its first harvest (every slot state up
+    to there is one the plain run certified), and its trajectory and
+    schedule equal, bit for bit, those of the same run with the memo
+    cleared, which does solve LPs there."""
+    inst, demand = _volatile_day(rate_limit, 0.3, 2)
+    pi = optimal_cr(inst).pi_star
+    real_solve_lp, real_depleting = online.solve_lp, online.depleting_amount
+    events = []
+
+    def recording_solve_lp(lp):
+        events.append("solve")
+        return real_solve_lp(lp)
+
+    def recording_depleting(*args):
+        events.append("harvest")
+        return real_depleting(*args)
+
+    monkeypatch.setattr(online, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(online, "depleting_amount", recording_depleting)
+    depleting = PolicyOptions(mode=MODE_ANYTIME_DEPLETING, initial_ratio=pi)
+    run_anytime(inst, demand, PolicyOptions(mode=MODE_ANYTIME, initial_ratio=pi))
+    events.clear()
+    served = run_anytime(inst, demand, depleting)
+    assert "harvest" in events
+    assert "solve" not in events[:events.index("harvest")]
+    online._certify.cache_clear()
+    events.clear()
+    computed = run_anytime(inst, demand, depleting)
+    assert events.index("harvest") >= 20  # the cleared run certified its slots
+    assert np.array_equal(served.ratio_trajectory, computed.ratio_trajectory)
+    assert np.array_equal(served.schedule.values, computed.schedule.values)
+
+
+def test_raising_certification_is_not_stored(monkeypatch, tiny_instance):
+    """A slot state whose certification raises raises again on a second
+    call, and is certified afresh once the fault is gone."""
+    real_values = lp_mod._basic_values
+
+    def sloppy_values(*args):
+        found = real_values(*args)
+        return None if found is None else found + 1e-2
+
+    monkeypatch.setattr(lp_mod, "_basic_values", sloppy_values)
+    state = OnlineState(tiny_instance, prev_ratio=4.0 / 3.0)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match="residual"):
+            anytime_ratio(tiny_instance, state, 2.0)
+    assert online._certify.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert anytime_ratio(tiny_instance, state, 2.0) >= 1.0
+    assert online._certify.cache_info().currsize == 1
+
+
+def _counted_certifications(monkeypatch):
+    """Replace the certification behind the memo by a stub that counts its
+    calls, so that memo lookups cost nothing to test."""
+    calls = []
+
+    def stub(view, prev_ratio, epsilon):
+        calls.append(view)
+        return 1.0, True
+
+    monkeypatch.setattr(online, "_certified_ratio", stub)
+    return calls
+
+
+def test_memo_misses_on_any_changed_key_field(monkeypatch):
+    """The memo serves only a state equal in every field it reads: an equal
+    state built afresh is a hit; a state that differs in one field (the
+    remaining inventory, the running or monthly peak, one demand by one ULP,
+    prev_ratio, epsilon, a sign of zero, or an equal but distinct instance)
+    is a miss and is certified."""
+    calls = _counted_certifications(monkeypatch)
+    inst, demand = _volatile_day(None, 0.3, 1)
+    state = OnlineState(inst)
+    for d in demand.values[:3]:
+        state.observe(float(d))
+        state.commit(5.0)
+    d_t = float(demand.values[3])
+    view = online._slot_view(inst, state, d_t)
+    online._certify(view, 1.5, 1e-4)
+    online._certify(online._slot_view(inst, state, d_t), 1.5, 1e-4)
+    assert len(calls) == 1
+    bumped = view.demands.copy()
+    bumped[1] = np.nextafter(bumped[1], np.inf)
+    variants = [
+        (replace(view, remaining=np.nextafter(view.remaining, 0.0)), 1.5, 1e-4),
+        (replace(view, running_peak=np.nextafter(view.running_peak, np.inf)), 1.5, 1e-4),
+        (replace(view, monthly_peak=1e-300), 1.5, 1e-4),
+        (replace(view, monthly_peak=-0.0), 1.5, 1e-4),
+        (replace(view, demands=bumped), 1.5, 1e-4),
+        (replace(view, instance=replace(inst)), 1.5, 1e-4),
+        (view, np.nextafter(1.5, np.inf), 1e-4),
+        (view, 1.5, np.nextafter(1e-4, 1.0)),
+    ]
+    for args in variants:
+        online._certify(*args)
+    assert len(calls) == 1 + len(variants)
+    info = online._certify.cache_info()
+    assert (info.hits, info.misses) == (1, 1 + len(variants))
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    """Past MEMO_SIZE slot states the least recently used one goes, and the
+    memo never holds more than MEMO_SIZE."""
+    calls = _counted_certifications(monkeypatch)
+    inst, demand = _volatile_day(None, 0.3, 1)
+    view = online._slot_view(inst, OnlineState(inst), float(demand.values[0]))
+    states = [replace(view, remaining=float(r)) for r in range(online.MEMO_SIZE + 50)]
+    for state in states:
+        online._certify(state, 1.5, 1e-4)
+    assert online._certify.cache_info().currsize == online.MEMO_SIZE
+    online._certify(states[-1], 1.5, 1e-4)  # kept: served
+    online._certify(states[0], 1.5, 1e-4)  # evicted: certified again
+    assert len(calls) == online.MEMO_SIZE + 51
+    assert online._certify.cache_info().currsize == online.MEMO_SIZE
