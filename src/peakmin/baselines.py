@@ -172,14 +172,15 @@ def rhc_actions(
     return actions
 
 
-def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args, **kwargs):
-    """kernel(instance, values, *args, **kwargs) on an (N, T) day matrix: its
-    (N, T) actions, checked in one call (against kwargs' capacity, if any),
-    and each day's final peak max_t(d_t - delta_t), as PolicyRun.from_actions
-    takes it from the actions as given."""
+def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args,
+                   **kwargs) -> np.ndarray:
+    """Each day's final peak max_t(d_t - delta_t) under kernel(instance,
+    values, *args, **kwargs) on an (N, T) day matrix, as PolicyRun.from_actions
+    takes it from the actions as given. The (N, T) actions are checked in one
+    call (against kwargs' capacity, if any)."""
     actions = kernel(instance, values, *args, **kwargs)
     check_schedules(instance, values, actions, kwargs.get("capacity"))
-    return actions, (values - actions).max(axis=1)
+    return (values - actions).max(axis=1)
 
 
 def _day_run(kernel, instance: Instance, demand: DemandProfile, *args) -> PolicyRun:

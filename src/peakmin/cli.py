@@ -26,7 +26,6 @@ from .core import DemandProfile, Instance, validate_instance
 from .cr import _floor_quotient, optimal_cr
 from .errors import MalformedRecord, PeakMinError
 from .harness import (
-    _RATIO_ALGOS,
     ALGO_EQUAL_RATIO,
     ALGO_THR,
     EXPERIMENT_FIELDS,
@@ -144,13 +143,13 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
         raise MalformedRecord(f"--epsilon must be positive and finite, got {args.epsilon}")
     settings = RunSettings(
-        pi=pi if args.algo in _RATIO_ALGOS else None,
+        pi=pi,
         epsilon=args.epsilon,
         threshold=args.threshold,
         ratio=args.ratio,
         window=args.window,
     )
-    return POLICY_RUNNERS[args.algo](instance, profile.values[None], settings).run(0)
+    return POLICY_RUNNERS[args.algo](instance, profile, settings)
 
 
 def _cmd_simulate(args) -> int:

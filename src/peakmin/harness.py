@@ -8,21 +8,24 @@ on-peak demand profiles at constant power, with every (transaction,
 calendar day) pair handled at once. run_experiment replays a roster of
 policies over those days while sweeping the storage capacity, and folds
 the resulting peaks into report tables that render as plain text or
-plot-ready series rows. The certified policies run through POLICY_RUNNERS
-rate by rate and row by row; the offline peaks and each baseline kernel take
-one call and one schedule check over the day matrix of every rate, stacked.
+plot-ready series rows. POLICY_RUNNERS runs one policy on one day; the
+experiment runs the certified policies through it rate by rate and day by
+day, while the offline peaks and each baseline kernel take one call and one
+schedule check over the day matrix of every rate, stacked.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
 import numbers
+import re
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +39,12 @@ from .baselines import (
     equal_ratio_actions,
     is_window,
     rhc_actions,
+    run_equal_discharge,
+    run_equal_ratio,
+    run_rhc,
+    run_threshold,
     threshold_actions,
 )
-
-# not called here (the baseline runners call the day-matrix kernels through
-# baseline_peaks, and the offline peaks come from offline_peaks); the
-# benchmark's tracer wraps these harness attributes by name
-from .baselines import run_equal_discharge, run_equal_ratio, run_rhc, run_threshold  # noqa: F401
 from .core import EPS_KWH, DemandProfile, Instance, check_demands, validate_instance
 from .cr import optimal_cr
 from .errors import (
@@ -52,15 +54,11 @@ from .errors import (
     MismatchedLengths,
     UnknownAlgorithm,
 )
+
+# solve_offline_pmd is not called here (the offline peaks come from
+# offline_peaks); the benchmark's tracer wraps this harness attribute by name
 from .offline import offline_peaks, solve_offline_pmd  # noqa: F401
-from .online import (
-    MODE_ANYTIME,
-    MODE_ANYTIME_DEPLETING,
-    PolicyOptions,
-    PolicyRun,
-    run_anytime,
-    run_pcr_pmd,
-)
+from .online import MODE_ANYTIME, MODE_ANYTIME_DEPLETING, PolicyOptions, run_anytime, run_pcr_pmd
 
 logger = logging.getLogger(__name__)
 
@@ -78,22 +76,29 @@ ALGO_RHC_UPPER = "rhc-upper"
 ALGO_RHC_LOWER = "rhc-lower"
 ALGO_RHC_MID = "rhc-mid"
 
-ALL_ALGORITHMS = (
-    ALGO_OFFLINE,
-    ALGO_FIXED,
-    ALGO_ANYTIME,
-    ALGO_ANYTIME_DEPLETE,
-    ALGO_THR_OFFLINE_MEAN,
-    ALGO_THR_MID,
-    ALGO_EQUAL_DISCHARGE,
-    ALGO_EQUAL_RATIO,
-    ALGO_RHC_UPPER,
-    ALGO_RHC_LOWER,
-    ALGO_RHC_MID,
-)
+_RHC_VIEWS = {ALGO_RHC_UPPER: FUTURE_UPPER, ALGO_RHC_LOWER: FUTURE_LOWER,
+              ALGO_RHC_MID: FUTURE_MIDPOINT}
 
-_RATIO_ALGOS = frozenset({ALGO_FIXED, ALGO_ANYTIME, ALGO_ANYTIME_DEPLETE})
-_RHC_ALGOS = frozenset({ALGO_RHC_UPPER, ALGO_RHC_LOWER, ALGO_RHC_MID})
+# Baseline policy -> (kernel, the keyword of its per-row argument, and that
+# argument at one rate from the instance, its offline peaks and the days'
+# mean energy). run_experiment calls each kernel once, on the days of every
+# rate and every roster policy that uses it, stacked.
+_BASELINES = {
+    ALGO_THR_OFFLINE_MEAN: (threshold_actions, "threshold",
+                            lambda instance, offline, energy: float(np.mean(offline))),
+    ALGO_THR_MID: (threshold_actions, "threshold", lambda instance, offline, energy:
+                   0.5 * (instance.demand_lb + instance.demand_ub)),
+    ALGO_EQUAL_DISCHARGE: (equal_discharge_actions, None, None),
+    ALGO_EQUAL_RATIO: (equal_ratio_actions, "capacity_rate", lambda instance, offline, energy:
+                       min(1.0, instance.capacity_c / energy)),
+    **{algorithm: (rhc_actions, "future", lambda instance, offline, energy, view=view:
+                   RhcConfig(None, view).future_value(instance))
+       for algorithm, view in _RHC_VIEWS.items()},
+}
+
+# the ratio-pursuit policies, which run day by day and read pi
+_RATIO_ALGOS = (ALGO_FIXED, ALGO_ANYTIME, ALGO_ANYTIME_DEPLETE)
+ALL_ALGORITHMS = (ALGO_OFFLINE, *_RATIO_ALGOS, *_BASELINES)
 
 # a purchase threshold given by the caller; experiments run it as
 # thr-offline-mean and thr-mid, with the threshold set per capacity rate
@@ -101,7 +106,7 @@ ALGO_THR = "thr"
 
 
 class RunSettings(NamedTuple):
-    """What a policy runner may read besides the instance and the days.
+    """What a policy runner may read besides the instance and the day.
 
     pi is the target ratio of the fixed policy and the initial ratio of the
     anytime ones (None computes the optimal competitive ratio); threshold,
@@ -115,77 +120,42 @@ class RunSettings(NamedTuple):
     window: int | None = None
 
 
-class PolicyRuns(NamedTuple):
-    """A policy on a day matrix: each day's final peak, and run(i), day i's run."""
-
-    final_peaks: np.ndarray
-    run: Callable[[int], PolicyRun]
-
-
-def _each_day(instance: Instance, values: np.ndarray, run_day) -> PolicyRuns:
-    runs = [run_day(DemandProfile(instance, row)) for row in values]
-    return PolicyRuns(np.array([run.final_peak for run in runs]), runs.__getitem__)
-
-
-def _baseline_runs(kernel, instance: Instance, values: np.ndarray, *args) -> PolicyRuns:
-    # a day's PolicyRun (and a second check of its schedule) only when asked for
-    actions, peaks = baseline_peaks(kernel, instance, values, *args)
-    return PolicyRuns(peaks, lambda i: PolicyRun.from_actions(
-        instance, DemandProfile(instance, values[i]), actions[i]))
-
-
-def _run_fixed(instance: Instance, values: np.ndarray, settings: RunSettings):
-    pi = optimal_cr(instance).pi_star if settings.pi is None else settings.pi
-    return _each_day(instance, values, lambda profile: run_pcr_pmd(instance, pi, profile))
-
-
 def _anytime_runner(mode: str):
-    return lambda instance, values, settings: _each_day(
-        instance, values, lambda profile: run_anytime(instance, profile, PolicyOptions(
-            mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon,
-        ))
-    )
+    return lambda instance, profile, settings: run_anytime(instance, profile, PolicyOptions(
+        mode=mode, initial_ratio=settings.pi, bisection_epsilon=settings.epsilon,
+    ))
 
 
-def _rhc_runner(future_view: str):
-    return lambda instance, values, settings: _baseline_runs(
-        rhc_actions, instance, values, RhcConfig(settings.window, future_view)
-    )
-
-
-# Policy name -> runner(instance, values, settings) -> PolicyRuns over the rows
-# of values, an (N, T) day matrix checked by core.check_demands. The experiment
-# driver passes every day to a certified policy and reads the final peaks (it
-# calls the baseline kernels itself, on every rate at once); `peakmin simulate`
-# (whose --algo choices are these names, in this order) passes its one profile
-# as a 1 x T matrix and reads run(0). The certified policies run row by row;
-# each baseline calls its kernel once on the matrix and checks the actions once.
-# Runners look the policy functions up in this module when called, never at
-# import, so patching or wrapping a module attribute reaches every run.
+# Policy name -> runner(instance, profile, settings) -> that day's PolicyRun.
+# `peakmin simulate` (whose --algo choices are these names, in this order)
+# runs one; run_experiment runs the certified ones day by day (_day_peaks)
+# and calls the baseline kernels itself, on every rate at once. Runners look
+# the policy functions up in this module when called, never at import, so
+# patching or wrapping a module attribute reaches every run.
 POLICY_RUNNERS = {
-    ALGO_FIXED: _run_fixed,
+    ALGO_FIXED: lambda instance, profile, settings: run_pcr_pmd(
+        instance, optimal_cr(instance).pi_star if settings.pi is None else settings.pi, profile),
     ALGO_ANYTIME: _anytime_runner(MODE_ANYTIME),
     ALGO_ANYTIME_DEPLETE: _anytime_runner(MODE_ANYTIME_DEPLETING),
-    ALGO_THR: lambda instance, values, settings: _baseline_runs(
-        threshold_actions, instance, values, settings.threshold
-    ),
-    ALGO_EQUAL_DISCHARGE: lambda instance, values, settings: _baseline_runs(
-        equal_discharge_actions, instance, values
-    ),
-    ALGO_EQUAL_RATIO: lambda instance, values, settings: _baseline_runs(
-        equal_ratio_actions, instance, values, settings.ratio
-    ),
-    ALGO_RHC_UPPER: _rhc_runner(FUTURE_UPPER),
-    ALGO_RHC_LOWER: _rhc_runner(FUTURE_LOWER),
-    ALGO_RHC_MID: _rhc_runner(FUTURE_MIDPOINT),
+    ALGO_THR: lambda instance, profile, settings: run_threshold(
+        instance, profile, settings.threshold),
+    ALGO_EQUAL_DISCHARGE: lambda instance, profile, settings: run_equal_discharge(
+        instance, profile),
+    ALGO_EQUAL_RATIO: lambda instance, profile, settings: run_equal_ratio(
+        instance, profile, settings.ratio),
+    **{algorithm: lambda instance, profile, settings, view=view: run_rhc(
+        instance, profile, RhcConfig(settings.window, view))
+       for algorithm, view in _RHC_VIEWS.items()},
 }
 
 
 def _clock_minutes(text: str) -> int:
-    parts = str(text).split(":")  # a JSON number is no clock time either
-    if len(parts) != 2:
+    # ASCII digits only, as int() would also read "1_2", "+1", " 9" and other
+    # scripts' digits; a JSON number is no clock time either
+    match = re.fullmatch(r"([0-9]{1,2}):([0-9]{2})", str(text))
+    if match is None:
         raise ValueError(f"clock time must look like HH:MM, got {text!r}")
-    hours, minutes = int(parts[0]), int(parts[1])
+    hours, minutes = int(match[1]), int(match[2])
     if not (0 <= hours < 24 and 0 <= minutes < 60):
         raise ValueError(f"clock time out of range: {text!r}")
     return 60 * hours + minutes
@@ -397,6 +367,14 @@ class DayProfileSet:
         values = np.array([[]] if ragged else rows, dtype=float)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError("day rows must share one positive horizon")
+        # float() also reads "253.5" and True; the entries' types are checked,
+        # in one pass in C, not each value in Python
+        types = ({rows.dtype.type} if isinstance(rows, np.ndarray)
+                 else set(map(type, itertools.chain.from_iterable(rows))))
+        not_numbers = sorted(t.__name__ for t in types
+                             if not issubclass(t, numbers.Real) or issubclass(t, bool))
+        if not_numbers:
+            raise ValueError(f"day values must be numbers, got {', '.join(not_numbers)}")
         values.flags.writeable = False
         object.__setattr__(self, "day_keys", keys)
         object.__setattr__(self, "day_values", values)
@@ -742,13 +720,9 @@ class MonthlyComparison:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything run_experiment measured, plus the rendering helpers."""
+    """Everything run_experiment measured on a day set, plus the rendering helpers."""
 
-    horizon: int
-    day_keys: tuple[str, ...]
-    demand_lb: float
-    demand_ub: float
-    avg_daily_energy: float
+    profiles: DayProfileSet
     cells: tuple[SweepCell, ...]
     monthly: tuple[MonthlyComparison, ...] = ()
 
@@ -759,10 +733,11 @@ class ExperimentReport:
         raise KeyError(f"no cell for algorithm={algorithm!r} value={value}")
 
     def render_text(self) -> str:
+        ps = self.profiles
         lines = [
-            f"days={len(self.day_keys)} horizon={self.horizon} "
-            f"demand_bounds=[{self.demand_lb:.6f},{self.demand_ub:.6f}] "
-            f"avg_daily_energy={self.avg_daily_energy:.6f}",
+            f"days={ps.num_days} horizon={ps.horizon} "
+            f"demand_bounds=[{ps.demand_lb:.6f},{ps.demand_ub:.6f}] "
+            f"avg_daily_energy={ps.avg_daily_energy:.6f}",
             "",
             "capacity_rate,algorithm,mean_final_peak,std_final_peak,"
             "mean_usage_rate,performance_ratio",
@@ -803,17 +778,20 @@ def _positive(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
-def _non_empty_list_of(ok):
-    return lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(ok, v))
+def _distinct_list_of(ok):
+    """A non-empty list or tuple of values that pass ok, none repeated."""
+    return lambda v: (isinstance(v, (tuple, list)) and len(v) > 0 and all(map(ok, v))
+                      and len(set(v)) == len(v))
 
 
 # ExperimentConfig's settable fields: the check a value must pass, and what
 # it expects. ExperimentConfig applies it to its fields, and the CLI to an
 # experiment file's values before it loads the profiles.
 EXPERIMENT_FIELDS = {
-    "algorithms": (_non_empty_list_of(lambda a: isinstance(a, str)),
-                   "a non-empty list of algorithm names"),
-    "capacity_rates": (_non_empty_list_of(_positive), "a non-empty list of positive finite numbers"),
+    "algorithms": (_distinct_list_of(lambda a: isinstance(a, str)),
+                   "a non-empty list of distinct algorithm names"),
+    "capacity_rates": (_distinct_list_of(_positive),
+                       "a non-empty list of distinct positive finite numbers"),
     "rate_limit_fraction": (lambda v: v is None or _positive(v),
                             "a positive finite number or null"),
     "monthly": (lambda v: isinstance(v, bool), "true or false"),
@@ -855,9 +833,18 @@ class ExperimentConfig:
             raise UnknownAlgorithm(
                 f"{', '.join(unknown)} (choose from {', '.join(ALL_ALGORITHMS)})"
             )
-        if _RHC_ALGOS.intersection(self.algorithms):
+        if any(a in _RHC_VIEWS for a in self.algorithms):
             # raises if the window exceeds the horizon
             RhcConfig(self.rhc_window).resolve_window(self.profiles.horizon)
+
+
+def _day_peaks(algorithm: str, instance: Instance, values: np.ndarray,
+               settings: RunSettings) -> np.ndarray:
+    """Each day's final peak under a POLICY_RUNNERS policy, one run per row
+    of values, a day matrix checked by core.check_demands."""
+    run = POLICY_RUNNERS[algorithm]
+    return np.array([run(instance, DemandProfile(instance, row), settings).final_peak
+                     for row in values])
 
 
 def _threaded_month_peak(
@@ -889,31 +876,12 @@ def _threaded_month_peak(
     return d_op
 
 
-# Baseline policy -> (kernel, the keyword of its per-row argument, and that
-# argument at one rate from the instance, its offline peaks and the days'
-# mean energy). run_experiment calls each kernel once, on the days of every
-# rate and every roster policy that uses it, stacked.
-_BASELINES = {
-    ALGO_THR_OFFLINE_MEAN: (threshold_actions, "threshold",
-                            lambda instance, offline, energy: float(np.mean(offline))),
-    ALGO_THR_MID: (threshold_actions, "threshold", lambda instance, offline, energy:
-                   0.5 * (instance.demand_lb + instance.demand_ub)),
-    ALGO_EQUAL_DISCHARGE: (equal_discharge_actions, None, None),
-    ALGO_EQUAL_RATIO: (equal_ratio_actions, "capacity_rate", lambda instance, offline, energy:
-                       min(1.0, instance.capacity_c / energy)),
-    **{algorithm: (rhc_actions, "future", lambda instance, offline, energy, view=view:
-                   RhcConfig(None, view).future_value(instance))
-       for algorithm, view in ((ALGO_RHC_UPPER, FUTURE_UPPER), (ALGO_RHC_LOWER, FUTURE_LOWER),
-                               (ALGO_RHC_MID, FUTURE_MIDPOINT))},
-}
-
-
 def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarray,
                      offline: np.ndarray) -> dict[str, np.ndarray]:
     """Each roster baseline's final peaks, one row per rate. A kernel's rows
     are (policy, rate, day), each with its rate's capacity and its policy's
     argument at that rate; the rates share every other instance field."""
-    roster = [a for a in dict.fromkeys(config.algorithms) if a in _BASELINES]
+    roster = [a for a in config.algorithms if a in _BASELINES]
     energy = config.profiles.avg_daily_energy
     finals = {}
     for kernel in dict.fromkeys(_BASELINES[a][0] for a in roster):
@@ -926,7 +894,7 @@ def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarr
                                          for a, instance, peaks in cells], len(values))
         if kernel is rhc_actions:
             kwargs["config"] = RhcConfig(config.rhc_window)
-        _, peaks = baseline_peaks(kernel, instances[0], np.tile(values, (len(cells), 1)), **kwargs)
+        peaks = baseline_peaks(kernel, instances[0], np.tile(values, (len(cells), 1)), **kwargs)
         finals.update(zip(algorithms, peaks.reshape(len(algorithms), len(instances), -1)))
     return finals
 
@@ -937,7 +905,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Per rate, in order: build the instance (c = rate * avg daily energy) and
     the day matrix checked against it, compute the optimal competitive ratio
     once if any ratio-pursuit policy needs it, and run the certified
-    policies. With monthly=True the anytime policy additionally runs once per
+    policies day by day through POLICY_RUNNERS (_day_peaks). With monthly=True the anytime policy additionally runs once per
     month with the standing peak threaded through, paired against the
     independent per-day runs of the same policy (the roster's own when it
     holds anytime). Then, over every rate at once, one matrix call solves
@@ -962,10 +930,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         settings = RunSettings(pi=optimal_cr(instance).pi_star if needs_pi else None,
                                epsilon=config.epsilon)
         for algorithm, peaks in finals.items():
-            peaks.append(POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks)
+            peaks.append(_day_peaks(algorithm, instance, values, settings))
         if config.monthly:
             independent = (finals[ALGO_ANYTIME][-1] if ALGO_ANYTIME in finals else
-                           POLICY_RUNNERS[ALGO_ANYTIME](instance, values, settings).final_peaks)
+                           _day_peaks(ALGO_ANYTIME, instance, values, settings))
             for month, idxs in ps.monthly_groups().items():
                 days = list(idxs)
                 monthly_rows.append(MonthlyComparison(
@@ -979,11 +947,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     finals[ALGO_OFFLINE] = offline.reshape(len(instances), -1)
     finals.update(_baseline_finals(config, instances, values, finals[ALGO_OFFLINE]))
     return ExperimentReport(
-        horizon=ps.horizon,
-        day_keys=ps.day_keys,
-        demand_lb=ps.demand_lb,
-        demand_ub=ps.demand_ub,
-        avg_daily_energy=ps.avg_daily_energy,
+        profiles=ps,
         cells=tuple(SweepCell(rate, algorithm, AggregateMetrics(
             finals[algorithm][r], finals[ALGO_OFFLINE][r], original_peaks))
             for r, rate in enumerate(config.capacity_rates) for algorithm in config.algorithms),

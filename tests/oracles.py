@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from peakmin import cr, harness, online
-from peakmin.core import EPS_KWH, check_demands, reference_profile, reference_values
+from peakmin.core import EPS_KWH, DemandProfile, check_demands, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
 from peakmin.harness import TRACE_HEADER, DayProfileSet
 from peakmin.lp import solve_lfp
@@ -658,7 +658,9 @@ def _cell_peaks_loop(algorithm, instance, values, offline, settings) -> np.ndarr
     elif algorithm == harness.ALGO_THR_MID:
         algorithm = harness.ALGO_THR
         settings = settings._replace(threshold=0.5 * (instance.demand_lb + instance.demand_ub))
-    return harness.POLICY_RUNNERS[algorithm](instance, values, settings).final_peaks
+    run = harness.POLICY_RUNNERS[algorithm]
+    return np.array([run(instance, DemandProfile(instance, row), settings).final_peak
+                     for row in values])
 
 
 def run_experiment_loop(config) -> tuple:

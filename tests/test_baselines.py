@@ -363,30 +363,36 @@ def test_cell_check_raises_what_the_day_check_raises(instance, kind):
 @pytest.mark.parametrize("instance", _KERNEL_INSTANCES,
                          ids=lambda i: f"T{i.horizon_T}-rate{i.rate_limit}")
 def test_cell_peaks_match_per_day_runs_bit_for_bit(instance):
-    """Each baseline's cell gives every day exactly the final peak of the
-    day's PolicyRun on the per-day slot loop's actions, run(i) is that
-    PolicyRun, and the matrix offline peaks are solve_offline_pmd's."""
+    """Each baseline kernel's cell gives every day exactly the final peak of
+    the day's PolicyRun on the per-day slot loop's actions, the policy's
+    POLICY_RUNNERS run of each day is that PolicyRun, and the matrix offline
+    peaks are solve_offline_pmd's."""
     profiles = [DemandProfile(instance, row)
                 for row in random_profiles(instance, 30, seed=7 * instance.horizon_T)]
     values = np.array([p.values for p in profiles])
     mid = 0.5 * (instance.demand_lb + instance.demand_ub)
     settings = RunSettings(threshold=mid, ratio=0.3)
     window = RhcConfig().resolve_window(instance.horizon_T)
-    loops = {
-        "thr": lambda v: threshold_actions_loop(instance, v, mid),
-        "eql-dis": lambda v: equal_discharge_actions_loop(instance, v),
-        "eql-per": lambda v: equal_ratio_actions_loop(instance, v, 0.3),
-        **{f"rhc-{name}": (lambda v, view=view: rhc_actions_loop(
-            instance, v, RhcConfig(window, view)))
+    # policy -> (the kernel and its arguments, the per-day slot loop)
+    cases = {
+        "thr": ((threshold_actions, mid), lambda v: threshold_actions_loop(instance, v, mid)),
+        "eql-dis": ((equal_discharge_actions,),
+                    lambda v: equal_discharge_actions_loop(instance, v)),
+        "eql-per": ((equal_ratio_actions, 0.3),
+                    lambda v: equal_ratio_actions_loop(instance, v, 0.3)),
+        **{f"rhc-{name}": ((rhc_actions, RhcConfig(window, view)),
+                           lambda v, view=view: rhc_actions_loop(instance, v,
+                                                                 RhcConfig(window, view)))
            for name, view in (("upper", FUTURE_UPPER), ("lower", FUTURE_LOWER),
                               ("mid", FUTURE_MIDPOINT))},
     }
-    for algo, loop in loops.items():
-        runs = POLICY_RUNNERS[algo](instance, values, settings)
+    for algo, ((kernel, *args), loop) in cases.items():
         days = [PolicyRun.from_actions(instance, p, loop(p.values)) for p in profiles]
-        assert runs.final_peaks.tolist() == [day.final_peak for day in days], algo
-        for i in (0, len(days) - 1):
-            assert runs.run(i).schedule.values.tolist() == days[i].schedule.values.tolist()
-            assert runs.run(i).final_peak == days[i].final_peak
+        peaks = baseline_peaks(kernel, instance, values, *args)
+        assert peaks.tolist() == [day.final_peak for day in days], algo
+        for profile, day in zip(profiles, days):
+            run = POLICY_RUNNERS[algo](instance, profile, settings)
+            assert run.schedule.values.tolist() == day.schedule.values.tolist(), algo
+            assert run.final_peak == day.final_peak, algo
     assert offline_peaks(instance, values).tolist() == [
         solve_offline_pmd(instance, p).peak for p in profiles]

@@ -175,6 +175,22 @@ def test_simulate_thr_rejects_nan_threshold(capsys, dhat_file):
     assert err.startswith("ValueError") and "threshold" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--algo", "thr", "--threshold", "-1"], "threshold must be >= 0, got -1.0"),
+    (["--algo", "eql-per", "--ratio", "1.5"], "capacity_rate must be within [0, 1], got 1.5"),
+    (["--algo", "rhc-mid", "--window", "0"], "window must be an integer >= 1, got 0"),
+    (["--algo", "rhc-mid", "--window", "9"], "window 9 exceeds horizon 4"),
+], ids=["negative-threshold", "ratio-above-1", "window-0", "window-past-horizon"])
+def test_simulate_surfaces_the_runners_rejections(capsys, tmp_path, flags, message):
+    """A policy argument the runner rejects exits 2 with the runner's
+    message, and prints no row."""
+    demands = tmp_path / "demands.txt"
+    demands.write_text("300\n450\n600\n350\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simulate", "-c", "100", "--d-lb", "300", "--d-ub", "600",
+                                      "--demands", str(demands), *flags])
+    assert (code, out, err) == (2, "", f"ValueError: {message}\n")
+
+
 def test_domain_errors_surface_verbatim(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["cr", "-c", "3000", "-T", "10",
                                     "--d-lb", "300", "--d-ub", "600"])
@@ -286,12 +302,14 @@ def test_experiment_config_errors(capsys, tmp_path):
     # a wrong-typed value or an unknown key names the key and exits 2; each
     # wrong type below once ended in a TypeError traceback, "monthly":
     # "false" turned monthly mode on, and "algorithms": "fixed" was split
-    # into the algorithms f, i, x, e and d
+    # into the algorithms f, i, x, e and d; a repeated policy or rate printed
+    # its cells twice
     for key, value in [("profiles", 5), ("epsilon", [1]), ("capacity_rates", 0.1),
                        ("algorithms", 7), ("rate_limit_fraction", "0.5"), ("rhc_window", "x"),
                        ("rhc_window", 2.5), ("monthly", "false"), ("algorithms", "fixed"),
                        ("capacity_rates", [0.1, "0.2"]), ("rhc_window", True),
-                       ("epsilom", 1e-3)]:
+                       ("epsilom", 1e-3), ("algorithms", ["eql-dis", "eql-dis", "offline"]),
+                       ("capacity_rates", [0.1, 0.1])]:
         config = tmp_path / "typed.json"
         config.write_text(json.dumps({"profiles": "days.json", key: value}), encoding="utf-8")
         code, _, err = run_cli(capsys, [

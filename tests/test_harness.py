@@ -428,11 +428,19 @@ _PROFILE_SET = dict(
     ("scale_factor", -1.0), ("scale_factor", float("nan")),
     ("day_keys", ("2024-13-40", "2024-05-07")), ("day_keys", ("2024-05-06", "2024-05-06")),
     ("day_keys", ("2024-05-07", "2024-05-06")), ("day_keys", ("2024-05-06", "20240507")),
+    ("on_peak_start", "1_2:00"), ("on_peak_end", "13:0"), ("on_peak_start", "+12:00"),
+    ("on_peak_start", " 12:00"), ("on_peak_end", "\u0661\u0663:00"),
+    ("day_values", (("1.0", "2.0", "1.0", "2.0"), ("2.0", "1.0", "2.0", "1.0"))),
+    ("day_values", ((1.0, 2.0, 1.0, "2.0"), (2.0, 1.0, 2.0, 1.0))),
+    ("day_values", ((True, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0))),
 ])
 def test_profile_set_rejects_metadata_that_contradicts_its_days(field, value):
     """Each of these loaded once: a slot length truncated to 15 or below 1,
-    a window that is not the rows' 4 slots or not a clock time, a scale that
-    is not positive, and day keys that are no ISO dates or out of order."""
+    a window that is not the rows' 4 slots or not a clock time (int() read
+    "1_2", "+12", " 12" and Arabic-Indic digits as hours, and "13:0" as
+    13:00), a scale that is not positive, day keys that are no ISO dates or
+    out of order, and day values that are strings or booleans (float() read
+    "2.0" and True as numbers)."""
     DayProfileSet(**_PROFILE_SET)
     with pytest.raises(ValueError):
         DayProfileSet(**{**_PROFILE_SET, field: value})
@@ -727,15 +735,17 @@ def test_experiment_config_rejects_rhc_window_past_horizon():
     "field, value",
     [("algorithms", "fixed"), ("algorithms", 7), ("monthly", "false"), ("monthly", 1),
      ("rhc_window", 2.5), ("rhc_window", True), ("rhc_window", "2"), ("epsilon", "1e-3"),
-     ("capacity_rates", 0.1), ("capacity_rates", (0.1, "0.2")), ("rate_limit_fraction", "0.5")],
+     ("capacity_rates", 0.1), ("capacity_rates", (0.1, "0.2")), ("rate_limit_fraction", "0.5"),
+     ("algorithms", ("eql-dis", "eql-dis", "offline")), ("capacity_rates", (0.2, 0.1, 0.2))],
 )
 def test_experiment_config_rejects_wrong_types(field, value):
-    """A wrong-typed value raises ValueError at construction. "fixed" was
-    once split into the algorithms f, i, x, e and d, "false" ran monthly
-    mode, a float or bool window failed inside numpy, and a string epsilon
-    or a bare rate raised TypeError."""
+    """A wrong-typed or repeated value raises ValueError at construction.
+    "fixed" was once split into the algorithms f, i, x, e and d, "false" ran
+    monthly mode, a float or bool window failed inside numpy, a string
+    epsilon or a bare rate raised TypeError, and a repeated policy or rate
+    printed its cells again and ran its certified policies twice."""
     ps = synthetic_uniform_profiles(2, 2, 1.0, 2.0, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{field} must be"):
         ExperimentConfig(profiles=ps, **{field: value})
 
 

@@ -119,15 +119,23 @@ def test_pair_ratios_prints_every_metric(bench_pairs):
 
 
 def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
-    """Every ingest and experiment of one seed's first chunk and short trace
-    runs, and a tree compared with itself gives the same bytes and codes."""
+    """Every ingest and experiment of one seed's first chunk and short trace,
+    and every simulate and cr on the short trace's first day, runs, and a
+    tree compared with itself gives the same bytes and codes."""
     diff_outputs = _load("diff_outputs")
     root = _TOOLS.parent
     assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
-    outputs = {p.relative_to(tmp_path / "change").as_posix()
-               for p in (tmp_path / "change").rglob("*.txt")}
+    change = tmp_path / "change"
+    outputs = {p.relative_to(change).as_posix() for p in change.rglob("*.txt")}
     assert outputs == {f"s1001-{name}/report.txt" for name in
                        ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
+    commands = [f"simulate-{algo}" for algo in diff_outputs.SIMULATE_ALGOS] + ["cr"]
+    for command in commands:
+        stdout = (change / f"s1001-short-{command}.stdout").read_text(encoding="utf-8")
+        assert stdout.startswith(("slot,demand", "pi_star,")), command
+        assert (change / f"s1001-short-{command}.stderr").read_text(encoding="utf-8") == ""
+    assert (change / "s1001-chunk0-sweep.stdout").read_text(encoding="utf-8") == (
+        "wrote s1001-chunk0-sweep/report.txt\nwrote s1001-chunk0-sweep/series.csv\n")
 
 
 def test_diff_outputs_names_each_difference(tmp_path):

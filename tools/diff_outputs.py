@@ -6,19 +6,26 @@ Exports the committed files of the parent with bench_pairs.export_commit
 into a temporary directory. For each seed it writes the traces the
 sweep_trace workload generates for that seed (perfbench/inputs.py's
 charging_trace_csv, 30-day chunks, the first --chunks of them) and one
-3-day trace across a month end. Both trees then run, each command in a
-subprocess of its own, `peakmin ingest` (the chunks at the default
-12:00-17:00 window, T=20; the short trace at 12:00-14:00, T=8, so that the
-certified policies run in seconds) and `peakmin experiment` on these configs:
+3-day trace across a month end. Both trees then run `peakmin ingest` (the
+chunks at the default 12:00-17:00 window, T=20; the short trace at
+12:00-14:00, T=8, so that the certified policies run in seconds) and
+`peakmin experiment` on these configs:
 
   sweep         the baseline roster at every capacity rate that validates
   rate-limited  the same roster with rate_limit_fraction 0.3
   certified     fixed, anytime and anytime-deplete (short trace, rate 0.1)
   monthly       anytime with monthly threading (short trace, rate 0.1)
 
-The ingest JSON, report.txt and series.csv of every run, and each exit
-code, must be the same on both sides. Every difference is printed, and the
-exit status is 1 if there is any, 0 otherwise.
+On the first day of each short trace, at rate 0.1, they also run `peakmin
+simulate` with every --algo (thr at the demand midpoint, eql-per at ratio
+0.1) and `peakmin cr`. A tree runs its commands in two fresh processes, one
+for the ingests and one for the rest, each command as cli.main(argv); one
+process prints and exits as a process per command does (test_cli pins it).
+
+The ingest JSON, report.txt and series.csv of every run, each command's
+stdout, stderr and exit code must be the same on both sides. Every
+difference is printed, and the exit status is 1 if there is any, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -50,7 +57,28 @@ CONFIGS = {
     "monthly": ("short", {"algorithms": ["offline", "anytime"], "capacity_rates": [0.1],
                           "monthly": True, "epsilon": 1e-3}),
 }
-_RUN_CLI = "import sys; from peakmin.cli import main; sys.exit(main(sys.argv[1:]))"
+SHORT_RATE = 0.1  # the certified and monthly configs' capacity rate
+SIMULATE_ALGOS = ("fixed", "anytime", "anytime-deplete", "thr", "eql-dis", "eql-per",
+                  "rhc-upper", "rhc-lower", "rhc-mid")
+# each (name, argv) of argv[1] run as cli.main(argv); prints {name: [code, stdout, stderr]}
+_RUN_CLI = """
+import contextlib, io, json, sys, traceback
+from peakmin.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
+    results[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+_OUTPUTS = (".json", ".txt", ".csv", ".stdout", ".stderr")
 
 
 def _load(name: str, path: Path):
@@ -87,21 +115,47 @@ def write_traces(seeds, chunks: int, into: Path) -> dict:
     return paths
 
 
-def run_tree(tree: Path, traces: dict, out: Path) -> dict:
-    """Run every ingest and experiment in tree, writing under out; returns
-    output name -> exit code."""
+def _run_cli(tree: Path, calls: dict, out: Path) -> dict:
+    """Run calls (name -> argv) in one fresh process of tree, in out, so that
+    the paths they print are the same on both sides; writes each one's
+    stdout and stderr there and returns name -> exit code."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_CLI, json.dumps(list(calls.items()))],
+                          cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          check=True, capture_output=True, text=True)
     codes = {}
+    for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
+        (out / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+        (out / f"{name}.stderr").write_text(stderr, encoding="utf-8")
+        codes[name] = code
+    return codes
 
-    def cli(name, argv):
-        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], cwd=tree,
-                              env={**os.environ, "PYTHONPATH": str(tree / "src")},
-                              capture_output=True, text=True)
-        codes[name] = proc.returncode
 
-    for name, (csv_path, kind) in traces.items():
+def _short_day_calls(name: str, payload: dict, out: Path) -> dict:
+    """simulate with every --algo, and cr, on the first day at SHORT_RATE."""
+    demands = f"{name}-day0.demands"
+    day = payload["day_values"][0]
+    (out / demands).write_text("".join(f"{v!r}\n" for v in day), encoding="utf-8")
+    lb, ub = payload["demand_lb"], payload["demand_ub"]
+    instance = ["-c", repr(SHORT_RATE * payload["avg_daily_energy"]),
+                "--d-lb", repr(lb), "--d-ub", repr(ub)]
+    flags = {"thr": ["--threshold", repr(0.5 * (lb + ub))], "eql-per": ["--ratio", repr(SHORT_RATE)]}
+    calls = {f"{name}-simulate-{algo}": ["simulate", *instance, "--demands", demands, "--algo", algo,
+                                         "--epsilon", "1e-3", *flags.get(algo, [])]
+             for algo in SIMULATE_ALGOS}
+    calls[f"{name}-cr"] = ["cr", *instance, "-T", str(len(day))]
+    return calls
+
+
+def run_tree(tree: Path, traces: dict, out: Path) -> dict:
+    """Run every ingest, experiment, simulate and cr in tree, writing under
+    out; returns command name -> exit code."""
+    ingests = {f"{name}.json": ["ingest", "--input", str(csv_path),
+                                "--output", f"{name}.json", *WINDOWS[kind]]
+               for name, (csv_path, kind) in traces.items()}
+    codes = _run_cli(tree, ingests, out)
+    calls = {}
+    for name, (_csv_path, kind) in traces.items():
         days = out / f"{name}.json"
-        cli(days.name, ["ingest", "--input", str(csv_path), "--output", str(days),
-                        *WINDOWS[kind]])
         if not days.exists():
             continue
         payload = json.loads(days.read_text(encoding="utf-8"))
@@ -113,9 +167,11 @@ def run_tree(tree: Path, traces: dict, out: Path) -> dict:
             config = out / f"{name}-{label}.json"
             config.write_text(json.dumps({"profiles": days.name, "capacity_rates": rates,
                                           **settings}), encoding="utf-8")
-            cli(config.stem, ["experiment", "--config", str(config),
-                              "--output-dir", str(out / config.stem)])
-    return codes
+            calls[config.stem] = ["experiment", "--config", config.name,
+                                  "--output-dir", config.stem]
+        if kind == "short":
+            calls.update(_short_day_calls(name, payload, out))
+    return {**codes, **_run_cli(tree, calls, out)}
 
 
 def differences(parent_out: Path, change_out: Path, parent_codes: dict,
@@ -126,7 +182,7 @@ def differences(parent_out: Path, change_out: Path, parent_codes: dict,
              for name in sorted(parent_codes.keys() | change_codes.keys())
              if parent_codes.get(name) != change_codes.get(name)]
     files = {p.relative_to(root) for root in (parent_out, change_out)
-             for p in root.rglob("*") if p.is_file() and p.suffix in (".json", ".txt", ".csv")}
+             for p in root.rglob("*") if p.is_file() and p.suffix in _OUTPUTS}
     for rel in sorted(files):
         a, b = parent_out / rel, change_out / rel
         if not (a.exists() and b.exists()):
