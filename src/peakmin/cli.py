@@ -36,6 +36,7 @@ from .harness import (
     ingest_trace,
     load_profile_set,
     load_transactions,
+    parse_decimal,
     run_experiment,
     save_profile_set,
 )
@@ -63,7 +64,7 @@ def read_demand_file(path) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(float(line))
+            values.append(parse_decimal(line))
         except ValueError:
             raise MalformedRecord(f"line {lineno}: not a number: {line!r}")
     if not values:

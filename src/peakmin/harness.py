@@ -2,16 +2,16 @@
 
 Raw charging traces arrive as CSV transactions (start time, duration,
 energy). parse_transactions reads them into TraceColumns, integer
-microsecond starts and lengths beside the two float fields, checking every
-row rule on whole columns. ingest_trace slots the columns into per-day
-on-peak demand profiles at constant power, with every (transaction,
-calendar day) pair handled at once. run_experiment replays a roster of
-policies over those days while sweeping the storage capacity, and folds
-the resulting peaks into report tables that render as plain text or
-plot-ready series rows. POLICY_RUNNERS runs one policy on one day; the
-experiment runs the certified policies through it rate by rate and day by
-day, while the offline peaks and each baseline kernel take one call and one
-schedule check over the day matrix of every rate, stacked.
+microsecond starts and lengths beside the two ASCII decimal fields,
+checking every row rule on whole columns. ingest_trace slots the columns
+into a DayProfileSet, per-day on-peak demand profiles at constant power
+plus the SlottingConfig that cut them, as the synthetic generators and the
+JSON loader build theirs. run_experiment replays a roster of policies over
+those days while sweeping the storage capacity, and folds the peaks into
+report tables that render as plain text or plot-ready series rows.
+POLICY_RUNNERS runs one policy on one day; the experiment runs the
+certified policies through it day by day, while the offline peaks and each
+baseline kernel take one call and one check over the stacked day matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import logging
 import math
 import numbers
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta
 from typing import NamedTuple
 
@@ -161,6 +161,19 @@ def _clock_minutes(text: str) -> int:
     return 60 * hours + minutes
 
 
+def parse_decimal(text: str) -> float:
+    """float(text) for ASCII text without underscores: float() also reads PEP
+    515 underscores and other scripts' digits ("1_000", "\u0661\u0662", "\uff11\uff12")."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
+def _positive(value) -> bool:
+    """A real number (not a bool) in (0, inf); NaN fails."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class SlottingConfig:
     """How raw transactions become per-day on-peak demand profiles.
@@ -169,8 +182,9 @@ class SlottingConfig:
     cut into slot_minutes slots. scale_factor multiplies every slot value
     after attribution and is always explicit, never inferred from the data.
     demand_bounds, when given, override the empirical min/max of the kept
-    slot values. The default window spans five hours, i.e. 20 slots of 15
-    minutes.
+    slot values. scale_factor and both bounds are real numbers, not
+    booleans, in (0, inf). The default window spans five hours, i.e. 20
+    slots of 15 minutes.
     """
 
     slot_minutes: int = 15
@@ -191,14 +205,13 @@ class SlottingConfig:
             raise ValueError(
                 f"window of {span} min does not divide into {self.slot_minutes}-min slots"
             )
-        if not (math.isfinite(self.scale_factor) and self.scale_factor > 0):
-            raise ValueError(f"scale_factor must be > 0, got {self.scale_factor}")
+        if not _positive(self.scale_factor):
+            raise ValueError(f"scale_factor must be a positive number, got {self.scale_factor}")
         if self.demand_bounds is not None:
             lb, ub = self.demand_bounds
-            # written so that NaN and infinity are rejected too
-            if not 0 < lb <= ub < math.inf:
+            if not (_positive(lb) and _positive(ub) and lb <= ub):
                 raise ValueError(
-                    f"demand_bounds must satisfy 0 < lb <= ub < inf, got {self.demand_bounds}"
+                    f"demand_bounds must be numbers, 0 < lb <= ub < inf, got {self.demand_bounds}"
                 )
 
     @property
@@ -276,9 +289,11 @@ def parse_transactions(lines) -> TraceColumns:
         if len(cells) != 3:
             failure = (lineno, f"expected 3 fields, got {len(cells)}")
             break
+        # parse_decimal's test once a row, not once a field
+        number = float if text.isascii() and "_" not in text else parse_decimal
         try:
             start, duration, energy = (datetime.fromisoformat(cells[0].strip()),
-                                       float(cells[1].strip()), float(cells[2].strip()))
+                                       number(cells[1].strip()), number(cells[2].strip()))
         except ValueError as exc:
             failure = (lineno, str(exc))
             break
@@ -334,24 +349,19 @@ def _is_iso_date(text: str) -> bool:
 
 @dataclass(frozen=True)
 class DayProfileSet:
-    """Per-day on-peak demand profiles plus the bounds that envelop them.
+    """Per-day on-peak demand profiles and the SlottingConfig that cut them.
 
     day_values is a read-only float (N, T) array, one row per day_keys entry
-    (ISO dates, strictly increasing); T is the window's slot count by
-    SlottingConfig's rules. avg_daily_energy is the mean of the per-day
-    totals and is the natural yardstick for storage capacity ("a 30%
-    capacity rate" means c = 0.3 * avg_daily_energy).
+    (ISO dates, strictly increasing); T is the slotting's slot count. The
+    bounds are the slotting's demand_bounds, set to the values' min and max
+    when it has none. avg_daily_energy is the mean of the per-day totals and
+    is the natural yardstick for storage capacity ("a 30% capacity rate"
+    means c = 0.3 * avg_daily_energy).
     """
 
     day_keys: tuple[str, ...]
     day_values: np.ndarray
-    slot_minutes: int
-    on_peak_start: str
-    on_peak_end: str
-    scale_factor: float
-    demand_lb: float
-    demand_ub: float
-    avg_daily_energy: float
+    slotting: SlottingConfig
 
     __eq__ = _same_fields
 
@@ -381,15 +391,13 @@ class DayProfileSet:
         bad = [k for prev, k in zip(("",) + keys, keys) if not (_is_iso_date(k) and prev < k)]
         if bad:
             raise ValueError(f"day keys must be ISO dates in increasing order, got {bad[0]!r}")
-        slots = SlottingConfig(self.slot_minutes, self.on_peak_start, self.on_peak_end,
-                               self.scale_factor)
-        object.__setattr__(self, "slot_minutes", slots.slot_minutes)
-        if slots.horizon != values.shape[1]:
-            raise ValueError(f"the window holds {slots.horizon} slots, the day rows {values.shape[1]}")
-        if not 0 < self.demand_lb <= self.demand_ub < math.inf:
+        if self.slotting.horizon != values.shape[1]:
             raise ValueError(
-                f"bounds must satisfy 0 < lb <= ub < inf, got ({self.demand_lb}, {self.demand_ub})"
+                f"the window holds {self.slotting.horizon} slots, the day rows {values.shape[1]}"
             )
+        if self.slotting.demand_bounds is None:
+            object.__setattr__(self, "slotting", replace(
+                self.slotting, demand_bounds=(float(values.min()), float(values.max()))))
         # core.check_demands' rule, so that every day set that loads runs;
         # written so that a NaN value fails it (min and max propagate NaN)
         if not (self.demand_lb - EPS_KWH <= values.min()
@@ -398,14 +406,18 @@ class DayProfileSet:
                 f"profile values [{values.min()}, {values.max()}] escape the bounds "
                 f"[{self.demand_lb}, {self.demand_ub}]"
             )
-        mean_energy = float(values.sum(axis=1).mean())
-        if not self.avg_daily_energy > 0:
-            raise ValueError(f"avg_daily_energy must be > 0, got {self.avg_daily_energy}")
-        if not abs(mean_energy - self.avg_daily_energy) <= 1e-6 * max(1.0, mean_energy):
-            raise ValueError(
-                f"avg_daily_energy {self.avg_daily_energy} disagrees with the "
-                f"profile mean {mean_energy}"
-            )
+
+    @property
+    def demand_lb(self) -> float:
+        return self.slotting.demand_bounds[0]
+
+    @property
+    def demand_ub(self) -> float:
+        return self.slotting.demand_bounds[1]
+
+    @functools.cached_property
+    def avg_daily_energy(self) -> float:
+        return float(self.day_values.sum(axis=1).mean())
 
     @property
     def horizon(self) -> int:
@@ -419,9 +431,7 @@ class DayProfileSet:
         return self.day_values
 
     def instance(self, capacity_c: float, rate_limit: float | None = None) -> Instance:
-        return validate_instance(
-            capacity_c, rate_limit, self.horizon, self.demand_lb, self.demand_ub
-        )
+        return validate_instance(capacity_c, rate_limit, self.horizon, *self.slotting.demand_bounds)
 
     def monthly_groups(self) -> dict[str, tuple[int, ...]]:
         """Map "YYYY-MM" to the row indices of that month, in file order."""
@@ -429,17 +439,22 @@ class DayProfileSet:
         return {m: tuple(i for i, k in enumerate(months) if k == m) for m in dict.fromkeys(months)}
 
 
-# the JSON keys of a profile set: DayProfileSet's fields
-_PROFILE_SET_KEYS = tuple(f.name for f in fields(DayProfileSet))
+# the JSON keys of a profile set: its days, its slotting's fields flat with
+# the bounds as two keys, and the days' mean energy
+_SLOTTING_KEYS = ("slot_minutes", "on_peak_start", "on_peak_end", "scale_factor")
+_PROFILE_SET_KEYS = ("day_keys", "day_values", *_SLOTTING_KEYS,
+                     "demand_lb", "demand_ub", "avg_daily_energy")
 
 
 def profile_set_to_json(profiles: DayProfileSet) -> str:
-    payload = {key: getattr(profiles, key) for key in _PROFILE_SET_KEYS}
+    payload = {key: getattr(profiles.slotting if key in _SLOTTING_KEYS else profiles, key)
+               for key in _PROFILE_SET_KEYS}
     payload["day_values"] = profiles.day_values.tolist()
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def profile_set_from_json(text: str) -> DayProfileSet:
+    """The stated avg_daily_energy must be the days' mean within 1e-6 relative."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -450,9 +465,15 @@ def profile_set_from_json(text: str) -> DayProfileSet:
     if missing:
         raise MalformedRecord(f"profile set JSON missing keys: {', '.join(missing)}")
     try:
-        return DayProfileSet(**{k: payload[k] for k in _PROFILE_SET_KEYS})
+        profiles = DayProfileSet(payload["day_keys"], payload["day_values"], SlottingConfig(
+            *(payload[k] for k in _SLOTTING_KEYS),
+            demand_bounds=(payload["demand_lb"], payload["demand_ub"])))
+        stated, mean = payload["avg_daily_energy"], profiles.avg_daily_energy
+        if not (_positive(stated) and abs(mean - stated) <= 1e-6 * max(1.0, mean)):
+            raise ValueError(f"avg_daily_energy {stated!r} disagrees with the profile mean {mean}")
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"profile set JSON rejected: {exc}") from None
+    return profiles
 
 
 def save_profile_set(profiles: DayProfileSet, path) -> None:
@@ -508,56 +529,28 @@ def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> Day
         minutes = overlap[hit] / 1e6 / 60.0
         np.add.at(sums[k], day_of[hit], energy[hit] * minutes / duration[hit])
 
-    keys = [date.fromordinal(_EPOCH_ORDINAL + int(d)).isoformat() for d in days[touched]]
+    keys = np.array([date.fromordinal(_EPOCH_ORDINAL + int(d)).isoformat() for d in days[touched]])
     rows = sums.T[touched] * config.scale_factor
     incomplete = (rows <= 0).any(axis=1)
     if incomplete.any():
-        dropped = [key for key, bad in zip(keys, incomplete) if bad]
-        logger.info(
-            "dropped %d day(s) with incomplete on-peak coverage: %s",
-            len(dropped), ", ".join(dropped),
-        )
-    values = rows[~incomplete]
-    if not len(values):
+        logger.info("dropped %d day(s) with incomplete on-peak coverage: %s",
+                    incomplete.sum(), ", ".join(keys[incomplete]))
+    if incomplete.all():
         raise EmptyTrace("no day fully covers the on-peak window")
-
-    if config.demand_bounds is None:
-        lb, ub = float(values.min()), float(values.max())
-    else:
-        lb, ub = config.demand_bounds
-    return DayProfileSet(
-        day_keys=tuple(key for key, bad in zip(keys, incomplete) if not bad),
-        day_values=values,
-        slot_minutes=config.slot_minutes,
-        on_peak_start=config.on_peak_start,
-        on_peak_end=config.on_peak_end,
-        scale_factor=config.scale_factor,
-        demand_lb=lb,
-        demand_ub=ub,
-        avg_daily_energy=float(values.sum(axis=1).mean()),
-    )
+    return DayProfileSet(keys[~incomplete], rows[~incomplete], config)
 
 
-def _wrap_synthetic(
-    values: np.ndarray, demand_lb: float, demand_ub: float,
-    start_date: str, slot_minutes: int,
-) -> DayProfileSet:
-    num_days, horizon = values.shape
-    first = date.fromisoformat(start_date)
-    keys = tuple((first + timedelta(days=i)).isoformat() for i in range(num_days))
-    # a window past midnight fails DayProfileSet's check of its clock times
+def _synthetic_days(num_days: int, horizon: int, demand_lb: float, demand_ub: float,
+                    start_date: str, slot_minutes: int) -> tuple[tuple[str, ...], SlottingConfig]:
+    """A synthetic set's day keys from start_date, and its slotting: horizon slots from 12:00."""
+    if num_days < 1 or horizon < 1:
+        raise ValueError("num_days and horizon must be positive")
+    # a window past midnight fails SlottingConfig's check of its clock times
     end = 12 * 60 + horizon * slot_minutes
-    return DayProfileSet(
-        day_keys=keys,
-        day_values=values,
-        slot_minutes=slot_minutes,
-        on_peak_start="12:00",
-        on_peak_end=f"{end // 60:02d}:{end % 60:02d}",
-        scale_factor=1.0,
-        demand_lb=demand_lb,
-        demand_ub=demand_ub,
-        avg_daily_energy=float(values.sum(axis=1).mean()),
-    )
+    slotting = SlottingConfig(slot_minutes, "12:00", f"{end // 60:02d}:{end % 60:02d}",
+                              demand_bounds=(demand_lb, demand_ub))
+    first = date.fromisoformat(start_date)
+    return tuple((first + timedelta(days=i)).isoformat() for i in range(num_days)), slotting
 
 
 def synthetic_uniform_profiles(
@@ -565,13 +558,11 @@ def synthetic_uniform_profiles(
     seed: int, start_date: str = "2024-03-01", slot_minutes: int = 15,
 ) -> DayProfileSet:
     """Days of independent uniform draws over [demand_lb, demand_ub]."""
-    if num_days < 1 or horizon < 1:
-        raise ValueError("num_days and horizon must be positive")
-    if not 0 < demand_lb <= demand_ub < math.inf:
-        raise ValueError(f"bounds must satisfy 0 < lb <= ub < inf, got ({demand_lb}, {demand_ub})")
+    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date,
+                                     slot_minutes)
     rng = np.random.default_rng(seed)
-    values = rng.uniform(demand_lb, demand_ub, size=(num_days, horizon))
-    return _wrap_synthetic(values, demand_lb, demand_ub, start_date, slot_minutes)
+    return DayProfileSet(keys, rng.uniform(demand_lb, demand_ub, size=(num_days, horizon)),
+                         slotting)
 
 
 def synthetic_volatile_profiles(
@@ -592,10 +583,8 @@ def synthetic_volatile_profiles(
     tail raw, the rising base punishes policies that spend early, and the
     surge heights spread out enough that no constant discharge matches them.
     """
-    if num_days < 1 or horizon < 1:
-        raise ValueError("num_days and horizon must be positive")
-    if not 0 < demand_lb <= demand_ub < math.inf:
-        raise ValueError(f"bounds must satisfy 0 < lb <= ub < inf, got ({demand_lb}, {demand_ub})")
+    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date,
+                                     slot_minutes)
     if not (0 <= calm_share <= 1 and 0 <= surge_share and calm_share + surge_share <= 1):
         raise ValueError(
             f"shares must be nonnegative with calm_share + surge_share <= 1, "
@@ -625,7 +614,7 @@ def synthetic_volatile_profiles(
                 surge = level + rng.uniform(-0.02, 0.02, width) * span
                 day[slot:slot + width] = np.clip(surge, demand_lb, demand_ub)
         days[i] = day
-    return _wrap_synthetic(days, demand_lb, demand_ub, start_date, slot_minutes)
+    return DayProfileSet(keys, days, slotting)
 
 
 @dataclass(frozen=True)
@@ -771,11 +760,6 @@ class ExperimentReport:
                 f"{cell.value:.6f},{cell.algorithm},{m.mean_final_peak:.6f},{m.std_final_peak:.6f}"
             )
         return lines
-
-
-def _positive(value) -> bool:
-    """A real number (not a bool) in (0, inf); NaN fails."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 def _distinct_list_of(ok):

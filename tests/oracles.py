@@ -12,8 +12,8 @@ answer for every cutoff at every step, no closed form read.
 
 The per-row and per-day references at the end are the loops the array
 code replaced: parse_transactions_rows parses a trace one line at a time
-into Transaction records, each checked by _transaction_problem,
-ingest_trace_loop slots one
+into Transaction records, its numbers read by _ascii_float and each record
+checked by _transaction_problem, ingest_trace_loop slots one
 transaction, one calendar day and one slot at a time in datetime
 arithmetic, and the *_actions_loop functions run each baseline on one day,
 slot by slot, in Python floats (the receding horizon one window at a time
@@ -521,6 +521,14 @@ def _transaction_problem(start: datetime, duration_min: float, energy_kwh: float
     return None
 
 
+def _ascii_float(text: str) -> float:
+    """float() on ASCII decimal text only: it also reads "1_000" and other
+    scripts' digits, which a trace number field must not hold."""
+    if any(c == "_" or ord(c) > 127 for c in text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def parse_transactions_rows(lines) -> tuple[Transaction, ...]:
     """parse_transactions one line at a time: each data row is checked by
     _transaction_problem and becomes a Transaction, and the first row
@@ -544,7 +552,7 @@ def parse_transactions_rows(lines) -> tuple[Transaction, ...]:
         if len(cells) != 3:
             raise MalformedRecord(f"line {lineno}: expected 3 fields, got {len(cells)}")
         try:
-            fields = datetime.fromisoformat(cells[0]), float(cells[1]), float(cells[2])
+            fields = datetime.fromisoformat(cells[0]), _ascii_float(cells[1]), _ascii_float(cells[2])
         except ValueError as exc:
             raise MalformedRecord(f"line {lineno}: {exc}") from None
         problem = _transaction_problem(*fields)
@@ -582,18 +590,7 @@ def ingest_trace_loop(transactions, config) -> DayProfileSet:
     kept = {day: row * config.scale_factor for day, row in sorted(buckets.items())}
     kept = {day: row for day, row in kept.items() if not (row <= 0).any()}
     values = np.asarray(list(kept.values()))
-    lb, ub = config.demand_bounds or (float(values.min()), float(values.max()))
-    return DayProfileSet(
-        day_keys=tuple(day.isoformat() for day in kept),
-        day_values=values,
-        slot_minutes=config.slot_minutes,
-        on_peak_start=config.on_peak_start,
-        on_peak_end=config.on_peak_end,
-        scale_factor=config.scale_factor,
-        demand_lb=lb,
-        demand_ub=ub,
-        avg_daily_energy=float(values.sum(axis=1).mean()),
-    )
+    return DayProfileSet(tuple(day.isoformat() for day in kept), values, config)
 
 
 def _greedy_actions_loop(instance, values, wanted) -> list:

@@ -230,6 +230,29 @@ def test_read_demand_file_rules(tmp_path):
         read_demand_file(empty)
 
 
+@pytest.mark.parametrize("number", ["1_000", "\u0661\u0662", "\uff11\uff12"],
+                         ids=["underscore", "arabic-indic", "full-width"])
+def test_number_fields_take_ascii_decimals_only(capsys, tmp_path, number):
+    """float() reads PEP 515 underscores and other scripts' digits, so a
+    demand line or trace field like these loaded as 1000 or 12; each is now
+    rejected with its line number, and solve, simulate and ingest exit 2."""
+    demands = tmp_path / "demands.txt"
+    demands.write_text(f"300\n{number}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=f"line 2: not a number: {number!r}"):
+        read_demand_file(demands)
+    instance = ["-c", "100", "--d-lb", "1", "--d-ub", "2000", "--demands", str(demands)]
+    for argv in (["solve", *instance], ["simulate", *instance, "--algo", "eql-dis"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("MalformedRecord: line 2: "), argv
+    trace = tmp_path / "trace.csv"
+    trace.write_text("start_iso8601,duration_min,energy_kwh\n2024-05-06 12:00,60,6.0\n"
+                     f"2024-05-06 12:30,{number},6.0\n", encoding="utf-8")
+    out_path = tmp_path / "days.json"
+    code, out, err = run_cli(capsys, ["ingest", "--input", str(trace), "--output", str(out_path)])
+    assert (code, out) == (2, "") and err.startswith("MalformedRecord: line 3: "), err
+    assert not out_path.exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -5,6 +5,7 @@ import itertools
 import json
 import logging
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_columnar_parse_matches_row_parse_at_the_edges():
     """Lengths with a fraction of a microsecond, lengths whose microsecond
     fraction is an exact half (m/512 min is 117187.5·m us for odd m, which
     timedelta rounds half to even), sessions ending just inside year 9999
-    or spanning the whole datetime range, and every form float() reads."""
+    or spanning the whole datetime range, and every ASCII form float() reads."""
     rng = np.random.default_rng(11)
     lines = [HEADER]
     for minutes in rng.uniform(0.001, 1e6, 300).tolist() + (10 ** rng.uniform(-6, 9, 300)).tolist():
@@ -267,11 +268,9 @@ def test_columnar_parse_matches_row_parse_at_the_edges():
         "9999-12-31T23:59:59.999998,0.0000000166,1",
         f"0001-01-01T00:00:00,{whole_range},1",
         f"0001-01-01T00:00:00,{float(whole_range) + 0.999},1",
-        "2024-03-01 12:00,1_000,1_0",
         "2024-03-01 12:00, 7 , 7 ",
         "2024-03-01 12:00,+5,1e-400",
         "2024-03-01 12:00,.5,-0",
-        "2024-03-01 12:00,5.,\u0661\u0662",
         "2024-03-01 12:00,1E2,0",
     ]
     _assert_columns_match_rows("\n".join(lines) + "\n")
@@ -286,6 +285,10 @@ BAD_ROWS = [
     "2024-05-06 12:00,thirty,10",
     "2024-05-06 12:00,30,ten",
     "2024-05-06 12:00,1__0,10",
+    # float() reads these three, but a number field is ASCII without underscores
+    "2024-05-06 12:00,1_000,10",
+    "2024-05-06 12:00,5.,\u0661\u0662",
+    "2024-05-06 12:00,\uff11\uff12,10",
     "2024-05-06 12:00,,10",
     "2024-05-06 12:00,0,10",
     "2024-05-06 12:00,-5,10",
@@ -418,8 +421,14 @@ def test_slotting_config_requires_an_integer_slot(slot_minutes):
 _PROFILE_SET = dict(
     day_keys=("2024-05-06", "2024-05-07"), day_values=((1.0, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0)),
     slot_minutes=15, on_peak_start="12:00", on_peak_end="13:00", scale_factor=1.0,
-    demand_lb=1.0, demand_ub=2.0, avg_daily_energy=6.0,
+    demand_lb=1.0, demand_ub=2.0,
 )
+
+
+def _profile_set(day_keys, day_values, demand_lb, demand_ub, **slotting):
+    """A DayProfileSet from the flat fields its JSON holds (no mean energy)."""
+    return DayProfileSet(day_keys, day_values,
+                         SlottingConfig(**slotting, demand_bounds=(demand_lb, demand_ub)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -433,18 +442,20 @@ _PROFILE_SET = dict(
     ("day_values", (("1.0", "2.0", "1.0", "2.0"), ("2.0", "1.0", "2.0", "1.0"))),
     ("day_values", ((1.0, 2.0, 1.0, "2.0"), (2.0, 1.0, 2.0, 1.0))),
     ("day_values", ((True, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0))),
+    ("scale_factor", True), ("demand_lb", True),
 ])
 def test_profile_set_rejects_metadata_that_contradicts_its_days(field, value):
     """Each of these loaded once: a slot length truncated to 15 or below 1,
     a window that is not the rows' 4 slots or not a clock time (int() read
     "1_2", "+12", " 12" and Arabic-Indic digits as hours, and "13:0" as
     13:00), a scale that is not positive, day keys that are no ISO dates or
-    out of order, and day values that are strings or booleans (float() read
-    "2.0" and True as numbers)."""
-    DayProfileSet(**_PROFILE_SET)
+    out of order, day values that are strings or booleans (float() read
+    "2.0" and True as numbers), and a scale or bound that is a boolean
+    (true was read as 1 and written back as true)."""
+    _profile_set(**_PROFILE_SET)
     with pytest.raises(ValueError):
-        DayProfileSet(**{**_PROFILE_SET, field: value})
-    payload = json.loads(profile_set_to_json(DayProfileSet(**_PROFILE_SET)))
+        _profile_set(**{**_PROFILE_SET, field: value})
+    payload = json.loads(profile_set_to_json(_profile_set(**_PROFILE_SET)))
     with pytest.raises(MalformedRecord):
         profile_set_from_json(json.dumps({**payload, field: value}))
 
@@ -460,6 +471,26 @@ def test_profile_set_json_roundtrip_is_byte_stable(tmp_path):
     assert load_profile_set(path) == ps
 
 
+def test_profile_set_file_from_before_the_slotting_record_loads_unchanged(tmp_path):
+    """The checked-in ingest output, written when a day set kept the bounds
+    and mean energy it was given, re-saves byte for byte, and the derived
+    bounds and mean equal the file's bit for bit. A stated mean off by 1e-3
+    relative is rejected; one within 1e-6 gives way to the computed mean."""
+    path = Path(__file__).parent / "golden" / "ingest_days.json"
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    ps = load_profile_set(path)
+    save_profile_set(ps, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
+    for key in ("demand_lb", "demand_ub", "avg_daily_energy"):
+        assert getattr(ps, key).hex() == payload[key].hex(), key
+    mean = payload["avg_daily_energy"]
+    with pytest.raises(MalformedRecord, match="disagrees with the profile mean"):
+        profile_set_from_json(json.dumps({**payload, "avg_daily_energy": mean * (1 + 1e-3)}))
+    near = profile_set_from_json(json.dumps({**payload, "avg_daily_energy": mean * (1 + 1e-9)}))
+    assert near == ps and near.avg_daily_energy == mean
+
+
 def test_profile_set_json_rejects_garbage():
     with pytest.raises(MalformedRecord):
         profile_set_from_json("not json at all")
@@ -470,21 +501,23 @@ def test_profile_set_json_rejects_garbage():
 
 
 def test_profile_set_validation():
+    """A stated mean energy can only come from a file; the loader checks it."""
     base = dict(
         slot_minutes=15, on_peak_start="12:00", on_peak_end="12:30",
-        scale_factor=1.0, demand_lb=1.0, demand_ub=2.0, avg_daily_energy=3.0,
+        scale_factor=1.0, demand_lb=1.0, demand_ub=2.0,
     )
     with pytest.raises(ValueError):
-        DayProfileSet(day_keys=("2024-05-06", "2024-05-07"),
-                      day_values=((1.0, 2.0),), **base)
+        _profile_set(day_keys=("2024-05-06", "2024-05-07"), day_values=((1.0, 2.0),), **base)
     with pytest.raises(ValueError):
-        DayProfileSet(day_keys=("2024-05-06",), day_values=((1.0, 2.5),), **base)
-    with pytest.raises(ValueError):
-        DayProfileSet(day_keys=("2024-05-06",), day_values=((1.0, 2.0),),
-                      **{**base, "avg_daily_energy": 4.0})
+        _profile_set(day_keys=("2024-05-06",), day_values=((1.0, 2.5),), **base)
+    good = json.loads(profile_set_to_json(
+        _profile_set(day_keys=("2024-05-06",), day_values=((1.0, 2.0),), **base)))
+    assert good["avg_daily_energy"] == 3.0
+    with pytest.raises(MalformedRecord, match="avg_daily_energy 4.0 disagrees"):
+        profile_set_from_json(json.dumps({**good, "avg_daily_energy": 4.0}))
     with pytest.raises(ValueError, match="share one positive horizon"):
-        DayProfileSet(day_keys=("2024-05-06", "2024-05-07"),
-                      day_values=((1.0, 2.0), (1.0, 2.0, 1.0)), **base)
+        _profile_set(day_keys=("2024-05-06", "2024-05-07"),
+                     day_values=((1.0, 2.0), (1.0, 2.0, 1.0)), **base)
 
 
 def test_profile_set_takes_the_demand_check_bound_rule():
@@ -494,10 +527,8 @@ def test_profile_set_takes_the_demand_check_bound_rule():
     base = dict(day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
                 on_peak_end="13:00", scale_factor=1.0, demand_lb=100.0, demand_ub=400.0)
     with pytest.raises(ValueError, match="escape the bounds"):
-        DayProfileSet(day_values=((100.0, 200.0, 400.0 + 2e-7, 300.0),),
-                      avg_daily_energy=1000.0 + 2e-7, **base)
-    ps = DayProfileSet(day_values=((100.0, 200.0, 400.0 + 5e-10, 300.0),),
-                       avg_daily_energy=1000.0, **base)
+        _profile_set(day_values=((100.0, 200.0, 400.0 + 2e-7, 300.0),), **base)
+    ps = _profile_set(day_values=((100.0, 200.0, 400.0 + 5e-10, 300.0),), **base)
     run_experiment(ExperimentConfig(profiles=ps, algorithms=(ALGO_OFFLINE, "eql-dis"),
                                     capacity_rates=(0.1,)))
 
@@ -508,25 +539,28 @@ def test_numpy_integer_slot_minutes_round_trips_through_json():
     config = SlottingConfig(slot_minutes=np.int64(15), on_peak_end="13:00")
     assert type(config.slot_minutes) is int
     ps = _ingest([txn("2024-05-06 12:00", 60, 4.0)], config)
-    assert type(ps.slot_minutes) is int
+    assert type(ps.slotting.slot_minutes) is int
     again = profile_set_from_json(profile_set_to_json(ps))
-    assert again == ps and again.slot_minutes == 15
-    direct = DayProfileSet(**{**_PROFILE_SET, "slot_minutes": np.int64(15)})
-    assert type(direct.slot_minutes) is int
+    assert again == ps and again.slotting.slot_minutes == 15
+    direct = _profile_set(**{**_PROFILE_SET, "slot_minutes": np.int64(15)})
+    assert type(direct.slotting.slot_minutes) is int
 
 
 def test_profile_set_rejects_nan():
+    """A NaN value fails the bounds check, with stated bounds or without
+    (then its bounds would be NaN); a NaN mean energy can only come from a
+    file, and the loader rejects it."""
     base = dict(
         day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
         on_peak_end="12:30", scale_factor=1.0, demand_lb=1.0, demand_ub=2.0,
     )
     with pytest.raises(ValueError, match="escape the bounds"):
-        DayProfileSet(day_values=((1.0, float("nan")),), avg_daily_energy=3.0, **base)
-    with pytest.raises(ValueError, match="avg_daily_energy"):
-        DayProfileSet(day_values=((1.0, 2.0),), avg_daily_energy=float("nan"), **base)
+        _profile_set(day_values=((1.0, float("nan")),), **base)
+    with pytest.raises(ValueError, match="demand_bounds"):
+        DayProfileSet(("2024-05-06",), ((1.0, float("nan")),),
+                      SlottingConfig(15, "12:00", "12:30"))
     # Python's json reads NaN
-    good = json.loads(profile_set_to_json(DayProfileSet(
-        day_values=((1.0, 2.0),), avg_daily_energy=3.0, **base)))
+    good = json.loads(profile_set_to_json(_profile_set(day_values=((1.0, 2.0),), **base)))
     for payload in ({**good, "day_values": [[1.0, float("nan")]]},
                     {**good, "avg_daily_energy": float("nan")}):
         with pytest.raises(MalformedRecord):
@@ -917,15 +951,15 @@ def test_all_algorithms_execute():
 
 @pytest.mark.parametrize("ub", [float("inf"), float("nan")], ids=["inf", "nan"])
 def test_demand_bounds_reject_non_finite(ub):
-    """An infinite or NaN demand ceiling is rejected where it is given: by
-    SlottingConfig, DayProfileSet and both synthetic generators (which used
-    to raise numpy's OverflowError on inf), not later by instance()."""
+    """An infinite or NaN demand ceiling is rejected where it is given, by
+    the SlottingConfig a day set or synthetic generator builds (the
+    generators used to raise numpy's OverflowError on inf), not later by
+    instance()."""
     with pytest.raises(ValueError, match="demand_bounds"):
         SlottingConfig(demand_bounds=(1.0, ub))
     with pytest.raises(ValueError, match="lb <= ub < inf"):
-        DayProfileSet(day_keys=("2024-05-06",), day_values=((1.0, 2.0),), slot_minutes=15,
-                      on_peak_start="12:00", on_peak_end="12:30", scale_factor=1.0,
-                      demand_lb=1.0, demand_ub=ub, avg_daily_energy=3.0)
+        _profile_set(day_keys=("2024-05-06",), day_values=((1.0, 2.0),), slot_minutes=15,
+                     on_peak_start="12:00", on_peak_end="12:30", demand_lb=1.0, demand_ub=ub)
     for generate in (synthetic_uniform_profiles, synthetic_volatile_profiles):
         with pytest.raises(ValueError, match="lb <= ub < inf"):
             generate(2, 4, 1.0, ub, seed=1)

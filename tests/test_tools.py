@@ -1,6 +1,7 @@
 """Checks of the repository's tools (tools/): argument parsing and the paired summary."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -121,14 +122,16 @@ def test_pair_ratios_prints_every_metric(bench_pairs):
 def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
     """Every ingest and experiment of one seed's first chunk and short trace,
     and every simulate and cr on the short trace's first day, runs, and a
-    tree compared with itself gives the same bytes and codes."""
+    tree compared with itself gives the same bytes and codes, also when it
+    runs the experiments on the other side's ingest JSON (the cross-load)."""
     diff_outputs = _load("diff_outputs")
     root = _TOOLS.parent
     assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
     change = tmp_path / "change"
-    outputs = {p.relative_to(change).as_posix() for p in change.rglob("*.txt")}
-    assert outputs == {f"s1001-{name}/report.txt" for name in
-                       ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
+    reports = {f"s1001-{name}/report.txt" for name in
+               ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
+    for side in (change, tmp_path / "cross"):
+        assert {p.relative_to(side).as_posix() for p in side.rglob("*.txt")} == reports
     commands = [f"simulate-{algo}" for algo in diff_outputs.SIMULATE_ALGOS] + ["cr"]
     for command in commands:
         stdout = (change / f"s1001-short-{command}.stdout").read_text(encoding="utf-8")
@@ -148,3 +151,22 @@ def test_diff_outputs_names_each_difference(tmp_path):
                                      {"x": 0, "days.json": 2}, {"x": 0, "days.json": 0})
     assert found == ["days.json: exit 2 (parent) != 0 (change)", "days.json: only in change",
                      "x/report.txt: bytes differ"]
+
+
+def test_diff_outputs_cross_load_names_each_difference(tmp_path):
+    """The cross-load runs the tree's experiments on the parent's ingest
+    JSON, and names each exit code and report file that is not the parent's."""
+    diff_outputs = _load("diff_outputs")
+    parent, cross = tmp_path / "parent", tmp_path / "cross"
+    for out in (parent, cross):
+        out.mkdir()
+    shutil.copy(_TOOLS.parent / "tests" / "golden" / "ingest_days.json", parent / "x.json")
+    (parent / "x-sweep").mkdir()
+    (parent / "x-sweep" / "report.txt").write_text("stale\n", encoding="utf-8")
+    found = diff_outputs.cross_load(_TOOLS.parent, {"x": (None, "chunk")}, parent,
+                                    {"x-sweep": 0, "x-rate-limited": 2}, cross)
+    assert found == ["cross-load x-sweep/report.txt: differs from the parent's",
+                     "cross-load x-sweep/series.csv: differs from the parent's",
+                     "cross-load x-rate-limited: exit 2 (parent) != 0",
+                     "cross-load x-rate-limited/report.txt: differs from the parent's",
+                     "cross-load x-rate-limited/series.csv: differs from the parent's"]

@@ -23,7 +23,10 @@ for the ingests and one for the rest, each command as cli.main(argv); one
 process prints and exits as a process per command does (test_cli pins it).
 
 The ingest JSON, report.txt and series.csv of every run, each command's
-stdout, stderr and exit code must be the same on both sides. Every
+stdout, stderr and exit code must be the same on both sides. The working
+tree also runs every experiment config on the parent's ingest JSON (the
+cross-load), whose report.txt and series.csv must equal the parent's, so
+that a day-set file the parent wrote reads back the same. Every
 difference is printed, and the exit status is 1 if there is any, 0
 otherwise.
 """
@@ -153,6 +156,12 @@ def run_tree(tree: Path, traces: dict, out: Path) -> dict:
                                 "--output", f"{name}.json", *WINDOWS[kind]]
                for name, (csv_path, kind) in traces.items()}
     codes = _run_cli(tree, ingests, out)
+    return {**codes, **_run_cli(tree, _day_set_calls(traces, out), out)}
+
+
+def _day_set_calls(traces: dict, out: Path) -> dict:
+    """Every experiment, simulate and cr on the ingest JSON in out (name ->
+    argv), with the experiment configs written there."""
     calls = {}
     for name, (_csv_path, kind) in traces.items():
         days = out / f"{name}.json"
@@ -171,7 +180,27 @@ def run_tree(tree: Path, traces: dict, out: Path) -> dict:
                                   "--output-dir", config.stem]
         if kind == "short":
             calls.update(_short_day_calls(name, payload, out))
-    return {**codes, **_run_cli(tree, calls, out)}
+    return calls
+
+
+def cross_load(tree: Path, traces: dict, parent_out: Path, parent_codes: dict,
+               out: Path) -> list[str]:
+    """Run tree's experiments, in out, on the ingest JSON in parent_out; what
+    differs from the parent's exit codes, report.txt and series.csv."""
+    for name in traces:
+        if (parent_out / f"{name}.json").exists():
+            shutil.copy(parent_out / f"{name}.json", out)
+    experiments = {name: argv for name, argv in _day_set_calls(traces, out).items()
+                   if argv[0] == "experiment"}
+    found = []
+    for name, code in _run_cli(tree, experiments, out).items():
+        if code != parent_codes.get(name):
+            found.append(f"cross-load {name}: exit {parent_codes.get(name)} (parent) != {code}")
+        for rel in (f"{name}/report.txt", f"{name}/series.csv"):
+            a, b = parent_out / rel, out / rel
+            if a.exists() != b.exists() or (a.exists() and a.read_bytes() != b.read_bytes()):
+                found.append(f"cross-load {rel}: differs from the parent's")
+    return found
 
 
 def differences(parent_out: Path, change_out: Path, parent_codes: dict,
@@ -199,7 +228,10 @@ def compare_trees(parent: Path, change: Path, seeds, chunks: int, scratch: Path)
         out = scratch / side
         out.mkdir()
         outs[side] = (out, run_tree(tree, traces, out))
-    return differences(outs["parent"][0], outs["change"][0], outs["parent"][1], outs["change"][1])
+    cross = scratch / "cross"
+    cross.mkdir()
+    return (differences(outs["parent"][0], outs["change"][0], outs["parent"][1], outs["change"][1])
+            + cross_load(change, traces, *outs["parent"], cross))
 
 
 def main(argv=None) -> int:
