@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import DemandProfile, Instance, validate_instance
+from .core import DemandProfile, Instance, is_positive
 from .cr import _floor_quotient, optimal_cr
 from .errors import MalformedRecord, PeakMinError
 from .harness import (
@@ -41,9 +40,9 @@ from .harness import (
     save_profile_set,
 )
 from .offline import solve_offline_pmd
-# not called here (simulate runs through POLICY_RUNNERS); the benchmark's
-# tracer wraps these cli attributes by name
-from .online import run_anytime, run_pcr_pmd  # noqa: F401
+# run_anytime and run_pcr_pmd are not called here (simulate runs through
+# POLICY_RUNNERS); the benchmark's tracer wraps these cli attributes by name
+from .online import _check_ratio, run_anytime, run_pcr_pmd  # noqa: F401
 
 _FMT = "{:.6f}"
 
@@ -53,6 +52,13 @@ _REQUIRED_FLAGS = {ALGO_THR: "threshold", ALGO_EQUAL_RATIO: "ratio"}
 
 def _f(x: float) -> str:
     return _FMT.format(float(x))
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for signed ASCII digits: int() also reads "1_0", " 9" and "\u0664"."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def read_demand_file(path) -> np.ndarray:
@@ -73,22 +79,22 @@ def read_demand_file(path) -> np.ndarray:
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser, with_horizon: bool = True) -> None:
-    parser.add_argument("-c", "--capacity", type=float, required=True,
+    parser.add_argument("-c", "--capacity", type=parse_decimal, required=True,
                         help="total storage inventory for the period (kWh)")
     if with_horizon:
-        parser.add_argument("-T", "--horizon", type=int, required=True,
+        parser.add_argument("-T", "--horizon", type=ascii_int, required=True,
                             help="number of slots in the operating period")
-    parser.add_argument("--rate-limit", type=float, default=None,
+    parser.add_argument("--rate-limit", type=parse_decimal, default=None,
                         help="per-slot discharge cap (kWh); omit for unbounded")
-    parser.add_argument("--d-lb", type=float, required=True,
+    parser.add_argument("--d-lb", type=parse_decimal, required=True,
                         help="lower demand bound (kWh), must be positive")
-    parser.add_argument("--d-ub", type=float, required=True,
+    parser.add_argument("--d-ub", type=parse_decimal, required=True,
                         help="upper demand bound (kWh)")
 
 
 def _instance_from_args(args, horizon: int | None = None) -> Instance:
     T = horizon if horizon is not None else args.horizon
-    return validate_instance(args.capacity, args.rate_limit, T, args.d_lb, args.d_ub)
+    return Instance(args.capacity, args.rate_limit, T, args.d_lb, args.d_ub)
 
 
 def _cmd_solve(args) -> int:
@@ -122,16 +128,14 @@ def _cmd_cr(args) -> int:
 
 
 def _resolve_pi(args) -> float | None:
-    """--pi auto means the optimal competitive ratio; otherwise a finite
-    number >= 1."""
+    """--pi auto means the optimal competitive ratio; otherwise a finite number >= 1."""
     if args.pi is None or args.pi == "auto":
         return None
     try:
-        pi = float(args.pi)
+        pi = parse_decimal(args.pi)
+        _check_ratio(pi)
     except ValueError:
-        pi = math.nan
-    if not 1.0 <= pi < math.inf:  # NaN fails this too
-        raise MalformedRecord(f"--pi expects a finite number >= 1 or 'auto', got {args.pi!r}")
+        raise MalformedRecord(f"--pi expects a finite number >= 1 or 'auto', got {args.pi!r}") from None
     return pi
 
 
@@ -141,7 +145,7 @@ def _simulate_run(args, instance: Instance, profile: DemandProfile):
         raise MalformedRecord(f"--{flag} is required for --algo {args.algo}")
     # checked for every --algo, whether or not it reads them
     pi = _resolve_pi(args)
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+    if not is_positive(args.epsilon):
         raise MalformedRecord(f"--epsilon must be positive and finite, got {args.epsilon}")
     settings = RunSettings(
         pi=pi,
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="offline optimum of a demand profile file")
     _add_instance_flags(p_solve, with_horizon=False)
-    p_solve.add_argument("-T", "--horizon", type=int, default=None,
+    p_solve.add_argument("-T", "--horizon", type=ascii_int, default=None,
                          help="optional cross-check against the file length")
     p_solve.add_argument("--demands", required=True,
                          help="demand file: one kWh value per line, # comments allowed")
@@ -259,29 +263,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pi", default=None,
                        help="target ratio for fixed (or initial ratio for anytime); "
                        "'auto' computes the optimal competitive ratio")
-    p_sim.add_argument("--epsilon", type=float, default=1e-4,
+    p_sim.add_argument("--epsilon", type=parse_decimal, default=1e-4,
                        help="bisection tolerance for the anytime certifications")
-    p_sim.add_argument("--threshold", type=float, default=None,
+    p_sim.add_argument("--threshold", type=parse_decimal, default=None,
                        help="purchase threshold for --algo thr")
-    p_sim.add_argument("--ratio", type=float, default=None,
+    p_sim.add_argument("--ratio", type=parse_decimal, default=None,
                        help="per-slot discharge fraction for --algo eql-per")
-    p_sim.add_argument("--window", type=int, default=None,
+    p_sim.add_argument("--window", type=ascii_int, default=None,
                        help="look-ahead window for the rhc algorithms (default ceil(T/4))")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ing = sub.add_parser("ingest", help="convert a transaction trace to day profiles")
     p_ing.add_argument("--input", required=True, help="transaction CSV file")
     p_ing.add_argument("--output", required=True, help="day-profile JSON file to write")
-    p_ing.add_argument("--slot-minutes", type=int, default=15)
+    p_ing.add_argument("--slot-minutes", type=ascii_int, default=15)
     p_ing.add_argument("--window-start", default="12:00",
                        help="start of the on-peak window (HH:MM)")
     p_ing.add_argument("--window-end", default="17:00",
                        help="end of the on-peak window (HH:MM)")
-    p_ing.add_argument("--scale", type=float, default=1.0,
+    p_ing.add_argument("--scale", type=parse_decimal, default=1.0,
                        help="multiply every slot value by this factor")
-    p_ing.add_argument("--d-lb", type=float, default=None,
+    p_ing.add_argument("--d-lb", type=parse_decimal, default=None,
                        help="override the demand lower bound (with --d-ub)")
-    p_ing.add_argument("--d-ub", type=float, default=None,
+    p_ing.add_argument("--d-ub", type=parse_decimal, default=None,
                        help="override the demand upper bound (with --d-lb)")
     p_ing.set_defaults(func=_cmd_ingest)
 

@@ -8,6 +8,7 @@ as EPS_KWH so every module agrees on it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,16 @@ from .errors import (
 )
 
 EPS_KWH = 1e-9
+
+
+def is_positive(value) -> bool:
+    """A real number (not a bool) in (0, inf); NaN fails."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+def _admissible(instance: Instance, demands):
+    """The demand rule d_lb - EPS_KWH <= d <= d_ub + EPS_KWH, on a float or per entry; NaN fails."""
+    return (instance.demand_lb - EPS_KWH <= demands) & (demands <= instance.demand_ub + EPS_KWH)
 
 
 def _as_float_vector(values) -> np.ndarray:
@@ -51,14 +62,18 @@ class Instance:
 
     def __post_init__(self):
         # NaN slips past every comparison below and an infinite bound makes
-        # no instance, so non-finite values are turned away first
+        # no instance, so non-finite values are turned away first; a checked
+        # field is stored as its annotation's type (horizon_T: integral, no bool)
         for name in ("capacity_c", "rate_limit", "demand_lb", "demand_ub"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise NonPositiveBound(f"{name} must be finite, got {value}")
+            if value is not None:
+                if not math.isfinite(value):
+                    raise NonPositiveBound(f"{name} must be finite, got {value}")
+                object.__setattr__(self, name, float(value))
         T = self.horizon_T
-        if not math.isfinite(T) or int(T) != T or T < 1:
-            raise ZeroHorizon(f"horizon_T must be a positive integer, got {self.horizon_T}")
+        if isinstance(T, bool) or not math.isfinite(T) or int(T) != T or T < 1:
+            raise ZeroHorizon(f"horizon_T must be a positive integer, got {T}")
+        object.__setattr__(self, "horizon_T", int(T))
         if self.demand_lb <= 0:
             raise NonPositiveBound(f"demand_lb must be > 0, got {self.demand_lb}")
         if self.demand_ub < self.demand_lb:
@@ -82,21 +97,8 @@ class Instance:
         return min(self.rate_limit, demand_value)
 
 
-def validate_instance(
-    capacity_c: float,
-    rate_limit: float | None,
-    horizon_T: int,
-    demand_lb: float,
-    demand_ub: float,
-) -> Instance:
-    """Validate raw fields and return an Instance (raises domain errors otherwise)."""
-    return Instance(
-        capacity_c=float(capacity_c),
-        rate_limit=None if rate_limit is None else float(rate_limit),
-        horizon_T=int(horizon_T),
-        demand_lb=float(demand_lb),
-        demand_ub=float(demand_ub),
-    )
+# a second name for Instance, which checks and normalizes its own fields
+validate_instance = Instance
 
 
 class DemandProfile:
@@ -127,7 +129,7 @@ def check_demands(instance: Instance, demands: np.ndarray) -> np.ndarray:
         raise DemandOutOfBounds(f"profile length {demands.shape[-1]} != horizon_T {T}")
     lo, hi = instance.demand_lb, instance.demand_ub
     rows = demands.reshape(-1, T)
-    inside = (lo - EPS_KWH <= rows) & (rows <= hi + EPS_KWH)  # False at NaN
+    inside = _admissible(instance, rows)
     if not inside.all():
         i = int(inside.all(axis=1).argmin())
         raise DemandOutOfBounds(f"demand entries outside [{lo}, {hi}]: {rows[i][~inside[i]]}")
@@ -191,12 +193,10 @@ def reference_profile(instance: Instance, prefix) -> DemandProfile:
     t = len(pre)
     if not 1 <= t <= instance.horizon_T:
         raise PrefixOutOfBounds(f"prefix length {t} outside 1..{instance.horizon_T}")
-    lo, hi = instance.demand_lb, instance.demand_ub
-    if not ((lo - EPS_KWH <= pre) & (pre <= hi + EPS_KWH)).all():
-        raise PrefixOutOfBounds(f"prefix entries outside [{lo}, {hi}]")
-    full = np.full(instance.horizon_T, lo, dtype=float)
-    full[:t] = pre
-    return DemandProfile(instance, full)
+    try:
+        return DemandProfile(instance, reference_values(instance, pre))
+    except DemandOutOfBounds as exc:
+        raise PrefixOutOfBounds(f"prefix {exc}") from None
 
 
 def reference_values(instance: Instance, prefix: np.ndarray) -> np.ndarray:
@@ -239,12 +239,18 @@ class OnlineState:
     def remaining(self) -> float:
         return self.instance.capacity_c - self.inventory_used
 
-    def observe(self, d_t: float) -> None:
+    def admit(self, d_t: float, instance: Instance | None = None) -> None:
+        """Raise unless the state is between slots, of instance if given, and d_t obeys the demand rule."""
+        if instance is not None and instance != self.instance:
+            raise ValueError("the state belongs to another instance")
         if len(self.observed) != len(self.actions):
-            raise ValueError("observe() called twice without an intervening commit()")
-        lo, hi = self.instance.demand_lb, self.instance.demand_ub
-        if not (lo - EPS_KWH <= d_t <= hi + EPS_KWH):
-            raise DemandOutOfBounds(f"observed demand {d_t} outside [{lo}, {hi}]")
+            raise ValueError("state is mid-slot; commit the pending action first")
+        if not _admissible(self.instance, d_t):
+            raise DemandOutOfBounds(
+                f"demand {d_t} outside [{self.instance.demand_lb}, {self.instance.demand_ub}]")
+
+    def observe(self, d_t: float) -> None:
+        self.admit(d_t)
         self.observed.append(float(d_t))
 
     def commit(self, delta_t: float) -> None:

@@ -20,7 +20,6 @@ import functools
 import itertools
 import json
 import logging
-import math
 import numbers
 import re
 from dataclasses import dataclass, fields, replace
@@ -45,9 +44,10 @@ from .baselines import (
     run_threshold,
     threshold_actions,
 )
-from .core import EPS_KWH, DemandProfile, Instance, check_demands, validate_instance
+from .core import DemandProfile, Instance, check_demands, is_positive
 from .cr import optimal_cr
 from .errors import (
+    DemandOutOfBounds,
     EmptyTrace,
     InfeasibleSchedule,
     MalformedRecord,
@@ -169,11 +169,6 @@ def parse_decimal(text: str) -> float:
     raise ValueError(f"could not convert string to float: {text!r}")
 
 
-def _positive(value) -> bool:
-    """A real number (not a bool) in (0, inf); NaN fails."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
-
-
 @dataclass(frozen=True)
 class SlottingConfig:
     """How raw transactions become per-day on-peak demand profiles.
@@ -205,11 +200,11 @@ class SlottingConfig:
             raise ValueError(
                 f"window of {span} min does not divide into {self.slot_minutes}-min slots"
             )
-        if not _positive(self.scale_factor):
+        if not is_positive(self.scale_factor):
             raise ValueError(f"scale_factor must be a positive number, got {self.scale_factor}")
         if self.demand_bounds is not None:
             lb, ub = self.demand_bounds
-            if not (_positive(lb) and _positive(ub) and lb <= ub):
+            if not (is_positive(lb) and is_positive(ub) and lb <= ub):
                 raise ValueError(
                     f"demand_bounds must be numbers, 0 < lb <= ub < inf, got {self.demand_bounds}"
                 )
@@ -354,9 +349,10 @@ class DayProfileSet:
     day_values is a read-only float (N, T) array, one row per day_keys entry
     (ISO dates, strictly increasing); T is the slotting's slot count. The
     bounds are the slotting's demand_bounds, set to the values' min and max
-    when it has none. avg_daily_energy is the mean of the per-day totals and
-    is the natural yardstick for storage capacity ("a 30% capacity rate"
-    means c = 0.3 * avg_daily_energy).
+    when it has none; the values pass check_demands against them (so every
+    set that loads runs) and are stored as it clips them. avg_daily_energy
+    is the mean of the per-day totals and the natural yardstick for storage
+    capacity ("a 30% capacity rate" means c = 0.3 * avg_daily_energy).
     """
 
     day_keys: tuple[str, ...]
@@ -385,7 +381,6 @@ class DayProfileSet:
                              if not issubclass(t, numbers.Real) or issubclass(t, bool))
         if not_numbers:
             raise ValueError(f"day values must be numbers, got {', '.join(not_numbers)}")
-        values.flags.writeable = False
         object.__setattr__(self, "day_keys", keys)
         object.__setattr__(self, "day_values", values)
         bad = [k for prev, k in zip(("",) + keys, keys) if not (_is_iso_date(k) and prev < k)]
@@ -396,16 +391,10 @@ class DayProfileSet:
                 f"the window holds {self.slotting.horizon} slots, the day rows {values.shape[1]}"
             )
         if self.slotting.demand_bounds is None:
+            # min and max propagate NaN, which the slotting's bounds check rejects
             object.__setattr__(self, "slotting", replace(
                 self.slotting, demand_bounds=(float(values.min()), float(values.max()))))
-        # core.check_demands' rule, so that every day set that loads runs;
-        # written so that a NaN value fails it (min and max propagate NaN)
-        if not (self.demand_lb - EPS_KWH <= values.min()
-                <= values.max() <= self.demand_ub + EPS_KWH):
-            raise ValueError(
-                f"profile values [{values.min()}, {values.max()}] escape the bounds "
-                f"[{self.demand_lb}, {self.demand_ub}]"
-            )
+        object.__setattr__(self, "day_values", check_demands(self.instance(0.0), values))
 
     @property
     def demand_lb(self) -> float:
@@ -431,7 +420,7 @@ class DayProfileSet:
         return self.day_values
 
     def instance(self, capacity_c: float, rate_limit: float | None = None) -> Instance:
-        return validate_instance(capacity_c, rate_limit, self.horizon, *self.slotting.demand_bounds)
+        return Instance(capacity_c, rate_limit, self.horizon, *self.slotting.demand_bounds)
 
     def monthly_groups(self) -> dict[str, tuple[int, ...]]:
         """Map "YYYY-MM" to the row indices of that month, in file order."""
@@ -469,9 +458,9 @@ def profile_set_from_json(text: str) -> DayProfileSet:
             *(payload[k] for k in _SLOTTING_KEYS),
             demand_bounds=(payload["demand_lb"], payload["demand_ub"])))
         stated, mean = payload["avg_daily_energy"], profiles.avg_daily_energy
-        if not (_positive(stated) and abs(mean - stated) <= 1e-6 * max(1.0, mean)):
+        if not (is_positive(stated) and abs(mean - stated) <= 1e-6 * max(1.0, mean)):
             raise ValueError(f"avg_daily_energy {stated!r} disagrees with the profile mean {mean}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DemandOutOfBounds) as exc:
         raise MalformedRecord(f"profile set JSON rejected: {exc}") from None
     return profiles
 
@@ -541,13 +530,11 @@ def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> Day
 
 
 def _synthetic_days(num_days: int, horizon: int, demand_lb: float, demand_ub: float,
-                    start_date: str, slot_minutes: int) -> tuple[tuple[str, ...], SlottingConfig]:
-    """A synthetic set's day keys from start_date, and its slotting: horizon slots from 12:00."""
-    if num_days < 1 or horizon < 1:
-        raise ValueError("num_days and horizon must be positive")
-    # a window past midnight fails SlottingConfig's check of its clock times
-    end = 12 * 60 + horizon * slot_minutes
-    slotting = SlottingConfig(slot_minutes, "12:00", f"{end // 60:02d}:{end % 60:02d}",
+                    start_date: str) -> tuple[tuple[str, ...], SlottingConfig]:
+    """A synthetic set's day keys from start_date, and its slotting: horizon 15-min slots from 12:00."""
+    # SlottingConfig rejects a window that is empty or runs past midnight
+    end = 12 * 60 + 15 * horizon
+    slotting = SlottingConfig(on_peak_end=f"{end // 60:02d}:{end % 60:02d}",
                               demand_bounds=(demand_lb, demand_ub))
     first = date.fromisoformat(start_date)
     return tuple((first + timedelta(days=i)).isoformat() for i in range(num_days)), slotting
@@ -555,11 +542,10 @@ def _synthetic_days(num_days: int, horizon: int, demand_lb: float, demand_ub: fl
 
 def synthetic_uniform_profiles(
     num_days: int, horizon: int, demand_lb: float, demand_ub: float,
-    seed: int, start_date: str = "2024-03-01", slot_minutes: int = 15,
+    seed: int, start_date: str = "2024-03-01",
 ) -> DayProfileSet:
     """Days of independent uniform draws over [demand_lb, demand_ub]."""
-    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date,
-                                     slot_minutes)
+    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date)
     rng = np.random.default_rng(seed)
     return DayProfileSet(keys, rng.uniform(demand_lb, demand_ub, size=(num_days, horizon)),
                          slotting)
@@ -568,7 +554,7 @@ def synthetic_uniform_profiles(
 def synthetic_volatile_profiles(
     num_days: int, horizon: int, demand_lb: float, demand_ub: float,
     seed: int, calm_share: float = 0.55, surge_share: float = 0.225,
-    start_date: str = "2024-03-01", slot_minutes: int = 15,
+    start_date: str = "2024-03-01",
 ) -> DayProfileSet:
     """Volatile days: a rising base load punctuated by late demand surges.
 
@@ -583,8 +569,7 @@ def synthetic_volatile_profiles(
     tail raw, the rising base punishes policies that spend early, and the
     surge heights spread out enough that no constant discharge matches them.
     """
-    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date,
-                                     slot_minutes)
+    keys, slotting = _synthetic_days(num_days, horizon, demand_lb, demand_ub, start_date)
     if not (0 <= calm_share <= 1 and 0 <= surge_share and calm_share + surge_share <= 1):
         raise ValueError(
             f"shares must be nonnegative with calm_share + surge_share <= 1, "
@@ -774,12 +759,12 @@ def _distinct_list_of(ok):
 EXPERIMENT_FIELDS = {
     "algorithms": (_distinct_list_of(lambda a: isinstance(a, str)),
                    "a non-empty list of distinct algorithm names"),
-    "capacity_rates": (_distinct_list_of(_positive),
+    "capacity_rates": (_distinct_list_of(is_positive),
                        "a non-empty list of distinct positive finite numbers"),
-    "rate_limit_fraction": (lambda v: v is None or _positive(v),
+    "rate_limit_fraction": (lambda v: v is None or is_positive(v),
                             "a positive finite number or null"),
     "monthly": (lambda v: isinstance(v, bool), "true or false"),
-    "epsilon": (_positive, "a positive finite number"),
+    "epsilon": (is_positive, "a positive finite number"),
     "rhc_window": (is_window, "an integer >= 1 or null"),
 }
 
@@ -886,9 +871,9 @@ def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarr
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Replay the roster over every day for every capacity rate.
 
-    Per rate, in order: build the instance (c = rate * avg daily energy) and
-    the day matrix checked against it, compute the optimal competitive ratio
-    once if any ratio-pursuit policy needs it, and run the certified
+    Build every rate's instance (c = rate * avg daily energy) and check the
+    day matrix once. Per rate, in order: compute the optimal competitive
+    ratio once if any ratio-pursuit policy needs it, and run the certified
     policies day by day through POLICY_RUNNERS (_day_peaks). With monthly=True the anytime policy additionally runs once per
     month with the standing peak threaded through, paired against the
     independent per-day runs of the same policy (the roster's own when it
@@ -903,14 +888,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else config.rate_limit_fraction * ps.demand_ub
     )
     needs_pi = config.monthly or any(a in _RATIO_ALGOS for a in config.algorithms)
-    instances: list[Instance] = []
+    instances = [ps.instance(rate * ps.avg_daily_energy, rate_limit)
+                 for rate in config.capacity_rates]
+    # one check serves every rate: the rates share the bounds and the horizon
+    values = check_demands(instances[0], ps.day_values)
     finals: dict[str, list] = {a: [] for a in config.algorithms if a in _RATIO_ALGOS}
     monthly_rows: list[MonthlyComparison] = []
-    for rate in config.capacity_rates:
-        instance = ps.instance(rate * ps.avg_daily_energy, rate_limit)
-        # the same matrix at every rate: the bounds do not depend on it
-        values = check_demands(instance, ps.day_values)
-        instances.append(instance)
+    for rate, instance in zip(config.capacity_rates, instances):
         settings = RunSettings(pi=optimal_cr(instance).pi_star if needs_pi else None,
                                epsilon=config.epsilon)
         for algorithm, peaks in finals.items():

@@ -24,12 +24,12 @@ from .core import (
     DischargeSchedule,
     Instance,
     OnlineState,
+    is_positive,
     reference_values,
 )
 from .cr import inventory_unbounded, optimal_cr, scenario_program, scenario_top
 from .errors import (
     DegenerateOfflinePeak,
-    DemandOutOfBounds,
     NegativeSlack,
     NumericalFailure,
 )
@@ -97,9 +97,9 @@ class PolicyOptions:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
+        if not is_positive(self.bisection_epsilon):
+            raise ValueError("bisection_epsilon must be a positive finite number")
         # written so that NaN and infinity are rejected too
-        if not 0.0 < self.bisection_epsilon < math.inf:
-            raise ValueError("bisection_epsilon must be positive and finite")
         if not 0.0 <= self.monthly_peak < math.inf:
             raise ValueError("monthly_peak must be finite and >= 0")
         if self.initial_ratio is not None and not 1.0 <= self.initial_ratio < math.inf:
@@ -107,17 +107,9 @@ class PolicyOptions:
 
 
 def _check_ratio(pi: float) -> None:
-    # written so that NaN is rejected too
-    if not pi >= 1.0:
-        raise ValueError(f"pi must be >= 1, got {pi}")
-
-
-def _check_step_inputs(instance: Instance, state: OnlineState, d_t: float) -> None:
-    if len(state.observed) != len(state.actions):
-        raise ValueError("state is mid-slot; commit the pending action first")
-    lo, hi = instance.demand_lb, instance.demand_ub
-    if not (lo - EPS_KWH <= d_t <= hi + EPS_KWH):
-        raise DemandOutOfBounds(f"demand {d_t} outside [{lo}, {hi}]")
+    # written so that NaN is rejected too; pi = inf would never discharge
+    if not 1.0 <= pi < math.inf:
+        raise ValueError(f"pi must be >= 1 and finite, got {pi}")
 
 
 def _reference_peak(instance: Instance, demands) -> float:
@@ -142,10 +134,10 @@ def pcr_step(instance: Instance, state: OnlineState, pi: float, d_t: float) -> f
     profile through this slot, clamped to the rate limit, the demand itself,
     and the remaining inventory. At any pi at or above the optimal competitive
     ratio the clamp provably never binds; it exists as defense in depth.
-    pi below 1 (or NaN) raises ValueError.
+    pi below 1, infinite or NaN raises ValueError.
     """
     _check_ratio(pi)
-    _check_step_inputs(instance, state, d_t)
+    state.admit(d_t, instance)
     v_ref = _reference_peak(instance, state.observed + [d_t])
     _raw, clamped = _pcr_amounts(instance, state, pi, d_t, v_ref)
     return clamped
@@ -155,8 +147,8 @@ def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyR
     """Run the fixed-ratio policy causally over a full profile.
 
     pi below the optimal competitive ratio is allowed; infeasibility then
-    shows up as clamp_engaged=True rather than an exception. pi below 1 (or
-    NaN) raises ValueError.
+    shows up as clamp_engaged=True rather than an exception. pi below 1,
+    infinite or NaN raises ValueError.
     """
     _check_ratio(pi)
     state = OnlineState(instance)
@@ -468,15 +460,14 @@ def anytime_ratio(
     that slot 0 certifies exactly that ratio. Monthly mode is driven by
     state.monthly_peak.
     """
-    _check_step_inputs(instance, state, d_t)
-    if not 0.0 < epsilon < math.inf:  # NaN fails this too
-        raise ValueError("epsilon must be positive and finite")
+    state.admit(d_t, instance)
+    if not is_positive(epsilon):
+        raise ValueError("epsilon must be a positive finite number")
     prev = state.prev_ratio
     if not math.isfinite(prev):
         prev = optimal_cr(instance).pi_star
     view = _slot_view(instance, state, float(d_t))
-    pi_t, _early = _certify(view, prev, epsilon)
-    return pi_t
+    return _certify(view, prev, epsilon)[0]
 
 
 def depleting_amount(

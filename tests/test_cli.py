@@ -235,7 +235,22 @@ def test_read_demand_file_rules(tmp_path):
 def test_number_fields_take_ascii_decimals_only(capsys, tmp_path, number):
     """float() reads PEP 515 underscores and other scripts' digits, so a
     demand line or trace field like these loaded as 1000 or 12; each is now
-    rejected with its line number, and solve, simulate and ingest exit 2."""
+    rejected with its line number, and solve, simulate and ingest exit 2.
+    So does each numeric flag written so (`cr -c 1_00 -T 4 --d-lb 3_00` and
+    `-T \u0664` ran)."""
+    flags = {"cr": ["-c", "-T", "--d-lb", "--d-ub", "--rate-limit"],
+             "simulate": ["--epsilon", "--threshold", "--ratio", "--window"],
+             "ingest": ["--slot-minutes", "--scale", "--d-lb", "--d-ub"]}
+    base = {"cr": ["cr", "-c", "100", "-T", "4", "--d-lb", "300", "--d-ub", "600"],
+            "simulate": ["simulate", "-c", "100", "--d-lb", "300", "--d-ub", "600",
+                         "--demands", "d.txt", "--algo", "eql-dis"],
+            "ingest": ["ingest", "--input", "t.csv", "--output", "o.json"]}
+    for command, names in flags.items():
+        for flag in names:
+            with pytest.raises(SystemExit) as exc:
+                main([*base[command], flag, number])
+            assert exc.value.code == 2, (command, flag)
+            assert f"argument {flag}" in capsys.readouterr().err
     demands = tmp_path / "demands.txt"
     demands.write_text(f"300\n{number}\n", encoding="utf-8")
     with pytest.raises(MalformedRecord, match=f"line 2: not a number: {number!r}"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from peakmin.core import (
+    EPS_KWH,
     DemandProfile,
     DischargeSchedule,
     Instance,
@@ -13,6 +14,7 @@ from peakmin.core import (
     reference_values,
     validate_instance,
 )
+from peakmin.cr import optimal_cr
 from peakmin.errors import (
     CapacityExceedsMinDemand,
     DemandOutOfBounds,
@@ -22,6 +24,9 @@ from peakmin.errors import (
     PrefixOutOfBounds,
     ZeroHorizon,
 )
+
+from peakmin.harness import DayProfileSet, SlottingConfig
+from peakmin.online import anytime_ratio, pcr_step
 
 from conftest import random_profiles
 
@@ -62,10 +67,24 @@ def test_instance_rejects_non_finite_fields(field, bad):
         Instance(**fields)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True])
 def test_instance_rejects_non_finite_horizon(bad):
-    with pytest.raises(ZeroHorizon):
-        Instance(1.0, None, bad, 1.0, 2.0)
+    """A horizon that is not a whole number of slots, or is a bool, raises
+    ZeroHorizon under either name: validate_instance used to cut 2.5 to 2,
+    take True as 1 and raise OverflowError on infinity."""
+    for build in (Instance, validate_instance):
+        with pytest.raises(ZeroHorizon):
+            build(1.0, None, bad, 1.0, 2.0)
+
+
+def test_instance_normalizes_its_fields():
+    """An integral float horizon is stored as an int, and whole-number kWh
+    fields as floats; optimal_cr raised TypeError on a horizon of 2.0."""
+    inst = Instance(1, None, 2.0, 1, 2)
+    assert type(inst.horizon_T) is int and inst.horizon_T == 2
+    assert all(type(v) is float for v in (inst.capacity_c, inst.demand_lb, inst.demand_ub))
+    assert inst == validate_instance(1.0, None, 2, 1.0, 2.0)
+    assert optimal_cr(inst).pi_star == pytest.approx(4.0 / 3.0)
 
 
 def test_capacity_cannot_exceed_min_total_demand():
@@ -110,6 +129,47 @@ def test_matrix_demand_check_names_the_row_demand_profile_names(bad):
         with pytest.raises(DemandOutOfBounds) as day:
             DemandProfile(inst, broken[row])
         assert str(matrix.value) == str(day.value)
+
+
+def _demand_verdicts(d):
+    """Whether each entry point admits the demand d of the instance with
+    bounds [1, 3] and T = 4 (True) or raises its out-of-bounds error."""
+    inst = Instance(2.0, None, 4, 1.0, 3.0)
+    day = [2.0, d, 1.0, 1.5]
+    state = OnlineState(inst)
+    slotting = SlottingConfig(15, "12:00", "13:00", demand_bounds=(1.0, 3.0))
+    entry_points = {
+        "DemandProfile": (DemandOutOfBounds, lambda: DemandProfile(inst, day)),
+        "check_demands": (DemandOutOfBounds,
+                          lambda: check_demands(inst, np.array([[1.0] * 4, day, [2.0] * 4]))),
+        "observe": (DemandOutOfBounds, lambda: state.observe(d)),
+        "pcr_step": (DemandOutOfBounds, lambda: pcr_step(inst, OnlineState(inst), 1.5, d)),
+        "anytime_ratio": (DemandOutOfBounds,
+                          lambda: anytime_ratio(inst, OnlineState(inst), d, epsilon=1e-2)),
+        "reference_profile": (PrefixOutOfBounds, lambda: reference_profile(inst, [2.0, d])),
+        "DayProfileSet": (DemandOutOfBounds,
+                          lambda: DayProfileSet(("2024-05-06",), [day], slotting)),
+    }
+    verdicts = {}
+    for name, (error, call) in entry_points.items():
+        try:
+            call()
+            verdicts[name] = True
+        except error:
+            verdicts[name] = False
+    return verdicts
+
+
+@pytest.mark.parametrize("d, admitted", [
+    (3.0 + 5e-10, True), (3.0 + 2e-9, False), (float("nan"), False),
+], ids=["inside-tolerance", "outside-tolerance", "nan"])
+def test_every_entry_point_states_one_demand_rule(d, admitted):
+    """A demand within EPS_KWH of the bounds is admitted everywhere, and one
+    beyond it or NaN is refused everywhere: one day, a day matrix, the
+    online state, both online steps, the reference profile and the day set."""
+    assert 5e-10 < EPS_KWH < 2e-9
+    verdicts = _demand_verdicts(d)
+    assert verdicts == dict.fromkeys(verdicts, admitted)
 
 
 def test_schedule_feasibility_checks():

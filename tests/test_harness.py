@@ -24,6 +24,7 @@ from peakmin.baselines import (
 from peakmin.core import DemandProfile
 from peakmin.errors import (
     CapacityExceedsMinDemand,
+    DemandOutOfBounds,
     EmptyTrace,
     MalformedRecord,
     MismatchedLengths,
@@ -508,7 +509,7 @@ def test_profile_set_validation():
     )
     with pytest.raises(ValueError):
         _profile_set(day_keys=("2024-05-06", "2024-05-07"), day_values=((1.0, 2.0),), **base)
-    with pytest.raises(ValueError):
+    with pytest.raises(DemandOutOfBounds):
         _profile_set(day_keys=("2024-05-06",), day_values=((1.0, 2.5),), **base)
     good = json.loads(profile_set_to_json(
         _profile_set(day_keys=("2024-05-06",), day_values=((1.0, 2.0),), **base)))
@@ -523,10 +524,11 @@ def test_profile_set_validation():
 def test_profile_set_takes_the_demand_check_bound_rule():
     """A day a hair (2e-7) above demand_ub used to load, within the old
     1e-9 * max(1, demand_ub) allowance, and then fail run_experiment's
-    demand check; it now fails when the set is built. Within EPS_KWH loads."""
+    demand check; it now fails when the set is built, as check_demands
+    fails it. Within EPS_KWH loads."""
     base = dict(day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
                 on_peak_end="13:00", scale_factor=1.0, demand_lb=100.0, demand_ub=400.0)
-    with pytest.raises(ValueError, match="escape the bounds"):
+    with pytest.raises(DemandOutOfBounds, match="demand entries outside"):
         _profile_set(day_values=((100.0, 200.0, 400.0 + 2e-7, 300.0),), **base)
     ps = _profile_set(day_values=((100.0, 200.0, 400.0 + 5e-10, 300.0),), **base)
     run_experiment(ExperimentConfig(profiles=ps, algorithms=(ALGO_OFFLINE, "eql-dis"),
@@ -554,7 +556,7 @@ def test_profile_set_rejects_nan():
         day_keys=("2024-05-06",), slot_minutes=15, on_peak_start="12:00",
         on_peak_end="12:30", scale_factor=1.0, demand_lb=1.0, demand_ub=2.0,
     )
-    with pytest.raises(ValueError, match="escape the bounds"):
+    with pytest.raises(DemandOutOfBounds, match="demand entries outside"):
         _profile_set(day_values=((1.0, float("nan")),), **base)
     with pytest.raises(ValueError, match="demand_bounds"):
         DayProfileSet(("2024-05-06",), ((1.0, float("nan")),),
@@ -604,6 +606,21 @@ def test_synthetic_volatile_share_knobs():
         synthetic_volatile_profiles(0, 4, 2.0, 6.0, seed=1)
     with pytest.raises(ValueError):
         synthetic_uniform_profiles(5, 4, -1.0, 6.0, seed=1)
+
+
+@pytest.mark.parametrize("generate", [synthetic_uniform_profiles, synthetic_volatile_profiles])
+def test_synthetic_generators_take_the_slotting_rules(generate):
+    """The generators cut 15-minute slots from 12:00 and have no slot length
+    knob (slot_minutes=15.0 failed formatting the window end); a zero day
+    count or horizon fails the day set's or the slotting's own check."""
+    ps = generate(2, 4, 1.0, 2.0, seed=1)
+    assert ps.slotting == SlottingConfig(15, "12:00", "13:00", demand_bounds=(1.0, 2.0))
+    with pytest.raises(TypeError, match="slot_minutes"):
+        generate(2, 4, 1.0, 2.0, seed=1, slot_minutes=15)
+    with pytest.raises(ValueError, match="at least one day is required"):
+        generate(0, 4, 1.0, 2.0, seed=1)
+    with pytest.raises(ValueError, match="on-peak window must end after it starts"):
+        generate(2, 0, 1.0, 2.0, seed=1)
 
 
 def test_metrics_fixture():

@@ -81,7 +81,7 @@ def test_fixed_policy_below_pi_star_clamps_on_witness(tiny_instance):
     assert run.inventory_spent <= tiny_instance.capacity_c + 1e-9
 
 
-@pytest.mark.parametrize("pi", [float("nan"), 0.5, 0.999])
+@pytest.mark.parametrize("pi", [float("nan"), 0.5, 0.999, float("inf")])
 def test_fixed_policy_rejects_ratio_below_one(tiny_instance, pi):
     demand = DemandProfile(tiny_instance, [2.0, 2.0])
     with pytest.raises(ValueError, match="pi must be >= 1"):
@@ -116,6 +116,28 @@ def test_policy_settings_reject_nan_and_infinity(bad):
     with pytest.raises(ValueError, match="epsilon"):
         anytime_ratio(inst, OnlineState(inst), 3.0, epsilon=bad)
     assert anytime_ratio(inst, OnlineState(inst), 3.0) == pytest.approx(1.333398, abs=1e-6)
+
+
+def test_epsilon_must_be_a_number_not_a_bool():
+    """A bool epsilon used to pass as 1: anytime_ratio on this instance
+    certified 1.8 where the default epsilon certifies 1.333398."""
+    inst = Instance(2.0, None, 3, 1.0, 3.0)
+    with pytest.raises(ValueError, match="bisection_epsilon"):
+        PolicyOptions(bisection_epsilon=True)
+    with pytest.raises(ValueError, match="epsilon"):
+        anytime_ratio(inst, OnlineState(inst), 3.0, epsilon=True)
+
+
+def test_online_steps_reject_a_state_of_another_instance(tiny_instance):
+    """pcr_step and anytime_ratio admit the demand through the state, so the
+    state must be of their instance: one built on another (here with a
+    wider d_ub, under which 2.5 is admissible) is refused."""
+    wider = replace(tiny_instance, demand_ub=3.0)
+    with pytest.raises(ValueError, match="another instance"):
+        pcr_step(tiny_instance, OnlineState(wider), 4.0 / 3.0, 2.5)
+    with pytest.raises(ValueError, match="another instance"):
+        anytime_ratio(tiny_instance, OnlineState(wider), 2.5)
+    assert pcr_step(tiny_instance, OnlineState(replace(tiny_instance)), 4.0 / 3.0, 2.0) >= 0.0
 
 
 def test_fixed_policy_rejects_out_of_bounds_demand(tiny_instance):

@@ -18,9 +18,14 @@ chunks at the default 12:00-17:00 window, T=20; the short trace at
 
 On the first day of each short trace, at rate 0.1, they also run `peakmin
 simulate` with every --algo (thr at the demand midpoint, eql-per at ratio
-0.1) and `peakmin cr`. A tree runs its commands in two fresh processes, one
-for the ingests and one for the rest, each command as cli.main(argv); one
-process prints and exits as a process per command does (test_cli pins it).
+0.1) and `peakmin cr`. Both trees also run a fixed list of commands that
+must fail (ERROR_CALLS: a demand above --d-ub, --pi 0.5, --epsilon 0, a
+solve whose --horizon disagrees with its file, cr with c at and above
+T * d_lb, an experiment config with an unknown key, and a day-set JSON with
+a day above its demand_ub), on small inputs written beside them. A tree
+runs its commands in two fresh processes, one for the ingests and one for
+the rest, each command as cli.main(argv); one process prints and exits as
+a process per command does (test_cli pins it).
 
 The ingest JSON, report.txt and series.csv of every run, each command's
 stdout, stderr and exit code must be the same on both sides. The working
@@ -82,6 +87,31 @@ for name, argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 _OUTPUTS = (".json", ".txt", ".csv", ".stdout", ".stderr")
+
+# the inputs of the failing commands: file name -> text
+_ERROR_INPUTS = {
+    "errors.demands": "1.5\n2.5\n",
+    "errors-days.json": json.dumps({
+        "day_keys": ["2024-05-06"], "day_values": [[1.0, 2.5]], "slot_minutes": 15,
+        "on_peak_start": "12:00", "on_peak_end": "12:30", "scale_factor": 1.0,
+        "demand_lb": 1.0, "demand_ub": 2.0, "avg_daily_energy": 3.5}),
+    "errors-day-above-ub.json": json.dumps({"profiles": "errors-days.json"}),
+    "errors-unknown-key.json": json.dumps({"profiles": "errors-days.json", "capacity": 0.1}),
+}
+_SIMULATE_FIXED = ["simulate", "-c", "0.5", "--d-lb", "1", "--d-ub", "3",
+                   "--demands", "errors.demands", "--algo", "fixed"]
+# command name -> argv of each command that must fail, run on _ERROR_INPUTS
+ERROR_CALLS = {
+    "error-demand-above-ub": [*_SIMULATE_FIXED, "--d-ub", "2"],
+    "error-pi-below-1": [*_SIMULATE_FIXED, "--pi", "0.5"],
+    "error-epsilon-0": [*_SIMULATE_FIXED, "--epsilon", "0"],
+    "error-solve-horizon": ["solve", "-c", "0.5", "--d-lb", "1", "--d-ub", "3",
+                            "--demands", "errors.demands", "--horizon", "3"],
+    "error-cr-capacity-at-floor": ["cr", "-c", "4", "-T", "4", "--d-lb", "1", "--d-ub", "3"],
+    "error-cr-capacity-above-floor": ["cr", "-c", "5", "-T", "4", "--d-lb", "1", "--d-ub", "3"],
+    **{f"error-{key}": ["experiment", "--config", f"errors-{key}.json", "--output-dir", key]
+       for key in ("unknown-key", "day-above-ub")},
+}
 
 
 def _load(name: str, path: Path):
@@ -150,13 +180,16 @@ def _short_day_calls(name: str, payload: dict, out: Path) -> dict:
 
 
 def run_tree(tree: Path, traces: dict, out: Path) -> dict:
-    """Run every ingest, experiment, simulate and cr in tree, writing under
-    out; returns command name -> exit code."""
+    """Run every ingest, experiment, simulate and cr in tree, and each
+    command of ERROR_CALLS, writing under out; returns command name -> exit
+    code."""
     ingests = {f"{name}.json": ["ingest", "--input", str(csv_path),
                                 "--output", f"{name}.json", *WINDOWS[kind]]
                for name, (csv_path, kind) in traces.items()}
     codes = _run_cli(tree, ingests, out)
-    return {**codes, **_run_cli(tree, _day_set_calls(traces, out), out)}
+    for name, text in _ERROR_INPUTS.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return {**codes, **_run_cli(tree, {**_day_set_calls(traces, out), **ERROR_CALLS}, out)}
 
 
 def _day_set_calls(traces: dict, out: Path) -> dict:
