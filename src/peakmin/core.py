@@ -31,6 +31,11 @@ def is_positive(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
+def is_at_least(value, floor: float) -> bool:
+    """A number (not a bool, which Python counts as 0 or 1) in [floor, inf); NaN fails."""
+    return not isinstance(value, (bool, np.bool_)) and floor <= value < math.inf
+
+
 def _admissible(instance: Instance, demands):
     """The demand rule d_lb - EPS_KWH <= d <= d_ub + EPS_KWH, on a float or per entry; NaN fails."""
     return (instance.demand_lb - EPS_KWH <= demands) & (demands <= instance.demand_ub + EPS_KWH)
@@ -67,8 +72,8 @@ class Instance:
         for name in ("capacity_c", "rate_limit", "demand_lb", "demand_ub"):
             value = getattr(self, name)
             if value is not None:
-                if not math.isfinite(value):
-                    raise NonPositiveBound(f"{name} must be finite, got {value}")
+                if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+                    raise NonPositiveBound(f"{name} must be a finite number, got {value}")
                 object.__setattr__(self, name, float(value))
         T = self.horizon_T
         if isinstance(T, bool) or not math.isfinite(T) or int(T) != T or T < 1:
@@ -225,7 +230,7 @@ class OnlineState:
 
     def __post_init__(self):
         # written so that NaN fails both; prev_ratio = inf means not seeded
-        if not 0.0 <= self.monthly_peak < math.inf:
+        if not is_at_least(self.monthly_peak, 0.0):
             raise NonPositiveBound(f"monthly_peak must be finite and >= 0, got {self.monthly_peak}")
         if not self.prev_ratio >= 1.0 - 1e-6:
             raise ValueError(f"prev_ratio must be >= 1, got {self.prev_ratio}")

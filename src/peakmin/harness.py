@@ -1,9 +1,10 @@
 """Trace ingestion, synthetic day generators, and the experiment driver.
 
 Raw charging traces arrive as CSV transactions (start time, duration,
-energy). parse_transactions reads them into TraceColumns, integer
-microsecond starts and lengths beside the two ASCII decimal fields,
-checking every row rule on whole columns. ingest_trace slots the columns
+energy). parse_transactions reads them into TraceColumns, checked on whole
+columns: canonical text in bulk, and any other in the row loop, which alone
+reads comments and UTC offsets and names the line of a field that does not
+parse. ingest_trace slots the columns
 into a DayProfileSet, per-day on-peak demand profiles at constant power
 plus the SlottingConfig that cut them, as the synthetic generators and the
 JSON loader build theirs. run_experiment replays a roster of policies over
@@ -242,7 +243,7 @@ _END_MAX_US = _since_1970_us(datetime.max)
 _SPAN_MAX_MIN = (_END_MAX_US - _since_1970_us(datetime.min)) / _MINUTE_US
 
 
-def _trace_columns(starts, duration_min, energy_kwh) -> TraceColumns:
+def _trace_columns(start_us, duration_min, energy_kwh) -> TraceColumns:
     """A length converts as timedelta(minutes=x) does: whole minutes exactly,
     their fraction times 60e6 rounded half to even. One that is not positive,
     finite and within the datetime range gets 0 (parse_transactions rejects it)."""
@@ -251,21 +252,46 @@ def _trace_columns(starts, duration_min, energy_kwh) -> TraceColumns:
         (duration_min > 0) & (duration_min <= _SPAN_MAX_MIN), duration_min, 0.0))
     duration_us = (whole.astype(np.int64) * _MINUTE_US
                    + np.rint(fraction * _MINUTE_US).astype(np.int64))
-    start_us = np.array([_since_1970_us(moment) for moment in starts], dtype=np.int64)
     return TraceColumns(start_us, duration_us, duration_min, np.array(energy_kwh, dtype=float))
 
 
-def parse_transactions(lines) -> TraceColumns:
-    """Parse CSV rows "start_iso8601,duration_min,energy_kwh" into columns.
+# the bytes of a canonical field: no space, "#", "_", non-ASCII text, "nan" or "inf"
+_FIELD_BYTES = b"0123456789+-.eE:T"
+# each byte of a canonical start and of the comma after it lies between these
+_START_SHAPE = (np.frombuffer(b"0000-00-00T00:00:00,", np.uint8),
+                np.frombuffer(b"9999-99-99T99:99:99,", np.uint8))
 
-    The header row is required. Blank lines and lines starting with "#" are
-    skipped. Field-level problems raise MalformedRecord with the offending
-    line number; a file with a header but no data rows raises EmptyTrace.
-    The fields parse in one pass, which stops at a line they do not; the
-    rules then run on whole columns, and the first bad line is reported.
-    """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+
+def _canonical_fields(text: str):
+    """_row_fields' result for a canonical trace, from C-level passes over
+    the whole text, else None. Canonical is the exact header, then rows of
+    three fields of _FIELD_BYTES, each start YYYY-MM-DDTHH:MM:SS: the row
+    loop reads each such field with the same call. fromisoformat stays the
+    starts' grammar; numpy, which converts them, also reads year 0000."""
+    header, _, rows = text.partition("\n")
+    rows = rows.removesuffix("\n")
+    # once the field bytes go, two commas a row and a newline between rows are left
+    separators = rows.encode("ascii", "replace").translate(None, _FIELD_BYTES)
+    n = len(separators) // 3 + 1
+    if header != ",".join(TRACE_HEADER) or separators != b",,\n" * (n - 1) + b",,":
+        return None
+    fields = rows.replace("\n", ",").split(",")
+    starts = fields[0::3]
+    try:
+        # each start and a comma as an (n, 20) matrix, which a start of another length breaks
+        shape = np.frombuffer(",".join(starts).encode() + b",", np.uint8).reshape(n, 20)
+        if not ((shape >= _START_SHAPE[0]) & (shape <= _START_SHAPE[1])).all():
+            return None
+        moments = list(map(datetime.fromisoformat, starts))
+        minutes, kwh = (np.fromiter(map(float, fields[k::3]), float, n) for k in (1, 2))
+    except ValueError:
+        return None
+    columns = _trace_columns(np.array(starts, dtype="datetime64[us]").view(np.int64), minutes, kwh)
+    return columns, range(2, n + 2), None, moments, np.zeros(n, bool)
+
+
+def _row_fields(lines):
+    """The row loop, for any other text; it stops at a field that does not parse."""
     starts, minutes, kwh, linenos = [], [], [], []
     failure = None  # (line number, message) of the line that ended the pass
     saw_header = False
@@ -298,7 +324,24 @@ def parse_transactions(lines) -> TraceColumns:
         linenos.append(lineno)
     if not saw_header:
         raise MalformedRecord("empty input: the header row is required")
-    columns = _trace_columns(starts, minutes, kwh)
+    start_us = np.array([_since_1970_us(moment) for moment in starts], dtype=np.int64)
+    aware = np.array([moment.tzinfo is not None for moment in starts], dtype=bool)
+    return _trace_columns(start_us, minutes, kwh), linenos, failure, starts, aware
+
+
+def parse_transactions(lines) -> TraceColumns:
+    """Parse CSV rows "start_iso8601,duration_min,energy_kwh" into columns.
+
+    lines is the text, numbered as str.splitlines() splits it, or its lines.
+    The header row is required. Blank lines and lines starting with "#" are
+    skipped. Field-level problems raise MalformedRecord with the offending
+    line number; a file with a header but no data rows raises EmptyTrace.
+    Canonical text parses in bulk; the row loop reads any other and names a
+    line whose fields do not parse. The rules then run on whole columns.
+    """
+    parsed = _canonical_fields(lines) if isinstance(lines, str) else None
+    columns, linenos, failure, starts, aware = parsed or _row_fields(
+        lines.splitlines() if isinstance(lines, str) else lines)
     start_us, duration_us, minutes, kwh = columns
     # slot boundaries are naive local times, which an aware start cannot meet
     rules = (
@@ -306,8 +349,7 @@ def parse_transactions(lines) -> TraceColumns:
          lambda i: f"duration_min must be > 0, got {float(minutes[i])}"),
         (~(np.isfinite(kwh) & (kwh >= 0)),
          lambda i: f"energy_kwh must be >= 0, got {float(kwh[i])}"),
-        (np.array([moment.tzinfo is not None for moment in starts], dtype=bool),
-         lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
+        (aware, lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
         ((minutes > _SPAN_MAX_MIN) | (start_us + duration_us > _END_MAX_US),
          lambda i: f"a {float(minutes[i])} min session ends past year 9999"),
     )
@@ -325,7 +367,10 @@ def parse_transactions(lines) -> TraceColumns:
 def load_transactions(path) -> TraceColumns:
     # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports start with
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_transactions(fh)
+        text = fh.read()
+    # a file's lines end at "\n" (universal newlines), not at splitlines()'s other breaks
+    split = any(mark in text for mark in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    return parse_transactions(text.split("\n") if split else text)
 
 
 def _same_fields(a, b):

@@ -24,6 +24,7 @@ from .core import (
     DischargeSchedule,
     Instance,
     OnlineState,
+    is_at_least,
     is_positive,
     reference_values,
 )
@@ -99,16 +100,15 @@ class PolicyOptions:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {_MODES}")
         if not is_positive(self.bisection_epsilon):
             raise ValueError("bisection_epsilon must be a positive finite number")
-        # written so that NaN and infinity are rejected too
-        if not 0.0 <= self.monthly_peak < math.inf:
+        if not is_at_least(self.monthly_peak, 0.0):
             raise ValueError("monthly_peak must be finite and >= 0")
-        if self.initial_ratio is not None and not 1.0 <= self.initial_ratio < math.inf:
+        if self.initial_ratio is not None and not is_at_least(self.initial_ratio, 1.0):
             raise ValueError("initial_ratio must be finite and >= 1")
 
 
 def _check_ratio(pi: float) -> None:
-    # written so that NaN is rejected too; pi = inf would never discharge
-    if not 1.0 <= pi < math.inf:
+    # NaN and a bool are rejected too; pi = inf would never discharge
+    if not is_at_least(pi, 1.0):
         raise ValueError(f"pi must be >= 1 and finite, got {pi}")
 
 

@@ -67,6 +67,16 @@ def test_instance_rejects_non_finite_fields(field, bad):
         Instance(**fields)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+@pytest.mark.parametrize("field", ["capacity_c", "rate_limit", "demand_lb", "demand_ub"])
+def test_instance_rejects_a_bool_kwh_field(field, bad):
+    """True used to pass as 1 kWh (and False as 0) in every kWh field."""
+    fields = dict(capacity_c=1.0, rate_limit=1.5, horizon_T=2, demand_lb=1.0, demand_ub=2.0)
+    fields[field] = bad
+    with pytest.raises(NonPositiveBound, match=f"{field} must be a finite number"):
+        Instance(**fields)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True])
 def test_instance_rejects_non_finite_horizon(bad):
     """A horizon that is not a whole number of slots, or is a bool, raises
@@ -251,6 +261,12 @@ def test_online_state_commit_rejects_nan():
     with pytest.raises(InfeasibleSchedule):
         state.commit(NAN)
     assert state.inventory_used == 0.0 and state.actions == []
+
+
+def test_online_state_rejects_a_bool_monthly_peak():
+    """monthly_peak=True used to run with a 1 kWh standing peak."""
+    with pytest.raises(NonPositiveBound, match="monthly_peak"):
+        OnlineState(Instance(1.0, None, 2, 1.0, 2.0), monthly_peak=True)
 
 
 def test_online_state_rejects_nan_and_infinite_settings():

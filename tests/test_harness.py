@@ -4,7 +4,7 @@ driver."""
 import itertools
 import json
 import logging
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +342,142 @@ def test_columnar_parse_reports_the_first_of_two_bad_lines():
         message = _raised(parse_transactions_rows, text)
         assert message.startswith("line 3: ")
         assert _raised(parse_transactions, text) == message, (first, second)
+
+
+def _canonical_trace_csv(seed: int, rows: int = 400) -> str:
+    """A trace in the canonical form, which parses in bulk: starts to the
+    second on any day of years 0001-9999, on Feb 29 of leap years and on the
+    days around it in others, and numbers as integers, with a fraction, in
+    full or in exponent form."""
+    rng = np.random.default_rng(seed)
+    ordinals = rng.integers(date(1, 1, 1).toordinal(), date(9999, 11, 30).toordinal(), rows)
+    days = [date.fromordinal(int(k)) for k in ordinals]
+    days += [date(year, 2, 29) for year in (4, 1600, 2000, 2024, 9996)]
+    days += [date(year, month, day) for year in (1, 1900, 2023, 2100, 9999)
+             for month, day in ((2, 28), (3, 1))]
+    forms = (lambda x: str(int(x) + 1), lambda x: f"{x:.2f}", repr,
+             lambda x: f"{x:.3e}", lambda x: f"{x:E}", lambda x: f"{x:g}")
+    lines = [HEADER]
+    for day in days:
+        start = datetime.combine(day, datetime.min.time()) + timedelta(
+            seconds=int(rng.integers(86_400)))
+        minutes, energy = float(rng.uniform(0.01, 2_000)), float(rng.uniform(0, 80))
+        write_minutes, write_energy = (forms[k] for k in rng.integers(len(forms), size=2))
+        lines.append(f"{start.isoformat()},{write_minutes(minutes)},{write_energy(energy)}")
+    return "\n".join(lines) + "\n"
+
+
+def _row_loop_calls(monkeypatch) -> list:
+    """The lines of each later call of the row loop."""
+    calls, row_fields = [], harness._row_fields
+
+    def counted(lines):
+        calls.append(lines)
+        return row_fields(lines)
+
+    monkeypatch.setattr(harness, "_row_fields", counted)
+    return calls
+
+
+def _assert_parse_matches_rows(text: str) -> None:
+    """parse_transactions gives the row parse's columns, or its message."""
+    try:
+        parse_transactions_rows(text)
+    except MalformedRecord as exc:
+        assert _raised(parse_transactions, text) == str(exc)
+    else:
+        _assert_columns_match_rows(text)
+
+
+def _with_row(text: str, index: int, edit) -> str:
+    """text with line index (0 is the header) replaced by edit(line)."""
+    lines = text.split("\n")
+    lines[index] = edit(lines[index])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bulk_parse_matches_row_parse_on_canonical_traces(seed, monkeypatch):
+    """A canonical trace parses in bulk, without the row loop, into the row
+    parse's columns bit for bit."""
+    calls = _row_loop_calls(monkeypatch)
+    _assert_columns_match_rows(_canonical_trace_csv(seed))
+    assert calls == []
+
+
+# text outside the canonical form, which only the row loop reads or reports
+FALLBACK_TRIGGERS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment": lambda text: _with_row(text, 50, lambda row: f"# note\n{row}"),
+    "blank-line": lambda text: _with_row(text, 50, lambda row: f"\n{row}"),
+    "spaces": lambda text: _with_row(text, 50, lambda row: f" {row.replace(',', ' , ')}\t"),
+    "space-separated-start": lambda text: _with_row(text, 50, lambda row: row.replace("T", " ", 1)),
+    "fractional-second": lambda text: _with_row(text, 50, lambda row: row.replace(",", ".25,", 1)),
+    "utc-offset": lambda text: _with_row(text, 50, lambda row: row.replace(",", "+02:00,", 1)),
+    "start-to-the-minute": lambda text: _with_row(text, 50, lambda row: row[:16] + row[19:]),
+    # starts as long as a canonical one, in another form
+    "offset-start": lambda text: _with_row(text, 50, lambda row: row[:13] + "+02:00" + row[19:]),
+    "basic-format-start": lambda text: _with_row(
+        text, 50, lambda row: row[:19].replace("-", "").replace(":", "") + ".250" + row[19:]),
+    "two-then-four-fields": lambda text: _with_row(
+        text, 50, lambda row: "2024-05-06T12:00:00,30\n10,2024-05-06T12:00:00,30,10"),
+    "byte-order-mark": lambda text: "\ufeff" + text,
+}
+
+
+@pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS)
+def test_fallback_gives_what_the_row_parse_gives(trigger, monkeypatch):
+    """A trace with one non-canonical line goes to the row loop, and gives
+    the row parse's columns, or its message and line number."""
+    text = FALLBACK_TRIGGERS[trigger](_canonical_trace_csv(7, rows=100))
+    calls = _row_loop_calls(monkeypatch)
+    _assert_parse_matches_rows(text)
+    assert len(calls) == 1
+
+
+# a bad start, length or energy in the middle of a canonical trace
+BAD_FIELDS = [
+    ("start", "0000-06-01T12:00:00"),  # numpy's datetime64 reads it
+    ("start", "2023-02-29T12:00:00"),
+    ("start", "1900-02-29T12:00:00"),
+    ("start", "2024-05-06T24:00:00"),
+    ("start", "2024-05-06T23:59:60"),
+    ("minutes", "1_000"),
+    ("energy", "\u0661\u0662"),
+    ("minutes", "nan"),
+    ("energy", "-1.5"),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS)
+def test_bad_field_in_a_canonical_trace_is_reported_as_the_row_parse_reports_it(field, value):
+    fields = {"start": "2024-05-06T12:00:00", "minutes": "30", "energy": "10", field: value}
+    text = _with_row(_canonical_trace_csv(8, rows=100), 50, lambda row: ",".join(fields.values()))
+    message = _raised(parse_transactions_rows, text)
+    assert message.startswith("line 51: ")
+    assert _raised(parse_transactions, text) == message
+
+
+@pytest.mark.parametrize("newline, mark", [("\n", "\x0c"), ("\n", "\x1c"), ("\n", "\x85"),
+                                           ("\r\n", ""), ("\r", "")],
+                         ids=["form-feed", "file-separator", "next-line", "crlf", "cr"])
+def test_load_transactions_numbers_lines_as_iterating_the_file_does(tmp_path, newline, mark):
+    """A file's lines end at "\n" once universal newlines have turned "\r\n"
+    and "\r" into it, not at the other breaks str.splitlines() ends a line
+    at. Reading the text whole keeps that count."""
+    rows = [HEADER, f"2024-05-06T12:00:00,30,10{mark}", "2024-05-06T14:00:00,30,ten"]
+    for lines, problem in ((rows[:2], None), (rows, "line 3: ")):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                expected = parse_transactions_rows(fh)
+            except MalformedRecord as exc:
+                assert str(exc).startswith(problem)
+                assert _raised(load_transactions, path) == str(exc)
+                continue
+        assert problem is None
+        assert load_transactions(path).energy_kwh.tolist() == [t.energy_kwh for t in expected]
 
 
 def test_load_transactions_reads_a_byte_order_mark(tmp_path):

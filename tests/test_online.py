@@ -118,6 +118,19 @@ def test_policy_settings_reject_nan_and_infinity(bad):
     assert anytime_ratio(inst, OnlineState(inst), 3.0) == pytest.approx(1.333398, abs=1e-6)
 
 
+@pytest.mark.parametrize("field", ["monthly_peak", "initial_ratio"])
+def test_policy_options_reject_a_bool_number(field):
+    """monthly_peak=True used to run with a 1 kWh standing peak, and
+    initial_ratio=True to seed the certification with ratio 1."""
+    with pytest.raises(ValueError, match=field):
+        PolicyOptions(**{field: True})
+
+
+def test_fixed_policy_rejects_a_bool_ratio(tiny_instance):
+    with pytest.raises(ValueError, match="pi must be >= 1"):
+        run_pcr_pmd(tiny_instance, True, DemandProfile(tiny_instance, [2.0, 2.0]))
+
+
 def test_epsilon_must_be_a_number_not_a_bool():
     """A bool epsilon used to pass as 1: anytime_ratio on this instance
     certified 1.8 where the default epsilon certifies 1.333398."""

@@ -121,10 +121,11 @@ def test_pair_ratios_prints_every_metric(bench_pairs):
 
 def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
     """Every ingest and experiment of one seed's first chunk and short trace,
-    every simulate and cr on the short trace's first day, and every failing
-    command of ERROR_CALLS runs, and a tree compared with itself gives the
-    same bytes and codes, also when it runs the experiments on the other
-    side's ingest JSON (the cross-load)."""
+    the ingest of each variant of the short trace, every simulate and cr on
+    the short trace's first day, and every failing command of ERROR_CALLS
+    runs, and a tree compared with itself gives the same bytes and codes,
+    also when it runs the experiments on the other side's ingest JSON (the
+    cross-load)."""
     diff_outputs = _load("diff_outputs")
     root = _TOOLS.parent
     assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
@@ -140,6 +141,10 @@ def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
         assert (change / f"s1001-short-{command}.stderr").read_text(encoding="utf-8") == ""
     assert (change / "s1001-chunk0-sweep.stdout").read_text(encoding="utf-8") == (
         "wrote s1001-chunk0-sweep/report.txt\nwrote s1001-chunk0-sweep/series.csv\n")
+    # each variant of the short trace holds its rows, so it ingests to the same day set
+    for variant in diff_outputs.VARIANTS:
+        assert (change / f"s1001-short-{variant}.json").read_bytes() == (
+            change / "s1001-short.json").read_bytes(), variant
     # each failing command prints nothing and fails for the reason it is there for
     errors = {"error-demand-above-ub": "DemandOutOfBounds: demand entries outside",
               "error-pi-below-1": "MalformedRecord: --pi",
@@ -148,7 +153,10 @@ def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
               "error-cr-capacity-at-floor": "DegenerateInstance",
               "error-cr-capacity-above-floor": "CapacityExceedsMinDemand",
               "error-unknown-key": "MalformedRecord: errors-unknown-key.json: unknown key",
-              "error-day-above-ub": "MalformedRecord: profile set JSON rejected"}
+              "error-day-above-ub": "MalformedRecord: profile set JSON rejected",
+              "error-ingest-bad-start": "MalformedRecord: line 4: day is out of range for month",
+              "error-ingest-underscore":
+                  "MalformedRecord: line 3: could not convert string to float: '1_000'"}
     assert errors.keys() == diff_outputs.ERROR_CALLS.keys()
     for name, start in errors.items():
         assert (change / f"{name}.stdout").read_text(encoding="utf-8") == "", name

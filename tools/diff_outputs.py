@@ -6,8 +6,11 @@ Exports the committed files of the parent with bench_pairs.export_commit
 into a temporary directory. For each seed it writes the traces the
 sweep_trace workload generates for that seed (perfbench/inputs.py's
 charging_trace_csv, 30-day chunks, the first --chunks of them) and one
-3-day trace across a month end. Both trees then run `peakmin ingest` (the
-chunks at the default 12:00-17:00 window, T=20; the short trace at
+3-day trace across a month end, with its VARIANTS: the same rows with CRLF
+line ends or after a byte-order mark (which reading the file takes away),
+and with comments and blank lines or space-separated starts (which only the
+parse's row loop reads). Both trees then run `peakmin ingest` (the chunks
+at the default 12:00-17:00 window, T=20; the short trace and its variants at
 12:00-14:00, T=8, so that the certified policies run in seconds) and
 `peakmin experiment` on these configs:
 
@@ -21,11 +24,12 @@ simulate` with every --algo (thr at the demand midpoint, eql-per at ratio
 0.1) and `peakmin cr`. Both trees also run a fixed list of commands that
 must fail (ERROR_CALLS: a demand above --d-ub, --pi 0.5, --epsilon 0, a
 solve whose --horizon disagrees with its file, cr with c at and above
-T * d_lb, an experiment config with an unknown key, and a day-set JSON with
-a day above its demand_ub), on small inputs written beside them. A tree
-runs its commands in two fresh processes, one for the ingests and one for
-the rest, each command as cli.main(argv); one process prints and exits as
-a process per command does (test_cli pins it).
+T * d_lb, an experiment config with an unknown key, a day-set JSON with a
+day above its demand_ub, and the ingest of a trace with a bad start, or a
+"1_000" length, in the middle of canonical rows), on small inputs written
+beside them. A tree runs its commands in two fresh processes, one for the
+ingests and one for the rest, each command as cli.main(argv); one process
+prints and exits as a process per command does (test_cli pins it).
 
 The ingest JSON, report.txt and series.csv of every run, each command's
 stdout, stderr and exit code must be the same on both sides. The working
@@ -54,7 +58,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK_DAYS = 30  # sweep_trace's chunk length
 SHORT_START = "2024-01-30"  # the 3-day trace spans two months
-WINDOWS = {"chunk": [], "short": ["--window-end", "14:00"]}
+WINDOWS = {"chunk": [], "short": ["--window-end", "14:00"], "variant": ["--window-end", "14:00"]}
 BASELINES = ["offline", "thr-offline-mean", "thr-mid", "eql-dis", "eql-per",
              "rhc-upper", "rhc-lower", "rhc-mid"]
 CONFIGS = {
@@ -64,6 +68,13 @@ CONFIGS = {
                             "capacity_rates": [0.1], "epsilon": 1e-3}),
     "monthly": ("short", {"algorithms": ["offline", "anytime"], "capacity_rates": [0.1],
                           "monthly": True, "epsilon": 1e-3}),
+}
+# the short trace's text -> the same rows in another form a trace file takes
+VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comments": lambda text: "# exported\n\n" + text.replace("\n", "\n# next\n\n"),
+    "space-starts": lambda text: text.replace("T", " "),
+    "bom": lambda text: "\ufeff" + text,
 }
 SHORT_RATE = 0.1  # the certified and monthly configs' capacity rate
 SIMULATE_ALGOS = ("fixed", "anytime", "anytime-deplete", "thr", "eql-dis", "eql-per",
@@ -88,8 +99,14 @@ print(json.dumps(results))
 """
 _OUTPUTS = (".json", ".txt", ".csv", ".stdout", ".stderr")
 
+_ERROR_TRACE = ["start_iso8601,duration_min,energy_kwh", "2024-05-06T12:00:00,30,10",
+                "2024-05-06T12:10:00,45.5,7.25", "2024-05-06T12:20:00,60,12"]
 # the inputs of the failing commands: file name -> text
 _ERROR_INPUTS = {
+    "errors-bad-start.csv": "\n".join([*_ERROR_TRACE[:3], "2024-02-30T12:00:00,30,10",
+                                       _ERROR_TRACE[3]]) + "\n",
+    "errors-underscore.csv": "\n".join([*_ERROR_TRACE[:2], "2024-05-06T12:05:00,1_000,10",
+                                        *_ERROR_TRACE[2:]]) + "\n",
     "errors.demands": "1.5\n2.5\n",
     "errors-days.json": json.dumps({
         "day_keys": ["2024-05-06"], "day_values": [[1.0, 2.5]], "slot_minutes": 15,
@@ -111,6 +128,9 @@ ERROR_CALLS = {
     "error-cr-capacity-above-floor": ["cr", "-c", "5", "-T", "4", "--d-lb", "1", "--d-ub", "3"],
     **{f"error-{key}": ["experiment", "--config", f"errors-{key}.json", "--output-dir", key]
        for key in ("unknown-key", "day-above-ub")},
+    **{f"error-ingest-{key}": ["ingest", "--input", f"errors-{key}.csv",
+                               "--output", f"errors-{key}.json"]
+       for key in ("bad-start", "underscore")},
 }
 
 
@@ -130,7 +150,8 @@ def _inputs():
 
 def write_traces(seeds, chunks: int, into: Path) -> dict:
     """Trace name -> (CSV path, kind): the sweep_trace chunks of each seed
-    (kind "chunk") and one short trace per seed (kind "short")."""
+    (kind "chunk"), one short trace per seed (kind "short") and its VARIANTS
+    (kind "variant", ingested only)."""
     inputs = _inputs()
     traces = {}
     for seed in seeds:
@@ -138,8 +159,10 @@ def write_traces(seeds, chunks: int, into: Path) -> dict:
             chunk_seed = int(np.random.default_rng([seed, k]).integers(2**31))
             traces[f"s{seed}-chunk{k}"] = (inputs.charging_trace_csv(chunk_seed, CHUNK_DAYS),
                                            "chunk")
-        traces[f"s{seed}-short"] = (inputs.charging_trace_csv(seed, 3, start=SHORT_START),
-                                    "short")
+        short = inputs.charging_trace_csv(seed, 3, start=SHORT_START)
+        traces[f"s{seed}-short"] = (short, "short")
+        for name, variant in VARIANTS.items():
+            traces[f"s{seed}-short-{name}"] = (variant(short), "variant")
     paths = {}
     for name, (text, kind) in traces.items():
         path = into / f"{name}.csv"
