@@ -228,19 +228,11 @@ class TraceColumns(NamedTuple):
 
 _MINUTE_US = 60_000_000
 _DAY_US = 24 * 60 * _MINUTE_US
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def _since_1970_us(moment: datetime) -> int:
-    days = moment.toordinal() - _EPOCH_ORDINAL
-    seconds = days * 86_400 + moment.hour * 3_600 + moment.minute * 60 + moment.second
-    return seconds * 1_000_000 + moment.microsecond
-
-
 # A session must end by datetime.max; one longer than the whole datetime
 # range ends past it from any start, and its microseconds could overflow int64.
-_END_MAX_US = _since_1970_us(datetime.max)
-_SPAN_MAX_MIN = (_END_MAX_US - _since_1970_us(datetime.min)) / _MINUTE_US
+_END_MAX_US, _START_MIN_US = (
+    np.array([datetime.max, datetime.min], "datetime64[us]").view(np.int64).tolist())
+_SPAN_MAX_MIN = (_END_MAX_US - _START_MIN_US) / _MINUTE_US
 
 
 def _trace_columns(start_us, duration_min, energy_kwh) -> TraceColumns:
@@ -324,7 +316,9 @@ def _row_fields(lines):
         linenos.append(lineno)
     if not saw_header:
         raise MalformedRecord("empty input: the header row is required")
-    start_us = np.array([_since_1970_us(moment) for moment in starts], dtype=np.int64)
+    # naive fields, as _canonical_fields converts them; the rules reject an aware start
+    start_us = np.array([moment.replace(tzinfo=None) for moment in starts],
+                        dtype="datetime64[us]").view(np.int64)
     aware = np.array([moment.tzinfo is not None for moment in starts], dtype=bool)
     return _trace_columns(start_us, minutes, kwh), linenos, failure, starts, aware
 
@@ -563,7 +557,7 @@ def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> Day
         minutes = overlap[hit] / 1e6 / 60.0
         np.add.at(sums[k], day_of[hit], energy[hit] * minutes / duration[hit])
 
-    keys = np.array([date.fromordinal(_EPOCH_ORDINAL + int(d)).isoformat() for d in days[touched]])
+    keys = days[touched].astype("datetime64[D]").astype(str)
     rows = sums.T[touched] * config.scale_factor
     incomplete = (rows <= 0).any(axis=1)
     if incomplete.any():

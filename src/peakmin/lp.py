@@ -21,14 +21,19 @@ change (ub through LinearProgram.set_upper, which moves the form's bound
 rows with it); none of them moves B^-1 A, so the kept tableau stays exact
 but for its right-hand column.
 
+One read: the basic values and the duals of every answer, re-price and
+closed form come from the kept tableau's B^-1 (its start-basis columns),
+each refined once against the form's own columns (iterative refinement;
+Higham 2002 ch. 12). A refinement residual above 1e-9 (relative) means the
+tableau has drifted, and one dense solve B^-1 [A | b] at its basis
+replaces it; that refactorization is the only dense solve in this module.
+
 One warm start: every later solve re-prices the kept basis (Chvatal 1983
-ch. 10). The tableau's start-basis columns hold B^-1, which gives the basic
-values and the duals, each refined once against the form's own columns; a
-refinement residual above 1e-9 (relative) means the tableau has drifted,
-and one dense solve B^-1 [A | b] at its basis replaces it. A basis that is
-primal feasible (basic values >= -1e-7) and dual feasible (no reduced cost
-above 1e-9) is optimal, with no pivot; from one only primal feasible the
-simplex starts; from any other the solve starts at the slack basis.
+ch. 10) by that read. A basis that is primal feasible (basic values >=
+-1e-7) and dual feasible (no reduced cost above 1e-9) is optimal, with no
+pivot, and the values the read refined are its answer; from one only
+primal feasible the simplex starts; from any other the solve starts at the
+slack basis.
 
 Carried tableaus: carry_basis maps the kept basis of one scenario program
 onto the next, larger one (optimal_cr's prefix t to t+1, the anytime
@@ -36,14 +41,12 @@ certificate's cutoff k-1 to k) and seeds the new form with the tableau at
 the carried basis, derived from the old one without a solve. So along
 these chains no warm start or re-price factorizes B.
 
-One exit and one gate: the basic values of every answer are solved from
-the standard form's own columns at its final basis, so the rounding the
-kept tableau accumulates does not reach x, and a singular final basis, or
-an answer that violates a row (scaled by max(1, |b|)) or a bound by more
+One exit and one gate: after pivoting, the answer's basic values are read
+from the tableau the simplex stopped at, so rounding that tableau gathered
+while pivoting reaches x only below the drift gate. A singular final basis,
+or an answer that violates a row (scaled by max(1, |b|)) or a bound by more
 than 1e-6, or is NaN, raises NumericalFailure instead of being returned.
-The check is one matrix-vector product on the LP's own a, b and ub. That
-solve is the one dense solve of an answer reached on a kept or carried
-tableau.
+The check is one matrix-vector product on the LP's own a, b and ub.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967): a short sequence of
 LPs over the same rows, each starting from the tableau the one before
@@ -52,8 +55,8 @@ prefix by prefix) carries that tableau from one to the next by carry_basis.
 
 Ranging: the anytime certificate solves one LP family over a parameter
 pi, in which only the objective's pi terms and the upper bounds top -
-floor/pi of some columns move. parametric_range reads, from the tableau a
-form keeps at an optimal basis and with no solve, that basis's optimum as
+floor/pi of some columns move. parametric_range reads, by the one read
+from the tableau a form keeps at an optimal basis, that basis's optimum as
 A + B pi + C/pi and the pi range on which the basis stays primal and dual
 feasible (basic values affine in 1/pi, reduced costs affine in pi). A
 caller holding it can answer the LP anywhere in that range without solving
@@ -334,15 +337,6 @@ def _build_form(lp: LinearProgram) -> _Form | None:
     return _Form(a, rhs, n + np.arange(k), bound_row)
 
 
-def _basic_values(a: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """Values of the basic columns, solved from the standard form's own
-    columns (B x_B = rhs with B = a[:, basis]); None when B is singular."""
-    try:
-        return np.linalg.solve(a[:, basis], rhs)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _factorized(form: _Form, basis: np.ndarray) -> _Tableau | None:
     """The tableau B^-1 [A | b] at basis from one dense solve on the form's
     columns; None when B is singular. Its right-hand column is left to the
@@ -355,51 +349,55 @@ def _factorized(form: _Form, basis: np.ndarray) -> _Tableau | None:
     return _Tableau(_framed(rows, 0.0), basis)
 
 
-def _refined(form: _Form, tab: _Tableau, basis: np.ndarray, cb: np.ndarray):
-    """Basic values B^-1 rhs and duals cb B^-1 from the tableau's B^-1 (its
-    start-basis columns), each refined once against the form's own columns
-    B = a[:, basis], and the larger relative residual before refinement."""
-    inv, b_cols, rhs = tab.t[: tab.m, form.start], form.a[:, basis], form.rhs
-    x_basic, duals = inv @ rhs, cb @ inv
-    gap, dual_gap = rhs - b_cols @ x_basic, cb - duals @ b_cols
-    drift = max(np.abs(gap).max(initial=0.0) / max(1.0, np.abs(rhs).max(initial=0.0)),
-                np.abs(dual_gap).max(initial=0.0) / max(1.0, np.abs(cb).max(initial=0.0)))
-    return x_basic + inv @ gap, duals + dual_gap @ inv, drift
-
-
-def _priced(form: _Form, obj: np.ndarray) -> tuple[_Tableau, np.ndarray, bool] | None:
-    """The kept tableau re-priced (see the module docstring): the tableau,
-    refactorized if it drifted past DRIFT_TOL, its basic values for
-    a x = rhs, and whether its basis is optimal for max obj.x (no reduced
-    cost above PIVOT_TOL). None when that basis is singular or primal
-    infeasible (a basic value below -FEAS_TOL).
-    """
+def _read_basis(form: _Form, rhs: np.ndarray, cb: np.ndarray):
+    """Basic values B^-1 rhs and duals cb B^-1 at the basis of the tableau
+    form keeps, from that tableau's B^-1 (its start-basis columns), each
+    refined once against the form's own columns B = a[:, basis]. rhs may
+    hold one right-hand side a column, and cb one cost vector a row. A
+    relative residual above DRIFT_TOL before refinement, or a NaN, means
+    the tableau has drifted: form keeps _factorized's tableau at that basis
+    instead, and the values are read from it. Returns (values, duals), or
+    None, with no tableau kept, when B is singular."""
     tab = form.tab
-    basis = tab.basis
-    cb = obj[basis]
-    x_basic, duals, drift = _refined(form, tab, basis, cb)
-    # written so that a NaN counts as drift
-    if not drift <= DRIFT_TOL:
-        tab = _factorized(form, basis)
+    for fresh in (False, True):
+        inv, b_cols = tab.t[: tab.m, form.start], form.a[:, tab.basis]
+        x_basic, duals = inv @ rhs, cb @ inv
+        gap, dual_gap = rhs - b_cols @ x_basic, cb - duals @ b_cols
+        # relative residuals, compared so that a NaN counts as drift
+        if fresh or all(
+                np.abs(g).max(initial=0.0) <= DRIFT_TOL * max(1.0, np.abs(v).max(initial=0.0))
+                for g, v in ((gap, rhs), (dual_gap, cb))):
+            return x_basic + inv @ gap, duals + dual_gap @ inv
+        tab = form.tab = _factorized(form, tab.basis)
         if tab is None:
             return None
-        x_basic, duals, _drift = _refined(form, tab, basis, cb)
+
+
+def _priced(form: _Form, obj: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """The kept tableau re-priced (see the module docstring): its basic
+    values for a x = rhs, and whether its basis is optimal for max obj.x
+    (no reduced cost above PIVOT_TOL). None when that basis is singular or
+    primal infeasible (a basic value below -FEAS_TOL).
+    """
+    basis = form.tab.basis
+    read = _read_basis(form, form.rhs, obj[basis])
+    if read is None:
+        return None
+    x_basic, duals = read
     # comparisons are written so that a NaN rejects the basis
     if not (x_basic >= -FEAS_TOL).all():
         return None
     reduced = obj - duals @ form.a
     reduced[basis] = 0.0
-    return tab, x_basic, bool((reduced <= PIVOT_TOL).all())
+    return x_basic, bool((reduced <= PIVOT_TOL).all())
 
 
-def _optimal_result(lp: LinearProgram, form: _Form, basis: np.ndarray) -> LpResult:
-    """The answer at basis: its basic values solved fresh from the form's
-    own columns, mapped back to the original variables and certified against
-    lp's own rows and box; a singular basis, a worst row violation (scaled
-    by max(1, |b|)) or bound violation above RESIDUAL_TOL, or NaN, raises."""
-    x_basic = _basic_values(form.a, form.rhs, basis)
-    if x_basic is None:
-        raise NumericalFailure("final simplex basis is singular")
+def _optimal_result(lp: LinearProgram, form: _Form, x_basic: np.ndarray) -> LpResult:
+    """The answer at the kept tableau's basis, whose basic values _read_basis
+    read: mapped back to the original variables and certified against lp's
+    own rows and box; a worst row violation (scaled by max(1, |b|)) or bound
+    violation above RESIDUAL_TOL, or NaN, raises."""
+    basis = form.tab.basis
     x_shift = np.zeros(form.a.shape[1])
     x_shift[basis] = x_basic
     x = x_shift[: lp.num_vars] + lp.lb
@@ -433,18 +431,20 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
     priced = None if form.tab is None else _priced(form, full_obj)
     if priced is None:
-        tab = _Tableau(_framed(form.a, form.rhs), form.start)
+        form.tab = _Tableau(_framed(form.a, form.rhs), form.start)
     else:
-        tab, x_basic, optimal = priced
+        x_basic, optimal = priced
         if optimal:
-            form.tab = tab
-            return _optimal_result(lp, form, tab.basis)
-        tab.t[:m, cols] = np.maximum(x_basic, 0.0)
-    form.tab = tab
+            return _optimal_result(lp, form, x_basic)
+        form.tab.t[:m, cols] = np.maximum(x_basic, 0.0)
+    tab = form.tab
     tab.set_objective(full_obj)
     if tab.run(5000 + 60 * (m + cols)) == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    return _optimal_result(lp, form, tab.basis)
+    read = _read_basis(form, form.rhs, full_obj[tab.basis])
+    if read is None:
+        raise NumericalFailure("final simplex basis is singular")
+    return _optimal_result(lp, form, read[0])
 
 
 def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
@@ -505,52 +505,47 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
 def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
     """lp's optimum at the basis of the tableau its form keeps, as a closed
     form in a parameter pi, and the pi range on which that basis stays
-    optimal, read from that tableau with no solve.
+    optimal, read from that tableau with no solve unless it drifted.
 
     lp maximizes a member of the family the anytime certificate bisects
     on: the objective c.x + pi (sum_{j in cols} x_j - top |cols|), where c
     is lp.objective off cols, with each column of cols in [0, top -
     floor/pi] and nothing else moving. With s = 1/pi only the bound rows of
     cols move, so the basic values are p + s q: p = B^-1 b with those rows
-    at top, q = -floor B^-1 e with e one on those rows (both from the kept
-    B^-1, refined once against the form's own columns). The reduced costs
-    are r0 + pi r1, from the tableau rows of the basic columns. So the
+    at top, q = -floor B^-1 e with e one on those rows, and the reduced
+    costs are r0 + pi r1, from the duals of c and of the pi terms (all
+    read as solve_lp reads an answer: from the kept B^-1, refined once
+    against the form's own columns, refactorized if it drifted). So the
     optimum is A + B pi + C/pi on [lo, hi], the pi > 0 where p + s q >= 0
     and r0 + pi r1 <= 0, each up to RANGE_TOL, which forgives rounding
     only: solve_lp's own optimality tolerances would let the form run past
     a breakpoint, off the optimum by about 1e-9 relative (parametric
     ranging; Gass & Saaty 1955, Chvatal 1983 ch. 10). Returns (A, B, C,
-    lo, hi), or None when the form keeps no tableau, its B^-1 has
-    drifted (refinement residual above DRIFT_TOL), or the range is empty.
+    lo, hi), or None when the form keeps no tableau, its basis is
+    singular, or the range is empty.
     """
     form = lp._form
-    tab = None if form is None else form.tab
-    if tab is None:
+    if form is None or form.tab is None:
         return None
-    basis = tab.basis
     m, width = form.a.shape
     rows = form.bound_row[cols]
     rhs = np.zeros((m, 2))
     rhs[:, 0] = form.rhs
     rhs[rows, 0] = top - lp.lb[cols]
     rhs[rows, 1] = -floor
-    inv = tab.t[:m, width - m : width]  # the slack columns, form.start: B^-1
-    pq = inv @ rhs
-    gap = rhs - form.a[:, basis] @ pq
-    # written so that a NaN counts as drift
-    if not np.abs(gap).max(initial=0.0) <= DRIFT_TOL * max(1.0, np.abs(rhs).max(initial=0.0)):
-        return None
-    pq += inv @ gap
-    p, q = pq[:, 0], pq[:, 1]
-
     n = lp.num_vars
     c = np.zeros((2, width))  # the objective is c[0] + pi c[1]
     c[0, :n] = lp.objective
     c[0, cols] = 0.0
     c[1, cols] = 1.0
+    basis = form.tab.basis
     cb = c[:, basis]
-    on = np.flatnonzero(cb.any(axis=0))
-    r0, r1 = c - cb[:, on] @ tab.t[on, :width]
+    read = _read_basis(form, rhs, cb)
+    if read is None:
+        return None
+    pq, duals = read
+    p, q = pq[:, 0], pq[:, 1]
+    r0, r1 = c - duals @ form.a
     r0[basis] = r1[basis] = 0.0
     (c0p, c0q), (c1p, c1q) = cb @ pq
     at_lb = c[:, :n] @ lp.lb

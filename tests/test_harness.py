@@ -208,6 +208,16 @@ def test_array_ingest_matches_slot_loop_byte_for_byte(seed, config):
     assert profile_set_to_json(got) == profile_set_to_json(ingest_trace_loop(rows, config))
 
 
+def test_ingest_names_days_at_the_ends_of_the_calendar():
+    """Days in years 0001 and 9999 keep their ISO names, as datetime gives
+    them, and one session's day is slotted as the other's."""
+    rows = [Transaction(datetime(1, 1, 1, 11), 600.0, 10.0),
+            Transaction(datetime(9999, 12, 31, 11), 600.0, 10.0)]
+    got = _ingest(rows, SlottingConfig())
+    assert got.day_keys == ("0001-01-01", "9999-12-31")
+    assert np.array_equal(got.day_values[0], got.day_values[1])
+
+
 def _seeded_trace_csv(seed: int) -> str:
     """A month of sessions in the forms a trace export takes: starts to the
     minute, second or microsecond with a "T" or a space, lengths and
@@ -253,8 +263,9 @@ def test_columnar_parse_matches_row_parse(seed):
 def test_columnar_parse_matches_row_parse_at_the_edges():
     """Lengths with a fraction of a microsecond, lengths whose microsecond
     fraction is an exact half (m/512 min is 117187.5·m us for odd m, which
-    timedelta rounds half to even), sessions ending just inside year 9999
-    or spanning the whole datetime range, and every ASCII form float() reads."""
+    timedelta rounds half to even), sessions at the first and the last
+    microsecond of the datetime range, ending just inside year 9999 or
+    spanning the whole range, and every ASCII form float() reads."""
     rng = np.random.default_rng(11)
     lines = [HEADER]
     for minutes in rng.uniform(0.001, 1e6, 300).tolist() + (10 ** rng.uniform(-6, 9, 300)).tolist():
@@ -267,6 +278,8 @@ def test_columnar_parse_matches_row_parse_at_the_edges():
         "9999-12-31T23:00:00,59.99999999,1",
         "9999-12-31T23:00:00,59.999999991666,1",
         "9999-12-31T23:59:59.999998,0.0000000166,1",
+        "9999-12-31T23:59:59.999999,0.0000000083,1",
+        "0001-01-01T00:00:00,30,1",
         f"0001-01-01T00:00:00,{whole_range},1",
         f"0001-01-01T00:00:00,{float(whole_range) + 0.999},1",
         "2024-03-01 12:00, 7 , 7 ",

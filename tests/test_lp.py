@@ -1,5 +1,7 @@
 """Dense simplex and the linear-fractional reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -232,15 +234,16 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
     answers pushed off their vertex (right-hand sides of both signs,
     negative lower bounds, some variables without an upper bound)."""
     rng = np.random.default_rng(83)
-    real_values = lp_mod._basic_values
+    real_read = lp_mod._read_basis
 
-    def nudged_values(*args):
-        found = real_values(*args)
+    def nudged_read(*args):
+        found = real_read(*args)
         if found is None:
             return None
-        return found + rng.uniform(-1e-8, 1e-8, len(found))
+        values, duals = found
+        return values + rng.uniform(-1e-8, 1e-8, len(values)), duals
 
-    monkeypatch.setattr(lp_mod, "_basic_values", nudged_values)
+    monkeypatch.setattr(lp_mod, "_read_basis", nudged_read)
     checked = 0
     for _ in range(80):
         n = int(rng.integers(2, 7))
@@ -261,13 +264,13 @@ def test_lp_gate_residual_matches_row_by_row(monkeypatch):
 def test_lp_gate_rejects_nan_answer(monkeypatch):
     """An answer holding a NaN raises. The row-by-row maximum the gate once
     took skipped NaN (max(0.0, nan) is 0.0) and returned such an answer."""
-    real_values = lp_mod._basic_values
+    real_read = lp_mod._read_basis
 
-    def nan_values(*args):
-        found = real_values(*args)
-        return None if found is None else np.where(found > 0, np.nan, found)
+    def nan_read(*args):
+        found = real_read(*args)
+        return None if found is None else (np.where(found[0] > 0, np.nan, found[0]), found[1])
 
-    monkeypatch.setattr(lp_mod, "_basic_values", nan_values)
+    monkeypatch.setattr(lp_mod, "_read_basis", nan_read)
     with pytest.raises(NumericalFailure, match="residual nan"):
         solve_lp(_textbook_lp())
 
@@ -665,16 +668,36 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _fresh_read(lp, basis):
+    """x as _read_basis reads it from a fresh _factorized tableau of lp's
+    form at basis, mapped back to lp's variables."""
+    form = dataclasses.replace(lp._form, tab=lp_mod._factorized(lp._form, basis))
+    values, _duals = lp_mod._read_basis(form, form.rhs, np.zeros(len(basis)))
+    x = np.zeros(form.a.shape[1])
+    x[basis] = values
+    return x[: lp.num_vars] + lp.lb
+
+
+def _assert_answers_as_cold(res, cold, lp):
+    """res has cold's status and basis, its value to 1e-9, and the x a
+    fresh factorization at that basis reads."""
+    assert res.status == cold.status == OPTIMAL
+    assert np.array_equal(res.basis, cold.basis)
+    assert res.value == pytest.approx(cold.value, abs=1e-9)
+    assert np.array_equal(res.x, _fresh_read(lp, res.basis))
+
+
 def test_lp_drifted_tableau_is_refactorized(monkeypatch):
     """Noise written into a kept tableau shows in the refinement residual:
     the next solve drops that tableau, refactorizes B by one dense solve,
-    and answers as a cold solve does, bit for bit when the kept basis is
-    still optimal and to 1e-9 after pivoting under a moved objective."""
+    and answers as a cold solve does: with its basis and a fresh
+    factorization's x when the kept basis is still optimal, and to 1e-9
+    after pivoting under a moved objective."""
     factorized = _counting(monkeypatch, "_factorized")
     rng = np.random.default_rng(61)
     cases = _random_feasible_lps(67, 80)
     assert len(cases) >= 30
-    for lp, first in cases:
+    for lp, _first in cases:
         for moved in (False, True):
             tab = lp._form.tab
             tab.t[: tab.m, : tab.n] += rng.normal(scale=1e-6, size=(tab.m, tab.n))
@@ -689,6 +712,28 @@ def test_lp_drifted_tableau_is_refactorized(monkeypatch):
                 assert res.status == cold.status == OPTIMAL
                 assert res.value == pytest.approx(cold.value, abs=1e-9)
             else:
-                _assert_same_result(res, first)
-                _assert_same_result(res, cold)
-            first = res
+                _assert_answers_as_cold(res, cold, lp)
+
+
+def test_lp_drift_while_pivoting_is_refactorized(monkeypatch):
+    """Noise written into the tableau the simplex stops at shows in the
+    refinement residual of the answer's read: the solve refactorizes B by
+    one dense solve before x is read, and answers as a cold solve does."""
+    cases = _random_feasible_lps(71, 80)
+    assert len(cases) >= 30
+    rng = np.random.default_rng(73)
+    real_run = lp_mod._Tableau.run
+
+    def noisy_run(self, max_iter):
+        status = real_run(self, max_iter)
+        self.t[: self.m, : self.n] += rng.normal(scale=1e-6, size=(self.m, self.n))
+        return status
+
+    monkeypatch.setattr(lp_mod._Tableau, "run", noisy_run)
+    factorized = _counting(monkeypatch, "_factorized")
+    for lp, cold in cases:
+        res = solve_lp(_cold(lp))
+        assert len(factorized) == 1
+        assert kept_tableau_gap(lp) <= 1e-9
+        _assert_answers_as_cold(res, cold, lp)
+        factorized.clear()

@@ -350,13 +350,13 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
 def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
     """An answer whose residual exceeds 1e-6 raises inside solve_lp, for any
     LP and for the certificate LPs of run_anytime alike."""
-    real_values = lp_mod._basic_values
+    real_read = lp_mod._read_basis
 
-    def sloppy_values(*args):
-        found = real_values(*args)
-        return None if found is None else found + 1e-2
+    def sloppy_read(*args):
+        found = real_read(*args)
+        return None if found is None else (found[0] + 1e-2, found[1])
 
-    monkeypatch.setattr(lp_mod, "_basic_values", sloppy_values)
+    monkeypatch.setattr(lp_mod, "_read_basis", sloppy_read)
     textbook = LinearProgram(
         objective=np.array([3.0, 2.0]),
         a=np.array([[1.0, 1.0], [1.0, 3.0]]),
@@ -621,20 +621,23 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
     assert max(gaps["kept"] + gaps["carried"]) <= 1e-9
 
 
-def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
+def test_lp_answers_make_no_dense_solve(monkeypatch):
     """Counted work, not time: on four fixed T=10 run_anytime runs (two
     days, plain and rate-limited, their optimal_cr included) and a T=12
-    optimal_cr call, peakmin.lp never calls np.linalg.solve with a matrix
-    right-hand side (no warm start or re-price refactorizes B) and makes at
-    most one vector solve per LP answer; a bisection step whose every
-    cutoff came from a closed form calls np.linalg.solve not at all."""
+    optimal_cr call, every np.linalg.solve call from peakmin.lp is a
+    _factorized call (a drifted tableau's refactorization): an answer is
+    read from the B^-1 its tableau keeps, with no dense solve of its own.
+    A bisection step whose every cutoff came from a closed form calls
+    np.linalg.solve not at all."""
     real_solve, real_solve_lp = np.linalg.solve, lp_mod.solve_lp
     real_requirement = online._requirement
     work = Counter()
 
     def counting_solve(a, b):
-        if sys._getframe(1).f_globals.get("__name__") == "peakmin.lp":
-            work["matrix" if np.ndim(b) == 2 else "vector"] += 1
+        caller = sys._getframe(1)
+        if caller.f_globals.get("__name__") == "peakmin.lp":
+            work[caller.f_code.co_name] += 1
+            work["solves"] += 1
         return real_solve(a, b)
 
     def counting_solve_lp(lp):
@@ -647,8 +650,7 @@ def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
         value = real_requirement(view, pi, budget, warm, guessed)
         if work["answers"] == before["answers"]:
             work["closed_steps"] += 1
-            work["closed_step_solves"] += work["vector"] + work["matrix"] - (
-                before["vector"] + before["matrix"])
+            work["closed_step_solves"] += work["solves"] - before["solves"]
         return value
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -662,8 +664,7 @@ def test_lp_work_is_one_vector_solve_per_answer(monkeypatch):
     days = synthetic_volatile_profiles(1, 12, 100.0, 400.0, seed=5)
     optimal_cr(Instance(0.3 * days.avg_daily_energy, None, 12, 100.0, 400.0))
     assert work["answers"] >= 300
-    assert work["matrix"] == 0
-    assert 0 < work["vector"] <= work["answers"]
+    assert work["solves"] == work["_factorized"]
     assert work["closed_steps"] >= 20
     assert work["closed_step_solves"] == 0
 
@@ -839,13 +840,13 @@ def test_depleting_after_anytime_reads_its_certificates(monkeypatch, rate_limit)
 def test_raising_certification_is_not_stored(monkeypatch, tiny_instance):
     """A slot state whose certification raises raises again on a second
     call, and is certified afresh once the fault is gone."""
-    real_values = lp_mod._basic_values
+    real_read = lp_mod._read_basis
 
-    def sloppy_values(*args):
-        found = real_values(*args)
-        return None if found is None else found + 1e-2
+    def sloppy_read(*args):
+        found = real_read(*args)
+        return None if found is None else (found[0] + 1e-2, found[1])
 
-    monkeypatch.setattr(lp_mod, "_basic_values", sloppy_values)
+    monkeypatch.setattr(lp_mod, "_read_basis", sloppy_read)
     state = OnlineState(tiny_instance, prev_ratio=4.0 / 3.0)
     for _ in range(2):
         with pytest.raises(NumericalFailure, match="residual"):

@@ -122,10 +122,10 @@ def test_pair_ratios_prints_every_metric(bench_pairs):
 def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
     """Every ingest and experiment of one seed's first chunk and short trace,
     the ingest of each variant of the short trace, every simulate and cr on
-    the short trace's first day, and every failing command of ERROR_CALLS
-    runs, and a tree compared with itself gives the same bytes and codes,
-    also when it runs the experiments on the other side's ingest JSON (the
-    cross-load)."""
+    the short trace's first day (the rate-limited ones too), and every
+    failing command of ERROR_CALLS runs, and a tree compared with itself
+    gives the same bytes and codes, also when it runs the experiments on the
+    other side's ingest JSON (the cross-load)."""
     diff_outputs = _load("diff_outputs")
     root = _TOOLS.parent
     assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
@@ -134,7 +134,9 @@ def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
                ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
     for side in (change, tmp_path / "cross"):
         assert {p.relative_to(side).as_posix() for p in side.rglob("*.txt")} == reports
-    commands = [f"simulate-{algo}" for algo in diff_outputs.SIMULATE_ALGOS] + ["cr"]
+    commands = ([f"simulate-{algo}" for algo in diff_outputs.SIMULATE_ALGOS] + ["cr"]
+                + [f"simulate-{algo}-rate-limited" for algo in diff_outputs.LIMITED_ALGOS]
+                + ["cr-rate-limited"])
     for command in commands:
         stdout = (change / f"s1001-short-{command}.stdout").read_text(encoding="utf-8")
         assert stdout.startswith(("slot,demand", "pi_star,")), command

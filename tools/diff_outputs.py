@@ -21,13 +21,15 @@ at the default 12:00-17:00 window, T=20; the short trace and its variants at
 
 On the first day of each short trace, at rate 0.1, they also run `peakmin
 simulate` with every --algo (thr at the demand midpoint, eql-per at ratio
-0.1) and `peakmin cr`. Both trees also run a fixed list of commands that
-must fail (ERROR_CALLS: a demand above --d-ub, --pi 0.5, --epsilon 0, a
-solve whose --horizon disagrees with its file, cr with c at and above
-T * d_lb, an experiment config with an unknown key, a day-set JSON with a
-day above its demand_ub, and the ingest of a trace with a bad start, or a
-"1_000" length, in the middle of canonical rows), on small inputs written
-beside them. A tree runs its commands in two fresh processes, one for the
+0.1) and `peakmin cr`, and then `peakmin cr` and simulate with fixed,
+anytime and anytime-deplete again with --rate-limit at half the demand
+ceiling, so that rate-limited LP answers are compared too. Both trees
+also run a fixed list of commands that must fail (ERROR_CALLS: a demand
+above --d-ub, --pi 0.5, --epsilon 0, a solve whose --horizon disagrees
+with its file, cr with c at and above T * d_lb, an experiment config with
+an unknown key, a day-set JSON with a day above its demand_ub, and the
+ingest of a trace with a bad start, or a "1_000" length, in the middle of
+canonical rows), on small inputs written beside them. A tree runs its commands in two fresh processes, one for the
 ingests and one for the rest, each command as cli.main(argv); one process
 prints and exits as a process per command does (test_cli pins it).
 
@@ -79,6 +81,8 @@ VARIANTS = {
 SHORT_RATE = 0.1  # the certified and monthly configs' capacity rate
 SIMULATE_ALGOS = ("fixed", "anytime", "anytime-deplete", "thr", "eql-dis", "eql-per",
                   "rhc-upper", "rhc-lower", "rhc-mid")
+LIMITED_ALGOS = ("fixed", "anytime", "anytime-deplete")  # the --algos whose answers are LPs
+RATE_LIMIT_SHARE = 0.5  # the rate-limited calls' --rate-limit, a share of --d-ub
 # each (name, argv) of argv[1] run as cli.main(argv); prints {name: [code, stdout, stderr]}
 _RUN_CLI = """
 import contextlib, io, json, sys, traceback
@@ -187,7 +191,9 @@ def _run_cli(tree: Path, calls: dict, out: Path) -> dict:
 
 
 def _short_day_calls(name: str, payload: dict, out: Path) -> dict:
-    """simulate with every --algo, and cr, on the first day at SHORT_RATE."""
+    """simulate with every --algo, and cr, on the first day at SHORT_RATE;
+    then cr and the LP-certified --algos again at a --rate-limit of
+    RATE_LIMIT_SHARE of the demand ceiling."""
     demands = f"{name}-day0.demands"
     day = payload["day_values"][0]
     (out / demands).write_text("".join(f"{v!r}\n" for v in day), encoding="utf-8")
@@ -199,6 +205,11 @@ def _short_day_calls(name: str, payload: dict, out: Path) -> dict:
                                          "--epsilon", "1e-3", *flags.get(algo, [])]
              for algo in SIMULATE_ALGOS}
     calls[f"{name}-cr"] = ["cr", *instance, "-T", str(len(day))]
+    limited = [*instance, "--rate-limit", repr(RATE_LIMIT_SHARE * ub)]
+    for algo in LIMITED_ALGOS:
+        calls[f"{name}-simulate-{algo}-rate-limited"] = [
+            "simulate", *limited, "--demands", demands, "--algo", algo, "--epsilon", "1e-3"]
+    calls[f"{name}-cr-rate-limited"] = ["cr", *limited, "-T", str(len(day))]
     return calls
 
 
