@@ -16,8 +16,8 @@ from decimal import Decimal
 import numpy as np
 
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
-from .errors import DegenerateInstance, EmptyIndexSet
-from .lp import LfpProblem, LinearProgram, carry_basis, solve_lfp
+from .errors import DegenerateInstance, EmptyIndexSet, NumericalFailure
+from .lp import OPTIMAL, LfpProblem, LinearProgram, carry_basis, solve_lfp
 # not called here; the benchmark's tracer wraps this cr attribute by name
 from .offline import offline_peak_values  # noqa: F401
 
@@ -208,7 +208,9 @@ def optimal_cr(instance: Instance) -> CrResult:
     prefix's program by lp.carry_basis: only the first prefix starts cold,
     and no prefix refactorizes its basis. The denominator is positive, as
     solve_lfp requires: any feasible point has u_i >= (sum_j p_j - c)/T >=
-    (T*d_lb - c)/T > 0 under the c < T*d_lb precondition below.
+    (T*d_lb - c)/T > 0 under the c < T*d_lb precondition below. Every
+    prefix program is feasible and bounded, so a step LP that ends other
+    than optimal raises NumericalFailure instead of dropping its prefix.
     """
     T = instance.horizon_T
     c = instance.capacity_c
@@ -233,6 +235,8 @@ def optimal_cr(instance: Instance) -> CrResult:
         if prev is not None:
             carry_basis(prev.lp, program.lp, t - 1)
         res = solve_lfp(program, at_least=best_val)
+        if res.status != OPTIMAL:
+            raise NumericalFailure(f"prefix {t}: a Dinkelbach step's LP ended {res.status}")
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
         prev = program

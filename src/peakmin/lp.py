@@ -5,21 +5,21 @@ builds. A LinearProgram is arrays: rows a x <= b (a is m x n) and a box
 lb <= x <= ub, with lb finite, ub inf on a column with no upper bound and
 b - a lb >= 0, so once the lower bounds are shifted to zero the all-slack
 basis is feasible, and every cold solve starts from it. LinearProgram
-checks this on whole arrays and raises ValueError otherwise; an LP is
-infeasible only when a box is empty (ub < lb). Pivoting is Dantzig's rule
-with deterministic lowest-index tie-breaking; a degeneracy streak switches
-the rule to Bland's, which guarantees termination. Problems in this package
-are small (at most a few hundred variables), so nothing is sparse; what is
-kept is the tableau itself.
+checks this, and that no box is empty (lb <= ub), on whole arrays and
+raises ValueError otherwise, so every LP it takes is feasible. Pivoting is
+Dantzig's rule with deterministic lowest-index tie-breaking; a degeneracy
+streak switches the rule to Bland's, which guarantees termination. Problems
+in this package are small (at most a few hundred variables), so nothing is
+sparse; what is kept is the tableau itself.
 
-Built once, kept with its tableau: the first solve_lp on a LinearProgram
-builds its standard form ([a | unit rows of the bounded columns], scaled,
-with one slack per row, and the right-hand side shifted by lb) and keeps it
-on that object, with the final tableau of each solve, B^-1 [A | b] at that
-solve's basis. Between solves only the objective, its constant and ub may
-change (ub through LinearProgram.set_upper, which moves the form's bound
-rows with it); none of them moves B^-1 A, so the kept tableau stays exact
-but for its right-hand column.
+Built once, kept with its tableau: a LinearProgram builds its standard form
+([a | unit rows of the bounded columns], scaled, with one slack per row,
+and the right-hand side shifted by lb) when it is made, and keeps on it the
+final tableau of each solve, B^-1 [A | b] at that solve's basis. After that
+only the objective, its constant and the finite ub may change (ub through
+LinearProgram.set_upper, which moves the form's bound rows with it); none of
+them moves B^-1 A, so the kept tableau stays exact but for its right-hand
+column.
 
 One read: the basic values and the duals of every answer, re-price and
 closed form come from the kept tableau's B^-1 (its start-basis columns),
@@ -83,7 +83,6 @@ RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
 RANGE_TOL = 1e-12  # rounding a closed form's range forgives, in values and reduced costs
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -95,10 +94,10 @@ class LinearProgram:
 
     Checked on whole arrays, each failure a ValueError: the shapes match
     (a m x n, b m, objective, lb and ub n), nothing is NaN, only ub may be
-    infinite (+inf), and b - a lb >= 0. ub is copied, since set_upper writes
-    into it. solve_lp keeps the standard form it builds on the object; after
-    a solve change only the objective, objective_constant and, through
-    set_upper, ub."""
+    infinite (+inf), no box is empty (ub >= lb) and b - a lb >= 0. Then the
+    standard form is built and kept on the object, so change only the
+    objective, objective_constant and, through set_upper, ub. ub is copied,
+    since set_upper writes into it."""
 
     objective: np.ndarray
     a: np.ndarray
@@ -106,8 +105,8 @@ class LinearProgram:
     lb: np.ndarray
     ub: np.ndarray
     objective_constant: float = 0.0
-    # the standard form the first solve_lp builds; later solves reuse it
-    _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
+    # the standard form, built with the LP; every solve reuses it
+    _form: _Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective, self.a, self.b, self.lb = (
@@ -124,32 +123,31 @@ class LinearProgram:
         # written so that a NaN fails too
         if not (np.isfinite(self.lb).all() and (self.ub > -math.inf).all()):
             raise ValueError("non-finite bound")
+        if (self.ub < self.lb).any():
+            raise ValueError(f"empty box: ub < lb in column {int(np.argmax(self.ub < self.lb))}")
         shifted = self.b - self.a @ self.lb
         if (shifted < 0.0).any():
             i = int(np.argmax(shifted < 0.0))
             raise ValueError(f"row {i}: b - a.lb = {shifted[i]:.6g} < 0 at the slack basis")
+        self._form = _build_form(self)
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
 
     def set_upper(self, cols, hi: float) -> None:
-        """Move the upper bound of every column in cols to hi.
-
-        A built standard form moves with the bounds: its bound rows' right-
-        hand sides. Where a column has no upper bound, or its box becomes
-        inverted (hi < lo), the form is dropped instead and the next solve
-        builds it afresh, as it would for a new LinearProgram (INFEASIBLE
-        for an inverted box). A non-finite hi raises ValueError.
-        """
+        """Move the upper bound of every column in cols to hi, and with it
+        their bound rows' right-hand sides in the standard form. A non-finite
+        hi, a hi below a column's lower bound, or a column with no upper bound
+        (so no bound row) raises ValueError before anything moves."""
         if not math.isfinite(hi):
             raise ValueError(f"non-finite upper bound {hi}")
-        form = self._form
-        if form is None or not (self.ub[cols] < math.inf).all() or (hi < self.lb[cols]).any():
-            self._form = None
-        else:
-            # bound rows are unit rows, so equilibration left them unscaled
-            form.rhs[form.bound_row[cols]] = hi - self.lb[cols]
+        if (hi < self.lb[cols]).any():
+            raise ValueError(f"empty box: upper bound {hi} below a lower bound")
+        if not (self.ub[cols] < math.inf).all():
+            raise ValueError("no upper bound to move on a column")
+        # bound rows are unit rows, so equilibration left them unscaled
+        self._form.rhs[self._form.bound_row[cols]] = hi - self.lb[cols]
         self.ub[cols] = hi
 
 
@@ -159,8 +157,8 @@ class LpResult:
     value: float
     x: np.ndarray | None
     residual: float = 0.0
-    # column indices of the final basis, row by row, in the standard form
-    # solve_lp builds: the basis of the tableau that form keeps
+    # column indices of the final basis, row by row, in the LP's standard
+    # form: the basis of the tableau that form keeps
     basis: np.ndarray | None = None
 
 
@@ -174,8 +172,8 @@ class LfpProblem:
     solve_lfp checks it at each point it evaluates and raises
     DenominatorNotPositive where it is at most FEAS_TOL. A numerator or
     denominator of another length than lp's columns, or a non-finite one or
-    constant, raises ValueError. lp keeps its standard form across
-    solve_lfp calls, so its rows and box are not to change after a solve.
+    constant, raises ValueError. lp keeps the standard form it was made with
+    across solve_lfp calls, so its rows and box are not to change.
     """
 
     numerator: np.ndarray
@@ -306,28 +304,19 @@ class _Form:
     tab: _Tableau | None = None
 
 
-def _bound_rows(lp: LinearProgram) -> np.ndarray:
-    """Standard-form row of each column's upper bound, -1 where it has none:
-    the bound rows follow lp's rows, in column order."""
-    bounded = lp.ub < math.inf
-    rows = np.full(lp.num_vars, -1)
-    rows[bounded] = len(lp.b) + np.arange(bounded.sum())
-    return rows
-
-
-def _build_form(lp: LinearProgram) -> _Form | None:
-    """lp's standard form, or None when a box is empty (ub < lb).
+def _build_form(lp: LinearProgram) -> _Form:
+    """lp's standard form, which LinearProgram builds once it is checked.
 
     Lower bounds are shifted to zero, each finite upper bound becomes a unit
-    row x_j <= ub - lb after lp's rows, lp's rows are equilibrated (which
-    keeps pivot tolerances meaningful across magnitudes; a unit row already
-    is) and each row gets a slack; the slacks are the start basis.
+    row x_j <= ub - lb after lp's rows, in column order, lp's rows are
+    equilibrated (which keeps pivot tolerances meaningful across magnitudes;
+    a unit row already is) and each row gets a slack; the slacks are the
+    start basis.
     """
-    if (lp.ub < lp.lb).any():
-        return None
-    bound_row = _bound_rows(lp)
-    bounded = np.flatnonzero(bound_row >= 0)
+    bounded = np.flatnonzero(lp.ub < math.inf)
     n, m, k = lp.num_vars, len(lp.b), len(lp.b) + len(bounded)
+    bound_row = np.full(n, -1)
+    bound_row[bounded] = m + np.arange(len(bounded))
     scale = np.maximum(np.abs(lp.a).max(axis=1, initial=0.0), 1e-12)
     a = np.zeros((k, n + k))
     a[:m, :n] = lp.a / scale[:, None]
@@ -412,8 +401,8 @@ def _optimal_result(lp: LinearProgram, form: _Form, x_basic: np.ndarray) -> LpRe
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
-    """Dense primal simplex. Status is one of optimal/infeasible/unbounded;
-    infeasible only when a box is empty.
+    """Dense primal simplex on lp's standard form. Status is optimal or
+    unbounded; every LinearProgram is feasible.
 
     The first solve starts from the slack basis. A later one, or one after
     carry_basis, re-prices the tableau lp's form keeps: its vertex is
@@ -421,10 +410,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     primal feasible, and otherwise from the slack basis. An answer whose
     residual exceeds RESIDUAL_TOL raises NumericalFailure.
     """
-    form = lp._form if lp._form is not None else _build_form(lp)
-    if form is None:
-        return LpResult(INFEASIBLE, np.nan, None)
-    lp._form = form
+    form = lp._form
     m, cols = form.a.shape
     full_obj = np.zeros(cols)
     full_obj[: lp.num_vars] = lp.objective
@@ -456,43 +442,36 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
     last row; no old row touches a new column, and old's rows are new's
     first rows, unchanged. optimal_cr steps so from prefix t to t+1
     (x_{t+1} inserted at column t), and the anytime certificate from cutoff
-    k-1 to k after t observed slots (x_k inserted at column k-1-t). The
-    standard form of these programs is the structural columns, then one
-    slack per row: a's rows in order, then one upper-bound row per bounded
-    column in column order. Old columns and slacks move to their new index
-    and the slack of every new row is made basic. At the old vertex with
-    the new columns at their lower bounds every new row holds: after the
-    lower-bound shift its right-hand side is >= 0, and its one old column,
-    if any, is an x_j at most d_ub - x_lb against a right-hand side of
-    U - x_lb. So when new keeps the bounds old was solved with, the carried
-    basis is primal feasible and solve_lp starts the simplex from it.
+    k-1 to k after t observed slots (x_k inserted at column k-1-t). Old
+    columns and slacks move to their new index (a's rows keep theirs, and
+    each form's bound_row places the bound rows) and the slack of every new
+    row is made basic. At the old vertex with the new columns at their
+    lower bounds every new row holds: after the lower-bound shift its
+    right-hand side is >= 0, and its one old column, if any, is an x_j at
+    most d_ub - x_lb against a right-hand side of U - x_lb. So when new
+    keeps the bounds old was solved with, the carried basis is primal
+    feasible and solve_lp starts the simplex from it.
 
     The tableau at the carried basis is derived from old's without a solve:
     the old rows move through the column map, and each appended row is the
     form's row less its basic columns' multiples of the old rows
     (R - R_B T_old). solve_lp then re-prices it. Nothing is seeded when old
-    keeps no tableau or new's box is empty.
+    keeps no tableau.
     """
-    kept = None if old._form is None else old._form.tab
+    kept, form = old._form.tab, new._form
     if kept is None:
         return
-    form = new._form if new._form is not None else _build_form(new)
-    if form is None:
-        return
-    new._form = form
-    n_new, m_new = new.num_vars, len(new.b)
-    old_rows, new_rows = _bound_rows(old), _bound_rows(new)
+    n_new = new.num_vars
     col = np.arange(old.num_vars)
     col[at:] += 1  # the new demand column
-    # each old row's index in the new standard form: a's rows keep theirs,
-    # upper-bound rows follow their column
-    row = np.concatenate([np.arange(len(old.b)), new_rows[col[old_rows >= 0]]])
+    # each old row's index in the new standard form
+    row = np.concatenate([np.arange(len(old.b)), form.bound_row[col[old._form.bound_row >= 0]]])
     moved = np.concatenate([col, n_new + row])  # every old column's new index
     carried = moved[kept.basis]
-    fresh = np.ones(m_new + (new_rows >= 0).sum(), dtype=bool)
+    m_old, (m, cols) = kept.m, form.a.shape
+    fresh = np.ones(m, dtype=bool)
     fresh[row] = False
     added = np.flatnonzero(fresh)  # the appended rows, in order
-    m_old, m, cols = kept.m, len(fresh), form.a.shape[1]
     t = np.zeros((m + 1, cols + 1))
     t[:m_old, moved] = kept.t[:m_old, : len(moved)]
     appended = form.a[added]
@@ -525,7 +504,7 @@ def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
     singular, or the range is empty.
     """
     form = lp._form
-    if form is None or form.tab is None:
+    if form.tab is None:
         return None
     m, width = form.a.shape
     rows = form.bound_row[cols]

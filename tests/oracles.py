@@ -38,7 +38,7 @@ from peakmin import cr, harness, online
 from peakmin.core import EPS_KWH, DemandProfile, check_demands, reference_profile, reference_values
 from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
 from peakmin.harness import TRACE_HEADER, DayProfileSet
-from peakmin.lp import solve_lfp
+from peakmin.lp import OPTIMAL, solve_lfp
 from peakmin.offline import (
     offline_peak,
     offline_peak_values,
@@ -273,6 +273,7 @@ def cold_prefix_optimal_cr(instance):
     best_val, best_t = -np.inf, None
     for t in range(tau + 1, T + 1):
         res = solve_lfp(cr._prefix_program(instance, t), at_least=best_val)
+        assert res.status == OPTIMAL, (t, res.status)
         if res.x is not None:
             best_val, best_t = res.value, t
     return max(best_val, 1.0), tuple(range(1, best_t + 1))

@@ -10,9 +10,9 @@ import peakmin.cr as cr
 import peakmin.lp as lp_mod
 from peakmin.core import DemandProfile, Instance
 from peakmin.cr import CrResult, build_cr_compute, optimal_cr
-from peakmin.errors import DegenerateInstance, EmptyIndexSet
+from peakmin.errors import DegenerateInstance, EmptyIndexSet, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import OPTIMAL, carry_basis, solve_lfp
+from peakmin.lp import OPTIMAL, UNBOUNDED, LpResult, carry_basis, solve_lfp
 
 from oracles import (
     HorizonTooLarge,
@@ -89,8 +89,9 @@ def test_reduced_and_full_encodings_agree():
 @pytest.mark.parametrize("u_lb_above", [False, True], ids=["u_lb-below", "u_lb-above"])
 def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above):
     """Every row scenario_program emits, a x <= b, has a right-hand side >= 0
-    once the lower bounds are shifted to zero, so its all-slack basis is
-    feasible and solve_lp builds its form; random instances at T <= 8."""
+    once the lower bounds are shifted to zero, and no box is empty, so its
+    all-slack basis is feasible and LinearProgram takes it (it raises
+    ValueError otherwise); random instances at T <= 8."""
     rng = np.random.default_rng(61)
     for _ in range(12):
         T = int(rng.integers(2 if observed else 1, 9))
@@ -108,8 +109,6 @@ def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above)
         for coeffs, rhs in zip(lp.a, lp.b):
             assert rhs - coeffs @ lp.lb >= 0.0
         assert (lp.ub >= lp.lb).all()
-        lp.objective = rng.normal(size=lp.num_vars)
-        assert lp_mod._build_form(lp) is not None
 
 
 def test_scenario_arrays_match_row_reference():
@@ -302,7 +301,7 @@ def _recording_solve_lp(monkeypatch):
     calls = []
 
     def recording(lp):
-        tab = None if lp._form is None else lp._form.tab
+        tab = lp._form.tab
         calls.append((lp, None if tab is None else tab.basis.copy()))
         return real_solve_lp(lp)
 
@@ -379,6 +378,28 @@ def test_optimal_cr_t20_solves_one_lp_cold(monkeypatch):
     assert len(calls) > 20
     assert res.pi_star == pytest.approx(pi_star, rel=0.0, abs=1e-12)
     assert res.argmax_set == argmax_set
+
+
+def test_optimal_cr_raises_on_a_non_optimal_step(monkeypatch):
+    """A Dinkelbach step whose LP ends UNBOUNDED raises NumericalFailure.
+    It used to read as a prefix that cannot beat the best ratio, so on this
+    T=10 instance (volatile days, seed 7, c at 0.3 of the mean daily
+    energy) optimal_cr dropped its argmax prefix {1..10} and returned a
+    lower pi* with argmax set {1..9}, raising nothing."""
+    days = synthetic_volatile_profiles(2, 10, 100.0, 400.0, seed=7)
+    inst = days.instance(0.3 * days.avg_daily_energy, None)
+    assert optimal_cr(inst).argmax_set == tuple(range(1, 11))
+    last = cr._prefix_program(inst, 10).lp.num_vars
+    real_solve_lp = lp_mod.solve_lp
+
+    def unbounded_on_last_prefix(lp):
+        if lp.num_vars == last:
+            return LpResult(UNBOUNDED, np.nan, None)
+        return real_solve_lp(lp)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", unbounded_on_last_prefix)
+    with pytest.raises(NumericalFailure, match="prefix 10"):
+        optimal_cr(inst)
 
 
 def test_phi_bruteforce_tiny_values(tiny_instance):

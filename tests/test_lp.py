@@ -10,7 +10,6 @@ from peakmin.core import Instance
 from peakmin.cr import build_cr_compute
 from peakmin.errors import DenominatorNotPositive, NumericalFailure
 from peakmin.lp import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LfpProblem,
@@ -58,15 +57,16 @@ def test_lp_minimize_with_lower_bound_and_constant():
 
 
 def test_lp_infeasible_detected():
-    # 2 <= x <= 1: the only infeasible LP solve_lp takes is an empty box
-    lp = LinearProgram(
-        objective=np.array([1.0]),
-        a=np.array([[1.0]]),
-        b=np.array([3.0]),
-        lb=np.array([2.0]),
-        ub=np.array([1.0]),
-    )
-    assert solve_lp(lp).status == INFEASIBLE
+    # 2 <= x <= 1: an empty box, the only infeasibility the all-<= form with
+    # b - a lb >= 0 leaves, is rejected when the LP is made
+    with pytest.raises(ValueError, match="empty box"):
+        LinearProgram(
+            objective=np.array([1.0]),
+            a=np.array([[1.0]]),
+            b=np.array([3.0]),
+            lb=np.array([2.0]),
+            ub=np.array([1.0]),
+        )
 
 
 def test_lp_unbounded_detected():
@@ -381,42 +381,34 @@ BOX3 = (np.zeros(2), np.full(2, 3.0))  # lb and ub of two columns in [0, 3]
 
 
 @pytest.mark.parametrize(
-    "solve, outcome",
+    "make",
     [
         # x + y >= 1 as -x - y <= -1
-        (lambda: solve_lp(LinearProgram(np.ones(2), -np.ones((1, 2)), [-1.0], *BOX3)),
-         ValueError),
+        lambda: LinearProgram(np.ones(2), -np.ones((1, 2)), [-1.0], *BOX3),
         # x + y == 1 as x + y <= 1 and -x - y <= -1
-        (lambda: solve_lp(LinearProgram(np.ones(2), [[1.0, 1.0], [-1.0, -1.0]],
-                                        [1.0, -1.0], *BOX3)), ValueError),
+        lambda: LinearProgram(np.ones(2), [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], *BOX3),
         # rhs 1 >= 0, but 1 - a.lb = -0.25
-        (lambda: solve_lp(LinearProgram(-np.ones(2), np.ones((1, 2)), [1.0],
-                                        [0.5, 0.75], INF2)), ValueError),
-        (lambda: solve_lp(_printed_cr_form()), ValueError),
-        (lambda: solve_lp(LinearProgram(np.ones(1), np.zeros((0, 1)), [],
-                                        [1.0], [1.0 - 1e-9])).status, INFEASIBLE),
+        lambda: LinearProgram(-np.ones(2), np.ones((1, 2)), [1.0], [0.5, 0.75], INF2),
+        _printed_cr_form,
+        lambda: LinearProgram(np.ones(1), np.zeros((0, 1)), [], [1.0], [1.0 - 1e-9]),
         # a has three columns, the objective two
-        (lambda: LinearProgram(np.ones(2), np.ones((1, 3)), [1.0], *BOX3), ValueError),
-        (lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [1.0, 1.0], *BOX3),
-         ValueError),
-        (lambda: LinearProgram(np.ones(2), [[np.nan, 1.0]], [1.0], *BOX3), ValueError),
-        (lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [np.nan], *BOX3), ValueError),
+        lambda: LinearProgram(np.ones(2), np.ones((1, 3)), [1.0], *BOX3),
+        lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [1.0, 1.0], *BOX3),
+        lambda: LinearProgram(np.ones(2), [[np.nan, 1.0]], [1.0], *BOX3),
+        lambda: LinearProgram(np.ones(2), np.ones((1, 2)), [np.nan], *BOX3),
     ],
     ids=["ge-row", "eq-row", "negative-shifted-rhs", "printed-cr-form", "inverted-box",
          "a-shape", "b-shape", "nan-a", "nan-b"],
 )
-def test_lp_takes_only_the_all_le_form(solve, outcome):
-    """LinearProgram takes rows a x <= b with b - a lb >= 0 and nothing
-    else: a >= row (negated), an == row (a <= and >= pair), a row that fails
-    at the lower bounds and build_cr_compute's printed form (== budgets)
-    raise ValueError instead of being answered through a phase 1, as do
-    arrays of mismatched shapes and a NaN in a or b; a box inverted by 1e-9
-    is INFEASIBLE instead of being read as a point."""
-    if outcome is ValueError:
-        with pytest.raises(ValueError):
-            solve()
-    else:
-        assert solve() == outcome
+def test_lp_takes_only_the_all_le_form(make):
+    """LinearProgram takes rows a x <= b with b - a lb >= 0 over a nonempty
+    box and nothing else: a >= row (negated), an == row (a <= and >= pair),
+    a row that fails at the lower bounds and build_cr_compute's printed form
+    (== budgets) raise ValueError when the LP is made instead of being
+    answered through a phase 1, as do arrays of mismatched shapes, a NaN in
+    a or b and a box inverted by 1e-9, which is not read as a point."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def _random_feasible_lps(seed: int, count: int):
@@ -518,14 +510,6 @@ def _textbook_lp():
     )
 
 
-def _assert_same_result(a, b):
-    assert a.status == b.status
-    assert a.value == b.value
-    assert np.array_equal(a.x, b.x)
-    assert a.residual == b.residual
-    assert np.array_equal(a.basis, b.basis)
-
-
 @pytest.mark.parametrize(
     "lp, basis",
     [
@@ -579,42 +563,23 @@ def test_lp_set_upper_resolve_matches_fresh_build():
     """Upper bounds moved through set_upper after a solve, then re-solved on
     the kept standard form: from the slack basis, the answer equals that of
     a new LinearProgram built with those bounds, bit for bit, and from the
-    kept tableau it matches it within 1e-9. Inverting a box gives
-    INFEASIBLE, as a new LP does, and so does giving a column without an
-    upper bound one."""
+    kept tableau it matches it within 1e-9."""
     rng = np.random.default_rng(53)
     cases = _random_feasible_lps(57, 120)
     assert len(cases) >= 40
-    inverted = 0
     for lp, _first in cases:
         n = lp.num_vars
         for _move in range(3):
             cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-            if rng.random() < 0.15:
-                hi = -float(rng.uniform(0.01, 1.0))  # below every lower bound (0)
-                inverted += 1
-            else:
-                hi = float(rng.uniform(0.0, 3.0))
+            hi = float(rng.uniform(0.0, 3.0))
             lp.set_upper(cols, hi)
             assert lp.ub[cols].tolist() == [hi] * len(cols)
             fresh = solve_lp(_fresh(lp))
             moved = solve_lp(lp)
             assert moved.status == fresh.status
-            if hi < 0.0:
-                assert moved.status == INFEASIBLE
             if fresh.status == OPTIMAL:
                 assert moved.value == pytest.approx(fresh.value, abs=1e-9)
                 _assert_same_result(solve_lp(_cold(lp)), fresh)
-    assert inverted >= 10
-    # a column that had no upper bound gains one
-    lp = LinearProgram(np.array([1.0, 1.0]), [[1.0, 2.0]], [4.0], np.zeros(2), [np.inf, 3.0])
-    assert solve_lp(lp).value == pytest.approx(4.0)
-    lp.set_upper([0], 1.5)
-    _assert_same_result(solve_lp(lp), solve_lp(_fresh(lp)))
-    assert solve_lp(lp).value == pytest.approx(2.75)
-    # a box inverted by less than the feasibility tolerance is empty too
-    lp.set_upper([1], -1e-9)
-    assert solve_lp(lp).status == solve_lp(_fresh(lp)).status == INFEASIBLE
 
 
 @pytest.mark.parametrize(
@@ -644,15 +609,32 @@ def test_lp_rejects_non_finite_bound(lb, ub):
         LinearProgram(np.array([1.0, 1.0]), [[1.0, 1.0]], [4.0], lb, ub)
 
 
-@pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
-def test_lp_set_upper_rejects_non_finite(hi):
-    """set_upper checks hi before it moves anything, on a solved LP."""
-    lp = LinearProgram(np.array([1.0, 1.0]), [[1.0, 2.0]], [4.0], np.zeros(2),
-                       [2.0, 3.0])
+@pytest.mark.parametrize(
+    "cols, hi, message",
+    [
+        ([0], np.nan, "non-finite upper bound"),
+        ([0], np.inf, "non-finite upper bound"),
+        ([0, 1], -0.5, "empty box"),
+        # a box inverted by less than the feasibility tolerance is empty too
+        ([1], -1e-9, "empty box"),
+        # column 2 has no upper bound, so no bound row to move
+        ([2], 1.5, "no upper bound"),
+        ([0, 2], 1.5, "no upper bound"),
+    ],
+    ids=["nan", "inf", "inverted", "inverted-by-1e-9", "unbounded-column",
+         "with-unbounded-column"],
+)
+def test_lp_set_upper_rejects_non_finite(cols, hi, message):
+    """set_upper checks hi and cols before it moves anything, on a solved
+    LP: a non-finite hi, a hi below a lower bound and a column with no upper
+    bound raise ValueError and leave lb, ub and the next answer as they
+    were."""
+    lp = LinearProgram(np.array([1.0, 1.0, 1.0]), [[1.0, 2.0, 1.0]], [4.0], np.zeros(3),
+                       [2.0, 3.0, np.inf])
     before = solve_lp(lp)
-    with pytest.raises(ValueError, match="non-finite upper bound"):
-        lp.set_upper([0], hi)
-    assert lp.lb.tolist() == [0.0, 0.0] and lp.ub.tolist() == [2.0, 3.0]
+    with pytest.raises(ValueError, match=message):
+        lp.set_upper(cols, hi)
+    assert lp.lb.tolist() == [0.0, 0.0, 0.0] and lp.ub.tolist() == [2.0, 3.0, np.inf]
     _assert_same_result(solve_lp(lp), before)
 
 

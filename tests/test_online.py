@@ -320,19 +320,19 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
 ):
     """Re-pricing the kept tableau changes how each LP is solved, never the
     certified ratios or the discharges: both must match a run whose
-    solve_lp drops the LP's standard form before every solve, so that
-    every LP is solved cold."""
+    solve_lp drops the tableau the LP's standard form keeps before every
+    solve, so that every LP is solved cold."""
     inst, demand = _volatile_day(rate_limit, capacity_rate, day)
     options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
                             initial_ratio=optimal_cr(inst).pi_star)
     warm = []
 
     def warm_solve_lp(lp):
-        warm.append(lp._form is not None and lp._form.tab is not None)
+        warm.append(lp._form.tab is not None)
         return lp_mod.solve_lp(lp)
 
     def cold_solve_lp(lp):
-        lp._form = None
+        lp._form.tab = None
         return lp_mod.solve_lp(lp)
 
     monkeypatch.setattr(online, "solve_lp", warm_solve_lp)
@@ -488,6 +488,11 @@ def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
 def _fresh_requirement(view, pi, kmax):
     """The cutoff's certificate LP built anew by scenario_program and solved
     cold, the way each bisection step once built it."""
+    return lp_mod.solve_lp(_fresh_certificate_lp(view, pi, kmax))
+
+
+def _fresh_certificate_lp(view, pi, kmax):
+    """The cutoff's certificate LP at pi, built anew by scenario_program."""
     inst, t = view.instance, view.t
     floor = max(view.running_peak, view.monthly_peak)
     lb_u = 0.0 if floor <= 0.0 else floor / pi
@@ -497,7 +502,7 @@ def _fresh_requirement(view, pi, kmax):
     lp.objective[: kmax - t] = 1.0
     lp.objective[w_cols] = pi
     lp.objective_constant = -pi * top * len(w_cols)
-    return lp_mod.solve_lp(lp)
+    return lp
 
 
 @pytest.mark.parametrize(
@@ -685,8 +690,8 @@ def test_closed_form_matches_cold_lp_in_range(monkeypatch, day):
     """Every closed form run_anytime reads, one per (slot, cutoff, basis),
     holds across its pi range: its range contains the pi it was ranged at,
     and at 5 interior points of the range (cut to [1, 4]) A + B pi + C/pi
-    equals a freshly built certificate LP solved cold within 1e-9
-    relative."""
+    equals the optimum HiGHS finds on a freshly built certificate LP within
+    1e-9 relative."""
     inst, demand = day()
     real = online._future_requirement
     ranged = {}
@@ -706,9 +711,9 @@ def test_closed_form_matches_cold_lp_in_range(monkeypatch, day):
     for (_t, kmax, _basis), (view, pi, (a, b, c, lo, hi)) in ranged.items():
         assert lo <= pi <= hi
         for x in np.linspace(max(lo, 1.0), min(hi, 4.0), 7)[1:-1]:
-            fresh = _fresh_requirement(view, x, kmax)
-            assert fresh.status == OPTIMAL
-            assert a + b * x + c / x == pytest.approx(fresh.value, rel=1e-9, abs=1e-9)
+            fresh = highs_lp(_fresh_certificate_lp(view, x, kmax))
+            assert fresh is not None
+            assert a + b * x + c / x == pytest.approx(fresh, rel=1e-9, abs=1e-9)
 
 
 def _certificate_runs():
