@@ -257,11 +257,14 @@ _START_SHAPE = (np.frombuffer(b"0000-00-00T00:00:00,", np.uint8),
 def _canonical_fields(text: str):
     """_row_fields' result for a canonical trace, from C-level passes over
     the whole text, else None. Canonical is the exact header, then rows of
-    three fields of _FIELD_BYTES, each start YYYY-MM-DDTHH:MM:SS: the row
-    loop reads each such field with the same call. fromisoformat stays the
-    starts' grammar; numpy, which converts them, also reads year 0000."""
+    three fields of _FIELD_BYTES, each start YYYY-MM-DDTHH:MM:SS or
+    YYYY-MM-DD HH:MM:SS: the row loop reads each such field with the same
+    call. fromisoformat stays the starts' grammar; numpy, which converts
+    them, also reads year 0000."""
     header, _, rows = text.partition("\n")
-    rows = rows.removesuffix("\n")
+    # fromisoformat reads a space between date and time as a T; a space
+    # anywhere else, as a T, breaks the field it is in
+    rows = rows.removesuffix("\n").replace(" ", "T")
     # once the field bytes go, two commas a row and a newline between rows are left
     separators = rows.encode("ascii", "replace").translate(None, _FIELD_BYTES)
     n = len(separators) // 3 + 1

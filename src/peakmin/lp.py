@@ -6,11 +6,16 @@ lb <= x <= ub, with lb finite, ub inf on a column with no upper bound and
 b - a lb >= 0, so once the lower bounds are shifted to zero the all-slack
 basis is feasible, and every cold solve starts from it. LinearProgram
 checks this, and that no box is empty (lb <= ub), on whole arrays and
-raises ValueError otherwise, so every LP it takes is feasible. Pivoting is
-Dantzig's rule with deterministic lowest-index tie-breaking; a degeneracy
+raises ValueError otherwise, so every LP it takes is feasible. Pricing is
+steepest edge (Goldfarb & Reid 1977; Forrest & Goldfarb 1992): the entering
+column maximizes c_j^2 / (1 + |B^-1 a_j|^2), its norm read from the tableau
+at each pivot, with deterministic lowest-index tie-breaking; a degeneracy
 streak switches the rule to Bland's, which guarantees termination. Problems
 in this package are small (at most a few hundred variables), so nothing is
-sparse; what is kept is the tableau itself.
+sparse; what is kept is the tableau itself. A pivot updates only the slice
+between the first and last nonzero of its column and of its row: the
+scenario programs are block-structured, and outside that slice the update
+would change no entry's value.
 
 Built once, kept with its tableau: a LinearProgram builds its standard form
 ([a | unit rows of the bounded columns], scaled, with one slack per row,
@@ -220,7 +225,15 @@ class _Tableau:
             t[m] -= cb[p] * t[p]
 
     def run(self, max_iter: int) -> str:
-        """Pivot until optimal/unbounded. Returns a status string."""
+        """Pivot until optimal/unbounded. Returns a status string.
+
+        Steepest-edge pricing: of the columns whose reduced cost exceeds
+        PIVOT_TOL, the one with the largest c_j^2 / (1 + |B^-1 a_j|^2) enters,
+        the lowest index on a tie, each norm taken from the tableau's column;
+        once 50 pivots in a row leave the objective in place, Bland's rule
+        (lowest index) until one moves it. The ratio test takes the largest
+        pivot among the tied rows, then the lowest basic index (Bland's: that
+        index alone)."""
         t, m, n = self.t, self.m, self.n
         if n == 0:  # no column may enter: the start basis is final
             return OPTIMAL
@@ -228,32 +241,25 @@ class _Tableau:
         stall = 0
         bland = False
         for _ in range(max_iter):
-            costs = obj[:n]
-            if bland:
-                pos = np.nonzero(costs > PIVOT_TOL)[0]
-                if len(pos) == 0:
-                    return OPTIMAL
+            pos = (obj[:n] > PIVOT_TOL).nonzero()[0]
+            if len(pos) == 0:
+                return OPTIMAL
+            if bland or len(pos) == 1:
                 q = int(pos[0])
             else:
-                q = int(np.argmax(costs))
-                if costs[q] <= PIVOT_TOL:
-                    return OPTIMAL
+                sub = t[:m, pos]
+                q = int(pos[np.argmax(obj[pos] ** 2 / (1.0 + (sub * sub).sum(axis=0)))])
             col = t[:m, q]
-            mask = col > PIVOT_TOL
-            if not mask.any():
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            if len(rows) == 0:
                 return UNBOUNDED
-            ratios = np.full(m, np.inf)
-            ratios[mask] = t[:m, n][mask] / col[mask]
-            best = ratios.min()
-            cand = np.nonzero(ratios <= best + 1e-12)[0]
-            if bland:
-                # Bland's rule: leaving variable with the smallest basis index
-                p = int(cand[np.argmin(self.basis[cand])])
-            else:
+            ratios = t[rows, n] / col[rows]
+            cand = rows[ratios <= ratios.min() + 1e-12]
+            if len(cand) > 1 and not bland:
                 # stability first: largest pivot among ties, then smallest index
-                piv = col[cand]
-                keep = cand[piv >= piv.max() - 1e-12]
-                p = int(keep[np.argmin(self.basis[keep])])
+                cand = cand[col[cand] >= col[cand].max() - 1e-12]
+            # then the smallest basis index, which alone is Bland's rule
+            p = int(cand[np.argmin(self.basis[cand])])
             before = obj[n]
             self._pivot(p, q)
             # obj[n] stores minus the objective value; progress drives it down
@@ -267,12 +273,20 @@ class _Tableau:
         raise NumericalFailure(f"simplex iteration cap {max_iter} exceeded")
 
     def _pivot(self, p: int, q: int) -> None:
+        """Pivot on (p, q): row p over its entry in column q, then the rank-1
+        update t -= col_q row_p confined to the rows between the first and
+        last nonzero of column q off row p and the columns between those of
+        row p, on views of t; outside them one factor is zero, so the entry
+        keeps its value (a zero at most its sign)."""
         t = self.t
-        piv = t[p, q]
-        t[p] = t[p] / piv
+        row = t[p]
+        row /= row[q]
         col = t[:, q].copy()
         col[p] = 0.0
-        t -= np.outer(col, t[p])
+        rows, cols = col.nonzero()[0], row.nonzero()[0]
+        if len(rows):
+            r, c = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            t[r, c] -= np.einsum("i,j->ij", col[r], row[c])
         t[:, q] = 0.0
         t[p, q] = 1.0
         self.basis[p] = q

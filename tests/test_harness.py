@@ -418,13 +418,29 @@ def test_bulk_parse_matches_row_parse_on_canonical_traces(seed, monkeypatch):
     assert calls == []
 
 
+def test_bulk_parse_takes_space_separated_starts(monkeypatch):
+    """Starts written with a space between date and time (as
+    datetime.isoformat(sep=" ") writes them), in every row or in one, parse
+    in bulk, without the row loop, into the columns of the T-separated
+    spelling and of the row parse, bit for bit."""
+    text = _canonical_trace_csv(7)
+    calls = _row_loop_calls(monkeypatch)
+    columns = parse_transactions(text)
+    for spaced in (text.replace("T", " "), _with_row(text, 50, lambda row: row.replace("T", " "))):
+        assert spaced != text
+        got = parse_transactions(spaced)
+        for name in TraceColumns._fields:
+            assert np.array_equal(getattr(got, name), getattr(columns, name)), name
+        _assert_columns_match_rows(spaced)
+    assert calls == []
+
+
 # text outside the canonical form, which only the row loop reads or reports
 FALLBACK_TRIGGERS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "comment": lambda text: _with_row(text, 50, lambda row: f"# note\n{row}"),
     "blank-line": lambda text: _with_row(text, 50, lambda row: f"\n{row}"),
     "spaces": lambda text: _with_row(text, 50, lambda row: f" {row.replace(',', ' , ')}\t"),
-    "space-separated-start": lambda text: _with_row(text, 50, lambda row: row.replace("T", " ", 1)),
     "fractional-second": lambda text: _with_row(text, 50, lambda row: row.replace(",", ".25,", 1)),
     "utc-offset": lambda text: _with_row(text, 50, lambda row: row.replace(",", "+02:00,", 1)),
     "start-to-the-minute": lambda text: _with_row(text, 50, lambda row: row[:16] + row[19:]),

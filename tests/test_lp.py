@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import peakmin.lp as lp_mod
-from peakmin.core import Instance
+from peakmin.core import DemandProfile, Instance
 from peakmin.cr import build_cr_compute
 from peakmin.errors import DenominatorNotPositive, NumericalFailure
+from peakmin.harness import synthetic_volatile_profiles
 from peakmin.lp import (
     OPTIMAL,
     UNBOUNDED,
@@ -17,6 +18,7 @@ from peakmin.lp import (
     solve_lfp,
     solve_lp,
 )
+from peakmin.online import run_anytime
 
 from oracles import kept_tableau_gap, le_arrays, primal_feasible_values
 
@@ -719,3 +721,69 @@ def test_lp_drift_while_pivoting_is_refactorized(monkeypatch):
         assert kept_tableau_gap(lp) <= 1e-9
         _assert_answers_as_cold(res, cold, lp)
         factorized.clear()
+
+
+def _outer_pivot(t, p, q):
+    """The pivot on (p, q) as one rank-1 update of the whole tableau: the
+    reference _Tableau._pivot confines to the rows and columns it touches."""
+    t = t.copy()
+    t[p] = t[p] / t[p, q]
+    col = t[:, q].copy()
+    col[p] = 0.0
+    t -= np.outer(col, t[p])
+    t[:, q] = 0.0
+    t[p, q] = 1.0
+    return t
+
+
+def test_confined_pivot_equals_full_outer_update():
+    """On random tableaus with zero rows and columns at the edges and zeros
+    inside, the pivot's update confined to the slice between the first and
+    last nonzero of the pivot column and of the pivot row leaves every entry
+    equal (==) to the update of the whole tableau, also for a pivot column
+    with no nonzero off the pivot row."""
+    rng = np.random.default_rng(79)
+    lone = 0
+    for case in range(300):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 16))
+        t = rng.normal(size=(m + 1, n + 1)) * (rng.random((m + 1, n + 1)) < 0.6)
+        t[: int(rng.integers(0, m + 1))] = 0.0  # leading zero rows
+        t[:, : int(rng.integers(0, n + 1))] = 0.0  # leading zero columns
+        t[m + 1 - int(rng.integers(0, 3)):] = 0.0  # trailing zero rows
+        t[:, n + 1 - int(rng.integers(0, 3)):] = 0.0  # trailing zero columns
+        p, q = int(rng.integers(0, m)), int(rng.integers(0, n))
+        t[p, q] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        if case % 5 == 0:  # a pivot column with no nonzero off row p
+            t[:, q] = 0.0
+            t[p, q] = 2.0
+        lone += not np.delete(t[:, q], p).any()
+        tab = lp_mod._Tableau(t.copy(), np.arange(n, n + m))
+        tab._pivot(p, q)
+        assert (tab.t == _outer_pivot(t, p, q)).all()
+        assert tab.basis[p] == q
+    assert lone >= 60
+
+
+def test_pricing_picks_the_steepest_edge_column(monkeypatch):
+    """Column 0 has the largest reduced cost (Dantzig's choice), but its
+    tableau column is long: c_j^2 / (1 + |B^-1 a_j|^2) is 4/26 there and
+    2.25/2 in columns 1 and 2, so the simplex enters column 1, the lower
+    index of the tie."""
+    pivots = _counting_pivots(monkeypatch)
+    t = np.array([[3.0, 1.0, 0.0, 1.0, 0.0, 6.0],
+                  [4.0, 0.0, 1.0, 0.0, 1.0, 8.0],
+                  [2.0, 1.5, 1.5, 0.0, 0.0, 0.0]])
+    tab = lp_mod._Tableau(t, np.array([3, 4]))
+    assert tab.run(100) == OPTIMAL
+    assert pivots[0] == (0, 1)
+
+
+def test_t20_day_pivots_stay_below_dantzig_rule(monkeypatch):
+    """optimal_cr plus run_anytime on the rate-free T=20 day (day 0 of a
+    seed-7 volatile set at c = 0.1 of the mean daily energy) take at most
+    0.6 x 4,370 pivots; Dantzig's rule took 4,446."""
+    pivots = _counting_pivots(monkeypatch)
+    days = synthetic_volatile_profiles(2, 20, 100.0, 400.0, seed=7)
+    inst = days.instance(0.1 * days.avg_daily_energy, None)
+    run_anytime(inst, DemandProfile(inst, days.day_values[0]))
+    assert len(pivots) <= 0.6 * 4370

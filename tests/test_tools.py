@@ -194,3 +194,26 @@ def test_diff_outputs_cross_load_names_each_difference(tmp_path):
                      "cross-load x-rate-limited: exit 2 (parent) != 0",
                      "cross-load x-rate-limited/report.txt: differs from the parent's",
                      "cross-load x-rate-limited/series.csv: differs from the parent's"]
+
+
+def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
+    """On a cut-down report (one seed-11 day in its three variants and both
+    modes, one census cell, the two days at T=8, one process each) a tree
+    compared with itself is bit-identical everywhere, counts the same pivots
+    on both sides, and its census pi* matches HiGHS."""
+    pytest.importorskip("scipy")
+    pivot_report = _load("pivot_report")
+    root = _TOOLS.parent
+    found = pivot_report.report(root, root, seeds=(11,), days=1, cells=["vol@0.1"], horizon=8,
+                                repeats=1)
+    assert found["runs"] == {"runs": 6, "identical": 6, "differ": [], "max_ratio_change": 0.0,
+                             "max_schedule_change_kwh": 0.0, "raised": []}
+    assert found["days"] == {"runs": 2, "identical": 2, "differ": [], "max_ratio_change": 0.0,
+                             "max_schedule_change_kwh": 0.0, "raised": []}
+    assert list(found["census"]) == ["vol@0.1"]
+    assert found["census_differ"] == [] and found["failures"] == []
+    for work in found["day_work"].values():
+        assert work["parent"]["pivots"] == work["change"]["pivots"] > 0
+    text = pivot_report._text(found, 8)
+    assert text[0] == "runs: 6 of 6 bit-identical, 0 raised on a side"
+    assert text[-1] == "0 census cell(s) off HiGHS by more than 1e-06"
