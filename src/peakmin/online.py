@@ -231,16 +231,18 @@ def _constant_term(view: _SlotView, pi: float) -> float:
 @dataclass
 class _Cutoff:
     """One cutoff's certificate LP as a slot keeps it: the LP, its w
-    columns, the U it was built with, its last optimal basis and that
-    basis's closed form (A, B, C, lo, hi). The cutoff's requirement is
-    A + B pi + C/pi for pi in [lo, hi] (lp.parametric_range, with lo raised
-    so that U stays put); closed is None where no form was read, and is
-    replaced whenever an LP answer returns a new basis."""
+    columns, the U it was built with, its last optimal vertex (the basis
+    and the columns at their upper bound) and that vertex's closed form
+    (A, B, C, lo, hi). The cutoff's requirement is A + B pi + C/pi for pi
+    in [lo, hi] (lp.parametric_range, with lo raised so that U stays put);
+    closed is None where no form was read, and is replaced whenever an LP
+    answer returns a new vertex."""
 
     lp: LinearProgram
     w_cols: np.ndarray
     top: float
     basis: np.ndarray | None = None  # None until the LP is first solved
+    at_upper: np.ndarray | None = None
     closed: tuple | None = None
 
 
@@ -307,7 +309,8 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
-    if cut.closed is None or not np.array_equal(res.basis, cut.basis):
+    if cut.closed is None or not (np.array_equal(res.basis, cut.basis)
+                                  and np.array_equal(res.at_upper, cut.at_upper)):
         # U stays put while floor/pi <= U; a basis that solve_lp's tolerances
         # take as optimal at pi, but that is not optimal there, gets no form
         ranged = None
@@ -317,7 +320,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         if ranged is not None and ranged[3] <= pi <= ranged[4]:
             a, b, c, lo, hi = ranged
             cut.closed = (a, b, c, max(lo, floor / top), hi)
-    cut.basis = res.basis
+    cut.basis, cut.at_upper = res.basis, res.at_upper
     return res.value
 
 

@@ -455,46 +455,58 @@ def phi_bruteforce_witness(
     return float(totals[k]), profiles[k].copy()
 
 
-def slack_standard_form(lp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, lb) of a LinearProgram, whose right-hand sides stay >= 0 once
-    lower bounds are shifted to zero: the columns are the structural ones,
-    then one slack per row of lp.a and per finite upper bound (in column
-    order), so a = [A | I] and b = rhs - A lb. Rows are not equilibrated;
-    that scales B and b alike and leaves x_B as is."""
-    bounded = np.flatnonzero(lp.ub < np.inf)
-    unit = np.eye(lp.num_vars)[bounded]
-    structural = np.vstack([lp.a, unit])
-    rhs = np.concatenate([lp.b - lp.a @ lp.lb, lp.ub[bounded] - lp.lb[bounded]])
-    return np.hstack([structural, np.eye(len(rhs))]), rhs, lp.lb
+def slack_standard_form(lp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, lb, upper) of a LinearProgram, whose right-hand sides stay >= 0
+    once lower bounds are shifted to zero: the columns are the structural
+    ones, then one slack per row of lp.a, so a = [A | I] and b = rhs - A lb,
+    and upper holds each column's upper bound after the shift (ub - lb, inf
+    for a slack). Rows are not equilibrated; that scales B and b alike and
+    leaves x_B as is."""
+    m = len(lp.b)
+    return (np.hstack([lp.a, np.eye(m)]), lp.b - lp.a @ lp.lb, lp.lb,
+            np.concatenate([lp.ub - lp.lb, np.full(m, np.inf)]))
 
 
-def primal_feasible_values(lp, basis, tol: float = 1e-7) -> np.ndarray | None:
-    """Basic values x_B of basis on slack_standard_form(lp), solved from
-    B x_B = b with np.linalg.solve; None when the basis is malformed or
-    singular or a basic value is below -tol."""
-    a, b, _lb = slack_standard_form(lp)
-    basis = np.asarray(basis)
+def primal_feasible_values(lp, basis, at_upper=(), tol: float = 1e-7) -> np.ndarray | None:
+    """Basic values x_B of the vertex (basis, with the columns at_upper at
+    their upper bound and every other nonbasic column at its lower bound) on
+    slack_standard_form(lp), solved from B x_B = b - A_U u_U with
+    np.linalg.solve; None when the vertex is malformed (a column at_upper
+    that is basic or has no upper bound) or B is singular, or a basic value
+    lies more than tol outside its bounds."""
+    a, b, _lb, upper = slack_standard_form(lp)
+    basis, at_upper = np.asarray(basis), np.asarray(at_upper, dtype=int)
     m, cols = a.shape
-    if basis.shape != (m,) or not (0 <= basis.min() and basis.max() < cols) or (
+    if basis.shape != (m,) or not (0 <= basis.min(initial=0) and basis.max(initial=0) < cols) or (
         len(set(basis.tolist())) != m
-    ):
+    ) or np.isin(at_upper, basis).any() or not (upper[at_upper] < np.inf).all():
         return None
     try:
-        values = np.linalg.solve(a[:, basis], b)
+        values = np.linalg.solve(a[:, basis], b - a[:, at_upper] @ upper[at_upper])
     except np.linalg.LinAlgError:
         return None
-    return values if (values >= -tol).all() else None
+    return values if ((values >= -tol) & (values <= upper[basis] + tol)).all() else None
+
+
+def kept_vertex(lp) -> tuple[np.ndarray, np.ndarray] | None:
+    """(basis, columns at their upper bound) of the tableau lp's standard
+    form keeps, copied; None when it keeps none."""
+    tab = lp._form.tab
+    return None if tab is None else (tab.basis.copy(), np.flatnonzero(tab.side < 0.0))
 
 
 def kept_tableau_gap(lp) -> float:
     """Largest entry gap between the tableau lp's standard form keeps (its
-    rows, and the B^-1 b its start-basis columns imply) and B^-1 [A | b] at
-    the same basis from one fresh dense solve on the form's own columns."""
-    form = lp._form
-    tab = form.tab
-    m = tab.m
-    kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, form.start] @ form.rhs])
-    fresh = np.linalg.solve(form.a[:, tab.basis], np.column_stack([form.a, form.rhs]))
+    rows, and the basic values B^-1 (b - A_U u_U) its slack columns imply)
+    and the same from one fresh dense solve on the form's own columns at the
+    same vertex."""
+    form, tab = lp._form, lp._form.tab
+    m, n = form.a.shape
+    upper = np.where(tab.side[:n] < 0.0, lp.ub - lp.lb, 0.0)
+    rhs = form.rhs - form.a @ upper
+    full = np.hstack([form.a, np.eye(m)])
+    kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, n : n + m] @ rhs])
+    fresh = np.linalg.solve(full[:, tab.basis], np.column_stack([full, rhs]))
     return float(np.abs(kept - fresh).max(initial=0.0))
 
 

@@ -20,6 +20,7 @@ from oracles import (
     cr_ratio_oracle,
     highs_lfp_max,
     kept_tableau_gap,
+    kept_vertex,
     le_arrays,
     phi_bruteforce,
     phi_bruteforce_witness,
@@ -295,14 +296,13 @@ def _carry_instances(seed, rate_limited, tau_positive, count=10):
 
 def _recording_solve_lp(monkeypatch):
     """Patch the solve_lp that solve_lfp calls; returns the list of the
-    (LinearProgram, basis of the tableau it keeps, or None) pairs it
-    receives, the basis taken as the call begins."""
+    (LinearProgram, vertex of the tableau it keeps, or None) pairs it
+    receives, the vertex taken as the call begins."""
     real_solve_lp = lp_mod.solve_lp
     calls = []
 
     def recording(lp):
-        tab = lp._form.tab
-        calls.append((lp, None if tab is None else tab.basis.copy()))
+        calls.append((lp, kept_vertex(lp)))
         return real_solve_lp(lp)
 
     monkeypatch.setattr(lp_mod, "solve_lp", recording)
@@ -324,8 +324,8 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
         optimal_cr(inst)
         assert [basis is None for _lp, basis in calls].count(True) == 1
         assert calls[0][1] is None
-        for lp, basis in calls[1:]:
-            assert primal_feasible_values(lp, basis) is not None, inst
+        for lp, vertex in calls[1:]:
+            assert primal_feasible_values(lp, *vertex) is not None, inst
             warm += 1
     assert warm > 40
 
@@ -340,11 +340,12 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
             res = solve_lfp(old)
             carry_basis(old.lp, new.lp, t)
             lp = new.lp
-            basis = lp._form.tab.basis
-            a, _b, lb = slack_standard_form(lp)
-            found = primal_feasible_values(lp, basis)
+            basis, at_upper = kept_vertex(lp)
+            _a, _b, lb, upper = slack_standard_form(lp)
+            found = primal_feasible_values(lp, basis, at_upper)
             assert found is not None, (inst, t)
-            shifted = np.zeros(a.shape[1])
+            shifted = np.zeros(len(upper))
+            shifted[at_upper] = upper[at_upper]
             shifted[basis] = found
             x = shifted[: lp.num_vars] + lb
             kept = np.delete(np.arange(lp.num_vars), t)[: old.lp.num_vars]

@@ -489,7 +489,7 @@ def test_lp_basis_reuse_moved_bound_still_certified():
     fell_through = 0
     for lp, first in _random_feasible_lps(43, 120):
         lp.set_upper(np.arange(lp.num_vars), float(rng.uniform(0.0, 0.5)))
-        primal = primal_feasible_values(lp, first.basis) is not None
+        primal = primal_feasible_values(lp, first.basis, first.at_upper) is not None
         cold = solve_lp(_fresh(lp))
         warm = solve_lp(lp)
         fell_through += not primal
@@ -619,7 +619,7 @@ def test_lp_rejects_non_finite_bound(lb, ub):
         ([0, 1], -0.5, "empty box"),
         # a box inverted by less than the feasibility tolerance is empty too
         ([1], -1e-9, "empty box"),
-        # column 2 has no upper bound, so no bound row to move
+        # column 2 has no upper bound to move
         ([2], 1.5, "no upper bound"),
         ([0, 2], 1.5, "no upper bound"),
     ],
@@ -652,23 +652,27 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _fresh_read(lp, basis):
+def _fresh_read(lp, res):
     """x as _read_basis reads it from a fresh _factorized tableau of lp's
-    form at basis, mapped back to lp's variables."""
-    form = dataclasses.replace(lp._form, tab=lp_mod._factorized(lp._form, basis))
-    values, _duals = lp_mod._read_basis(form, form.rhs, np.zeros(len(basis)))
-    x = np.zeros(form.a.shape[1])
-    x[basis] = values
-    return x[: lp.num_vars] + lp.lb
+    form at res's vertex, mapped back to lp's variables."""
+    form = lp._form
+    side = np.ones(form.tab.n)
+    side[res.at_upper] = -1.0
+    vertex = lp_mod._Tableau(np.zeros((form.tab.m + 1, form.tab.n + 1)), res.basis, side)
+    form = dataclasses.replace(form, tab=lp_mod._factorized(form, vertex))
+    rhs = lp_mod._net_rhs(form, side, lp_mod._upper(lp))
+    values, _duals = lp_mod._read_basis(form, rhs, np.zeros(len(res.basis)))
+    return lp_mod._optimal_result(lp, form, values).x
 
 
 def _assert_answers_as_cold(res, cold, lp):
-    """res has cold's status and basis, its value to 1e-9, and the x a
-    fresh factorization at that basis reads."""
+    """res has cold's status and vertex, its value to 1e-9, and the x a
+    fresh factorization at that vertex reads."""
     assert res.status == cold.status == OPTIMAL
     assert np.array_equal(res.basis, cold.basis)
+    assert np.array_equal(res.at_upper, cold.at_upper)
     assert res.value == pytest.approx(cold.value, abs=1e-9)
-    assert np.array_equal(res.x, _fresh_read(lp, res.basis))
+    assert np.array_equal(res.x, _fresh_read(lp, res))
 
 
 def test_lp_drifted_tableau_is_refactorized(monkeypatch):
@@ -708,8 +712,8 @@ def test_lp_drift_while_pivoting_is_refactorized(monkeypatch):
     rng = np.random.default_rng(73)
     real_run = lp_mod._Tableau.run
 
-    def noisy_run(self, max_iter):
-        status = real_run(self, max_iter)
+    def noisy_run(self, upper, max_iter):
+        status = real_run(self, upper, max_iter)
         self.t[: self.m, : self.n] += rng.normal(scale=1e-6, size=(self.m, self.n))
         return status
 
@@ -774,7 +778,7 @@ def test_pricing_picks_the_steepest_edge_column(monkeypatch):
                   [4.0, 0.0, 1.0, 0.0, 1.0, 8.0],
                   [2.0, 1.5, 1.5, 0.0, 0.0, 0.0]])
     tab = lp_mod._Tableau(t, np.array([3, 4]))
-    assert tab.run(100) == OPTIMAL
+    assert tab.run(np.full(5, np.inf), 100) == OPTIMAL
     assert pivots[0] == (0, 1)
 
 
@@ -787,3 +791,108 @@ def test_t20_day_pivots_stay_below_dantzig_rule(monkeypatch):
     inst = days.instance(0.1 * days.avg_daily_energy, None)
     run_anytime(inst, DemandProfile(inst, days.day_values[0]))
     assert len(pivots) <= 0.6 * 4370
+
+
+def _recording_steps(monkeypatch):
+    """Patch _Tableau._pivot and _flip to record each simplex step as
+    ("pivot", entering column, its side, leaving column) or ("flip",
+    column, its side), the side (+1 at the lower bound, -1 at the upper)
+    taken before the step; returns the step list."""
+    real_pivot, real_flip, steps = lp_mod._Tableau._pivot, lp_mod._Tableau._flip, []
+
+    def pivot(self, p, q):
+        steps.append(("pivot", q, self.side[q], int(self.basis[p])))
+        return real_pivot(self, p, q)
+
+    def flip(self, q, width):
+        steps.append(("flip", q, self.side[q]))
+        return real_flip(self, q, width)
+
+    monkeypatch.setattr(lp_mod._Tableau, "_pivot", pivot)
+    monkeypatch.setattr(lp_mod._Tableau, "_flip", flip)
+    return steps
+
+
+def test_bound_flips_leave_the_basis_unchanged(monkeypatch):
+    """max x + 2y over x + y <= 10, x in [0, 1], y in [0, 3]: each column
+    reaches its own upper bound before the row binds, so each flips there
+    (y first, the steeper edge) and the slack stays the one basic column,
+    with no pivot."""
+    steps = _recording_steps(monkeypatch)
+    lp = LinearProgram(np.array([1.0, 2.0]), [[1.0, 1.0]], [10.0], np.zeros(2), [1.0, 3.0])
+    res = solve_lp(lp)
+    assert steps == [("flip", 1, 1.0), ("flip", 0, 1.0)]
+    assert res.basis.tolist() == [2] and res.at_upper.tolist() == [0, 1]
+    assert res.x.tolist() == [1.0, 3.0] and res.value == 7.0
+
+
+def test_column_enters_from_its_upper_bound(monkeypatch):
+    """max x + y over y - x <= 0, x in [0, 2], y in [0, 1] ends with both
+    columns flipped to their upper bounds. Re-solved for max -x + 3y, x
+    improves only by falling from its upper bound: it enters from there and
+    the row's slack leaves at 0 after a fall of 1, short of x's width 2, so
+    x = y = 1 with y still at its upper bound."""
+    steps = _recording_steps(monkeypatch)
+    lp = LinearProgram(np.array([1.0, 1.0]), [[-1.0, 1.0]], [0.0], np.zeros(2), [2.0, 1.0])
+    first = solve_lp(lp)
+    assert [s[0] for s in steps] == ["flip", "flip"] and first.at_upper.tolist() == [0, 1]
+    steps.clear()
+    lp.objective = np.array([-1.0, 3.0])
+    res = solve_lp(lp)
+    assert steps == [("pivot", 0, -1.0, 2)]
+    assert res.basis.tolist() == [0] and res.at_upper.tolist() == [1]
+    assert res.x == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_basic_variable_leaves_at_its_upper_bound(monkeypatch):
+    """max x over x - y <= 0, x in [0, 0.5], y in [0, 1]: x enters at 0 (a
+    degenerate pivot on the row), then y enters and lifts the basic x,
+    which reaches its upper bound 0.5 before y reaches its own 1, so x
+    leaves at its upper bound and y = 0.5 is basic."""
+    steps = _recording_steps(monkeypatch)
+    lp = LinearProgram(np.array([1.0, 0.0]), [[1.0, -1.0]], [0.0], np.zeros(2), [0.5, 1.0])
+    res = solve_lp(lp)
+    assert steps == [("pivot", 0, 1.0, 2), ("pivot", 1, 1.0, 0)]
+    assert res.basis.tolist() == [1] and res.at_upper.tolist() == [0]
+    assert res.x.tolist() == [0.5, 0.5] and res.value == 0.5
+
+
+def test_bland_fallback_reaches_optimal_across_a_refactorization(monkeypatch):
+    """A degenerate LP (every right-hand side 0 but the last) with the
+    degeneracy streak cut to 3 steps: once Bland's rule takes over, the
+    tableau is replaced in place by a fresh dense factorization at its
+    vertex, and every later step of the streak still enters the lowest
+    eligible column, the stall count carried across the refactorization,
+    until the simplex reaches the optimum an unpatched solve finds."""
+    a = [[0.0, 0.0, 0.0, -1.0, 3.0], [-1.0, 1.0, -1.0, 0.0, 3.0], [-2.0, 1.0, -1.0, 1.0, 2.0],
+         [-1.0, 1.0, 1.0, 0.0, -3.0], [1.0, -3.0, 3.0, 2.0, 2.0], [-3.0, 3.0, 3.0, 1.0, 2.0]]
+    b, ub = [0.0] * 5 + [2.0], [np.inf, 2.0, 2.0, np.inf, 2.0]
+    objective = np.array([0.0, 1.0, 2.0, -3.0, 2.0])
+    expected = solve_lp(LinearProgram(objective, a, b, np.zeros(5), ub))
+    lp = LinearProgram(objective, a, b, np.zeros(5), ub)
+    monkeypatch.setattr(lp_mod, "STALL_STEPS", 3)
+    real_pivot, real_flip = lp_mod._Tableau._pivot, lp_mod._Tableau._flip
+    stall, refactored, checked = [0], [], []
+
+    def step(tab, q, call):
+        t, m, n = tab.t, tab.m, tab.n
+        eligible = np.flatnonzero(t[m, :n] * tab.side > lp_mod.PIVOT_TOL)
+        bland, before = stall[0] >= lp_mod.STALL_STEPS, t[m, n]
+        if bland and refactored:
+            checked.append(q == eligible[0])
+        call()
+        stall[0] = 0 if before - t[m, n] > 1e-12 else stall[0] + 1
+        if bland and not refactored:
+            refactored.append(True)
+            t[:m, :n] = lp_mod._factorized(lp._form, tab).t[:m, :n]
+
+    monkeypatch.setattr(lp_mod._Tableau, "_pivot",
+                        lambda tab, p, q: step(tab, q, lambda: real_pivot(tab, p, q)))
+    monkeypatch.setattr(lp_mod._Tableau, "_flip",
+                        lambda tab, q, w: step(tab, q, lambda: real_flip(tab, q, w)))
+    res = solve_lp(lp)
+    assert refactored and len(checked) >= 2 and all(checked)
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(expected.value, abs=1e-12)
+    assert res.x == pytest.approx(expected.x, abs=1e-12)

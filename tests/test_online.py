@@ -34,6 +34,7 @@ from oracles import (
     certified_ratio_lp_only,
     highs_lp,
     kept_tableau_gap,
+    kept_vertex,
     phi_bruteforce_witness,
     primal_feasible_values,
 )
@@ -452,15 +453,15 @@ def test_reduced_future_lp_matches_full_form(inst, monthly_peak):
 
 @pytest.mark.parametrize(
     "horizon, rate_limit",
-    [(16, None), (16, 100.0), (20, None), (20, 100.0), (24, None), (24, 100.0), (30, None)],
-    ids=["t16", "t16-rl", "t20", "t20-rl", "t24", "t24-rl", "t30"],
+    [(16, None), (16, 100.0), (20, None), (20, 100.0), (24, None), (24, 100.0), (30, None),
+     (30, 100.0)],
+    ids=["t16", "t16-rl", "t20", "t20-rl", "t24", "t24-rl", "t30", "t30-rl"],
 )
 def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
     """Slot 3 of day 0 of a seed-7 volatile set, c = 0.3 of the mean daily
     energy, slots 1-2 committed at 0, pi = 1.6, cutoff T: the certificate
     LP's optimum equals HiGHS on the same LP, and with the constant term
-    added, HiGHS on the full printed form. (T = 30 with a rate limit is left
-    out: its one cold solve takes seconds.)"""
+    added, HiGHS on the full printed form."""
     pytest.importorskip("scipy")
     days = synthetic_volatile_profiles(2, horizon, 100.0, 400.0, seed=7)
     inst = days.instance(0.3 * days.avg_daily_energy, rate_limit)
@@ -578,7 +579,7 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
 
     def checked_carry(old, new, at):
         real_carry(old, new, at)
-        carried.append(primal_feasible_values(new, new._form.tab.basis) is not None)
+        carried.append(primal_feasible_values(new, *kept_vertex(new)) is not None)
 
     def counting_program(instance, prefix, k, x_lb, u_lb):
         builds.append((len(prefix), k))
@@ -925,3 +926,35 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     online._certify(states[0], 1.5, 1e-4)  # evicted: certified again
     assert len(calls) == online.MEMO_SIZE + 51
     assert online._certify.cache_info().currsize == online.MEMO_SIZE
+
+
+def test_closed_form_is_keyed_on_the_whole_vertex(monkeypatch):
+    """A cutoff's closed form belongs to a vertex of its LP: the basis and
+    the columns at their upper bound. An LP answer at the kept vertex is
+    not ranged again; one reported with the kept basis but another set of
+    columns at their upper bound is."""
+    inst, demand = _volatile_day(None, 0.3, 1)
+    view = online._slot_view(inst, OnlineState(inst), float(demand.values[0]))
+    real_range, real_solve_lp = online.parametric_range, online.solve_lp
+    ranged, moved = [], [False]
+
+    def counting_range(*args):
+        ranged.append(args)
+        return real_range(*args)
+
+    def solve_lp(lp):
+        res = real_solve_lp(lp)
+        if moved[0]:
+            res = replace(res, at_upper=np.append(res.at_upper, lp.num_vars - 1))
+        return res
+
+    monkeypatch.setattr(online, "parametric_range", counting_range)
+    monkeypatch.setattr(online, "solve_lp", solve_lp)
+    warm, pi, kmax = online._WarmStart(), 1.3, inst.horizon_T
+    online._future_requirement(view, pi, kmax, warm)
+    assert len(ranged) == 1 and warm.cutoffs[kmax].closed is not None
+    online._future_requirement(view, pi, kmax, warm)
+    assert len(ranged) == 1
+    moved[0] = True
+    online._future_requirement(view, pi, kmax, warm)
+    assert len(ranged) == 2

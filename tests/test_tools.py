@@ -200,7 +200,7 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
     """On a cut-down report (one seed-11 day in its three variants and both
     modes, one census cell, the two days at T=8, one process each) a tree
     compared with itself is bit-identical everywhere, counts the same pivots
-    on both sides, and its census pi* matches HiGHS."""
+    and bound flips on both sides, and its census pi* matches HiGHS."""
     pytest.importorskip("scipy")
     pivot_report = _load("pivot_report")
     root = _TOOLS.parent
@@ -214,6 +214,7 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
     assert found["census_differ"] == [] and found["failures"] == []
     for work in found["day_work"].values():
         assert work["parent"]["pivots"] == work["change"]["pivots"] > 0
+        assert work["parent"]["flips"] == work["change"]["flips"]
     text = pivot_report._text(found, 8)
     assert text[0] == "runs: 6 of 6 bit-identical, 0 raised on a side"
     assert text[-1] == "0 census cell(s) off HiGHS by more than 1e-06"

@@ -15,8 +15,9 @@ tree's perfbench/inputs.py on both sides):
           100, 400, seed=7) at c = 0.1 of the mean daily energy, rate-free
           and with a 100 kWh rate limit, run_anytime with optimal_cr
           included, each in a process of its own (REPEATS times, the sides
-          alternating), counting pivots (_Tableau._pivot calls), wall time
-          and peak RSS
+          alternating), counting pivots (_Tableau._pivot calls) and, apart
+          from them, bound flips (_Tableau._flip calls, none in a tree
+          without them), wall time and peak RSS
   census  optimal_cr's pi* on the 13 cr_t20 census cells (inputs.cr_census
           with no time budget), against HiGHS (perfbench/reference.py's
           highs_pi_star, run in the working tree)
@@ -24,11 +25,11 @@ tree's perfbench/inputs.py on both sides):
 It prints how many of the runs and of the T=20 runs are bit-identical
 (certified ratios and schedule), and the largest change in certified ratio
 (relative) and in schedule (kWh) among the rest; each census cell's pi* on
-both sides against HiGHS; and pivots, median time and peak RSS of both T=20
-days on both sides. The exit status is 1 when a census pi* of the working
-tree is off HiGHS by more than PI_TOL (or optimal_cr raised there), and 0
-otherwise: a change in pivot choices may move last bits, and the report
-says by how much.
+both sides against HiGHS; and pivots, bound flips, median time and peak RSS
+of both T=20 days on both sides. The exit status is 1 when a census pi* of
+the working tree is off HiGHS by more than PI_TOL (or optimal_cr raised
+there), and 0 otherwise: a change in pivot choices may move last bits, and
+the report says by how much.
 """
 
 from __future__ import annotations
@@ -93,20 +94,26 @@ if job == "runs":
                                            online.PolicyOptions(mode=mode, monthly_peak=monthly,
                                                                 initial_ratio=pi))))
 elif job == "day":
-    count = [0]
-    real_pivot = lp._Tableau._pivot
+    count = {"_pivot": 0, "_flip": 0}
 
-    def counted(self, p, q):
-        count[0] += 1
-        return real_pivot(self, p, q)
+    def counting(name):
+        real = getattr(lp._Tableau, name)
 
-    lp._Tableau._pivot = counted
+        def counted(self, *args):
+            count[name] += 1
+            return real(self, *args)
+        return counted
+
+    for name in count:
+        # a tree whose simplex makes no bound flips counts none
+        if hasattr(lp._Tableau, name):
+            setattr(lp._Tableau, name, counting(name))
     days = harness.synthetic_volatile_profiles(2, spec["horizon"], 100.0, 400.0, seed=7)
     inst = days.instance(0.1 * days.avg_daily_energy, spec["rate_limit"])
     demand = core.DemandProfile(inst, days.day_values[0])
     t0 = time.perf_counter()
     out["run"] = guarded(lambda: record(online.run_anytime(inst, demand)))
-    out.update(pivots=count[0], seconds=time.perf_counter() - t0,
+    out.update(pivots=count["_pivot"], flips=count["_flip"], seconds=time.perf_counter() - t0,
                rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 elif job == "census":
     out = {name: guarded(lambda: cr.optimal_cr(inst).pi_star)
@@ -186,7 +193,7 @@ def report(parent: Path, change: Path, seeds=RUN_SEEDS, days=RUN_DAYS, cells=Non
         "days": compare_runs(*({label: s[side][0]["run"] for label, s in day_runs.items()}
                                for side in trees)),
         "day_work": {label: {side: {key: statistics.median(r[key] for r in s[side])
-                                    for key in ("pivots", "seconds", "rss_mb")}
+                                    for key in ("pivots", "flips", "seconds", "rss_mb")}
                              for side in trees}
                      for label, s in day_runs.items()},
         "census": {name: {"highs": highs[name], **{side: census[side][name] for side in trees}}
@@ -220,7 +227,8 @@ def _text(found: dict, horizon: int) -> list[str]:
     for label, work in found["day_work"].items():
         p, c = work["parent"], work["change"]
         lines.append(f"  {label}: pivots {p['pivots']:,.0f} -> {c['pivots']:,.0f} "
-                     f"(x{c['pivots'] / p['pivots']:.3f}), time {p['seconds']:.3f} -> "
+                     f"(x{c['pivots'] / p['pivots']:.3f}; bound flips {p['flips']:,.0f} -> "
+                     f"{c['flips']:,.0f}), time {p['seconds']:.3f} -> "
                      f"{c['seconds']:.3f} s (x{c['seconds'] / p['seconds']:.3f}), peak RSS "
                      f"{p['rss_mb']:.1f} -> {c['rss_mb']:.1f} MB")
     lines.append(f"{len(found['failures'])} census cell(s) off HiGHS by more than {PI_TOL:g}"
