@@ -229,10 +229,10 @@ class OnlineState:
     running_peak: float = 0.0  # max over committed slots of (d_k - delta_k); 0 before slot 1
 
     def __post_init__(self):
-        # written so that NaN fails both; prev_ratio = inf means not seeded
+        # NaN and a bool fail both; prev_ratio = inf means not seeded
         if not is_at_least(self.monthly_peak, 0.0):
             raise NonPositiveBound(f"monthly_peak must be finite and >= 0, got {self.monthly_peak}")
-        if not self.prev_ratio >= 1.0 - 1e-6:
+        if not (self.prev_ratio == math.inf or is_at_least(self.prev_ratio, 1.0 - 1e-6)):
             raise ValueError(f"prev_ratio must be >= 1, got {self.prev_ratio}")
 
     @property

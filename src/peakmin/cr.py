@@ -189,11 +189,10 @@ def _prefix_program(instance: Instance, t: int) -> LfpProblem:
 
 
 def _floor_quotient(c: float, d_ub: float) -> int:
-    """floor(c/d_ub) computed on decimal strings; float fallback nudges down."""
-    try:
-        return int(Decimal(str(c)) // Decimal(str(d_ub)))
-    except Exception:
-        return int(math.floor(c / d_ub - 1e-12))
+    """floor(c/d_ub) computed on decimal strings. A checked Instance has
+    c <= T d_ub + EPS_KWH, so the quotient is about T at most, which fits
+    the 28-digit decimal context for any horizon whose LPs can be built."""
+    return int(Decimal(str(c)) // Decimal(str(d_ub)))
 
 
 def optimal_cr(instance: Instance) -> CrResult:

@@ -1,10 +1,9 @@
 """Trace ingestion, synthetic day generators, and the experiment driver.
 
 Raw charging traces arrive as CSV transactions (start time, duration,
-energy). parse_transactions reads them into TraceColumns, checked on whole
-columns: canonical text in bulk, and any other in the row loop, which alone
-reads comments and UTC offsets and names the line of a field that does not
-parse. ingest_trace slots the columns
+energy). parse_transactions reads every trace in column passes into
+TraceColumns, checked on whole columns; a loop over rows runs only to name
+the line of a field that does not read. ingest_trace slots the columns
 into a DayProfileSet, per-day on-peak demand profiles at constant power
 plus the SlottingConfig that cut them, as the synthetic generators and the
 JSON loader build theirs. run_experiment replays a roster of policies over
@@ -235,95 +234,61 @@ _END_MAX_US, _START_MIN_US = (
 _SPAN_MAX_MIN = (_END_MAX_US - _START_MIN_US) / _MINUTE_US
 
 
-def _trace_columns(start_us, duration_min, energy_kwh) -> TraceColumns:
-    """A length converts as timedelta(minutes=x) does: whole minutes exactly,
-    their fraction times 60e6 rounded half to even. One that is not positive,
-    finite and within the datetime range gets 0 (parse_transactions rejects it)."""
-    duration_min = np.array(duration_min, dtype=float)
-    fraction, whole = np.modf(np.where(
-        (duration_min > 0) & (duration_min <= _SPAN_MAX_MIN), duration_min, 0.0))
+# every byte but the comma and the newline, which the byte pass keeps
+_NOT_SEPARATORS = bytes(byte for byte in range(256) if byte not in b",\n")
+# a start, each digit as 0, in a form numpy's datetime64 reads as fromisoformat
+# does (it reads "20240506" as a year, and a basic time or a long fraction otherwise)
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+_NUMPY_START = re.compile(rb"0000-00-00(?:[T ]00(?::00(?::00(?:\.0{1,6})?)?)?)?")
+
+
+def _line_number(lines, index: int) -> int:
+    """The number of the index-th line that is neither blank nor a comment."""
+    return [number for number, line in enumerate(lines, 1) if line and line[0] != "#"][index]
+
+
+def _first_problem(rows):
+    """(index, message) of the first row whose fields do not read, else None."""
+    for index, row in enumerate(rows):
+        cells = [cell.strip() for cell in row.split(",")]
+        if len(cells) != 3:
+            return index, f"expected 3 fields, got {len(cells)}"
+        try:
+            datetime.fromisoformat(cells[0]), parse_decimal(cells[1]), parse_decimal(cells[2])
+        except ValueError as exc:
+            return index, str(exc)
+
+
+def _read_rows(rows):
+    """The columns of rows of three fields each, and which starts carry a
+    UTC offset. A length converts as timedelta(minutes=x) does: whole
+    minutes exactly, their fraction times 60e6 rounded half to even. One
+    that is not positive, finite and within the datetime range gets 0
+    (parse_transactions rejects it)."""
+    text = ",".join(rows)
+    cells = text.split(",") if rows else []
+    # numpy reads a str number as float() does, which reads plain ASCII as
+    # parse_decimal reads it stripped, but for "_" and the separators \x1c-\x1f
+    if not text.isascii() or any(mark in text for mark in "_\x1c\x1d\x1e\x1f"):
+        cells[1::3], cells[2::3] = ([parse_decimal(cell.strip()) for cell in cells[k::3]]
+                                    for k in (1, 2))
+    starts = list(map(str.strip, cells[0::3]))
+    moments = list(map(datetime.fromisoformat, starts))
+    shapes = "\n".join(starts).encode("ascii", "replace").translate(_DIGITS_AS_ZERO)
+    first = shapes.partition(b"\n")[0]
+    # most traces write every start in one shape, which needs no split
+    kinds = {first} if shapes == b"\n".join([first] * len(starts)) else set(shapes.split(b"\n"))
+    if all(map(_NUMPY_START.fullmatch, kinds)):
+        aware = np.zeros(len(starts), bool)
+    else:
+        starts = [moment.replace(tzinfo=None).isoformat() for moment in moments]
+        aware = np.array([moment.tzinfo is not None for moment in moments], bool)
+    minutes, kwh = (np.array(cells[k::3], dtype=float) for k in (1, 2))
+    fraction, whole = np.modf(np.where((minutes > 0) & (minutes <= _SPAN_MAX_MIN), minutes, 0.0))
     duration_us = (whole.astype(np.int64) * _MINUTE_US
                    + np.rint(fraction * _MINUTE_US).astype(np.int64))
-    return TraceColumns(start_us, duration_us, duration_min, np.array(energy_kwh, dtype=float))
-
-
-# the bytes of a canonical field: no space, "#", "_", non-ASCII text, "nan" or "inf"
-_FIELD_BYTES = b"0123456789+-.eE:T"
-# each byte of a canonical start and of the comma after it lies between these
-_START_SHAPE = (np.frombuffer(b"0000-00-00T00:00:00,", np.uint8),
-                np.frombuffer(b"9999-99-99T99:99:99,", np.uint8))
-
-
-def _canonical_fields(text: str):
-    """_row_fields' result for a canonical trace, from C-level passes over
-    the whole text, else None. Canonical is the exact header, then rows of
-    three fields of _FIELD_BYTES, each start YYYY-MM-DDTHH:MM:SS or
-    YYYY-MM-DD HH:MM:SS: the row loop reads each such field with the same
-    call. fromisoformat stays the starts' grammar; numpy, which converts
-    them, also reads year 0000."""
-    header, _, rows = text.partition("\n")
-    # fromisoformat reads a space between date and time as a T; a space
-    # anywhere else, as a T, breaks the field it is in
-    rows = rows.removesuffix("\n").replace(" ", "T")
-    # once the field bytes go, two commas a row and a newline between rows are left
-    separators = rows.encode("ascii", "replace").translate(None, _FIELD_BYTES)
-    n = len(separators) // 3 + 1
-    if header != ",".join(TRACE_HEADER) or separators != b",,\n" * (n - 1) + b",,":
-        return None
-    fields = rows.replace("\n", ",").split(",")
-    starts = fields[0::3]
-    try:
-        # each start and a comma as an (n, 20) matrix, which a start of another length breaks
-        shape = np.frombuffer(",".join(starts).encode() + b",", np.uint8).reshape(n, 20)
-        if not ((shape >= _START_SHAPE[0]) & (shape <= _START_SHAPE[1])).all():
-            return None
-        moments = list(map(datetime.fromisoformat, starts))
-        minutes, kwh = (np.fromiter(map(float, fields[k::3]), float, n) for k in (1, 2))
-    except ValueError:
-        return None
-    columns = _trace_columns(np.array(starts, dtype="datetime64[us]").view(np.int64), minutes, kwh)
-    return columns, range(2, n + 2), None, moments, np.zeros(n, bool)
-
-
-def _row_fields(lines):
-    """The row loop, for any other text; it stops at a field that does not parse."""
-    starts, minutes, kwh, linenos = [], [], [], []
-    failure = None  # (line number, message) of the line that ended the pass
-    saw_header = False
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        cells = text.split(",")
-        if not saw_header:
-            if tuple(c.strip().lower() for c in cells) != TRACE_HEADER:
-                raise MalformedRecord(
-                    f"line {lineno}: expected header {','.join(TRACE_HEADER)}, got {text!r}"
-                )
-            saw_header = True
-            continue
-        if len(cells) != 3:
-            failure = (lineno, f"expected 3 fields, got {len(cells)}")
-            break
-        # parse_decimal's test once a row, not once a field
-        number = float if text.isascii() and "_" not in text else parse_decimal
-        try:
-            start, duration, energy = (datetime.fromisoformat(cells[0].strip()),
-                                       number(cells[1].strip()), number(cells[2].strip()))
-        except ValueError as exc:
-            failure = (lineno, str(exc))
-            break
-        starts.append(start)
-        minutes.append(duration)
-        kwh.append(energy)
-        linenos.append(lineno)
-    if not saw_header:
-        raise MalformedRecord("empty input: the header row is required")
-    # naive fields, as _canonical_fields converts them; the rules reject an aware start
-    start_us = np.array([moment.replace(tzinfo=None) for moment in starts],
-                        dtype="datetime64[us]").view(np.int64)
-    aware = np.array([moment.tzinfo is not None for moment in starts], dtype=bool)
-    return _trace_columns(start_us, minutes, kwh), linenos, failure, starts, aware
+    start_us = np.array(starts, dtype="datetime64[us]").view(np.int64)
+    return TraceColumns(start_us, duration_us, minutes, kwh), aware
 
 
 def parse_transactions(lines) -> TraceColumns:
@@ -333,12 +298,33 @@ def parse_transactions(lines) -> TraceColumns:
     The header row is required. Blank lines and lines starting with "#" are
     skipped. Field-level problems raise MalformedRecord with the offending
     line number; a file with a header but no data rows raises EmptyTrace.
-    Canonical text parses in bulk; the row loop reads any other and names a
-    line whose fields do not parse. The rules then run on whole columns.
+    Fields are read in column passes; where one does not read, a loop names
+    its row, unless a rule on the columns names an earlier one.
     """
-    parsed = _canonical_fields(lines) if isinstance(lines, str) else None
-    columns, linenos, failure, starts, aware = parsed or _row_fields(
-        lines.splitlines() if isinstance(lines, str) else lines)
+    lines = list(map(str.strip, lines.splitlines() if isinstance(lines, str) else lines))
+    kept, text = lines, "\n".join(lines)
+    if "" in lines or "#" in text:
+        kept = [line for line in lines if line and line[0] != "#"]
+        text = "\n".join(kept)
+    if not kept:
+        raise MalformedRecord("empty input: the header row is required")
+    if tuple(cell.strip().lower() for cell in kept[0].split(",")) != TRACE_HEADER:
+        raise MalformedRecord(f"line {_line_number(lines, 0)}: expected header "
+                              f"{','.join(TRACE_HEADER)}, got {kept[0]!r}")
+    rows = kept[1:]
+    if not rows:
+        raise EmptyTrace("no transactions after the header")
+    failure = None
+    try:
+        # two commas on the header and on each row: three fields
+        separators = text.encode("ascii", "replace").translate(None, _NOT_SEPARATORS)
+        if separators != b",,\n" * len(rows) + b",,":
+            raise ValueError
+        columns, aware = _read_rows(rows)
+    except ValueError:
+        # no row fails where a line given in a list held a line break
+        failure = _first_problem(rows)
+        columns, aware = _read_rows(rows[:failure[0]] if failure else rows)
     start_us, duration_us, minutes, kwh = columns
     # slot boundaries are naive local times, which an aware start cannot meet
     rules = (
@@ -346,28 +332,25 @@ def parse_transactions(lines) -> TraceColumns:
          lambda i: f"duration_min must be > 0, got {float(minutes[i])}"),
         (~(np.isfinite(kwh) & (kwh >= 0)),
          lambda i: f"energy_kwh must be >= 0, got {float(kwh[i])}"),
-        (aware, lambda i: f"start must carry no UTC offset, got {starts[i].isoformat()}"),
+        (aware, lambda i: "start must carry no UTC offset, got "
+         + datetime.fromisoformat(rows[i].split(",")[0].strip()).isoformat()),
         ((minutes > _SPAN_MAX_MIN) | (start_us + duration_us > _END_MAX_US),
          lambda i: f"a {float(minutes[i])} min session ends past year 9999"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in rules])
     if bad.any():
         row = int(bad.argmax())
-        failure = (linenos[row], next(message(row) for mask, message in rules if mask[row]))
+        failure = (row, next(message(row) for mask, message in rules if mask[row]))
     if failure is not None:
-        raise MalformedRecord(f"line {failure[0]}: {failure[1]}")
-    if not starts:
-        raise EmptyTrace("no transactions after the header")
+        raise MalformedRecord(f"line {_line_number(lines, failure[0] + 1)}: {failure[1]}")
     return columns
 
 
 def load_transactions(path) -> TraceColumns:
     # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports start with
     with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    # a file's lines end at "\n" (universal newlines), not at splitlines()'s other breaks
-    split = any(mark in text for mark in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-    return parse_transactions(text.split("\n") if split else text)
+        # a file's lines end at "\n" (universal newlines), not at splitlines()'s other breaks
+        return parse_transactions(fh.read().removesuffix("\n").split("\n"))
 
 
 def _same_fields(a, b):

@@ -482,8 +482,15 @@ def depleting_amount(
     to keep pi_t guaranteeable from this slot on; spending it cannot break the
     pi_t guarantee. Clamped to the slot's hard feasibility caps only. A
     materially negative slack means the certification engine disagrees with
-    itself and is raised as NegativeSlack.
+    itself and is raised as NegativeSlack. pi_t below 1, infinite or NaN, a
+    base_delta below 0, infinite or NaN, and a state of another instance
+    raise ValueError.
     """
+    _check_ratio(pi_t)
+    if not is_at_least(base_delta, 0.0):
+        raise ValueError(f"base_delta must be >= 0 and finite, got {base_delta}")
+    if instance != state.instance:
+        raise ValueError("the state belongs to another instance")
     if len(state.observed) != len(state.actions) + 1:
         raise ValueError("state must be mid-slot: observe d_t before depleting")
     view = _slot_view(instance, state)

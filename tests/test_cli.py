@@ -10,8 +10,10 @@ import pytest
 
 import peakmin.cli as cli
 from peakmin.cli import main, read_demand_file
+from peakmin.core import DemandProfile, Instance
 from peakmin.errors import MalformedRecord
 from peakmin.harness import save_profile_set, synthetic_uniform_profiles
+from peakmin.online import run_pcr_pmd
 
 from conftest import DHAT
 
@@ -90,6 +92,22 @@ def test_simulate_fixed_golden(capsys, dhat_file):
     assert "final_peak,600.000000" in lines
     assert "offline_peak,474.000000" in lines
     assert "inventory_spent,630.000000" in lines
+
+
+def test_simulate_fixed_at_a_given_pi(capsys, dhat_file):
+    """--pi 1.3 runs the fixed policy at pi = 1.3, as run_pcr_pmd does."""
+    code, out, _ = run_cli(capsys, [
+        "simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
+        "--demands", dhat_file, "--algo", "fixed", "--pi", "1.3",
+    ])
+    assert code == 0
+    instance = Instance(630.0, None, len(DHAT), 300.0, 600.0)
+    run = run_pcr_pmd(instance, 1.3, DemandProfile(instance, DHAT))
+    lines = out.splitlines()
+    for t, delta in enumerate(run.schedule.values, start=1):
+        assert lines[t].split(",")[2::2] == [cli._f(delta), "1.300000"]
+    assert f"final_peak,{cli._f(run.final_peak)}" in lines
+    assert f"inventory_spent,{cli._f(run.inventory_spent)}" in lines
 
 
 def test_simulate_baseline_has_no_ratio_column(capsys, dhat_file):
@@ -412,6 +430,19 @@ def test_ingest_reads_a_byte_order_mark(capsys, tmp_path):
         ])
         assert code == 0, err
     assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_ingest_takes_both_demand_bounds_or_neither(capsys, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("start_iso8601,duration_min,energy_kwh\n2024-05-06 12:00,60,6.0\n",
+                     encoding="utf-8")
+    out_path = tmp_path / "days.json"
+    code, _out, err = run_cli(capsys, [
+        "ingest", "--input", str(trace), "--output", str(out_path), "--d-lb", "1",
+    ])
+    assert code == 2
+    assert err.startswith("MalformedRecord") and "--d-ub" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("d_ub", ["inf", "nan"])

@@ -269,6 +269,16 @@ def test_online_state_rejects_a_bool_monthly_peak():
         OnlineState(Instance(1.0, None, 2, 1.0, 2.0), monthly_peak=True)
 
 
+def test_online_state_rejects_a_bool_prev_ratio():
+    """prev_ratio=True used to seed the bisection ceiling with 1; the floor
+    1 - 1e-6 still admits a ratio rounded just below 1."""
+    inst = Instance(1.0, None, 2, 1.0, 2.0)
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="prev_ratio"):
+            OnlineState(inst, prev_ratio=bad)
+    assert OnlineState(inst, prev_ratio=1.0 - 1e-7).prev_ratio == 1.0 - 1e-7
+
+
 def test_online_state_rejects_nan_and_infinite_settings():
     inst = Instance(1.0, None, 2, 1.0, 2.0)
     for bad in (NAN, float("inf")):

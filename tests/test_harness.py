@@ -380,18 +380,6 @@ def _canonical_trace_csv(seed: int, rows: int = 400) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_loop_calls(monkeypatch) -> list:
-    """The lines of each later call of the row loop."""
-    calls, row_fields = [], harness._row_fields
-
-    def counted(lines):
-        calls.append(lines)
-        return row_fields(lines)
-
-    monkeypatch.setattr(harness, "_row_fields", counted)
-    return calls
-
-
 def _assert_parse_matches_rows(text: str) -> None:
     """parse_transactions gives the row parse's columns, or its message."""
     try:
@@ -410,21 +398,17 @@ def _with_row(text: str, index: int, edit) -> str:
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_bulk_parse_matches_row_parse_on_canonical_traces(seed, monkeypatch):
-    """A canonical trace parses in bulk, without the row loop, into the row
-    parse's columns bit for bit."""
-    calls = _row_loop_calls(monkeypatch)
+def test_bulk_parse_matches_row_parse_on_canonical_traces(seed):
+    """A canonical trace parses into the row parse's columns bit for bit."""
     _assert_columns_match_rows(_canonical_trace_csv(seed))
-    assert calls == []
 
 
-def test_bulk_parse_takes_space_separated_starts(monkeypatch):
+def test_bulk_parse_takes_space_separated_starts():
     """Starts written with a space between date and time (as
     datetime.isoformat(sep=" ") writes them), in every row or in one, parse
-    in bulk, without the row loop, into the columns of the T-separated
-    spelling and of the row parse, bit for bit."""
+    into the columns of the T-separated spelling and of the row parse, bit
+    for bit."""
     text = _canonical_trace_csv(7)
-    calls = _row_loop_calls(monkeypatch)
     columns = parse_transactions(text)
     for spaced in (text.replace("T", " "), _with_row(text, 50, lambda row: row.replace("T", " "))):
         assert spaced != text
@@ -432,10 +416,10 @@ def test_bulk_parse_takes_space_separated_starts(monkeypatch):
         for name in TraceColumns._fields:
             assert np.array_equal(getattr(got, name), getattr(columns, name)), name
         _assert_columns_match_rows(spaced)
-    assert calls == []
 
 
-# text outside the canonical form, which only the row loop reads or reports
+# text outside the canonical form: lines to strip or skip, and starts in forms
+# numpy's datetime64 reads otherwise than fromisoformat or not at all
 FALLBACK_TRIGGERS = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "comment": lambda text: _with_row(text, 50, lambda row: f"# note\n{row}"),
@@ -448,6 +432,14 @@ FALLBACK_TRIGGERS = {
     "offset-start": lambda text: _with_row(text, 50, lambda row: row[:13] + "+02:00" + row[19:]),
     "basic-format-start": lambda text: _with_row(
         text, 50, lambda row: row[:19].replace("-", "").replace(":", "") + ".250" + row[19:]),
+    "basic-format-date": lambda text: _with_row(text, 50, lambda row: row[:10].replace("-", "")
+                                                + row[10:]),
+    "basic-format-time": lambda text: _with_row(text, 50, lambda row: row[:13] + row[14:16]
+                                                + row[19:]),
+    "week-date-start": lambda text: _with_row(text, 50, lambda row: "2024-W19-1" + row[10:]),
+    "lowercase-t-start": lambda text: _with_row(text, 50, lambda row: row.replace("T", "t", 1)),
+    "twenty-digit-fraction": lambda text: _with_row(
+        text, 50, lambda row: row.replace(",", ".12345678901234567890,", 1)),
     "two-then-four-fields": lambda text: _with_row(
         text, 50, lambda row: "2024-05-06T12:00:00,30\n10,2024-05-06T12:00:00,30,10"),
     "byte-order-mark": lambda text: "\ufeff" + text,
@@ -455,13 +447,19 @@ FALLBACK_TRIGGERS = {
 
 
 @pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS)
-def test_fallback_gives_what_the_row_parse_gives(trigger, monkeypatch):
-    """A trace with one non-canonical line goes to the row loop, and gives
-    the row parse's columns, or its message and line number."""
-    text = FALLBACK_TRIGGERS[trigger](_canonical_trace_csv(7, rows=100))
-    calls = _row_loop_calls(monkeypatch)
-    _assert_parse_matches_rows(text)
-    assert len(calls) == 1
+def test_fallback_gives_what_the_row_parse_gives(trigger):
+    """A trace with one non-canonical line gives the row parse's columns, or
+    its message and line number."""
+    _assert_parse_matches_rows(FALLBACK_TRIGGERS[trigger](_canonical_trace_csv(7, rows=100)))
+
+
+def test_a_listed_line_holding_a_line_break_is_one_line():
+    """Lines given as a list are numbered one to an item, as the row parse
+    numbers them, also where an item holds a line break, which fromisoformat
+    reads as the separator of a start."""
+    for lines in ([HEADER, "2024-05-06\n12:00,30,10", GOOD_ROWS[0]],
+                  [HEADER, GOOD_ROWS[0], "2024-05-06 12:00,30,1\n0", GOOD_ROWS[1]]):
+        _assert_parse_matches_rows(lines)
 
 
 # a bad start, length or energy in the middle of a canonical trace

@@ -179,6 +179,26 @@ def test_demand_just_above_the_box_still_certifies():
     assert slacks[1] == pytest.approx(slacks[0], abs=1e-6)
 
 
+@pytest.mark.parametrize("pi_t, base_delta, other, message", [
+    (0.0, 0.0, False, "pi must be"), (math.inf, 0.0, False, "pi must be"),
+    (math.nan, 0.0, False, "pi must be"), (True, 0.0, False, "pi must be"),
+    (2.0, -5.0, False, "base_delta"), (2.0, math.nan, False, "base_delta"),
+    (2.0, 0.0, True, "another instance"),
+], ids=["pi-zero", "pi-inf", "pi-nan", "pi-bool", "negative-delta", "nan-delta", "other-instance"])
+def test_depleting_amount_checks_its_inputs(pi_t, base_delta, other, message):
+    """depleting_amount checks what pcr_step checks. Unchecked, pi_t = 0
+    raised NegativeSlack, pi_t = inf or NaN discharged the whole slot (the
+    certificate LP answered NaN, read as no requirement), True ran as 1, a
+    negative or NaN base_delta came back raised by the slack, and a state
+    of another instance was certified on the wrong bounds."""
+    inst = Instance(capacity_c=90.0, rate_limit=None, horizon_T=4, demand_lb=50.0, demand_ub=100.0)
+    state = OnlineState(replace(inst, demand_ub=120.0) if other else inst)
+    state.observe(80.0)
+    assert online.depleting_amount(state.instance, state, 2.0, 0.0) >= 0.0
+    with pytest.raises(ValueError, match=message):
+        online.depleting_amount(inst, state, pi_t, base_delta)
+
+
 def test_anytime_slot1_hand_values(tiny_instance):
     """After observing d_1 the smallest guaranteeable ratio is known in closed
     form on the tiny instance: 1.2 at d_1 = 2 and 4/3 at d_1 = 1."""
@@ -203,6 +223,22 @@ def test_anytime_trajectory_nonincreasing_and_bounded(tiny_instance):
         assert traj[0] <= pi_star + 1e-9
         off = offline_peak(tiny_instance, demand)
         assert run.final_peak <= (traj[-1] + 1e-4) * off + 1e-6
+
+
+def test_anytime_seeded_at_one_bisects_up_to_the_demand_ceiling(tiny_instance):
+    """An initial ratio of 1 sits at the first slot's floor, so where 1 is
+    not certifiable the bisection's upper endpoint falls back to
+    demand_ub / v_ref. The run still certifies a nonincreasing trajectory
+    that bounds its peak, each slot within epsilon of the default run's."""
+    epsilon = 1e-4
+    for row in random_profiles(tiny_instance, 40, seed=43):
+        demand = DemandProfile(tiny_instance, row)
+        run = run_anytime(tiny_instance, demand, PolicyOptions(initial_ratio=1.0))
+        traj = run.ratio_trajectory
+        assert (np.diff(traj) <= 1e-9).all()
+        assert run.final_peak <= (traj[-1] + epsilon) * offline_peak(tiny_instance, demand) + 1e-6
+        default = run_anytime(tiny_instance, demand).ratio_trajectory
+        assert np.abs(traj - default).max() <= epsilon
 
 
 def test_anytime_beats_fixed_on_every_profile(tiny_instance):

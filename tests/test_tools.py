@@ -218,3 +218,23 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
     text = pivot_report._text(found, 8)
     assert text[0] == "runs: 6 of 6 bit-identical, 0 raised on a side"
     assert text[-1] == "0 census cell(s) off HiGHS by more than 1e-06"
+    for label, times in found["day_times"].items():
+        line = next(line for line in text if line.startswith(f"  {label}: "))
+        assert ("unresolved" in line) == times["unresolved"]
+
+
+def test_pivot_report_marks_a_time_change_inside_the_parents_spread_unresolved():
+    """Three reports of the same two trees read the rate-free T=20 day
+    x0.782, x1.047 and x0.946: a change of median time no larger than the
+    parent's quartile spread is marked unresolved, as bench_pairs rules."""
+    pivot_report = _load("pivot_report")
+
+    def times(parent, change):
+        return pivot_report.day_times({side: [{"seconds": s} for s in values]
+                                       for side, values in (("parent", parent), ("change", change))})
+
+    noise = times((0.60, 0.70, 0.80), (0.52, 0.55, 0.75))
+    assert noise["parent"] == pytest.approx((0.60, 0.70, 0.80))
+    assert noise["change"] == pytest.approx((0.52, 0.55, 0.75))
+    assert noise["unresolved"]
+    assert not times((0.60, 0.70, 0.80), (0.40, 0.45, 0.50))["unresolved"]

@@ -8,9 +8,9 @@ sweep_trace workload generates for that seed (perfbench/inputs.py's
 charging_trace_csv, 30-day chunks, the first --chunks of them) and one
 3-day trace across a month end, with its VARIANTS: the same rows with CRLF
 line ends or after a byte-order mark (which reading the file takes away),
-with comments and blank lines (which only the parse's row loop reads), and
-with space-separated starts (which the bulk parse reads as T-separated
-ones). Both trees then run `peakmin ingest` (the chunks
+with comments and blank lines (which the parse drops), and with
+space-separated starts (which the parse reads as T-separated ones). Both
+trees then run `peakmin ingest` (the chunks
 at the default 12:00-17:00 window, T=20; the short trace and its variants at
 12:00-14:00, T=8, so that the certified policies run in seconds) and
 `peakmin experiment` on these configs:

@@ -25,11 +25,14 @@ tree's perfbench/inputs.py on both sides):
 It prints how many of the runs and of the T=20 runs are bit-identical
 (certified ratios and schedule), and the largest change in certified ratio
 (relative) and in schedule (kWh) among the rest; each census cell's pi* on
-both sides against HiGHS; and pivots, bound flips, median time and peak RSS
-of both T=20 days on both sides. The exit status is 1 when a census pi* of
-the working tree is off HiGHS by more than PI_TOL (or optimal_cr raised
-there), and 0 otherwise: a change in pivot choices may move last bits, and
-the report says by how much.
+both sides against HiGHS; and pivots, bound flips, time and peak RSS of
+both T=20 days on both sides. Each side's time is its median with its
+quartiles beside it, and the change is marked "unresolved" when the medians
+differ by no more than the parent's quartile spread, the rule
+tools/bench_pairs.py applies to a gain. The exit status is 1 when a census
+pi* of the working tree is off HiGHS by more than PI_TOL (or optimal_cr
+raised there), and 0 otherwise: a change in pivot choices may move last
+bits, and the report says by how much.
 """
 
 from __future__ import annotations
@@ -132,6 +135,19 @@ def _load(name: str, path: Path):
     return module
 
 
+bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+
+
+def day_times(samples: dict) -> dict:
+    """Each side's (q1, median, q3) of seconds over its processes, and
+    whether the change is unresolved: its median differs from the parent's
+    by no more than the parent's quartile spread."""
+    quartiles = {side: bench_pairs.quartiles([r["seconds"] for r in runs])
+                 for side, runs in samples.items()}
+    (q1, parent, q3), change = quartiles["parent"], quartiles["change"][1]
+    return {**quartiles, "unresolved": abs(change - parent) <= q3 - q1}
+
+
 def run_job(tree: Path, **spec):
     """One _WORKER job in a fresh process of tree; its JSON result."""
     spec["perfbench"] = str(ROOT / "perfbench")
@@ -193,9 +209,10 @@ def report(parent: Path, change: Path, seeds=RUN_SEEDS, days=RUN_DAYS, cells=Non
         "days": compare_runs(*({label: s[side][0]["run"] for label, s in day_runs.items()}
                                for side in trees)),
         "day_work": {label: {side: {key: statistics.median(r[key] for r in s[side])
-                                    for key in ("pivots", "flips", "seconds", "rss_mb")}
+                                    for key in ("pivots", "flips", "rss_mb")}
                              for side in trees}
                      for label, s in day_runs.items()},
+        "day_times": {label: day_times(s) for label, s in day_runs.items()},
         "census": {name: {"highs": highs[name], **{side: census[side][name] for side in trees}}
                    for name in highs},
         "census_differ": [name for name in highs
@@ -223,13 +240,16 @@ def _text(found: dict, horizon: int) -> list[str]:
             parts.append(f"{side} {pi}" if isinstance(pi, str)
                          else f"{side} {pi!r} ({abs(pi - cell['highs']):.2g})")
         lines.append(", ".join(parts))
-    lines.append(f"T={horizon} days (median over the processes of each side):")
+    lines.append(f"T={horizon} days (median over the processes of each side, time "
+                 f"quartiles in brackets):")
     for label, work in found["day_work"].items():
         p, c = work["parent"], work["change"]
+        (p1, pt, p3), (c1, ct, c3) = (found["day_times"][label][side] for side in work)
+        verdict = ", unresolved" if found["day_times"][label]["unresolved"] else ""
         lines.append(f"  {label}: pivots {p['pivots']:,.0f} -> {c['pivots']:,.0f} "
                      f"(x{c['pivots'] / p['pivots']:.3f}; bound flips {p['flips']:,.0f} -> "
-                     f"{c['flips']:,.0f}), time {p['seconds']:.3f} -> "
-                     f"{c['seconds']:.3f} s (x{c['seconds'] / p['seconds']:.3f}), peak RSS "
+                     f"{c['flips']:,.0f}), time {pt:.3f} [{p1:.3f}-{p3:.3f}] -> {ct:.3f} "
+                     f"[{c1:.3f}-{c3:.3f}] s (x{ct / pt:.3f}{verdict}), peak RSS "
                      f"{p['rss_mb']:.1f} -> {c['rss_mb']:.1f} MB")
     lines.append(f"{len(found['failures'])} census cell(s) off HiGHS by more than {PI_TOL:g}"
                  + (f": {', '.join(found['failures'])}" if found["failures"] else ""))
@@ -242,7 +262,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch-dir", default=None,
                         help="where the parent is exported (default: the system temp dir)")
     args = parser.parse_args(argv)
-    bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     scratch = Path(tempfile.mkdtemp(prefix="pivot-report-", dir=args.scratch_dir))
     try:
         short = bench_pairs.export_commit(args.parent, scratch)
