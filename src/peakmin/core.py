@@ -41,10 +41,22 @@ def _admissible(instance: Instance, demands):
     return (instance.demand_lb - EPS_KWH <= demands) & (demands <= instance.demand_ub + EPS_KWH)
 
 
+def check_numbers(entries, what: str) -> None:
+    """The number rule for kWh: raise ValueError naming each type among entries
+    (an ndarray, by its dtype, or scalars) that is not a real number; a bool,
+    numpy's too, is none either, though float() reads it, as it reads "1.5"."""
+    types = {entries.dtype.type} if isinstance(entries, np.ndarray) else set(map(type, entries))
+    bad = [kind.__name__ for kind in types
+           if not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_))]
+    if bad:
+        raise ValueError(f"{what} must be numbers, got {', '.join(sorted(bad))}")
+
+
 def _as_float_vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D vector of kWh values")
+    check_numbers(values, "kWh values")
     return arr
 
 
@@ -250,6 +262,7 @@ class OnlineState:
             raise ValueError("the state belongs to another instance")
         if len(self.observed) != len(self.actions):
             raise ValueError("state is mid-slot; commit the pending action first")
+        check_numbers((d_t,), "demands")
         if not _admissible(self.instance, d_t):
             raise DemandOutOfBounds(
                 f"demand {d_t} outside [{self.instance.demand_lb}, {self.instance.demand_ub}]")
@@ -261,6 +274,7 @@ class OnlineState:
     def commit(self, delta_t: float) -> None:
         if len(self.observed) != len(self.actions) + 1:
             raise ValueError("commit() requires a preceding observe()")
+        check_numbers((delta_t,), "discharges")
         d_t = self.observed[-1]
         if not -EPS_KWH <= delta_t <= self.instance.slot_cap(d_t) + EPS_KWH:
             raise InfeasibleSchedule(

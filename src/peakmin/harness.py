@@ -20,7 +20,6 @@ import functools
 import itertools
 import json
 import logging
-import numbers
 import re
 from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta
@@ -44,7 +43,7 @@ from .baselines import (
     run_threshold,
     threshold_actions,
 )
-from .core import DemandProfile, Instance, check_demands, is_positive
+from .core import DemandProfile, Instance, check_demands, check_numbers, is_positive
 from .cr import optimal_cr
 from .errors import (
     DemandOutOfBounds,
@@ -274,15 +273,18 @@ def _read_rows(rows):
                                     for k in (1, 2))
     starts = list(map(str.strip, cells[0::3]))
     moments = list(map(datetime.fromisoformat, starts))
+    aware = np.zeros(len(starts), bool)
     shapes = "\n".join(starts).encode("ascii", "replace").translate(_DIGITS_AS_ZERO)
     first = shapes.partition(b"\n")[0]
-    # most traces write every start in one shape, which needs no split
-    kinds = {first} if shapes == b"\n".join([first] * len(starts)) else set(shapes.split(b"\n"))
-    if all(map(_NUMPY_START.fullmatch, kinds)):
-        aware = np.zeros(len(starts), bool)
-    else:
-        starts = [moment.replace(tzinfo=None).isoformat() for moment in moments]
-        aware = np.array([moment.tzinfo is not None for moment in moments], bool)
+    # most traces write every start in one shape numpy reads, which needs no
+    # look at each; otherwise each start is shaped on its own (a listed line
+    # may hold a line break), and only those numpy would misread are rewritten
+    if not (_NUMPY_START.fullmatch(first) and shapes == b"\n".join([first] * len(starts))):
+        for i, start in enumerate(starts):
+            shape = start.encode("ascii", "replace").translate(_DIGITS_AS_ZERO)
+            if not _NUMPY_START.fullmatch(shape):
+                starts[i] = moments[i].replace(tzinfo=None).isoformat()
+                aware[i] = moments[i].tzinfo is not None
     minutes, kwh = (np.array(cells[k::3], dtype=float) for k in (1, 2))
     fraction, whole = np.modf(np.where((minutes > 0) & (minutes <= _SPAN_MAX_MIN), minutes, 0.0))
     duration_us = (whole.astype(np.int64) * _MINUTE_US
@@ -398,14 +400,8 @@ class DayProfileSet:
         values = np.array([[]] if ragged else rows, dtype=float)
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError("day rows must share one positive horizon")
-        # float() also reads "253.5" and True; the entries' types are checked,
-        # in one pass in C, not each value in Python
-        types = ({rows.dtype.type} if isinstance(rows, np.ndarray)
-                 else set(map(type, itertools.chain.from_iterable(rows))))
-        not_numbers = sorted(t.__name__ for t in types
-                             if not issubclass(t, numbers.Real) or issubclass(t, bool))
-        if not_numbers:
-            raise ValueError(f"day values must be numbers, got {', '.join(not_numbers)}")
+        check_numbers(rows if isinstance(rows, np.ndarray) else itertools.chain.from_iterable(rows),
+                      "day values")
         object.__setattr__(self, "day_keys", keys)
         object.__setattr__(self, "day_values", values)
         bad = [k for prev, k in zip(("",) + keys, keys) if not (_is_iso_date(k) and prev < k)]

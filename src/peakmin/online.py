@@ -1,12 +1,14 @@
-"""Online discharge policies built on ratio pursuit.
+"""Online discharge policies built on CR-Pursuit.
 
-The fixed-ratio policy discharges just enough each slot to keep the purchased
-peak within pi times the offline peak of the reference profile (the observed
-prefix padded with the demand lower bound). Its anytime refinement re-certifies
-the smallest still-guaranteeable ratio every slot by bisecting on a worst-case
-future-requirement LP, and two variants extend it: a monthly mode that never
-discharges below the month's standing peak, and a depleting mode that spends
-provably redundant inventory eagerly.
+Every ratio-pursuit policy runs one slot loop, _pursue: at each slot it takes
+a ratio pi_t and discharges [d_t - pi_t * v_t]^+, where v_t is the offline
+peak of the reference profile (the observed prefix padded with the demand
+lower bound). The fixed-ratio policy is that loop at a ratio that never moves.
+The anytime refinement re-certifies the smallest still-guaranteeable ratio
+every slot by bisecting on a worst-case future-requirement LP, and two
+variants extend it: a monthly mode that never discharges below the month's
+standing peak, and a depleting mode that spends provably redundant inventory
+eagerly.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from .core import (
     reference_values,
 )
 from .cr import inventory_unbounded, optimal_cr, scenario_program, scenario_top
-from .errors import (
-    DegenerateOfflinePeak,
-    NegativeSlack,
-    NumericalFailure,
-)
+from .errors import DegenerateOfflinePeak, NegativeSlack, NonPositiveBound, NumericalFailure
 from .lp import OPTIMAL, LinearProgram, carry_basis, parametric_range, solve_lp
 from .offline import offline_peak_values
 
@@ -101,7 +99,7 @@ class PolicyOptions:
         if not is_positive(self.bisection_epsilon):
             raise ValueError("bisection_epsilon must be a positive finite number")
         if not is_at_least(self.monthly_peak, 0.0):
-            raise ValueError("monthly_peak must be finite and >= 0")
+            raise NonPositiveBound(f"monthly_peak must be finite and >= 0, got {self.monthly_peak}")
         if self.initial_ratio is not None and not is_at_least(self.initial_ratio, 1.0):
             raise ValueError("initial_ratio must be finite and >= 1")
 
@@ -112,9 +110,9 @@ def _check_ratio(pi: float) -> None:
         raise ValueError(f"pi must be >= 1 and finite, got {pi}")
 
 
-def _reference_peak(instance: Instance, demands) -> float:
-    """Offline peak of the demands observed so far padded with the demand floor."""
-    return offline_peak_values(instance, reference_values(instance, demands))
+def _seeded(instance: Instance, ratio: float | None) -> float:
+    """ratio, or pi* where ratio is None or not finite (a fresh state's inf)."""
+    return optimal_cr(instance).pi_star if ratio is None or not math.isfinite(ratio) else float(ratio)
 
 
 def _pcr_amounts(
@@ -138,32 +136,49 @@ def pcr_step(instance: Instance, state: OnlineState, pi: float, d_t: float) -> f
     """
     _check_ratio(pi)
     state.admit(d_t, instance)
-    v_ref = _reference_peak(instance, state.observed + [d_t])
-    _raw, clamped = _pcr_amounts(instance, state, pi, d_t, v_ref)
-    return clamped
+    return _pcr_amounts(instance, state, pi, d_t, _slot_view(instance, state, d_t).v_ref)[1]
 
 
 def run_pcr_pmd(instance: Instance, pi: float, demand: DemandProfile) -> PolicyRun:
-    """Run the fixed-ratio policy causally over a full profile.
+    """Run the fixed-ratio policy causally over a full profile: CR-Pursuit at
+    a ratio that never moves.
 
     pi below the optimal competitive ratio is allowed; infeasibility then
     shows up as clamp_engaged=True rather than an exception. pi below 1,
     infinite or NaN raises ValueError.
     """
     _check_ratio(pi)
-    state = OnlineState(instance)
+    return _pursue(instance, demand, OnlineState(instance, prev_ratio=pi), lambda view, prev: prev)
+
+
+def _pursue(instance: Instance, demand: DemandProfile, state: OnlineState, ratio,
+            harvest: bool = False) -> PolicyRun:
+    """CR-Pursuit, the one slot loop of every ratio-pursuit policy: each slot
+    discharges [d_t - pi_t * v_t]^+ at pi_t = ratio(view, state.prev_ratio),
+    clamped to the slot's caps (a cut sets clamp_engaged)."""
+    trajectory = []
     clamp_engaged = False
     for d_t in demand.values:
         d_t = float(d_t)
-        v_ref = _reference_peak(instance, state.observed + [d_t])
-        raw, delta = _pcr_amounts(instance, state, pi, d_t, v_ref)
-        if delta < raw - 1e-9:
-            clamp_engaged = True
+        view = _slot_view(instance, state, d_t)
+        pi_t = ratio(view, state.prev_ratio)
+        raw, delta = _pcr_amounts(instance, state, pi_t, d_t, view.v_ref)
+        clamp_engaged |= delta < raw - 1e-9
         state.observe(d_t)
+        # Harvest redundant slack only when doing so cannot disturb any
+        # later certificate: at the final slot (nothing is certified
+        # afterwards) and once the certified ratio has reached 1.0 (every
+        # later certificate is pinned at 1.0 regardless of inventory, since
+        # certificates are nonincreasing and never drop below 1). Spending
+        # slack at other slots shrinks the inventory that later bisections
+        # draw on and can leave the run certifying a strictly larger ratio
+        # than the plain anytime policy on the same demands.
+        if harvest and (state.slot_index == instance.horizon_T or pi_t <= 1.0 + 1e-9):
+            delta = depleting_amount(instance, state, pi_t, delta)
         state.commit(delta)
-    return PolicyRun.from_actions(
-        instance, demand, state.actions, np.full(instance.horizon_T, float(pi)), clamp_engaged
-    )
+        state.prev_ratio = pi_t
+        trajectory.append(pi_t)
+    return PolicyRun.from_actions(instance, demand, state.actions, trajectory, clamp_engaged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,18 +223,13 @@ def _slot_view(
     for a mid-slot state that has observed it already."""
     observed = state.observed if d_t is None else state.observed + [d_t]
     prefix = np.array(observed, dtype=float)
-    v_ref = _reference_peak(instance, prefix)
-    if v_ref <= EPS_KWH:
-        # only reachable when the inventory matches the whole lower-bound
-        # demand, which instance validation rejects; kept as a hard stop
-        raise DegenerateOfflinePeak(f"reference offline peak {v_ref} at slot {len(prefix)}")
     return _SlotView(
         instance=instance,
         demands=prefix,
         running_peak=state.running_peak,
         remaining=max(0.0, state.remaining),
         monthly_peak=state.monthly_peak,
-        v_ref=v_ref,
+        v_ref=offline_peak_values(instance, reference_values(instance, prefix)),
     )
 
 
@@ -410,6 +420,10 @@ def _certified_ratio(
     run_anytime and anytime_ratio call it through _certify, so each slot
     state is certified once while _certify keeps it.
     """
+    if view.v_ref <= EPS_KWH:
+        # only reachable when the inventory matches the whole lower-bound
+        # demand (c = T d_lb), where no ratio is defined; kept as a hard stop
+        raise DegenerateOfflinePeak(f"reference offline peak {view.v_ref} at slot {view.t}")
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
     # the first step of a slot has no closed form yet: every value is an LP's
@@ -466,11 +480,8 @@ def anytime_ratio(
     state.admit(d_t, instance)
     if not is_positive(epsilon):
         raise ValueError("epsilon must be a positive finite number")
-    prev = state.prev_ratio
-    if not math.isfinite(prev):
-        prev = optimal_cr(instance).pi_star
     view = _slot_view(instance, state, float(d_t))
-    return _certify(view, prev, epsilon)[0]
+    return _certify(view, _seeded(instance, state.prev_ratio), epsilon)[0]
 
 
 def depleting_amount(
@@ -509,41 +520,14 @@ def run_anytime(
 ) -> PolicyRun:
     """Run the anytime-optimal policy (or a variant selected by options).
 
-    Per slot: certify the smallest guaranteeable ratio, discharge
-    [d_t - pi_t * v]^+ against the reference offline peak v, and in depleting
-    mode raise the discharge by the redundant slack at slots where the harvest
-    cannot disturb later certificates. The ratio trajectory is nonincreasing
-    by construction of the bisection bracket.
+    CR-Pursuit at the smallest ratio guaranteeable at each slot, certified
+    there; in depleting mode the discharge is raised by the redundant slack
+    at slots where the harvest cannot disturb later certificates. The ratio
+    trajectory is nonincreasing by construction of the bisection bracket.
     """
     options = options or PolicyOptions()
-    pi_prev = (
-        float(options.initial_ratio)
-        if options.initial_ratio is not None
-        else optimal_cr(instance).pi_star
-    )
-    state = OnlineState(instance, monthly_peak=options.monthly_peak, prev_ratio=pi_prev)
-    trajectory = []
-    clamp_engaged = False
-    for d_t in demand.values:
-        d_t = float(d_t)
-        view = _slot_view(instance, state, d_t)
-        pi_t, _early = _certify(view, state.prev_ratio, options.bisection_epsilon)
-        raw, delta = _pcr_amounts(instance, state, pi_t, d_t, view.v_ref)
-        if delta < raw - 1e-9:
-            clamp_engaged = True
-        state.observe(d_t)
-        if options.mode == MODE_ANYTIME_DEPLETING:
-            # Harvest redundant slack only when doing so cannot disturb any
-            # later certificate: at the final slot (nothing is certified
-            # afterwards) and once the certified ratio has reached 1.0 (every
-            # later certificate is pinned at 1.0 regardless of inventory, since
-            # certificates are nonincreasing and never drop below 1). Spending
-            # slack at other slots shrinks the inventory that later bisections
-            # draw on and can leave the run certifying a strictly larger ratio
-            # than the plain anytime policy on the same demands.
-            if state.slot_index == instance.horizon_T or pi_t <= 1.0 + 1e-9:
-                delta = depleting_amount(instance, state, pi_t, delta)
-        state.commit(delta)
-        state.prev_ratio = pi_t
-        trajectory.append(pi_t)
-    return PolicyRun.from_actions(instance, demand, state.actions, trajectory, clamp_engaged)
+    state = OnlineState(instance, monthly_peak=options.monthly_peak,
+                        prev_ratio=_seeded(instance, options.initial_ratio))
+    return _pursue(instance, demand, state,
+                   lambda view, prev: _certify(view, prev, options.bisection_epsilon)[0],
+                   harvest=options.mode == MODE_ANYTIME_DEPLETING)

@@ -182,6 +182,72 @@ def test_every_entry_point_states_one_demand_rule(d, admitted):
     assert verdicts == dict.fromkeys(verdicts, admitted)
 
 
+def _number_rule_calls(value):
+    """Each entry point that admits kWh, given value where a kWh belongs."""
+    inst = Instance(1.5, None, 2, 1.0, 2.0)
+    profile = DemandProfile(inst, [1.0, 2.0])
+    slotting = SlottingConfig(15, "12:00", "12:30", demand_bounds=(1.0, 2.0))
+
+    def commit():
+        state = OnlineState(inst)
+        state.observe(2.0)
+        state.commit(value)
+
+    return {
+        "DemandProfile": lambda: DemandProfile(inst, [value, 2.0]),
+        "DischargeSchedule": lambda: DischargeSchedule(inst, profile, [value, 0.25]),
+        "reference_profile": lambda: reference_profile(inst, [value]),
+        "observe": lambda: OnlineState(inst).observe(value),
+        "commit": commit,
+        "pcr_step": lambda: pcr_step(inst, OnlineState(inst), 1.5, value),
+        "anytime_ratio": lambda: anytime_ratio(inst, OnlineState(inst, prev_ratio=1.5), value),
+        "DayProfileSet": lambda: DayProfileSet(("2024-05-06",), [[value, 2.0]], slotting),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_number_rule_calls(1.0)))
+@pytest.mark.parametrize("bad", [True, np.True_, "1.5"], ids=["bool", "numpy-bool", "str"])
+def test_every_kwh_entry_point_states_one_number_rule(entry, bad):
+    """A bool or a str is no kWh anywhere: DemandProfile read [True, 2.0] as
+    [1.0, 2.0] and ["1.5", 2.0] as [1.5, 2.0], the online state observed and
+    committed True as 1 kWh, and both online steps answered for it. An int
+    of either kind is a number."""
+    with pytest.raises(ValueError, match=f"must be numbers, got {type(bad).__name__}$"):
+        _number_rule_calls(bad)[entry]()
+    for good in (1, np.int64(1)):
+        _number_rule_calls(good)[entry]()
+
+
+def _misuse(case):
+    inst = Instance(1.0, None, 2, 1.0, 2.0)
+    state = OnlineState(inst)
+    if case == "matrix":
+        DemandProfile(inst, [[1.0, 2.0]])
+    elif case == "admit-mid-slot":
+        state.observe(2.0)
+        state.admit(2.0)
+    elif case == "commit-unobserved":
+        state.commit(0.5)
+    else:
+        state.observe(2.0)
+        state.commit(0.75)
+        state.observe(2.0)
+        state.commit(0.5)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("matrix", ValueError, "1-D vector"),
+    ("admit-mid-slot", ValueError, "mid-slot"),
+    ("commit-unobserved", ValueError, "preceding observe"),
+    ("overdraw", InfeasibleSchedule, "inventory overdraw"),
+])
+def test_vectors_and_the_online_state_refuse_misuse(case, error, message):
+    """A matrix where a day belongs, a second demand before the pending
+    discharge, a discharge with no demand, and one past the inventory."""
+    with pytest.raises(error, match=message):
+        _misuse(case)
+
+
 def test_schedule_feasibility_checks():
     inst = Instance(1.0, 0.8, 3, 1.0, 2.0)
     demand = DemandProfile(inst, [1.0, 2.0, 1.5])

@@ -606,7 +606,7 @@ def _profile_set(day_keys, day_values, demand_lb, demand_ub, **slotting):
     ("day_values", (("1.0", "2.0", "1.0", "2.0"), ("2.0", "1.0", "2.0", "1.0"))),
     ("day_values", ((1.0, 2.0, 1.0, "2.0"), (2.0, 1.0, 2.0, 1.0))),
     ("day_values", ((True, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0))),
-    ("scale_factor", True), ("demand_lb", True),
+    ("scale_factor", True), ("demand_lb", True), ("on_peak_end", "24:00"),
 ])
 def test_profile_set_rejects_metadata_that_contradicts_its_days(field, value):
     """Each of these loaded once: a slot length truncated to 15 or below 1,
@@ -814,6 +814,8 @@ def test_metrics_validation():
     with pytest.raises(ValueError):
         # a net peak above the original peak means the policy added demand
         AggregateMetrics([9.0, 4.0], [5.0, 3.0], [8.0, 5.0])
+    with pytest.raises(ValueError, match="peaks must be positive"):
+        AggregateMetrics([6.0, 4.0], [5.0, 0.0], [8.0, 5.0])
 
 
 def test_experiment_plumbing_single_day():

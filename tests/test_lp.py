@@ -354,21 +354,27 @@ def test_lfp_rejects_sign_changing_denominator():
         solve_lfp(lfp)
 
 
+NON_FINITE = "non-finite numerator or denominator"
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("denominator_constant", np.nan), ("numerator_constant", np.inf),
-     ("denominator", np.array([np.nan])), ("numerator", np.array([-np.inf]))],
+    "field, value, message",
+    [("denominator_constant", np.nan, NON_FINITE), ("numerator_constant", np.inf, NON_FINITE),
+     ("denominator", np.array([np.nan]), NON_FINITE),
+     ("numerator", np.array([-np.inf]), NON_FINITE),
+     ("numerator", np.array([1.0, 1.0]), "shape mismatch")],
     ids=["nan-denominator-constant", "inf-numerator-constant", "nan-denominator",
-         "inf-numerator"],
+         "inf-numerator", "numerator-too-long"],
 )
-def test_lfp_rejects_non_finite_data(field, value):
+def test_lfp_rejects_non_finite_data(field, value, message):
     """A NaN denominator constant used to return OPTIMAL with value -inf
     and no x, and an infinite numerator constant or a NaN denominator
-    entry to pivot to the iteration cap."""
+    entry to pivot to the iteration cap. A numerator longer than the LP's
+    columns is refused as well."""
     data = dict(numerator=np.array([1.0]), numerator_constant=0.0,
                 denominator=np.array([0.0]), denominator_constant=1.0, lp=_unit_box(1))
     data[field] = value
-    with pytest.raises(ValueError, match="non-finite numerator or denominator"):
+    with pytest.raises(ValueError, match=message):
         LfpProblem(**data)
 
 

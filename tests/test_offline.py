@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peakmin.core import DemandProfile, DischargeSchedule, Instance
-from peakmin.errors import BudgetExceedsTotalDemand, InvalidCmdWeights
+from peakmin.errors import BudgetExceedsTotalDemand, InfeasibleSchedule, InvalidCmdWeights
 from peakmin.offline import (
     CmdWeights,
     evaluate_cmd_cost,
@@ -198,3 +198,5 @@ def test_cmd_cost_formula():
     weights = CmdWeights((0.5, 0.5), peak_weight=1.0)
     # purchased = [2, 2]; cost = 0.5*2 + 0.5*2 + 1.0*2 = 4
     assert evaluate_cmd_cost(weights, demand, sched) == pytest.approx(4.0)
+    with pytest.raises(InfeasibleSchedule, match="weights length 3 != profile length 2"):
+        evaluate_cmd_cost(CmdWeights((0.5, 0.5, 0.5), peak_weight=1.0), demand, sched)

@@ -1,10 +1,12 @@
 """Online policies: fixed ratio pursuit, anytime certification, depleting
 variant, and monthly threading."""
 
+import importlib.util
 import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,18 @@ import peakmin.lp as lp_mod
 import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
 from peakmin.cr import inventory_unbounded, optimal_cr
-from peakmin.errors import DemandOutOfBounds, NumericalFailure
-from peakmin.harness import synthetic_volatile_profiles
+from peakmin.errors import (
+    DegenerateOfflinePeak,
+    DemandOutOfBounds,
+    NonPositiveBound,
+    NumericalFailure,
+)
+from peakmin.harness import (
+    SlottingConfig,
+    ingest_trace,
+    parse_transactions,
+    synthetic_volatile_profiles,
+)
 from peakmin.lp import OPTIMAL, LinearProgram
 from peakmin.offline import offline_peak, solve_offline_pmd
 from peakmin.online import (
@@ -112,19 +124,52 @@ def test_policy_settings_reject_nan_and_infinity(bad):
     inst = Instance(2.0, None, 3, 1.0, 3.0)
     with pytest.raises(ValueError, match="bisection_epsilon"):
         PolicyOptions(bisection_epsilon=bad)
-    with pytest.raises(ValueError, match="monthly_peak"):
+    with pytest.raises(NonPositiveBound, match="monthly_peak"):
         PolicyOptions(monthly_peak=bad)
     with pytest.raises(ValueError, match="epsilon"):
         anytime_ratio(inst, OnlineState(inst), 3.0, epsilon=bad)
     assert anytime_ratio(inst, OnlineState(inst), 3.0) == pytest.approx(1.333398, abs=1e-6)
 
 
-@pytest.mark.parametrize("field", ["monthly_peak", "initial_ratio"])
-def test_policy_options_reject_a_bool_number(field):
+@pytest.mark.parametrize("field, error", [("monthly_peak", NonPositiveBound),
+                                          ("initial_ratio", ValueError)],
+                         ids=["monthly_peak", "initial_ratio"])
+def test_policy_options_reject_a_bool_number(field, error):
     """monthly_peak=True used to run with a 1 kWh standing peak, and
     initial_ratio=True to seed the certification with ratio 1."""
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(error, match=field):
         PolicyOptions(**{field: True})
+
+
+def test_one_error_for_a_bad_monthly_peak(tiny_instance):
+    """PolicyOptions and OnlineState state one rule for monthly_peak and
+    raise one error for it; PolicyOptions used to raise ValueError."""
+    for build in (lambda: PolicyOptions(monthly_peak=-1.0),
+                  lambda: OnlineState(tiny_instance, monthly_peak=-1.0)):
+        with pytest.raises(NonPositiveBound, match="monthly_peak must be finite and >= 0, got -1.0"):
+            build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda inst: PolicyOptions(mode="greedy"), "unknown mode 'greedy'"),
+    (lambda inst: online.PolicyRun.from_actions(inst, DemandProfile(inst, [2.0, 2.0]), [0.0, 0.0],
+                                                [1.2, 1.3]), "must be nonincreasing"),
+], ids=["unknown-mode", "rising-trajectory"])
+def test_policy_records_refuse_what_no_policy_runs(tiny_instance, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(tiny_instance)
+
+
+def test_fixed_policy_runs_where_no_ratio_can_be_certified():
+    """At c = T d_lb a day of lower-bound demands has offline peak 0: the
+    fixed policy still discharges [d_t - pi v_t]^+ = d_t, while the anytime
+    policy stops, since no ratio is defined there."""
+    inst = Instance(2.0, None, 2, 1.0, 2.0)
+    demand = DemandProfile(inst, [1.0, 1.0])
+    run = run_pcr_pmd(inst, 1.5, demand)
+    assert run.schedule.values.tolist() == [1.0, 1.0] and not run.clamp_engaged
+    with pytest.raises(DegenerateOfflinePeak, match="reference offline peak 0.0 at slot 1"):
+        run_anytime(inst, demand, PolicyOptions(initial_ratio=1.5))
 
 
 def test_fixed_policy_rejects_a_bool_ratio(tiny_instance):
@@ -179,22 +224,26 @@ def test_demand_just_above_the_box_still_certifies():
     assert slacks[1] == pytest.approx(slacks[0], abs=1e-6)
 
 
-@pytest.mark.parametrize("pi_t, base_delta, other, message", [
-    (0.0, 0.0, False, "pi must be"), (math.inf, 0.0, False, "pi must be"),
-    (math.nan, 0.0, False, "pi must be"), (True, 0.0, False, "pi must be"),
-    (2.0, -5.0, False, "base_delta"), (2.0, math.nan, False, "base_delta"),
-    (2.0, 0.0, True, "another instance"),
-], ids=["pi-zero", "pi-inf", "pi-nan", "pi-bool", "negative-delta", "nan-delta", "other-instance"])
-def test_depleting_amount_checks_its_inputs(pi_t, base_delta, other, message):
+@pytest.mark.parametrize("pi_t, base_delta, state_kind, message", [
+    (0.0, 0.0, "own", "pi must be"), (math.inf, 0.0, "own", "pi must be"),
+    (math.nan, 0.0, "own", "pi must be"), (True, 0.0, "own", "pi must be"),
+    (2.0, -5.0, "own", "base_delta"), (2.0, math.nan, "own", "base_delta"),
+    (2.0, 0.0, "other", "another instance"), (2.0, 0.0, "committed", "must be mid-slot"),
+], ids=["pi-zero", "pi-inf", "pi-nan", "pi-bool", "negative-delta", "nan-delta", "other-instance",
+        "between-slots"])
+def test_depleting_amount_checks_its_inputs(pi_t, base_delta, state_kind, message):
     """depleting_amount checks what pcr_step checks. Unchecked, pi_t = 0
     raised NegativeSlack, pi_t = inf or NaN discharged the whole slot (the
     certificate LP answered NaN, read as no requirement), True ran as 1, a
     negative or NaN base_delta came back raised by the slack, and a state
-    of another instance was certified on the wrong bounds."""
+    of another instance was certified on the wrong bounds. A state between
+    slots has no demand to raise a discharge for."""
     inst = Instance(capacity_c=90.0, rate_limit=None, horizon_T=4, demand_lb=50.0, demand_ub=100.0)
-    state = OnlineState(replace(inst, demand_ub=120.0) if other else inst)
+    state = OnlineState(replace(inst, demand_ub=120.0) if state_kind == "other" else inst)
     state.observe(80.0)
     assert online.depleting_amount(state.instance, state, 2.0, 0.0) >= 0.0
+    if state_kind == "committed":
+        state.commit(0.0)
     with pytest.raises(ValueError, match=message):
         online.depleting_amount(inst, state, pi_t, base_delta)
 
@@ -994,3 +1043,64 @@ def test_closed_form_is_keyed_on_the_whole_vertex(monkeypatch):
     moved[0] = True
     online._future_requirement(view, pi, kmax, warm)
     assert len(ranged) == 2
+
+
+def _guarantee_day(source, rate_limit):
+    """A T=10 day at c = 0.1 of its day set's mean energy: day 0, 1 or 2 of
+    a seed-7 volatile set, or the first day of a 3-day charging trace from
+    the benchmark's generator, ingested at 30-minute slots (as
+    `peakmin ingest --slot-minutes 30` does)."""
+    if source == "trace":
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = inputs  # dataclasses look their module up
+        spec.loader.exec_module(inputs)
+        days = ingest_trace(parse_transactions(inputs.charging_trace_csv(1001, 3)),
+                            SlottingConfig(slot_minutes=30))
+        row = days.day_values[0]
+    else:
+        days = synthetic_volatile_profiles(3, 10, 100.0, 400.0, seed=7)
+        row = days.day_values[source]
+    inst = days.instance(0.1 * days.avg_daily_energy, rate_limit)
+    return inst, DemandProfile(inst, row)
+
+
+@pytest.mark.parametrize("rate_limit", [None, 60.0], ids=["rate-free", "rate-limited"])
+@pytest.mark.parametrize("source", [0, 1, 2, "trace"], ids=["day-0", "day-1", "day-2", "trace"])
+def test_anytime_guarantee_holds_on_the_certificates_worst_case(source, rate_limit):
+    """The anytime guarantee, end to end, on the demands its certificate
+    fears most. For each slot t and cutoff k > t, the optimal x of cutoff
+    k's certificate LP at the certified pi_t becomes demands t+1..k, and
+    d_lb fills the rest. run_anytime on that whole day (the same instance
+    object, so the memo serves slots 1..t) never clamps and ends with
+    final / offline peak at most pi_t. On each day some continuation from
+    slot 1 ends within 1e-3 of pi_1, so the bound is reached, not only
+    kept: a certificate that asks for too much inventory (as one without
+    its aggregated tail rows does) certifies a pi_1 no demand reaches."""
+    inst, demand = _guarantee_day(source, rate_limit)
+    assert inst.horizon_T == 10
+    options = PolicyOptions(initial_ratio=optimal_cr(inst).pi_star)
+    base = run_anytime(inst, demand, options)
+    state = OnlineState(inst, prev_ratio=options.initial_ratio)
+    closest = {}
+    for t, (d_t, delta_t, pi_t) in enumerate(
+            zip(demand.values, base.schedule.values, base.ratio_trajectory), 1):
+        view = online._slot_view(inst, state, float(d_t))
+        warm = online._WarmStart()
+        for k in range(t + 1, inst.horizon_T + 1):
+            online._future_requirement(view, pi_t, k, warm)
+            worst = lp_mod.solve_lp(warm.cutoffs[k].lp)
+            assert worst.status == OPTIMAL
+            day = np.full(inst.horizon_T, inst.demand_lb)
+            day[:t], day[t:k] = demand.values[:t], worst.x[: k - t]
+            continuation = DemandProfile(inst, day)
+            run = run_anytime(inst, continuation, options)
+            assert not run.clamp_engaged
+            ratio = run.final_peak / offline_peak(inst, continuation)
+            assert ratio <= pi_t * (1 + 1e-9)
+            closest[t] = min(closest.get(t, math.inf), pi_t - ratio)
+        state.observe(float(d_t))
+        state.commit(float(delta_t))
+        state.prev_ratio = pi_t
+    assert closest[1] <= 1e-3
