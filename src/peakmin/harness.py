@@ -273,18 +273,15 @@ def _read_rows(rows):
                                     for k in (1, 2))
     starts = list(map(str.strip, cells[0::3]))
     moments = list(map(datetime.fromisoformat, starts))
-    aware = np.zeros(len(starts), bool)
     shapes = "\n".join(starts).encode("ascii", "replace").translate(_DIGITS_AS_ZERO)
     first = shapes.partition(b"\n")[0]
-    # most traces write every start in one shape numpy reads, which needs no
-    # look at each; otherwise each start is shaped on its own (a listed line
-    # may hold a line break), and only those numpy would misread are rewritten
-    if not (_NUMPY_START.fullmatch(first) and shapes == b"\n".join([first] * len(starts))):
-        for i, start in enumerate(starts):
-            shape = start.encode("ascii", "replace").translate(_DIGITS_AS_ZERO)
-            if not _NUMPY_START.fullmatch(shape):
-                starts[i] = moments[i].replace(tzinfo=None).isoformat()
-                aware[i] = moments[i].tzinfo is not None
+    # most traces write every start in one shape, which needs no split
+    kinds = {first} if shapes == b"\n".join([first] * len(starts)) else set(shapes.split(b"\n"))
+    if all(map(_NUMPY_START.fullmatch, kinds)):
+        aware = np.zeros(len(starts), bool)
+    else:
+        starts = [moment.replace(tzinfo=None).isoformat() for moment in moments]
+        aware = np.array([moment.tzinfo is not None for moment in moments], bool)
     minutes, kwh = (np.array(cells[k::3], dtype=float) for k in (1, 2))
     fraction, whole = np.modf(np.where((minutes > 0) & (minutes <= _SPAN_MAX_MIN), minutes, 0.0))
     duration_us = (whole.astype(np.int64) * _MINUTE_US
