@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("--window-start", default="12:00",
                        help="start of the on-peak window (HH:MM)")
     p_ing.add_argument("--window-end", default="17:00",
-                       help="end of the on-peak window (HH:MM)")
+                       help="end of the on-peak window (HH:MM, up to 24:00)")
     p_ing.add_argument("--scale", type=parse_decimal, default=1.0,
                        help="multiply every slot value by this factor")
     p_ing.add_argument("--d-lb", type=parse_decimal, default=None,
@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PeakMinError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (PeakMinError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -148,14 +148,15 @@ POLICY_RUNNERS = {
 }
 
 
-def _clock_minutes(text: str) -> int:
+def _clock_minutes(text: str, end: bool = False) -> int:
     # ASCII digits only, as int() would also read "1_2", "+1", " 9" and other
     # scripts' digits; a JSON number is no clock time either
     match = re.fullmatch(r"([0-9]{1,2}):([0-9]{2})", str(text))
     if match is None:
         raise ValueError(f"clock time must look like HH:MM, got {text!r}")
     hours, minutes = int(match[1]), int(match[2])
-    if not (0 <= hours < 24 and 0 <= minutes < 60):
+    # a window may end at the next midnight, 24:00, so that it spans a whole day
+    if not (hours < 24 and minutes < 60 or end and (hours, minutes) == (24, 0)):
         raise ValueError(f"clock time out of range: {text!r}")
     return 60 * hours + minutes
 
@@ -173,7 +174,8 @@ class SlottingConfig:
     """How raw transactions become per-day on-peak demand profiles.
 
     The on-peak window [on_peak_start, on_peak_end) of every calendar day is
-    cut into slot_minutes slots. scale_factor multiplies every slot value
+    cut into slot_minutes slots; an end of 24:00 is the next midnight, so a
+    window may span the whole day. scale_factor multiplies every slot value
     after attribution and is always explicit, never inferred from the data.
     demand_bounds, when given, override the empirical min/max of the kept
     slot values. scale_factor and both bounds are real numbers, not
@@ -192,7 +194,7 @@ class SlottingConfig:
             raise ValueError(f"slot_minutes must be a positive integer, got {self.slot_minutes}")
         # a numpy integer would pass on to a DayProfileSet that JSON cannot write
         object.__setattr__(self, "slot_minutes", int(self.slot_minutes))
-        span = _clock_minutes(self.on_peak_end) - _clock_minutes(self.on_peak_start)
+        span = _clock_minutes(self.on_peak_end, end=True) - _clock_minutes(self.on_peak_start)
         if span <= 0:
             raise ValueError("on-peak window must end after it starts")
         if span % self.slot_minutes:
@@ -210,7 +212,7 @@ class SlottingConfig:
 
     @property
     def horizon(self) -> int:
-        span = _clock_minutes(self.on_peak_end) - _clock_minutes(self.on_peak_start)
+        span = _clock_minutes(self.on_peak_end, end=True) - _clock_minutes(self.on_peak_start)
         return span // self.slot_minutes
 
 

@@ -19,15 +19,16 @@ nonzero of its column and row: outside it no entry's value would change.
 
 Built once, kept with its tableau: a LinearProgram builds its standard form
 (rows equilibrated, one slack per row, right-hand side shifted by lb) when
-it is made, and keeps each solve's final tableau B^-1 [A | I] with the set U
-of columns at their upper bound. Only the objective, its constant and the
-finite ub move after that (ub through set_upper); none of them moves B^-1 A.
+it is made, and keeps it with each solve's final tableau B^-1 [A | I] and
+the set U of columns at their upper bound. Only the objective, its constant
+and the finite ub move after that (ub through set_upper); none of them
+moves B^-1 A.
 
 One read: basic values B^-1 (b - A_U u_U) and duals, for every answer,
 re-price and closed form, come from the kept tableau's B^-1 (a view of its
-slack columns), refined once against the form's own columns (Higham 2002
-ch. 12). A refinement residual above 1e-9 (relative) means drift, and one
-dense solve at the basis, the only one in this module, replaces the
+slack columns), refined once against the standard form's columns (Higham
+2002 ch. 12). A refinement residual above 1e-9 (relative) means drift, and
+one dense solve at the basis, the only one in this module, replaces the
 tableau. A later solve re-prices the kept vertex (Chvatal 1983 ch. 10):
 optimal, it answers with no pivot; only primal feasible, the simplex starts
 from it; otherwise from the slack basis. carry_basis maps a kept vertex
@@ -84,8 +85,13 @@ class LinearProgram:
     lb: np.ndarray
     ub: np.ndarray
     objective_constant: float = 0.0
-    # the standard form, built with the LP; every solve reuses it
-    _form: _Form = field(init=False, repr=False, compare=False)
+    # the standard form, built with the LP: rows equilibrated (which keeps pivot
+    # tolerances meaningful across magnitudes), right-hand side shifted by lb;
+    # then the last solve's (or a carry's) tableau, whose rows B^-1 [A | I]
+    # stay exact as the objective or ub moves (a warm start rewrites its rhs)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    _tab: _Tableau | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective, self.a, self.b, self.lb = (
@@ -108,7 +114,8 @@ class LinearProgram:
         if (shifted < 0.0).any():
             i = int(np.argmax(shifted < 0.0))
             raise ValueError(f"row {i}: b - a.lb = {shifted[i]:.6g} < 0 at the slack basis")
-        self._form = _build_form(self)
+        scale = np.maximum(np.abs(self.a).max(axis=1, initial=0.0), 1e-12)
+        self._rows, self._rhs = self.a / scale[:, None], shifted / scale
 
     @property
     def num_vars(self) -> int:
@@ -134,7 +141,7 @@ class LpResult:
     value: float
     x: np.ndarray | None
     residual: float = 0.0
-    # the final vertex in the LP's standard form, as its form keeps it: the
+    # the final vertex in the LP's standard form, as the LP keeps it: the
     # basis, row by row, and the columns at their upper bound, ascending
     basis: np.ndarray | None = None
     at_upper: np.ndarray | None = None
@@ -165,13 +172,6 @@ class LfpProblem:
                 and math.isfinite(self.numerator_constant)
                 and math.isfinite(self.denominator_constant)):
             raise ValueError("non-finite numerator or denominator")
-
-
-@dataclass
-class LfpResult:
-    status: str
-    value: float
-    x: np.ndarray | None
 
 
 class _Tableau:
@@ -291,36 +291,16 @@ class _Tableau:
         self.side[q] = -self.side[q]
 
 
-@dataclass
-class _Form:
-    """Standard form of one LinearProgram: the equilibrated rows a (m x n),
-    followed by m slack columns [I], the right-hand side, and the tableau of
-    the last solve (or of a carry). Moving the objective or the upper bounds
-    leaves that tableau's rows B^-1 [A | I] exact; only its right-hand
-    column goes stale, and every warm start rewrites it."""
-
-    a: np.ndarray
-    rhs: np.ndarray
-    tab: _Tableau | None = None
-
-
-def _build_form(lp: LinearProgram) -> _Form:
-    """lp's standard form: lower bounds shifted to zero, rows equilibrated
-    (which keeps pivot tolerances meaningful across magnitudes)."""
-    scale = np.maximum(np.abs(lp.a).max(axis=1, initial=0.0), 1e-12)
-    return _Form(lp.a / scale[:, None], (lp.b - lp.a @ lp.lb) / scale)
-
-
 def _upper(lp: LinearProgram) -> np.ndarray:
     """Each standard-form column's upper bound: ub - lb, then inf for each
     slack."""
     return np.concatenate([lp.ub - lp.lb, np.full(len(lp.b), math.inf)])
 
 
-def _net_rhs(form: _Form, side: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _net_rhs(lp: LinearProgram, side: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """b - A_U u_U, U the columns at their upper bound (never a slack)."""
-    n = form.a.shape[1]
-    return form.rhs - form.a @ np.where(side[:n] < 0.0, upper[:n], 0.0)
+    n = lp.num_vars
+    return lp._rhs - lp._rows @ np.where(side[:n] < 0.0, upper[:n], 0.0)
 
 
 def _times_form(y: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -338,11 +318,11 @@ def _framed(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return t
 
 
-def _factorized(form: _Form, tab: _Tableau) -> _Tableau | None:
-    """tab's vertex with the rows B^-1 [A | I] from one dense solve on the
-    form's columns, its right-hand column left to the caller; None when B
-    is singular."""
-    t = _framed(form.a, 0.0)
+def _factorized(lp: LinearProgram, tab: _Tableau) -> _Tableau | None:
+    """tab's vertex with the rows B^-1 [A | I] from one dense solve on lp's
+    standard-form columns, its right-hand column left to the caller; None
+    when B is singular."""
+    t = _framed(lp._rows, 0.0)
     try:
         t[:-1] = np.linalg.solve(t[:-1, tab.basis], t[:-1])
     except np.linalg.LinAlgError:
@@ -351,59 +331,59 @@ def _factorized(form: _Form, tab: _Tableau) -> _Tableau | None:
     return _Tableau(t, tab.basis, tab.side)
 
 
-def _read_basis(form: _Form, rhs: np.ndarray, cb: np.ndarray):
-    """Basic values B^-1 rhs and duals cb B^-1 at the kept tableau's basis
+def _read_basis(lp: LinearProgram, rhs: np.ndarray, cb: np.ndarray):
+    """Basic values B^-1 rhs and duals cb B^-1 at lp's kept tableau's basis
     (rhs one right-hand side a column, cb one cost vector a row), from its
-    B^-1, a view of its slack columns, each refined once against the form's
-    own columns without gathering B (B x_B = a x_S + x_I). A relative
-    residual above DRIFT_TOL, or a NaN, means drift: form keeps _factorized's
-    tableau at that vertex instead, and the values are read from it.
-    Returns (values, duals), or None, with no tableau kept, when B is
-    singular."""
-    tab = form.tab
-    m, n = form.a.shape
+    B^-1, a view of its slack columns, each refined once against the
+    standard form's columns without gathering B (B x_B = a x_S + x_I). A
+    relative residual above DRIFT_TOL, or a NaN, means drift: lp keeps
+    _factorized's tableau at that vertex instead, and the values are read
+    from it. Returns (values, duals), or None, with no tableau kept, when B
+    is singular."""
+    tab = lp._tab
+    m, n = lp._rows.shape
     for fresh in (False, True):
         inv = tab.t[:m, n : n + m]
         x_basic, duals = inv @ rhs, cb @ inv
         point = np.zeros((n + m,) + x_basic.shape[1:])
         point[tab.basis] = x_basic
-        gap = rhs - form.a @ point[:n] - point[n:]
-        dual_gap = cb - _times_form(duals, form.a)[..., tab.basis]
+        gap = rhs - lp._rows @ point[:n] - point[n:]
+        dual_gap = cb - _times_form(duals, lp._rows)[..., tab.basis]
         # relative residuals, compared so that a NaN counts as drift
         if fresh or (
                 np.abs(gap).max(initial=0.0) <= DRIFT_TOL * max(1.0, np.abs(rhs).max(initial=0.0))
                 and np.abs(dual_gap).max(initial=0.0)
                 <= DRIFT_TOL * max(1.0, np.abs(cb).max(initial=0.0))):
             return x_basic + inv @ gap, duals + dual_gap @ inv
-        tab = form.tab = _factorized(form, tab)
+        tab = lp._tab = _factorized(lp, tab)
         if tab is None:
             return None
 
 
-def _priced(form: _Form, obj: np.ndarray, upper: np.ndarray):
+def _priced(lp: LinearProgram, obj: np.ndarray, upper: np.ndarray):
     """The kept vertex re-priced: its basic values, and whether it is
     optimal for max obj.x (no column improves by more than PIVOT_TOL from
     the bound it sits at). None when its basis is singular or a basic value
     lies off its bounds by more than FEAS_TOL."""
-    tab = form.tab
+    tab = lp._tab
     basis, side = tab.basis, tab.side
-    read = _read_basis(form, _net_rhs(form, side, upper), obj[basis])
+    read = _read_basis(lp, _net_rhs(lp, side, upper), obj[basis])
     if read is None:
         return None
     x_basic, duals = read
     # comparisons are written so that a NaN rejects the basis
     if not ((x_basic >= -FEAS_TOL) & (x_basic <= upper[basis] + FEAS_TOL)).all():
         return None
-    reduced = (obj - _times_form(duals, form.a)) * side
+    reduced = (obj - _times_form(duals, lp._rows)) * side
     reduced[basis] = 0.0
     return x_basic, bool((reduced <= PIVOT_TOL).all())
 
 
-def _optimal_result(lp: LinearProgram, form: _Form, x_basic: np.ndarray) -> LpResult:
+def _optimal_result(lp: LinearProgram, x_basic: np.ndarray) -> LpResult:
     """The answer at the kept vertex, given its basic values, certified
     against lp's own rows and box: a worst row violation (scaled by max(1,
     |b|)) or bound violation above RESIDUAL_TOL, or NaN, raises."""
-    tab, n = form.tab, lp.num_vars
+    tab, n = lp._tab, lp.num_vars
     shift = np.zeros(tab.n)
     shift[tab.basis] = x_basic
     x = np.where(tab.side[:n] < 0.0, lp.ub, shift[:n] + lp.lb)
@@ -419,35 +399,34 @@ def _optimal_result(lp: LinearProgram, form: _Form, x_basic: np.ndarray) -> LpRe
 
 def solve_lp(lp: LinearProgram) -> LpResult:
     """Bounded-variable primal simplex on lp's standard form, from the
-    vertex its form keeps as the module docstring says. Status is optimal or
+    vertex lp keeps as the module docstring says. Status is optimal or
     unbounded (every LinearProgram is feasible); an answer whose residual
     exceeds RESIDUAL_TOL raises NumericalFailure."""
-    form = lp._form
-    m, n = form.a.shape
+    m, n = lp._rows.shape
     upper = _upper(lp)
     full_obj = np.zeros(n + m)
     full_obj[:n] = lp.objective
 
-    priced = None if form.tab is None else _priced(form, full_obj, upper)
+    priced = None if lp._tab is None else _priced(lp, full_obj, upper)
     if priced is None:
-        form.tab = _Tableau(_framed(form.a, form.rhs), n + np.arange(m))
+        lp._tab = _Tableau(_framed(lp._rows, lp._rhs), n + np.arange(m))
     else:
         x_basic, optimal = priced
         if optimal:
-            return _optimal_result(lp, form, x_basic)
-        form.tab.t[:m, n + m] = np.clip(x_basic, 0.0, upper[form.tab.basis])
-    tab = form.tab
+            return _optimal_result(lp, x_basic)
+        lp._tab.t[:m, n + m] = np.clip(x_basic, 0.0, upper[lp._tab.basis])
+    tab = lp._tab
     tab.set_objective(full_obj)
     if tab.run(upper, 5000 + 60 * (n + 2 * m)) == UNBOUNDED:
         return LpResult(UNBOUNDED, np.nan, None)
-    read = _read_basis(form, _net_rhs(form, tab.side, upper), full_obj[tab.basis])
+    read = _read_basis(lp, _net_rhs(lp, tab.side, upper), full_obj[tab.basis])
     if read is None:
         raise NumericalFailure("final simplex basis is singular")
-    return _optimal_result(lp, form, read[0])
+    return _optimal_result(lp, read[0])
 
 
 def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
-    """Seed new's standard form with old's kept tableau, mapped onto new.
+    """Seed new with old's kept tableau, mapped onto new's standard form.
 
     new is old (scenario programs; an LfpProblem's is its lp) with one
     demand column inserted at column at, one scenario block appended after
@@ -463,29 +442,29 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
     move through the column map, and each appended row R becomes
     R - R_B T_old. Nothing is seeded when old keeps no tableau.
     """
-    kept, form = old._form.tab, new._form
+    kept, rows = old._tab, new._rows
     if kept is None:
         return
-    (m, n), m_old = form.a.shape, kept.m
+    (m, n), m_old = rows.shape, kept.m
     col = np.arange(old.num_vars)
     col[at:] += 1  # the new demand column
     moved = np.concatenate([col, n + np.arange(m_old)])  # every old column's new index
     carried = moved[kept.basis]
     t = np.zeros((m + 1, n + m + 1))
     t[:m_old, moved] = kept.t[:m_old, : len(moved)]
-    t[m_old:m, :n] = form.a[m_old:]
+    t[m_old:m, :n] = rows[m_old:]
     t[np.arange(m_old, m), n + np.arange(m_old, m)] = 1.0
     # an appended row meets few old columns (demand columns), so R_B is thin
     struct = np.flatnonzero(carried < n)
-    touch = struct[form.a[m_old:, carried[struct]].any(axis=0)]
-    t[m_old:m, : n + m] -= form.a[m_old:, carried[touch]] @ t[touch, : n + m]
+    touch = struct[rows[m_old:, carried[struct]].any(axis=0)]
+    t[m_old:m, : n + m] -= rows[m_old:, carried[touch]] @ t[touch, : n + m]
     side = np.ones(n + m)
     side[moved] = kept.side
-    form.tab = _Tableau(t, np.concatenate([carried, n + np.arange(m_old, m)]), side)
+    new._tab = _Tableau(t, np.concatenate([carried, n + np.arange(m_old, m)]), side)
 
 
 def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
-    """lp's optimum at the vertex its form's tableau keeps, as a closed form
+    """lp's optimum at the vertex its kept tableau holds, as a closed form
     in a parameter pi, and the pi range on which that vertex stays optimal,
     read by _read_basis with no solve unless the tableau drifted.
 
@@ -498,14 +477,13 @@ def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
     pi > 0 where every basic value lies within its bounds and no column
     improves from the bound it sits at, each up to RANGE_TOL, which forgives
     rounding only (parametric ranging; Gass & Saaty 1955, Chvatal 1983 ch.
-    10). Returns (A, B, C, lo, hi), or None when the form keeps no tableau,
+    10). Returns (A, B, C, lo, hi), or None when lp keeps no tableau,
     its basis is singular, or the range is empty.
     """
-    form = lp._form
-    tab = form.tab
+    tab = lp._tab
     if tab is None:
         return None
-    m, n = form.a.shape
+    m, n = lp._rows.shape
     side, basis = tab.side, tab.basis
     # each column's upper bound u0 + s u1, and the point p + s q, where a
     # column at its upper bound sits
@@ -518,13 +496,13 @@ def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
     c[0, cols] = 0.0
     c[1, cols] = 1.0
     cb = c[:, basis]
-    rhs = -form.a @ point[:n]
-    rhs[:, 0] += form.rhs
-    read = _read_basis(form, rhs, cb)
+    rhs = -lp._rows @ point[:n]
+    rhs[:, 0] += lp._rhs
+    read = _read_basis(lp, rhs, cb)
     if read is None:
         return None
     point[basis], duals = read
-    r0, r1 = (c - _times_form(duals, form.a)) * side
+    r0, r1 = (c - _times_form(duals, lp._rows)) * side
     r0[basis] = r1[basis] = 0.0
     (c0p, c0q), (c1p, c1q) = c @ point
     at_lb = c[:, :n] @ lp.lb
@@ -555,7 +533,7 @@ def _where_nonnegative(level: np.ndarray, slope: np.ndarray) -> tuple[float, flo
             float((level[down] / -slope[down]).min(initial=math.inf)))
 
 
-def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LfpResult:
+def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LpResult:
     """Dinkelbach's method: maximize (n.x + n0)/(d.x + d0).
 
     Each step solves max n.x + n0 - lam (d.x + d0) over the problem's rows
@@ -565,12 +543,12 @@ def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LfpResult:
     The first step is at lam = at_least, from whatever tableau lp keeps; if
     it cannot beat at_least, x is None and the value at_least. With at_least
     = -inf it is at lam = 0, and if no point has a positive ratio its point
-    is returned, its ratio a lower bound only. A point with d.x + d0 <=
-    FEAS_TOL raises DenominatorNotPositive.
+    is returned, its ratio a lower bound only. The answer is an LpResult with
+    value lam; a step that ends other than optimal is returned as it is. A
+    point with d.x + d0 <= FEAS_TOL raises DenominatorNotPositive.
     """
     num, den = problem.numerator, problem.denominator
     n0, d0 = problem.numerator_constant, problem.denominator_constant
-    # only the objective moves between steps, so lp's form is built once
     lp = problem.lp
     lam, x = at_least, None
     while True:
@@ -579,7 +557,7 @@ def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LfpResult:
         lp.objective_constant = n0 - step * d0
         res = solve_lp(lp)
         if res.status != OPTIMAL:
-            return LfpResult(res.status, np.nan, None)
+            return res
         denominator = den @ res.x + d0
         # written so that a NaN raises too
         if not denominator > FEAS_TOL:
@@ -589,4 +567,4 @@ def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LfpResult:
         if rose:
             lam, x = ratio, res.x
         if not rose or res.value <= 0.0:
-            return LfpResult(OPTIMAL, lam, x)
+            return LpResult(OPTIMAL, lam, x)

@@ -489,22 +489,22 @@ def primal_feasible_values(lp, basis, at_upper=(), tol: float = 1e-7) -> np.ndar
 
 
 def kept_vertex(lp) -> tuple[np.ndarray, np.ndarray] | None:
-    """(basis, columns at their upper bound) of the tableau lp's standard
-    form keeps, copied; None when it keeps none."""
-    tab = lp._form.tab
+    """(basis, columns at their upper bound) of the tableau lp keeps,
+    copied; None when it keeps none."""
+    tab = lp._tab
     return None if tab is None else (tab.basis.copy(), np.flatnonzero(tab.side < 0.0))
 
 
 def kept_tableau_gap(lp) -> float:
-    """Largest entry gap between the tableau lp's standard form keeps (its
-    rows, and the basic values B^-1 (b - A_U u_U) its slack columns imply)
-    and the same from one fresh dense solve on the form's own columns at the
-    same vertex."""
-    form, tab = lp._form, lp._form.tab
-    m, n = form.a.shape
+    """Largest entry gap between the tableau lp keeps (its rows, and the
+    basic values B^-1 (b - A_U u_U) its slack columns imply) and the same
+    from one fresh dense solve on lp's own standard-form columns at the same
+    vertex."""
+    rows, tab = lp._rows, lp._tab
+    m, n = rows.shape
     upper = np.where(tab.side[:n] < 0.0, lp.ub - lp.lb, 0.0)
-    rhs = form.rhs - form.a @ upper
-    full = np.hstack([form.a, np.eye(m)])
+    rhs = lp._rhs - rows @ upper
+    full = np.hstack([rows, np.eye(m)])
     kept = np.column_stack([tab.t[:m, : tab.n], tab.t[:m, n : n + m] @ rhs])
     fresh = np.linalg.solve(full[:, tab.basis], np.column_stack([full, rhs]))
     return float(np.abs(kept - fresh).max(initial=0.0))

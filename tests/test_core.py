@@ -107,6 +107,8 @@ def test_demand_profile_bounds_checked():
     inst = Instance(1.0, None, 3, 1.0, 2.0)
     profile = DemandProfile(inst, [1.0, 1.5, 2.0])
     assert len(profile) == 3
+    assert list(profile) == [1.0, 1.5, 2.0]
+    assert repr(profile) == "DemandProfile([1.0, 1.5, 2.0])"
     with pytest.raises(DemandOutOfBounds):
         DemandProfile(inst, [1.0, 2.5, 1.0])
     with pytest.raises(DemandOutOfBounds):
@@ -251,7 +253,9 @@ def test_vectors_and_the_online_state_refuse_misuse(case, error, message):
 def test_schedule_feasibility_checks():
     inst = Instance(1.0, 0.8, 3, 1.0, 2.0)
     demand = DemandProfile(inst, [1.0, 2.0, 1.5])
-    DischargeSchedule(inst, demand, [0.2, 0.5, 0.3])
+    schedule = DischargeSchedule(inst, demand, [0.2, 0.5, 0.3])
+    assert len(schedule) == 3
+    assert repr(schedule) == "DischargeSchedule([0.2, 0.5, 0.3])"
     with pytest.raises(InfeasibleSchedule):
         DischargeSchedule(inst, demand, [0.9, 0.0, 0.0])  # above rate limit
     with pytest.raises(InfeasibleSchedule):

@@ -21,6 +21,7 @@ from peakmin.baselines import (
     run_rhc,
     run_threshold,
 )
+from peakmin.cli import main as cli_main
 from peakmin.core import DemandProfile
 from peakmin.errors import (
     CapacityExceedsMinDemand,
@@ -582,6 +583,39 @@ def test_slotting_config_requires_an_integer_slot(slot_minutes):
         SlottingConfig(slot_minutes=slot_minutes)
 
 
+def test_a_window_may_end_at_midnight_written_24_00(tmp_path):
+    """24:00 ends a window at the next midnight, so a whole day holds 96
+    15-minute slots and the generators, whose window opens at 12:00, reach
+    T=48. It starts no window, and no later clock time ends one. Ingested
+    over the whole day (also from the CLI), sessions that cover two days,
+    one of them across midnight, keep all their energy in the windows."""
+    assert SlottingConfig(on_peak_start="00:00", on_peak_end="24:00").horizon == 96
+    for bad in ({"on_peak_start": "24:00", "on_peak_end": "24:00"},
+                {"on_peak_end": "24:01"}, {"on_peak_end": "25:00"}):
+        with pytest.raises(ValueError, match="clock time out of range"):
+            SlottingConfig(**bad)
+
+    ps = synthetic_volatile_profiles(1, 48, 100, 400, seed=1)
+    assert (ps.horizon, ps.slotting.on_peak_end) == (48, "24:00")
+    text = profile_set_to_json(ps)
+    assert '"on_peak_end":"24:00"' in text
+    assert profile_set_from_json(text) == ps
+
+    rows = [txn("2024-05-06 00:00", 1440, 48.0), txn("2024-05-06 18:00", 720, 24.0),
+            txn("2024-05-07 06:00", 1080, 36.0)]
+    whole_day = SlottingConfig(slot_minutes=60, on_peak_start="00:00", on_peak_end="24:00")
+    ingested = _ingest(rows, whole_day)
+    assert ingested.day_keys == ("2024-05-06", "2024-05-07")
+    assert ingested.day_values.sum(axis=1) == pytest.approx([60.0, 48.0], abs=1e-9)
+    assert ingested.day_values.sum() == pytest.approx(sum(t.energy_kwh for t in rows), abs=1e-9)
+
+    trace, out = tmp_path / "trace.csv", tmp_path / "days.json"
+    trace.write_text(_csv(rows))
+    assert cli_main(["ingest", "--input", str(trace), "--output", str(out), "--slot-minutes",
+                     "60", "--window-start", "00:00", "--window-end", "24:00"]) == 0
+    assert load_profile_set(out) == ingested
+
+
 _PROFILE_SET = dict(
     day_keys=("2024-05-06", "2024-05-07"), day_values=((1.0, 2.0, 1.0, 2.0), (2.0, 1.0, 2.0, 1.0)),
     slot_minutes=15, on_peak_start="12:00", on_peak_end="13:00", scale_factor=1.0,
@@ -629,6 +663,7 @@ def test_profile_set_json_roundtrip_is_byte_stable(tmp_path):
     text = profile_set_to_json(ps)
     again = profile_set_from_json(text)
     assert again == ps
+    assert ps != text  # another type compares unequal, not by field
     assert profile_set_to_json(again) == text
     path = tmp_path / "days.json"
     save_profile_set(ps, path)
@@ -794,6 +829,8 @@ def test_metrics_fixture():
     assert m.mean_final_peak == pytest.approx(5.0)
     assert m.std_final_peak == pytest.approx(1.0)
     assert m.mean_usage_rate == pytest.approx(0.775)
+    assert m == AggregateMetrics([6.0, 4.0], [5.0, 3.0], [8.0, 5.0])
+    assert m != "metrics"  # another type compares unequal, not by field
 
 
 def test_metrics_trivial_cases():

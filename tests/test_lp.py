@@ -1,6 +1,6 @@
 """Dense simplex and the linear-fractional reduction."""
 
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -542,7 +542,7 @@ def test_lp_unusable_basis_gives_cold_result(lp, basis):
     cold = solve_lp(_fresh(lp))
     assert cold.status == OPTIMAL
     solve_lp(lp)
-    lp._form.tab.basis[:] = basis
+    lp._tab.basis[:] = basis
     _assert_same_result(solve_lp(lp), cold)
 
 
@@ -560,10 +560,26 @@ def test_lp_resolve_of_unchanged_lp_pivots_zero_times(monkeypatch):
     assert not pivots and not tableaus
 
 
+def test_lp_that_keeps_no_tableau_carries_and_ranges_nothing():
+    """An LP never solved keeps no tableau: carry_basis from it seeds
+    nothing, so the next LP's first solve is the cold one, and
+    parametric_range has no vertex to read. A level below 0 whose slope is 0
+    empties _where_nonnegative's interval, which otherwise runs from the
+    last root of a rising entry to the first of a falling one."""
+    new = _textbook_lp()
+    lp_mod.carry_basis(_textbook_lp(), new, 0)
+    assert new._tab is None
+    _assert_same_result(solve_lp(new), solve_lp(_textbook_lp()))
+    assert lp_mod.parametric_range(_textbook_lp(), [0], 4.0, 0.0) is None
+    assert lp_mod._where_nonnegative(np.array([1.0, -1.0]), np.array([1.0, 0.0])) == (np.inf, 0.0)
+    assert lp_mod._where_nonnegative(np.array([-1.0, 2.0, 0.0]),
+                                     np.array([0.5, -1.0, 0.0])) == (2.0, 2.0)
+
+
 def _cold(lp):
-    """lp with the tableau its form keeps dropped, so that its next solve
-    starts from the slack basis on that form."""
-    lp._form.tab = None
+    """lp with the tableau it keeps dropped, so that its next solve starts
+    from the slack basis on its standard form."""
+    lp._tab = None
     return lp
 
 
@@ -660,15 +676,15 @@ def _counting(monkeypatch, name):
 
 def _fresh_read(lp, res):
     """x as _read_basis reads it from a fresh _factorized tableau of lp's
-    form at res's vertex, mapped back to lp's variables."""
-    form = lp._form
-    side = np.ones(form.tab.n)
+    standard form at res's vertex, mapped back to lp's variables."""
+    side = np.ones(lp._tab.n)
     side[res.at_upper] = -1.0
-    vertex = lp_mod._Tableau(np.zeros((form.tab.m + 1, form.tab.n + 1)), res.basis, side)
-    form = dataclasses.replace(form, tab=lp_mod._factorized(form, vertex))
-    rhs = lp_mod._net_rhs(form, side, lp_mod._upper(lp))
-    values, _duals = lp_mod._read_basis(form, rhs, np.zeros(len(res.basis)))
-    return lp_mod._optimal_result(lp, form, values).x
+    vertex = lp_mod._Tableau(np.zeros((lp._tab.m + 1, lp._tab.n + 1)), res.basis, side)
+    fresh = copy.copy(lp)
+    fresh._tab = lp_mod._factorized(lp, vertex)
+    rhs = lp_mod._net_rhs(fresh, side, lp_mod._upper(lp))
+    values, _duals = lp_mod._read_basis(fresh, rhs, np.zeros(len(res.basis)))
+    return lp_mod._optimal_result(fresh, values).x
 
 
 def _assert_answers_as_cold(res, cold, lp):
@@ -693,7 +709,7 @@ def test_lp_drifted_tableau_is_refactorized(monkeypatch):
     assert len(cases) >= 30
     for lp, _first in cases:
         for moved in (False, True):
-            tab = lp._form.tab
+            tab = lp._tab
             tab.t[: tab.m, : tab.n] += rng.normal(scale=1e-6, size=(tab.m, tab.n))
             if moved:
                 lp.objective = lp.objective + 3e-2 * rng.normal(size=lp.num_vars)
@@ -891,7 +907,7 @@ def test_bland_fallback_reaches_optimal_across_a_refactorization(monkeypatch):
         stall[0] = 0 if before - t[m, n] > 1e-12 else stall[0] + 1
         if bland and not refactored:
             refactored.append(True)
-            t[:m, :n] = lp_mod._factorized(lp._form, tab).t[:m, :n]
+            t[:m, :n] = lp_mod._factorized(lp, tab).t[:m, :n]
 
     monkeypatch.setattr(lp_mod._Tableau, "_pivot",
                         lambda tab, p, q: step(tab, q, lambda: real_pivot(tab, p, q)))

@@ -414,11 +414,11 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
     warm = []
 
     def warm_solve_lp(lp):
-        warm.append(lp._form.tab is not None)
+        warm.append(lp._tab is not None)
         return lp_mod.solve_lp(lp)
 
     def cold_solve_lp(lp):
-        lp._form.tab = None
+        lp._tab = None
         return lp_mod.solve_lp(lp)
 
     monkeypatch.setattr(online, "solve_lp", warm_solve_lp)
@@ -1045,19 +1045,24 @@ def test_closed_form_is_keyed_on_the_whole_vertex(monkeypatch):
     assert len(ranged) == 2
 
 
+def _trace_days(slotting):
+    """A 3-day charging trace from the benchmark's generator (seed 1001),
+    ingested with slotting."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return ingest_trace(parse_transactions(inputs.charging_trace_csv(1001, 3)), slotting)
+
+
 def _guarantee_day(source, rate_limit):
     """A T=10 day at c = 0.1 of its day set's mean energy: day 0, 1 or 2 of
     a seed-7 volatile set, or the first day of a 3-day charging trace from
     the benchmark's generator, ingested at 30-minute slots (as
     `peakmin ingest --slot-minutes 30` does)."""
     if source == "trace":
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = inputs  # dataclasses look their module up
-        spec.loader.exec_module(inputs)
-        days = ingest_trace(parse_transactions(inputs.charging_trace_csv(1001, 3)),
-                            SlottingConfig(slot_minutes=30))
+        days = _trace_days(SlottingConfig(slot_minutes=30))
         row = days.day_values[0]
     else:
         days = synthetic_volatile_profiles(3, 10, 100.0, 400.0, seed=7)
@@ -1104,3 +1109,71 @@ def test_anytime_guarantee_holds_on_the_certificates_worst_case(source, rate_lim
         state.commit(float(delta_t))
         state.prev_ratio = pi_t
     assert closest[1] <= 1e-3
+
+
+def _highs_need(inst, state, pi: float, k: int) -> float:
+    """The constant term plus cutoff k's requirement at pi for the mid-slot
+    state, by HiGHS on the printed certificate LP (k = t: the constant term
+    alone)."""
+    t = len(state.observed)
+    return highs_lp(build_aocr_thr(inst, state, pi, range(t + 1, k + 1)))
+
+
+def test_whole_t20_days_recertify_with_highs():
+    """Every slot of four T=20 days, re-certified by an independent solver:
+    both seed-7 volatile days of _t20_day (rate-free and at 100 kWh), day 0
+    of the charging trace at the default 12:00-17:00 window, and day 1 of
+    the volatile set in monthly mode, its standing peak the final peak of
+    day 0's rate-free run. Under anytime and anytime-deplete, each slot's
+    mid-slot state is rebuilt from the run's schedule and checked once
+    (until its first harvest, anytime-deplete reaches the states anytime
+    did). At pi_t the constant term plus the worst cutoff's requirement,
+    each from HiGHS on build_aocr_thr, fits the remaining inventory up to
+    1e-7 max(1, remaining). Where pi_t > pi_lb, some cutoff asks for more
+    than the remaining inventory at max(pi_lb, pi_t - epsilon): no slot
+    could have certified one bisection step lower."""
+    pytest.importorskip("scipy")
+    volatile = synthetic_volatile_profiles(2, 20, 100.0, 400.0, seed=7)
+    trace = _trace_days(SlottingConfig())
+    rate_free = volatile.instance(0.1 * volatile.avg_daily_energy)
+    days = [
+        (rate_free, volatile.day_values[0], 0.0),
+        (volatile.instance(0.1 * volatile.avg_daily_energy, 100.0), volatile.day_values[0], 0.0),
+        (trace.instance(0.1 * trace.avg_daily_energy), trace.day_values[0], 0.0),
+        (rate_free, volatile.day_values[1], None),
+    ]
+    pi_star, checked, minimal = {}, set(), 0
+    for inst, row, monthly_peak in days:
+        assert inst.horizon_T == 20
+        demand = DemandProfile(inst, row)
+        if monthly_peak is None:
+            day_before = run_anytime(rate_free, DemandProfile(rate_free, volatile.day_values[0]),
+                                     PolicyOptions(initial_ratio=pi_star[rate_free]))
+            monthly_peak = day_before.final_peak
+        if inst not in pi_star:
+            pi_star[inst] = optimal_cr(inst).pi_star
+        for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
+            options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                                    initial_ratio=pi_star[inst])
+            run = run_anytime(inst, demand, options)
+            state = OnlineState(inst, monthly_peak=monthly_peak, prev_ratio=pi_star[inst])
+            for t, (d_t, delta_t, pi_t) in enumerate(
+                    zip(demand.values, run.schedule.values, run.ratio_trajectory), 1):
+                state.observe(float(d_t))
+                view = online._slot_view(inst, state)
+                if (view, pi_t) not in checked:
+                    checked.add((view, pi_t))
+                    remaining = view.remaining
+                    need = {k: _highs_need(inst, state, pi_t, k) for k in range(t, 21)}
+                    worst = max(need.values())
+                    assert worst <= remaining + 1e-7 * max(1.0, remaining), (mode, t, worst)
+                    pi_lb = max(1.0, max(view.running_peak, monthly_peak) / view.v_ref)
+                    if pi_t > pi_lb:
+                        # the cutoffs that bind at pi_t most likely exceed first
+                        lower = max(pi_lb, pi_t - options.bisection_epsilon)
+                        assert any(_highs_need(inst, state, lower, k) > remaining
+                                   for k in sorted(need, key=need.get, reverse=True)), (mode, t)
+                        minimal += 1
+                state.commit(float(delta_t))
+                state.prev_ratio = pi_t
+    assert minimal >= 20
