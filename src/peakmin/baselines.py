@@ -4,15 +4,15 @@ None of these carry a performance certificate; they exist to benchmark the
 ratio-pursuit policies on recorded and synthetic traces. All of them run
 causally. Each policy is one kernel over an (N, T) matrix of days
 (threshold_actions, equal_discharge_actions, equal_ratio_actions,
-rhc_actions): it loops over the slots and decides slot t for every day at
-once, returning the (N, T) actions. Each takes an optional capacity, one
-per row, in place of the instance's, and its policy argument (threshold,
-ratio or rhc future value) for every row or one per row, so one call can
-sweep every capacity rate of an experiment. baseline_peaks checks a kernel's
-action matrix in one call (core.check_schedules, the check DischargeSchedule
-makes on one row) and returns each day's final peak. The per-day run_*
-functions run a kernel on one day and return its PolicyRun, the same record
-the certified policies emit, with an empty ratio trajectory.
+rhc_actions) that gives the amount every day wants at slot t;
+_greedy_actions, the one slot loop, caps it at min(rate limit, d_t) and the
+remaining inventory and commits it. Each kernel takes an optional capacity,
+one per row, in place of the instance's, and its policy argument
+(threshold, ratio or rhc future value) for every row or one per row, so one
+call can sweep every capacity rate of an experiment. baseline_peaks checks
+a kernel's (N, T) actions in one call (core.check_schedules) and returns
+each day's final peak. The per-day run_* functions run a kernel on one day
+and return its PolicyRun, with an empty ratio trajectory.
 """
 
 from __future__ import annotations
@@ -83,16 +83,15 @@ def _inventory(instance: Instance, values: np.ndarray, capacity) -> np.ndarray:
     return np.full(len(values), instance.capacity_c if capacity is None else capacity)
 
 
-def _greedy_actions(instance: Instance, values: np.ndarray, wanted: np.ndarray,
-                    capacity) -> np.ndarray:
-    """Each slot discharges min(wanted, slot cap, remaining inventory), in
-    slot order; one row per day of the (N, T) matrices."""
-    limit = wanted if instance.rate_limit is None else np.minimum(wanted, instance.rate_limit)
-    limit = np.minimum(limit, values)
+def _greedy_actions(instance: Instance, values: np.ndarray, wanted, capacity) -> np.ndarray:
+    """The one slot loop: slot t of each row (a day of the (N, T) matrices)
+    discharges wanted(t, remaining), capped at min(rate limit, d_t) and at
+    the row's remaining inventory."""
+    caps = values if instance.rate_limit is None else np.minimum(values, instance.rate_limit)
     remaining = _inventory(instance, values, capacity)
-    actions = np.empty_like(limit)
+    actions = np.empty(values.shape)
     for t in range(values.shape[1]):
-        actions[:, t] = np.minimum(limit[:, t], remaining)
+        actions[:, t] = np.minimum(np.minimum(wanted(t, remaining), caps[:, t]), remaining)
         remaining -= actions[:, t]
     return actions
 
@@ -103,15 +102,15 @@ def threshold_actions(instance: Instance, values: np.ndarray, threshold,
     down to the threshold until its storage runs out."""
     if not (np.asarray(threshold) >= 0).all():  # written so that NaN is rejected too
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return _greedy_actions(instance, values, np.maximum(0.0, values - _column(threshold)),
-                           capacity)
+    excess = np.maximum(0.0, values - _column(threshold))
+    return _greedy_actions(instance, values, lambda t, _: excess[:, t], capacity)
 
 
 def equal_discharge_actions(instance: Instance, values: np.ndarray, capacity=None) -> np.ndarray:
     """Equal-discharge policy on an (N, T) day matrix: the even split c/T each
     slot; unspent quota is not carried."""
-    quota = _column(_inventory(instance, values, capacity)) / instance.horizon_T
-    return _greedy_actions(instance, values, np.full(values.shape, quota), capacity)
+    quota = _inventory(instance, values, capacity) / instance.horizon_T
+    return _greedy_actions(instance, values, lambda t, _: quota, capacity)
 
 
 def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate,
@@ -126,7 +125,8 @@ def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate,
     fraction = np.asarray(capacity_rate)
     if not ((0.0 <= fraction) & (fraction <= 1.0)).all():
         raise ValueError(f"capacity_rate must be within [0, 1], got {capacity_rate}")
-    return _greedy_actions(instance, values, _column(capacity_rate) * values, capacity)
+    share = _column(capacity_rate) * values
+    return _greedy_actions(instance, values, lambda t, _: share[:, t], capacity)
 
 
 def rhc_actions(
@@ -154,9 +154,8 @@ def rhc_actions(
     window = config.resolve_window(horizon)
     fill = _column(config.future_value(instance) if future is None else future)
     rate = instance.rate_limit
-    remaining = _inventory(instance, values, capacity)
-    actions = np.empty(values.shape)
-    for t in range(horizon):
+
+    def first_cut(t, remaining):
         length = min(window, horizon - t)
         if clairvoyant:
             win = values[:, t : t + length]
@@ -164,12 +163,10 @@ def rhc_actions(
             win = np.full((len(values), length), fill)
             win[:, 0] = values[:, t]
         caps = win if rate is None else np.minimum(win, rate)
-        spendable = np.minimum(remaining, caps.sum(axis=1))
-        v = water_fill_threshold(win, spendable)
-        first = rate_corrected_cut(win, v, rate)[:, 0]
-        actions[:, t] = np.minimum(np.minimum(first, caps[:, 0]), remaining)
-        remaining -= actions[:, t]
-    return actions
+        v = water_fill_threshold(win, np.minimum(remaining, caps.sum(axis=1)))
+        return rate_corrected_cut(win, v, rate)[:, 0]
+
+    return _greedy_actions(instance, values, first_cut, capacity)
 
 
 def baseline_peaks(kernel, instance: Instance, values: np.ndarray, *args,

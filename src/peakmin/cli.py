@@ -42,7 +42,7 @@ from .harness import (
 from .offline import solve_offline_pmd
 # run_anytime and run_pcr_pmd are not called here (simulate runs through
 # POLICY_RUNNERS); the benchmark's tracer wraps these cli attributes by name
-from .online import _check_ratio, run_anytime, run_pcr_pmd  # noqa: F401
+from .online import PolicyOptions, _check_ratio, run_anytime, run_pcr_pmd  # noqa: F401
 
 _FMT = "{:.6f}"
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pi", default=None,
                        help="target ratio for fixed (or initial ratio for anytime); "
                        "'auto' computes the optimal competitive ratio")
-    p_sim.add_argument("--epsilon", type=parse_decimal, default=1e-4,
+    p_sim.add_argument("--epsilon", type=parse_decimal, default=PolicyOptions.bisection_epsilon,
                        help="bisection tolerance for the anytime certifications")
     p_sim.add_argument("--threshold", type=parse_decimal, default=None,
                        help="purchase threshold for --algo thr")
@@ -276,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing = sub.add_parser("ingest", help="convert a transaction trace to day profiles")
     p_ing.add_argument("--input", required=True, help="transaction CSV file")
     p_ing.add_argument("--output", required=True, help="day-profile JSON file to write")
-    p_ing.add_argument("--slot-minutes", type=ascii_int, default=15)
-    p_ing.add_argument("--window-start", default="12:00",
+    p_ing.add_argument("--slot-minutes", type=ascii_int, default=SlottingConfig.slot_minutes)
+    p_ing.add_argument("--window-start", default=SlottingConfig.on_peak_start,
                        help="start of the on-peak window (HH:MM)")
-    p_ing.add_argument("--window-end", default="17:00",
+    p_ing.add_argument("--window-end", default=SlottingConfig.on_peak_end,
                        help="end of the on-peak window (HH:MM, up to 24:00)")
-    p_ing.add_argument("--scale", type=parse_decimal, default=1.0,
+    p_ing.add_argument("--scale", type=parse_decimal, default=SlottingConfig.scale_factor,
                        help="multiply every slot value by this factor")
     p_ing.add_argument("--d-lb", type=parse_decimal, default=None,
                        help="override the demand lower bound (with --d-ub)")

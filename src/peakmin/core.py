@@ -26,14 +26,14 @@ from .errors import (
 EPS_KWH = 1e-9
 
 
+def is_at_least(value, floor: float) -> bool:
+    """A real number (not a bool, Python's or numpy's) in [floor, inf); NaN fails."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and floor <= value < math.inf
+
+
 def is_positive(value) -> bool:
     """A real number (not a bool) in (0, inf); NaN fails."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
-
-
-def is_at_least(value, floor: float) -> bool:
-    """A number (not a bool, which Python counts as 0 or 1) in [floor, inf); NaN fails."""
-    return not isinstance(value, (bool, np.bool_)) and floor <= value < math.inf
+    return is_at_least(value, 0.0) and value > 0
 
 
 def _admissible(instance: Instance, demands):

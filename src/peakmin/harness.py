@@ -113,7 +113,7 @@ class RunSettings(NamedTuple):
     """
 
     pi: float | None = None
-    epsilon: float = 1e-4
+    epsilon: float = PolicyOptions.bisection_epsilon
     threshold: float | None = None
     ratio: float | None = None
     window: int | None = None
@@ -224,6 +224,11 @@ class TraceColumns(NamedTuple):
     duration_us: np.ndarray
     duration_min: np.ndarray
     energy_kwh: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, TraceColumns) and all(map(np.array_equal, self, other))
+
+    __ne__ = object.__ne__  # tuple's would compare the arrays element by element
 
 
 _MINUTE_US = 60_000_000
@@ -551,9 +556,9 @@ def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> Day
 
 def _synthetic_days(num_days: int, horizon: int, demand_lb: float, demand_ub: float,
                     start_date: str) -> tuple[tuple[str, ...], SlottingConfig]:
-    """A synthetic set's day keys from start_date, and its slotting: horizon 15-min slots from 12:00."""
+    """Day keys from start_date, and horizon slots at SlottingConfig's default start and length."""
     # SlottingConfig rejects a window that is empty or runs past midnight
-    end = 12 * 60 + 15 * horizon
+    end = _clock_minutes(SlottingConfig.on_peak_start) + SlottingConfig.slot_minutes * horizon
     slotting = SlottingConfig(on_peak_end=f"{end // 60:02d}:{end % 60:02d}",
                               demand_bounds=(demand_lb, demand_ub))
     first = date.fromisoformat(start_date)
@@ -806,7 +811,7 @@ class ExperimentConfig:
     capacity_rates: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
     rate_limit_fraction: float | None = None
     monthly: bool = False
-    epsilon: float = 1e-4
+    epsilon: float = PolicyOptions.bisection_epsilon
     rhc_window: int | None = None
 
     def __post_init__(self):
@@ -891,10 +896,10 @@ def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarr
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Replay the roster over every day for every capacity rate.
 
-    Build every rate's instance (c = rate * avg daily energy) and check the
-    day matrix once. Per rate, in order: compute the optimal competitive
-    ratio once if any ratio-pursuit policy needs it, and run the certified
-    policies day by day through POLICY_RUNNERS (_day_peaks). With monthly=True the anytime policy additionally runs once per
+    Build every rate's instance (c = rate * avg daily energy). Per rate, in
+    order: compute the optimal competitive ratio once if any ratio-pursuit
+    policy needs it, and run the certified policies day by day through
+    POLICY_RUNNERS (_day_peaks). With monthly=True the anytime policy additionally runs once per
     month with the standing peak threaded through, paired against the
     independent per-day runs of the same policy (the roster's own when it
     holds anytime). Then, over every rate at once, one matrix call solves
@@ -910,8 +915,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     needs_pi = config.monthly or any(a in _RATIO_ALGOS for a in config.algorithms)
     instances = [ps.instance(rate * ps.avg_daily_energy, rate_limit)
                  for rate in config.capacity_rates]
-    # one check serves every rate: the rates share the bounds and the horizon
-    values = check_demands(instances[0], ps.day_values)
+    values = ps.day_values  # checked when ps was made, on the bounds and horizon every rate shares
     finals: dict[str, list] = {a: [] for a in config.algorithms if a in _RATIO_ALGOS}
     monthly_rows: list[MonthlyComparison] = []
     for rate, instance in zip(config.capacity_rates, instances):

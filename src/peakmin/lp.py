@@ -68,7 +68,7 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearProgram:
     """Dense LP: maximize objective . x (+ objective_constant) over the rows
     a x <= b and the box lb <= x <= ub (ub inf where a column has none).
@@ -89,9 +89,9 @@ class LinearProgram:
     # tolerances meaningful across magnitudes), right-hand side shifted by lb;
     # then the last solve's (or a carry's) tableau, whose rows B^-1 [A | I]
     # stay exact as the objective or ub moves (a warm start rewrites its rhs)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
-    _tab: _Tableau | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _rhs: np.ndarray = field(init=False, repr=False)
+    _tab: _Tableau | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.objective, self.a, self.b, self.lb = (
@@ -135,7 +135,7 @@ class LinearProgram:
         self.ub[cols] = hi
 
 
-@dataclass
+@dataclass(eq=False)
 class LpResult:
     status: str
     value: float
@@ -147,7 +147,7 @@ class LpResult:
     at_upper: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class LfpProblem:
     """Linear-fractional program: maximize (n.x + n0)/(d.x + d0) over the
     rows and box of lp (not to change), whose objective solve_lfp writes.

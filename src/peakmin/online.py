@@ -238,7 +238,7 @@ def _constant_term(view: _SlotView, pi: float) -> float:
     return max(0.0, d_t - max(pi * view.v_ref, view.running_peak))
 
 
-@dataclass
+@dataclass(eq=False)
 class _Cutoff:
     """One cutoff's certificate LP as a slot keeps it: the LP, its w
     columns, the U it was built with, its last optimal vertex (the basis
@@ -293,8 +293,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # imposes a requirement
         return -math.inf
     floor = max(view.running_peak, view.monthly_peak)
-    # pi = 0 can only be evaluated when no peak floor exists yet
-    lb_u = 0.0 if floor <= 0.0 else floor / pi
+    lb_u = floor / pi
     top = scenario_top(inst, view.demands, lb_u)
     cut = warm.cutoffs.get(kmax)
     if cut is None or cut.top != top:
@@ -466,9 +465,8 @@ def _certify(view: _SlotView, prev_ratio: float, epsilon: float) -> tuple[float,
     return _certified_ratio(view, prev_ratio, epsilon)
 
 
-def anytime_ratio(
-    instance: Instance, state: OnlineState, d_t: float, epsilon: float = 1e-4
-) -> float:
+def anytime_ratio(instance: Instance, state: OnlineState, d_t: float,
+                  epsilon: float = PolicyOptions.bisection_epsilon) -> float:
     """Smallest ratio still guaranteeable after observing d_t.
 
     state carries the t-1 committed slots plus prev_ratio, the ceiling of the

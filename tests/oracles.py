@@ -103,16 +103,6 @@ def total_discharge_forced(instance, pi: float, profile) -> float:
     return total
 
 
-def phi_grid_oracle(instance, pi: float, grid_step: float) -> float:
-    """Maximum forced total discharge over the full demand grid (tiny T only)."""
-    lo, hi = instance.demand_lb, instance.demand_ub
-    values = np.arange(lo, hi + 1e-9, grid_step)
-    best = 0.0
-    for profile in itertools.product(values, repeat=instance.horizon_T):
-        best = max(best, total_discharge_forced(instance, pi, profile))
-    return best
-
-
 def cr_ratio_oracle(instance, index_set, grid_step: float) -> float:
     """Worst ratio (sum demands - c) / (sum reference peaks) over a demand grid.
 

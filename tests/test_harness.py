@@ -404,6 +404,17 @@ def test_bulk_parse_matches_row_parse_on_canonical_traces(seed):
     _assert_columns_match_rows(_canonical_trace_csv(seed))
 
 
+def test_trace_columns_compare_column_by_column():
+    """Two parses of one trace are equal; == between them used to raise
+    ValueError (the truth value of an array is ambiguous)."""
+    text = _canonical_trace_csv(7)
+    columns = parse_transactions(text)
+    assert columns == parse_transactions(text) and not columns != parse_transactions(text)
+    header, _, rest = text.split("\n", 2)
+    fewer = parse_transactions(f"{header}\n{rest}")
+    assert columns != fewer and not columns == fewer and columns != tuple(columns)
+
+
 def test_bulk_parse_takes_space_separated_starts():
     """Starts written with a space between date and time (as
     datetime.isoformat(sep=" ") writes them), in every row or in one, parse

@@ -18,7 +18,7 @@ from peakmin.lp import (
     solve_lfp,
     solve_lp,
 )
-from peakmin.online import run_anytime
+from peakmin.online import _Cutoff, run_anytime
 
 from oracles import kept_tableau_gap, le_arrays, primal_feasible_values
 
@@ -38,6 +38,20 @@ def test_lp_textbook_maximize():
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(12.0)
     assert np.allclose(res.x, [4.0, 0.0])
+
+
+def test_lp_records_compare_by_identity():
+    """LinearProgram, LpResult, LfpProblem and a slot's _Cutoff hold arrays:
+    == between two built alike used to raise ValueError (the truth value of
+    an array is ambiguous). Like the _Tableau they carry, they now compare
+    by identity."""
+    def build():
+        lp = LinearProgram(np.array([3.0, 2.0]), np.array([[1.0, 1.0], [1.0, 3.0]]),
+                           np.array([4.0, 6.0]), np.zeros(2), INF2)
+        return [lp, solve_lp(lp), LfpProblem(np.ones(2), 0.0, np.ones(2), 1.0, lp),
+                _Cutoff(lp, np.arange(2), 4.0)]
+    for first, second in zip(build(), build()):
+        assert first == first and first != second and not first == second
 
 
 def test_lp_minimize_with_lower_bound_and_constant():

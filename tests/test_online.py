@@ -6,6 +6,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,37 @@ def test_fixed_policy_runs_where_no_ratio_can_be_certified():
 def test_fixed_policy_rejects_a_bool_ratio(tiny_instance):
     with pytest.raises(ValueError, match="pi must be >= 1"):
         run_pcr_pmd(tiny_instance, True, DemandProfile(tiny_instance, [2.0, 2.0]))
+
+
+def _mid_slot(inst):
+    state = OnlineState(inst)
+    state.observe(2.0)
+    return state
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda inst: PolicyOptions(monthly_peak="5"), NonPositiveBound, "monthly_peak must be"),
+    (lambda inst: PolicyOptions(monthly_peak=None), NonPositiveBound, "monthly_peak must be"),
+    (lambda inst: PolicyOptions(initial_ratio="1.5"), ValueError, "initial_ratio must be"),
+    (lambda inst: OnlineState(inst, monthly_peak="1"), NonPositiveBound, "monthly_peak must be"),
+    (lambda inst: OnlineState(inst, prev_ratio=None), ValueError, "prev_ratio must be"),
+    (lambda inst: run_pcr_pmd(inst, "1.5", DemandProfile(inst, [2.0, 2.0])), ValueError,
+     "pi must be"),
+    (lambda inst: run_pcr_pmd(inst, None, DemandProfile(inst, [2.0, 2.0])), ValueError,
+     "pi must be"),
+    (lambda inst: run_pcr_pmd(inst, Decimal("1.5"), DemandProfile(inst, [2.0, 2.0])), ValueError,
+     "pi must be"),
+    (lambda inst: pcr_step(inst, OnlineState(inst), "1.5", 2.0), ValueError, "pi must be"),
+    (lambda inst: online.depleting_amount(inst, _mid_slot(inst), 1.5, "0"), ValueError,
+     "base_delta must be"),
+], ids=["options-peak-str", "options-peak-none", "options-ratio-str", "state-peak-str",
+        "state-ratio-none", "fixed-str", "fixed-none", "fixed-decimal", "step-str", "delta-str"])
+def test_a_number_that_is_no_real_raises_its_own_error(tiny_instance, call, error, message):
+    """The bounds checks take only real numbers, as is_positive does. A str
+    or None used to reach the comparison and raise TypeError, and a Decimal
+    ratio passed to fail mid-run in pi * v_ref."""
+    with pytest.raises(error, match=message):
+        call(tiny_instance)
 
 
 def test_epsilon_must_be_a_number_not_a_bool():
