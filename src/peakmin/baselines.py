@@ -5,14 +5,16 @@ ratio-pursuit policies on recorded and synthetic traces. All of them run
 causally. Each policy is one kernel over an (N, T) matrix of days
 (threshold_actions, equal_discharge_actions, equal_ratio_actions,
 rhc_actions) that gives the amount every day wants at slot t;
-_greedy_actions, the one slot loop, caps it at min(rate limit, d_t) and the
+_greedy_actions, the one slot loop, caps it at Instance.slot_cap and the
 remaining inventory and commits it. Each kernel takes an optional capacity,
 one per row, in place of the instance's, and its policy argument
-(threshold, ratio or rhc future value) for every row or one per row, so one
-call can sweep every capacity rate of an experiment. baseline_peaks checks
-a kernel's (N, T) actions in one call (core.check_schedules) and returns
-each day's final peak. The per-day run_* functions run a kernel on one day
-and return its PolicyRun, with an empty ratio trajectory.
+(threshold, ratio, or the future an rhc window assumes after its first
+slot) for every row or one per row, so one call can sweep every capacity
+rate of an experiment; a clairvoyant rhc run passes the days themselves as
+its future. baseline_peaks checks a kernel's (N, T) actions in one call
+(core.check_schedules) and returns each day's final peak. The per-day run_*
+functions run a kernel on one day and return its PolicyRun, with an empty
+ratio trajectory.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def _inventory(instance: Instance, values: np.ndarray, capacity) -> np.ndarray:
 
 def _greedy_actions(instance: Instance, values: np.ndarray, wanted, capacity) -> np.ndarray:
     """The one slot loop: slot t of each row (a day of the (N, T) matrices)
-    discharges wanted(t, remaining), capped at min(rate limit, d_t) and at
-    the row's remaining inventory."""
-    caps = values if instance.rate_limit is None else np.minimum(values, instance.rate_limit)
+    discharges wanted(t, remaining), capped at Instance.slot_cap and at the
+    row's remaining inventory."""
+    caps = instance.slot_cap(values)
     remaining = _inventory(instance, values, capacity)
     actions = np.empty(values.shape)
     for t in range(values.shape[1]):
@@ -129,42 +131,28 @@ def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate,
     return _greedy_actions(instance, values, lambda t, _: share[:, t], capacity)
 
 
-def rhc_actions(
-    instance: Instance,
-    values: np.ndarray,
-    config: RhcConfig | None = None,
-    clairvoyant: bool = False,
-    capacity=None,
-    future=None,
-) -> np.ndarray:
+def rhc_actions(instance: Instance, values: np.ndarray, window, future,
+                capacity=None) -> np.ndarray:
     """Receding horizon on an (N, T) day matrix: each slot solves its window
     offline and commits the first action.
 
-    Slot t of every day sees the window [d_t, f, ..., f], where f is the
-    configured future view, truncated at the end of the horizon, and
-    optimizes it against that day's remaining inventory. The window is
-    granted the whole remaining inventory, capped at what its slots can
-    physically absorb so the water-fill stays defined. clairvoyant=True
-    replaces f with the true upcoming demands (a test mode: with window=T it
-    reproduces the offline optimum). future, when given, replaces the
-    view's f.
+    window is the look-ahead as RhcConfig takes it (None: ceil(T/4)); future,
+    one value, one per row or an (N, T) matrix f, is what the window assumes
+    after its first slot. Slot t of every day sees [d_t, f_{t+1}, ...,
+    f_{t+window-1}], truncated at the horizon, and optimizes it against that
+    day's remaining inventory, capped at what the window's slots can absorb
+    so the water-fill stays defined. Passing the days as future makes a
+    clairvoyant run (a test mode: with window=T it is the offline optimum).
     """
-    config = config or RhcConfig()
-    horizon = instance.horizon_T
-    window = config.resolve_window(horizon)
-    fill = _column(config.future_value(instance) if future is None else future)
-    rate = instance.rate_limit
+    window = RhcConfig(window).resolve_window(instance.horizon_T)
+    future = np.asarray(future, dtype=float)
+    future = np.broadcast_to(future if future.ndim == 2 else _column(future), values.shape)
 
     def first_cut(t, remaining):
-        length = min(window, horizon - t)
-        if clairvoyant:
-            win = values[:, t : t + length]
-        else:
-            win = np.full((len(values), length), fill)
-            win[:, 0] = values[:, t]
-        caps = win if rate is None else np.minimum(win, rate)
-        v = water_fill_threshold(win, np.minimum(remaining, caps.sum(axis=1)))
-        return rate_corrected_cut(win, v, rate)[:, 0]
+        win = future[:, t : t + window].copy()
+        win[:, 0] = values[:, t]
+        v = water_fill_threshold(win, np.minimum(remaining, instance.slot_cap(win).sum(axis=1)))
+        return rate_corrected_cut(win, v, instance.rate_limit)[:, 0]
 
     return _greedy_actions(instance, values, first_cut, capacity)
 
@@ -199,11 +187,11 @@ def run_equal_ratio(instance: Instance, demand: DemandProfile, capacity_rate: fl
     return _day_run(equal_ratio_actions, instance, demand, capacity_rate)
 
 
-def run_rhc(
-    instance: Instance,
-    demand: DemandProfile,
-    config: RhcConfig | None = None,
-    clairvoyant: bool = False,
-) -> PolicyRun:
-    """Receding horizon on one day: solve the window offline, commit the first action."""
-    return _day_run(rhc_actions, instance, demand, config, clairvoyant)
+def run_rhc(instance: Instance, demand: DemandProfile, config: RhcConfig | None = None,
+            clairvoyant: bool = False) -> PolicyRun:
+    """Receding horizon on one day: solve the window offline, commit the first
+    action. The window assumes config's future view after its first slot,
+    or, when clairvoyant, the day's own demands."""
+    config = config or RhcConfig()
+    future = demand.values[None] if clairvoyant else config.future_value(instance)
+    return _day_run(rhc_actions, instance, demand, config.window, future)

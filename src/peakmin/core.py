@@ -26,9 +26,14 @@ from .errors import (
 EPS_KWH = 1e-9
 
 
+def is_real(value) -> bool:
+    """The one scalar number rule: a finite real number (not a bool, Python's or numpy's); NaN fails."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
 def is_at_least(value, floor: float) -> bool:
-    """A real number (not a bool, Python's or numpy's) in [floor, inf); NaN fails."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and floor <= value < math.inf
+    """A real number (not a bool) in [floor, inf); NaN fails."""
+    return is_real(value) and floor <= value
 
 
 def is_positive(value) -> bool:
@@ -79,16 +84,17 @@ class Instance:
 
     def __post_init__(self):
         # NaN slips past every comparison below and an infinite bound makes
-        # no instance, so non-finite values are turned away first; a checked
-        # field is stored as its annotation's type (horizon_T: integral, no bool)
+        # no instance, so the number rule turns them away first (None only
+        # as the unbounded rate_limit); a checked field is stored as its
+        # annotation's type (horizon_T: integral)
         for name in ("capacity_c", "rate_limit", "demand_lb", "demand_ub"):
             value = getattr(self, name)
-            if value is not None:
-                if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+            if value is not None or name != "rate_limit":
+                if not is_real(value):
                     raise NonPositiveBound(f"{name} must be a finite number, got {value}")
                 object.__setattr__(self, name, float(value))
         T = self.horizon_T
-        if isinstance(T, bool) or not math.isfinite(T) or int(T) != T or T < 1:
+        if not is_at_least(T, 1) or int(T) != T:
             raise ZeroHorizon(f"horizon_T must be a positive integer, got {T}")
         object.__setattr__(self, "horizon_T", int(T))
         if self.demand_lb <= 0:
@@ -107,11 +113,10 @@ class Instance:
                 f"{self.horizon_T * self.demand_lb}"
             )
 
-    def slot_cap(self, demand_value: float) -> float:
-        """Hard per-slot discharge cap min(rate_limit, d_t); branches on presence."""
-        if self.rate_limit is None:
-            return demand_value
-        return min(self.rate_limit, demand_value)
+    def slot_cap(self, demand):
+        """Hard per-slot discharge cap min(rate_limit, d_t), of a float or of
+        each entry of an array; the demand itself when rate_limit is None."""
+        return demand if self.rate_limit is None else np.minimum(demand, self.rate_limit)
 
 
 # a second name for Instance, which checks and normalizes its own fields

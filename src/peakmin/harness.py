@@ -887,7 +887,7 @@ def _baseline_finals(config: ExperimentConfig, instances: list, values: np.ndarr
             kwargs[keyword] = np.repeat([_BASELINES[a][2](instance, peaks, energy)
                                          for a, instance, peaks in cells], len(values))
         if kernel is rhc_actions:
-            kwargs["config"] = RhcConfig(config.rhc_window)
+            kwargs["window"] = config.rhc_window
         peaks = baseline_peaks(kernel, instances[0], np.tile(values, (len(cells), 1)), **kwargs)
         finals.update(zip(algorithms, peaks.reshape(len(algorithms), len(instances), -1)))
     return finals

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance, check_schedules
+from .core import EPS_KWH, DemandProfile, DischargeSchedule, Instance, check_schedules, is_real
 from .errors import BudgetExceedsTotalDemand, InfeasibleSchedule, InvalidCmdWeights
 
 
@@ -112,14 +112,18 @@ def offline_peak_values(instance: Instance, values: np.ndarray):
 class CmdWeights:
     """Per-slot energy prices w_e ($/kWh) and the peak price w_p ($/kWh).
 
-    Construction enforces w_p >= T * max_{i,j}(w_e_i - w_e_j); under that
-    assumption the weighted problem shares the plain problem's offline optimum.
+    Construction enforces core's number rule on every weight and
+    w_p >= T * max_{i,j}(w_e_i - w_e_j); under that assumption the weighted
+    problem shares the plain problem's offline optimum.
     """
 
     energy_weights: tuple[float, ...]
     peak_weight: float
 
     def __post_init__(self):
+        weights = (*self.energy_weights, self.peak_weight)
+        if not all(map(is_real, weights)):
+            raise InvalidCmdWeights(f"weights must be finite numbers, got {weights}")
         w = np.asarray(self.energy_weights, dtype=float)
         if len(w) == 0:
             raise InvalidCmdWeights("energy_weights must be nonempty")

@@ -274,8 +274,9 @@ def test_kernels_match_per_day_loops_bit_for_bit(instance):
         for window in dict.fromkeys((None, 1, 2, T)):
             config = RhcConfig(window, view)
             for clairvoyant in (False, True):
+                future = values if clairvoyant else config.future_value(instance)
                 cases.append((
-                    rhc_actions(instance, values, config, clairvoyant),
+                    rhc_actions(instance, values, window, future),
                     lambda row, c=config, k=clairvoyant: rhc_actions_loop(instance, row, c, k),
                 ))
     for got, loop in cases:
@@ -290,8 +291,8 @@ def test_kernels_match_per_day_loops_bit_for_bit(instance):
 def test_per_row_capacity_and_argument_match_one_call_per_instance(instance):
     """A kernel given one capacity and one argument per row gives every block
     of rows exactly the actions of a call on that block's own instance and
-    argument, and offline_peaks likewise; an over-capacity row is named with
-    its own capacity."""
+    argument, and offline_peaks likewise (rhc also with the days themselves
+    as its future); an over-capacity row is named with its own capacity."""
     values = random_profiles(instance, 9, seed=instance.horizon_T + 5)
     shares = (1.0, 0.5, 0.2)
     blocks = [(Instance(instance.capacity_c * share, instance.rate_limit, instance.horizon_T,
@@ -300,7 +301,7 @@ def test_per_row_capacity_and_argument_match_one_call_per_instance(instance):
     capacity = np.repeat([block.capacity_c for block, _ in blocks], len(values))
     argument = np.repeat([instance.demand_lb + share * (instance.demand_ub - instance.demand_lb)
                           for share in shares], len(values))
-    window = RhcConfig(2 if instance.horizon_T > 2 else None)
+    window = 2 if instance.horizon_T > 2 else None
     stacked = [
         (threshold_actions(instance, rows, argument, capacity),
          lambda block, arg: threshold_actions(block, values, arg)),
@@ -308,8 +309,10 @@ def test_per_row_capacity_and_argument_match_one_call_per_instance(instance):
          lambda block, arg: equal_discharge_actions(block, values)),
         (equal_ratio_actions(instance, rows, argument / instance.demand_ub, capacity),
          lambda block, arg: equal_ratio_actions(block, values, arg / instance.demand_ub)),
-        (rhc_actions(instance, rows, window, capacity=capacity, future=argument),
-         lambda block, arg: rhc_actions(block, values, window, future=arg)),
+        (rhc_actions(instance, rows, window, argument, capacity=capacity),
+         lambda block, arg: rhc_actions(block, values, window, arg)),
+        (rhc_actions(instance, rows, window, rows, capacity=capacity),
+         lambda block, arg: rhc_actions(block, values, window, values)),
         (offline_peaks(instance, rows, capacity),
          lambda block, arg: offline_peaks(block, values)),
     ]
@@ -380,7 +383,7 @@ def test_cell_peaks_match_per_day_runs_bit_for_bit(instance):
                     lambda v: equal_discharge_actions_loop(instance, v)),
         "eql-per": ((equal_ratio_actions, 0.3),
                     lambda v: equal_ratio_actions_loop(instance, v, 0.3)),
-        **{f"rhc-{name}": ((rhc_actions, RhcConfig(window, view)),
+        **{f"rhc-{name}": ((rhc_actions, window, RhcConfig(window, view).future_value(instance)),
                            lambda v, view=view: rhc_actions_loop(instance, v,
                                                                  RhcConfig(window, view)))
            for name, view in (("upper", FUTURE_UPPER), ("lower", FUTURE_LOWER),

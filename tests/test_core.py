@@ -1,5 +1,7 @@
 """Domain types: construction, validation, and the reference profile."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -67,21 +69,29 @@ def test_instance_rejects_non_finite_fields(field, bad):
         Instance(**fields)
 
 
-@pytest.mark.parametrize("bad", [True, False, np.True_])
-@pytest.mark.parametrize("field", ["capacity_c", "rate_limit", "demand_lb", "demand_ub"])
+# (id, value); the bools keep the ids pytest gave them as the only cases
+_NOT_KWH = [("True", True), ("False", False), ("bad2", np.True_), ("1.5", "1.5"),
+            ("Decimal", Decimal("1")), ("None", None)]
+
+
+@pytest.mark.parametrize("field, bad", [
+    pytest.param(field, bad, id=f"{field}-{name}") for name, bad in _NOT_KWH
+    for field in ("capacity_c", "rate_limit", "demand_lb", "demand_ub")
+    if not (bad is None and field == "rate_limit")])  # None: no rate limit
 def test_instance_rejects_a_bool_kwh_field(field, bad):
-    """True used to pass as 1 kWh (and False as 0) in every kWh field."""
+    """True used to pass as 1 kWh (and False as 0) in every kWh field, and a
+    Decimal too; a str, or None where no None is allowed, raised TypeError."""
     fields = dict(capacity_c=1.0, rate_limit=1.5, horizon_T=2, demand_lb=1.0, demand_ub=2.0)
     fields[field] = bad
     with pytest.raises(NonPositiveBound, match=f"{field} must be a finite number"):
         Instance(**fields)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True, "2"])
 def test_instance_rejects_non_finite_horizon(bad):
-    """A horizon that is not a whole number of slots, or is a bool, raises
-    ZeroHorizon under either name: validate_instance used to cut 2.5 to 2,
-    take True as 1 and raise OverflowError on infinity."""
+    """A horizon that is not a whole number of slots, or is a bool or a str,
+    raises ZeroHorizon under either name: validate_instance used to cut 2.5
+    to 2, take True as 1, raise OverflowError on infinity and TypeError on "2"."""
     for build in (Instance, validate_instance):
         with pytest.raises(ZeroHorizon):
             build(1.0, None, bad, 1.0, 2.0)

@@ -173,6 +173,12 @@ def test_cmd_weights_validation():
         CmdWeights((0.1, 0.2, 0.1), peak_weight=0.29)
     with pytest.raises(InvalidCmdWeights):
         CmdWeights((), peak_weight=1.0)
+    # NaN passed and gave a NaN cost, inf an infinite one, a bool passed as
+    # 1.0 and a str raised TypeError
+    for energy, peak in [((1.0, 2.0), math.nan), ((1.0, math.nan), 5.0), ((1.0, 2.0), math.inf),
+                         ((True, 2.0), 5.0), ((1.0, 2.0), "5")]:
+        with pytest.raises(InvalidCmdWeights, match="must be finite numbers"):
+            CmdWeights(energy, peak)
 
 
 def test_cmd_shares_pmd_offline_optimum():
