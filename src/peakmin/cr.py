@@ -3,8 +3,11 @@
 The worst-case ratio over demand profiles that force a given future index set
 is a linear-fractional program; the optimal ratio is the maximum of that
 program over the prefix index sets {1..t} for t from floor(c/d_ub)+1 to T.
-scenario_program builds that program once, for an empty prefix here and,
-with the observed prefix held fixed, for the anytime certificate in online.
+scenario_program builds that program, for an empty prefix here and, with
+the observed prefix held fixed, for the anytime certificate in online; each
+chain of programs (prefix t-1 to t here, cutoff k-1 to k there) grows each
+program from the one before by grow_program, which starts the new block at
+its water-fill optimum.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 from .core import EPS_KWH, DemandProfile, Instance, reference_values
 from .errors import DegenerateInstance, EmptyIndexSet, NumericalFailure
 from .lp import OPTIMAL, LfpProblem, LinearProgram, carry_basis, solve_lfp
-# not called here; the benchmark's tracer wraps this cr attribute by name
-from .offline import offline_peak_values  # noqa: F401
+from .offline import offline_peak_values
 
 
 @dataclass(frozen=True)
@@ -125,40 +127,136 @@ def scenario_program(
 
     Columns: x_{t+1}..x_k, then per scenario the block w_i, delta_i1..
     delta_ii, D_i (no D_T); rows per scenario: the budget, one row per slot
-    j <= i, the tail. A block has as many rows as columns, so the arrays are
-    sized up front and filled block by block. Returns (the program with a
-    zero objective to maximize, for the caller to write; the w columns; U).
+    j <= i, the tail. The arrays are _grown's step folded from the empty
+    program (k = t gives it); a k outside t..T raises ValueError. Returns
+    (the program with a zero objective to maximize, for the caller to
+    write; the w columns; U).
     """
-    T = instance.horizon_T
-    rate = math.inf if instance.rate_limit is None else instance.rate_limit
     prefix = np.asarray(prefix, dtype=float)
     t = len(prefix)
+    if k != t:
+        _check_cutoff(instance, t, k)
     top = scenario_top(instance, prefix, u_lb)
-    sizes = [i + 1 + (i < T) for i in range(t + 1, k + 1)]
-    m = sum(sizes)
-    n = k - t + m
-    a, b = np.zeros((m, n)), np.empty(m)
-    lb, ub = np.zeros(n), np.full(n, rate)
-    lb[: k - t], ub[: k - t] = x_lb, instance.demand_ub
-    w_cols = k - t + np.cumsum([0] + sizes, dtype=int)[:-1]
-    for i, size, ofs in zip(range(t + 1, k + 1), sizes, w_cols):
-        r = ofs - (k - t)  # the block's first row: its budget
-        a[r, ofs + 1 : ofs + size] = 1.0
-        b[r] = instance.capacity_c
-        # slot j: d_j - delta_ij + w_i <= U, with d_j = x_j past t
-        slots = r + 1 + np.arange(i)
-        a[slots, ofs] = 1.0
-        a[slots, ofs + 1 + np.arange(i)] = -1.0
-        a[slots[t:], np.arange(i - t)] = 1.0
-        b[slots[:t]] = top - prefix
-        b[slots[t:]] = top
-        ub[ofs] = top - u_lb
-        if i < T:  # aggregated tail: (T-i)*w_i - D_i <= (T-i)*(U - lb)
-            a[r + size - 1, ofs] = T - i
-            a[r + size - 1, ofs + size - 1] = -1.0
-            b[r + size - 1] = (T - i) * (top - instance.demand_lb)
-            ub[ofs + size - 1] = (T - i) * rate
-    return LinearProgram(np.zeros(n), a, b, lb, ub), w_cols, top
+    arrays = np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0)
+    for i in range(t + 1, k + 1):
+        arrays = _grown(instance, prefix, arrays, i, x_lb, u_lb, top)
+    return LinearProgram(np.zeros(len(arrays[2])), *arrays), _w_columns(instance, t, k), top
+
+
+def grow_program(
+    instance: Instance, prefix, old: LinearProgram, k: int, x_lb: float, u_lb: float
+) -> tuple[LinearProgram, np.ndarray, float]:
+    """scenario_program(instance, prefix, k, x_lb, u_lb), bit for bit, grown
+    from old, cutoff k-1's program for the same instance, prefix, x_lb and
+    U (its objective and w upper bounds may have moved since) by one _grown
+    step, every w column's upper bound then set to U - u_lb. A k outside
+    t < k <= T, or an old of another shape than cutoff k-1's, raises
+    ValueError.
+
+    When old keeps a tableau, lp.carry_basis carries its vertex and starts
+    block k at that vertex's best answer (_block_start): x_k at d_ub and
+    the block at the water-fill optimum of its scenario, so the simplex
+    starts where only the old blocks can still improve."""
+    prefix = np.asarray(prefix, dtype=float)
+    t = len(prefix)
+    _check_cutoff(instance, t, k)
+    top = scenario_top(instance, prefix, u_lb)
+    w_cols = _w_columns(instance, t, k)
+    if old.a.shape != (w_cols[-1] - (k - t), w_cols[-1] - 1):
+        raise ValueError(f"old is not cutoff {k - 1}'s program: shape {old.a.shape}")
+    a, b, lb, ub = _grown(instance, prefix, (old.a, old.b, old.lb, old.ub), k, x_lb, u_lb, top)
+    ub[w_cols] = top - u_lb
+    lp = LinearProgram(np.zeros(len(lb)), a, b, lb, ub)
+    carry_basis(old, lp, k - 1 - t,
+                lambda point: _block_start(instance, prefix, k, u_lb, point, w_cols[-1]))
+    return lp, w_cols, top
+
+
+def _check_cutoff(instance: Instance, t: int, k: int) -> None:
+    if not t < k <= instance.horizon_T:
+        raise ValueError(f"cutoff {k} outside {t + 1}..{instance.horizon_T} after {t} fixed slots")
+
+
+def _block_size(instance: Instance, i: int) -> int:
+    """Columns (and rows) of scenario block i: w_i, i deltas and, before
+    the horizon, D_i."""
+    return i + 1 + (i < instance.horizon_T)
+
+
+def _w_columns(instance: Instance, t: int, k: int) -> np.ndarray:
+    """The w column of each block of cutoff k's program: the first after
+    the k - t demand columns and the blocks before it."""
+    sizes = [_block_size(instance, i) for i in range(t + 1, k + 1)]
+    return k - t + np.cumsum([0] + sizes, dtype=int)[:-1]
+
+
+def _grown(instance: Instance, prefix: np.ndarray, arrays, k: int, x_lb: float, u_lb: float,
+           top: float):
+    """The arrays (a, b, lb, ub) of cutoff k's program from arrays, cutoff
+    k-1's: x_k inserted after the demand block, then block k appended, the
+    one place a block is written."""
+    old_a, old_b, old_lb, old_ub = arrays
+    T, t = instance.horizon_T, len(prefix)
+    rate = math.inf if instance.rate_limit is None else instance.rate_limit
+    x, size = k - 1 - t, _block_size(instance, k)
+    # the block's first row (its budget) and column (w_k)
+    r, col = old_a.shape[0], old_a.shape[1] + 1
+    a = np.zeros((r + size, col + size))
+    a[:r, :x], a[:r, x + 1 : col] = old_a[:, :x], old_a[:, x:]
+    b = np.concatenate([old_b, np.empty(size)])
+    lb = np.concatenate([old_lb[:x], [x_lb], old_lb[x:], np.zeros(size)])
+    ub = np.concatenate([old_ub[:x], [instance.demand_ub], old_ub[x:], [top - u_lb],
+                         np.full(size - 1, rate)])
+    a[r, col + 1 : col + size] = 1.0
+    b[r] = instance.capacity_c
+    # slot j: d_j - delta_kj + w_k <= U, with d_j = x_j past t
+    slots = r + 1 + np.arange(k)
+    a[slots, col] = 1.0
+    a[slots, col + 1 + np.arange(k)] = -1.0
+    a[slots[t:], np.arange(k - t)] = 1.0
+    b[slots[:t]] = top - prefix
+    b[slots[t:]] = top
+    if k < T:  # aggregated tail: (T-k)*w_k - D_k <= (T-k)*(U - lb)
+        a[r + size - 1, col] = T - k
+        a[r + size - 1, col + size - 1] = -1.0
+        b[r + size - 1] = (T - k) * (top - instance.demand_lb)
+        ub[col + size - 1] = (T - k) * rate
+    return a, b, lb, ub
+
+
+def _block_start(instance: Instance, prefix: np.ndarray, k: int, u_lb: float,
+                 point: np.ndarray, col: int):
+    """Block k's best answer at point, the carried vertex of its grown
+    program, as lp.carry_basis seeds it: (batches, at_upper), the pivots
+    in two batches of (rows, columns), and the columns to put at their
+    upper bounds; col is w_k's column.
+
+    x_k sits at d_ub, and scenario k's benchmark is u_k = max(u_lb, the
+    offline peak of [prefix, x_{t+1..k-1} as point holds them, d_ub, d_lb,
+    ..., d_lb]), rate-corrected. Each delta_kj of a slot above u_k is basic
+    in its slot row, at d_j - u_k, and D_k in the tail row when d_lb > u_k:
+    each of these columns meets one of these rows, so they are one batch.
+    Then w_k = U - u_k is basic when u_k > u_lb: in the budget row when the
+    budget sets the level, else (the rate cap does: u_k = max_j d_j - rate)
+    in the row of a capped slot, whose deltas sit at their upper bound
+    instead. At u_k = u_lb it sits at its upper bound. Every other row
+    keeps its slack basic."""
+    T, t = instance.horizon_T, len(prefix)
+    rate = math.inf if instance.rate_limit is None else instance.rate_limit
+    row = col - (k - t)  # the budget row; slot j's is row + j, the tail's row + k + 1
+    d = np.concatenate([prefix, point[: k - 1 - t], [instance.demand_ub]])
+    u = max(u_lb, float(offline_peak_values(instance, reference_values(instance, d))))
+    capped = (d - u >= rate - EPS_KWH) & (u > u_lb)
+    basic = np.flatnonzero((d > u) & ~capped) + 1  # the slots of the basic deltas
+    if k < T and instance.demand_lb > u:
+        basic = np.append(basic, k + 1)  # D_k, in the tail row
+    batches = [(row + basic, col + basic)]
+    at_upper = [k - 1 - t, *(col + 1 + np.flatnonzero(capped))]
+    if u <= u_lb:
+        at_upper.append(col)
+    else:
+        batches.append(([row + 1 + np.argmax(capped) if capped.any() else row], [col]))
+    return batches, at_upper
 
 
 def scenario_top(instance: Instance, prefix, u_lb: float) -> float:
@@ -174,13 +272,17 @@ def inventory_unbounded(instance: Instance) -> bool:
     return rate is not None and instance.capacity_c > instance.horizon_T * rate + EPS_KWH
 
 
-def _prefix_program(instance: Instance, t: int) -> LfpProblem:
+def _prefix_program(instance: Instance, t: int, prev: LfpProblem | None = None) -> LfpProblem:
     """Worst-case-ratio program of the prefix index set {1..t}, reduced.
 
     maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over the scenario
-    program with no observed prefix and cutoff t.
+    program with no observed prefix and cutoff t: grown from prev, prefix
+    t-1's program, when it is given, else built by scenario_program.
     """
-    lp, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
+    if prev is None:
+        lp, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
+    else:
+        lp, w_cols, top = grow_program(instance, (), prev.lp, t, instance.demand_lb, 0.0)
     num = np.zeros(lp.num_vars)
     num[:t] = 1.0
     den = np.zeros(lp.num_vars)
@@ -202,10 +304,11 @@ def optimal_cr(instance: Instance) -> CrResult:
     numerator is at most t*d_ub - c <= 0, so those prefixes cannot beat the
     ratio 1 the all-d_lb profile forces. The best ratio so far is carried
     into the next prefix's Dinkelbach solve, which returns at once when the
-    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. So
-    is the tableau each prefix's last LP keeps, mapped onto the next
-    prefix's program by lp.carry_basis: only the first prefix starts cold,
-    and no prefix refactorizes its basis. The denominator is positive, as
+    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. Each
+    prefix's program is grown from the one before by grow_program, which
+    carries the tableau that prefix's last LP keeps and starts the new
+    scenario block at its water-fill optimum: only the first prefix starts
+    cold, and no prefix refactorizes its basis. The denominator is positive, as
     solve_lfp requires: any feasible point has u_i >= (sum_j p_j - c)/T >=
     (T*d_lb - c)/T > 0 under the c < T*d_lb precondition below. Every
     prefix program is feasible and bounded, so a step LP that ends other
@@ -228,17 +331,14 @@ def optimal_cr(instance: Instance) -> CrResult:
 
     tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
     best_val, best_t, best_x = -math.inf, None, None
-    prev = None
+    program = None
     for t in range(tau + 1, T + 1):
-        program = _prefix_program(instance, t)
-        if prev is not None:
-            carry_basis(prev.lp, program.lp, t - 1)
+        program = _prefix_program(instance, t, program)
         res = solve_lfp(program, at_least=best_val)
         if res.status != OPTIMAL:
             raise NumericalFailure(f"prefix {t}: a Dinkelbach step's LP ended {res.status}")
         if res.x is not None:
             best_val, best_t, best_x = res.value, t, res.x[:t]  # the demand block
-        prev = program
     witness = DemandProfile(instance, reference_values(instance, best_x))
     # ratios below 1 are LP noise: the all-d_lb profile already forces 1
     return CrResult(

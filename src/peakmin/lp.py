@@ -32,7 +32,9 @@ one dense solve at the basis, the only one in this module, replaces the
 tableau. A later solve re-prices the kept vertex (Chvatal 1983 ch. 10):
 optimal, it answers with no pivot; only primal feasible, the simplex starts
 from it; otherwise from the slack basis. carry_basis maps a kept vertex
-onto the next, larger scenario program without a solve.
+onto the next, larger scenario program without a solve, and starts the
+appended block at the vertex its caller names (cr starts it at the block's
+water-fill optimum) by eliminations on the appended rows alone.
 
 One gate: an answer whose basis is singular, or that violates a row
 (scaled by max(1, |b|)) or a bound by more than 1e-6, or is NaN, raises
@@ -291,6 +293,16 @@ class _Tableau:
         self.side[q] = -self.side[q]
 
 
+def _pivot_at_once(t: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Pivot on every (rows[i], cols[i]) at once, t[rows][:, cols] being
+    diagonal: the pivots commute, each leaves the others' rows and columns
+    as they were, so the rows become t[rows] over their pivots and every
+    row is reduced against them in one product."""
+    pivot_rows = t[rows] / t[rows, cols][:, None]
+    t -= t[:, cols] @ pivot_rows
+    t[rows] = pivot_rows
+
+
 def _upper(lp: LinearProgram) -> np.ndarray:
     """Each standard-form column's upper bound: ub - lb, then inf for each
     slack."""
@@ -425,8 +437,9 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     return _optimal_result(lp, read[0])
 
 
-def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
-    """Seed new with old's kept tableau, mapped onto new's standard form.
+def carry_basis(old: LinearProgram, new: LinearProgram, at: int, start=None) -> None:
+    """Seed new with old's kept tableau, mapped onto new's standard form,
+    and, given start, the appended block started at a vertex of its own.
 
     new is old (scenario programs; an LfpProblem's is its lp) with one
     demand column inserted at column at, one scenario block appended after
@@ -441,6 +454,17 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
     keeps old's bounds. The tableau is derived without a solve: old rows
     move through the column map, and each appended row R becomes
     R - R_B T_old. Nothing is seeded when old keeps no tableau.
+
+    start, given, is called with the carried vertex's point (new's columns,
+    at new's bounds, read through old's B^-1) and returns (batches,
+    at_upper): batches of pivots, each (rows, columns) of appended rows and
+    new columns whose pivot submatrix is diagonal, so its pivots commute
+    and are made at once (_pivot_at_once), the batches in order; and new
+    columns to put at their upper bounds. Old rows are zero in new columns,
+    so each pivot touches the appended rows only. A pivot element at or
+    below PIVOT_TOL, or a batch whose pivots do not commute, leaves the
+    carried vertex as it was mapped. These pivots seed a vertex; they are
+    not simplex steps.
     """
     kept, rows = old._tab, new._rows
     if kept is None:
@@ -451,7 +475,10 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
     moved = np.concatenate([col, n + np.arange(m_old)])  # every old column's new index
     carried = moved[kept.basis]
     t = np.zeros((m + 1, n + m + 1))
-    t[:m_old, moved] = kept.t[:m_old, : len(moved)]
+    # moved, as three runs of columns: those before at, the rest, the slacks
+    n_old = old.num_vars
+    t[:m_old, :at], t[:m_old, at + 1 : n_old + 1] = kept.t[:m_old, :at], kept.t[:m_old, at:n_old]
+    t[:m_old, n : n + m_old] = kept.t[:m_old, n_old : n_old + m_old]
     t[m_old:m, :n] = rows[m_old:]
     t[np.arange(m_old, m), n + np.arange(m_old, m)] = 1.0
     # an appended row meets few old columns (demand columns), so R_B is thin
@@ -460,7 +487,25 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int) -> None:
     t[m_old:m, : n + m] -= rows[m_old:, carried[touch]] @ t[touch, : n + m]
     side = np.ones(n + m)
     side[moved] = kept.side
-    new._tab = _Tableau(t, np.concatenate([carried, n + np.arange(m_old, m)]), side)
+    tab = new._tab = _Tableau(t, np.concatenate([carried, n + np.arange(m_old, m)]), side)
+    if start is None:
+        return
+    upper = _upper(new)
+    shifted = np.where(side[:n] < 0.0, upper[:n], 0.0)
+    values = t[:m_old, n : n + m_old] @ _net_rhs(new, side, upper)[:m_old]
+    shifted[carried[struct]] = values[struct]
+    batches, at_upper = start(shifted + new.lb)
+    for rows, cols in batches:
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        pivots = t[np.ix_(rows, cols)]
+        if not ((np.abs(pivots.diagonal()) > PIVOT_TOL).all()
+                and np.count_nonzero(pivots) == len(rows)):
+            carry_basis(old, new, at)  # the carried vertex as it was mapped
+            return
+        # the appended rows (and the cost row, zero): no old row meets cols
+        _pivot_at_once(t[m_old:], rows - m_old, cols)
+        tab.basis[rows] = cols
+    tab.side[at_upper] = -1.0
 
 
 def parametric_range(lp: LinearProgram, cols, top: float, floor: float):

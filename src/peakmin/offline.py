@@ -24,9 +24,12 @@ def water_fill_threshold(demands, budget):
     descending with prefix sums S_k, v = max_k (S_k - budget)/k. A zero budget
     returns max(demands). Works along the last axis: a vector gives a float,
     an (N, T) matrix one level per row, against one budget for every row or
-    an array of N budgets, one per row. A NaN or infinite demand raises ValueError.
+    an array of N budgets, one per row. No demand at all (an empty vector or
+    an (N, 0) matrix) and a NaN or infinite demand raise ValueError.
     """
     d = np.asarray(demands, dtype=float)
+    if d.size == 0:
+        raise ValueError("demands must be nonempty")
     per_row = isinstance(budget, np.ndarray)
     # min propagates NaN, so this rejects a NaN budget too
     if not (budget.min() if per_row else budget) >= 0:

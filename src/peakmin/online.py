@@ -30,9 +30,9 @@ from .core import (
     is_positive,
     reference_values,
 )
-from .cr import inventory_unbounded, optimal_cr, scenario_program, scenario_top
+from .cr import grow_program, inventory_unbounded, optimal_cr, scenario_program, scenario_top
 from .errors import DegenerateOfflinePeak, NegativeSlack, NonPositiveBound, NumericalFailure
-from .lp import OPTIMAL, LinearProgram, carry_basis, parametric_range, solve_lp
+from .lp import OPTIMAL, LinearProgram, parametric_range, solve_lp
 from .offline import offline_peak_values
 
 MODE_ANYTIME = "anytime"
@@ -263,13 +263,16 @@ class _WarmStart:
     Each cutoff's LP is built once: between LP answers only the -pi
     objective terms, their constant and the w upper bounds U - floor/pi
     move, and they are written into the kept LP, whose standard form
-    solve_lp reuses. scenario_program runs again only if U = max(d_ub,
-    floor/pi, prefix) moves, which needs a pi below floor/v_ref (v_ref <=
-    U), and the bisection never evaluates one. A step whose pi lies in a
-    cutoff's closed-form range takes the cutoff's value from that form,
-    with no LP; a step outside it solves the LP from the tableau it keeps,
-    and a cutoff's first solve from the tableau of the cutoff before it,
-    mapped by lp.carry_basis, so no step refactorizes a basis. Each kept LP
+    solve_lp reuses. A cutoff's LP is grown from the cutoff before it by
+    cr.grow_program, which carries that LP's tableau and starts the new
+    block at its water-fill optimum; the slot's first cutoff is built by
+    scenario_program. Both run again only if U = max(d_ub, floor/pi,
+    prefix) moves, which needs a pi below floor/v_ref (v_ref <= U), and the
+    bisection never evaluates one; after such a move a cutoff grows only
+    from one built at the same U. A step whose pi lies in a cutoff's
+    closed-form range takes the cutoff's value from that form, with no LP;
+    a step outside it solves the LP from the tableau it keeps, so no step
+    refactorizes a basis. Each kept LP
     holds its standard form and tableau until the slot ends. The cutoff
     that exceeded the budget last usually exceeds it again.
 
@@ -300,7 +303,11 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # OnlineState.observe admits demands up to EPS_KWH above d_ub, so the
         # running peak can pass d_ub; x's box must not be inverted by that
         x_lb = min(max(inst.demand_lb, view.running_peak), inst.demand_ub)
-        lp, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
+        prev = warm.cutoffs.get(kmax - 1)
+        if prev is not None and prev.top == top:
+            lp, w_cols, top = grow_program(inst, view.demands, prev.lp, kmax, x_lb, lb_u)
+        else:
+            lp, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
         lp.objective[: kmax - t] = 1.0
         cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top)
     else:
@@ -310,10 +317,6 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     lp = cut.lp
     lp.objective[cut.w_cols] = pi
     lp.objective_constant = -pi * top * len(cut.w_cols)
-    prev = warm.cutoffs.get(kmax - 1)
-    if cut.basis is None and prev is not None:
-        # x_kmax is inserted after x_{t+1..kmax-1}
-        carry_basis(prev.lp, lp, kmax - 1 - t)
     res = solve_lp(lp)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
@@ -366,7 +369,7 @@ def _requirement(
     if warm.binding is not None:
         cutoffs.remove(warm.binding)
         cutoffs.insert(0, warm.binding)
-    band = 1e-8 * max(1.0, budget)
+    band = _band(budget)
     worst = 0.0
     for kmax in cutoffs:
         value = _closed_form(warm.cutoffs.get(kmax), pi)
@@ -381,6 +384,12 @@ def _requirement(
             warm.binding = kmax
             break
     return const + worst
+
+
+def _band(budget: float) -> float:
+    """How far a requirement may sit from budget for rounding to decide
+    the comparison: 1e-8 max(1, budget)."""
+    return 1e-8 * max(1.0, budget)
 
 
 def _confirm(view: _SlotView, pi: float, cutoffs: list[int], warm: _WarmStart) -> None:
@@ -408,7 +417,13 @@ def _certified_ratio(
     (the reference peak is rate-corrected, so [d_t - pi v]^+ <= rate for
     pi >= 1). If the lower endpoint needs no more than the remaining
     inventory it is returned outright, even above prev_ratio: a monthly peak
-    can force the first slot's certificate past the daily optimum. Otherwise
+    can force the first slot's certificate past the daily optimum. At a tie,
+    where a peak the policy set at prev_ratio makes the lower endpoint
+    prev_ratio (to 1e-9, the slack PolicyRun's nonincreasing check allows),
+    a need above the inventory by no more than _band, where rounding
+    decides, is prev_ratio's own certificate missed by rounding: the lower
+    endpoint is returned, where the bracket would otherwise run up to the
+    demand ceiling and certify a ratio above prev_ratio. Otherwise
     the loop keeps the invariant that the upper endpoint is certified
     feasible and returns it. A never-discharging policy keeps every peak at
     or below the demand ceiling, so demand_ub / v is certifiable and serves
@@ -426,7 +441,10 @@ def _certified_ratio(
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
     # the first step of a slot has no closed form yet: every value is an LP's
-    if not _requirement(view, pi_lb, view.remaining, warm) > view.remaining:
+    budget = view.remaining
+    if prev_ratio <= pi_lb <= prev_ratio + 1e-9:  # a tie
+        budget += _band(budget)
+    if not _requirement(view, pi_lb, budget, warm) > budget:
         return pi_lb, True
     pi_ub = prev_ratio
     if pi_ub <= pi_lb:

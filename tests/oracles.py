@@ -500,6 +500,53 @@ def kept_tableau_gap(lp) -> float:
     return float(np.abs(kept - fresh).max(initial=0.0))
 
 
+def vertex_point(lp) -> np.ndarray | None:
+    """The structural point x of the vertex lp keeps, its basic values from
+    the dense solve of primal_feasible_values; None when that vertex is
+    not primal feasible."""
+    basis, at_upper = kept_vertex(lp)
+    values = primal_feasible_values(lp, basis, at_upper)
+    if values is None:
+        return None
+    _a, _b, lb, upper = slack_standard_form(lp)
+    shifted = np.zeros(len(upper))
+    shifted[at_upper] = upper[at_upper]
+    shifted[basis] = values
+    return shifted[: lp.num_vars] + lb
+
+
+def seeded_block_gap(instance, prefix, u_lb: float, lp, w_cols, top: float) -> float:
+    """Largest gap between the last scenario block of the vertex lp keeps
+    (cutoff k = t + len(w_cols)), x_k included, and that block's water-fill
+    optimum given the vertex's other demands: x_k = d_ub and, with u_k =
+    max(u_lb, offline peak of [prefix, x_{t+1..k-1}, d_ub, d_lb, ...]),
+    w_k = U - u_k, delta_kj = [d_j - u_k]^+ and D_k = (T-k) [d_lb - u_k]^+;
+    inf when the vertex is not primal feasible."""
+    x = vertex_point(lp)
+    if x is None:
+        return math.inf
+    prefix = np.asarray(prefix, dtype=float)
+    T, t, k = instance.horizon_T, len(prefix), len(prefix) + len(w_cols)
+    d = np.concatenate([prefix, x[: k - 1 - t], [instance.demand_ub]])
+    u = max(u_lb, float(offline_peak_values(instance, reference_values(instance, d))))
+    want = [top - u, *np.maximum(d - u, 0.0)]
+    if k < T:
+        want.append((T - k) * max(instance.demand_lb - u, 0.0))
+    block = x[w_cols[-1] :]
+    return float(max(abs(x[k - 1 - t] - instance.demand_ub), np.abs(block - want).max()))
+
+
+def same_program(got, want) -> bool:
+    """Two scenario programs (lp, w columns, U) equal bit for bit: the
+    arrays, the objective, the standard form built from them, the w
+    columns and U."""
+    (lp, w_cols, top), (ref, ref_w_cols, ref_top) = got, want
+    pairs = zip((lp.a, lp.b, lp.lb, lp.ub, lp.objective, lp._rows, lp._rhs),
+                (ref.a, ref.b, ref.lb, ref.ub, ref.objective, ref._rows, ref._rhs))
+    return (all(g.shape == r.shape and np.array_equal(g, r) for g, r in pairs)
+            and np.array_equal(w_cols, ref_w_cols) and top == ref_top)
+
+
 class Transaction(NamedTuple):
     """One charging session, assumed to draw constant power for its duration."""
 

@@ -134,6 +134,31 @@ def test_simulate_anytime_runs(capsys, dhat_file):
     assert final <= (ratios[-1] + 1e-3) * 474.0 + 1e-6
 
 
+@pytest.mark.parametrize("algo", ["anytime", "anytime-deplete"])
+def test_simulate_anytime_on_the_cr_witness(capsys, tmp_path, algo):
+    """The witness `peakmin cr` prints (3 3 6 6 6 at c = 10.5, T = 5, bounds
+    [3, 6]) runs through the anytime policies at --pi auto: it used to exit
+    2 with "ratio_trajectory must be nonincreasing", the standing peak
+    tying the ratio at a slot whose requirement rounding put above the
+    inventory. Every slot keeps pi* and the peak is pi* times the offline
+    peak."""
+    flags = ["-c", "10.5", "--d-lb", "3", "--d-ub", "6"]
+    code, out, _ = run_cli(capsys, ["cr", *flags, "-T", "5"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "pi_star,1.666667"
+    witness = lines[3].split(",")[1].split()
+    assert witness == ["3.000000", "3.000000", "6.000000", "6.000000", "6.000000"]
+    path = tmp_path / "witness.txt"
+    path.write_text("\n".join(witness) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simulate", *flags, "--demands", str(path),
+                                      "--algo", algo, "--pi", "auto"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split(",")[4] for line in lines[1:6]] == ["1.666667"] * 5
+    assert lines[6:8] == ["final_peak,4.500000", "offline_peak,2.700000"]
+
+
 def test_simulate_flag_requirements(capsys, dhat_file):
     base = ["simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
             "--demands", dhat_file]

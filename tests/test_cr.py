@@ -12,7 +12,7 @@ from peakmin.core import DemandProfile, Instance
 from peakmin.cr import CrResult, build_cr_compute, optimal_cr
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
-from peakmin.lp import OPTIMAL, UNBOUNDED, LpResult, carry_basis, solve_lfp
+from peakmin.lp import OPTIMAL, UNBOUNDED, LfpProblem, LpResult, solve_lfp
 
 from oracles import (
     HorizonTooLarge,
@@ -26,8 +26,10 @@ from oracles import (
     phi_bruteforce_witness,
     primal_feasible_values,
     ratio_lower_bound,
+    same_program,
     scenario_program_rows,
-    slack_standard_form,
+    seeded_block_gap,
+    vertex_point,
 )
 
 
@@ -316,8 +318,20 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
     from prefix to prefix included, is primal feasible on its LP's standard
     form (by the independent dense solve of
     oracles.primal_feasible_values); only the first prefix's first LP is
-    solved cold."""
+    solved cold. Every program grown from the prefix before it equals
+    scenario_program's fresh build bit for bit, and its carried vertex
+    holds the new block at its water-fill optimum
+    (oracles.seeded_block_gap)."""
     calls = _recording_solve_lp(monkeypatch)
+    real_grow, grown = cr.grow_program, []
+
+    def checked_grow(instance, prefix, old, k, x_lb, u_lb):
+        program = real_grow(instance, prefix, old, k, x_lb, u_lb)
+        assert same_program(program, cr.scenario_program(instance, prefix, k, x_lb, u_lb))
+        grown.append(seeded_block_gap(instance, prefix, u_lb, *program))
+        return program
+
+    monkeypatch.setattr(cr, "grow_program", checked_grow)
     warm = 0
     for inst in _carry_instances(71, rate_limited, tau_positive):
         calls.clear()
@@ -328,30 +342,113 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
             assert primal_feasible_values(lp, *vertex) is not None, inst
             warm += 1
     assert warm > 40
+    assert len(grown) >= 20 and max(grown) <= 1e-9
 
 
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
 def test_carry_basis_keeps_the_vertex(rate_limited):
-    """The carried basis of prefix t+1 is prefix t's optimal vertex with
-    x_{t+1} and the new scenario block at their lower bounds."""
+    """The carried vertex of prefix t+1, grown from prefix t's solved
+    program, is prefix t's optimal vertex with x_{t+1} at d_ub and the new
+    scenario block at its water-fill optimum there (oracles.seeded_block_gap),
+    primal feasible."""
+    seeded = 0
     for inst in _carry_instances(73, rate_limited, False, count=4):
         for t in range(1, inst.horizon_T):
-            old, new = cr._prefix_program(inst, t), cr._prefix_program(inst, t + 1)
+            old = cr._prefix_program(inst, t)
             res = solve_lfp(old)
-            carry_basis(old.lp, new.lp, t)
-            lp = new.lp
-            basis, at_upper = kept_vertex(lp)
-            _a, _b, lb, upper = slack_standard_form(lp)
-            found = primal_feasible_values(lp, basis, at_upper)
-            assert found is not None, (inst, t)
-            shifted = np.zeros(len(upper))
-            shifted[at_upper] = upper[at_upper]
-            shifted[basis] = found
-            x = shifted[: lp.num_vars] + lb
-            kept = np.delete(np.arange(lp.num_vars), t)[: old.lp.num_vars]
+            new = cr._prefix_program(inst, t + 1, old)
+            x = vertex_point(new.lp)
+            assert x is not None, (inst, t)
+            kept = np.delete(np.arange(new.lp.num_vars), t)[: old.lp.num_vars]
             assert np.allclose(x[kept], res.x, rtol=0.0, atol=1e-9), (inst, t)
-            assert np.array_equal(x[t], lb[t])
-            assert np.array_equal(x[old.lp.num_vars + 1 :], lb[old.lp.num_vars + 1 :])
+            _lp, w_cols, top = cr.scenario_program(inst, (), t + 1, inst.demand_lb, 0.0)
+            assert seeded_block_gap(inst, (), 0.0, new.lp, w_cols, top) <= 1e-9, (inst, t)
+            seeded += 1
+    assert seeded >= 12
+
+
+@pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
+@pytest.mark.parametrize("u_lb_above", [False, True], ids=["u_lb-below", "u_lb-above"])
+def test_grown_block_starts_at_its_water_fill_optimum(rate_limited, u_lb_above):
+    """grow_program from a solved cutoff k-1 program, on random instances
+    at T <= 10 with an observed prefix and a u_lb below the demands or
+    above every scenario's offline peak: the grown program equals
+    scenario_program's bit for bit, and its kept vertex is primal feasible
+    with block k at its water-fill optimum (w_k at its upper bound where
+    u_lb sets the benchmark)."""
+    rng = np.random.default_rng(67)
+    checked = 0
+    for _ in range(15):
+        T = int(rng.integers(3, 11))
+        lo = float(rng.uniform(50.0, 150.0))
+        hi = lo * float(rng.uniform(1.2, 3.0))
+        c = float(rng.uniform(0.1, 0.9) * T * lo)
+        rate = c / T * float(rng.uniform(1.0, 2.0)) if rate_limited else None
+        inst = Instance(c, rate, T, lo, hi)
+        t = int(rng.integers(0, T - 1))
+        prefix = rng.uniform(lo, hi, t)
+        x_lb = float(rng.uniform(lo, hi))
+        u_lb = float(rng.uniform(hi, 1.5 * hi) if u_lb_above else rng.uniform(0.0, lo))
+        lp, w_cols, top = cr.scenario_program(inst, prefix, t + 1, x_lb, u_lb)
+        for k in range(t + 2, T + 1):
+            lp.objective[: k - 1 - t] = 1.0
+            lp.objective[w_cols] = float(rng.uniform(1.0, 2.0))
+            assert lp_mod.solve_lp(lp).status == OPTIMAL
+            program = cr.grow_program(inst, prefix, lp, k, x_lb, u_lb)
+            assert same_program(program, cr.scenario_program(inst, prefix, k, x_lb, u_lb))
+            assert seeded_block_gap(inst, prefix, u_lb, *program) <= 1e-9, (inst, t, k)
+            lp, w_cols, top = program
+            checked += 1
+    assert checked >= 30
+
+
+def test_failed_seed_keeps_the_plain_carried_vertex():
+    """A seed carry_basis cannot make (a zero pivot element, two pivots
+    that do not commute, or a batch that fails after one was made) leaves
+    the plain carried vertex: the tableau, basis and sides of a carry with
+    no start."""
+    inst = Instance(2.0, None, 4, 1.0, 2.0)
+    old, _w_cols, _top = cr.scenario_program(inst, (), 2, 1.0, 0.0)
+    old.objective[:2] = 1.0
+    solve_lfp(LfpProblem(old.objective, 0.0, np.zeros(old.num_vars), 1.0, old))
+    plain, w_cols, _top = cr.scenario_program(inst, (), 3, 1.0, 0.0)
+    lp_mod.carry_basis(old, plain, 2)
+    row, col = w_cols[-1] - 3, w_cols[-1]  # block 3's budget row and w_3
+    # slot j's row is row + j and delta_3j is col + j: delta_32 is 0 in slot
+    # 1's row, w_3 meets both slot rows, and delta_31 leaves slot 2's row 0
+    for batches in ([([row + 1], [col + 2])],
+                    [([row + 1, row + 2], [col + 1, col])],
+                    [([row + 1], [col + 1]), ([row + 2], [col + 1])]):
+        new = cr.scenario_program(inst, (), 3, 1.0, 0.0)[0]
+        lp_mod.carry_basis(old, new, 2, lambda point, batches=batches: (batches, [2]))
+        assert np.array_equal(new._tab.t, plain._tab.t)
+        assert np.array_equal(new._tab.basis, plain._tab.basis)
+        assert np.array_equal(new._tab.side, plain._tab.side)
+
+
+def test_growth_step_rejects_a_cutoff_outside_the_horizon():
+    """The growth step takes cutoffs t < k <= T only: scenario_program
+    builds k = t (the empty program) to T and raises ValueError for a k
+    past the horizon or below the prefix, and grow_program raises for a k
+    past the horizon, a k at or below the prefix, and an old program that
+    is not cutoff k-1's."""
+    inst = Instance(2.0, None, 4, 1.0, 2.0)
+    prefix = [1.5, 1.2]
+    assert cr.scenario_program(inst, prefix, 2, 1.0, 0.0)[0].num_vars == 0
+    for k in (5, 1):
+        with pytest.raises(ValueError, match="cutoff"):
+            cr.scenario_program(inst, prefix, k, 1.0, 0.0)
+    old = cr.scenario_program(inst, prefix, 4, 1.0, 0.0)[0]
+    with pytest.raises(ValueError, match="cutoff 5"):
+        cr.grow_program(inst, prefix, old, 5, 1.0, 0.0)
+    for k in (2, 1):
+        with pytest.raises(ValueError, match="cutoff"):
+            cr.grow_program(inst, prefix, old, k, 1.0, 0.0)
+    with pytest.raises(ValueError, match="not cutoff 3"):
+        cr.grow_program(inst, prefix, old, 4, 1.0, 0.0)
+    grown = cr.grow_program(inst, prefix, cr.scenario_program(inst, prefix, 3, 1.0, 0.0)[0],
+                            4, 1.0, 0.0)
+    assert same_program(grown, cr.scenario_program(inst, prefix, 4, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
@@ -466,8 +563,8 @@ def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
         gaps["kept"].append(kept_tableau_gap(lp))
         return res
 
-    def checked_carry(old, new, at):
-        real_carry(old, new, at)
+    def checked_carry(old, new, at, start=None):
+        real_carry(old, new, at, start)
         gaps["carried"].append(kept_tableau_gap(new))
 
     monkeypatch.setattr(lp_mod, "solve_lp", checked_solve_lp)

@@ -43,6 +43,14 @@ def test_water_fill_rejects_nan_budget():
         water_fill_threshold([1.0, 2.0], float("nan"))
 
 
+@pytest.mark.parametrize("demands", [[], np.zeros((3, 0))], ids=["empty", "no-columns"])
+def test_water_fill_rejects_no_demand(demands):
+    """An empty vector or an (N, 0) matrix raises ValueError, as the other
+    input errors do; it used to raise IndexError."""
+    with pytest.raises(ValueError, match="nonempty"):
+        water_fill_threshold(demands, 0.5)
+
+
 @pytest.mark.parametrize(
     "demands",
     [[1.0, float("nan")], [float("inf"), 1.0], [[1.0, 2.0], [1.0, float("-inf")]]],

@@ -50,6 +50,8 @@ from oracles import (
     kept_vertex,
     phi_bruteforce_witness,
     primal_feasible_values,
+    same_program,
+    seeded_block_gap,
 )
 
 
@@ -320,6 +322,55 @@ def test_anytime_seeded_at_one_bisects_up_to_the_demand_ceiling(tiny_instance):
         assert run.final_peak <= (traj[-1] + epsilon) * offline_peak(tiny_instance, demand) + 1e-6
         default = run_anytime(tiny_instance, demand).ratio_trajectory
         assert np.abs(traj - default).max() <= epsilon
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [Instance(9.981780804854415, None, 5, 2.8255111545554437, 4.645418481856983),
+     Instance(2.0, None, 3, 2.0, 2.0)],
+    ids=["t5", "flat-box"],
+)
+@pytest.mark.parametrize("mode", [MODE_ANYTIME, MODE_ANYTIME_DEPLETING])
+def test_anytime_keeps_its_ratio_at_a_tie_with_the_standing_peak(inst, mode):
+    """On the all-d_lb day the standing peak forces pi_lb = prev_ratio at a
+    slot whose requirement there exceeds the remaining inventory by
+    rounding only (1.8e-15 on the T=5 instance, at slot 2). The run keeps
+    the ratio it certified instead of bisecting up to the demand ceiling:
+    it used to raise "ratio_trajectory must be nonincreasing" on the T=5
+    instance and to certify 1.00006 above pi* = 1 where d_lb = d_ub."""
+    pi_star = optimal_cr(inst).pi_star
+    demand = DemandProfile(inst, np.full(inst.horizon_T, inst.demand_lb))
+    run = run_anytime(inst, demand, PolicyOptions(mode=mode))
+    assert (np.diff(run.ratio_trajectory) <= 1e-9).all()
+    assert run.ratio_trajectory.max() <= pi_star + 1e-9
+    assert run.final_peak <= run.ratio_trajectory[-1] * offline_peak(inst, demand) + 1e-9
+
+
+def test_anytime_runs_the_worst_case_days_of_small_instances():
+    """Random instances at T <= 6, with and without a rate limit, each run
+    in both modes on its all-d_lb, all-d_ub and optimal_cr witness days:
+    no run raises and none certifies a ratio above pi*. Before ties with
+    the standing peak were kept, some of these runs raised and others
+    certified a ratio above pi*."""
+    rng = np.random.default_rng(5)
+    runs = 0
+    for _ in range(40):
+        T = int(rng.integers(2, 7))
+        lo = float(rng.uniform(1.0, 5.0))
+        hi = lo if rng.random() < 0.1 else lo * float(rng.uniform(1.0, 3.0))
+        c = float(rng.uniform(0.05, 0.95)) * T * lo
+        rate = None if rng.random() < 0.6 else float(rng.uniform(c / T, hi))
+        inst = Instance(c, rate, T, lo, hi)
+        res = optimal_cr(inst)
+        days = [np.full(T, lo), np.full(T, hi)]
+        if res.witness_profile is not None:
+            days.append(res.witness_profile.values)
+        for day in days:
+            for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
+                run = run_anytime(inst, DemandProfile(inst, day), PolicyOptions(mode=mode))
+                assert run.ratio_trajectory.max() <= res.pi_star + 1e-9, (inst, day, mode)
+                runs += 1
+    assert runs >= 200
 
 
 def test_anytime_beats_fixed_on_every_profile(tiny_instance):
@@ -603,6 +654,25 @@ def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
     assert online._constant_term(view, 1.6) + got == pytest.approx(full, rel=1e-9)
 
 
+def _counting_builds(monkeypatch):
+    """Patch online's scenario_program and grow_program to record each
+    cutoff LP they build as (observed slots, cutoff); returns the list."""
+    builds = []
+    real_program, real_grow = online.scenario_program, online.grow_program
+
+    def counting_program(instance, prefix, k, x_lb, u_lb):
+        builds.append((len(prefix), k))
+        return real_program(instance, prefix, k, x_lb, u_lb)
+
+    def counting_grow(instance, prefix, old, k, x_lb, u_lb):
+        builds.append((len(prefix), k))
+        return real_grow(instance, prefix, old, k, x_lb, u_lb)
+
+    monkeypatch.setattr(online, "scenario_program", counting_program)
+    monkeypatch.setattr(online, "grow_program", counting_grow)
+    return builds
+
+
 def _fresh_requirement(view, pi, kmax):
     """The cutoff's certificate LP built anew by scenario_program and solved
     cold, the way each bisection step once built it."""
@@ -632,20 +702,14 @@ def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_p
     """Slots 1-4 of a T=10 day, each bisected on [1, 2] with one _WarmStart
     over every cutoff: at every step the kept cutoff LP, its objective and
     w bounds moved in place, gives the status and value of a freshly built
-    scenario_program solved cold. scenario_program runs once per (slot,
-    cutoff) unless U moves; with the monthly peak 450 above d_ub = 400, U
-    moves for pi below 1.125, a bracket run_anytime never bisects (it
-    starts at 450/v_ref), and the cutoff LPs are rebuilt."""
+    scenario_program solved cold. Each (slot, cutoff) LP is built once,
+    by scenario_program or grown from the cutoff before it by
+    grow_program, unless U moves; with the monthly peak 450 above d_ub =
+    400, U moves for pi below 1.125, a bracket run_anytime never bisects
+    (it starts at 450/v_ref), and the cutoff LPs are rebuilt."""
     inst, demand = _volatile_day(rate_limit, 0.3, 1)
     pi_star = optimal_cr(inst).pi_star
-    builds = []
-    real_program = online.scenario_program
-
-    def counting_program(instance, prefix, k, x_lb, u_lb):
-        builds.append((len(prefix), k))
-        return real_program(instance, prefix, k, x_lb, u_lb)
-
-    monkeypatch.setattr(online, "scenario_program", counting_program)
+    builds = _counting_builds(monkeypatch)
     state = OnlineState(inst, monthly_peak=monthly_peak)
     steps = 0
     for d in demand.values[:4]:
@@ -688,26 +752,36 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
     """Every basis run_anytime carries from cutoff k-1 to cutoff k, in the
     bisection and in depleting_amount, is primal feasible on cutoff k's
     standard form as it is solved (by the independent dense solve of
-    oracles.primal_feasible_values); and each cutoff's LP is built once per
-    certification."""
+    oracles.primal_feasible_values), with block k at its water-fill optimum
+    (oracles.seeded_block_gap); every grown cutoff LP equals
+    scenario_program's fresh build bit for bit; and each cutoff's LP is
+    built once per certification."""
     inst, demand = _volatile_day(rate_limit, 0.3, 2)
-    real_carry, real_program = online.carry_basis, online.scenario_program
-    carried, builds = [], []
+    pi_star = optimal_cr(inst).pi_star
+    real_carry = cr.carry_basis
+    carried, seeded = [], []
 
-    def checked_carry(old, new, at):
-        real_carry(old, new, at)
+    def checked_carry(old, new, at, start=None):
+        real_carry(old, new, at, start)
         carried.append(primal_feasible_values(new, *kept_vertex(new)) is not None)
 
-    def counting_program(instance, prefix, k, x_lb, u_lb):
-        builds.append((len(prefix), k))
-        return real_program(instance, prefix, k, x_lb, u_lb)
+    monkeypatch.setattr(cr, "carry_basis", checked_carry)
+    builds = _counting_builds(monkeypatch)
+    counted_grow = online.grow_program
 
-    monkeypatch.setattr(online, "carry_basis", checked_carry)
-    monkeypatch.setattr(online, "scenario_program", counting_program)
+    def checked_grow(instance, prefix, old, k, x_lb, u_lb):
+        program = counted_grow(instance, prefix, old, k, x_lb, u_lb)
+        assert same_program(program, cr.scenario_program(instance, prefix, k, x_lb, u_lb))
+        seeded.append(seeded_block_gap(instance, prefix, u_lb, *program))
+        return program
+
+    monkeypatch.setattr(online, "grow_program", checked_grow)
     run_anytime(inst, demand, PolicyOptions(mode=mode, monthly_peak=monthly_peak,
-                                            initial_ratio=optimal_cr(inst).pi_star))
+                                            initial_ratio=pi_star))
     assert len(carried) >= 20
     assert all(carried)
+    assert len(seeded) == len(carried)
+    assert max(seeded) <= 1e-9
     # a depleting slot certifies and then sizes its slack: two builds
     assert max(Counter(builds).values()) <= (2 if mode == MODE_ANYTIME_DEPLETING else 1)
 
@@ -720,7 +794,7 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
     dense solve within 1e-9."""
     inst, demand = _volatile_day(rate_limit, 0.3, 2)
     pi = optimal_cr(inst).pi_star
-    real_solve_lp, real_carry = online.solve_lp, online.carry_basis
+    real_solve_lp, real_carry = online.solve_lp, cr.carry_basis
     gaps = {"kept": [], "carried": []}
 
     def checked_solve_lp(lp):
@@ -728,12 +802,12 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
         gaps["kept"].append(kept_tableau_gap(lp))
         return res
 
-    def checked_carry(old, new, at):
-        real_carry(old, new, at)
+    def checked_carry(old, new, at, start=None):
+        real_carry(old, new, at, start)
         gaps["carried"].append(kept_tableau_gap(new))
 
     monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
-    monkeypatch.setattr(online, "carry_basis", checked_carry)
+    monkeypatch.setattr(cr, "carry_basis", checked_carry)
     for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
         # the depleting run certifies its slots too, rather than reading the
         # plain run's answers, so both runs' LPs are solved and checked
