@@ -627,6 +627,58 @@ def synthetic_volatile_profiles(
     return DayProfileSet(keys, days, slotting)
 
 
+class _Aggregates(NamedTuple):
+    """One cell's aggregates over its days."""
+
+    mean_final_peak: float
+    std_final_peak: float
+    mean_usage_rate: float
+    performance_ratio: float
+
+
+def _checked_aggregates(finals: np.ndarray, offline: np.ndarray,
+                        original: np.ndarray) -> list[_Aggregates]:
+    """AggregateMetrics' rules and aggregates in one pass over the (cells x
+    days) stacks of final and offline peaks, against the days' original
+    peaks. A failure raises for the first failing cell its first failing
+    rule: equally many peaks, at least one; positive peaks; usage in (0, 1];
+    a ratio of at least 1. Row means and deviations equal per-row np.mean
+    and np.std bit for bit; each ratio divides Python's left-to-right sums
+    (np.sum adds pairwise and can move the last digit)."""
+    n_final, n_offline, n_original = len(finals[0]), len(offline[0]), len(original)
+    if not n_final == n_offline == n_original > 0:
+        raise MismatchedLengths(
+            f"{n_final} final peaks, {n_offline} offline peaks, "
+            f"{n_original} original peaks: need equally many, at least one"
+        )
+    # a cell that fails an earlier rule may divide by zero here; it raises below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = finals / original
+        ratios = (np.array([sum(row) for row in finals.tolist()])
+                  / np.array([sum(row) for row in offline.tolist()]))
+    # written so that a NaN peak fails them
+    positive = (offline.min(axis=1) > 0) & (original.min() > 0)
+    bad_rates = ~((rates > 0) & (rates <= 1 + 1e-9))
+    failed = ~positive | bad_rates.any(axis=1) | (ratios < 1 - 1e-9)
+    if failed.any():
+        c = int(failed.argmax())
+        if not positive[c]:
+            raise ValueError("peaks must be positive")
+        if bad_rates[c].any():
+            raise ValueError(
+                f"peak usage rate {float(rates[c, bad_rates[c].argmax()])} escapes (0, 1]")
+        raise ValueError(f"performance ratio {float(ratios[c])} < 1: online beat offline")
+    return list(map(_Aggregates, np.mean(finals, axis=1).tolist(),
+                    np.std(finals, axis=1).tolist(), np.mean(rates, axis=1).tolist(),
+                    ratios.tolist()))
+
+
+def _read_only(values) -> np.ndarray:
+    peaks = np.array(values, dtype=float)
+    peaks.flags.writeable = False
+    return peaks
+
+
 @dataclass(frozen=True)
 class AggregateMetrics:
     """Matched per-day peaks for one policy, as read-only float arrays, with
@@ -636,7 +688,8 @@ class AggregateMetrics:
     demand of the same day; the performance ratio divides the summed net
     peaks by the summed offline-optimal peaks. Both are checked here: usage
     must land in (0, 1] and the ratio can never drop below 1, because no
-    schedule beats the offline optimum.
+    schedule beats the offline optimum. _checked_aggregates checks and
+    aggregates once: this one row, or every cell of a report (_stacked).
     """
 
     final_peaks: np.ndarray
@@ -646,27 +699,27 @@ class AggregateMetrics:
     __eq__ = _same_fields
 
     def __post_init__(self):
-        for f in fields(self):
-            peaks = np.array(getattr(self, f.name), dtype=float)
-            peaks.flags.writeable = False
-            object.__setattr__(self, f.name, peaks)
-        finals, offline, original = self.final_peaks, self.offline_peaks, self.original_peaks
-        if not len(finals) == len(offline) == len(original) > 0:
-            raise MismatchedLengths(
-                f"{len(finals)} final peaks, {len(offline)} offline peaks, "
-                f"{len(original)} original peaks: need equally many, at least one"
-            )
-        # written so that a NaN peak fails them
-        if not (original.min() > 0 and offline.min() > 0):
-            raise ValueError("peaks must be positive")
-        rates = self.usage_rates
-        bad = ~((rates > 0) & (rates <= 1 + 1e-9))
-        if bad.any():
-            raise ValueError(f"peak usage rate {float(rates[bad.argmax()])} escapes (0, 1]")
-        if self.performance_ratio < 1 - 1e-9:
-            raise ValueError(
-                f"performance ratio {self.performance_ratio} < 1: online beat offline"
-            )
+        finals, offline, original = (_read_only(getattr(self, f.name)) for f in fields(self))
+        self._fill(finals, offline, original,
+                   _checked_aggregates(finals[None], offline[None], original)[0])
+
+    @classmethod
+    def _stacked(cls, finals, offline, original) -> list[AggregateMetrics]:
+        """One metrics object per row of finals and offline (a cell's final
+        and offline peaks), all checked and aggregated in one pass; a cell's
+        arrays are rows of one read-only stack."""
+        finals, offline, original = _read_only(finals), _read_only(offline), _read_only(original)
+        metrics = []
+        for row, aggregates in enumerate(_checked_aggregates(finals, offline, original)):
+            cell = object.__new__(cls)
+            cell._fill(finals[row], offline[row], original, aggregates)
+            metrics.append(cell)
+        return metrics
+
+    def _fill(self, finals, offline, original, aggregates: _Aggregates) -> None:
+        for name, value in (("final_peaks", finals), ("offline_peaks", offline),
+                            ("original_peaks", original), ("_aggregates", aggregates)):
+            object.__setattr__(self, name, value)
 
     @property
     def usage_rates(self) -> np.ndarray:
@@ -676,24 +729,21 @@ class AggregateMetrics:
     def day_ratios(self) -> np.ndarray:
         return self.final_peaks / self.offline_peaks
 
-    # the aggregates are computed once per metrics object: __post_init__
-    # checks the ratio, and the report's text and series read the rest
-    @functools.cached_property
+    @property
     def performance_ratio(self) -> float:
-        # Python's left-to-right sum: np.sum adds pairwise and can move the last digit
-        return sum(self.final_peaks.tolist()) / sum(self.offline_peaks.tolist())
+        return self._aggregates.performance_ratio
 
-    @functools.cached_property
+    @property
     def mean_final_peak(self) -> float:
-        return float(np.mean(self.final_peaks))
+        return self._aggregates.mean_final_peak
 
-    @functools.cached_property
+    @property
     def std_final_peak(self) -> float:
-        return float(np.std(self.final_peaks))
+        return self._aggregates.std_final_peak
 
-    @functools.cached_property
+    @property
     def mean_usage_rate(self) -> float:
-        return float(np.mean(self.usage_rates))
+        return self._aggregates.mean_usage_rate
 
 
 @dataclass(frozen=True)
@@ -904,7 +954,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     independent per-day runs of the same policy (the roster's own when it
     holds anytime). Then, over every rate at once, one matrix call solves
     every day's offline optimum and each baseline kernel runs once
-    (_baseline_finals). Each (rate, policy) pair is one SweepCell.
+    (_baseline_finals). Each (rate, policy) pair is one SweepCell, and one
+    pass over every cell's stacked peaks checks and aggregates them all
+    (AggregateMetrics._stacked), so rendering the report only formats.
     """
     ps = config.profiles
     original_peaks = ps.day_values.max(axis=1)
@@ -938,10 +990,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     offline = offline_peaks(instances[0], np.tile(values, (len(instances), 1)), capacity)
     finals[ALGO_OFFLINE] = offline.reshape(len(instances), -1)
     finals.update(_baseline_finals(config, instances, values, finals[ALGO_OFFLINE]))
+    grid = list(itertools.product(enumerate(config.capacity_rates), config.algorithms))
+    metrics = AggregateMetrics._stacked([finals[algorithm][r] for (r, _), algorithm in grid],
+                                        [finals[ALGO_OFFLINE][r] for (r, _), _ in grid],
+                                        original_peaks)
     return ExperimentReport(
         profiles=ps,
-        cells=tuple(SweepCell(rate, algorithm, AggregateMetrics(
-            finals[algorithm][r], finals[ALGO_OFFLINE][r], original_peaks))
-            for r, rate in enumerate(config.capacity_rates) for algorithm in config.algorithms),
+        cells=tuple(SweepCell(rate, algorithm, m)
+                    for ((_, rate), algorithm), m in zip(grid, metrics)),
         monthly=tuple(monthly_rows),
     )

@@ -430,6 +430,12 @@ def _certified_ratio(
     as the upper endpoint whenever prev_ratio sits below the floor. An upper
     endpoint a step lowered is confirmed before it is returned: every
     cutoff whose value there came from a closed form is re-solved by LP.
+    prev_ratio is a seed, not a certificate (a caller's initial ratio can
+    sit below pi*): where no step lowered it, its requirement is evaluated
+    after the bisection, against the inventory plus _band as at a tie, and
+    if it exceeds that the bracket runs up from prev_ratio to the demand
+    ceiling. Every prev_ratio at or above pi* certifies, the requirement
+    being nonincreasing in pi, so such a slot returns it as before.
 
     run_anytime and anytime_ratio call it through _certify, so each slot
     state is certified once while _certify keeps it.
@@ -446,10 +452,28 @@ def _certified_ratio(
         budget += _band(budget)
     if not _requirement(view, pi_lb, budget, warm) > budget:
         return pi_lb, True
-    pi_ub = prev_ratio
-    if pi_ub <= pi_lb:
-        pi_ub = max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref)
-    guessed = []
+    pi_ub, guessed = prev_ratio, []
+    if prev_ratio > pi_lb:
+        pi_ub, guessed = _bisect(view, pi_lb, prev_ratio, epsilon, warm)
+    budget = view.remaining + _band(view.remaining)
+    if prev_ratio <= pi_lb or (pi_ub == prev_ratio
+                               and _requirement(view, prev_ratio, budget, warm) > budget):
+        # prev_ratio does not certify: bisect up from it, or from the floor
+        # above it, to the demand ceiling
+        pi_lb = max(pi_lb, prev_ratio)
+        pi_ub, guessed = _bisect(view, pi_lb, max(pi_lb + epsilon,
+                                                  view.instance.demand_ub / view.v_ref),
+                                 epsilon, warm)
+    _confirm(view, pi_ub, guessed, warm)
+    return pi_ub, False
+
+
+def _bisect(view: _SlotView, pi_lb: float, pi_ub: float, epsilon: float,
+            warm: _WarmStart) -> tuple[float, list[int]]:
+    """Bisect [pi_lb, pi_ub] down to epsilon, keeping pi_ub certified; returns
+    pi_ub and the cutoffs whose values at the step that last lowered it came
+    from closed forms (none if no step did)."""
+    guessed: list[int] = []
     while pi_ub - pi_lb >= epsilon:
         mid = 0.5 * (pi_lb + pi_ub)
         step: list[int] = []
@@ -457,8 +481,7 @@ def _certified_ratio(
             pi_lb = mid
         else:
             pi_ub, guessed = mid, step
-    _confirm(view, pi_ub, guessed, warm)
-    return pi_ub, False
+    return pi_ub, guessed
 
 
 MEMO_SIZE = 4096

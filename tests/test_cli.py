@@ -159,6 +159,26 @@ def test_simulate_anytime_on_the_cr_witness(capsys, tmp_path, algo):
     assert lines[6:8] == ["final_peak,4.500000", "offline_peak,2.700000"]
 
 
+@pytest.mark.parametrize("day,offline", [("1\n2\n", 1.0), ("1.5\n2\n", 1.25)])
+def test_simulate_anytime_checks_a_seed_below_pi_star(capsys, tmp_path, day, offline):
+    """--pi 1.2 seeds the anytime policy below pi* = 4/3 on the instance
+    c = 1, T = 2, bounds [1, 2]. It used to print ratio 1.200000 at both
+    slots over a final peak of 1.4 (offline 1.0) or 1.6 (offline 1.25);
+    every printed ratio now bounds the peak."""
+    path = tmp_path / "day.txt"
+    path.write_text(day, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simulate", "-c", "1", "--d-lb", "1", "--d-ub", "2",
+                                      "--demands", str(path), "--algo", "anytime",
+                                      "--pi", "1.2"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    ratios = [float(line.split(",")[4]) for line in lines[1:3]]
+    assert ratios[0] > 1.2 and ratios[0] >= ratios[1]
+    assert lines[4] == f"offline_peak,{offline:.6f}"
+    final = float(lines[3].removeprefix("final_peak,"))
+    assert final <= ratios[1] * offline + 1e-6
+
+
 def test_simulate_flag_requirements(capsys, dhat_file):
     base = ["simulate", "-c", "630", "--d-lb", "300", "--d-ub", "600",
             "--demands", dhat_file]

@@ -866,6 +866,70 @@ def test_metrics_validation():
         AggregateMetrics([6.0, 4.0], [5.0, 0.0], [8.0, 5.0])
 
 
+@pytest.mark.parametrize("cells,days", [(1, 1), (1, 9), (7, 1), (40, 30), (3, 257)])
+def test_stacked_metrics_match_per_row_calls_bit_for_bit(cells, days):
+    """One pass over a (cells x days) stack gives every cell the aggregates
+    per-row np.mean, np.std and Python sums give, bit for bit, and the same
+    metrics as building that cell alone."""
+    rng = np.random.default_rng(cells * 1000 + days)
+    for _ in range(20):
+        original = rng.uniform(5.0, 10.0, days)
+        offline = rng.uniform(1.0, 2.0, (cells, days))
+        finals = np.minimum(rng.uniform(2.0, 5.0, (cells, days)) * rng.uniform(1.0, 3.0),
+                            original)
+        stacked = AggregateMetrics._stacked(list(finals), list(offline), original)
+        assert len(stacked) == cells
+        for f, o, m in zip(finals, offline, stacked):
+            assert m.mean_final_peak == float(np.mean(f))
+            assert m.std_final_peak == float(np.std(f))
+            assert m.mean_usage_rate == float(np.mean(f / original))
+            assert m.performance_ratio == sum(f.tolist()) / sum(o.tolist())
+            alone = AggregateMetrics(f, o, original)
+            assert m == alone
+            assert ([m.mean_final_peak, m.std_final_peak, m.mean_usage_rate, m.performance_ratio]
+                    == [alone.mean_final_peak, alone.std_final_peak, alone.mean_usage_rate,
+                        alone.performance_ratio])
+            for peaks in (m.final_peaks, m.offline_peaks, m.original_peaks):
+                assert not peaks.flags.writeable
+
+
+# Stacks of three cells whose first failing cell is the second; it fails two
+# rules, and the third cell fails another, so only the first failing rule of
+# the first failing cell may raise, with the message given.
+_ORIGINAL = [8.0, 5.0]
+_FAILING_STACKS = {
+    "positive": ([[6.0, 4.0], [9.0, 4.0], [4.0, 2.0]],
+                 [[5.0, 3.0], [5.0, 0.0], [5.0, 3.0]], "peaks must be positive"),
+    "usage": ([[6.0, 4.0], [9.0, 1.0], [6.0, 4.0]],
+              [[5.0, 3.0], [5.0, 6.0], [5.0, -1.0]], "peak usage rate 1.125 escapes (0, 1]"),
+    "usage-nan": ([[6.0, 4.0], [np.nan, 4.0], [4.0, 2.0]],
+                  [[5.0, 3.0], [5.0, 3.0], [5.0, 3.0]], "peak usage rate nan escapes (0, 1]"),
+    "ratio": ([[6.0, 4.0], [4.0, 2.0], [9.0, 4.0]],
+              [[5.0, 3.0], [5.0, 3.0], [5.0, 3.0]],
+              "performance ratio 0.75 < 1: online beat offline"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_FAILING_STACKS))
+def test_stacked_metrics_raise_what_the_first_failing_cell_raises(rule):
+    finals, offline, message = _FAILING_STACKS[rule]
+    with pytest.raises(ValueError) as alone:
+        AggregateMetrics(finals[1], offline[1], _ORIGINAL)
+    with pytest.raises(ValueError) as stacked:
+        AggregateMetrics._stacked(finals, offline, _ORIGINAL)
+    assert type(stacked.value) is type(alone.value) is ValueError
+    assert str(stacked.value) == str(alone.value) == message
+
+
+def test_stacked_metrics_check_lengths_first():
+    finals, offline, _ = _FAILING_STACKS["positive"]
+    with pytest.raises(MismatchedLengths) as alone:
+        AggregateMetrics(finals[0], offline[0], _ORIGINAL[:1])
+    with pytest.raises(MismatchedLengths, match="2 final peaks, 2 offline peaks, 1 original"):
+        AggregateMetrics._stacked(finals, offline, _ORIGINAL[:1])
+    assert str(alone.value).startswith("2 final peaks, 2 offline peaks, 1 original")
+
+
 def test_experiment_plumbing_single_day():
     ps = synthetic_uniform_profiles(1, 3, 2.0, 4.0, seed=7)
     report = run_experiment(ExperimentConfig(
@@ -1054,13 +1118,24 @@ def test_report_rendering_shapes():
 
 
 def test_report_statistics_are_computed_once(monkeypatch):
-    """Rendering a report's text and its series computes each cell's mean,
-    deviation and usage mean once; rendering them again computes none, and
-    gives the same text."""
+    """run_experiment checks and aggregates every cell of its report in one
+    pass over the stacked (cell x day) peaks; rendering the report's text
+    and its series then calls neither np.mean nor np.std, and rendering them
+    again gives the same text."""
     ps = synthetic_volatile_profiles(6, 4, 2.0, 6.0, seed=5)
-    report = run_experiment(ExperimentConfig(
+    config = ExperimentConfig(
         profiles=ps, algorithms=(ALGO_OFFLINE, "thr-mid", "eql-dis"), capacity_rates=(0.1, 0.3),
-    ))
+    )
+    passes = []
+    real_pass = harness._checked_aggregates
+
+    def counting_pass(finals, offline, original):
+        passes.append(finals.shape)
+        return real_pass(finals, offline, original)
+
+    monkeypatch.setattr(harness, "_checked_aggregates", counting_pass)
+    report = run_experiment(config)
+    assert passes == [(len(report.cells), ps.num_days)]
     real_mean, real_std = np.mean, np.std
     calls = {"mean": 0, "std": 0}
 
@@ -1075,9 +1150,9 @@ def test_report_statistics_are_computed_once(monkeypatch):
     monkeypatch.setattr(np, "mean", counting_mean)
     monkeypatch.setattr(np, "std", counting_std)
     text, series = report.render_text(), report.series_lines()
-    assert calls == {"mean": 2 * len(report.cells), "std": len(report.cells)}
     assert (report.render_text(), report.series_lines()) == (text, series)
-    assert calls == {"mean": 2 * len(report.cells), "std": len(report.cells)}
+    assert calls == {"mean": 0, "std": 0}
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("fraction", [None, 0.3], ids=["free", "rate-limited"])

@@ -324,6 +324,59 @@ def test_anytime_seeded_at_one_bisects_up_to_the_demand_ceiling(tiny_instance):
         assert np.abs(traj - default).max() <= epsilon
 
 
+@pytest.mark.parametrize("rate_limit", [None, 100.0], ids=["rate-free", "rate-limited"])
+def test_pi_star_and_anytime_runs_are_scale_invariant(rate_limit):
+    """A change of kWh unit changes no answer: with every kWh quantity
+    (capacity, rate limit, demand bounds and demands) scaled by 1e-3, 1e3
+    and 1e6, pi* and a T=10 volatile day's anytime ratio trajectory stay,
+    and its final peak scales, each within 1e-12 relative (about 1e-15
+    measured)."""
+    ps = synthetic_volatile_profiles(1, 10, 100.0, 400.0, seed=3)
+    day, capacity = ps.day_values[0], 0.2 * ps.avg_daily_energy
+
+    def answers(scale):
+        inst = Instance(capacity * scale, None if rate_limit is None else rate_limit * scale,
+                        10, 100.0 * scale, 400.0 * scale)
+        run = run_anytime(inst, DemandProfile(inst, day * scale))
+        return optimal_cr(inst).pi_star, run.ratio_trajectory, run.final_peak / scale
+
+    pi_star, trajectory, final_peak = answers(1.0)
+    for scale in (1e-3, 1e3, 1e6):
+        scaled = answers(scale)
+        assert scaled[0] == pytest.approx(pi_star, rel=1e-12, abs=0)
+        np.testing.assert_allclose(scaled[1], trajectory, rtol=1e-12, atol=0)
+        assert scaled[2] == pytest.approx(final_peak, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("day", [[1.0, 2.0], [1.5, 2.0]])
+def test_anytime_checks_a_seed_below_pi_star(tiny_instance, day):
+    """A seed is a bracket, not a certificate: seeded at 1.2, below pi* =
+    4/3, the run used to report ratio 1.2 at both slots while its peak broke
+    it (1.4 against the offline 1.0, and 1.6 against 1.2 x 1.25 = 1.5), the
+    clamp cutting a discharge. The seed does not certify on these days, so
+    the first slot bisects up from it, and the ratio the run reports bounds
+    its peak."""
+    demand = DemandProfile(tiny_instance, day)
+    run = run_anytime(tiny_instance, demand, PolicyOptions(initial_ratio=1.2))
+    traj = run.ratio_trajectory
+    assert traj[0] > 1.2
+    assert (np.diff(traj) <= 1e-9).all()
+    assert run.final_peak <= traj[-1] * offline_peak(tiny_instance, demand) + 1e-9
+    assert not run.clamp_engaged
+
+
+def test_anytime_ratio_checks_the_states_ratio(tiny_instance):
+    """anytime_ratio on a state whose prev_ratio is 1.2: at d_1 = 1 the
+    smallest guaranteeable ratio is 4/3, which the bisection now reaches
+    from above 1.2; at d_1 = 2 it is 1.2 itself, a tie within rounding of
+    the inventory, which is kept."""
+    state = OnlineState(tiny_instance, prev_ratio=1.2)
+    ratio = anytime_ratio(tiny_instance, state, 1.0, epsilon=1e-5)
+    assert 4.0 / 3.0 <= ratio <= 4.0 / 3.0 + 1e-5
+    state = OnlineState(tiny_instance, prev_ratio=1.2)
+    assert anytime_ratio(tiny_instance, state, 2.0, epsilon=1e-5) == 1.2
+
+
 @pytest.mark.parametrize(
     "inst",
     [Instance(9.981780804854415, None, 5, 2.8255111545554437, 4.645418481856983),
