@@ -25,7 +25,7 @@ and the finite ub move after that (ub through set_upper); none of them
 moves B^-1 A.
 
 One read: basic values B^-1 (b - A_U u_U) and duals, for every answer,
-re-price and closed form, come from the kept tableau's B^-1 (a view of its
+re-price and vertex read, come from the kept tableau's B^-1 (a view of its
 slack columns), refined once against the standard form's columns (Higham
 2002 ch. 12). A refinement residual above 1e-9 (relative) means drift, and
 one dense solve at the basis, the only one in this module, replaces the
@@ -41,12 +41,13 @@ One gate: an answer whose basis is singular, or that violates a row
 NumericalFailure; the check is one product on the LP's own a, b and ub.
 
 solve_lfp runs Dinkelbach's method (Dinkelbach 1967), each step from the
-tableau the one before kept. parametric_range reads from a kept optimal
-tableau of the anytime certificate's LP family in pi its optimum as
-A + B pi + C/pi and the pi range on which that vertex stays optimal.
+tableau the one before kept. parametric_vertex reads a kept vertex of
+the anytime certificate's LP family in pi: its point, affine in 1/pi, and
+from its duals, affine in pi and clipped at 0, a weak-duality bound on
+the optimum that holds at every pi.
 
 Tolerances: pivot 1e-9, feasibility 1e-7, drift 1e-9, residual 1e-6,
-ratio 1e-12, range 1e-12.
+ratio 1e-12.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ FEAS_TOL = 1e-7
 DRIFT_TOL = 1e-9  # largest relative refinement residual a kept tableau may show
 RESIDUAL_TOL = 1e-6  # largest row or bound violation an answer may carry
 RATIO_TOL = 1e-12  # smallest rise a Dinkelbach step must make
-RANGE_TOL = 1e-12  # rounding a closed form's range forgives, in values and reduced costs
 STALL_STEPS = 50  # steps in a row that leave the objective in place before Bland's rule
 
 OPTIMAL = "optimal"
@@ -508,74 +508,59 @@ def carry_basis(old: LinearProgram, new: LinearProgram, at: int, start=None) -> 
     tab.side[at_upper] = -1.0
 
 
-def parametric_range(lp: LinearProgram, cols, top: float, floor: float):
-    """lp's optimum at the vertex its kept tableau holds, as a closed form
-    in a parameter pi, and the pi range on which that vertex stays optimal,
-    read by _read_basis with no solve unless the tableau drifted.
+def parametric_vertex(lp: LinearProgram, cols, top: float, floor: float, implied: float):
+    """lp's kept vertex as functions of a parameter pi, read by _read_basis
+    with no solve unless the tableau drifted: its point, and an upper bound
+    on lp's optimum at every pi.
 
     lp is a member of the certificate's family: maximize c.x + pi (sum_{j in
     cols} x_j - top |cols|), c being lp.objective off cols, each column of
-    cols in [0, top - floor/pi]. With s = 1/pi the point is p + s q (a
-    column of cols at its upper bound sits at top - s floor and moves the
-    basic values B^-1 (b - A_U u_U) through its column) and the reduced
-    costs are r0 + pi r1. So the optimum is A + B pi + C/pi on [lo, hi], the
-    pi > 0 where every basic value lies within its bounds and no column
-    improves from the bound it sits at, each up to RANGE_TOL, which forgives
-    rounding only (parametric ranging; Gass & Saaty 1955, Chvatal 1983 ch.
-    10). Returns (A, B, C, lo, hi), or None when lp keeps no tableau,
-    its basis is singular, or the range is empty.
+    cols in [0, top - floor/pi]. With s = 1/pi a column of cols at its upper
+    bound sits at top - s floor and moves the basic values B^-1 (b - A_U
+    u_U) through its column, so the point is p + s q; the basic costs are
+    c_B + pi e_B, so the duals are y = y0 + pi y1 (Chvatal 1983 ch. 10).
+    With y clipped at 0, weak duality bounds the optimum at every pi,
+    whether or not the vertex is optimal there, by y.rhs + sum_j max(r_j,
+    0) width_j + c.lb - pi top |cols| over the standard form, r = c - y rows
+    (a slack's reduced cost, -y_i, is at most 0), a column's width being
+    its box's, or implied where it has no upper bound (lp's rows must imply
+    that bound; Neumaier & Shcherbina 2004). Returns (point, bound): point
+    (n, 2), the columns p (lb included) and q, and bound, pi -> that bound;
+    None when lp keeps no tableau or B is singular.
     """
     tab = lp._tab
     if tab is None:
         return None
     m, n = lp._rows.shape
-    side, basis = tab.side, tab.basis
     # each column's upper bound u0 + s u1, and the point p + s q, where a
     # column at its upper bound sits
     upper = np.zeros((n + m, 2))
     upper[:, 0] = _upper(lp)
     upper[cols, 0], upper[cols, 1] = top - lp.lb[cols], -floor
-    point = np.where(side[:, None] < 0.0, upper, 0.0)
+    point = np.where(tab.side[:, None] < 0.0, upper, 0.0)
     c = np.zeros((2, n + m))  # the objective is c[0] + pi c[1]
     c[0, :n] = lp.objective
     c[0, cols] = 0.0
     c[1, cols] = 1.0
-    cb = c[:, basis]
     rhs = -lp._rows @ point[:n]
     rhs[:, 0] += lp._rhs
-    read = _read_basis(lp, rhs, cb)
+    read = _read_basis(lp, rhs, c[:, tab.basis])
     if read is None:
         return None
-    point[basis], duals = read
-    r0, r1 = (c - _times_form(duals, lp._rows)) * side
-    r0[basis] = r1[basis] = 0.0
-    (c0p, c0q), (c1p, c1q) = c @ point
-    at_lb = c[:, :n] @ lp.lb
-    closed = (float(at_lb[0] + c0p + c1q), float(at_lb[1] + c1p - top * len(cols)), float(c0q))
+    point[tab.basis], duals = read
+    point[:n, 0] += lp.lb
+    # the bound's terms, each affine in pi or in s
+    width = np.where(upper[:n] < math.inf, upper[:n], [implied, 0.0]).T
+    reduced = c[:, :n] - duals @ lp._rows
+    fixed = duals @ lp._rhs + c[:, :n] @ lp.lb - [0.0, top * len(cols)]
 
-    # each basic value within [0, its upper bound], in s = 1/pi (an
-    # infinite bound leaves an infinite level, which holds for every s)
-    values = point[basis]
-    room = np.concatenate([values, upper[basis] - values])
-    s_lo, s_hi = _where_nonnegative(room[:, 0] + RANGE_TOL, room[:, 1])
-    lo, hi = _where_nonnegative(RANGE_TOL - r0, -r1)
-    # s in [s_lo, s_hi] is pi in [1/s_hi, 1/s_lo]
-    lo = max(lo, 1.0 / s_hi if s_hi > 0.0 else math.inf)
-    hi = min(hi, 1.0 / s_lo if s_lo > 0.0 else math.inf)
-    # written so that a NaN empties the range
-    if not lo <= hi:
-        return None
-    return (*closed, lo, hi)
+    def bound(pi: float) -> float:
+        neg = np.minimum(duals[0] + pi * duals[1], 0.0)  # what clipping takes off y
+        gain = np.maximum(reduced[0] + pi * reduced[1] + neg @ lp._rows, 0.0)
+        return float(fixed[0] + pi * fixed[1] - neg @ lp._rhs + gain @ width[0]
+                     + gain @ width[1] / pi)
 
-
-def _where_nonnegative(level: np.ndarray, slope: np.ndarray) -> tuple[float, float]:
-    """The interval of z >= 0 where level + z slope >= 0 holds in every
-    entry; empty (lo > hi, or NaN) when it holds nowhere."""
-    if not (level[slope == 0.0] >= 0.0).all():
-        return math.inf, 0.0
-    up, down = slope > 0.0, slope < 0.0
-    return (float((-level[up] / slope[up]).max(initial=0.0)),
-            float((level[down] / -slope[down]).min(initial=math.inf)))
+    return point[:n], bound
 
 
 def solve_lfp(problem: LfpProblem, at_least: float = -math.inf) -> LpResult:

@@ -32,7 +32,7 @@ from .core import (
 )
 from .cr import grow_program, inventory_unbounded, optimal_cr, scenario_program, scenario_top
 from .errors import DegenerateOfflinePeak, NegativeSlack, NonPositiveBound, NumericalFailure
-from .lp import OPTIMAL, LinearProgram, parametric_range, solve_lp
+from .lp import OPTIMAL, LinearProgram, parametric_vertex, solve_lp
 from .offline import offline_peak_values
 
 MODE_ANYTIME = "anytime"
@@ -242,18 +242,18 @@ def _constant_term(view: _SlotView, pi: float) -> float:
 class _Cutoff:
     """One cutoff's certificate LP as a slot keeps it: the LP, its w
     columns, the U it was built with, its last optimal vertex (the basis
-    and the columns at their upper bound) and that vertex's closed form
-    (A, B, C, lo, hi). The cutoff's requirement is A + B pi + C/pi for pi
-    in [lo, hi] (lp.parametric_range, with lo raised so that U stays put);
-    closed is None where no form was read, and is replaced whenever an LP
-    answer returns a new vertex."""
+    and the columns at their upper bound), that vertex's (point, bound) in
+    pi (lp.parametric_vertex; None where U moves with pi or B is singular),
+    read again at each new vertex, and the last demand block _bracket
+    water-filled, with its scenarios' offline peaks."""
 
     lp: LinearProgram
     w_cols: np.ndarray
     top: float
     basis: np.ndarray | None = None  # None until the LP is first solved
     at_upper: np.ndarray | None = None
-    closed: tuple | None = None
+    vertex: tuple | None = None
+    peaks: tuple | None = None
 
 
 @dataclass
@@ -269,16 +269,15 @@ class _WarmStart:
     scenario_program. Both run again only if U = max(d_ub, floor/pi,
     prefix) moves, which needs a pi below floor/v_ref (v_ref <= U), and the
     bisection never evaluates one; after such a move a cutoff grows only
-    from one built at the same U. A step whose pi lies in a cutoff's
-    closed-form range takes the cutoff's value from that form, with no LP;
-    a step outside it solves the LP from the tableau it keeps, so no step
-    refactorizes a basis. Each kept LP
-    holds its standard form and tableau until the slot ends. The cutoff
-    that exceeded the budget last usually exceeds it again.
+    from one built at the same U. A step whose cutoff's bracket decides it
+    takes the bound, with no LP; any other step solves the LP from the
+    tableau it keeps, so no step refactorizes a basis. Each kept LP holds
+    its standard form and tableau until the slot ends. The cutoff that
+    exceeded the budget last usually exceeds it again.
 
     A _WarmStart lives for one certification, and depleting_amount makes its
     own. What outlives a certification is its (ratio, early_exit), which
-    _certify keeps per slot state; the LPs, tableaus and closed forms go.
+    _certify keeps per slot state; the LPs, tableaus and vertices go.
     """
 
     cutoffs: dict[int, _Cutoff] = field(default_factory=dict)
@@ -321,47 +320,54 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
     if res.status != OPTIMAL:
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
-    if cut.closed is None or not (np.array_equal(res.basis, cut.basis)
-                                  and np.array_equal(res.at_upper, cut.at_upper)):
-        # U stays put while floor/pi <= U; a basis that solve_lp's tolerances
-        # take as optimal at pi, but that is not optimal there, gets no form
-        ranged = None
-        if top == scenario_top(inst, view.demands, 0.0):
-            ranged = parametric_range(lp, cut.w_cols, top, floor)
-        cut.closed = None
-        if ranged is not None and ranged[3] <= pi <= ranged[4]:
-            a, b, c, lo, hi = ranged
-            cut.closed = (a, b, c, max(lo, floor / top), hi)
+    if not (np.array_equal(res.basis, cut.basis) and np.array_equal(res.at_upper, cut.at_upper)):
+        # read only where U does not depend on the floor, so stays put at every pi
+        cut.vertex = (parametric_vertex(lp, cut.w_cols, top, floor, inst.capacity_c)
+                      if top == scenario_top(inst, view.demands, 0.0) else None)
     cut.basis, cut.at_upper = res.basis, res.at_upper
     return res.value
 
 
-def _closed_form(cut: _Cutoff | None, pi: float) -> float | None:
-    """The cutoff's requirement at pi from its closed form, or None where
-    pi lies outside that form's range (or there is none)."""
-    if cut is None or cut.closed is None:
+def _bracket(view: _SlotView, pi: float, cut: _Cutoff | None, low: float,
+             high: float) -> float | None:
+    """The cutoff's requirement at pi bounded from its kept vertex: its
+    upper bound if below low, else its lower bound if above high, else
+    None (also with no vertex, or where U would move at pi). Both hold at
+    every pi in exact arithmetic, rounding them about 1e-12 relative.
+    Upper: the vertex's weak-duality bound, a column with no upper bound
+    (a delta, or D with no rate limit) of width c, which its block's budget
+    row implies. Lower: the objective at the feasible point x = p + q/pi,
+    clipped to its box, with each scenario's benchmark water-filled (as
+    cr._block_start seeds a block): sum x - sum_i max(pi v_i, floor), v_i
+    the offline peak of [prefix, x_{t+1..i}, d_lb, ..., d_lb]."""
+    floor = max(view.running_peak, view.monthly_peak)
+    # comparisons are written so that a NaN decides nothing
+    if cut is None or cut.vertex is None or not floor <= pi * cut.top:
         return None
-    a, b, c, lo, hi = cut.closed
-    return a + b * pi + c / pi if lo <= pi <= hi else None
+    inst, lp, point, bound = view.instance, cut.lp, cut.vertex[0], cut.vertex[1](pi)
+    if bound < low or not bound > high:  # the lower bound is at most the upper
+        return bound if bound < low else None
+    t, size = view.t, len(cut.w_cols)  # one demand column and one w per scenario
+    x = np.minimum(np.maximum(point[:size, 0] + point[:size, 1] / pi, lp.lb[:size]), lp.ub[:size])
+    if cut.peaks is None or not np.array_equal(x, cut.peaks[0]):
+        days = np.full((size, inst.horizon_T), inst.demand_lb)
+        days[:, :t] = view.demands
+        days[:, t : t + size] = np.where(np.tri(size, dtype=bool), x, inst.demand_lb)
+        cut.peaks = x, offline_peak_values(inst, days)
+    bound = float(x.sum() - np.maximum(pi * cut.peaks[1], floor).sum())
+    return bound if bound > high else None
 
 
-def _requirement(
-    view: _SlotView, pi: float, budget: float, warm: _WarmStart,
-    guessed: list[int] | None = None,
-) -> float:
+def _requirement(view: _SlotView, pi: float, budget: float, warm: _WarmStart) -> float:
     """Inventory needed to keep pi guaranteeable: the constant term plus the
-    worst cutoff's requirement, floored at 0.
-
-    Exact when it is at most budget. The search stops at the first cutoff
-    that pushes it above budget, trying first the cutoff that did so last,
-    so a value above budget only shows that budget falls short. A cutoff's
-    value comes from its closed form where pi lies in that form's range,
-    unless the constant term plus that value lies within 1e-8 max(1,
-    budget) of budget: there, as everywhere else, the LP answers, so every
-    comparison with budget that is close enough for rounding to matter is
-    made on an LP answer. The cutoffs answered by closed form are appended
-    to guessed, when it is given.
-    """
+    worst cutoff's requirement, floored at 0, as far as comparing it with
+    budget needs. The search stops at the first cutoff that pushes it
+    above budget, trying first the cutoff that did so last. A cutoff whose
+    bracket puts the constant term plus it below budget - _band, or above
+    budget + _band, takes that bound: a proof, its rounding far inside the
+    band. Every other cutoff takes its LP answer, so each comparison close
+    enough for rounding to matter is made on an LP answer. An infinite
+    budget decides nothing by a bound: the value is exact."""
     const = _constant_term(view, pi)
     if const > budget:
         return const
@@ -372,12 +378,10 @@ def _requirement(
     band = _band(budget)
     worst = 0.0
     for kmax in cutoffs:
-        value = _closed_form(warm.cutoffs.get(kmax), pi)
-        # written so that a NaN, and an infinite budget, go to the LP
-        if value is not None and abs(const + value - budget) > band:
-            if guessed is not None:
-                guessed.append(kmax)
-        else:
+        # an infinite budget makes budget - band NaN, which decides nothing
+        value = _bracket(view, pi, warm.cutoffs.get(kmax), budget - band - const,
+                         budget + band - const)
+        if value is None:
             value = _future_requirement(view, pi, kmax, warm)
         worst = max(worst, value)
         if const + worst > budget:
@@ -390,19 +394,6 @@ def _band(budget: float) -> float:
     """How far a requirement may sit from budget for rounding to decide
     the comparison: 1e-8 max(1, budget)."""
     return 1e-8 * max(1.0, budget)
-
-
-def _confirm(view: _SlotView, pi: float, cutoffs: list[int], warm: _WarmStart) -> None:
-    """Re-solve at pi, through solve_lp and its residual gate, each cutoff
-    whose value there came from a closed form; raise NumericalFailure if any
-    LP answer puts the requirement above the remaining inventory."""
-    const = _constant_term(view, pi)
-    for kmax in cutoffs:
-        if const + _future_requirement(view, pi, kmax, warm) > view.remaining:
-            raise NumericalFailure(
-                f"slot {view.t}: cutoff {kmax}'s closed form understated its requirement "
-                f"at pi = {pi!r}"
-            )
 
 
 def _certified_ratio(
@@ -423,19 +414,18 @@ def _certified_ratio(
     a need above the inventory by no more than _band, where rounding
     decides, is prev_ratio's own certificate missed by rounding: the lower
     endpoint is returned, where the bracket would otherwise run up to the
-    demand ceiling and certify a ratio above prev_ratio. Otherwise
-    the loop keeps the invariant that the upper endpoint is certified
-    feasible and returns it. A never-discharging policy keeps every peak at
-    or below the demand ceiling, so demand_ub / v is certifiable and serves
-    as the upper endpoint whenever prev_ratio sits below the floor. An upper
-    endpoint a step lowered is confirmed before it is returned: every
-    cutoff whose value there came from a closed form is re-solved by LP.
-    prev_ratio is a seed, not a certificate (a caller's initial ratio can
-    sit below pi*): where no step lowered it, its requirement is evaluated
-    after the bisection, against the inventory plus _band as at a tie, and
-    if it exceeds that the bracket runs up from prev_ratio to the demand
-    ceiling. Every prev_ratio at or above pi* certifies, the requirement
-    being nonincreasing in pi, so such a slot returns it as before.
+    demand ceiling and certify a ratio above prev_ratio. Otherwise the loop
+    keeps the invariant that the upper endpoint is certified feasible and
+    returns it; every step decides on an LP answer or on a proof
+    (_requirement). A never-discharging policy keeps every peak at or below
+    the demand ceiling, so demand_ub / v is certifiable and serves as the
+    upper endpoint whenever prev_ratio sits below the floor. prev_ratio is
+    a seed, not a certificate (a caller's initial ratio can sit below pi*):
+    where no step lowered it, its requirement is evaluated after the
+    bisection, against the inventory plus _band as at a tie, and if it
+    exceeds that the bracket runs up from prev_ratio to the demand ceiling.
+    Every prev_ratio at or above pi* certifies, the requirement being
+    nonincreasing in pi, so such a slot returns it as before.
 
     run_anytime and anytime_ratio call it through _certify, so each slot
     state is certified once while _certify keeps it.
@@ -446,42 +436,35 @@ def _certified_ratio(
         raise DegenerateOfflinePeak(f"reference offline peak {view.v_ref} at slot {view.t}")
     warm = _WarmStart()
     pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
-    # the first step of a slot has no closed form yet: every value is an LP's
     budget = view.remaining
     if prev_ratio <= pi_lb <= prev_ratio + 1e-9:  # a tie
         budget += _band(budget)
     if not _requirement(view, pi_lb, budget, warm) > budget:
         return pi_lb, True
-    pi_ub, guessed = prev_ratio, []
+    pi_ub = prev_ratio
     if prev_ratio > pi_lb:
-        pi_ub, guessed = _bisect(view, pi_lb, prev_ratio, epsilon, warm)
+        pi_ub = _bisect(view, pi_lb, prev_ratio, epsilon, warm)
     budget = view.remaining + _band(view.remaining)
     if prev_ratio <= pi_lb or (pi_ub == prev_ratio
                                and _requirement(view, prev_ratio, budget, warm) > budget):
         # prev_ratio does not certify: bisect up from it, or from the floor
         # above it, to the demand ceiling
         pi_lb = max(pi_lb, prev_ratio)
-        pi_ub, guessed = _bisect(view, pi_lb, max(pi_lb + epsilon,
-                                                  view.instance.demand_ub / view.v_ref),
-                                 epsilon, warm)
-    _confirm(view, pi_ub, guessed, warm)
+        pi_ub = _bisect(view, pi_lb, max(pi_lb + epsilon, view.instance.demand_ub / view.v_ref),
+                        epsilon, warm)
     return pi_ub, False
 
 
 def _bisect(view: _SlotView, pi_lb: float, pi_ub: float, epsilon: float,
-            warm: _WarmStart) -> tuple[float, list[int]]:
-    """Bisect [pi_lb, pi_ub] down to epsilon, keeping pi_ub certified; returns
-    pi_ub and the cutoffs whose values at the step that last lowered it came
-    from closed forms (none if no step did)."""
-    guessed: list[int] = []
+            warm: _WarmStart) -> float:
+    """Bisect [pi_lb, pi_ub] down to epsilon, keeping pi_ub certified."""
     while pi_ub - pi_lb >= epsilon:
         mid = 0.5 * (pi_lb + pi_ub)
-        step: list[int] = []
-        if _requirement(view, mid, view.remaining, warm, step) > view.remaining:
+        if _requirement(view, mid, view.remaining, warm) > view.remaining:
             pi_lb = mid
         else:
-            pi_ub, guessed = mid, step
-    return pi_ub, guessed
+            pi_ub = mid
+    return pi_ub
 
 
 MEMO_SIZE = 4096

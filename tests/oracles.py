@@ -8,7 +8,7 @@ since LinearProgram takes only the one array form the package builds. Two
 exceptions reuse package internals on purpose. cold_prefix_optimal_cr is
 optimal_cr's search without the tableau carried from prefix to prefix, and
 certified_ratio_lp_only is the anytime certificate's bisection with an LP
-answer for every cutoff at every step, no closed form read.
+answer for every cutoff at every step, no bound read.
 
 The per-row and per-day references at the end are the loops the array
 code replaced: parse_transactions_rows parses a trace one line at a time
@@ -272,8 +272,8 @@ def cold_prefix_optimal_cr(instance):
 def certified_ratio_lp_only(view, prev_ratio: float, epsilon: float) -> tuple[float, bool]:
     """online._certified_ratio with every cutoff answered by its certificate
     LP (online._future_requirement) at every step: the same bracket, the
-    same midpoints and the same binding-cutoff-first order, and no closed
-    form read or confirmed."""
+    same midpoints and the same binding-cutoff-first order, and no cutoff
+    decided by a bound."""
     warm = online._WarmStart()
 
     def requirement(pi):

@@ -1,6 +1,7 @@
 """Dense simplex and the linear-fractional reduction."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -574,20 +575,44 @@ def test_lp_resolve_of_unchanged_lp_pivots_zero_times(monkeypatch):
     assert not pivots and not tableaus
 
 
-def test_lp_that_keeps_no_tableau_carries_and_ranges_nothing():
+def test_lp_that_keeps_no_tableau_carries_and_reads_nothing():
     """An LP never solved keeps no tableau: carry_basis from it seeds
     nothing, so the next LP's first solve is the cold one, and
-    parametric_range has no vertex to read. A level below 0 whose slope is 0
-    empties _where_nonnegative's interval, which otherwise runs from the
-    last root of a rising entry to the first of a falling one."""
+    parametric_vertex has no vertex to read."""
     new = _textbook_lp()
     lp_mod.carry_basis(_textbook_lp(), new, 0)
     assert new._tab is None
     _assert_same_result(solve_lp(new), solve_lp(_textbook_lp()))
-    assert lp_mod.parametric_range(_textbook_lp(), [0], 4.0, 0.0) is None
-    assert lp_mod._where_nonnegative(np.array([1.0, -1.0]), np.array([1.0, 0.0])) == (np.inf, 0.0)
-    assert lp_mod._where_nonnegative(np.array([-1.0, 2.0, 0.0]),
-                                     np.array([0.5, -1.0, 0.0])) == (2.0, 2.0)
+    assert lp_mod.parametric_vertex(_textbook_lp(), [0], 4.0, 0.0, 10.0) is None
+
+
+def test_vertex_bound_meets_the_optimum_and_holds_at_every_pi():
+    """Seeded random LPs made members of the certificate's family (column
+    0 takes the objective pi, the box [0, top - floor/pi] and the constant
+    -pi top): the vertex solved at pi = 1 reads the answer's x as its point
+    there and its value as its bound, and its bound at 0.6, 0.8, 1.5 and 3
+    is at least the optimum a cold solve finds there.
+    The textbook LP's bound, 10 implied for its columns with no upper
+    bound, is its optimum, 12."""
+    lp = _textbook_lp()
+    solve_lp(lp)
+    assert lp_mod.parametric_vertex(lp, [], 0.0, 0.0, 10.0)[1](1.0) == pytest.approx(12.0)
+    for lp, _first in _random_feasible_lps(53, 60):
+        top = float(lp.ub[0])
+        floor = 0.25 * top  # so that top - floor/pi >= 0 wherever pi >= 0.25
+
+        def solved(program, pi):
+            program.objective[0] = pi
+            program.objective_constant = -pi * top
+            program.set_upper([0], top - floor / pi)
+            return solve_lp(program)
+
+        res = solved(lp, 1.0)
+        point, bound = lp_mod.parametric_vertex(lp, [0], top, floor, math.inf)
+        assert point[:, 0] + point[:, 1] == pytest.approx(res.x, abs=1e-9)
+        assert bound(1.0) == pytest.approx(res.value, abs=1e-8)
+        for pi in (0.6, 0.8, 1.5, 3.0):
+            assert bound(pi) >= solved(_fresh(lp), pi).value - 1e-9
 
 
 def _cold(lp):

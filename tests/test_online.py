@@ -1,6 +1,7 @@
 """Online policies: fixed ratio pursuit, anytime certification, depleting
 variant, and monthly threading."""
 
+import contextlib
 import importlib.util
 import math
 import sys
@@ -20,6 +21,7 @@ from peakmin.cr import inventory_unbounded, optimal_cr
 from peakmin.errors import (
     DegenerateOfflinePeak,
     DemandOutOfBounds,
+    NegativeSlack,
     NonPositiveBound,
     NumericalFailure,
 )
@@ -541,12 +543,10 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
     monkeypatch, rate_limit, capacity_rate, day, mode, monthly_peak
 ):
     """Re-pricing the kept tableau changes how each LP is solved, never the
-    certified ratios or the discharges: both must match a run whose
-    solve_lp drops the tableau the LP's standard form keeps before every
-    solve, so that every LP is solved cold."""
-    inst, demand = _volatile_day(rate_limit, capacity_rate, day)
-    options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
-                            initial_ratio=optimal_cr(inst).pi_star)
+    certified ratios or the discharges: on the case's day and the next one,
+    both must match a run whose solve_lp drops the tableau the LP's
+    standard form keeps before every solve, so that every LP is solved
+    cold."""
     warm = []
 
     def warm_solve_lp(lp):
@@ -557,16 +557,20 @@ def test_basis_reuse_keeps_trajectories_bit_identical(
         lp._tab = None
         return lp_mod.solve_lp(lp)
 
-    monkeypatch.setattr(online, "solve_lp", warm_solve_lp)
-    reused = run_anytime(inst, demand, options)
-    # the day must bisect, so that cutoffs are re-solved from a kept tableau
+    for d in (day, day + 1):
+        inst, demand = _volatile_day(rate_limit, capacity_rate, d)
+        options = PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                                initial_ratio=optimal_cr(inst).pi_star)
+        monkeypatch.setattr(online, "solve_lp", warm_solve_lp)
+        reused = run_anytime(inst, demand, options)
+        monkeypatch.setattr(online, "solve_lp", cold_solve_lp)
+        # the cold run must certify its slots, not read the warm run's answers
+        online._certify.cache_clear()
+        cold = run_anytime(inst, demand, options)
+        assert np.array_equal(reused.ratio_trajectory, cold.ratio_trajectory)
+        assert np.array_equal(reused.schedule.values, cold.schedule.values)
+    # the days must bisect, so that cutoffs are re-solved from a kept tableau
     assert sum(warm) >= 50
-    monkeypatch.setattr(online, "solve_lp", cold_solve_lp)
-    # the cold run must certify its slots, not read the warm run's answers
-    online._certify.cache_clear()
-    cold = run_anytime(inst, demand, options)
-    assert np.array_equal(reused.ratio_trajectory, cold.ratio_trajectory)
-    assert np.array_equal(reused.schedule.values, cold.schedule.values)
 
 
 def test_future_requirement_rejects_large_residual(monkeypatch, tiny_instance):
@@ -841,12 +845,10 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
 
 @pytest.mark.parametrize("rate_limit", [None, 60.0], ids=["rate-free", "rate-limited"])
 def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
-    """After every certificate solve of a T=10 day, in both modes, the
+    """After every certificate solve of two T=10 days, in both modes, the
     tableau the cutoff's LP keeps, and after every cutoff-to-cutoff carry
     the tableau seeded on cutoff k's LP, equal B^-1 [A | b] from a fresh
     dense solve within 1e-9."""
-    inst, demand = _volatile_day(rate_limit, 0.3, 2)
-    pi = optimal_cr(inst).pi_star
     real_solve_lp, real_carry = online.solve_lp, cr.carry_basis
     gaps = {"kept": [], "carried": []}
 
@@ -861,11 +863,14 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
 
     monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(cr, "carry_basis", checked_carry)
-    for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
-        # the depleting run certifies its slots too, rather than reading the
-        # plain run's answers, so both runs' LPs are solved and checked
-        online._certify.cache_clear()
-        run_anytime(inst, demand, PolicyOptions(mode=mode, initial_ratio=pi))
+    for day in (2, 3):
+        inst, demand = _volatile_day(rate_limit, 0.3, day)
+        pi = optimal_cr(inst).pi_star
+        for mode in (MODE_ANYTIME, MODE_ANYTIME_DEPLETING):
+            # the depleting run certifies its slots too, rather than reading
+            # the plain run's answers, so both runs' LPs are solved and checked
+            online._certify.cache_clear()
+            run_anytime(inst, demand, PolicyOptions(mode=mode, initial_ratio=pi))
     assert len(gaps["carried"]) >= 20
     assert len(gaps["kept"]) >= 100
     assert max(gaps["kept"] + gaps["carried"]) <= 1e-9
@@ -877,7 +882,7 @@ def test_lp_answers_make_no_dense_solve(monkeypatch):
     optimal_cr call, every np.linalg.solve call from peakmin.lp is a
     _factorized call (a drifted tableau's refactorization): an answer is
     read from the B^-1 its tableau keeps, with no dense solve of its own.
-    A bisection step whose every cutoff came from a closed form calls
+    A bisection step whose every cutoff was decided by a bound calls
     np.linalg.solve not at all."""
     real_solve, real_solve_lp = np.linalg.solve, lp_mod.solve_lp
     real_requirement = online._requirement
@@ -895,12 +900,12 @@ def test_lp_answers_make_no_dense_solve(monkeypatch):
         work["answers"] += res.status == OPTIMAL
         return res
 
-    def counting_requirement(view, pi, budget, warm, guessed=None):
+    def counting_requirement(view, pi, budget, warm):
         before = work.copy()
-        value = real_requirement(view, pi, budget, warm, guessed)
+        value = real_requirement(view, pi, budget, warm)
         if work["answers"] == before["answers"]:
-            work["closed_steps"] += 1
-            work["closed_step_solves"] += work["solves"] - before["solves"]
+            work["bound_steps"] += 1
+            work["bound_step_solves"] += work["solves"] - before["solves"]
         return value
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -915,8 +920,8 @@ def test_lp_answers_make_no_dense_solve(monkeypatch):
     optimal_cr(Instance(0.3 * days.avg_daily_energy, None, 12, 100.0, 400.0))
     assert work["answers"] >= 300
     assert work["solves"] == work["_factorized"]
-    assert work["closed_steps"] >= 20
-    assert work["closed_step_solves"] == 0
+    assert work["bound_steps"] >= 20
+    assert work["bound_step_solves"] == 0
 
 
 def _t20_day(rate_limit):
@@ -926,39 +931,52 @@ def _t20_day(rate_limit):
     return inst, DemandProfile(inst, days.day_values[0])
 
 
+def _bounds(view, pi, cut):
+    """cut's (lower, upper) bounds on its requirement at pi: the lower one
+    through online._bracket with thresholds that let it through, the upper
+    one from its vertex."""
+    return online._bracket(view, pi, cut, -math.inf, -math.inf), cut.vertex[1](pi)
+
+
 @pytest.mark.parametrize(
     "day",
-    [lambda: _t20_day(None), lambda: _t20_day(100.0), lambda: _volatile_day(60.0, 0.3, 2)],
-    ids=["t20", "t20-rl", "t10-rl"],
+    [lambda: (*_t20_day(None), 0.0), lambda: (*_t20_day(100.0), 0.0),
+     lambda: (*_volatile_day(60.0, 0.3, 2), 0.0), lambda: (*_volatile_day(None, 0.3, 2), 380.0)],
+    ids=["t20", "t20-rl", "t10-rl", "t10-monthly"],
 )
-def test_closed_form_matches_cold_lp_in_range(monkeypatch, day):
-    """Every closed form run_anytime reads, one per (slot, cutoff, basis),
-    holds across its pi range: its range contains the pi it was ranged at,
-    and at 5 interior points of the range (cut to [1, 4]) A + B pi + C/pi
-    equals the optimum HiGHS finds on a freshly built certificate LP within
-    1e-9 relative."""
-    inst, demand = day()
+def test_bracket_holds_around_the_cold_lp(monkeypatch, day):
+    """Every vertex run_anytime reads, one per (slot, cutoff, basis),
+    brackets its cutoff's requirement at every pi: at the pi it was read
+    at both bounds equal the LP's answer within 1e-9 relative, and at 5
+    points of [pi_lb, d_ub / v_ref] lower <= HiGHS <= upper within 1e-9
+    relative, HiGHS solving a freshly built certificate LP."""
+    inst, demand, monthly_peak = day()
     real = online._future_requirement
-    ranged = {}
+    read = {}
 
     def recording(view, pi, kmax, warm):
         before = warm.cutoffs.get(kmax)
-        before = None if before is None else before.closed
+        before = None if before is None else before.vertex
         value = real(view, pi, kmax, warm)
         cut = warm.cutoffs[kmax]
-        if cut.closed is not None and cut.closed is not before:
-            ranged.setdefault((view.t, kmax, cut.basis.tobytes()), (view, pi, cut.closed))
+        if cut.vertex is not None and cut.vertex is not before:
+            # a copy, whose vertex a later read does not replace
+            read.setdefault((view.t, kmax, cut.basis.tobytes()), (view, pi, value, replace(cut)))
         return value
 
     monkeypatch.setattr(online, "_future_requirement", recording)
-    run_anytime(inst, demand)
-    assert len(ranged) >= 30
-    for (_t, kmax, _basis), (view, pi, (a, b, c, lo, hi)) in ranged.items():
-        assert lo <= pi <= hi
-        for x in np.linspace(max(lo, 1.0), min(hi, 4.0), 7)[1:-1]:
+    run_anytime(inst, demand, PolicyOptions(monthly_peak=monthly_peak))
+    assert len(read) >= 30
+    for (_t, kmax, _basis), (view, pi, value, cut) in read.items():
+        for bound in _bounds(view, pi, cut):
+            assert bound == pytest.approx(value, rel=1e-9, abs=1e-9)
+        pi_lb = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
+        for x in np.linspace(pi_lb, inst.demand_ub / view.v_ref, 5):
             fresh = highs_lp(_fresh_certificate_lp(view, x, kmax))
             assert fresh is not None
-            assert a + b * x + c / x == pytest.approx(fresh, rel=1e-9, abs=1e-9)
+            lower, upper = _bounds(view, x, cut)
+            slack = 1e-9 * max(1.0, abs(fresh))
+            assert lower <= fresh + slack and fresh <= upper + slack
 
 
 def _certificate_runs():
@@ -975,80 +993,129 @@ def _certificate_runs():
                                               initial_ratio=optimal_cr(inst).pi_star)
 
 
-def test_closed_forms_keep_certified_ratios_bit_identical(monkeypatch):
-    """Slot by slot on 8 runs, _certified_ratio returns the (ratio, early)
-    of the bisection that answers every cutoff by LP at every step, bit for
-    bit, although most of its values come from closed forms."""
-    real_certified, real_confirm = online._certified_ratio, online._confirm
-    slots, confirmed = [], []
+def _compared_slots(monkeypatch):
+    """Runs every _certified_ratio call of the 8 _certificate_runs beside
+    certified_ratio_lp_only on the same slot; returns, per slot, whether
+    the two differ. A run that raises ends there."""
+    real_certified = online._certified_ratio
+    differ = []
 
     def compared(view, prev_ratio, epsilon):
         got = real_certified(view, prev_ratio, epsilon)
-        assert got == certified_ratio_lp_only(view, prev_ratio, epsilon)
-        slots.append(got)
+        differ.append(got != certified_ratio_lp_only(view, prev_ratio, epsilon))
         return got
 
-    def counting_confirm(view, pi, cutoffs, warm):
-        confirmed.extend(cutoffs)
-        return real_confirm(view, pi, cutoffs, warm)
-
     monkeypatch.setattr(online, "_certified_ratio", compared)
-    monkeypatch.setattr(online, "_confirm", counting_confirm)
     for inst, demand, options in _certificate_runs():
-        run_anytime(inst, demand, options)
-    assert len(slots) == 80
-    assert len(confirmed) >= 100
+        with contextlib.suppress(ValueError, NegativeSlack):
+            run_anytime(inst, demand, options)
+    return differ
 
 
-def test_understated_closed_form_raises(monkeypatch):
-    """A closed form shifted to understate its cutoff's requirement by 1%
-    (at the pi it was ranged at) lowers the bisection's upper endpoint past
-    what the LPs certify; the confirmation at that ratio finds it, and
-    NumericalFailure is raised instead of an unconfirmed ratio."""
-    real = online.parametric_range
+def test_brackets_keep_certified_ratios_bit_identical(monkeypatch):
+    """Slot by slot on 8 runs, _certified_ratio returns the (ratio, early)
+    of the bisection that answers every cutoff by LP at every step, bit for
+    bit, although at least 100 cutoffs are decided by a bound."""
+    real_bracket = online._bracket
+    decided = []
 
-    def understated(lp, cols, top, floor):
-        ranged = real(lp, cols, top, floor)
-        if ranged is None:
-            return None
-        a, b, c, lo, hi = ranged
-        pi = float(lp.objective[cols[0]])
-        return a - 0.01 * abs(a + b * pi + c / pi), b, c, lo, hi
+    def counting_bracket(*args):
+        value = real_bracket(*args)
+        decided.append(value is not None)
+        return value
 
-    monkeypatch.setattr(online, "parametric_range", understated)
+    monkeypatch.setattr(online, "_bracket", counting_bracket)
+    differ = _compared_slots(monkeypatch)
+    assert len(differ) == 80 and not any(differ)
+    assert sum(decided) >= 100
+
+
+def test_understated_upper_bound_changes_a_certificate(monkeypatch):
+    """Nothing confirms a bound's decision, so the comparison must have
+    teeth: with every cutoff's upper bound shifted down by 1% of its size,
+    bounds decide as fitting cutoffs that the LPs do not fit, and some slot
+    of the 8 runs certifies another (ratio, early) than the LP-only
+    bisection."""
+    real_bracket = online._bracket
+
+    def understated(view, pi, cut, low, high):
+        upper = real_bracket(view, pi, cut, math.inf, math.inf)
+        if upper is not None and upper - 0.01 * abs(upper) < low:
+            return upper - 0.01 * abs(upper)
+        return real_bracket(view, pi, cut, low, high)
+
+    monkeypatch.setattr(online, "_bracket", understated)
+    assert any(_compared_slots(monkeypatch))
+
+
+def test_bracket_straddling_the_budget_goes_to_the_lp(monkeypatch):
+    """With the budget at the constant term plus the worst cutoff's own LP
+    answer, that cutoff's bracket straddles budget +- _band, so its LP
+    answers it and that answer decides the step; every other cutoff, below
+    the budget by more than the band, is decided by its upper bound."""
     inst, demand = _volatile_day(None, 0.3, 1)
-    with pytest.raises(NumericalFailure, match="closed form"):
-        run_anytime(inst, demand, PolicyOptions(initial_ratio=optimal_cr(inst).pi_star))
-
-
-def test_closed_form_at_the_budget_goes_to_the_lp(monkeypatch):
-    """When a cutoff's closed form puts the requirement within 1e-8 of the
-    budget, the LP answers that cutoff, and its answer decides the step;
-    the cutoffs away from the budget keep their closed forms."""
-    inst, demand = _volatile_day(None, 0.3, 1)
-    state = OnlineState(inst)
-    view = online._slot_view(inst, state, float(demand.values[0]))
+    view = online._slot_view(inst, OnlineState(inst), float(demand.values[0]))
     warm = online._WarmStart()
     pi = 1.3
     online._requirement(view, pi, math.inf, warm)  # every cutoff by LP
-    values = {k: online._closed_form(cut, pi) for k, cut in warm.cutoffs.items()}
-    assert None not in values.values()
+    values = {k: online._future_requirement(view, pi, k, warm) for k in warm.cutoffs}
     binding = max(values, key=values.get)
-    solved = []
+    const = online._constant_term(view, pi)
+    budget = const + values[binding]
+    lower, upper = _bounds(view, pi, warm.cutoffs[binding])
+    band = online._band(budget)
+    assert const + lower <= budget + band and const + upper >= budget - band
+    real_bracket, solved, decided = online._bracket, [], {}
 
     def recording_solve_lp(lp):
         res = lp_mod.solve_lp(lp)
         solved.append((lp, res.value))
         return res
 
+    def recording_bracket(view, pi, cut, low, high):
+        decided[cut.lp] = real_bracket(view, pi, cut, low, high) is not None
+        return real_bracket(view, pi, cut, low, high)
+
     monkeypatch.setattr(online, "solve_lp", recording_solve_lp)
-    const = online._constant_term(view, pi)
-    guessed = []
-    got = online._requirement(view, pi, const + values[binding], warm, guessed)
+    monkeypatch.setattr(online, "_bracket", recording_bracket)
+    got = online._requirement(view, pi, budget, warm)
     assert [lp for lp, _value in solved] == [warm.cutoffs[binding].lp]
-    assert binding not in guessed
-    assert sorted(guessed) == sorted(k for k in values if k != binding)
+    assert decided == {cut.lp: k != binding for k, cut in warm.cutoffs.items()}
     assert got == const + solved[0][1]
+
+
+def test_infinite_budget_decides_no_cutoff_by_a_bound(monkeypatch):
+    """depleting_amount sizes its slack at an infinite budget, where a
+    bound proves nothing: even on a warm start whose every cutoff keeps a
+    vertex, every cutoff is answered by its LP, and the requirement is the
+    exact one depleting_amount spends the slack of."""
+    inst, demand = _volatile_day(None, 0.3, 1)
+    state = OnlineState(inst)
+    state.observe(float(demand.values[0]))
+    view = online._slot_view(inst, state)
+    pi = online._certified_ratio(view, optimal_cr(inst).pi_star, 1e-4)[0]
+    warm = online._WarmStart()
+    need = online._requirement(view, pi, math.inf, warm)
+    assert len(warm.cutoffs) == inst.horizon_T - 1
+    assert all(cut.vertex is not None for cut in warm.cutoffs.values())
+    real_bracket, real_solve_lp, decided, solved = online._bracket, online.solve_lp, [], []
+
+    def recording_bracket(*args):
+        decided.append(real_bracket(*args) is not None)
+        return real_bracket(*args)
+
+    def counting_solve_lp(lp):
+        solved.append(lp)
+        return real_solve_lp(lp)
+
+    monkeypatch.setattr(online, "_bracket", recording_bracket)
+    monkeypatch.setattr(online, "solve_lp", counting_solve_lp)
+    assert online._requirement(view, pi, math.inf, warm) == need
+    assert len(solved) == len(decided) == inst.horizon_T - 1 and not any(decided)
+    spent = online.depleting_amount(inst, state, pi, 0.0)
+    assert not any(decided)
+    cap = inst.slot_cap(float(demand.values[0]))
+    assert spent == min(max(0.0, view.remaining - need), cap, view.remaining)
 
 
 @pytest.mark.parametrize("rate_limit", [None, 60.0], ids=["rate-free", "rate-limited"])
@@ -1172,19 +1239,19 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     assert online._certify.cache_info().currsize == online.MEMO_SIZE
 
 
-def test_closed_form_is_keyed_on_the_whole_vertex(monkeypatch):
-    """A cutoff's closed form belongs to a vertex of its LP: the basis and
+def test_vertex_read_is_keyed_on_the_whole_vertex(monkeypatch):
+    """A cutoff's vertex read belongs to a vertex of its LP: the basis and
     the columns at their upper bound. An LP answer at the kept vertex is
-    not ranged again; one reported with the kept basis but another set of
+    not read again; one reported with the kept basis but another set of
     columns at their upper bound is."""
     inst, demand = _volatile_day(None, 0.3, 1)
     view = online._slot_view(inst, OnlineState(inst), float(demand.values[0]))
-    real_range, real_solve_lp = online.parametric_range, online.solve_lp
-    ranged, moved = [], [False]
+    real_read, real_solve_lp = online.parametric_vertex, online.solve_lp
+    read, moved = [], [False]
 
-    def counting_range(*args):
-        ranged.append(args)
-        return real_range(*args)
+    def counting_read(*args):
+        read.append(args)
+        return real_read(*args)
 
     def solve_lp(lp):
         res = real_solve_lp(lp)
@@ -1192,16 +1259,16 @@ def test_closed_form_is_keyed_on_the_whole_vertex(monkeypatch):
             res = replace(res, at_upper=np.append(res.at_upper, lp.num_vars - 1))
         return res
 
-    monkeypatch.setattr(online, "parametric_range", counting_range)
+    monkeypatch.setattr(online, "parametric_vertex", counting_read)
     monkeypatch.setattr(online, "solve_lp", solve_lp)
     warm, pi, kmax = online._WarmStart(), 1.3, inst.horizon_T
     online._future_requirement(view, pi, kmax, warm)
-    assert len(ranged) == 1 and warm.cutoffs[kmax].closed is not None
+    assert len(read) == 1 and warm.cutoffs[kmax].vertex is not None
     online._future_requirement(view, pi, kmax, warm)
-    assert len(ranged) == 1
+    assert len(read) == 1
     moved[0] = True
     online._future_requirement(view, pi, kmax, warm)
-    assert len(ranged) == 2
+    assert len(read) == 2
 
 
 def _trace_days(slotting):

@@ -199,8 +199,9 @@ def test_diff_outputs_cross_load_names_each_difference(tmp_path):
 def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
     """On a cut-down report (one seed-11 day in its three variants and both
     modes, one census cell, the two days at T=8, one process each) a tree
-    compared with itself is bit-identical everywhere, counts the same pivots
-    and bound flips on both sides, and its census pi* matches HiGHS."""
+    compared with itself is bit-identical everywhere, counts the same
+    certificate LP answers, pivots and bound flips on both sides, and its
+    census pi* matches HiGHS."""
     pytest.importorskip("scipy")
     pivot_report = _load("pivot_report")
     root = _TOOLS.parent
@@ -212,11 +213,15 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
                              "max_schedule_change_kwh": 0.0, "raised": []}
     assert list(found["census"]) == ["vol@0.1"]
     assert found["census_differ"] == [] and found["failures"] == []
+    answers = found["run_answers"]["parent"]
+    assert found["run_answers"] == {"parent": answers, "change": answers} and answers > 0
     for work in found["day_work"].values():
+        assert work["parent"]["answers"] == work["change"]["answers"] > 0
         assert work["parent"]["pivots"] == work["change"]["pivots"] > 0
         assert work["parent"]["flips"] == work["change"]["flips"]
     text = pivot_report._text(found, 8)
-    assert text[0] == "runs: 6 of 6 bit-identical, 0 raised on a side"
+    assert text[0] == (f"runs: 6 of 6 bit-identical, 0 raised on a side; "
+                       f"certificate LP answers {answers:,} -> {answers:,}")
     assert text[-1] == "0 census cell(s) off HiGHS by more than 1e-06"
     for label, times in found["day_times"].items():
         line = next(line for line in text if line.startswith(f"  {label}: "))

@@ -10,23 +10,26 @@ tree's perfbench/inputs.py on both sides):
   runs    run_anytime on the 96 runs: the 8 anytime_t10 days of seeds 11
           and 12 (inputs.anytime_days), each at its capacity rate, in both
           modes, plain, with a 60 kWh rate limit and with a 380 kWh monthly
-          peak, each seeded with its instance's optimal_cr pi*
+          peak, each seeded with its instance's optimal_cr pi*, counting
+          certificate LP answers (online.solve_lp calls) over all of them
   days    the two T=20 days: day 0 of synthetic_volatile_profiles(2, 20,
           100, 400, seed=7) at c = 0.1 of the mean daily energy, rate-free
           and with a 100 kWh rate limit, run_anytime with optimal_cr
           included, each in a process of its own (REPEATS times, the sides
-          alternating), counting pivots (_Tableau._pivot calls) and, apart
-          from them, bound flips (_Tableau._flip calls, none in a tree
-          without them), wall time and peak RSS
+          alternating), counting certificate LP answers, pivots
+          (_Tableau._pivot calls) and, apart from them, bound flips
+          (_Tableau._flip calls, none in a tree without them), wall time
+          and peak RSS
   census  optimal_cr's pi* on the 13 cr_t20 census cells (inputs.cr_census
           with no time budget), against HiGHS (perfbench/reference.py's
           highs_pi_star, run in the working tree)
 
 It prints how many of the runs and of the T=20 runs are bit-identical
 (certified ratios and schedule), and the largest change in certified ratio
-(relative) and in schedule (kWh) among the rest; each census cell's pi* on
-both sides against HiGHS; and pivots, bound flips, time and peak RSS of
-both T=20 days on both sides. Each side's time is its median with its
+(relative) and in schedule (kWh) among the rest, with the runs'
+certificate LP answers on both sides; each census cell's pi* on both
+sides against HiGHS; and certificate LP answers, pivots, bound flips, time
+and peak RSS of both T=20 days on both sides. Each side's time is its median with its
 quartiles beside it, and the change is marked "unresolved" when the medians
 differ by no more than the parent's quartile spread, the rule
 tools/bench_pairs.py applies to a gain. The exit status is 1 when a census
@@ -73,6 +76,15 @@ def guarded(call):
     except Exception as exc:
         return f"raised {type(exc).__name__}: {exc}"
 
+answers = [0]  # certificate LP answers: online.solve_lp calls
+real_solve_lp = online.solve_lp
+
+def answering(program):
+    answers[0] += 1
+    return real_solve_lp(program)
+
+online.solve_lp = answering
+
 def census_instances():
     cells, _ = inputs.cr_census(harness, 1e9)
     return {c.name: core.validate_instance(c.capacity_c, c.rate_limit, 20, c.demand_lb,
@@ -96,6 +108,7 @@ if job == "runs":
                         online.run_anytime(inst, core.DemandProfile(inst, row),
                                            online.PolicyOptions(mode=mode, monthly_peak=monthly,
                                                                 initial_ratio=pi))))
+    out = {"runs": out, "answers": answers[0]}
 elif job == "day":
     count = {"_pivot": 0, "_flip": 0}
 
@@ -116,7 +129,8 @@ elif job == "day":
     demand = core.DemandProfile(inst, days.day_values[0])
     t0 = time.perf_counter()
     out["run"] = guarded(lambda: record(online.run_anytime(inst, demand)))
-    out.update(pivots=count["_pivot"], flips=count["_flip"], seconds=time.perf_counter() - t0,
+    out.update(answers=answers[0], pivots=count["_pivot"], flips=count["_flip"],
+               seconds=time.perf_counter() - t0,
                rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 elif job == "census":
     out = {name: guarded(lambda: cr.optimal_cr(inst).pi_star)
@@ -205,11 +219,12 @@ def report(parent: Path, change: Path, seeds=RUN_SEEDS, days=RUN_DAYS, cells=Non
     failures = [name for name, pi in census["change"].items()
                 if isinstance(pi, str) or abs(pi - highs[name]) > PI_TOL]
     return {
-        "runs": compare_runs(runs["parent"], runs["change"]),
+        "runs": compare_runs(runs["parent"]["runs"], runs["change"]["runs"]),
+        "run_answers": {side: runs[side]["answers"] for side in trees},
         "days": compare_runs(*({label: s[side][0]["run"] for label, s in day_runs.items()}
                                for side in trees)),
         "day_work": {label: {side: {key: statistics.median(r[key] for r in s[side])
-                                    for key in ("pivots", "flips", "rss_mb")}
+                                    for key in ("answers", "pivots", "flips", "rss_mb")}
                              for side in trees}
                      for label, s in day_runs.items()},
         "day_times": {label: day_times(s) for label, s in day_runs.items()},
@@ -227,6 +242,9 @@ def _text(found: dict, horizon: int) -> list[str]:
         r = found[key]
         lines.append(f"{title}: {r['identical']} of {r['runs']} bit-identical, "
                      f"{len(r['raised'])} raised on a side")
+        if key == "runs":
+            lines[-1] += (f"; certificate LP answers {found['run_answers']['parent']:,} -> "
+                          f"{found['run_answers']['change']:,}")
         if r["differ"]:
             lines.append(f"  largest change among the other {len(r['differ'])}: certified ratio "
                          f"{r['max_ratio_change']:.2g} relative, schedule "
@@ -246,7 +264,8 @@ def _text(found: dict, horizon: int) -> list[str]:
         p, c = work["parent"], work["change"]
         (p1, pt, p3), (c1, ct, c3) = (found["day_times"][label][side] for side in work)
         verdict = ", unresolved" if found["day_times"][label]["unresolved"] else ""
-        lines.append(f"  {label}: pivots {p['pivots']:,.0f} -> {c['pivots']:,.0f} "
+        lines.append(f"  {label}: certificate LP answers {p['answers']:,.0f} -> "
+                     f"{c['answers']:,.0f}, pivots {p['pivots']:,.0f} -> {c['pivots']:,.0f} "
                      f"(x{c['pivots'] / p['pivots']:.3f}; bound flips {p['flips']:,.0f} -> "
                      f"{c['flips']:,.0f}), time {pt:.3f} [{p1:.3f}-{p3:.3f}] -> {ct:.3f} "
                      f"[{c1:.3f}-{c3:.3f}] s (x{ct / pt:.3f}{verdict}), peak RSS "
