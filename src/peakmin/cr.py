@@ -3,11 +3,11 @@
 The worst-case ratio over demand profiles that force a given future index set
 is a linear-fractional program; the optimal ratio is the maximum of that
 program over the prefix index sets {1..t} for t from floor(c/d_ub)+1 to T.
-scenario_program builds that program, for an empty prefix here and, with
-the observed prefix held fixed, for the anytime certificate in online; each
-chain of programs (prefix t-1 to t here, cutoff k-1 to k there) grows each
-program from the one before by grow_program, which starts the new block at
-its water-fill optimum.
+grow_program builds that program, for an empty prefix here and, with the
+observed prefix held fixed, for the anytime certificate in online. Every
+chain of programs (prefix t-1 to t here, cutoff k-1 to k there) starts
+from empty_program() and grows each program from the one before, starting
+the new block at its water-fill optimum.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def build_cr_compute(instance: Instance, index_set) -> PrintedLfp:
     """Worst-case-ratio LFP over scenarios in the given index set, as printed.
 
     This record is for independent solvers (the tests' and the benchmark's
-    HiGHS references) only. optimal_cr solves the equivalent
-    scenario_program instead.
+    HiGHS references) only. optimal_cr solves the equivalent reduced
+    program grow_program builds instead.
 
     Variables: x_1..x_T (demand profile), u_1..u_T (offline values of the
     truncated scenarios), delta_ij (offline discharge of scenario i in slot j).
@@ -101,10 +101,18 @@ def build_cr_compute(instance: Instance, index_set) -> PrintedLfp:
     return PrintedLfp(num, -c, den, 0.0, cons, bounds)
 
 
-def scenario_program(
-    instance: Instance, prefix, k: int, x_lb: float, u_lb: float
+def empty_program() -> LinearProgram:
+    """The scenario program of no scenario, with no column and no row:
+    every chain of scenario programs grows from it."""
+    return LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
+
+
+def grow_program(
+    instance: Instance, prefix, old: LinearProgram, k: int, x_lb: float, u_lb: float
 ) -> tuple[LinearProgram, np.ndarray, float]:
-    """Worst-case scenario program over the scenarios after a fixed prefix.
+    """Worst-case scenario program over the scenarios t+1..k after a fixed
+    prefix, grown from old, cutoff k-1's program (empty_program() for
+    k = t+1), by one _grown step.
 
     The demands d_1..d_t of prefix are fixed (t = len(prefix), empty for
     optimal_cr) and the adversary picks x_{t+1}..x_k in [x_lb, d_ub].
@@ -122,36 +130,17 @@ def scenario_program(
     sum_j delta_ij = c becomes <= c: exact while c <= T * rate (see
     inventory_unbounded), because raising a delta only loosens the other
     rows. The benchmark is u_i = U - w_i with 0 <= w_i <= U - u_lb and
-    U = max(d_ub, u_lb, prefix): exact because a minimized u_i never
-    exceeds U.
+    U = scenario_top(instance, prefix): exact because a minimized u_i never
+    exceeds U. A u_lb above U empties the w boxes, and LinearProgram raises
+    ValueError.
 
     Columns: x_{t+1}..x_k, then per scenario the block w_i, delta_i1..
     delta_ii, D_i (no D_T); rows per scenario: the budget, one row per slot
-    j <= i, the tail. The arrays are _grown's step folded from the empty
-    program (k = t gives it); a k outside t..T raises ValueError. Returns
-    (the program with a zero objective to maximize, for the caller to
-    write; the w columns; U).
-    """
-    prefix = np.asarray(prefix, dtype=float)
-    t = len(prefix)
-    if k != t:
-        _check_cutoff(instance, t, k)
-    top = scenario_top(instance, prefix, u_lb)
-    arrays = np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0)
-    for i in range(t + 1, k + 1):
-        arrays = _grown(instance, prefix, arrays, i, x_lb, u_lb, top)
-    return LinearProgram(np.zeros(len(arrays[2])), *arrays), _w_columns(instance, t, k), top
-
-
-def grow_program(
-    instance: Instance, prefix, old: LinearProgram, k: int, x_lb: float, u_lb: float
-) -> tuple[LinearProgram, np.ndarray, float]:
-    """scenario_program(instance, prefix, k, x_lb, u_lb), bit for bit, grown
-    from old, cutoff k-1's program for the same instance, prefix, x_lb and
-    U (its objective and w upper bounds may have moved since) by one _grown
-    step, every w column's upper bound then set to U - u_lb. A k outside
-    t < k <= T, or an old of another shape than cutoff k-1's, raises
-    ValueError.
+    j <= i, the tail. old's objective and w upper bounds may have moved
+    since it was grown: every w column's upper bound is set to U - u_lb,
+    and the objective is zero, to maximize, for the caller to write. A k
+    outside t < k <= T, or an old of another shape than cutoff k-1's,
+    raises ValueError. Returns (the program; the w columns; U).
 
     When old keeps a tableau, lp.carry_basis carries its vertex and starts
     block k at that vertex's best answer (_block_start): x_k at d_ub and
@@ -160,7 +149,7 @@ def grow_program(
     prefix = np.asarray(prefix, dtype=float)
     t = len(prefix)
     _check_cutoff(instance, t, k)
-    top = scenario_top(instance, prefix, u_lb)
+    top = scenario_top(instance, prefix)
     w_cols = _w_columns(instance, t, k)
     if old.a.shape != (w_cols[-1] - (k - t), w_cols[-1] - 1):
         raise ValueError(f"old is not cutoff {k - 1}'s program: shape {old.a.shape}")
@@ -259,35 +248,18 @@ def _block_start(instance: Instance, prefix: np.ndarray, k: int, u_lb: float,
     return batches, at_upper
 
 
-def scenario_top(instance: Instance, prefix, u_lb: float) -> float:
-    """scenario_program's U = max(d_ub, u_lb, prefix)."""
-    return float(max(instance.demand_ub, u_lb, *prefix))
+def scenario_top(instance: Instance, prefix) -> float:
+    """The U of every scenario program after prefix, max(d_ub, prefix): no
+    benchmark u_i exceeds it, and it does not depend on the ratio."""
+    return float(max([instance.demand_ub, *prefix]))
 
 
 def inventory_unbounded(instance: Instance) -> bool:
     """True when the rate cap alone keeps total discharge below c: the
     inventory never binds, ratio 1 is achievable, no scenario imposes a
-    requirement, and scenario_program does not apply."""
+    requirement, and no scenario program applies."""
     rate = instance.rate_limit
     return rate is not None and instance.capacity_c > instance.horizon_T * rate + EPS_KWH
-
-
-def _prefix_program(instance: Instance, t: int, prev: LfpProblem | None = None) -> LfpProblem:
-    """Worst-case-ratio program of the prefix index set {1..t}, reduced.
-
-    maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over the scenario
-    program with no observed prefix and cutoff t: grown from prev, prefix
-    t-1's program, when it is given, else built by scenario_program.
-    """
-    if prev is None:
-        lp, w_cols, top = scenario_program(instance, (), t, instance.demand_lb, 0.0)
-    else:
-        lp, w_cols, top = grow_program(instance, (), prev.lp, t, instance.demand_lb, 0.0)
-    num = np.zeros(lp.num_vars)
-    num[:t] = 1.0
-    den = np.zeros(lp.num_vars)
-    den[w_cols] = -1.0
-    return LfpProblem(num, -instance.capacity_c, den, t * top, lp)
 
 
 def _floor_quotient(c: float, d_ub: float) -> int:
@@ -300,19 +272,23 @@ def _floor_quotient(c: float, d_ub: float) -> int:
 def optimal_cr(instance: Instance) -> CrResult:
     """Maximum of the worst-case-ratio program over prefix candidate sets.
 
-    Candidates are t = tau+1..T with tau = floor(c/d_ub): at t <= tau the
-    numerator is at most t*d_ub - c <= 0, so those prefixes cannot beat the
-    ratio 1 the all-d_lb profile forces. The best ratio so far is carried
-    into the next prefix's Dinkelbach solve, which returns at once when the
-    prefix cannot beat it by RATIO_TOL, so ties break toward smaller t. Each
+    Prefix t's program, reduced, is maximize (sum_{i <= t} x_i - c) /
+    (sum_{i <= t} u_i) over the scenario program with no observed prefix
+    and cutoff t. Candidates are t = tau+1..T with tau = floor(c/d_ub): at
+    t <= tau the numerator is at most t*d_ub - c <= 0, so those prefixes
+    cannot beat the ratio 1 the all-d_lb profile forces, and their programs
+    are grown but not solved. The best ratio so far is carried into the
+    next prefix's Dinkelbach solve, which returns at once when the prefix
+    cannot beat it by RATIO_TOL, so ties break toward smaller t. Each
     prefix's program is grown from the one before by grow_program, which
     carries the tableau that prefix's last LP keeps and starts the new
-    scenario block at its water-fill optimum: only the first prefix starts
-    cold, and no prefix refactorizes its basis. The denominator is positive, as
-    solve_lfp requires: any feasible point has u_i >= (sum_j p_j - c)/T >=
-    (T*d_lb - c)/T > 0 under the c < T*d_lb precondition below. Every
-    prefix program is feasible and bounded, so a step LP that ends other
-    than optimal raises NumericalFailure instead of dropping its prefix.
+    scenario block at its water-fill optimum: only the first candidate
+    starts cold, and no prefix refactorizes its basis. The denominator is
+    positive, as solve_lfp requires: any feasible point has u_i >=
+    (sum_j p_j - c)/T >= (T*d_lb - c)/T > 0 under the c < T*d_lb
+    precondition below. Every prefix program is feasible and bounded, so a
+    step LP that ends other than optimal raises NumericalFailure instead of
+    dropping its prefix.
     """
     T = instance.horizon_T
     c = instance.capacity_c
@@ -331,10 +307,16 @@ def optimal_cr(instance: Instance) -> CrResult:
 
     tau = max(0, min(_floor_quotient(c, instance.demand_ub), T - 1))
     best_val, best_t, best_x = -math.inf, None, None
-    program = None
-    for t in range(tau + 1, T + 1):
-        program = _prefix_program(instance, t, program)
-        res = solve_lfp(program, at_least=best_val)
+    lp = empty_program()
+    for t in range(1, T + 1):
+        lp, w_cols, top = grow_program(instance, (), lp, t, instance.demand_lb, 0.0)
+        if t <= tau:
+            continue
+        num = np.zeros(lp.num_vars)
+        num[:t] = 1.0
+        den = np.zeros(lp.num_vars)
+        den[w_cols] = -1.0
+        res = solve_lfp(LfpProblem(num, -c, den, t * top, lp), at_least=best_val)
         if res.status != OPTIMAL:
             raise NumericalFailure(f"prefix {t}: a Dinkelbach step's LP ended {res.status}")
         if res.x is not None:

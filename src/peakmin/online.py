@@ -30,7 +30,7 @@ from .core import (
     is_positive,
     reference_values,
 )
-from .cr import grow_program, inventory_unbounded, optimal_cr, scenario_program, scenario_top
+from .cr import empty_program, grow_program, inventory_unbounded, optimal_cr, scenario_top
 from .errors import DegenerateOfflinePeak, NegativeSlack, NonPositiveBound, NumericalFailure
 from .lp import OPTIMAL, LinearProgram, parametric_vertex, solve_lp
 from .offline import offline_peak_values
@@ -241,11 +241,11 @@ def _constant_term(view: _SlotView, pi: float) -> float:
 @dataclass(eq=False)
 class _Cutoff:
     """One cutoff's certificate LP as a slot keeps it: the LP, its w
-    columns, the U it was built with, its last optimal vertex (the basis
-    and the columns at their upper bound), that vertex's (point, bound) in
-    pi (lp.parametric_vertex; None where U moves with pi or B is singular),
-    read again at each new vertex, and the last demand block _bracket
-    water-filled, with its scenarios' offline peaks."""
+    columns, U, its last optimal vertex (the basis and the columns at their
+    upper bound), that vertex's (point, bound) in pi
+    (lp.parametric_vertex; None where B is singular), read again at each
+    new vertex, and the last demand block _bracket water-filled, with its
+    scenarios' offline peaks."""
 
     lp: LinearProgram
     w_cols: np.ndarray
@@ -263,17 +263,17 @@ class _WarmStart:
     Each cutoff's LP is built once: between LP answers only the -pi
     objective terms, their constant and the w upper bounds U - floor/pi
     move, and they are written into the kept LP, whose standard form
-    solve_lp reuses. A cutoff's LP is grown from the cutoff before it by
-    cr.grow_program, which carries that LP's tableau and starts the new
-    block at its water-fill optimum; the slot's first cutoff is built by
-    scenario_program. Both run again only if U = max(d_ub, floor/pi,
-    prefix) moves, which needs a pi below floor/v_ref (v_ref <= U), and the
-    bisection never evaluates one; after such a move a cutoff grows only
-    from one built at the same U. A step whose cutoff's bracket decides it
-    takes the bound, with no LP; any other step solves the LP from the
-    tableau it keeps, so no step refactorizes a basis. Each kept LP holds
-    its standard form and tableau until the slot ends. The cutoff that
-    exceeded the budget last usually exceeds it again.
+    solve_lp reuses. U = max(d_ub, prefix) holds for the whole
+    certification: every pi it evaluates is at least floor/v_ref, and
+    v_ref <= U (to a rounding _future_requirement takes off). A cutoff's
+    LP is grown by cr.grow_program from the cutoff before it, the slot's
+    first from the empty program; growing carries the old LP's tableau
+    and starts the new block at its water-fill optimum. A step whose
+    cutoff's bracket decides it takes the bound, with no LP; any other
+    step solves the LP from the tableau it keeps, so no step refactorizes
+    a basis. Each kept LP holds its standard form and tableau until the
+    slot ends. The cutoff that exceeded the budget last usually exceeds it
+    again.
 
     A _WarmStart lives for one certification, and depleting_amount makes its
     own. What outlives a certification is its (ratio, early_exit), which
@@ -295,25 +295,26 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # imposes a requirement
         return -math.inf
     floor = max(view.running_peak, view.monthly_peak)
-    lb_u = floor / pi
-    top = scenario_top(inst, view.demands, lb_u)
+    # floor/pi <= U at every pi a certification evaluates, but for a rounding
+    # where v_ref = U (no storage lowers the peak), which min takes off
+    lb_u = min(floor / pi, scenario_top(inst, view.demands))
     cut = warm.cutoffs.get(kmax)
-    if cut is None or cut.top != top:
+    if cut is None:
         # OnlineState.observe admits demands up to EPS_KWH above d_ub, so the
         # running peak can pass d_ub; x's box must not be inverted by that
         x_lb = min(max(inst.demand_lb, view.running_peak), inst.demand_ub)
-        prev = warm.cutoffs.get(kmax - 1)
-        if prev is not None and prev.top == top:
-            lp, w_cols, top = grow_program(inst, view.demands, prev.lp, kmax, x_lb, lb_u)
-        else:
-            lp, w_cols, top = scenario_program(inst, view.demands, kmax, x_lb, lb_u)
-        lp.objective[: kmax - t] = 1.0
-        cut = warm.cutoffs[kmax] = _Cutoff(lp, w_cols, top)
+        # grow, keeping each, the cutoffs from the nearest one built below
+        built = max((k for k in warm.cutoffs if k < kmax), default=t)
+        lp = warm.cutoffs[built].lp if built > t else empty_program()
+        for k in range(built + 1, kmax + 1):
+            lp, w_cols, top = grow_program(inst, view.demands, lp, k, x_lb, lb_u)
+            lp.objective[: k - t] = 1.0
+            cut = warm.cutoffs[k] = _Cutoff(lp, w_cols, top)
     else:
-        cut.lp.set_upper(cut.w_cols, top - lb_u)
+        cut.lp.set_upper(cut.w_cols, cut.top - lb_u)
     # worst future demand x_{t+1..kmax} beyond pi times the scenario
     # benchmarks u_i = top - w_i
-    lp = cut.lp
+    lp, top = cut.lp, cut.top
     lp.objective[cut.w_cols] = pi
     lp.objective_constant = -pi * top * len(cut.w_cols)
     res = solve_lp(lp)
@@ -321,9 +322,7 @@ def _future_requirement(view: _SlotView, pi: float, kmax: int, warm: _WarmStart)
         # the program is feasible (all-slack basis) and bounded
         raise NumericalFailure(f"future-requirement LP ended {res.status}")
     if not (np.array_equal(res.basis, cut.basis) and np.array_equal(res.at_upper, cut.at_upper)):
-        # read only where U does not depend on the floor, so stays put at every pi
-        cut.vertex = (parametric_vertex(lp, cut.w_cols, top, floor, inst.capacity_c)
-                      if top == scenario_top(inst, view.demands, 0.0) else None)
+        cut.vertex = parametric_vertex(lp, cut.w_cols, top, floor, inst.capacity_c)
     cut.basis, cut.at_upper = res.basis, res.at_upper
     return res.value
 
@@ -332,20 +331,21 @@ def _bracket(view: _SlotView, pi: float, cut: _Cutoff | None, low: float,
              high: float) -> float | None:
     """The cutoff's requirement at pi bounded from its kept vertex: its
     upper bound if below low, else its lower bound if above high, else
-    None (also with no vertex, or where U would move at pi). Both hold at
-    every pi in exact arithmetic, rounding them about 1e-12 relative.
-    Upper: the vertex's weak-duality bound, a column with no upper bound
-    (a delta, or D with no rate limit) of width c, which its block's budget
-    row implies. Lower: the objective at the feasible point x = p + q/pi,
-    clipped to its box, with each scenario's benchmark water-filled (as
+    None (also with no vertex). Both hold at every pi in exact
+    arithmetic, rounding them about 1e-12 relative. Upper: the vertex's
+    weak-duality bound, a column with no upper bound (a delta, or D with
+    no rate limit) of width c, which its block's budget row implies.
+    Lower: the objective at the feasible point x = p + q/pi, clipped to
+    its box, with each scenario's benchmark water-filled (as
     cr._block_start seeds a block): sum x - sum_i max(pi v_i, floor), v_i
     the offline peak of [prefix, x_{t+1..i}, d_lb, ..., d_lb]."""
-    floor = max(view.running_peak, view.monthly_peak)
-    # comparisons are written so that a NaN decides nothing
-    if cut is None or cut.vertex is None or not floor <= pi * cut.top:
+    if cut is None or cut.vertex is None:
         return None
+    floor = max(view.running_peak, view.monthly_peak)
     inst, lp, point, bound = view.instance, cut.lp, cut.vertex[0], cut.vertex[1](pi)
-    if bound < low or not bound > high:  # the lower bound is at most the upper
+    # comparisons are written so that a NaN decides nothing; the lower bound
+    # is at most the upper
+    if bound < low or not bound > high:
         return bound if bound < low else None
     t, size = view.t, len(cut.w_cols)  # one demand column and one w per scenario
     x = np.minimum(np.maximum(point[:size, 0] + point[:size, 1] / pi, lp.lb[:size]), lp.ub[:size])
@@ -516,8 +516,12 @@ def depleting_amount(
     pi_t guarantee. Clamped to the slot's hard feasibility caps only. A
     materially negative slack means the certification engine disagrees with
     itself and is raised as NegativeSlack. pi_t below 1, infinite or NaN, a
-    base_delta below 0, infinite or NaN, and a state of another instance
-    raise ValueError.
+    base_delta below 0, infinite or NaN, a state of another instance, and a
+    pi_t the standing peak already breaks raise ValueError: a pi_t below
+    floor / U, floor = max(running peak, monthly peak) and U = max(d_ub,
+    observed demands), by more than 1e-9 (the ratio slack of a tie in
+    _certified_ratio; a certified pi_t sits only a rounding below it, where
+    no storage lowers the peak).
     """
     _check_ratio(pi_t)
     if not is_at_least(base_delta, 0.0):
@@ -527,6 +531,10 @@ def depleting_amount(
     if len(state.observed) != len(state.actions) + 1:
         raise ValueError("state must be mid-slot: observe d_t before depleting")
     view = _slot_view(instance, state)
+    floor, top = max(view.running_peak, view.monthly_peak), scenario_top(instance, view.demands)
+    if pi_t < floor / top - 1e-9:
+        raise ValueError(f"the standing peak {floor} breaks pi_t = {pi_t}: it needs at least "
+                         f"{floor / top}")
     slack = view.remaining - _requirement(view, pi_t, math.inf, _WarmStart())
     if slack < -1e-6:
         raise NegativeSlack(

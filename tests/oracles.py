@@ -4,11 +4,12 @@ Everything here is deliberately slow and simple: grid searches and
 first-principles recomputations with no shared code paths with the package
 internals beyond the public dataclasses and the offline optimum; the
 printed programs are solved by HiGHS (scipy, a test-only dependency),
-since LinearProgram takes only the one array form the package builds. Two
-exceptions reuse package internals on purpose. cold_prefix_optimal_cr is
-optimal_cr's search without the tableau carried from prefix to prefix, and
-certified_ratio_lp_only is the anytime certificate's bisection with an LP
-answer for every cutoff at every step, no bound read.
+since LinearProgram takes only the one array form the package builds. Some
+exceptions reuse package internals on purpose. cold_program is a scenario
+program grown with no tableau carried, prefix_program optimal_cr's program
+of one prefix built on it, cold_prefix_optimal_cr optimal_cr's search on
+those, and certified_ratio_lp_only is the anytime certificate's bisection
+with an LP answer for every cutoff at every step, no bound read.
 
 The per-row and per-day references at the end are the loops the array
 code replaced: parse_transactions_rows parses a trace one line at a time
@@ -36,9 +37,10 @@ import numpy as np
 
 from peakmin import cr, harness, online
 from peakmin.core import EPS_KWH, DemandProfile, check_demands, reference_profile, reference_values
+from peakmin.cr import empty_program, grow_program, scenario_top
 from peakmin.errors import DegenerateInstance, EmptyTrace, MalformedRecord, PeakMinError
 from peakmin.harness import TRACE_HEADER, DayProfileSet
-from peakmin.lp import OPTIMAL, solve_lfp
+from peakmin.lp import OPTIMAL, LfpProblem, solve_lfp
 from peakmin.offline import (
     offline_peak,
     offline_peak_values,
@@ -210,16 +212,16 @@ def le_arrays(constraints, bounds):
 
 
 def scenario_program_rows(instance, prefix, k: int, x_lb: float, u_lb: float):
-    """cr.scenario_program built row by row, as it once was: one np.zeros
-    row per constraint, as (coeffs, "<=", rhs) tuples, and (lo, hi | None)
-    bounds. Returns (constraints, bounds, w columns, U): the reference the
-    array builder is checked against."""
+    """Cutoff k's scenario program (cr.grow_program's) built row by row, as
+    it once was: one np.zeros row per constraint, as (coeffs, "<=", rhs)
+    tuples, and (lo, hi | None) bounds. Returns (constraints, bounds, w
+    columns, U): the reference the array builder is checked against."""
     T = instance.horizon_T
     c = instance.capacity_c
     lo, hi = instance.demand_lb, instance.demand_ub
     rate = instance.rate_limit
     t = len(prefix)
-    top = float(max(instance.demand_ub, u_lb, *prefix))
+    top = float(max([instance.demand_ub, *prefix]))
 
     bounds = [(x_lb, hi)] * (k - t)
     w_cols = []  # first column (w_i) of each scenario block
@@ -254,6 +256,30 @@ def scenario_program_rows(instance, prefix, k: int, x_lb: float, u_lb: float):
     return cons, bounds, np.array(w_cols, dtype=int), top
 
 
+def cold_program(instance, prefix, k: int, x_lb: float, u_lb: float):
+    """Cutoff k's scenario program (lp, w columns, U), cr.grow_program
+    folded from cr.empty_program() through cutoffs t+1..k with none of
+    them solved, so no tableau is carried; k = t gives the empty program.
+    It calls grow_program as imported here, so a test that patches
+    cr.grow_program can check what it grows against it."""
+    program = empty_program(), np.zeros(0, dtype=int), scenario_top(instance, prefix)
+    for i in range(len(prefix) + 1, k + 1):
+        program = grow_program(instance, prefix, program[0], i, x_lb, u_lb)
+    return program
+
+
+def prefix_program(instance, t: int):
+    """optimal_cr's program of the prefix index set {1..t}, built cold:
+    maximize (sum_{i <= t} x_i - c) / (sum_{i <= t} u_i) over
+    cold_program with no observed prefix and cutoff t."""
+    lp, w_cols, top = cold_program(instance, (), t, instance.demand_lb, 0.0)
+    num = np.zeros(lp.num_vars)
+    num[:t] = 1.0
+    den = np.zeros(lp.num_vars)
+    den[w_cols] = -1.0
+    return LfpProblem(num, -instance.capacity_c, den, t * top, lp)
+
+
 def cold_prefix_optimal_cr(instance):
     """(pi*, argmax_set) by optimal_cr's loop over the prefixes t = tau+1..T
     with every prefix's first Dinkelbach step solved cold. For instances
@@ -262,7 +288,7 @@ def cold_prefix_optimal_cr(instance):
     tau = max(0, min(cr._floor_quotient(instance.capacity_c, instance.demand_ub), T - 1))
     best_val, best_t = -np.inf, None
     for t in range(tau + 1, T + 1):
-        res = solve_lfp(cr._prefix_program(instance, t), at_least=best_val)
+        res = solve_lfp(prefix_program(instance, t), at_least=best_val)
         assert res.status == OPTIMAL, (t, res.status)
         if res.x is not None:
             best_val, best_t = res.value, t

@@ -13,10 +13,12 @@ from peakmin.cr import CrResult, build_cr_compute, optimal_cr
 from peakmin.errors import DegenerateInstance, EmptyIndexSet, NumericalFailure
 from peakmin.harness import synthetic_volatile_profiles
 from peakmin.lp import OPTIMAL, UNBOUNDED, LfpProblem, LpResult, solve_lfp
+from peakmin.offline import offline_peak_values
 
 from oracles import (
     HorizonTooLarge,
     cold_prefix_optimal_cr,
+    cold_program,
     cr_ratio_oracle,
     highs_lfp_max,
     kept_tableau_gap,
@@ -24,6 +26,7 @@ from oracles import (
     le_arrays,
     phi_bruteforce,
     phi_bruteforce_witness,
+    prefix_program,
     primal_feasible_values,
     ratio_lower_bound,
     same_program,
@@ -79,7 +82,7 @@ def test_reduced_and_full_encodings_agree():
         for t in range(1, inst.horizon_T + 1):
             idx = range(1, t + 1)
             full = highs_lfp_max(build_cr_compute(inst, idx))
-            red = solve_lfp(cr._prefix_program(inst, t))
+            red = solve_lfp(prefix_program(inst, t))
             assert (full is not None) == (red.status == OPTIMAL)
             if full is not None:
                 assert red.value == pytest.approx(full[0], abs=1e-7), (inst, t)
@@ -91,10 +94,13 @@ def test_reduced_and_full_encodings_agree():
 @pytest.mark.parametrize("observed", [False, True], ids=["empty-prefix", "observed"])
 @pytest.mark.parametrize("u_lb_above", [False, True], ids=["u_lb-below", "u_lb-above"])
 def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above):
-    """Every row scenario_program emits, a x <= b, has a right-hand side >= 0
-    once the lower bounds are shifted to zero, and no box is empty, so its
+    """Every row a scenario program grown from the empty program
+    (oracles.cold_program) emits, a x <= b, has a right-hand side >= 0 once
+    the lower bounds are shifted to zero, and no box is empty, so its
     all-slack basis is feasible and LinearProgram takes it (it raises
-    ValueError otherwise); random instances at T <= 8."""
+    ValueError otherwise); random instances at T <= 8, u_lb below d_ub or
+    at U, the largest u_lb a program takes: one above U empties the w boxes
+    and raises ValueError."""
     rng = np.random.default_rng(61)
     for _ in range(12):
         T = int(rng.integers(2 if observed else 1, 9))
@@ -107,19 +113,24 @@ def test_scenario_program_needs_no_phase_one(rate_limited, observed, u_lb_above)
         prefix = rng.uniform(lo, hi, t)
         k = int(rng.integers(t + 1, T + 1))
         x_lb = float(rng.uniform(lo, hi))
-        u_lb = float(rng.uniform(hi, 2 * hi) if u_lb_above else rng.uniform(0.0, hi))
-        lp, _w_cols, _top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
+        top = cr.scenario_top(inst, prefix)
+        u_lb = top if u_lb_above else float(rng.uniform(0.0, hi))
+        lp, _w_cols, _top = cold_program(inst, prefix, k, x_lb, u_lb)
         for coeffs, rhs in zip(lp.a, lp.b):
             assert rhs - coeffs @ lp.lb >= 0.0
         assert (lp.ub >= lp.lb).all()
+        if u_lb_above:
+            with pytest.raises(ValueError, match="empty box"):
+                cold_program(inst, prefix, k, x_lb, top * float(rng.uniform(1.001, 2.0)))
 
 
 def test_scenario_arrays_match_row_reference():
-    """scenario_program's arrays equal the rows the row-by-row reference
+    """The arrays of a scenario program grown from the empty program
+    (oracles.cold_program) equal the rows the row-by-row reference
     (oracles.scenario_program_rows) builds, stacked: a, b, lb, ub, the w
     columns and U, bit for bit, on seeded draws of T in 1..24 with and
     without a rate limit, t in 0..T-1 and k in t..T (k = t is the empty
-    program)."""
+    program). A draw of u_lb above U raises ValueError instead, where k > t."""
     rng = np.random.default_rng(97)
     drawn = 0
     for _ in range(200):
@@ -134,7 +145,11 @@ def test_scenario_arrays_match_row_reference():
         prefix = rng.uniform(lo, hi, t)
         x_lb = float(rng.uniform(lo, hi))
         u_lb = float(rng.uniform(0.0, 2 * hi))
-        lp, w_cols, top = cr.scenario_program(inst, prefix, k, x_lb, u_lb)
+        if u_lb > cr.scenario_top(inst, prefix) and k > t:
+            with pytest.raises(ValueError, match="empty box"):
+                cold_program(inst, prefix, k, x_lb, u_lb)
+            continue
+        lp, w_cols, top = cold_program(inst, prefix, k, x_lb, u_lb)
         cons, bounds, ref_w_cols, ref_top = scenario_program_rows(inst, prefix, k, x_lb, u_lb)
         for got, want in zip((lp.a, lp.b, lp.lb, lp.ub), le_arrays(cons, bounds)):
             assert got.shape == want.shape and np.array_equal(got, want), (inst, t, k)
@@ -319,16 +334,17 @@ def test_carried_basis_is_primal_feasible(monkeypatch, rate_limited, tau_positiv
     form (by the independent dense solve of
     oracles.primal_feasible_values); only the first prefix's first LP is
     solved cold. Every program grown from the prefix before it equals
-    scenario_program's fresh build bit for bit, and its carried vertex
-    holds the new block at its water-fill optimum
-    (oracles.seeded_block_gap)."""
+    the cold build of oracles.cold_program bit for bit, and the carried
+    vertex of each grown from a solved prefix holds the new block at its
+    water-fill optimum (oracles.seeded_block_gap)."""
     calls = _recording_solve_lp(monkeypatch)
     real_grow, grown = cr.grow_program, []
 
     def checked_grow(instance, prefix, old, k, x_lb, u_lb):
         program = real_grow(instance, prefix, old, k, x_lb, u_lb)
-        assert same_program(program, cr.scenario_program(instance, prefix, k, x_lb, u_lb))
-        grown.append(seeded_block_gap(instance, prefix, u_lb, *program))
+        assert same_program(program, cold_program(instance, prefix, k, x_lb, u_lb))
+        if old._tab is not None:
+            grown.append(seeded_block_gap(instance, prefix, u_lb, *program))
         return program
 
     monkeypatch.setattr(cr, "grow_program", checked_grow)
@@ -354,15 +370,14 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
     seeded = 0
     for inst in _carry_instances(73, rate_limited, False, count=4):
         for t in range(1, inst.horizon_T):
-            old = cr._prefix_program(inst, t)
+            old = prefix_program(inst, t)
             res = solve_lfp(old)
-            new = cr._prefix_program(inst, t + 1, old)
-            x = vertex_point(new.lp)
+            new = cr.grow_program(inst, (), old.lp, t + 1, inst.demand_lb, 0.0)
+            x = vertex_point(new[0])
             assert x is not None, (inst, t)
-            kept = np.delete(np.arange(new.lp.num_vars), t)[: old.lp.num_vars]
+            kept = np.delete(np.arange(new[0].num_vars), t)[: old.lp.num_vars]
             assert np.allclose(x[kept], res.x, rtol=0.0, atol=1e-9), (inst, t)
-            _lp, w_cols, top = cr.scenario_program(inst, (), t + 1, inst.demand_lb, 0.0)
-            assert seeded_block_gap(inst, (), 0.0, new.lp, w_cols, top) <= 1e-9, (inst, t)
+            assert seeded_block_gap(inst, (), 0.0, *new) <= 1e-9, (inst, t)
             seeded += 1
     assert seeded >= 12
 
@@ -372,10 +387,11 @@ def test_carry_basis_keeps_the_vertex(rate_limited):
 def test_grown_block_starts_at_its_water_fill_optimum(rate_limited, u_lb_above):
     """grow_program from a solved cutoff k-1 program, on random instances
     at T <= 10 with an observed prefix and a u_lb below the demands or
-    above every scenario's offline peak: the grown program equals
-    scenario_program's bit for bit, and its kept vertex is primal feasible
-    with block k at its water-fill optimum (w_k at its upper bound where
-    u_lb sets the benchmark)."""
+    between every scenario's offline peak (that of the all-d_ub day) and
+    U: the grown program equals the cold build of oracles.cold_program bit
+    for bit, and its kept vertex is primal feasible with block k at its
+    water-fill optimum (w_k at its upper bound where u_lb sets the
+    benchmark)."""
     rng = np.random.default_rng(67)
     checked = 0
     for _ in range(15):
@@ -388,14 +404,16 @@ def test_grown_block_starts_at_its_water_fill_optimum(rate_limited, u_lb_above):
         t = int(rng.integers(0, T - 1))
         prefix = rng.uniform(lo, hi, t)
         x_lb = float(rng.uniform(lo, hi))
-        u_lb = float(rng.uniform(hi, 1.5 * hi) if u_lb_above else rng.uniform(0.0, lo))
-        lp, w_cols, top = cr.scenario_program(inst, prefix, t + 1, x_lb, u_lb)
+        above = float(offline_peak_values(inst, np.full(T, hi)))
+        u_lb = float(rng.uniform(above, cr.scenario_top(inst, prefix)) if u_lb_above
+                     else rng.uniform(0.0, lo))
+        lp, w_cols, top = cold_program(inst, prefix, t + 1, x_lb, u_lb)
         for k in range(t + 2, T + 1):
             lp.objective[: k - 1 - t] = 1.0
             lp.objective[w_cols] = float(rng.uniform(1.0, 2.0))
             assert lp_mod.solve_lp(lp).status == OPTIMAL
             program = cr.grow_program(inst, prefix, lp, k, x_lb, u_lb)
-            assert same_program(program, cr.scenario_program(inst, prefix, k, x_lb, u_lb))
+            assert same_program(program, cold_program(inst, prefix, k, x_lb, u_lb))
             assert seeded_block_gap(inst, prefix, u_lb, *program) <= 1e-9, (inst, t, k)
             lp, w_cols, top = program
             checked += 1
@@ -408,10 +426,10 @@ def test_failed_seed_keeps_the_plain_carried_vertex():
     the plain carried vertex: the tableau, basis and sides of a carry with
     no start."""
     inst = Instance(2.0, None, 4, 1.0, 2.0)
-    old, _w_cols, _top = cr.scenario_program(inst, (), 2, 1.0, 0.0)
+    old, _w_cols, _top = cold_program(inst, (), 2, 1.0, 0.0)
     old.objective[:2] = 1.0
     solve_lfp(LfpProblem(old.objective, 0.0, np.zeros(old.num_vars), 1.0, old))
-    plain, w_cols, _top = cr.scenario_program(inst, (), 3, 1.0, 0.0)
+    plain, w_cols, _top = cold_program(inst, (), 3, 1.0, 0.0)
     lp_mod.carry_basis(old, plain, 2)
     row, col = w_cols[-1] - 3, w_cols[-1]  # block 3's budget row and w_3
     # slot j's row is row + j and delta_3j is col + j: delta_32 is 0 in slot
@@ -419,7 +437,7 @@ def test_failed_seed_keeps_the_plain_carried_vertex():
     for batches in ([([row + 1], [col + 2])],
                     [([row + 1, row + 2], [col + 1, col])],
                     [([row + 1], [col + 1]), ([row + 2], [col + 1])]):
-        new = cr.scenario_program(inst, (), 3, 1.0, 0.0)[0]
+        new = cold_program(inst, (), 3, 1.0, 0.0)[0]
         lp_mod.carry_basis(old, new, 2, lambda point, batches=batches: (batches, [2]))
         assert np.array_equal(new._tab.t, plain._tab.t)
         assert np.array_equal(new._tab.basis, plain._tab.basis)
@@ -427,18 +445,20 @@ def test_failed_seed_keeps_the_plain_carried_vertex():
 
 
 def test_growth_step_rejects_a_cutoff_outside_the_horizon():
-    """The growth step takes cutoffs t < k <= T only: scenario_program
-    builds k = t (the empty program) to T and raises ValueError for a k
-    past the horizon or below the prefix, and grow_program raises for a k
-    past the horizon, a k at or below the prefix, and an old program that
-    is not cutoff k-1's."""
+    """The growth step takes cutoffs t < k <= T only: grow_program raises
+    ValueError for a k past the horizon, a k at or below the prefix, and an
+    old program that is not cutoff k-1's, the empty program (cutoff t's,
+    with no column and no row) included."""
     inst = Instance(2.0, None, 4, 1.0, 2.0)
     prefix = [1.5, 1.2]
-    assert cr.scenario_program(inst, prefix, 2, 1.0, 0.0)[0].num_vars == 0
-    for k in (5, 1):
+    empty = cr.empty_program()
+    assert empty.num_vars == 0 and empty.a.shape == (0, 0)
+    for k in (5, 2, 1):
         with pytest.raises(ValueError, match="cutoff"):
-            cr.scenario_program(inst, prefix, k, 1.0, 0.0)
-    old = cr.scenario_program(inst, prefix, 4, 1.0, 0.0)[0]
+            cr.grow_program(inst, prefix, empty, k, 1.0, 0.0)
+    with pytest.raises(ValueError, match="not cutoff 3"):
+        cr.grow_program(inst, prefix, empty, 4, 1.0, 0.0)
+    old = cold_program(inst, prefix, 4, 1.0, 0.0)[0]
     with pytest.raises(ValueError, match="cutoff 5"):
         cr.grow_program(inst, prefix, old, 5, 1.0, 0.0)
     for k in (2, 1):
@@ -446,9 +466,9 @@ def test_growth_step_rejects_a_cutoff_outside_the_horizon():
             cr.grow_program(inst, prefix, old, k, 1.0, 0.0)
     with pytest.raises(ValueError, match="not cutoff 3"):
         cr.grow_program(inst, prefix, old, 4, 1.0, 0.0)
-    grown = cr.grow_program(inst, prefix, cr.scenario_program(inst, prefix, 3, 1.0, 0.0)[0],
+    grown = cr.grow_program(inst, prefix, cold_program(inst, prefix, 3, 1.0, 0.0)[0],
                             4, 1.0, 0.0)
-    assert same_program(grown, cr.scenario_program(inst, prefix, 4, 1.0, 0.0))
+    assert same_program(grown, cold_program(inst, prefix, 4, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("rate_limited", [False, True], ids=["rate-free", "rate-limited"])
@@ -487,7 +507,7 @@ def test_optimal_cr_raises_on_a_non_optimal_step(monkeypatch):
     days = synthetic_volatile_profiles(2, 10, 100.0, 400.0, seed=7)
     inst = days.instance(0.3 * days.avg_daily_energy, None)
     assert optimal_cr(inst).argmax_set == tuple(range(1, 11))
-    last = cr._prefix_program(inst, 10).lp.num_vars
+    last = prefix_program(inst, 10).lp.num_vars
     real_solve_lp = lp_mod.solve_lp
 
     def unbounded_on_last_prefix(lp):
@@ -554,7 +574,9 @@ def test_cr_result_shape(tiny_instance):
 def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
     """After every solve of optimal_cr (T <= 12) the tableau its LP keeps,
     and after every prefix-to-prefix carry the tableau seeded on the next
-    prefix's LP, equal B^-1 [A | b] from a fresh dense solve within 1e-9."""
+    prefix's LP, equal B^-1 [A | b] from a fresh dense solve within 1e-9.
+    A carry from a prefix that keeps no tableau (the empty program, or a
+    prefix at or below tau, grown but not solved) seeds none."""
     real_solve_lp, real_carry = lp_mod.solve_lp, cr.carry_basis
     gaps = {"kept": [], "carried": []}
 
@@ -565,7 +587,10 @@ def test_kept_and_carried_tableaus_match_dense_solve(monkeypatch, rate_limited):
 
     def checked_carry(old, new, at, start=None):
         real_carry(old, new, at, start)
-        gaps["carried"].append(kept_tableau_gap(new))
+        if old._tab is None:
+            assert new._tab is None
+        else:
+            gaps["carried"].append(kept_tableau_gap(new))
 
     monkeypatch.setattr(lp_mod, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(cr, "carry_basis", checked_carry)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import peakmin.cr as cr
+import peakmin.harness as harness
 import peakmin.lp as lp_mod
 import peakmin.online as online
 from peakmin.core import DemandProfile, Instance, OnlineState
@@ -32,7 +33,7 @@ from peakmin.harness import (
     synthetic_volatile_profiles,
 )
 from peakmin.lp import OPTIMAL, LinearProgram
-from peakmin.offline import offline_peak, solve_offline_pmd
+from peakmin.offline import offline_peak, offline_peak_values, solve_offline_pmd
 from peakmin.online import (
     MODE_ANYTIME,
     MODE_ANYTIME_DEPLETING,
@@ -47,6 +48,7 @@ from conftest import DHAT, random_profiles
 from oracles import (
     build_aocr_thr,
     certified_ratio_lp_only,
+    cold_program,
     highs_lp,
     kept_tableau_gap,
     kept_vertex,
@@ -282,6 +284,48 @@ def test_depleting_amount_checks_its_inputs(pi_t, base_delta, state_kind, messag
         state.commit(0.0)
     with pytest.raises(ValueError, match=message):
         online.depleting_amount(inst, state, pi_t, base_delta)
+
+
+def test_depleting_amount_rejects_a_ratio_the_standing_peak_breaks():
+    """A pi_t below floor / U, the standing peak max(running peak, monthly
+    peak) over U = max(d_ub, observed demands), by more than 1e-9 raises
+    ValueError naming that peak: no scenario program exists there, since
+    every benchmark's box [floor / pi_t, U] is empty. With a monthly peak
+    of 3 over d_ub = 2 and d_1 = 2, pi_t = 1 used to return 0.0 for a
+    ratio the monthly peak already breaks; 3 / 2 is the smallest pi_t it
+    takes, to 1e-9."""
+    inst = Instance(1.0, None, 4, 1.0, 2.0)
+    state = OnlineState(inst, monthly_peak=3.0)
+    state.observe(2.0)
+    for pi_t in (1.0, 1.5 - 2e-9):
+        with pytest.raises(ValueError, match="standing peak 3.0"):
+            online.depleting_amount(inst, state, pi_t, 0.0)
+    for pi_t in (1.5 - 1e-10, 1.5):
+        assert online.depleting_amount(inst, state, pi_t, 0.0) >= 0.0
+
+
+@pytest.mark.parametrize("mode", [MODE_ANYTIME, MODE_ANYTIME_DEPLETING])
+@pytest.mark.parametrize("horizon, d_lb, d_ub, floor", [
+    (6, 1.0277499332135034, 1.5312875193116091, 2.39328305160707),
+    (7, 0.8906069372129758, 1.942211990320751, 3.258212298185426),
+], ids=["v_ref-above-U", "floor-over-pi-above-U"])
+def test_no_storage_certifies_the_standing_peak_despite_rounding(mode, horizon, d_lb, d_ub,
+                                                                 floor):
+    """With no storage, a monthly peak above d_ub and every demand at d_ub,
+    each slot certifies pi_lb = floor / v_ref, where v_ref = U = d_ub in
+    exact arithmetic. In floating point v_ref can round above U (the first
+    day's last slot), or floor / pi_lb can (every slot of the second), so
+    pi_lb leaves the benchmark box [floor / pi, U] empty by a rounding:
+    the certificate LP and the depleting check absorb it rather than
+    raise, and certify what they did before U stopped moving with pi."""
+    inst = Instance(0.0, None, horizon, d_lb, d_ub)
+    run = run_anytime(inst, DemandProfile(inst, np.full(horizon, d_ub)),
+                      PolicyOptions(mode=mode, monthly_peak=floor))
+    prefixes = np.tri(horizon, dtype=bool)
+    v_ref = offline_peak_values(inst, np.where(prefixes, d_ub, d_lb))
+    assert (floor / (floor / v_ref) > d_ub).any()
+    assert np.array_equal(run.ratio_trajectory, floor / v_ref)
+    assert not run.schedule.values.any()
 
 
 def test_anytime_slot1_hand_values(tiny_instance):
@@ -712,36 +756,87 @@ def test_certificate_lp_matches_highs(monkeypatch, horizon, rate_limit):
 
 
 def _counting_builds(monkeypatch):
-    """Patch online's scenario_program and grow_program to record each
-    cutoff LP they build as (observed slots, cutoff); returns the list."""
+    """Patch online's grow_program to record each cutoff LP it builds as
+    (observed slots, cutoff); returns the list."""
     builds = []
-    real_program, real_grow = online.scenario_program, online.grow_program
-
-    def counting_program(instance, prefix, k, x_lb, u_lb):
-        builds.append((len(prefix), k))
-        return real_program(instance, prefix, k, x_lb, u_lb)
+    real_grow = online.grow_program
 
     def counting_grow(instance, prefix, old, k, x_lb, u_lb):
         builds.append((len(prefix), k))
         return real_grow(instance, prefix, old, k, x_lb, u_lb)
 
-    monkeypatch.setattr(online, "scenario_program", counting_program)
     monkeypatch.setattr(online, "grow_program", counting_grow)
     return builds
 
 
+def _invariant_days():
+    """(instance, day) of the eight anytime_t10 days of seed 11 (as
+    perfbench/inputs.py's anytime_days draws them, each at its capacity
+    rate) and the two T=20 days, each rate-free and at a 100 kWh rate
+    limit."""
+    rows, rates = _bench_inputs().anytime_days(harness, 11, 8)
+    energy = float(rows.sum(axis=1).mean())
+    for limit in (None, 100.0):
+        for row, rate in zip(rows, rates):
+            inst = Instance(rate * energy, limit, 10, 100.0, 400.0)
+            yield inst, DemandProfile(inst, row)
+        yield _t20_day(limit)
+
+
+def test_every_cutoff_lp_grows_once_from_the_one_below(monkeypatch):
+    """Every cutoff LP a certification builds, in the bisection and in
+    depleting_amount, comes from grow_program once, at U = max(d_ub,
+    prefix): cutoff t+1 from the empty program, each later cutoff from
+    the one below it, as grow_program returned it. Checked on the
+    anytime_t10 days of seed 11 and the two T=20 days, rate-free and at
+    100 kWh, in both modes, and in monthly mode with a monthly peak of 450
+    above d_ub = 400, where U stays max(d_ub, prefix)."""
+    certifications = []
+    real_warm, real_grow = online._WarmStart, online.grow_program
+
+    def recording_warm():
+        certifications.append([])
+        return real_warm()
+
+    def recording_grow(instance, prefix, old, k, x_lb, u_lb):
+        program = real_grow(instance, prefix, old, k, x_lb, u_lb)
+        top = max(instance.demand_ub, float(np.max(prefix)))
+        certifications[-1].append((np.array(prefix), top, old, k, program))
+        return program
+
+    monkeypatch.setattr(online, "_WarmStart", recording_warm)
+    monkeypatch.setattr(online, "grow_program", recording_grow)
+    online._certify.cache_clear()
+    builds = 0
+    for inst, demand in _invariant_days():
+        pi = optimal_cr(inst).pi_star
+        for mode, monthly_peak in ((MODE_ANYTIME, 0.0), (MODE_ANYTIME_DEPLETING, 0.0),
+                                   (MODE_ANYTIME, 450.0)):
+            run_anytime(inst, demand, PolicyOptions(mode=mode, monthly_peak=monthly_peak,
+                                                    initial_ratio=pi))
+    for grown in filter(None, certifications):
+        prefix, t = grown[0][0], len(grown[0][0])
+        assert [k for *_, k, _program in grown] == list(range(t + 1, t + 1 + len(grown)))
+        assert grown[0][2].a.shape == (0, 0)
+        for (p, top, old, _k, (_lp, _w_cols, got)), before in zip(grown, [None, *grown]):
+            assert np.array_equal(p, prefix) and got == top
+            assert before is None or old is before[-1][0]
+        builds += len(grown)
+    assert builds > 1000
+
+
 def _fresh_requirement(view, pi, kmax):
-    """The cutoff's certificate LP built anew by scenario_program and solved
-    cold, the way each bisection step once built it."""
+    """The cutoff's certificate LP built anew and solved cold, the way
+    each bisection step once built it."""
     return lp_mod.solve_lp(_fresh_certificate_lp(view, pi, kmax))
 
 
 def _fresh_certificate_lp(view, pi, kmax):
-    """The cutoff's certificate LP at pi, built anew by scenario_program."""
+    """The cutoff's certificate LP at pi, built anew by oracles.cold_program."""
     inst, t = view.instance, view.t
     floor = max(view.running_peak, view.monthly_peak)
     lb_u = 0.0 if floor <= 0.0 else floor / pi
-    lp, w_cols, top = cr.scenario_program(
+    lp, w_cols, top = cold_program(
         inst, view.demands, kmax, max(inst.demand_lb, view.running_peak), lb_u
     )
     lp.objective[: kmax - t] = 1.0
@@ -756,14 +851,13 @@ def _fresh_certificate_lp(view, pi, kmax):
     ids=["plain", "rate-limited", "monthly-above-ub"],
 )
 def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_peak):
-    """Slots 1-4 of a T=10 day, each bisected on [1, 2] with one _WarmStart
-    over every cutoff: at every step the kept cutoff LP, its objective and
-    w bounds moved in place, gives the status and value of a freshly built
-    scenario_program solved cold. Each (slot, cutoff) LP is built once,
-    by scenario_program or grown from the cutoff before it by
-    grow_program, unless U moves; with the monthly peak 450 above d_ub =
-    400, U moves for pi below 1.125, a bracket run_anytime never bisects
-    (it starts at 450/v_ref), and the cutoff LPs are rebuilt."""
+    """Slots 1-4 of a T=10 day, each bisected on [pi_lb, pi_lb + 1] with one
+    _WarmStart over every cutoff, pi_lb = max(1, standing peak / v_ref) as
+    run_anytime starts: at every step the kept cutoff LP, its objective
+    and w bounds moved in place, gives the status and value of a freshly
+    built program (oracles.cold_program) solved cold. Each (slot, cutoff)
+    LP is built once by grow_program, with the monthly peak 450 above
+    d_ub = 400 too."""
     inst, demand = _volatile_day(rate_limit, 0.3, 1)
     pi_star = optimal_cr(inst).pi_star
     builds = _counting_builds(monkeypatch)
@@ -772,7 +866,8 @@ def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_p
     for d in demand.values[:4]:
         view = online._slot_view(inst, state, float(d))
         warm = online._WarmStart()
-        lo, hi = 1.0, 2.0
+        lo = max(1.0, max(view.running_peak, view.monthly_peak) / view.v_ref)
+        hi = lo + 1.0
         for _step in range(6):
             pi = 0.5 * (lo + hi)
             total = 0.0
@@ -791,12 +886,9 @@ def test_reused_cutoff_lp_matches_fresh_build(monkeypatch, rate_limit, monthly_p
         state.observe(float(d))
         state.commit(delta)
     assert steps == 6 * (9 + 8 + 7 + 6)
-    kept = Counter(builds)  # the fresh builds call cr.scenario_program directly
+    kept = Counter(builds)  # the fresh builds call cr.grow_program, not online's
     assert len(kept) == 9 + 8 + 7 + 6
-    if monthly_peak > inst.demand_ub:
-        assert max(kept.values()) > 1
-    else:
-        assert set(kept.values()) == {1}
+    assert set(kept.values()) == {1}
 
 
 @pytest.mark.parametrize(
@@ -810,9 +902,10 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
     bisection and in depleting_amount, is primal feasible on cutoff k's
     standard form as it is solved (by the independent dense solve of
     oracles.primal_feasible_values), with block k at its water-fill optimum
-    (oracles.seeded_block_gap); every grown cutoff LP equals
-    scenario_program's fresh build bit for bit; and each cutoff's LP is
-    built once per certification."""
+    (oracles.seeded_block_gap); every grown cutoff LP equals the cold
+    build of oracles.cold_program bit for bit; and each cutoff's LP is
+    built once per certification. A slot's first cutoff grows from the
+    empty program, which keeps no tableau, so nothing is carried there."""
     inst, demand = _volatile_day(rate_limit, 0.3, 2)
     pi_star = optimal_cr(inst).pi_star
     real_carry = cr.carry_basis
@@ -820,7 +913,8 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
 
     def checked_carry(old, new, at, start=None):
         real_carry(old, new, at, start)
-        carried.append(primal_feasible_values(new, *kept_vertex(new)) is not None)
+        if old._tab is not None:
+            carried.append(primal_feasible_values(new, *kept_vertex(new)) is not None)
 
     monkeypatch.setattr(cr, "carry_basis", checked_carry)
     builds = _counting_builds(monkeypatch)
@@ -828,8 +922,9 @@ def test_cutoff_carried_basis_is_primal_feasible(monkeypatch, rate_limit, monthl
 
     def checked_grow(instance, prefix, old, k, x_lb, u_lb):
         program = counted_grow(instance, prefix, old, k, x_lb, u_lb)
-        assert same_program(program, cr.scenario_program(instance, prefix, k, x_lb, u_lb))
-        seeded.append(seeded_block_gap(instance, prefix, u_lb, *program))
+        assert same_program(program, cold_program(instance, prefix, k, x_lb, u_lb))
+        if old._tab is not None:
+            seeded.append(seeded_block_gap(instance, prefix, u_lb, *program))
         return program
 
     monkeypatch.setattr(online, "grow_program", checked_grow)
@@ -848,7 +943,9 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
     """After every certificate solve of two T=10 days, in both modes, the
     tableau the cutoff's LP keeps, and after every cutoff-to-cutoff carry
     the tableau seeded on cutoff k's LP, equal B^-1 [A | b] from a fresh
-    dense solve within 1e-9."""
+    dense solve within 1e-9. A carry from a program that keeps no tableau
+    (the empty program, or a prefix optimal_cr grows but does not solve)
+    seeds none."""
     real_solve_lp, real_carry = online.solve_lp, cr.carry_basis
     gaps = {"kept": [], "carried": []}
 
@@ -859,7 +956,10 @@ def test_cutoff_tableaus_match_dense_solve(monkeypatch, rate_limit):
 
     def checked_carry(old, new, at, start=None):
         real_carry(old, new, at, start)
-        gaps["carried"].append(kept_tableau_gap(new))
+        if old._tab is None:
+            assert new._tab is None
+        else:
+            gaps["carried"].append(kept_tableau_gap(new))
 
     monkeypatch.setattr(online, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(cr, "carry_basis", checked_carry)
@@ -1271,15 +1371,20 @@ def test_vertex_read_is_keyed_on_the_whole_vertex(monkeypatch):
     assert len(read) == 2
 
 
-def _trace_days(slotting):
-    """A 3-day charging trace from the benchmark's generator (seed 1001),
-    ingested with slotting."""
+def _bench_inputs():
+    """The benchmark's input generators, perfbench/inputs.py."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # dataclasses look their module up
     spec.loader.exec_module(inputs)
-    return ingest_trace(parse_transactions(inputs.charging_trace_csv(1001, 3)), slotting)
+    return inputs
+
+
+def _trace_days(slotting):
+    """A 3-day charging trace from the benchmark's generator (seed 1001),
+    ingested with slotting."""
+    return ingest_trace(parse_transactions(_bench_inputs().charging_trace_csv(1001, 3)), slotting)
 
 
 def _guarantee_day(source, rate_limit):

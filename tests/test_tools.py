@@ -198,15 +198,15 @@ def test_diff_outputs_cross_load_names_each_difference(tmp_path):
 
 def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
     """On a cut-down report (one seed-11 day in its three variants and both
-    modes, one census cell, the two days at T=8, one process each) a tree
-    compared with itself is bit-identical everywhere, counts the same
-    certificate LP answers, pivots and bound flips on both sides, and its
-    census pi* matches HiGHS."""
+    modes, one census cell, the two days at T=8, one process each of two
+    runs) a tree compared with itself is bit-identical everywhere, counts
+    the same certificate LP answers, pivots and bound flips on both sides
+    and the same src/peakmin lines, and its census pi* matches HiGHS."""
     pytest.importorskip("scipy")
     pivot_report = _load("pivot_report")
     root = _TOOLS.parent
     found = pivot_report.report(root, root, seeds=(11,), days=1, cells=["vol@0.1"], horizon=8,
-                                repeats=1)
+                                repeats=1, day_runs=2)
     assert found["runs"] == {"runs": 6, "identical": 6, "differ": [], "max_ratio_change": 0.0,
                              "max_schedule_change_kwh": 0.0, "raised": []}
     assert found["days"] == {"runs": 2, "identical": 2, "differ": [], "max_ratio_change": 0.0,
@@ -219,9 +219,14 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
         assert work["parent"]["answers"] == work["change"]["answers"] > 0
         assert work["parent"]["pivots"] == work["change"]["pivots"] > 0
         assert work["parent"]["flips"] == work["change"]["flips"]
+    counts = found["lines"]["parent"]
+    assert found["lines"]["change"] == counts and "cr.py" in counts and "online.py" in counts
+    total = sum(counts.values())
     text = pivot_report._text(found, 8)
     assert text[0] == (f"runs: 6 of 6 bit-identical, 0 raised on a side; "
                        f"certificate LP answers {answers:,} -> {answers:,}")
+    assert text[2].startswith(f"src/peakmin lines (wc -l): {total:,} -> {total:,}; ")
+    assert f"cr.py {counts['cr.py']:,} -> {counts['cr.py']:,}" in text[2]
     assert text[-1] == "0 census cell(s) off HiGHS by more than 1e-06"
     for label, times in found["day_times"].items():
         line = next(line for line in text if line.startswith(f"  {label}: "))
@@ -230,8 +235,10 @@ def test_pivot_report_finds_no_difference_between_a_tree_and_itself():
 
 def test_pivot_report_marks_a_time_change_inside_the_parents_spread_unresolved():
     """Three reports of the same two trees read the rate-free T=20 day
-    x0.782, x1.047 and x0.946: a change of median time no larger than the
-    parent's quartile spread is marked unresolved, as bench_pairs rules."""
+    x0.782, x1.047 and x0.946, and a fourth 0.316 [0.314-0.337] -> 0.354
+    [0.307-0.410] s, x1.122, for a change that moved no pivot: a change of
+    median time no larger than the wider of the two sides' quartile
+    spreads is marked unresolved."""
     pivot_report = _load("pivot_report")
 
     def times(parent, change):
@@ -243,3 +250,6 @@ def test_pivot_report_marks_a_time_change_inside_the_parents_spread_unresolved()
     assert noise["change"] == pytest.approx((0.52, 0.55, 0.75))
     assert noise["unresolved"]
     assert not times((0.60, 0.70, 0.80), (0.40, 0.45, 0.50))["unresolved"]
+    # the change side's spread (0.103 s) is the wider: 0.038 s is inside it
+    assert times((0.314, 0.316, 0.337), (0.307, 0.354, 0.410))["unresolved"]
+    assert not times((0.314, 0.316, 0.337), (0.400, 0.420, 0.440))["unresolved"]

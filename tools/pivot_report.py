@@ -16,10 +16,12 @@ tree's perfbench/inputs.py on both sides):
           100, 400, seed=7) at c = 0.1 of the mean daily energy, rate-free
           and with a 100 kWh rate limit, run_anytime with optimal_cr
           included, each in a process of its own (REPEATS times, the sides
-          alternating), counting certificate LP answers, pivots
-          (_Tableau._pivot calls) and, apart from them, bound flips
-          (_Tableau._flip calls, none in a tree without them), wall time
-          and peak RSS
+          alternating). Each process runs the day DAY_RUNS times with the
+          slot-certification memo cleared before each run, and reports the
+          fastest wall time, the peak RSS and, counted on the first run,
+          certificate LP answers, pivots (_Tableau._pivot calls) and,
+          apart from them, bound flips (_Tableau._flip calls, none in a
+          tree without them)
   census  optimal_cr's pi* on the 13 cr_t20 census cells (inputs.cr_census
           with no time budget), against HiGHS (perfbench/reference.py's
           highs_pi_star, run in the working tree)
@@ -27,12 +29,13 @@ tree's perfbench/inputs.py on both sides):
 It prints how many of the runs and of the T=20 runs are bit-identical
 (certified ratios and schedule), and the largest change in certified ratio
 (relative) and in schedule (kWh) among the rest, with the runs'
-certificate LP answers on both sides; each census cell's pi* on both
+certificate LP answers on both sides; both trees' src/peakmin line
+counts (wc -l), in total and per module; each census cell's pi* on both
 sides against HiGHS; and certificate LP answers, pivots, bound flips, time
-and peak RSS of both T=20 days on both sides. Each side's time is its median with its
-quartiles beside it, and the change is marked "unresolved" when the medians
-differ by no more than the parent's quartile spread, the rule
-tools/bench_pairs.py applies to a gain. The exit status is 1 when a census
+and peak RSS of both T=20 days on both sides. Each side's time is the
+median over its processes with its quartiles beside it, and the change is
+marked "unresolved" unless the medians differ by more than the wider of
+the two sides' quartile spreads. The exit status is 1 when a census
 pi* of the working tree is off HiGHS by more than PI_TOL (or optimal_cr
 raised there), and 0 otherwise: a change in pivot choices may move last
 bits, and the report says by how much.
@@ -56,7 +59,8 @@ RUN_SEEDS = (11, 12)
 RUN_DAYS = 8  # anytime_t10 days per seed
 DAY_HORIZON = 20
 DAY_RATE_LIMITS = (None, 100.0)  # the two T=20 days
-REPEATS = 3  # processes per T=20 day and side
+REPEATS = 5  # processes per T=20 day and side
+DAY_RUNS = 3  # runs per process, the fastest timed
 PI_TOL = 1e-6  # as perfbench/workloads.py counts a wrong pi*
 # one job of the JSON spec in argv[1], in the tree on PYTHONPATH; prints its JSON result
 _WORKER = """
@@ -127,10 +131,16 @@ elif job == "day":
     days = harness.synthetic_volatile_profiles(2, spec["horizon"], 100.0, 400.0, seed=7)
     inst = days.instance(0.1 * days.avg_daily_energy, spec["rate_limit"])
     demand = core.DemandProfile(inst, days.day_values[0])
-    t0 = time.perf_counter()
-    out["run"] = guarded(lambda: record(online.run_anytime(inst, demand)))
-    out.update(answers=answers[0], pivots=count["_pivot"], flips=count["_flip"],
-               seconds=time.perf_counter() - t0,
+    seconds = []
+    for k in range(spec["runs"]):
+        if hasattr(online, "_certify"):  # a tree without the memo has none to clear
+            online._certify.cache_clear()
+        t0 = time.perf_counter()
+        run = guarded(lambda: record(online.run_anytime(inst, demand)))
+        seconds.append(time.perf_counter() - t0)
+        if k == 0:
+            out.update(run=run, answers=answers[0], pivots=count["_pivot"], flips=count["_flip"])
+    out.update(seconds=min(seconds),
                rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 elif job == "census":
     out = {name: guarded(lambda: cr.optimal_cr(inst).pi_star)
@@ -155,11 +165,19 @@ bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 def day_times(samples: dict) -> dict:
     """Each side's (q1, median, q3) of seconds over its processes, and
     whether the change is unresolved: its median differs from the parent's
-    by no more than the parent's quartile spread."""
+    by no more than the wider of the two sides' quartile spreads."""
     quartiles = {side: bench_pairs.quartiles([r["seconds"] for r in runs])
                  for side, runs in samples.items()}
-    (q1, parent, q3), change = quartiles["parent"], quartiles["change"][1]
-    return {**quartiles, "unresolved": abs(change - parent) <= q3 - q1}
+    spread = max(q3 - q1 for q1, _median, q3 in quartiles.values())
+    change = abs(quartiles["change"][1] - quartiles["parent"][1])
+    return {**quartiles, "unresolved": change <= spread}
+
+
+def line_counts(tree: Path) -> dict:
+    """Lines (as wc -l counts them) of each module of tree's src/peakmin,
+    by file name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "peakmin").glob("*.py"))}
 
 
 def run_job(tree: Path, **spec):
@@ -198,22 +216,22 @@ def compare_runs(parent: dict, change: dict) -> dict:
 
 
 def report(parent: Path, change: Path, seeds=RUN_SEEDS, days=RUN_DAYS, cells=None,
-           horizon=DAY_HORIZON, repeats=REPEATS) -> dict:
+           horizon=DAY_HORIZON, repeats=REPEATS, day_runs=DAY_RUNS) -> dict:
     """The whole comparison of two trees, as main prints it; cells (a
     list of census cell names, None for all 13) and the other arguments cut
     it down."""
     trees = {"parent": parent, "change": change}
     runs = {side: run_job(tree, job="runs", seeds=list(seeds), days=days)
             for side, tree in trees.items()}
-    day_runs = {}
+    day_samples = {}
     for limit in DAY_RATE_LIMITS:
         label = "rate-free" if limit is None else f"{limit:g} kWh"
         samples = {side: [] for side in trees}
         for k in range(repeats):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 samples[side].append(run_job(trees[side], job="day", horizon=horizon,
-                                             rate_limit=limit))
-        day_runs[label] = samples
+                                             rate_limit=limit, runs=day_runs))
+        day_samples[label] = samples
     census = {side: run_job(tree, job="census", cells=cells) for side, tree in trees.items()}
     highs = run_job(change, job="highs", cells=cells)
     failures = [name for name, pi in census["change"].items()
@@ -221,13 +239,14 @@ def report(parent: Path, change: Path, seeds=RUN_SEEDS, days=RUN_DAYS, cells=Non
     return {
         "runs": compare_runs(runs["parent"]["runs"], runs["change"]["runs"]),
         "run_answers": {side: runs[side]["answers"] for side in trees},
-        "days": compare_runs(*({label: s[side][0]["run"] for label, s in day_runs.items()}
+        "days": compare_runs(*({label: s[side][0]["run"] for label, s in day_samples.items()}
                                for side in trees)),
         "day_work": {label: {side: {key: statistics.median(r[key] for r in s[side])
                                     for key in ("answers", "pivots", "flips", "rss_mb")}
                              for side in trees}
-                     for label, s in day_runs.items()},
-        "day_times": {label: day_times(s) for label, s in day_runs.items()},
+                     for label, s in day_samples.items()},
+        "day_times": {label: day_times(s) for label, s in day_samples.items()},
+        "lines": {side: line_counts(tree) for side, tree in trees.items()},
         "census": {name: {"highs": highs[name], **{side: census[side][name] for side in trees}}
                    for name in highs},
         "census_differ": [name for name in highs
@@ -249,6 +268,11 @@ def _text(found: dict, horizon: int) -> list[str]:
             lines.append(f"  largest change among the other {len(r['differ'])}: certified ratio "
                          f"{r['max_ratio_change']:.2g} relative, schedule "
                          f"{r['max_schedule_change_kwh']:.2g} kWh")
+    parent, change = found["lines"]["parent"], found["lines"]["change"]
+    lines.append(f"src/peakmin lines (wc -l): {sum(parent.values()):,} -> "
+                 f"{sum(change.values()):,}; " + ", ".join(
+                     f"{name} {parent.get(name, 0):,} -> {change.get(name, 0):,}"
+                     for name in sorted(parent.keys() | change.keys())))
     lines.append(f"census pi* against HiGHS ({len(found['census'])} cells; "
                  f"{len(found['census_differ'])} differ between the sides):")
     for name, cell in found["census"].items():
@@ -258,8 +282,8 @@ def _text(found: dict, horizon: int) -> list[str]:
             parts.append(f"{side} {pi}" if isinstance(pi, str)
                          else f"{side} {pi!r} ({abs(pi - cell['highs']):.2g})")
         lines.append(", ".join(parts))
-    lines.append(f"T={horizon} days (median over the processes of each side, time "
-                 f"quartiles in brackets):")
+    lines.append(f"T={horizon} days (median over the processes of each side, each timing "
+                 f"its fastest run; time quartiles in brackets):")
     for label, work in found["day_work"].items():
         p, c = work["parent"], work["change"]
         (p1, pt, p3), (c1, ct, c3) = (found["day_times"][label][side] for side in work)
