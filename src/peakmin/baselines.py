@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DemandProfile, Instance, check_schedules
-from .offline import rate_corrected_cut, water_fill_threshold
+from .offline import _water_level, rate_corrected_cut
+from .offline import water_fill_threshold  # noqa: F401 (wrapped by the tracer)
 from .online import PolicyRun
 
 FUTURE_UPPER = "upper_bound"
@@ -131,6 +132,20 @@ def equal_ratio_actions(instance: Instance, values: np.ndarray, capacity_rate,
     return _greedy_actions(instance, values, lambda t, _: share[:, t], capacity)
 
 
+def _rank_bounds(tail: np.ndarray) -> np.ndarray:
+    """Rows +inf, then tail (the later slots of a window, sorted descending,
+    one row per slot and one column per day), then -inf. The window's first
+    demand d clipped between each row and the one above it lands in rank
+    order: min(max(d, bounds[1:]), bounds[:-1]) is the window sorted
+    descending. The bounds of a constant tail serve every shorter window
+    too: a window of `size` slots clips d between bounds[-size:] and
+    bounds[:size]."""
+    bounds = np.full((len(tail) + 2, tail.shape[1]), np.inf)
+    bounds[-1] = -np.inf
+    bounds[1:-1] = tail
+    return bounds
+
+
 def rhc_actions(instance: Instance, values: np.ndarray, window, future,
                 capacity=None) -> np.ndarray:
     """Receding horizon on an (N, T) day matrix: each slot solves its window
@@ -146,13 +161,24 @@ def rhc_actions(instance: Instance, values: np.ndarray, window, future,
     """
     window = RhcConfig(window).resolve_window(instance.horizon_T)
     future = np.asarray(future, dtype=float)
+    # a constant future is every window's tail, sorted already
+    fixed = None if future.ndim == 2 else _rank_bounds(
+        np.broadcast_to(future, (window - 1, len(values))))
     future = np.broadcast_to(future if future.ndim == 2 else _column(future), values.shape)
 
     def first_cut(t, remaining):
         win = future[:, t : t + window].copy()
         win[:, 0] = values[:, t]
-        v = water_fill_threshold(win, np.minimum(remaining, instance.slot_cap(win).sum(axis=1)))
-        return rate_corrected_cut(win, v, instance.rate_limit)[:, 0]
+        # the windows sorted descending and laid out window-major, one row
+        # per rank and one column per day, then summed by row adds: numpy
+        # reduces across the many days far faster than along a few slots
+        size = win.shape[1]
+        bounds = fixed if fixed is not None else _rank_bounds(np.sort(win[:, 1:])[:, ::-1].T)
+        prefix = np.minimum(np.maximum(win[:, 0], bounds[-size:]), bounds[:size])
+        for k in range(1, size):
+            prefix[k] += prefix[k - 1]
+        v = _water_level(prefix, np.minimum(remaining, instance.slot_cap(win).sum(axis=1)))
+        return rate_corrected_cut(win[:, :1], v, instance.rate_limit, prefix[:1].T)[:, 0]
 
     return _greedy_actions(instance, values, first_cut, capacity)
 

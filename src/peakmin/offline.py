@@ -21,52 +21,67 @@ def water_fill_threshold(demands, budget):
     """Level v such that the total demand above v equals the budget.
 
     Exact sort-and-breakpoint evaluation (no bisection): over demands sorted
-    descending with prefix sums S_k, v = max_k (S_k - budget)/k. A zero budget
-    returns max(demands). Works along the last axis: a vector gives a float,
-    an (N, T) matrix one level per row, against one budget for every row or
-    an array of N budgets, one per row. No demand at all (an empty vector or
-    an (N, 0) matrix) and a NaN or infinite demand raise ValueError.
+    descending with prefix sums S_k, v = max_k (S_k - budget)/k, clamped at
+    S_1 = max(demands), which a zero budget returns exactly (unclamped,
+    S_k/k can round an ulp above it on equal demands). Works along the last
+    axis: a vector gives a float, an (N, T) matrix one level per row, against
+    one budget for every row or an array of N budgets, one per row. No
+    demand at all (an empty vector or an (N, 0) matrix) and a NaN or
+    infinite demand raise ValueError.
     """
     d = np.asarray(demands, dtype=float)
     if d.size == 0:
         raise ValueError("demands must be nonempty")
+    prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
+    v = _water_level(prefix.T, budget)
+    return float(v) if d.ndim == 1 else v
+
+
+def _water_level(prefix: np.ndarray, budget):
+    """water_fill_threshold's checks and level from the prefix sums S_k of
+    demands sorted descending, laid out along axis 0: a vector, or a (T, N)
+    matrix with one column per row of demands, against one budget or an
+    array of N. S_1 is the largest demand and S_T the total, so the clamp
+    and the checks read rows of prefix, and the level is a max across them."""
     per_row = isinstance(budget, np.ndarray)
     # min propagates NaN, so this rejects a NaN budget too
     if not (budget.min() if per_row else budget) >= 0:
         raise BudgetExceedsTotalDemand(f"budget must be >= 0, got {budget}")
-    prefix = np.cumsum(np.sort(d)[..., ::-1], axis=-1)
-    # the last prefix sums are the totals, and a NaN or infinite demand
-    # makes them, and their sum, NaN or infinite
-    if d.ndim == 1:
-        b, total = budget, prefix[-1]
-        if not math.isfinite(total):
-            raise ValueError("demands must be finite")
-    else:
-        totals = prefix[:, -1]
-        if not math.isfinite(totals.sum()):
-            raise ValueError("demands must be finite")
-        # checked at the row whose budget most exceeds its total
-        row = np.argmax(budget - totals) if per_row else np.argmin(totals)
-        b, total = (budget[row] if per_row else budget), totals[row]
+    # a NaN or infinite demand makes the totals, and their sum, NaN or infinite
+    b, total = budget, prefix[-1]
+    if not math.isfinite(total if prefix.ndim == 1 else total.sum()):
+        raise ValueError("demands must be finite")
+    k = np.arange(1.0, len(prefix) + 1.0)
+    if prefix.ndim > 1:
+        # checked at the column whose budget most exceeds its total
+        col = np.argmax(budget - total) if per_row else np.argmin(total)
+        b, total, k = (budget[col] if per_row else budget), total[col], k[:, None]
     if b > 0 and b > total + EPS_KWH:
         raise BudgetExceedsTotalDemand(f"budget {b} > total demand {total}")
-    k = np.arange(1, d.shape[-1] + 1, dtype=float)
-    v = ((prefix - (budget[:, None] if per_row else budget)) / k).max(axis=-1)
-    return float(v) if d.ndim == 1 else v
+    v = ((prefix - budget) / k).max(axis=0)
+    # a vector's level and S_1 are scalars, which min clamps faster than np.minimum
+    return min(v, prefix[0]) if prefix.ndim == 1 else np.minimum(v, prefix[0])
 
 
-def rate_corrected_cut(demands: np.ndarray, v, rate_limit: float | None) -> np.ndarray:
+def rate_corrected_cut(demands: np.ndarray, v, rate_limit: float | None,
+                       top=None) -> np.ndarray:
     """Optimal discharge [d - M - v]^+ at water level v.
 
     M = max_t [d_t - rate_limit - v]^+ is the rate correction (0 without a
-    rate limit). Works along the last axis like water_fill_threshold: v is a
-    float for a vector, one level per row for an (N, T) matrix.
+    rate limit), taken as [top - rate_limit - v]^+ from the largest demand
+    top: rounding is monotone, so that is the max bit for bit. Works along
+    the last axis like water_fill_threshold: v is a float for a vector, one
+    level per row for an (N, T) matrix. top defaults to each row's own
+    largest demand, demands.max(axis=-1, keepdims=True); a caller that cuts
+    only the first slots of longer rows passes theirs, in that shape.
     """
     if demands.ndim > 1:
         v = v[:, None]
     if rate_limit is None:
         return np.maximum(demands - v, 0.0)
-    m = np.maximum((demands - rate_limit - v).max(axis=-1, keepdims=True), 0.0)
+    if top is None:
+        top = demands.max(axis=-1, keepdims=True)
+    m = np.maximum(top - rate_limit - v, 0.0)
     return np.maximum(demands - m - v, 0.0)
 
 

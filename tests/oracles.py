@@ -701,21 +701,23 @@ def window_first_action(instance, window: np.ndarray, budget: float) -> float:
     return min(first, instance.slot_cap(float(window[0])), budget)
 
 
-def rhc_actions_loop(instance, values, config, clairvoyant: bool = False) -> list:
-    """Receding horizon on one day: slot t solves [d_t, f, ..., f] (or the
-    true demands when clairvoyant) and commits the first action."""
+def rhc_actions_loop(instance, values, config, clairvoyant: bool = False,
+                     future=None) -> list:
+    """Receding horizon on one day: slot t solves [d_t, f, ..., f], or
+    [d_t, future_{t+1}, ...] given a future row (the true demands when
+    clairvoyant), and commits the first action."""
     horizon = instance.horizon_T
     window = config.resolve_window(horizon)
+    if clairvoyant:
+        future = values
     fill = config.future_value(instance)
     remaining = instance.capacity_c
     actions = []
     for t in range(horizon):
         length = min(window, horizon - t)
-        if clairvoyant:
-            win = values[t : t + length].astype(float)
-        else:
-            win = np.full(length, fill)
-            win[0] = values[t]
+        win = np.full(length, fill) if future is None else np.array(future[t : t + length],
+                                                                     dtype=float)
+        win[0] = values[t]
         delta = window_first_action(instance, win, remaining)
         actions.append(delta)
         remaining -= delta

@@ -256,7 +256,9 @@ def test_all_baselines_emit_feasible_schedules():
 def test_kernels_match_per_day_loops_bit_for_bit(instance):
     """Each day-matrix kernel gives every day exactly the actions of the
     per-day slot loop it replaced, for every future view, window length and
-    the clairvoyant mode."""
+    the clairvoyant mode, and with the days reversed as a future matrix.
+    Window 9 lies between 8 and T - 1 on the T = 20 and T = 24 instances:
+    numpy sums its 9-slot windows' caps pairwise along each row."""
     values = random_profiles(instance, 40, seed=instance.horizon_T)
     mid = 0.5 * (instance.demand_lb + instance.demand_ub)
     T = instance.horizon_T
@@ -271,14 +273,16 @@ def test_kernels_match_per_day_loops_bit_for_bit(instance):
          lambda row: equal_ratio_actions_loop(instance, row, 0.3)),
     ]
     for view in (FUTURE_UPPER, FUTURE_LOWER, FUTURE_MIDPOINT):
-        for window in dict.fromkeys((None, 1, 2, T)):
+        for window in dict.fromkeys((None, 1, 2, *([9] if T > 9 else []), T)):
             config = RhcConfig(window, view)
-            for clairvoyant in (False, True):
-                future = values if clairvoyant else config.future_value(instance)
-                cases.append((
-                    rhc_actions(instance, values, window, future),
-                    lambda row, c=config, k=clairvoyant: rhc_actions_loop(instance, row, c, k),
-                ))
+            cases += [
+                (rhc_actions(instance, values, window, config.future_value(instance)),
+                 lambda row, c=config: rhc_actions_loop(instance, row, c)),
+                (rhc_actions(instance, values, window, values),
+                 lambda row, c=config: rhc_actions_loop(instance, row, c, clairvoyant=True)),
+                (rhc_actions(instance, values, window, values[:, ::-1]),
+                 lambda row, c=config: rhc_actions_loop(instance, row, c, future=row[::-1])),
+            ]
     for got, loop in cases:
         assert got.shape == values.shape
         for row, actions in zip(values, got):

@@ -31,6 +31,17 @@ def test_water_fill_zero_budget_is_max():
     assert water_fill_threshold([1.0, 4.0, 2.0], 0.0) == 4.0
 
 
+def test_zero_budget_level_is_the_largest_demand_exactly():
+    """Six equal demands with no storage: the mean of the top six, S_6 / 6,
+    rounds an ulp above the demand, so the level is clamped at the largest
+    demand and equals the peak offline_peak reads from the schedule."""
+    d_ub = 1.5312875193116091
+    inst = Instance(0.0, None, 6, 1.0277499332135034, d_ub)
+    assert offline_peak_values(inst, [d_ub] * 6) == d_ub
+    assert offline_peak(inst, DemandProfile(inst, [d_ub] * 6)) == d_ub
+    assert offline_peak_values(inst, np.full((3, 6), d_ub)).tolist() == [d_ub] * 3
+
+
 def test_water_fill_rejects_budget_above_total():
     with pytest.raises(BudgetExceedsTotalDemand):
         water_fill_threshold([1.0, 1.0], 2.5)
@@ -99,6 +110,26 @@ def test_water_fill_rows_matches_scalar():
         with pytest.raises(BudgetExceedsTotalDemand):
             water_fill_threshold(pair, np.array(budgets))
     assert water_fill_threshold(pair, np.array([6.0, 1.5])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("length", [1, 5, 9, 20])
+def test_water_fill_matrix_matches_vector_calls_bit_for_bit(length):
+    """An (N, L) matrix's levels, which the level step reads from prefix
+    sums laid out one column per row, equal N vector calls bit for bit,
+    against one budget and against one budget per row (zero and whole-row
+    budgets, and rows of equal demands, included)."""
+    rng = np.random.default_rng(length)
+    rows = rng.uniform(1.0, 4.0, (40, length))
+    rows[:3] = rows[:3, :1]  # equal demands, where a zero budget's level is clamped
+    budget = 0.5 * rows.sum(axis=1).min()
+    budgets = rng.uniform(0.0, 1.0, 40) * rows.sum(axis=1)
+    budgets[[0, 3]] = 0.0
+    budgets[[1, 4]] = rows[[1, 4]].sum(axis=1)
+    for each in (budget, 0.0):
+        assert water_fill_threshold(rows, each).tolist() == [
+            water_fill_threshold(row, each) for row in rows]
+    assert water_fill_threshold(rows, budgets).tolist() == [
+        water_fill_threshold(row, b) for row, b in zip(rows, budgets)]
 
 
 def test_offline_peak_values_rows_match_scalar():

@@ -305,25 +305,29 @@ def test_depleting_amount_rejects_a_ratio_the_standing_peak_breaks():
 
 
 @pytest.mark.parametrize("mode", [MODE_ANYTIME, MODE_ANYTIME_DEPLETING])
-@pytest.mark.parametrize("horizon, d_lb, d_ub, floor", [
-    (6, 1.0277499332135034, 1.5312875193116091, 2.39328305160707),
-    (7, 0.8906069372129758, 1.942211990320751, 3.258212298185426),
+@pytest.mark.parametrize("horizon, d_lb, d_ub, floor, rounds_above", [
+    (6, 1.0277499332135034, 1.5312875193116091, 2.39328305160707, False),
+    (7, 0.8906069372129758, 1.942211990320751, 3.258212298185426, True),
 ], ids=["v_ref-above-U", "floor-over-pi-above-U"])
 def test_no_storage_certifies_the_standing_peak_despite_rounding(mode, horizon, d_lb, d_ub,
-                                                                 floor):
+                                                                 floor, rounds_above):
     """With no storage, a monthly peak above d_ub and every demand at d_ub,
     each slot certifies pi_lb = floor / v_ref, where v_ref = U = d_ub in
-    exact arithmetic. In floating point v_ref can round above U (the first
-    day's last slot), or floor / pi_lb can (every slot of the second), so
-    pi_lb leaves the benchmark box [floor / pi, U] empty by a rounding:
-    the certificate LP and the depleting check absorb it rather than
-    raise, and certify what they did before U stopped moving with pi."""
+    exact arithmetic. In floating point floor / pi_lb can round above U
+    (every slot of the second day), so pi_lb leaves the benchmark box
+    [floor / pi, U] empty by a rounding: the certificate LP and the
+    depleting check absorb it rather than raise, and certify what they did
+    before U stopped moving with pi. On the first day S_6 / 6 rounds an
+    ulp above U at the last slot, but the water-fill level is clamped at
+    the largest demand, so v_ref = U and that day certifies floor / d_ub at
+    every slot."""
     inst = Instance(0.0, None, horizon, d_lb, d_ub)
     run = run_anytime(inst, DemandProfile(inst, np.full(horizon, d_ub)),
                       PolicyOptions(mode=mode, monthly_peak=floor))
     prefixes = np.tri(horizon, dtype=bool)
     v_ref = offline_peak_values(inst, np.where(prefixes, d_ub, d_lb))
-    assert (floor / (floor / v_ref) > d_ub).any()
+    assert (v_ref == d_ub).all()
+    assert (floor / (floor / v_ref) > d_ub).any() == rounds_above
     assert np.array_equal(run.ratio_trajectory, floor / v_ref)
     assert not run.schedule.values.any()
 

@@ -131,7 +131,8 @@ def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
     assert diff_outputs.compare_trees(root, root, [1001], 1, tmp_path) == []
     change = tmp_path / "change"
     reports = {f"s1001-{name}/report.txt" for name in
-               ("chunk0-sweep", "chunk0-rate-limited", "short-certified", "short-monthly")}
+               ("chunk0-sweep", "chunk0-rate-limited", "chunk0-long-window", "short-certified",
+                "short-monthly")}
     for side in (change, tmp_path / "cross"):
         assert {p.relative_to(side).as_posix() for p in side.rglob("*.txt")} == reports
     commands = ([f"simulate-{algo}" for algo in diff_outputs.SIMULATE_ALGOS] + ["cr"]
@@ -187,8 +188,11 @@ def test_diff_outputs_cross_load_names_each_difference(tmp_path):
     shutil.copy(_TOOLS.parent / "tests" / "golden" / "ingest_days.json", parent / "x.json")
     (parent / "x-sweep").mkdir()
     (parent / "x-sweep" / "report.txt").write_text("stale\n", encoding="utf-8")
+    # rhc_window 9 exceeds the golden day set's 4 slots, so long-window
+    # fails on both sides and writes no report
     found = diff_outputs.cross_load(_TOOLS.parent, {"x": (None, "chunk")}, parent,
-                                    {"x-sweep": 0, "x-rate-limited": 2}, cross)
+                                    {"x-sweep": 0, "x-rate-limited": 2, "x-long-window": 2},
+                                    cross)
     assert found == ["cross-load x-sweep/report.txt: differs from the parent's",
                      "cross-load x-sweep/series.csv: differs from the parent's",
                      "cross-load x-rate-limited: exit 2 (parent) != 0",

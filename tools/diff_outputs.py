@@ -17,6 +17,9 @@ at the default 12:00-17:00 window, T=20; the short trace and its variants at
 
   sweep         the baseline roster at every capacity rate that validates
   rate-limited  the same roster with rate_limit_fraction 0.3
+  long-window   the rate-limited roster with rhc_window 9, whose windows
+                sum their slot caps pairwise (numpy sums 8 or more entries
+                of a row pairwise)
   certified     fixed, anytime and anytime-deplete (short trace, rate 0.1)
   monthly       anytime with monthly threading (short trace, rate 0.1)
 
@@ -67,6 +70,8 @@ BASELINES = ["offline", "thr-offline-mean", "thr-mid", "eql-dis", "eql-per",
 CONFIGS = {
     "sweep": ("chunk", {"algorithms": BASELINES}),
     "rate-limited": ("chunk", {"algorithms": BASELINES, "rate_limit_fraction": 0.3}),
+    "long-window": ("chunk", {"algorithms": BASELINES, "rate_limit_fraction": 0.3,
+                              "rhc_window": 9}),
     "certified": ("short", {"algorithms": ["fixed", "anytime", "anytime-deplete"],
                             "capacity_rates": [0.1], "epsilon": 1e-3}),
     "monthly": ("short", {"algorithms": ["offline", "anytime"], "capacity_rates": [0.1],
