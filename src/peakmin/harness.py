@@ -21,7 +21,7 @@ import itertools
 import json
 import logging
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timedelta
 from typing import NamedTuple
 
@@ -442,6 +442,7 @@ class DayProfileSet:
         return len(self.day_values)
 
     def values(self) -> np.ndarray:
+        # a second name for day_values, which perfbench/inputs.py reads
         return self.day_values
 
     def instance(self, capacity_c: float, rate_limit: float | None = None) -> Instance:
@@ -556,10 +557,17 @@ def ingest_trace(transactions, config: SlottingConfig = SlottingConfig()) -> Day
 
 def _synthetic_days(num_days: int, horizon: int, demand_lb: float, demand_ub: float,
                     start_date: str) -> tuple[tuple[str, ...], SlottingConfig]:
-    """Day keys from start_date, and horizon slots at SlottingConfig's default start and length."""
-    # SlottingConfig rejects a window that is empty or runs past midnight
-    end = _clock_minutes(SlottingConfig.on_peak_start) + SlottingConfig.slot_minutes * horizon
-    slotting = SlottingConfig(on_peak_end=f"{end // 60:02d}:{end % 60:02d}",
+    """Day keys from start_date, and horizon slots of SlottingConfig's default
+    length from its default start, 12:00, or, for a window that would run
+    past midnight, ending at 24:00; a day holds 96 of them."""
+    slot = SlottingConfig.slot_minutes
+    day_slots = _DAY_US // (slot * _MINUTE_US)
+    if horizon > day_slots:
+        raise ValueError(f"horizon {horizon} exceeds the {day_slots} slots of a day")
+    # SlottingConfig rejects an empty window
+    start = min(_clock_minutes(SlottingConfig.on_peak_start), slot * (day_slots - horizon))
+    start_text, end_text = (f"{m // 60:02d}:{m % 60:02d}" for m in (start, start + slot * horizon))
+    slotting = SlottingConfig(on_peak_start=start_text, on_peak_end=end_text,
                               demand_bounds=(demand_lb, demand_ub))
     first = date.fromisoformat(start_date)
     return tuple((first + timedelta(days=i)).isoformat() for i in range(num_days)), slotting
@@ -627,24 +635,15 @@ def synthetic_volatile_profiles(
     return DayProfileSet(keys, days, slotting)
 
 
-class _Aggregates(NamedTuple):
-    """One cell's aggregates over its days."""
-
-    mean_final_peak: float
-    std_final_peak: float
-    mean_usage_rate: float
-    performance_ratio: float
-
-
-def _checked_aggregates(finals: np.ndarray, offline: np.ndarray,
-                        original: np.ndarray) -> list[_Aggregates]:
+def _checked_aggregates(finals: np.ndarray, offline: np.ndarray, original: np.ndarray):
     """AggregateMetrics' rules and aggregates in one pass over the (cells x
     days) stacks of final and offline peaks, against the days' original
     peaks. A failure raises for the first failing cell its first failing
     rule: equally many peaks, at least one; positive peaks; usage in (0, 1];
     a ratio of at least 1. Row means and deviations equal per-row np.mean
     and np.std bit for bit; each ratio divides Python's left-to-right sums
-    (np.sum adds pairwise and can move the last digit)."""
+    (np.sum adds pairwise and can move the last digit). Yields each cell's
+    mean and deviation of final peaks, mean usage rate and ratio."""
     n_final, n_offline, n_original = len(finals[0]), len(offline[0]), len(original)
     if not n_final == n_offline == n_original > 0:
         raise MismatchedLengths(
@@ -668,58 +667,56 @@ def _checked_aggregates(finals: np.ndarray, offline: np.ndarray,
             raise ValueError(
                 f"peak usage rate {float(rates[c, bad_rates[c].argmax()])} escapes (0, 1]")
         raise ValueError(f"performance ratio {float(ratios[c])} < 1: online beat offline")
-    return list(map(_Aggregates, np.mean(finals, axis=1).tolist(),
-                    np.std(finals, axis=1).tolist(), np.mean(rates, axis=1).tolist(),
-                    ratios.tolist()))
-
-
-def _read_only(values) -> np.ndarray:
-    peaks = np.array(values, dtype=float)
-    peaks.flags.writeable = False
-    return peaks
+    return zip(np.mean(finals, axis=1).tolist(), np.std(finals, axis=1).tolist(),
+               np.mean(rates, axis=1).tolist(), ratios.tolist())
 
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Matched per-day peaks for one policy, as read-only float arrays, with
-    the derived aggregates.
+    """Matched per-day peaks for one policy, as read-only float arrays, and
+    the aggregates over them.
 
     usage rates divide the net (after-discharge) peak by the original peak
     demand of the same day; the performance ratio divides the summed net
     peaks by the summed offline-optimal peaks. Both are checked here: usage
     must land in (0, 1] and the ratio can never drop below 1, because no
-    schedule beats the offline optimum. _checked_aggregates checks and
-    aggregates once: this one row, or every cell of a report (_stacked).
+    schedule beats the offline optimum. The four aggregates are fields the
+    constructor does not take: _stacked checks and fills them, in one pass
+    over every cell of a report, and a metrics object built directly is a
+    stack of one row (dataclasses.replace builds one, so it checks again).
     """
 
     final_peaks: np.ndarray
     offline_peaks: np.ndarray
     original_peaks: np.ndarray
+    mean_final_peak: float = field(init=False)
+    std_final_peak: float = field(init=False)
+    mean_usage_rate: float = field(init=False)
+    performance_ratio: float = field(init=False)
 
     __eq__ = _same_fields
 
     def __post_init__(self):
-        finals, offline, original = (_read_only(getattr(self, f.name)) for f in fields(self))
-        self._fill(finals, offline, original,
-                   _checked_aggregates(finals[None], offline[None], original)[0])
+        (row,) = self._stacked([self.final_peaks], [self.offline_peaks], self.original_peaks)
+        vars(self).update(vars(row))
 
     @classmethod
     def _stacked(cls, finals, offline, original) -> list[AggregateMetrics]:
         """One metrics object per row of finals and offline (a cell's final
         and offline peaks), all checked and aggregated in one pass; a cell's
         arrays are rows of one read-only stack."""
-        finals, offline, original = _read_only(finals), _read_only(offline), _read_only(original)
+        stacks = [np.array(v, dtype=float) for v in (finals, offline, original)]
+        for stack in stacks:
+            stack.flags.writeable = False
+        finals, offline, original = stacks
+        names = [f.name for f in fields(cls)]
         metrics = []
-        for row, aggregates in enumerate(_checked_aggregates(finals, offline, original)):
+        for final, off, aggregates in zip(finals, offline,
+                                          _checked_aggregates(finals, offline, original)):
             cell = object.__new__(cls)
-            cell._fill(finals[row], offline[row], original, aggregates)
+            vars(cell).update(zip(names, (final, off, original, *aggregates)))
             metrics.append(cell)
         return metrics
-
-    def _fill(self, finals, offline, original, aggregates: _Aggregates) -> None:
-        for name, value in (("final_peaks", finals), ("offline_peaks", offline),
-                            ("original_peaks", original), ("_aggregates", aggregates)):
-            object.__setattr__(self, name, value)
 
     @property
     def usage_rates(self) -> np.ndarray:
@@ -728,22 +725,6 @@ class AggregateMetrics:
     @property
     def day_ratios(self) -> np.ndarray:
         return self.final_peaks / self.offline_peaks
-
-    @property
-    def performance_ratio(self) -> float:
-        return self._aggregates.performance_ratio
-
-    @property
-    def mean_final_peak(self) -> float:
-        return self._aggregates.mean_final_peak
-
-    @property
-    def std_final_peak(self) -> float:
-        return self._aggregates.std_final_peak
-
-    @property
-    def mean_usage_rate(self) -> float:
-        return self._aggregates.mean_usage_rate
 
 
 @dataclass(frozen=True)

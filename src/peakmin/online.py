@@ -457,9 +457,10 @@ def _certified_ratio(
 
 def _bisect(view: _SlotView, pi_lb: float, pi_ub: float, epsilon: float,
             warm: _WarmStart) -> float:
-    """Bisect [pi_lb, pi_ub] down to epsilon, keeping pi_ub certified."""
-    while pi_ub - pi_lb >= epsilon:
-        mid = 0.5 * (pi_lb + pi_ub)
+    """Bisect [pi_lb, pi_ub] down to epsilon, keeping pi_ub certified, or
+    until the endpoints are adjacent floats (an epsilon below the float
+    spacing at the ratio), where the midpoint rounds onto one of them."""
+    while pi_ub - pi_lb >= epsilon and pi_lb < (mid := 0.5 * (pi_lb + pi_ub)) < pi_ub:
         if _requirement(view, mid, view.remaining, warm) > view.remaining:
             pi_lb = mid
         else:

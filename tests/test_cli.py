@@ -526,12 +526,13 @@ print(json.dumps(results))
 """
 
 
-def _cli_processes(calls, cwd) -> list:
+def _cli_processes(calls, cwd, timeout=None) -> list:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(calls)],
-                          cwd=cwd, env=env, check=True, capture_output=True, text=True)
+                          cwd=cwd, env=env, check=True, capture_output=True, text=True,
+                          timeout=timeout)
     return json.loads(proc.stdout)
 
 
@@ -563,3 +564,15 @@ def test_one_process_runs_each_command_as_a_fresh_process_does(tmp_path, dhat_fi
     assert [code for code, _, _ in together] == [0, 0, 0, 2, 2]
     assert together[3][2].startswith("CapacityExceedsMinDemand")
     assert "usage: peakmin cr" in together[4][2]
+
+
+def test_simulate_ends_at_an_epsilon_below_the_float_spacing(tmp_path):
+    """simulate --epsilon 1e-300 used to bisect forever, its bracket's ends
+    adjacent floats; in a child process with a timeout it prints what
+    --epsilon 1e-15 prints."""
+    (tmp_path / "day.txt").write_text("1.5\n2.0\n1.2\n", encoding="utf-8")
+    calls = [["simulate", "-c", "1", "--d-lb", "1", "--d-ub", "2", "--demands", "day.txt",
+              "--algo", "anytime", "--epsilon", epsilon] for epsilon in ("1e-300", "1e-15")]
+    tiny, coarse = _cli_processes(calls, tmp_path, timeout=30)
+    assert tiny == coarse
+    assert tiny[0] == 0 and tiny[1].startswith("slot,demand") and tiny[2] == ""

@@ -1,6 +1,7 @@
 """Trace ingestion, synthetic day generators, metrics, and the experiment
 driver."""
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -787,7 +788,7 @@ def test_synthetic_uniform_deterministic_and_bounded():
     a = synthetic_uniform_profiles(6, 4, 2.0, 5.0, seed=11)
     b = synthetic_uniform_profiles(6, 4, 2.0, 5.0, seed=11)
     assert a == b
-    values = a.values()
+    values = a.day_values
     assert values.min() >= 2.0 and values.max() <= 5.0
     assert a.num_days == 6 and a.horizon == 4
     assert a.avg_daily_energy == pytest.approx(values.sum(axis=1).mean())
@@ -797,7 +798,7 @@ def test_synthetic_volatile_deterministic_and_bounded():
     a = synthetic_volatile_profiles(40, 8, 2.0, 6.0, seed=404)
     b = synthetic_volatile_profiles(40, 8, 2.0, 6.0, seed=404)
     assert a == b
-    values = a.values()
+    values = a.day_values
     assert values.min() >= 2.0 and values.max() <= 6.0
     # default shares include near-ceiling surge days
     assert values.max() >= 6.0 - 0.12 * 4.0
@@ -807,7 +808,7 @@ def test_synthetic_volatile_share_knobs():
     calm = synthetic_volatile_profiles(30, 8, 2.0, 6.0, seed=1, calm_share=1.0,
                                        surge_share=0.0)
     # without surge days nothing reaches the top of the range
-    assert calm.values().max() < 2.0 + 0.75 * 4.0
+    assert calm.day_values.max() < 2.0 + 0.75 * 4.0
     with pytest.raises(ValueError):
         synthetic_volatile_profiles(5, 4, 2.0, 6.0, seed=1, calm_share=0.9,
                                     surge_share=0.2)
@@ -819,9 +820,10 @@ def test_synthetic_volatile_share_knobs():
 
 @pytest.mark.parametrize("generate", [synthetic_uniform_profiles, synthetic_volatile_profiles])
 def test_synthetic_generators_take_the_slotting_rules(generate):
-    """The generators cut 15-minute slots from 12:00 and have no slot length
-    knob (slot_minutes=15.0 failed formatting the window end); a zero day
-    count or horizon fails the day set's or the slotting's own check."""
+    """The generators cut 15-minute slots from 12:00 (or, past 48 slots,
+    up to 24:00) and have no slot length knob (slot_minutes=15.0 failed
+    formatting the window end); a zero day count or horizon fails the day
+    set's or the slotting's own check."""
     ps = generate(2, 4, 1.0, 2.0, seed=1)
     assert ps.slotting == SlottingConfig(15, "12:00", "13:00", demand_bounds=(1.0, 2.0))
     with pytest.raises(TypeError, match="slot_minutes"):
@@ -830,6 +832,19 @@ def test_synthetic_generators_take_the_slotting_rules(generate):
         generate(0, 4, 1.0, 2.0, seed=1)
     with pytest.raises(ValueError, match="on-peak window must end after it starts"):
         generate(2, 0, 1.0, 2.0, seed=1)
+
+
+@pytest.mark.parametrize("generate", [synthetic_uniform_profiles, synthetic_volatile_profiles])
+def test_synthetic_generators_reach_a_whole_day(generate):
+    """A window of 49 to 96 slots cannot open at 12:00, and used to fail
+    with "clock time out of range: '24:15'", a time no caller gave; it ends
+    at 24:00 instead. Past the 96 slots of a day the horizon itself fails."""
+    for horizon, start in ((48, "12:00"), (49, "11:45"), (60, "09:00"), (96, "00:00")):
+        ps = generate(2, horizon, 1.0, 2.0, seed=1)
+        assert ps.slotting == SlottingConfig(15, start, "24:00", demand_bounds=(1.0, 2.0))
+        assert ps.horizon == horizon
+    with pytest.raises(ValueError, match="horizon 97 exceeds the 96 slots of a day"):
+        generate(2, 97, 1.0, 2.0, seed=1)
 
 
 def test_metrics_fixture():
@@ -842,6 +857,27 @@ def test_metrics_fixture():
     assert m.mean_usage_rate == pytest.approx(0.775)
     assert m == AggregateMetrics([6.0, 4.0], [5.0, 3.0], [8.0, 5.0])
     assert m != "metrics"  # another type compares unequal, not by field
+
+
+def test_metrics_keep_their_aggregates_as_fields():
+    """The four aggregates are fields after the three peak arrays, filled
+    by the check and not taken by the constructor; dataclasses.replace
+    builds a new row, so it checks and aggregates again."""
+    names = [(f.name, f.init) for f in dataclasses.fields(AggregateMetrics)]
+    assert names == [("final_peaks", True), ("offline_peaks", True), ("original_peaks", True),
+                     ("mean_final_peak", False), ("std_final_peak", False),
+                     ("mean_usage_rate", False), ("performance_ratio", False)]
+    m = AggregateMetrics([6.0, 4.0], [5.0, 3.0], [8.0, 5.0])
+    moved = dataclasses.replace(m, final_peaks=[5.0, 5.0])
+    assert moved == AggregateMetrics([5.0, 5.0], [5.0, 3.0], [8.0, 5.0]) != m
+    assert (moved.mean_final_peak, moved.std_final_peak) == (5.0, 0.0)
+    assert moved.mean_usage_rate == (5.0 / 8.0 + 1.0) / 2
+    assert moved.performance_ratio == 10.0 / 8.0
+    assert not moved.final_peaks.flags.writeable
+    with pytest.raises(ValueError, match="peak usage rate 1.125 escapes"):
+        dataclasses.replace(m, final_peaks=[9.0, 4.0])
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(m, performance_ratio=1.0)
 
 
 def test_metrics_trivial_cases():
@@ -1169,7 +1205,7 @@ def test_experiment_cells_match_per_day_runs_bit_for_bit(fraction):
     for rate in rates:
         instance = ps.instance(rate * ps.avg_daily_energy,
                                None if fraction is None else fraction * ps.demand_ub)
-        profiles = [DemandProfile(instance, row) for row in ps.values()]
+        profiles = [DemandProfile(instance, row) for row in ps.day_values]
         offline = [solve_offline_pmd(instance, p).peak for p in profiles]
         runs = {
             "thr-offline-mean": lambda p: run_threshold(instance, p, float(np.mean(offline))),

@@ -3,7 +3,10 @@ variant, and monthly threading."""
 
 import contextlib
 import importlib.util
+import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -136,6 +139,33 @@ def test_policy_settings_reject_nan_and_infinity(bad):
     with pytest.raises(ValueError, match="epsilon"):
         anytime_ratio(inst, OnlineState(inst), 3.0, epsilon=bad)
     assert anytime_ratio(inst, OnlineState(inst), 3.0) == pytest.approx(1.333398, abs=1e-6)
+
+
+_TINY_EPSILON_RUNS = """
+import json
+from peakmin.core import DemandProfile, Instance
+from peakmin.online import PolicyOptions, run_anytime
+inst = Instance(1.0, None, 3, 1.0, 2.0)
+print(json.dumps([list(map(float, run_anytime(inst, DemandProfile(inst, [1.5, 2.0, 1.2]),
+                                               PolicyOptions(bisection_epsilon=eps)
+                                               ).ratio_trajectory))
+                  for eps in (1e-300, 1e-15)]))
+"""
+
+
+def test_an_epsilon_below_the_float_spacing_ends_the_bisection():
+    """Any positive epsilon is admitted, and one below the float spacing at
+    the ratio used to bisect forever: once the bracket's ends are adjacent
+    floats the midpoint rounds onto one of them. The run goes in a child
+    process with a timeout, so a hang fails the test; it certifies what the
+    epsilon=1e-15 run does, to within that epsilon."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _TINY_EPSILON_RUNS], check=True,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=30)
+    tiny, coarse = json.loads(proc.stdout)
+    assert len(tiny) == 3
+    assert tiny == pytest.approx(coarse, abs=1e-15)
 
 
 @pytest.mark.parametrize("field, error", [("monthly_peak", NonPositiveBound),

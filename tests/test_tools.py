@@ -1,6 +1,7 @@
 """Checks of the repository's tools (tools/): argument parsing and the paired summary."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -257,3 +258,25 @@ def test_pivot_report_marks_a_time_change_inside_the_parents_spread_unresolved()
     # the change side's spread (0.103 s) is the wider: 0.038 s is inside it
     assert times((0.314, 0.316, 0.337), (0.307, 0.354, 0.410))["unresolved"]
     assert not times((0.314, 0.316, 0.337), (0.400, 0.420, 0.440))["unresolved"]
+
+
+def test_each_tool_fails_on_a_tree_that_hangs(monkeypatch, tmp_path):
+    """A child process of a tree that hangs is stopped at the tool's
+    timeout, patched here to half a second, and the tool fails with a
+    message that names the tree and the job instead of waiting forever."""
+    tree = tmp_path / "tree"
+    for hang in (tree / "src" / "peakmin" / "__init__.py", tree / "perfbench" / "run.py"):
+        hang.parent.mkdir(parents=True)
+        hang.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
+    bench_pairs, diff_outputs, pivot_report = map(
+        _load, ("bench_pairs", "diff_outputs", "pivot_report"))
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(diff_outputs, "CLI_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(pivot_report, "JOB_TIMEOUT_S", 0.5)
+    named = f"^{re.escape(str(tree))}: "
+    with pytest.raises(RuntimeError, match=named + "sweep_trace seed 7 still running after 0.5 s$"):
+        bench_pairs.run_once(tree, "sweep_trace", 7, 1.0)
+    with pytest.raises(RuntimeError, match=named + "CLI calls x-sweep still running after 0.5 s$"):
+        diff_outputs._run_cli(tree, {"x-sweep": ["--help"]}, tmp_path)
+    with pytest.raises(RuntimeError, match=named + "job day still running after 0.5 s$"):
+        pivot_report.run_job(tree, job="day")

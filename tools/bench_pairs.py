@@ -45,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 1001
 HELD_OUT_SEED = 9001
 GAIN_WIN_SHARE = 0.9
+RUN_TIMEOUT_S = 900  # a perfbench run still going after this is taken as hung
 
 
 def export_commit(rev: str, into: Path) -> str:
@@ -59,10 +60,14 @@ def export_commit(rev: str, into: Path) -> str:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One perfbench run in root: its result line and its env line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, check=True, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=root, check=True, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{root}: {workload} seed {seed} still running after "
+                           f"{RUN_TIMEOUT_S} s") from None
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return json.loads(lines[-1]), env

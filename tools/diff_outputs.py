@@ -63,6 +63,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK_DAYS = 30  # sweep_trace's chunk length
+CLI_TIMEOUT_S = 1800  # a process of CLI calls still going after this is taken as hung
 SHORT_START = "2024-01-30"  # the 3-day trace spans two months
 WINDOWS = {"chunk": [], "short": ["--window-end", "14:00"], "variant": ["--window-end", "14:00"]}
 BASELINES = ["offline", "thr-offline-mean", "thr-mid", "eql-dis", "eql-per",
@@ -185,9 +186,13 @@ def _run_cli(tree: Path, calls: dict, out: Path) -> dict:
     """Run calls (name -> argv) in one fresh process of tree, in out, so that
     the paths they print are the same on both sides; writes each one's
     stdout and stderr there and returns name -> exit code."""
-    proc = subprocess.run([sys.executable, "-c", _RUN_CLI, json.dumps(list(calls.items()))],
-                          cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
-                          check=True, capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, json.dumps(list(calls.items()))],
+                              cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                              check=True, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{tree}: CLI calls {', '.join(calls)} still running after "
+                           f"{CLI_TIMEOUT_S} s") from None
     codes = {}
     for name, (code, stdout, stderr) in json.loads(proc.stdout).items():
         (out / f"{name}.stdout").write_text(stdout, encoding="utf-8")

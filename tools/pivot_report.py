@@ -58,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_SEEDS = (11, 12)
 RUN_DAYS = 8  # anytime_t10 days per seed
 DAY_HORIZON = 20
+JOB_TIMEOUT_S = 3600  # a job still going after this is taken as hung
 DAY_RATE_LIMITS = (None, 100.0)  # the two T=20 days
 REPEATS = 5  # processes per T=20 day and side
 DAY_RUNS = 3  # runs per process, the fastest timed
@@ -183,9 +184,13 @@ def line_counts(tree: Path) -> dict:
 def run_job(tree: Path, **spec):
     """One _WORKER job in a fresh process of tree; its JSON result."""
     spec["perfbench"] = str(ROOT / "perfbench")
-    proc = subprocess.run([sys.executable, "-c", _WORKER, json.dumps(spec)], cwd=tree,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
-                          check=True, capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-c", _WORKER, json.dumps(spec)], cwd=tree,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                              check=True, capture_output=True, text=True, timeout=JOB_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{tree}: job {spec['job']} still running after "
+                           f"{JOB_TIMEOUT_S} s") from None
     return json.loads(proc.stdout)
 
 
